@@ -54,7 +54,7 @@ from .spinor import (
     observables,
     reconstruct,
 )
-from .transform import TransformMap, build_transform, invert
+from .transform import TransformMap, build_transform
 
 __all__ = [
     "AnalyticSpectrum",
@@ -84,7 +84,6 @@ __all__ = [
     "hermite",
     "hyp2f1_polynomial",
     "interior_sample",
-    "invert",
     "normalize",
     "numeric_normalization",
     "observables",

@@ -236,15 +236,6 @@ def _raw_components(model: str, n: int, params: Mapping[str, float],
     raise InvalidParameterError(f"no closed-form wavefunction for model {model!r}")
 
 
-def _domain_of(model: str) -> Tuple[float, float]:
-    return {
-        "cosh_square": (-math.inf, math.inf),
-        "rational": (-math.inf, math.inf),
-        "poschl_teller": (0.0, math.inf),  # pi/alpha applied with params
-        "linear_singular": (0.0, math.inf),
-    }[model]
-
-
 @lru_cache(maxsize=256)
 def _numeric_norm_cached(model: str, n: int, params_key: Tuple[Tuple[str, float], ...]) -> float:
     params = dict(params_key)

@@ -31,7 +31,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -318,11 +318,17 @@ class SolveOutcome:
     rest_energy: Optional[Tuple[float, float]] = None  # free constant-mass case
 
 
-def run_solve_pipeline(rc: RunConfig, model: Optional[ModelSpec] = None) -> SolveOutcome:
-    """profiles -> transform -> potential -> eigensolver, per resolved mode."""
+def run_solve_pipeline(rc: RunConfig, model: Optional[ModelSpec] = None,
+                       tmap: Optional[TransformMap] = None) -> SolveOutcome:
+    """profiles -> transform -> potential -> eigensolver, per resolved mode.
+
+    A given ``tmap`` must be the map of ``model.velocity`` anchored at
+    ``model.anchor`` with ``rc.quad_tol``; without one it is built here.
+    """
     if model is None:
         model = _build_model(rc)
-    tmap = build_transform(model.velocity, model.anchor, rc.quad_tol)
+    if tmap is None:
+        tmap = build_transform(model.velocity, model.anchor, rc.quad_tol)
     mode = _resolve_mode(rc, model)
     finite_q = math.isfinite(tmap.q_lo) and math.isfinite(tmap.q_hi)
 
@@ -621,6 +627,10 @@ def cmd_bic(rc: RunConfig) -> int:
     return EXIT_OK
 
 
+# the one (ModelSpec.map_key, map) pair a scan holds between points
+_HeldMap = Tuple[Optional[Hashable], Optional[TransformMap]]
+
+
 def cmd_scan(rc: RunConfig) -> int:
     if not rc.scan_param:
         raise ConfigError("config key 'scan.param' is required for the scan command")
@@ -648,6 +658,7 @@ def cmd_scan(rc: RunConfig) -> int:
             os.remove(path)
 
     new_file = not os.path.exists(path)
+    held: _HeldMap = (None, None)
     with open(path, "a", encoding="utf-8", newline="\n") as fh:
         if new_file:
             for line in header:
@@ -657,7 +668,7 @@ def cmd_scan(rc: RunConfig) -> int:
             key = _fmt(float(val))
             if key in done:
                 continue
-            rows = _scan_point(rc, float(val))
+            rows, held = _scan_point(rc, float(val), held)
             for row in rows:
                 fh.write(",".join(row) + "\n")
             fh.flush()
@@ -665,24 +676,33 @@ def cmd_scan(rc: RunConfig) -> int:
     return EXIT_OK
 
 
-def _scan_point(rc: RunConfig, value: float) -> List[Tuple[str, ...]]:
+def _scan_point(rc: RunConfig, value: float,
+                held: _HeldMap) -> Tuple[List[Tuple[str, ...]], _HeldMap]:
+    """Rows for one scan point, and the (map_key, map) pair to hold for the next.
+
+    The held map is reused when the point's model has the same non-None
+    ``map_key``; a map whose build raised is never held.
+    """
     key = _fmt(value)
     try:
         model = _build_model(rc, override={rc.scan_param: value})
-        outcome = run_solve_pipeline(rc, model=model)
+        if model.map_key is None or model.map_key != held[0]:
+            held = (model.map_key,
+                    build_transform(model.velocity, model.anchor, rc.quad_tol))
+        outcome = run_solve_pipeline(rc, model=model, tmap=held[1])
         if outcome.rest_energy is not None:
             ref = _analytic_reference(rc, model, 1)[0]
             ref_s = _fmt(ref.e_plus) if ref else "nan"
-            return [(key, "0", _fmt(outcome.rest_energy[0]), ref_s, "ok")]
+            return [(key, "0", _fmt(outcome.rest_energy[0]), ref_s, "ok")], held
         reference = _analytic_reference(rc, model, rc.k_states)
         rows = []
         for k, (e_plus, _) in enumerate(outcome.result.energies):
             ref = reference[k]
             ref_s = _fmt(ref.e_plus) if ref is not None else "nan"
             rows.append((key, str(k), _fmt(e_plus), ref_s, "ok"))
-        return rows
+        return rows, held
     except (_NUMERICAL_ERRORS + (ConfigError, InvalidParameterError)) as exc:
-        return [(key, "-", "nan", "nan", f"error:{type(exc).__name__}")]
+        return [(key, "-", "nan", "nan", f"error:{type(exc).__name__}")], held
 
 
 def cmd_report(rc: RunConfig) -> int:
@@ -709,7 +729,7 @@ def cmd_report(rc: RunConfig) -> int:
             print(f", s (as-published) = {_fmt(s_ap)}")
         except InvalidParameterError:
             print(", s (as-published) = complex (radicand < 0)")
-        outcome = run_solve_pipeline(rc)
+        outcome = run_solve_pipeline(rc, model=model, tmap=tmap)
         numeric = [e[0] for e in outcome.result.energies]
         print("numeric levels vs published (s+2n) sequence "
               "(interleaved levels are genuine states the published "

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Tuple
+from typing import Callable, Hashable, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -214,7 +214,9 @@ class ModelSpec:
 
     ``anchor`` is the reference point where the canonical map q(x) vanishes;
     ``u_closed`` holds closed forms (u, u', u'') when the product admits an
-    exact simplification.
+    exact simplification. ``map_key`` names the map q(x): two specs with
+    equal non-None keys have the same velocity, domain and anchor, so one
+    ``build_transform`` result serves both. ``None`` means never shared.
     """
 
     name: str
@@ -225,6 +227,7 @@ class ModelSpec:
     label: str
     anchor: float
     u_closed: Optional[Tuple[Callable, Callable, Callable]] = None
+    map_key: Optional[Hashable] = None
 
     def __post_init__(self):
         if self.mass.domain != self.domain or self.velocity.domain != self.domain:
@@ -339,7 +342,8 @@ def _cosh_square(params) -> ModelSpec:
         lambda x: 0.0 * np.asarray(x, dtype=float),
     )
     return ModelSpec("cosh_square", mass, vel, dom, p,
-                     "cosh^2 velocity / sech^4 mass", anchor=0.0, u_closed=u_closed)
+                     "cosh^2 velocity / sech^4 mass", anchor=0.0, u_closed=u_closed,
+                     map_key=("cosh_square", a, v0))
 
 
 def _rational(params) -> ModelSpec:
@@ -367,7 +371,8 @@ def _rational(params) -> ModelSpec:
         lambda x: 0.0 * np.asarray(x, dtype=float),
     )
     return ModelSpec("rational", mass, vel, dom, p,
-                     "rational velocity / rational mass", anchor=0.0, u_closed=u_closed)
+                     "rational velocity / rational mass", anchor=0.0, u_closed=u_closed,
+                     map_key=("rational", a, v0))
 
 
 def _poschl_teller(params) -> ModelSpec:
@@ -394,7 +399,8 @@ def _poschl_teller(params) -> ModelSpec:
     )
     return ModelSpec("poschl_teller", mass, vel, dom, p,
                      "constant velocity / 1/sin mass",
-                     anchor=math.pi / (2.0 * a), u_closed=u_closed)
+                     anchor=math.pi / (2.0 * a), u_closed=u_closed,
+                     map_key=("poschl_teller", a, v0))
 
 
 def _linear_singular(params) -> ModelSpec:
@@ -419,7 +425,8 @@ def _linear_singular(params) -> ModelSpec:
         lambda x: 0.0 * np.asarray(x, dtype=float),
     )
     return ModelSpec("linear_singular", mass, vel, dom, p,
-                     "linear velocity / 1/x mass", anchor=1.0, u_closed=u_closed)
+                     "linear velocity / 1/x mass", anchor=1.0, u_closed=u_closed,
+                     map_key=("linear_singular", v0))
 
 
 def _constant_rest(params) -> ModelSpec:
@@ -445,7 +452,8 @@ def _constant_rest(params) -> ModelSpec:
         lambda x: 0.0 * np.asarray(x, dtype=float),
     )
     return ModelSpec("constant_rest", mass, vel, dom, p,
-                     "constant rest mass and velocity", anchor=0.0, u_closed=u_closed)
+                     "constant rest mass and velocity", anchor=0.0, u_closed=u_closed,
+                     map_key=("constant_rest", c))
 
 
 _BUILTINS = {

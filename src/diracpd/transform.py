@@ -221,18 +221,18 @@ class TransformMap:
                 break
         # spot-check against the honest adaptive-quadrature forward
         idx = np.unique(np.linspace(0, q.size - 1, 7).astype(int))
-        res = np.abs(self.forward(x[idx]) - q[idx])
-        if np.max(res) > 1e-10 * max(1.0, np.max(np.abs(q))):
+        res = float(np.max(np.abs(self.forward(x[idx]) - q[idx])))
+        tol = 1e-10 * max(1.0, np.max(np.abs(q)))
+        if res > tol:
+            warnings.warn(
+                f"inverse_grid: spot-check residual {res:.3e} > {tol:.3e}; "
+                f"falling back to per-point inverse on {q.size} nodes",
+                RuntimeWarning, stacklevel=3)
             return np.array([self.inverse(qi) for qi in q])
         return x
 
     # aliases matching the operation names
     __call__ = forward
-
-
-def invert(tmap: TransformMap, q: float) -> float:
-    """Pull a single q back to x (bracketing + safeguarded refinement)."""
-    return tmap.inverse(q)
 
 
 def _explore_side(f, x0, endpoint, quad_tol, sign):

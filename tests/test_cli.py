@@ -4,7 +4,9 @@ import os
 import numpy as np
 import pytest
 
+from diracpd import cli
 from diracpd.cli import main
+from diracpd.errors import QuadratureFailureError
 
 
 def write_config(path, **keys):
@@ -224,6 +226,72 @@ class TestScan:
         assert main(["scan", "--config", cfg, "--axis", "zeta=0:1:3"]) == 2
 
 
+def count_builds(monkeypatch, fail_first=False):
+    """Count cli.build_transform calls; optionally make the first one raise."""
+    calls = []
+    real = cli.build_transform
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        if fail_first and len(calls) == 1:
+            raise QuadratureFailureError("forced", partial=0.0)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_transform", counted)
+    return calls
+
+
+PT_SCAN = dict(model__name="poschl_teller", model__alpha=1.0, model__v0=1.0,
+               model__m0=1.0, grid__n=600, solve__k_states=2, scan__steps=4)
+
+
+class TestScanMapReuse:
+    def test_m0_scan_builds_map_once(self, tmp_path, monkeypatch):
+        calls = count_builds(monkeypatch)
+        cfg = write_config(tmp_path / "c.txt", **PT_SCAN, scan__param="m0",
+                           scan__min=1.0, scan__max=2.0,
+                           out__dir=str(tmp_path / "out"))
+        assert main(["scan", "--config", cfg]) == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("param", ["alpha", "v0"])
+    def test_velocity_scan_builds_map_per_point(self, tmp_path, monkeypatch, param):
+        calls = count_builds(monkeypatch)
+        cfg = write_config(tmp_path / "c.txt", **PT_SCAN, scan__param=param,
+                           scan__min=0.8, scan__max=1.0,
+                           out__dir=str(tmp_path / "out"))
+        assert main(["scan", "--config", cfg]) == 0
+        assert len(calls) == 4
+
+    def test_failed_build_is_not_held(self, tmp_path, monkeypatch):
+        calls = count_builds(monkeypatch, fail_first=True)
+        cfg = write_config(tmp_path / "c.txt", **PT_SCAN, scan__param="m0",
+                           scan__min=1.0, scan__max=2.0,
+                           out__dir=str(tmp_path / "out"))
+        assert main(["scan", "--config", cfg]) == 0
+        assert len(calls) == 2
+        _, rows = read_rows(tmp_path / "out" / "scan.csv")
+        assert rows[0][1:] == ["-", "nan", "nan", "error:QuadratureFailureError"]
+        assert all(row[4] == "ok" for row in rows[1:])
+
+    @pytest.mark.parametrize("mode", ["approximate", "exact"])
+    def test_m0_scan_matches_fresh_map_solves(self, tmp_path, mode):
+        cfg = write_config(tmp_path / "c.txt", **PT_SCAN, scan__param="m0",
+                           scan__min=1.0, scan__max=2.0, mode=mode,
+                           out__dir=str(tmp_path / "out"))
+        assert main(["scan", "--config", cfg]) == 0
+        _, rows = read_rows(tmp_path / "out" / "scan.csv")
+        args = cli._make_parser().parse_args(["scan", "--config", cfg])
+        rc = cli.build_run_config(cli.parse_config(cfg), args)
+        expected = []
+        for m0 in np.linspace(1.0, 2.0, 4):
+            model = cli._build_model(rc, override={"m0": float(m0)})
+            outcome = cli.run_solve_pipeline(rc, model=model)
+            expected += [[cli._fmt(float(m0)), str(k), cli._fmt(e_plus)]
+                         for k, (e_plus, _) in enumerate(outcome.result.energies)]
+        assert [row[:3] for row in rows] == expected
+
+
 class TestBic:
     def test_writes_states(self, tmp_path, capsys):
         cfg = write_config(
@@ -245,7 +313,8 @@ class TestBic:
 
 
 class TestReport:
-    def test_poschl_teller_report(self, tmp_path, capsys):
+    def test_poschl_teller_report(self, tmp_path, capsys, monkeypatch):
+        calls = count_builds(monkeypatch)
         cfg = write_config(
             tmp_path / "c.txt",
             model__name="poschl_teller", model__alpha=1.0, model__v0=1.0,
@@ -256,6 +325,7 @@ class TestReport:
         out = capsys.readouterr().out
         assert "interleaved" in out
         assert os.path.exists(tmp_path / "out" / "discrepancy.csv")
+        assert len(calls) == 1
 
     def test_linear_singular_report(self, tmp_path, capsys):
         cfg = write_config(

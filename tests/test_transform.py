@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from diracpd import build_transform, builtin_model, invert
+from diracpd import build_transform, builtin_model
 from diracpd.errors import DomainError, InvalidParameterError
 from diracpd.profiles import VelocityProfile
 
@@ -64,28 +64,28 @@ class TestForward:
 class TestInverse:
     def test_cosh_inverse(self):
         _, tmap = _model_and_map("cosh_square", alpha=1, v0=1, m0=0)
-        assert invert(tmap, TANH_1) == pytest.approx(1.0, abs=1e-10)
+        assert tmap.inverse(TANH_1) == pytest.approx(1.0, abs=1e-10)
 
     def test_anchor_maps_to_zero(self):
         for name, kwargs in [("cosh_square", dict(alpha=1, v0=1, m0=1)),
                              ("rational", dict(alpha=1, v0=1, m0=0)),
                              ("linear_singular", dict(A=1, v0=1))]:
             model, tmap = _model_and_map(name, **kwargs)
-            assert invert(tmap, 0.0) == pytest.approx(model.anchor, abs=1e-12)
+            assert tmap.inverse(0.0) == pytest.approx(model.anchor, abs=1e-12)
 
     def test_rational_inverse(self):
         _, tmap = _model_and_map("rational", alpha=1, v0=1, m0=0)
-        assert invert(tmap, math.pi / 4) == pytest.approx(1.0, abs=1e-10)
+        assert tmap.inverse(math.pi / 4) == pytest.approx(1.0, abs=1e-10)
 
     def test_out_of_range(self):
         _, tmap = _model_and_map("cosh_square", alpha=1, v0=1, m0=0)
         with pytest.raises(DomainError):
-            invert(tmap, 1.5)
+            tmap.inverse(1.5)
         with pytest.raises(DomainError):
-            invert(tmap, -1.0000001)
+            tmap.inverse(-1.0000001)
 
     def test_inverse_contract(self):
-        # |forward(invert(q)) - q| <= 1e-12 max(1, |q|)
+        # |forward(inverse(q)) - q| <= 1e-12 max(1, |q|)
         _, tmap = _model_and_map("rational", alpha=1.3, v0=0.7, m0=0.2)
         qs = np.linspace(tmap.q_lo + 1e-4, tmap.q_hi - 1e-4, 37)
         for q in qs:
@@ -155,6 +155,15 @@ class TestInverseGrid:
             x_scalar = tmap.inverse(qs[i])
             v_local = float(tmap.velocity(x_scalar))
             assert xs[i] == pytest.approx(x_scalar, abs=1e-11 * max(1.0, v_local))
+
+    def test_spot_check_miss_warns_and_falls_back(self, monkeypatch):
+        _, tmap = _model_and_map("cosh_square", alpha=1, v0=1, m0=1)
+        qs = np.linspace(-0.9, 0.9, 41)
+        true_forward = tmap.forward
+        monkeypatch.setattr(tmap, "forward", lambda x: true_forward(x) + 1e-6)
+        with pytest.warns(RuntimeWarning, match="residual 1.000e-06"):
+            xs = tmap.inverse_grid(qs)
+        assert np.max(np.abs(np.tanh(xs) - qs)) <= 1e-11
 
     def test_caching_returns_same(self):
         _, tmap = _model_and_map("rational", alpha=1, v0=1, m0=0)
