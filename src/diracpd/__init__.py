@@ -29,12 +29,10 @@ from .potential import (
     DiscrepancyReport,
     PotentialField,
     QGrid,
-    ZetaPair,
     approx_potential,
     constant_u_potential,
     exact_potential,
     potential_discrepancy_report,
-    zeta_pair,
 )
 from .profiles import (
     MassProfile,
@@ -69,7 +67,6 @@ __all__ = [
     "SpinorField",
     "TransformMap",
     "VelocityProfile",
-    "ZetaPair",
     "approx_potential",
     "bic_family",
     "bound_spinor",
@@ -96,7 +93,6 @@ __all__ = [
     "solve_self_consistent",
     "spectrum_entry",
     "spectrum_value",
-    "zeta_pair",
 ]
 
 __version__ = "0.1.0"

@@ -549,10 +549,9 @@ def cmd_solve(rc: RunConfig) -> int:
         if math.isfinite(rel):
             worst = max(worst, rel)
 
-    if interleave:
-        missing = _unmatched_reference(numeric, reference, rc.compare_tol)
-        for n_ref, e_ref in missing:
-            print(f"  reference level n={n_ref} (E={_fmt(e_ref)}) not found numerically")
+    missing = _unmatched_reference(numeric, reference, rc.compare_tol) if interleave else []
+    for n_ref, e_ref in missing:
+        print(f"  reference level n={n_ref} (E={_fmt(e_ref)}) not found numerically")
 
     if "spectrum" in rc.outputs:
         _write_csv(os.path.join(rc.out_dir, "spectrum.csv"),
@@ -575,11 +574,7 @@ def cmd_solve(rc: RunConfig) -> int:
     if "bic" in rc.outputs and rc.bic_energies:
         _emit_bic(rc, model, tmap, mode)
 
-    strict_fail = worst > rc.compare_tol
-    if interleave:
-        missing = _unmatched_reference(numeric, reference, rc.compare_tol)
-        strict_fail = strict_fail or bool(missing)
-    if rc.strict and strict_fail:
+    if rc.strict and (worst > rc.compare_tol or missing):
         print(f"strict comparison failed: worst rel dev {worst:.3e} > "
               f"{rc.compare_tol:g}", file=sys.stderr)
         return EXIT_COMPARE
@@ -774,7 +769,7 @@ def cmd_report(rc: RunConfig) -> int:
         lo = tmap.q_lo if math.isfinite(tmap.q_lo) else -8.0
         hi = tmap.q_hi if math.isfinite(tmap.q_hi) else 8.0
         grid = QGrid(lo, hi, rc.grid_n, offset=True)
-        if detect_constant_u(model, tol=1e-10) == 0.0:
+        if a_const == 0.0:
             print("massless model: effective potential is identically zero")
             rep = None
         else:

@@ -37,10 +37,8 @@ class EigenPair:
 
     lam: float
     phi: np.ndarray
-    q: np.ndarray
     grid: QGrid
     nodes: int
-    grid_h: float
     error_estimate: float
 
 
@@ -128,15 +126,13 @@ def solve_fixed(potential: PotentialField, k_states: int) -> SpectrumResult:
 
     pairs: List[EigenPair] = []
     energies: List[Tuple[float, float]] = []
-    q = grid.nodes
     for k in range(k_states):
         lam_r = (4.0 * w_fine[k] - w[k]) / 3.0
         err = abs(w[k] - w_fine[k]) / 3.0
         phi = _canonical_sign(vecs[:, k])
         phi = phi / math.sqrt(float(np.sum(phi * phi)) * grid.h)
-        pairs.append(EigenPair(lam=float(lam_r), phi=phi, q=q, grid=grid,
-                               nodes=count_nodes(phi), grid_h=grid.h,
-                               error_estimate=float(err)))
+        pairs.append(EigenPair(lam=float(lam_r), phi=phi, grid=grid,
+                               nodes=count_nodes(phi), error_estimate=float(err)))
         energies.append(energies_from_lambda(lam_r, offset))
 
     return SpectrumResult(pairs=tuple(pairs), energies=tuple(energies),

@@ -111,26 +111,6 @@ class PotentialField:
         return build(grid)
 
 
-@dataclass(frozen=True)
-class ZetaPair:
-    """zeta_1 = E - u and zeta_2 = E + u as callables of x."""
-
-    model: ModelSpec
-    energy: float
-
-    def zeta1(self, x):
-        u, _, _ = product_u(self.model, x)
-        return self.energy - u
-
-    def zeta2(self, x):
-        u, _, _ = product_u(self.model, x)
-        return self.energy + u
-
-
-def zeta_pair(model: ModelSpec, energy: float) -> ZetaPair:
-    return ZetaPair(model, energy)
-
-
 def _fields_on_grid(model: ModelSpec, grid: QGrid, tmap: TransformMap):
     x = tmap.inverse_grid(grid.nodes)
     u, u1, u2 = product_u(model, x)

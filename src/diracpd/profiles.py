@@ -109,7 +109,6 @@ class VelocityProfile:
     dfunc: Callable[[np.ndarray], np.ndarray]
     domain: Interval
     d2func: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    from_finite_difference: bool = False
 
     def __call__(self, x):
         return self.func(x)
@@ -129,14 +128,14 @@ class VelocityProfile:
                       domain: Interval = (-math.inf, math.inf),
                       validate: bool = True) -> "VelocityProfile":
         """Wrap a plain callable; missing derivatives fall back to finite
-        differences (flagged, so convergence reports can mention it)."""
+        differences, which validation then does not check."""
         fd = deriv1 is None
         if deriv1 is None:
             def deriv1(x, _f=func):
                 x = np.asarray(x, dtype=float)
                 h = np.finfo(float).eps ** (1 / 3) * (1.0 + np.abs(x))
                 return _central_diff(_f, x, h)
-        prof = cls(func, deriv1, domain, deriv2, from_finite_difference=fd)
+        prof = cls(func, deriv1, domain, deriv2)
         if validate:
             prof.validate(check_derivatives=not fd)
         return prof
@@ -163,7 +162,6 @@ class MassProfile:
     dfunc: Callable[[np.ndarray], np.ndarray]
     d2func: Callable[[np.ndarray], np.ndarray]
     domain: Interval
-    from_finite_difference: bool = False
 
     def __call__(self, x):
         return self.func(x)
@@ -189,7 +187,7 @@ class MassProfile:
                 x = np.asarray(x, dtype=float)
                 h = np.finfo(float).eps ** 0.25 * (1.0 + np.abs(x))
                 return _central_diff2(_f, x, h)
-        prof = cls(func, deriv1, deriv2, domain, from_finite_difference=fd)
+        prof = cls(func, deriv1, deriv2, domain)
         if validate:
             prof.validate(check_derivatives=not fd)
         return prof

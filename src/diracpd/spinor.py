@@ -85,7 +85,7 @@ def reconstruct(pair: EigenPair, model: ModelSpec, tmap: TransformMap,
     The global phase makes psi_1 real and positive at its largest sample.
     The result is unnormalized; feed it to :func:`normalize`.
     """
-    q = pair.q
+    q = pair.grid.nodes
     x = tmap.inverse_grid(q)
     u, u1, _ = product_u(model, x)
     v = np.broadcast_to(np.asarray(model.velocity(x), dtype=float), x.shape)
@@ -95,7 +95,7 @@ def reconstruct(pair: EigenPair, model: ModelSpec, tmap: TransformMap,
             f"zeta_2 <= 0 on the grid at E={energy:g}; reconstruction divides by it"
         )
     phi = pair.phi
-    dphi = np.gradient(phi, pair.grid_h, edge_order=2)
+    dphi = np.gradient(phi, pair.grid.h, edge_order=2)
     sq_z2 = np.sqrt(z2)
     psi1 = sq_z2 * phi / np.sqrt(v)
     # d/dq [sqrt(z2) phi] with dz2/dq = u'(x) v(x)

@@ -15,12 +15,14 @@ from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
 import numpy as np
-from scipy import integrate, optimize
+from scipy import integrate
 
 from .errors import DomainError, InvalidParameterError, QuadratureFailureError
 from .profiles import VelocityProfile
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+_SPLIT_ROUNDS = 40
+_NEWTON_ITERS = 100
 
 FINITE = "finite"
 INFINITE = "infinite"
@@ -52,12 +54,41 @@ def _gl_panels(f, a, b):
     return rad * (vals @ _GL_WEIGHTS)
 
 
+def _panel_table(f, anchors_x, anchors_q):
+    """The anchor ladder, each interval halved while one GL-16 panel
+    disagrees with its two halves by more than 1e-14 max(1, |q|).
+
+    Ladder nodes keep their adaptive-quadrature q; an inserted node gets the
+    q of the ladder node to its left plus GL-16 over the panels between.
+    """
+    x = anchors_x
+    q = anchors_q
+    for _ in range(_SPLIT_ROUNDS):
+        a, b = x[:-1], x[1:]
+        mid = 0.5 * (a + b)
+        miss = np.abs(_gl_panels(f, a, b) - _gl_panels(f, a, mid) - _gl_panels(f, mid, b))
+        split = np.flatnonzero(
+            miss > 1e-14 * np.maximum(1.0, np.abs(np.interp(mid, anchors_x, anchors_q))))
+        if split.size == 0:
+            break
+        x = np.insert(x, split + 1, mid[split])
+        q = np.insert(q, split + 1, np.nan)
+    else:
+        raise QuadratureFailureError(
+            f"GL-16 panel table still splitting after {_SPLIT_ROUNDS} rounds")
+    cum = np.concatenate(([0.0], np.cumsum(_gl_panels(f, x[:-1], x[1:]))))
+    left = np.maximum.accumulate(np.where(np.isnan(q), 0, np.arange(q.size)))
+    return x, q[left] + (cum - cum[left])
+
+
 @dataclass
 class TransformMap:
     """q(x) with its inverse and endpoint classification.
 
-    Immutable after construction apart from the internal inverse cache,
-    which is append-only derived data; lookups are pure.
+    Every inverse runs through one panel table, built once per map: the
+    anchor ladder refined until GL-16 is exact on each panel. Immutable after
+    construction apart from the internal inverse cache, which is append-only
+    derived data; lookups are pure.
     """
 
     velocity: VelocityProfile
@@ -68,7 +99,12 @@ class TransformMap:
     endpoint_kind: Tuple[str, str]
     anchors_x: np.ndarray
     anchors_q: np.ndarray
-    _grid_cache: Dict[tuple, np.ndarray] = field(default_factory=dict, repr=False)
+    table_x: np.ndarray = field(init=False, repr=False)
+    table_q: np.ndarray = field(init=False, repr=False)
+    _grid_cache: Dict[tuple, tuple] = field(default_factory=dict, repr=False)
+
+    def __post_init__(self):
+        self.table_x, self.table_q = _panel_table(self._f, self.anchors_x, self.anchors_q)
 
     # -- forward ------------------------------------------------------------
 
@@ -97,139 +133,69 @@ class TransformMap:
 
     def inverse(self, q: float) -> float:
         """The unique x with forward(x) = q, to |forward(x) - q| <= 1e-12 max(1,|q|)."""
-        if not (self.q_lo < q < self.q_hi):
-            raise DomainError(f"q={q:g} outside ({self.q_lo:g}, {self.q_hi:g})")
-        xa, qa, xb, qb = self._bracket(q)
-        if qa == q:
-            return xa
-        if qb == q:
-            return xb
-
-        def g(x):
-            return qa + _quad(self._f, xa, x, self.quad_tol) - q
-
-        x = optimize.brentq(g, xa, xb, xtol=1e-14 * (1.0 + abs(xa) + abs(xb)),
-                            rtol=8.9e-16, maxiter=200)
-        # Newton polish: g' = 1/v_F, exact
-        tol = 1e-12 * max(1.0, abs(q))
-        for _ in range(6):
-            r = g(x)
-            if abs(r) <= tol:
-                break
-            step = -r * float(self.velocity(x))
-            x_new = min(max(x + step, xa), xb)
-            if x_new == x:
-                break
-            x = x_new
-        return float(x)
-
-    def _bracket(self, q):
-        """Anchor pair (xa, qa), (xb, qb) with qa <= q <= qb."""
-        aq, ax = self.anchors_q, self.anchors_x
-        j = int(np.searchsorted(aq, q))
-        if 0 < j < len(aq):
-            return ax[j - 1], aq[j - 1], ax[j], aq[j]
-        # beyond the stored ladder: creep toward the wall without mutating state
-        lo, hi = self.velocity.domain
-        if j == 0:
-            x_out, q_out = ax[0], aq[0]
-            step = ax[1] - ax[0] if len(ax) > 1 else 1.0
-            for _ in range(200):
-                x_next = x_out - step if math.isinf(lo) else 0.5 * (x_out + lo)
-                if not (x_next > lo) or x_next == x_out:
-                    break
-                q_next = q_out + _quad(self._f, x_out, x_next, self.quad_tol)
-                if q_next <= q:
-                    return x_next, q_next, x_out, q_out
-                x_out, q_out = x_next, q_next
-                step *= 2.0
-            raise DomainError(f"q={q:g} too close to the lower map limit to invert")
-        x_out, q_out = ax[-1], aq[-1]
-        step = ax[-1] - ax[-2] if len(ax) > 1 else 1.0
-        for _ in range(200):
-            x_next = x_out + step if math.isinf(hi) else 0.5 * (x_out + hi)
-            if not (x_next < hi) or x_next == x_out:
-                break
-            q_next = q_out + _quad(self._f, x_out, x_next, self.quad_tol)
-            if q_next >= q:
-                return x_out, q_out, x_next, q_next
-            x_out, q_out = x_next, q_next
-            step *= 2.0
-        raise DomainError(f"q={q:g} too close to the upper map limit to invert")
+        return float(self._solve(np.array([q], dtype=float))[0])
 
     def inverse_grid(self, q: np.ndarray) -> np.ndarray:
-        """Vectorized inverse for a sorted array of q values.
-
-        Builds a panel table equidistributed in q (iterated resampling +
-        Gauss-Legendre), then runs anchored vector Newton. Results for
-        repeated grids are cached on the map.
-        """
+        """Inverse of a sorted array of q values, cached per grid on the map."""
         q = np.asarray(q, dtype=float)
         if q.size == 0:
             return q.copy()
         key = (q[0], q[-1], q.size)
         hit = self._grid_cache.get(key)
-        if hit is not None:
-            qs_cached, xs_cached = hit
-            if np.array_equal(qs_cached, q):
-                return xs_cached.copy()
+        if hit is not None and np.array_equal(hit[0], q):
+            return hit[1].copy()
+        x = self._solve(q)
+        self._grid_cache[key] = (q.copy(), x)
+        return x.copy()
+
+    def _solve(self, q):
+        """x(q) node by node, each inside its panel of the table.
+
+        Start from linear interpolation in the table, then Newton on
+        r(x) = q_j + GL16(x_j, x) - q with r' = 1/v_F. The step is clipped to
+        a bracket that starts as the panel and shrinks with the sign of r;
+        a step that leaves it bisects instead. A node stops once |r| <=
+        1e-13 max(1, |q|) and keeps that last step. Seven nodes are checked
+        against the adaptive-quadrature forward map.
+        """
         if np.any(np.diff(q) < 0):
             raise DomainError("inverse_grid expects q sorted ascending")
         if not (self.q_lo < q[0] and q[-1] < self.q_hi):
-            raise DomainError("q grid must lie strictly inside (q_lo, q_hi)")
-
-        xa = self.inverse(q[0])
-        xb = self.inverse(q[-1])
-        if q[0] == q[-1]:
-            return np.full_like(q, xa)
-        x = self._equidistributed_solve(q, xa, xb)
-        self._grid_cache[key] = (q.copy(), x.copy())
-        return x.copy()
-
-    def _equidistributed_solve(self, q, xa, xb):
-        vf = self.velocity
-        m = max(256, 4 * q.size)
-        m = min(m, 200_000)
-        grid = np.linspace(xa, xb, m)
-        # iterate: integrate, resample panel nodes uniformly in q
-        for _ in range(4):
-            dq = _gl_panels(lambda t: 1.0 / vf(t), grid[:-1], grid[1:])
-            qcum = np.concatenate(([q[0]], q[0] + np.cumsum(dq)))
-            target = np.linspace(qcum[0], qcum[-1], m)
-            grid_new = np.interp(target, qcum, grid)
-            grid_new[0], grid_new[-1] = xa, xb
-            if np.allclose(grid_new, grid, rtol=0, atol=1e-12 * (1 + abs(xa) + abs(xb))):
-                grid = grid_new
+            raise DomainError(f"q in [{q[0]:.17g}, {q[-1]:.17g}] must lie strictly "
+                              f"inside ({self.q_lo:.17g}, {self.q_hi:.17g})")
+        tx, tq = self.table_x, self.table_q
+        if q[0] < tq[0] or q[-1] > tq[-1]:
+            raise DomainError(f"q in [{q[0]:.17g}, {q[-1]:.17g}] lies past the anchor "
+                              f"ladder [{tq[0]:.17g}, {tq[-1]:.17g}] of the map")
+        j = np.clip(np.searchsorted(tq, q, side="right") - 1, 0, tq.size - 2)
+        out = np.empty_like(q)
+        idx = np.arange(q.size)
+        x, xa, qa, lo, hi = np.interp(q, tq, tx), tx[j], tq[j], tx[j], tx[j + 1]
+        qt, tol = q, 1e-13 * np.maximum(1.0, np.abs(q))
+        for _ in range(_NEWTON_ITERS):
+            r = qa + _gl_panels(self._f, xa, x) - qt
+            lo = np.where(r < 0, x, lo)
+            hi = np.where(r > 0, x, hi)
+            step = x - r * self.velocity(x)
+            step = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
+            done = (np.abs(r) <= tol) | (step == x)
+            out[idx[done]] = step[done]
+            keep = ~done
+            if not keep.any():
                 break
-            grid = grid_new
-        dq = _gl_panels(lambda t: 1.0 / vf(t), grid[:-1], grid[1:])
-        qcum = np.concatenate(([q[0]], q[0] + np.cumsum(dq)))
-        # correct the accumulated drift linearly so both ends are exact
-        qcum += (q[-1] - qcum[-1]) * (np.arange(m) / (m - 1))
-
-        x = np.interp(q, qcum, grid)
-        j = np.clip(np.searchsorted(qcum, q) - 1, 0, m - 1)
-        x_anchor = grid[j]
-        q_anchor = qcum[j]
-        lo = np.minimum(grid[j], grid[np.minimum(j + 1, m - 1)])
-        hi = np.maximum(grid[j], grid[np.minimum(j + 1, m - 1)])
-        for _ in range(5):
-            qx = q_anchor + _gl_panels(lambda t: 1.0 / vf(t), x_anchor, x)
-            step = -(qx - q) * vf(x)
-            x = np.clip(x + step, lo, hi)
-            if np.max(np.abs(qx - q)) <= 1e-13 * max(1.0, np.max(np.abs(q))):
-                break
-        # spot-check against the honest adaptive-quadrature forward
-        idx = np.unique(np.linspace(0, q.size - 1, 7).astype(int))
-        res = float(np.max(np.abs(self.forward(x[idx]) - q[idx])))
-        tol = 1e-10 * max(1.0, np.max(np.abs(q)))
+            idx, x, xa, qa, lo, hi, qt, tol = (
+                a[keep] for a in (idx, step, xa, qa, lo, hi, qt, tol))
+        else:
+            raise QuadratureFailureError(
+                f"inverse: {idx.size} nodes unconverged after {_NEWTON_ITERS} steps")
+        pick = np.unique(np.linspace(0, q.size - 1, 7).astype(int))
+        res = float(np.max(np.abs(self.forward(out[pick]) - q[pick])))
+        tol = 1e-10 * max(1.0, float(np.max(np.abs(q))))
         if res > tol:
-            warnings.warn(
-                f"inverse_grid: spot-check residual {res:.3e} > {tol:.3e}; "
-                f"falling back to per-point inverse on {q.size} nodes",
-                RuntimeWarning, stacklevel=3)
-            return np.array([self.inverse(qi) for qi in q])
-        return x
+            raise QuadratureFailureError(
+                f"inverse: spot-check residual {res:.3e} > {tol:.3e} against "
+                f"adaptive quadrature")
+        return out
 
     # aliases matching the operation names
     __call__ = forward

@@ -82,7 +82,7 @@ class TestSolveFixed:
     def test_eigenvector_normalization(self):
         res = solve_fixed(free_field(0.0, 1.0, 500), 3)
         for pair in res.pairs:
-            assert np.sum(pair.phi ** 2) * pair.grid_h == pytest.approx(1.0,
+            assert np.sum(pair.phi ** 2) * pair.grid.h == pytest.approx(1.0,
                                                                         abs=1e-12)
 
     def test_parity_alternation(self):

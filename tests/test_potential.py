@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -12,7 +10,6 @@ from diracpd import (
     constant_u_potential,
     exact_potential,
     potential_discrepancy_report,
-    zeta_pair,
 )
 from diracpd.errors import (
     ApproximationInvalidError,
@@ -191,17 +188,6 @@ class TestConstantUPotential:
     def test_negative_a_rejected(self):
         with pytest.raises(InvalidParameterError):
             constant_u_potential(-0.1, QGrid(-1.0, 1.0, 64))
-
-
-class TestZetaPair:
-    def test_identity(self):
-        model = builtin_model("poschl_teller", alpha=1, v0=1, m0=1)
-        zp = zeta_pair(model, 2.0)
-        xs = np.linspace(0.3, math.pi - 0.3, 50)
-        z1 = np.asarray(zp.zeta1(xs))
-        z2 = np.asarray(zp.zeta2(xs))
-        u = 1.0 / np.sin(xs)
-        assert np.max(np.abs(z2 - z1 - 2 * u)) <= 1e-12 * np.max(np.abs(z2))
 
 
 class TestDiscrepancyReport:

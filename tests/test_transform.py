@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from diracpd import build_transform, builtin_model
-from diracpd.errors import DomainError, InvalidParameterError
+from diracpd.errors import DomainError, InvalidParameterError, QuadratureFailureError
 from diracpd.profiles import VelocityProfile
 
 TANH_1 = 0.7615941559557649
@@ -156,14 +156,39 @@ class TestInverseGrid:
             v_local = float(tmap.velocity(x_scalar))
             assert xs[i] == pytest.approx(x_scalar, abs=1e-11 * max(1.0, v_local))
 
-    def test_spot_check_miss_warns_and_falls_back(self, monkeypatch):
+    def test_spot_check_miss_raises_and_caches_nothing(self, monkeypatch):
         _, tmap = _model_and_map("cosh_square", alpha=1, v0=1, m0=1)
         qs = np.linspace(-0.9, 0.9, 41)
         true_forward = tmap.forward
         monkeypatch.setattr(tmap, "forward", lambda x: true_forward(x) + 1e-6)
-        with pytest.warns(RuntimeWarning, match="residual 1.000e-06"):
-            xs = tmap.inverse_grid(qs)
+        with pytest.raises(QuadratureFailureError, match="residual 1.000e-06"):
+            tmap.inverse_grid(qs)
+        monkeypatch.setattr(tmap, "forward", true_forward)
+        xs = tmap.inverse_grid(qs)
         assert np.max(np.abs(np.tanh(xs) - qs)) <= 1e-11
+
+    def test_scalar_is_size_one_grid(self):
+        _, tmap = _model_and_map("rational", alpha=1.3, v0=0.7, m0=0.2)
+        for q in (tmap.q_lo + 1e-4, -0.37, 0.0, 1.1, tmap.q_hi - 1e-4):
+            assert tmap.inverse(q) == tmap.inverse_grid(np.array([q]))[0]
+
+    def test_oscillating_velocity_splits_panels(self):
+        prof = VelocityProfile.from_callable(
+            lambda x: 1.0 + 0.5 * np.sin(3.0 * np.asarray(x, dtype=float)),
+            deriv1=lambda x: 1.5 * np.cos(3.0 * np.asarray(x, dtype=float)),
+            domain=(-10.0, 10.0))
+        tmap = build_transform(prof, 0.0)
+        assert tmap.table_x.size > tmap.anchors_x.size
+        assert np.all(np.isin(tmap.anchors_x, tmap.table_x))
+        qs = np.linspace(tmap.q_lo + 1e-6, tmap.q_hi - 1e-6, 4001)
+        xs = tmap.inverse_grid(qs)
+        assert np.max(np.abs(tmap.forward(xs) - qs)) <= 1e-12
+
+    def test_past_the_ladder_raises(self):
+        # inside (q_lo, q_hi) but beyond the last ladder anchor, ~1e-12 from q_hi
+        _, tmap = _model_and_map("poschl_teller", alpha=1, v0=1, m0=1)
+        with pytest.raises(DomainError, match="past the anchor ladder"):
+            tmap.inverse(tmap.q_hi - 1e-14)
 
     def test_caching_returns_same(self):
         _, tmap = _model_and_map("rational", alpha=1, v0=1, m0=0)
