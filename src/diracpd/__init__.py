@@ -22,6 +22,7 @@ from .eigensolver import (
     SpectrumResult,
     energies_from_lambda,
     expand_until_settled,
+    solve_exact,
     solve_fixed,
     solve_self_consistent,
 )
@@ -89,6 +90,7 @@ __all__ = [
     "published_normalization",
     "reconstruct",
     "s_parameter",
+    "solve_exact",
     "solve_fixed",
     "solve_self_consistent",
     "spectrum_entry",

@@ -112,8 +112,9 @@ def _params_get(params: Mapping[str, float], *names) -> Tuple[float, ...]:
 
 
 def spectrum_entry(model: str, n: int, params: Mapping[str, float],
-                   as_published: bool = False) -> AnalyticSpectrum:
-    """Closed-form energy pair for one level, with provenance."""
+                   as_published: bool = False, exact: bool = False) -> AnalyticSpectrum:
+    """Closed-form energy pair for one level, with provenance. ``exact`` gives
+    poschl_teller's exact-mode ladder m0 v0^2 + alpha v0 (n + 1/2), for g >= 1/2."""
     key = model.strip().lower().replace("-", "_")
     if key == "cosh_square":
         if n < 1:
@@ -133,6 +134,11 @@ def spectrum_entry(model: str, n: int, params: Mapping[str, float],
         if n < 0:
             raise InvalidParameterError("level index starts at n=0 for this model")
         a, v0, m0 = _params_get(params, "alpha", "v0", "m0")
+        if exact and not as_published:
+            if m0 * v0 / a < 0.5:
+                raise InvalidParameterError(f"exact ladder needs g >= 1/2, got {m0 * v0 / a:g}")
+            e = m0 * v0 * v0 + a * v0 * (n + 0.5)
+            return AnalyticSpectrum(key, n, e, -e, VERIFIED)
         s = s_parameter(a, v0, m0, as_published=as_published)
         e = (a * v0 / 4.0) * math.sqrt(1.0 + 16.0 * (s + 2 * n) ** 2)
         prov = AS_PUBLISHED if as_published else VERIFIED

@@ -40,8 +40,8 @@ from .eigensolver import (
     SpectrumResult,
     energies_from_lambda,
     expand_until_settled,
+    solve_exact,
     solve_fixed,
-    solve_self_consistent,
 )
 from .errors import (
     ApproximationInvalidError,
@@ -126,8 +126,6 @@ class RunConfig:
     grid_n: int
     k_states: int
     quad_tol: float
-    sc_tol: float
-    max_iter: int
     compare_tol: float
     outputs: Tuple[str, ...]
     out_dir: str
@@ -209,15 +207,11 @@ def build_run_config(cfg: Dict[str, str], args: argparse.Namespace) -> RunConfig
 
     tols = {
         "tol.quad": _get_float(cfg, "tol.quad", 1e-12),
-        "tol.sc": _get_float(cfg, "tol.sc", 1e-10),
         "compare.tol": _get_float(cfg, "compare.tol", 1e-5),
     }
     for key, val in tols.items():
         if val <= 0:
             raise ConfigError(f"config key {key!r}: tolerance must be > 0")
-    max_iter = _get_int(cfg, "tol.max_iter", 60)
-    if max_iter < 1:
-        raise ConfigError("config key 'tol.max_iter': must be >= 1")
 
     outputs_raw = cfg.get("outputs", "spectrum")
     outputs = tuple(tok.strip() for tok in outputs_raw.split(",") if tok.strip())
@@ -252,8 +246,6 @@ def build_run_config(cfg: Dict[str, str], args: argparse.Namespace) -> RunConfig
         grid_n=grid_n,
         k_states=k_states,
         quad_tol=tols["tol.quad"],
-        sc_tol=tols["tol.sc"],
-        max_iter=max_iter,
         compare_tol=tols["compare.tol"],
         outputs=outputs,
         out_dir=cfg.get("out.dir", "out"),
@@ -314,7 +306,6 @@ class SolveOutcome:
     mode: str
     grid: Optional[QGrid]
     result: Optional[SpectrumResult]
-    iterations: Tuple[int, ...]
     rest_energy: Optional[Tuple[float, float]] = None  # free constant-mass case
 
 
@@ -342,23 +333,20 @@ def run_solve_pipeline(rc: RunConfig, model: Optional[ModelSpec] = None,
         if not finite_q:
             # free particle: no bound states, only the rest energies
             rest = energies_from_lambda(0.0, a_const * a_const)
-            return SolveOutcome(model, tmap, mode, None, None, (), rest_energy=rest)
+            return SolveOutcome(model, tmap, mode, None, None, rest_energy=rest)
         grid = QGrid(tmap.q_lo, tmap.q_hi, rc.grid_n, offset=False)
         result = solve_fixed(constant_u_potential(a_const, grid), rc.k_states)
-        return SolveOutcome(model, tmap, mode, grid, result, result.iterations)
+        return SolveOutcome(model, tmap, mode, grid, result)
 
-    if mode == "approximate":
-        def builder(g: QGrid):
-            return approx_potential(model, g, tmap)
-    else:  # exact: grid shape probed with the potential at the initial energy
-        e_probe = _initial_energies(rc, model, tmap)[0]
+    def builder(g: QGrid):
+        return approx_potential(model, g, tmap)
 
-        def builder(g: QGrid):
-            return exact_potential(model, e_probe, g, tmap)
-
-    if finite_q:
+    if mode == "exact":
+        result = solve_exact(model, tmap, rc.grid_n, rc.k_states)
+    elif finite_q:
         offset = _wall_singular(builder, tmap.q_lo, tmap.q_hi)
         grid = QGrid(tmap.q_lo, tmap.q_hi, rc.grid_n, offset=offset)
+        result = solve_fixed(builder(grid), rc.k_states)
     else:
         lo0 = tmap.q_lo if math.isfinite(tmap.q_lo) else None
         hi0 = tmap.q_hi if math.isfinite(tmap.q_hi) else None
@@ -368,57 +356,18 @@ def run_solve_pipeline(rc: RunConfig, model: Optional[ModelSpec] = None,
             hi = hi0 if hi0 is not None else L
             return builder(QGrid(lo, hi, rc.grid_n, offset=True))
 
-        result, L = expand_until_settled(box_builder, rc.k_states)
-        grid = result.pairs[0].grid
-        if mode == "approximate":
-            return SolveOutcome(model, tmap, mode, grid, result, result.iterations)
-        # fall through to self-consistency on the settled grid
-
-    if mode == "approximate":
-        result = solve_fixed(builder(grid), rc.k_states)
-        return SolveOutcome(model, tmap, mode, grid, result, result.iterations)
-
-    # exact mode: one self-consistent solve per requested state
-    e_inits = _initial_energies(rc, model, tmap)
-    pairs = []
-    energies = []
-    iters = []
-    for k in range(rc.k_states):
-        pair, e_conv, history = solve_self_consistent(
-            model, tmap, grid, k, e_inits[k], tol=rc.sc_tol, max_iter=rc.max_iter
-        )
-        pairs.append(pair)
-        energies.append((abs(e_conv), -abs(e_conv)))
-        iters.append(len(history) - 1)
-    result = SpectrumResult(pairs=tuple(pairs), energies=tuple(energies),
-                            mode="exact", offset=0.0, iterations=tuple(iters))
-    return SolveOutcome(model, tmap, "exact", grid, result, tuple(iters))
+        result, _ = expand_until_settled(box_builder, rc.k_states)
+    return SolveOutcome(model, tmap, mode, result.pairs[0].grid, result)
 
 
-def _initial_energies(rc: RunConfig, model: ModelSpec, tmap: TransformMap) -> List[float]:
-    """Self-consistency seeds: closed form when available, else box estimates."""
-    seeds = []
-    for k in range(rc.k_states):
-        n = k + 1 if model.name in ("cosh_square", "rational") else k
-        try:
-            seeds.append(analytic.spectrum_value(model.name, n, model.params)[0])
-        except (InvalidParameterError, ImaginaryEnergyError):
-            width = tmap.q_hi - tmap.q_lo
-            if math.isfinite(width):
-                seeds.append((k + 1) * math.pi / width)
-            else:
-                seeds.append(float(k + 1))
-    return seeds
-
-
-def _analytic_reference(rc: RunConfig, model: ModelSpec, count: int) -> List[Optional[analytic.AnalyticSpectrum]]:
+def _analytic_reference(rc: RunConfig, model: ModelSpec, count: int, mode: str) -> List[Optional[analytic.AnalyticSpectrum]]:
     as_pub = rc.variant == "as-published"
     out = []
     for k in range(count):
         n = k + 1 if model.name in ("cosh_square", "rational") else k
         try:
             out.append(analytic.spectrum_entry(model.name, n, model.params,
-                                               as_published=as_pub))
+                                               as_published=as_pub, exact=mode == "exact"))
         except (InvalidParameterError, ImaginaryEnergyError):
             out.append(None)
     return out
@@ -513,13 +462,13 @@ def cmd_solve(rc: RunConfig) -> int:
 
     if outcome.rest_energy is not None:
         e_plus, e_minus = outcome.rest_energy
-        ref = _analytic_reference(rc, model, 1)[0]
+        ref = _analytic_reference(rc, model, 1, mode)[0]
         rel = (abs(e_plus - ref.e_plus) / max(abs(ref.e_plus), 1e-300)
                if ref is not None else math.nan)
         print(f"{model.label}: free constant-mass case, no bound spectrum")
-        print("  n  E_numeric              E_analytic             rel_dev    nodes  iters")
+        print("  n  E_numeric              E_analytic             rel_dev    nodes")
         ref_s = _fmt(ref.e_plus) if ref is not None else "-"
-        print(f"  0  {_fmt(e_plus):22s} {ref_s:22s} {rel:.2e}   -      -")
+        print(f"  0  {_fmt(e_plus):22s} {ref_s:22s} {rel:.2e}   -")
         if "spectrum" in rc.outputs:
             _write_csv(os.path.join(rc.out_dir, "spectrum.csv"),
                        _header_lines(rc, "spectrum", mode, None),
@@ -533,19 +482,18 @@ def cmd_solve(rc: RunConfig) -> int:
 
     result = outcome.result
     numeric = [e[0] for e in result.energies]
-    reference = _analytic_reference(rc, model, max(rc.k_states + 3, len(numeric)))
-    interleave = model.name == "poschl_teller"
+    reference = _analytic_reference(rc, model, max(rc.k_states + 3, len(numeric)), mode)
+    interleave = model.name == "poschl_teller" and mode != "exact"
     rows = _match_levels(numeric, reference, interleave)
 
     print(f"{model.label}: mode={mode}, grid n={grid.n} h={grid.h:.3e} "
           f"offset={grid.offset}")
-    print("  n  E_numeric              E_analytic             rel_dev    nodes  iters")
+    print("  n  E_numeric              E_analytic             rel_dev    nodes")
     worst = 0.0
     for (idx, e_num, e_ref, rel, note), pair in zip(rows, result.pairs):
         ref_s = _fmt(e_ref) if e_ref is not None else (note or "-")
         rel_s = f"{rel:.2e}" if math.isfinite(rel) else "-"
-        iters = outcome.iterations[idx] if idx < len(outcome.iterations) else 1
-        print(f"  {idx}  {_fmt(e_num):22s} {ref_s:22s} {rel_s:9s}  {pair.nodes:5d}  {iters}")
+        print(f"  {idx}  {_fmt(e_num):22s} {ref_s:22s} {rel_s:9s}  {pair.nodes:5d}")
         if math.isfinite(rel):
             worst = max(worst, rel)
 
@@ -575,8 +523,10 @@ def cmd_solve(rc: RunConfig) -> int:
         _emit_bic(rc, model, tmap, mode)
 
     if rc.strict and (worst > rc.compare_tol or missing):
-        print(f"strict comparison failed: worst rel dev {worst:.3e} > "
-              f"{rc.compare_tol:g}", file=sys.stderr)
+        causes = [f"reference level n={n} not found" for n, _ in missing]
+        if worst > rc.compare_tol:
+            causes.insert(0, f"worst rel dev {worst:.3e} > {rc.compare_tol:g}")
+        print("strict comparison failed: " + "; ".join(causes), file=sys.stderr)
         return EXIT_COMPARE
     return EXIT_OK
 
@@ -686,10 +636,10 @@ def _scan_point(rc: RunConfig, value: float,
                     build_transform(model.velocity, model.anchor, rc.quad_tol))
         outcome = run_solve_pipeline(rc, model=model, tmap=held[1])
         if outcome.rest_energy is not None:
-            ref = _analytic_reference(rc, model, 1)[0]
+            ref = _analytic_reference(rc, model, 1, outcome.mode)[0]
             ref_s = _fmt(ref.e_plus) if ref else "nan"
             return [(key, "0", _fmt(outcome.rest_energy[0]), ref_s, "ok")], held
-        reference = _analytic_reference(rc, model, rc.k_states)
+        reference = _analytic_reference(rc, model, rc.k_states, outcome.mode)
         rows = []
         for k, (e_plus, _) in enumerate(outcome.result.energies):
             ref = reference[k]
@@ -729,7 +679,7 @@ def cmd_report(rc: RunConfig) -> int:
         print("numeric levels vs published (s+2n) sequence "
               "(interleaved levels are genuine states the published "
               "solution family skips):")
-        reference = _analytic_reference(rc, model, rc.k_states + 2)
+        reference = _analytic_reference(rc, model, rc.k_states + 2, outcome.mode)
         for idx, e_num, e_ref, rel, note in _match_levels(numeric, reference, True):
             tag = note or (f"matches n={_ref_index(reference, e_ref)} "
                            f"rel={rel:.2e}" if e_ref is not None else "")
@@ -805,8 +755,6 @@ config keys:
   grid.n                interior nodes, >= 64                    [2000]
   solve.k_states        number of states                         [3]
   tol.quad              map quadrature tolerance                 [1e-12]
-  tol.sc                self-consistency tolerance               [1e-10]
-  tol.max_iter          self-consistency budget                  [60]
   compare.tol           strict-mode comparison tolerance         [1e-5]
   analytic.variant      verified | as-published                  [verified]
   outputs               spectrum,wavefunctions,potential,bic,discrepancy

@@ -20,14 +20,15 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import (
+    DomainError,
     ImaginaryEnergyError,
     InsufficientResolutionError,
     InvalidParameterError,
     NonConvergenceError,
     SingularNodeError,
 )
-from .potential import CONSTANT_U, PotentialField, QGrid, exact_potential
-from .profiles import ModelSpec
+from .potential import CONSTANT_U, EXACT, PotentialField, QGrid, exact_potential
+from .profiles import ModelSpec, product_u
 from .transform import TransformMap
 
 
@@ -40,6 +41,7 @@ class EigenPair:
     grid: QGrid
     nodes: int
     error_estimate: float
+    chi: Optional[np.ndarray] = None  # lattice pairs: chi on the n+1 half nodes around phi
 
 
 @dataclass(frozen=True)
@@ -48,7 +50,6 @@ class SpectrumResult:
     energies: Tuple[Tuple[float, float], ...]
     mode: str
     offset: float
-    iterations: Tuple[int, ...]
 
 
 def energies_from_lambda(lam: float, offset: float) -> Tuple[float, float]:
@@ -136,8 +137,62 @@ def solve_fixed(potential: PotentialField, k_states: int) -> SpectrumResult:
         energies.append(energies_from_lambda(lam_r, offset))
 
     return SpectrumResult(pairs=tuple(pairs), energies=tuple(energies),
-                          mode=potential.mode, offset=offset,
-                          iterations=tuple([1] * k_states))
+                          mode=potential.mode, offset=offset)
+
+
+def _lattice_eigs(model: ModelSpec, tmap: TransformMap, n: int, k_states: int,
+                  with_vectors: bool):
+    """Eigenvalues n..n+k_states of the staggered lattice with n phi1 nodes.
+
+    chi_1, phi1_1, chi_2, ..., phi1_n, chi_{n+1} sit at q = lo + j h/2; the
+    off-diagonal alternates +1/h, -1/h so that phi1 keeps its sign between
+    nodes. Index n must be the top non-positive eigenvalue.
+    """
+    h = (tmap.q_hi - tmap.q_lo) / (n + 1)
+    q = tmap.q_lo + np.arange(1, 2 * n + 2) * (0.5 * h)
+    u = product_u(model, tmap.inverse_grid(q))[0]
+    out = eigh_tridiagonal(np.where(np.arange(2 * n + 1) % 2 == 0, -u, u),
+                           np.tile([1.0 / h, -1.0 / h], n), select="i",
+                           select_range=(n, n + k_states), eigvals_only=not with_vectors)
+    w = out[0] if with_vectors else out
+    # the zero mode of a massless model sits at 0 to within this floor
+    floor = 64.0 * np.finfo(float).eps * (2.0 / h + float(np.max(np.abs(u))))
+    if not w[0] < floor < w[1]:
+        raise NonConvergenceError(f"lattice inertia: eigenvalues {n} and {n + 1} are "
+                                  f"{w[0]:g} and {w[1]:g}, not <= 0 and > 0")
+    return out
+
+
+def solve_exact(model: ModelSpec, tmap: TransformMap, n: int,
+                k_states: int) -> SpectrumResult:
+    """Lowest k_states positive energies of H = sigma_x p_q + sigma_z u(q), u = m v_F^2.
+
+    On (phi1, chi), with phi = sqrt(v_F) psi and phi2 = -i chi, H is the real
+    symmetric [u, -d/dq; d/dq, -u]; a staggered lattice (Susskind) with phi1 = 0
+    on the finite walls of q makes it one tridiagonal matrix. E is Richardson-
+    refined over (n, 2n+1) nodes: ``lam`` = E^2, ``error_estimate`` = 2 E |E_h - E_{h/2}| / 3.
+    Vectors have h sum(phi1^2 + chi^2) = 1 and phi1 > 0 at its largest sample.
+    """
+    if not 1 <= k_states <= n // 2:
+        raise InsufficientResolutionError(f"cannot resolve {k_states} states on {n} nodes")
+    if not (math.isfinite(tmap.q_lo) and math.isfinite(tmap.q_hi)):
+        raise DomainError(f"exact mode needs a finite q-range; {model.name} maps "
+                          f"onto q-range ({tmap.q_lo:g}, {tmap.q_hi:g})")
+    grid = QGrid(tmap.q_lo, tmap.q_hi, n, offset=False)
+    w, vecs = _lattice_eigs(model, tmap, n, k_states, with_vectors=True)
+    w_fine = _lattice_eigs(model, tmap, 2 * n + 1, k_states, with_vectors=False)
+    pairs, energies = [], []
+    for k in range(1, k_states + 1):
+        e = float((4.0 * w_fine[k] - w[k]) / 3.0)
+        vec = vecs[:, k] / math.sqrt(grid.h)
+        vec = vec * math.copysign(1.0, vec[1 + 2 * int(np.argmax(np.abs(vec[1::2])))])
+        pairs.append(EigenPair(lam=e * e, phi=vec[1::2], grid=grid,
+                               nodes=count_nodes(vec[1::2]),
+                               error_estimate=float(2.0 * e * abs(w[k] - w_fine[k]) / 3.0),
+                               chi=vec[0::2]))
+        energies.append((e, -e))
+    return SpectrumResult(pairs=tuple(pairs), energies=tuple(energies), mode=EXACT,
+                          offset=0.0)
 
 
 def solve_self_consistent(model: ModelSpec, tmap: TransformMap, grid: QGrid,

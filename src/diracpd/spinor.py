@@ -6,9 +6,11 @@ A scalar eigenfunction phi(q) lifts back to the two components through
     psi_2 = psi2_tilde / sqrt(v_F),   psi2_tilde = -(i / zeta_2) d/dq [sqrt(zeta_2) phi]
 
 (the q-derivative replaces d/dx = (1/v_F) d/dq analytically, so no error is
-amplified where v_F grows). The construction keeps psi_1 purely real and
-psi_2 purely imaginary, which makes the probability current vanish to
-machine precision for every bound state, as it must.
+amplified where v_F grows). A lattice pair holds both components and lifts
+with no zeta_2: psi_1 = phi_1 / sqrt(v_F), psi_2 = -i chi / sqrt(v_F), chi
+averaged onto the nodes. Both keep psi_1 purely real and psi_2 purely
+imaginary, which makes the probability current vanish to machine precision
+for every bound state, as it must.
 
 Probability integrals run in q with the measure dx = v_F dq: for the models
 whose q-range is finite this turns infinite x-tails into short end caps
@@ -80,27 +82,31 @@ def _total_probability(spinor: SpinorField) -> float:
 
 def reconstruct(pair: EigenPair, model: ModelSpec, tmap: TransformMap,
                 energy: float) -> SpinorField:
-    """Lift a scalar eigenfunction to the two-component state at energy E.
+    """Lift an eigenpair to the two-component state at energy E.
 
     The global phase makes psi_1 real and positive at its largest sample.
     The result is unnormalized; feed it to :func:`normalize`.
     """
     q = pair.grid.nodes
     x = tmap.inverse_grid(q)
-    u, u1, _ = product_u(model, x)
     v = np.broadcast_to(np.asarray(model.velocity(x), dtype=float), x.shape)
-    z2 = energy + u
-    if np.any(z2 <= 0):
-        raise ZetaCrossingError(
-            f"zeta_2 <= 0 on the grid at E={energy:g}; reconstruction divides by it"
-        )
-    phi = pair.phi
-    dphi = np.gradient(phi, pair.grid.h, edge_order=2)
-    sq_z2 = np.sqrt(z2)
-    psi1 = sq_z2 * phi / np.sqrt(v)
-    # d/dq [sqrt(z2) phi] with dz2/dq = u'(x) v(x)
-    dpsi_t1 = (u1 * v) / (2.0 * sq_z2) * phi + sq_z2 * dphi
-    psi2 = -1j * dpsi_t1 / (z2 * np.sqrt(v))
+    if pair.chi is not None:
+        psi1 = pair.phi / np.sqrt(v)
+        psi2 = -0.5j * (pair.chi[:-1] + pair.chi[1:]) / np.sqrt(v)
+    else:
+        u, u1, _ = product_u(model, x)
+        z2 = energy + u
+        if np.any(z2 <= 0):
+            raise ZetaCrossingError(
+                f"zeta_2 <= 0 on the grid at E={energy:g}; reconstruction divides by it"
+            )
+        phi = pair.phi
+        dphi = np.gradient(phi, pair.grid.h, edge_order=2)
+        sq_z2 = np.sqrt(z2)
+        psi1 = sq_z2 * phi / np.sqrt(v)
+        # d/dq [sqrt(z2) phi] with dz2/dq = u'(x) v(x)
+        dpsi_t1 = (u1 * v) / (2.0 * sq_z2) * phi + sq_z2 * dphi
+        psi2 = -1j * dpsi_t1 / (z2 * np.sqrt(v))
     if not (np.all(np.isfinite(psi1)) and np.all(np.isfinite(psi2))):
         raise SingularNodeError("non-finite spinor value at a grid node")
     i = int(np.argmax(np.abs(psi1)))

@@ -23,6 +23,7 @@ from .profiles import VelocityProfile
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _SPLIT_ROUNDS = 40
 _NEWTON_ITERS = 100
+_BLOCK = 500  # nodes per Newton block: (nodes, 16) temporaries under 64 KiB are reused, not paged in
 
 FINITE = "finite"
 INFINITE = "infinite"
@@ -167,27 +168,28 @@ class TransformMap:
         if q[0] < tq[0] or q[-1] > tq[-1]:
             raise DomainError(f"q in [{q[0]:.17g}, {q[-1]:.17g}] lies past the anchor "
                               f"ladder [{tq[0]:.17g}, {tq[-1]:.17g}] of the map")
-        j = np.clip(np.searchsorted(tq, q, side="right") - 1, 0, tq.size - 2)
         out = np.empty_like(q)
-        idx = np.arange(q.size)
-        x, xa, qa, lo, hi = np.interp(q, tq, tx), tx[j], tq[j], tx[j], tx[j + 1]
-        qt, tol = q, 1e-13 * np.maximum(1.0, np.abs(q))
-        for _ in range(_NEWTON_ITERS):
-            r = qa + _gl_panels(self._f, xa, x) - qt
-            lo = np.where(r < 0, x, lo)
-            hi = np.where(r > 0, x, hi)
-            step = x - r * self.velocity(x)
-            step = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
-            done = (np.abs(r) <= tol) | (step == x)
-            out[idx[done]] = step[done]
-            keep = ~done
-            if not keep.any():
-                break
-            idx, x, xa, qa, lo, hi, qt, tol = (
-                a[keep] for a in (idx, step, xa, qa, lo, hi, qt, tol))
-        else:
-            raise QuadratureFailureError(
-                f"inverse: {idx.size} nodes unconverged after {_NEWTON_ITERS} steps")
+        for b in range(0, q.size, _BLOCK):
+            qt = q[b:b + _BLOCK]
+            j = np.clip(np.searchsorted(tq, qt, side="right") - 1, 0, tq.size - 2)
+            idx, tol = np.arange(b, b + qt.size), 1e-13 * np.maximum(1.0, np.abs(qt))
+            x, xa, qa, lo, hi = np.interp(qt, tq, tx), tx[j], tq[j], tx[j], tx[j + 1]
+            for _ in range(_NEWTON_ITERS):
+                r = qa + _gl_panels(self._f, xa, x) - qt
+                lo = np.where(r < 0, x, lo)
+                hi = np.where(r > 0, x, hi)
+                step = x - r * self.velocity(x)
+                step = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
+                done = (np.abs(r) <= tol) | (step == x)
+                out[idx[done]] = step[done]
+                keep = ~done
+                if not keep.any():
+                    break
+                idx, x, xa, qa, lo, hi, qt, tol = (
+                    a[keep] for a in (idx, step, xa, qa, lo, hi, qt, tol))
+            else:
+                raise QuadratureFailureError(
+                    f"inverse: {idx.size} nodes unconverged after {_NEWTON_ITERS} steps")
         pick = np.unique(np.linspace(0, q.size - 1, 7).astype(int))
         res = float(np.max(np.abs(self.forward(out[pick]) - q[pick])))
         tol = 1e-10 * max(1.0, float(np.max(np.abs(q))))

@@ -73,6 +73,17 @@ class TestSpectra:
                             as_published=True)
         assert ap.provenance == "as_published"
 
+    def test_poschl_teller_exact_ladder(self):
+        # trigonometric Poschl-Teller: E_n = alpha v0 (g + n + 1/2), g = m0 v0 / alpha
+        params = dict(alpha=1.3, v0=0.8, m0=2.0)
+        g = 2.0 * 0.8 / 1.3
+        for n in range(4):
+            entry = spectrum_entry("poschl_teller", n, params, exact=True)
+            assert entry.provenance == "verified"
+            assert entry.e_plus == pytest.approx(1.3 * 0.8 * (g + n + 0.5), rel=1e-14)
+        with pytest.raises(InvalidParameterError):
+            spectrum_entry("poschl_teller", 0, dict(alpha=1, v0=1, m0=0.4), exact=True)
+
     def test_level_index_validation(self):
         with pytest.raises(InvalidParameterError):
             spectrum_value("cosh_square", 0, dict(alpha=1, v0=1, m0=0))

@@ -115,12 +115,14 @@ class TestSolve:
                               out__dir=str(tmp_path / "out2"))
         assert main(["solve", "--config", cfg_ap, "--strict"]) == 4
 
-    def test_determinism_byte_identical(self, tmp_path):
+    @pytest.mark.parametrize("mode", ["auto", "exact"])
+    def test_determinism_byte_identical(self, tmp_path, mode):
+        name = "poschl_teller" if mode == "exact" else "rational"
         paths = []
         for tag in ("a", "b"):
             cfg = write_config(
-                tmp_path / f"{tag}.txt",
-                model__name="rational", model__alpha=1.0, model__v0=1.0,
+                tmp_path / f"{tag}.txt", mode=mode,
+                model__name=name, model__alpha=1.0, model__v0=1.0,
                 model__m0=1.0, grid__n=500, solve__k_states=2,
                 outputs="spectrum, potential, wavefunctions",
                 out__dir=str(tmp_path / f"out_{tag}"),
@@ -132,6 +134,45 @@ class TestSolve:
             a = (paths[0] / name).read_bytes()
             b = (paths[1] / name).read_bytes()
             assert a == b, name
+
+    def test_poschl_teller_exact_strict(self, tmp_path, capsys):
+        # exact mode gates on the trigonometric Poschl-Teller ladder g + n + 1/2
+        cfg = write_config(
+            tmp_path / "c.txt",
+            model__name="poschl_teller", model__alpha=1.0, model__v0=1.0,
+            model__m0=1.0, mode="exact", grid__n=2000, solve__k_states=4,
+            outputs="spectrum", out__dir=str(tmp_path / "out"),
+        )
+        assert main(["solve", "--config", cfg, "--strict"]) == 0
+        assert "interleaved" not in capsys.readouterr().out
+        _, rows = read_rows(tmp_path / "out" / "spectrum.csv")
+        for k, row in enumerate(rows):
+            assert abs(float(row[2]) - (k + 1.5)) <= 1e-12 * (k + 1.5)
+            assert int(row[4]) == k
+
+    def test_strict_failure_names_missing_levels(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path / "c.txt",
+            model__name="poschl_teller", model__alpha=1.3, model__v0=0.8,
+            model__m0=1.1, grid__n=1000, solve__k_states=3, compare__tol="1e-4",
+            analytic__variant="as-published", out__dir=str(tmp_path / "out"),
+        )
+        assert main(["solve", "--config", cfg, "--strict"]) == 4
+        err = capsys.readouterr().err
+        assert "reference level n=0 not found" in err
+        assert "rel dev" not in err
+
+    @pytest.mark.parametrize("name,params", [
+        ("linear_singular", dict(model__A=1.0, model__v0=1.0)),
+        ("constant_rest", dict(model__m0=1.0, model__c=1.0)),
+    ])
+    def test_exact_mode_infinite_q_range_exit_3(self, tmp_path, capsys, name, params):
+        cfg = write_config(tmp_path / "c.txt", model__name=name, mode="exact",
+                           grid__n=400, solve__k_states=1,
+                           out__dir=str(tmp_path / "out"), **params)
+        assert main(["solve", "--config", cfg]) == 3
+        err = capsys.readouterr().err
+        assert "DomainError" in err and "q-range (-inf, inf)" in err
 
     def test_wavefunction_columns(self, tmp_path):
         cfg = write_config(

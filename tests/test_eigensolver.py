@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from diracpd import (
     exact_potential,
     expand_until_settled,
     s_parameter,
+    solve_exact,
     solve_fixed,
     solve_self_consistent,
 )
@@ -202,6 +204,55 @@ class TestSelfConsistent:
         grid = QGrid(-0.9, 0.9, 200, offset=False)
         with pytest.raises(InvalidParameterError):
             solve_self_consistent(model, tmap, grid, 0, 1.0, tol=0.0)
+
+
+def pt_exact(alpha, v0, g):
+    """poschl_teller at g = m0 v0 / alpha, with its exact-mode ladder."""
+    params = dict(alpha=alpha, v0=v0, m0=g * alpha / v0)
+    return "poschl_teller", params, lambda k: alpha * v0 * (g + k + 0.5)
+
+
+class TestSolveExact:
+    @pytest.mark.parametrize("name,params,ladder,tol", [
+        (*pt_exact(1.0, 1.0, 1.0), 1e-10),
+        (*pt_exact(1.3, 0.8, 3.0), 1e-10),
+        ("cosh_square", dict(alpha=1, v0=1, m0=1),
+         lambda k: math.hypot((k + 1) * math.pi / 2, 1.0), 1e-11),
+        ("cosh_square", dict(alpha=1, v0=1, m0=0),  # zero mode at index n
+         lambda k: (k + 1) * math.pi / 2, 1e-11),
+        ("rational", dict(alpha=1.2, v0=0.9, m0=1.5),
+         lambda k: math.hypot((k + 1) * 1.2 * 0.9, 1.5 * 0.9 ** 2), 1e-11),
+    ], ids=["poschl_teller_g1", "poschl_teller_g3", "cosh_square", "cosh_square_massless",
+            "rational"])
+    def test_matches_closed_form(self, name, params, ladder, tol):
+        model = builtin_model(name, **params)
+        tmap = build_transform(model.velocity, model.anchor)
+        res = solve_exact(model, tmap, 2000, 4)
+        assert res.mode == "exact"
+        for k, pair in enumerate(res.pairs):
+            e = res.energies[k][0]
+            assert abs(e - ladder(k)) <= tol * ladder(k)
+            assert pair.lam == e * e
+            assert pair.nodes == k
+            assert pair.chi.size == pair.phi.size + 1
+
+    def test_agrees_with_self_consistent_reduction(self):
+        model = builtin_model("poschl_teller", alpha=1, v0=1, m0=1)
+        tmap = build_transform(model.velocity, model.anchor)
+        lattice = solve_exact(model, tmap, 2000, 2)
+        grid = QGrid(tmap.q_lo, tmap.q_hi, 2000, offset=True)
+        for k in range(2):
+            e_lat = lattice.energies[k][0]
+            _, e_sc, _ = solve_self_consistent(model, tmap, grid, k, e_lat)
+            assert abs(e_lat - e_sc) <= 1e-7 * e_lat
+
+    def test_inertia_is_checked(self):
+        # u < 0 puts n+1 positive eigenvalues on the lattice, not n
+        model = builtin_model("cosh_square", alpha=1, v0=1, m0=1)
+        flipped = dataclasses.replace(model, u_closed=(lambda x: -np.ones_like(x),) * 3)
+        tmap = build_transform(model.velocity, model.anchor)
+        with pytest.raises(NonConvergenceError, match="inertia"):
+            solve_exact(flipped, tmap, 200, 1)
 
 
 class TestExpandUntilSettled:

@@ -17,6 +17,7 @@ from diracpd import (
     normalize,
     observables,
     reconstruct,
+    solve_exact,
     solve_fixed,
     solve_self_consistent,
 )
@@ -168,6 +169,20 @@ class TestDiracResidual:
                                                  seed.energies[0][0])
         spin = normalize(reconstruct(pair, model, tmap, e_exact))
         assert dirac_residual(spin, model, e_exact) <= 2.5e-4
+
+
+    def test_poschl_teller_lattice_state(self):
+        # the lattice pair lifts with no zeta_2 and solves the first-order
+        # system far better than the self-consistent state above
+        model = builtin_model("poschl_teller", alpha=1, v0=1, m0=1)
+        tmap = build_transform(model.velocity, model.anchor)
+        res = solve_exact(model, tmap, 8000, 1)
+        e = res.energies[0][0]
+        spin = normalize(reconstruct(res.pairs[0], model, tmap, e))
+        obs = observables(spin, model)
+        assert np.max(np.abs(obs.current)) == 0.0
+        assert obs.total_prob == pytest.approx(1.0, abs=1e-12)
+        assert dirac_residual(spin, model, e) <= 1e-5
 
 
 class TestBicFamily:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from diracpd import build_transform, builtin_model
+from diracpd import build_transform, builtin_model, transform
 from diracpd.errors import DomainError, InvalidParameterError, QuadratureFailureError
 from diracpd.profiles import VelocityProfile
 
@@ -137,6 +137,15 @@ class TestInverseGrid:
         qs = np.linspace(tmap.q_lo + 1e-5, tmap.q_hi - 1e-5, 4001)
         xs = tmap.inverse_grid(qs)
         assert np.max(np.abs(exact(xs) - qs)) <= 1e-11
+
+    def test_grid_longer_than_a_block(self):
+        # Newton runs block by block; across the block edges x meets the
+        # closed form and stays increasing
+        _, tmap = _model_and_map("cosh_square", alpha=1, v0=1, m0=1)
+        qs = np.linspace(tmap.q_lo + 1e-5, tmap.q_hi - 1e-5, 3 * transform._BLOCK + 7)
+        xs = tmap.inverse_grid(qs)
+        assert np.max(np.abs(np.tanh(xs) - qs)) <= 1e-11
+        assert np.all(np.diff(xs) > 0)
 
     def test_linear_singular_wide(self):
         _, tmap = _model_and_map("linear_singular", A=1, v0=1)
