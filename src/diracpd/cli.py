@@ -88,10 +88,11 @@ _NUMERICAL_ERRORS = (
 
 _MODES = ("auto", "exact", "approximate", "constant-u")
 _OUTPUTS = ("spectrum", "wavefunctions", "potential", "bic", "discrepancy")
+_CSV_CHUNK = 4096  # rows formatted and written at a time
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+# 17 significant digits round-trip every double; the same bytes as f"{x:.17g}"
+_fmt = "%.17g".__mod__
 
 
 # ---------------------------------------------------------------------------
@@ -144,22 +145,14 @@ class RunConfig:
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-def _get_float(cfg: Dict[str, str], key: str, default: float) -> float:
+def _get_number(cfg: Dict[str, str], key: str, default, kind=float):
     if key not in cfg:
         return default
     try:
-        return float(cfg[key])
+        return kind(cfg[key])
     except ValueError as exc:
-        raise ConfigError(f"config key {key!r}: not a number: {cfg[key]!r}") from exc
-
-
-def _get_int(cfg: Dict[str, str], key: str, default: int) -> int:
-    if key not in cfg:
-        return default
-    try:
-        return int(cfg[key])
-    except ValueError as exc:
-        raise ConfigError(f"config key {key!r}: not an integer: {cfg[key]!r}") from exc
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"config key {key!r}: not {what}: {cfg[key]!r}") from exc
 
 
 def build_run_config(cfg: Dict[str, str], args: argparse.Namespace) -> RunConfig:
@@ -198,16 +191,16 @@ def build_run_config(cfg: Dict[str, str], args: argparse.Namespace) -> RunConfig
     if mode not in _MODES:
         raise ConfigError(f"config key 'mode': unknown mode {mode!r}")
 
-    grid_n = _get_int(cfg, "grid.n", 2000)
+    grid_n = _get_number(cfg, "grid.n", 2000, int)
     if grid_n < 64:
         raise ConfigError("config key 'grid.n': node count must be >= 64")
-    k_states = _get_int(cfg, "solve.k_states", 3)
+    k_states = _get_number(cfg, "solve.k_states", 3, int)
     if k_states < 1:
         raise ConfigError("config key 'solve.k_states': must be >= 1")
 
     tols = {
-        "tol.quad": _get_float(cfg, "tol.quad", 1e-12),
-        "compare.tol": _get_float(cfg, "compare.tol", 1e-5),
+        "tol.quad": _get_number(cfg, "tol.quad", 1e-12),
+        "compare.tol": _get_number(cfg, "compare.tol", 1e-5),
     }
     for key, val in tols.items():
         if val <= 0:
@@ -238,7 +231,7 @@ def build_run_config(cfg: Dict[str, str], args: argparse.Namespace) -> RunConfig
                 raise ConfigError(
                     f"config key 'bic.energies': not a number: {tok!r}") from exc
 
-    rc = RunConfig(
+    return RunConfig(
         raw=cfg,
         model_name=model_name,
         model_params=params,
@@ -253,11 +246,10 @@ def build_run_config(cfg: Dict[str, str], args: argparse.Namespace) -> RunConfig
         variant=variant,
         bic_energies=tuple(bic_energies),
         scan_param=cfg.get("scan.param"),
-        scan_min=_get_float(cfg, "scan.min", 0.0),
-        scan_max=_get_float(cfg, "scan.max", 0.0),
-        scan_steps=_get_int(cfg, "scan.steps", 0),
+        scan_min=_get_number(cfg, "scan.min", 0.0),
+        scan_max=_get_number(cfg, "scan.max", 0.0),
+        scan_steps=_get_number(cfg, "scan.steps", 0, int),
     )
-    return rc
 
 
 def _build_model(rc: RunConfig, override: Optional[Dict[str, float]] = None) -> ModelSpec:
@@ -426,29 +418,38 @@ def _header_lines(rc: RunConfig, artifact: str, mode: str,
     return lines
 
 
-def _write_csv(path: str, header: List[str], columns: Sequence[str],
-               rows: Sequence[Sequence]) -> None:
+def _cells(column) -> List[str]:
+    """A float array as %.17g cells, any other array as str; a list passes as is."""
+    if isinstance(column, np.ndarray):
+        return list(map(_fmt if column.dtype.kind == "f" else str, column.tolist()))
+    return column
+
+
+def _write_csv(path: str, header: List[str], names: Sequence[str],
+               columns: Sequence) -> None:
+    # row chunks keep the cells of a long table from raising the peak memory
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in header:
-            fh.write(line + "\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            cells = [_fmt(c) if isinstance(c, float) else str(c) for c in row]
-            fh.write(",".join(cells) + "\n")
+        fh.write("\n".join([*header, ",".join(names), ""]))
+        for i in range(0, len(columns[0]), _CSV_CHUNK):
+            cells = [_cells(c[i:i + _CSV_CHUNK]) for c in columns]
+            fh.write("\n".join([*map(",".join, zip(*cells)), ""]))
+
+
+def _write_spectrum(rc: RunConfig, mode: str, grid: Optional[QGrid],
+                    rows: Sequence[Tuple]) -> None:
+    _write_csv(os.path.join(rc.out_dir, "spectrum.csv"),
+               _header_lines(rc, "spectrum", mode, grid),
+               ("n", "lambda", "E_plus", "E_minus", "nodes", "error_estimate"),
+               [np.array(column) for column in zip(*rows)])
 
 
 def _write_wavefunction(path: str, rc: RunConfig, mode: str, grid: Optional[QGrid],
-                        spinor, obs) -> None:
-    qcol = spinor.q if spinor.q is not None else np.full_like(spinor.x, math.nan)
-    rows = [
-        (float(x), float(q), float(p1.real), float(p1.imag),
-         float(p2.real), float(p2.imag), float(r), float(j))
-        for x, q, p1, p2, r, j in zip(spinor.x, qcol, spinor.psi1, spinor.psi2,
-                                      obs.rho, obs.current)
-    ]
+                        spinor, obs, x, q) -> None:
+    """``x`` and ``q`` are arrays or ready cells (shared by a solve's files)."""
     _write_csv(path, _header_lines(rc, "wavefunction", mode, grid),
                ("x", "q", "re_psi1", "im_psi1", "re_psi2", "im_psi2", "rho", "j"),
-               rows)
+               (x, q, spinor.psi1.real, spinor.psi1.imag, spinor.psi2.real,
+                spinor.psi2.imag, obs.rho, obs.current))
 
 
 # ---------------------------------------------------------------------------
@@ -470,10 +471,7 @@ def cmd_solve(rc: RunConfig) -> int:
         ref_s = _fmt(ref.e_plus) if ref is not None else "-"
         print(f"  0  {_fmt(e_plus):22s} {ref_s:22s} {rel:.2e}   -")
         if "spectrum" in rc.outputs:
-            _write_csv(os.path.join(rc.out_dir, "spectrum.csv"),
-                       _header_lines(rc, "spectrum", mode, None),
-                       ("n", "lambda", "E_plus", "E_minus", "nodes", "error_estimate"),
-                       [(0, 0.0, e_plus, e_minus, 0, 0.0)])
+            _write_spectrum(rc, mode, None, [(0, 0.0, e_plus, e_minus, 0, 0.0)])
         if rc.strict and not (rel <= rc.compare_tol):
             print(f"strict comparison failed: rel dev {rel:.3e} > {rc.compare_tol:g}",
                   file=sys.stderr)
@@ -502,23 +500,25 @@ def cmd_solve(rc: RunConfig) -> int:
         print(f"  reference level n={n_ref} (E={_fmt(e_ref)}) not found numerically")
 
     if "spectrum" in rc.outputs:
-        _write_csv(os.path.join(rc.out_dir, "spectrum.csv"),
-                   _header_lines(rc, "spectrum", mode, grid),
-                   ("n", "lambda", "E_plus", "E_minus", "nodes", "error_estimate"),
-                   [(k, p.lam, result.energies[k][0], result.energies[k][1],
-                     p.nodes, p.error_estimate)
-                    for k, p in enumerate(result.pairs)])
+        _write_spectrum(rc, mode, grid,
+                        [(k, p.lam, *result.energies[k], p.nodes, p.error_estimate)
+                         for k, p in enumerate(result.pairs)])
+    # every pair lives on ``grid`` and every state's x is the map's one
+    # inverse of it, so a solve formats each of these columns once
+    q_cells = _cells(grid.nodes) if {"potential", "wavefunctions"} & set(rc.outputs) else None
     if "potential" in rc.outputs:
         f = _potential_for_export(rc, model, tmap, mode, grid, numeric[0])
         _write_csv(os.path.join(rc.out_dir, "potential.csv"),
                    _header_lines(rc, "potential", mode, grid), ("q", "V"),
-                   list(zip(grid.nodes.tolist(), f.values.tolist())))
+                   (q_cells, f.values))
     if "wavefunctions" in rc.outputs:
+        x_cells = None
         for k, pair in enumerate(result.pairs):
             spin = normalize(reconstruct(pair, model, tmap, numeric[k]))
             obs = observables(spin, model)
+            x_cells = x_cells or _cells(spin.x)
             _write_wavefunction(os.path.join(rc.out_dir, f"wavefunction_{k}.csv"),
-                                rc, mode, grid, spin, obs)
+                                rc, mode, grid, spin, obs, x_cells, q_cells)
     if "bic" in rc.outputs and rc.bic_energies:
         _emit_bic(rc, model, tmap, mode)
 
@@ -557,7 +557,7 @@ def _emit_bic(rc: RunConfig, model: ModelSpec, tmap: TransformMap, mode: str) ->
         spin = bic_family(model, e, tmap=tmap)
         obs = observables(spin, model)
         path = os.path.join(rc.out_dir, f"bic_{i}.csv")
-        _write_wavefunction(path, rc, mode, None, spin, obs)
+        _write_wavefunction(path, rc, mode, None, spin, obs, spin.x, spin.q)
         print(f"bic E={_fmt(e)}: total_prob={obs.total_prob:.12g} "
               f"max|j|={float(np.max(np.abs(obs.current))):.3e}")
 
@@ -676,11 +676,12 @@ def cmd_report(rc: RunConfig) -> int:
             print(", s (as-published) = complex (radicand < 0)")
         outcome = run_solve_pipeline(rc, model=model, tmap=tmap)
         numeric = [e[0] for e in outcome.result.energies]
-        print("numeric levels vs published (s+2n) sequence "
-              "(interleaved levels are genuine states the published "
-              "solution family skips):")
+        interleave = outcome.mode != "exact"  # the exact ladder skips no state
+        print("numeric levels vs published (s+2n) sequence (interleaved levels are genuine "
+              "states the published solution family skips):" if interleave else
+              "numeric levels vs exact (g+n+1/2) ladder:")
         reference = _analytic_reference(rc, model, rc.k_states + 2, outcome.mode)
-        for idx, e_num, e_ref, rel, note in _match_levels(numeric, reference, True):
+        for idx, e_num, e_ref, rel, note in _match_levels(numeric, reference, interleave):
             tag = note or (f"matches n={_ref_index(reference, e_ref)} "
                            f"rel={rel:.2e}" if e_ref is not None else "")
             print(f"  level {idx}: E={_fmt(e_num)} {tag}")
@@ -730,8 +731,7 @@ def cmd_report(rc: RunConfig) -> int:
         _write_csv(os.path.join(rc.out_dir, "discrepancy.csv"),
                    _header_lines(rc, "discrepancy", rc.mode, grid),
                    ("q", "computed", "claimed", "residual"),
-                   list(zip(rep.q.tolist(), rep.computed.tolist(),
-                            rep.claimed.tolist(), rep.residual.tolist())))
+                   (rep.q, rep.computed, rep.claimed, rep.residual))
     return EXIT_OK
 
 

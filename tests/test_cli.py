@@ -189,6 +189,45 @@ class TestSolve:
         assert np.max(np.abs(js)) <= 1e-12
 
 
+class TestWriter:
+    def test_columns_byte_identical_to_per_cell_format(self, tmp_path):
+        floats = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 0.1, 1 / 3, 1e-5,
+                  1e16, 1e17, 123456789012345678.0, np.float64(2.5)]
+        ints = [np.int64(-7), 3, np.int64(2**62), 0, -1, 10**17, np.int64(1),
+                2, 4, 5, 6, np.int64(0)]
+        ready = [f"c{i}" for i in range(len(floats))]
+        # repeated past two row chunks of the writer
+        floats, ints, ready = floats * 700, ints * 700, ready * 700
+        path = tmp_path / "t.csv"
+        cli._write_csv(str(path), ["# edge values"], ("f", "i", "s"),
+                       (np.array(floats), np.array(ints), ready))
+        # the per-cell rule the column writer replaces
+        cells = [[f"{c:.17g}" if isinstance(c, float) else str(c) for c in row]
+                 for row in zip(floats, ints, ready)]
+        expected = "# edge values\nf,i,s\n" + "".join(",".join(r) + "\n" for r in cells)
+        assert path.read_bytes() == expected.encode("utf-8")
+        assert [cli._fmt(c) for c in floats] == [f"{c:.17g}" for c in floats]
+
+    def test_solve_shares_x_and_q_columns(self, tmp_path):
+        cfg = write_config(
+            tmp_path / "c.txt",
+            model__name="cosh_square", model__alpha=1.0, model__v0=1.0,
+            model__m0=1.0, grid__n=300, solve__k_states=3,
+            outputs="potential, wavefunctions", out__dir=str(tmp_path / "out"),
+        )
+        assert main(["solve", "--config", cfg]) == 0
+        args = cli._make_parser().parse_args(["solve", "--config", cfg])
+        outcome = cli.run_solve_pipeline(cli.build_run_config(cli.parse_config(cfg), args))
+        q = [f"{v:.17g}" for v in outcome.grid.nodes]
+        x = [f"{v:.17g}" for v in outcome.tmap.inverse_grid(outcome.grid.nodes)]
+        _, rows = read_rows(tmp_path / "out" / "potential.csv")
+        assert [r[0] for r in rows] == q
+        for k in range(3):
+            _, rows = read_rows(tmp_path / "out" / f"wavefunction_{k}.csv")
+            assert [r[0] for r in rows] == x
+            assert [r[1] for r in rows] == q
+
+
 class TestScan:
     def test_single_step_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.txt", model__name="cosh_square",
@@ -367,6 +406,23 @@ class TestReport:
         assert "interleaved" in out
         assert os.path.exists(tmp_path / "out" / "discrepancy.csv")
         assert len(calls) == 1
+
+    def test_poschl_teller_exact_report(self, tmp_path, capsys):
+        # exact mode matches level k to the ladder's n = k, with no published label
+        cfg = write_config(
+            tmp_path / "c.txt",
+            model__name="poschl_teller", model__alpha=1.0, model__v0=1.0,
+            model__m0=1.0, grid__n=2000, solve__k_states=4,
+            out__dir=str(tmp_path / "out"),
+        )
+        assert main(["report", "--config", cfg, "--mode", "exact"]) == 0
+        out = capsys.readouterr().out
+        assert "s+2n" not in out and "interleaved" not in out
+        levels = [line.split() for line in out.splitlines()
+                  if line.startswith("  level ")]
+        assert len(levels) == 4
+        for k, words in enumerate(levels):
+            assert words[1] == f"{k}:" and words[4] == f"n={k}"
 
     def test_linear_singular_report(self, tmp_path, capsys):
         cfg = write_config(
