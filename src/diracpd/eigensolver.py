@@ -1,13 +1,17 @@
 """Dirichlet eigensolver for -phi'' + V(q) phi = lambda phi on uniform grids.
 
 The discrete operator is the symmetric tridiagonal second-difference matrix
-plus diag(V); eigenvalues come from bisection over Sturm sequences with
-inverse iteration for the vectors (LAPACK, via scipy.linalg.eigh_tridiagonal),
-then one Richardson step over (h, h/2) removes the leading O(h^2) error.
-Interior sign changes of each vector give the oscillation count for free.
+plus diag(V); for a non-constant V (approximate mode, and the scalar exact
+reduction of solve_self_consistent) eigenvalues come from bisection over
+Sturm sequences with inverse iteration for the vectors (LAPACK, via
+scipy.linalg.eigh_tridiagonal), then one Richardson step over (h, h/2)
+removes the leading O(h^2) error. Interior sign changes of each vector give
+the oscillation count for free.
 
 In constant-u mode the operator solved is the free one and the constant
-A^2 is kept as a spectral offset, so lambda is exactly E^2 - A^2.
+A^2 is kept as a spectral offset, so lambda is exactly E^2 - A^2. The free
+operator's eigenpairs are known in closed form (the DST-I basis), so that
+mode needs no bisection and no potential on the refined grid.
 """
 
 from __future__ import annotations
@@ -77,17 +81,24 @@ def _canonical_sign(phi: np.ndarray) -> np.ndarray:
     return -phi if phi[i] < 0 else phi
 
 
-def _tridiag_eigs(values: np.ndarray, h: float, k: int,
-                  with_vectors: bool) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    n = values.size
-    diag = 2.0 / (h * h) + values
-    off = np.full(n - 1, -1.0 / (h * h))
-    if with_vectors:
-        w, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1))
-        return w, vecs
-    w = eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1),
-                         eigvals_only=True)
-    return w, None
+def _tridiag_eigs(values: np.ndarray, h: float, k: int, with_vectors: bool):
+    """Lowest k eigenvalues, and (w, vecs) when with_vectors, by bisection."""
+    return eigh_tridiagonal(2.0 / (h * h) + values, np.full(values.size - 1, -1.0 / (h * h)),
+                            select="i", select_range=(0, k - 1),
+                            eigvals_only=not with_vectors)
+
+
+def _free_eigs(grid: QGrid, k: int, with_vectors: bool):
+    """Lowest k eigenpairs of tridiag(-1, 2, -1)/h^2 of order n, in closed form.
+
+    lam_k = (2/h sin(k pi / (2(n+1))))^2 and phi_k[j] = sin(j k pi / (n+1))
+    (DST-I); they depend on n and h only, so offset grids are no exception.
+    """
+    n, ks = grid.n, np.arange(1, k + 1)
+    w = (2.0 / grid.h * np.sin(ks * (math.pi / (2 * (n + 1))))) ** 2
+    if not with_vectors:
+        return w
+    return w, np.sin(np.outer(np.arange(1, n + 1), ks) * (math.pi / (n + 1)))
 
 
 def solve_fixed(potential: PotentialField, k_states: int) -> SpectrumResult:
@@ -112,18 +123,15 @@ def solve_fixed(potential: PotentialField, k_states: int) -> SpectrumResult:
 
     if potential.mode == CONSTANT_U:
         offset = float(potential.constant_a) ** 2
-        base_vals = potential.values - offset  # exactly zero
+        w, vecs = _free_eigs(grid, k_states, with_vectors=True)
+        w_fine = _free_eigs(grid.refined(), k_states, with_vectors=False)
     else:
         offset = 0.0
-        base_vals = potential.values
-
-    w, vecs = _tridiag_eigs(base_vals, grid.h, k_states, with_vectors=True)
-
-    fine = potential.on_grid(grid.refined())
-    fine_vals = fine.values - offset if potential.mode == CONSTANT_U else fine.values
-    if np.any(fine.singular):
-        raise SingularNodeError("refined grid produced singular nodes")
-    w_fine, _ = _tridiag_eigs(fine_vals, fine.grid.h, k_states, with_vectors=False)
+        w, vecs = _tridiag_eigs(potential.values, grid.h, k_states, with_vectors=True)
+        fine = potential.on_grid(grid.refined())
+        if np.any(fine.singular):
+            raise SingularNodeError("refined grid produced singular nodes")
+        w_fine = _tridiag_eigs(fine.values, fine.grid.h, k_states, with_vectors=False)
 
     pairs: List[EigenPair] = []
     energies: List[Tuple[float, float]] = []

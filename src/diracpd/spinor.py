@@ -120,8 +120,10 @@ def reconstruct(pair: EigenPair, model: ModelSpec, tmap: TransformMap,
 def observables(spinor: SpinorField, model: ModelSpec) -> ObservableSet:
     """Density rho, current j = v_F (psi1* psi2 + c.c.), and total probability."""
     rho = (np.abs(spinor.psi1) ** 2 + np.abs(spinor.psi2) ** 2).real
-    v = np.broadcast_to(np.asarray(model.velocity(spinor.x), dtype=float),
-                        spinor.x.shape)
+    v = spinor.vf
+    if v is None:
+        v = np.broadcast_to(np.asarray(model.velocity(spinor.x), dtype=float),
+                            spinor.x.shape)
     current = (v * (np.conj(spinor.psi1) * spinor.psi2
                     + spinor.psi1 * np.conj(spinor.psi2))).real
     return ObservableSet(rho=rho, current=current,

@@ -407,6 +407,19 @@ class TestReport:
         assert os.path.exists(tmp_path / "out" / "discrepancy.csv")
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("mode_args", [[], ["--mode", "exact"]])
+    def test_discrepancy_header_names_approximate_mode(self, tmp_path, mode_args):
+        # the report compares the approximate potential under every mode
+        cfg = write_config(
+            tmp_path / "c.txt",
+            model__name="poschl_teller", model__alpha=1.0, model__v0=1.0,
+            model__m0=1.0, grid__n=800, solve__k_states=2,
+            outputs="discrepancy", out__dir=str(tmp_path / "out"),
+        )
+        assert main(["report", "--config", cfg, *mode_args]) == 0
+        with open(tmp_path / "out" / "discrepancy.csv", encoding="utf-8") as fh:
+            assert "# mode = approximate" in fh.read().splitlines()
+
     def test_poschl_teller_exact_report(self, tmp_path, capsys):
         # exact mode matches level k to the ladder's n = k, with no published label
         cfg = write_config(

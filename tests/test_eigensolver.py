@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from diracpd import eigensolver
 from diracpd import (
     PotentialField,
     QGrid,
@@ -123,6 +124,48 @@ class TestSolveFixed:
         assert np.max(np.abs(e1 ** 2 - e0 ** 2 - 1.0)) <= 1e-8
         assert res1.offset == 1.0
         assert e1[0] == pytest.approx(E1_COSH_MASSIVE, rel=1e-6)
+
+    @pytest.mark.parametrize("offset", [False, True])
+    def test_closed_form_matches_lapack(self, offset):
+        grid = QGrid(-1.3, 2.1, 2000, offset=offset)
+        w, vecs = eigensolver._free_eigs(grid, 5, with_vectors=True)
+        w_lapack, vecs_lapack = eigensolver._tridiag_eigs(np.zeros(grid.n), grid.h, 5,
+                                                          with_vectors=True)
+        assert np.max(np.abs(w - w_lapack) / w_lapack) <= 1e-9
+        vecs = vecs / np.linalg.norm(vecs, axis=0)
+        vecs *= np.sign(np.sum(vecs * vecs_lapack, axis=0))
+        assert np.max(np.abs(vecs - vecs_lapack)) <= 1e-10
+
+    def test_only_approximate_mode_bisects(self, monkeypatch):
+        calls = []
+        real = eigensolver.eigh_tridiagonal
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(eigensolver, "eigh_tridiagonal", counted)
+        cosh = builtin_model("cosh_square", alpha=1, v0=1, m0=1)
+        tmap = build_transform(cosh.velocity, cosh.anchor)
+        field = constant_u_potential(1.0, QGrid(tmap.q_lo, tmap.q_hi, 2000))
+        # constant-u mode needs no potential on the refined grid either
+        solve_fixed(dataclasses.replace(field, evaluator=None), 3)
+        assert calls == []
+        pt = builtin_model("poschl_teller", alpha=1, v0=1, m0=1)
+        tmap = build_transform(pt.velocity, pt.anchor)
+        solve_fixed(approx_potential(pt, QGrid(tmap.q_lo, tmap.q_hi, 2000, offset=True),
+                                     tmap), 3)
+        assert len(calls) == 2
+
+    def test_constant_u_at_machine_precision(self):
+        # bisection left 5.4e-8 on level 0 here; the closed form leaves rounding only
+        model = builtin_model("cosh_square", alpha=1, v0=1, m0=1)
+        tmap = build_transform(model.velocity, model.anchor)
+        grid = QGrid(tmap.q_lo, tmap.q_hi, 32000, offset=False)
+        res = solve_fixed(constant_u_potential(1.0, grid), 5)
+        for k, (e, _) in enumerate(res.energies):
+            exact = math.hypot((k + 1) * math.pi / 2, 1.0)
+            assert abs(e - exact) <= 1e-11 * exact
 
     def test_insufficient_resolution(self):
         with pytest.raises(InsufficientResolutionError):
