@@ -38,6 +38,7 @@ from .errors import (
     ImaginaryEnergyError,
     InvalidParameterError,
 )
+from .profiles import builtin_model, s_parameter
 
 VERIFIED = "verified"
 AS_PUBLISHED = "as_published"
@@ -84,24 +85,6 @@ def hyp2f1_polynomial(n: int, b: float, c: float, z):
     return total if z.ndim else float(total)
 
 
-def s_parameter(alpha: float, v0: float, m0: float,
-                as_published: bool = False) -> float:
-    """The s > 1 root of the 1/sin^2 coefficient.
-
-    Verified: s(s-1) = m0^2 v0^2 / alpha^2 - 5/16, i.e.
-    s = 1/2 + sqrt(m0^2 v0^2 / alpha^2 - 1/16). The as-published switch
-    evaluates the printed radical sqrt(m0^2 alpha^2 - 1/16) instead.
-    """
-    radicand = (m0 * alpha) ** 2 - 1.0 / 16.0 if as_published \
-        else (m0 * v0 / alpha) ** 2 - 1.0 / 16.0
-    if radicand < 0:
-        raise InvalidParameterError(
-            f"s would be complex: radicand {radicand:g} < 0 "
-            f"(need m0 v0 / alpha >= 1/4)"
-        )
-    return 0.5 + math.sqrt(radicand)
-
-
 def _params_get(params: Mapping[str, float], *names) -> Tuple[float, ...]:
     out = []
     for name in names:
@@ -113,21 +96,20 @@ def _params_get(params: Mapping[str, float], *names) -> Tuple[float, ...]:
 
 def spectrum_entry(model: str, n: int, params: Mapping[str, float],
                    as_published: bool = False, exact: bool = False) -> AnalyticSpectrum:
-    """Closed-form energy pair for one level, with provenance. ``exact`` gives
-    poschl_teller's exact-mode ladder m0 v0^2 + alpha v0 (n + 1/2), for g >= 1/2."""
+    """Closed-form energy pair for one level, with provenance.
+
+    poschl_teller's verified approximate-mode entry n is the full ladder
+    (alpha v0 / 4) sqrt(1 + 16 (s + n)^2); the published family s + 2n skips
+    its odd members, and ``as_published`` gives that family with the printed
+    radical for s. ``exact`` gives the exact-mode ladder
+    m0 v0^2 + alpha v0 (n + 1/2), for g = m0 v0 / alpha >= 1/2.
+    """
     key = model.strip().lower().replace("-", "_")
-    if key == "cosh_square":
+    if key in ("cosh_square", "rational"):
         if n < 1:
             raise InvalidParameterError("level index starts at n=1 for this model")
         a, v0, m0 = _params_get(params, "alpha", "v0", "m0")
-        lam = n * math.pi * a * v0 / 2.0
-        e = math.hypot(lam, m0 * v0 * v0)
-        return AnalyticSpectrum(key, n, e, -e, VERIFIED)
-    if key == "rational":
-        if n < 1:
-            raise InvalidParameterError("level index starts at n=1 for this model")
-        a, v0, m0 = _params_get(params, "alpha", "v0", "m0")
-        lam = n * a * v0
+        lam = n * math.pi * a * v0 / 2.0 if key == "cosh_square" else n * a * v0
         e = math.hypot(lam, m0 * v0 * v0)
         return AnalyticSpectrum(key, n, e, -e, VERIFIED)
     if key == "poschl_teller":
@@ -140,7 +122,7 @@ def spectrum_entry(model: str, n: int, params: Mapping[str, float],
             e = m0 * v0 * v0 + a * v0 * (n + 0.5)
             return AnalyticSpectrum(key, n, e, -e, VERIFIED)
         s = s_parameter(a, v0, m0, as_published=as_published)
-        e = (a * v0 / 4.0) * math.sqrt(1.0 + 16.0 * (s + 2 * n) ** 2)
+        e = (a * v0 / 4.0) * math.sqrt(1.0 + 16.0 * (s + (2 * n if as_published else n)) ** 2)
         prov = AS_PUBLISHED if as_published else VERIFIED
         return AnalyticSpectrum(key, n, e, -e, prov)
     if key == "linear_singular":
@@ -177,29 +159,24 @@ def _raw_components(model: str, n: int, params: Mapping[str, float],
                     x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Unnormalized (psi1, psi2) on x for the positive-energy branch."""
     key = model.strip().lower().replace("-", "_")
-    if key == "cosh_square":
+    if key in ("cosh_square", "rational"):
         a, v0, m0 = _params_get(params, "alpha", "v0", "m0")
         e = spectrum_entry(key, n, params).e_plus
         z1, z2 = e - m0 * v0 * v0, e + m0 * v0 * v0
-        theta = 0.5 * n * math.pi * (np.tanh(a * x) + 1.0)
-        with np.errstate(over="ignore"):  # cosh overflow far out -> sech = 0
-            sech = 1.0 / np.cosh(a * x)
-        psi1 = np.sqrt(z2 / v0) * sech * np.sin(theta) + 0j
-        psi2 = -1j * np.sqrt(z1 / v0) * sech * np.cos(theta)
-        return psi1, psi2
-    if key == "rational":
-        a, v0, m0 = _params_get(params, "alpha", "v0", "m0")
-        e = spectrum_entry(key, n, params).e_plus
-        z1, z2 = e - m0 * v0 * v0, e + m0 * v0 * v0
-        theta = n * (np.arctan(a * x) + math.pi / 2.0)
-        env = 1.0 / np.sqrt(1.0 + (a * x) ** 2)
+        if key == "cosh_square":
+            theta = 0.5 * n * math.pi * (np.tanh(a * x) + 1.0)
+            with np.errstate(over="ignore"):  # cosh overflow far out -> sech = 0
+                env = 1.0 / np.cosh(a * x)
+        else:
+            theta = n * (np.arctan(a * x) + math.pi / 2.0)
+            env = 1.0 / np.sqrt(1.0 + (a * x) ** 2)
         psi1 = np.sqrt(z2 / v0) * env * np.sin(theta) + 0j
         psi2 = -1j * np.sqrt(z1 / v0) * env * np.cos(theta)
         return psi1, psi2
     if key == "poschl_teller":
         a, v0, m0 = _params_get(params, "alpha", "v0", "m0")
         s = s_parameter(a, v0, m0)
-        e = spectrum_entry(key, n, params).e_plus
+        e = spectrum_entry(key, 2 * n, params).e_plus  # the published family's n-th state
 
         def psi1_tilde(t):
             # sqrt(v0) * psi1, the quantity the component relation differentiates
@@ -250,17 +227,8 @@ def _numeric_norm_cached(model: str, n: int, params_key: Tuple[Tuple[str, float]
         p1, p2 = _raw_components(model, n, params, np.asarray([t]))
         return float(np.abs(p1[0]) ** 2 + np.abs(p2[0]) ** 2)
 
-    key = model
-    if key == "poschl_teller":
-        a = params["alpha"]
-        total, _ = integrate.quad(rho, 0.0, math.pi / a, limit=400,
-                                  epsabs=1e-13, epsrel=1e-12)
-    elif key == "linear_singular":
-        total, _ = integrate.quad(rho, 0.0, np.inf, limit=400,
-                                  epsabs=1e-13, epsrel=1e-12)
-    else:
-        total, _ = integrate.quad(rho, -np.inf, np.inf, limit=400,
-                                  epsabs=1e-13, epsrel=1e-12)
+    lo, hi = builtin_model(model, **params).domain
+    total, _ = integrate.quad(rho, lo, hi, limit=400, epsabs=1e-13, epsrel=1e-12)
     return 1.0 / math.sqrt(total)
 
 
@@ -306,6 +274,7 @@ def bound_spinor(model: str, n: int, params: Mapping[str, float], x,
 
     ``normalized=True`` applies the numeric normalization constant (cached
     per model/level); the bare printed shapes come back otherwise.
+    poschl_teller's n counts the published family: its state n is level 2n.
     """
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     psi1, psi2 = _raw_components(model.strip().lower().replace("-", "_"),

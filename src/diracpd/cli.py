@@ -30,6 +30,7 @@ import hashlib
 import math
 import os
 import sys
+import textwrap
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
@@ -64,7 +65,7 @@ from .potential import (
     exact_potential,
     potential_discrepancy_report,
 )
-from .profiles import ModelSpec, builtin_model, detect_constant_u
+from .profiles import MODEL_NAMES, ModelSpec, builtin_model, detect_constant_u
 from .spinor import bic_family, normalize, observables, reconstruct
 from .transform import TransformMap, build_transform
 
@@ -145,14 +146,16 @@ class RunConfig:
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-def _get_number(cfg: Dict[str, str], key: str, default, kind=float):
-    if key not in cfg:
-        return default
+def _number(key: str, text: str, kind=float):
     try:
-        return kind(cfg[key])
+        return kind(text)
     except ValueError as exc:
         what = "an integer" if kind is int else "a number"
-        raise ConfigError(f"config key {key!r}: not {what}: {cfg[key]!r}") from exc
+        raise ConfigError(f"config key {key!r}: not {what}: {text!r}") from exc
+
+
+def _get_number(cfg: Dict[str, str], key: str, default, kind=float):
+    return _number(key, cfg[key], kind) if key in cfg else default
 
 
 def build_run_config(cfg: Dict[str, str], args: argparse.Namespace) -> RunConfig:
@@ -179,13 +182,8 @@ def build_run_config(cfg: Dict[str, str], args: argparse.Namespace) -> RunConfig
     if "model.name" not in cfg:
         raise ConfigError("config key 'model.name' is required")
     model_name = cfg["model.name"]
-    params: Dict[str, float] = {}
-    for key, value in cfg.items():
-        if key.startswith("model.") and key != "model.name":
-            try:
-                params[key[len("model."):]] = float(value)
-            except ValueError as exc:
-                raise ConfigError(f"config key {key!r}: not a number: {value!r}") from exc
+    params = {key[len("model."):]: _number(key, value) for key, value in cfg.items()
+              if key.startswith("model.") and key != "model.name"}
 
     mode = cfg.get("mode", "auto").strip().lower().replace("_", "-")
     if mode not in _MODES:
@@ -219,17 +217,8 @@ def build_run_config(cfg: Dict[str, str], args: argparse.Namespace) -> RunConfig
     if variant not in ("verified", "as-published"):
         raise ConfigError("config key 'analytic.variant': verified or as-published")
 
-    bic_energies: List[float] = []
-    if "bic.energies" in cfg:
-        for tok in cfg["bic.energies"].split(","):
-            tok = tok.strip()
-            if not tok:
-                continue
-            try:
-                bic_energies.append(float(tok))
-            except ValueError as exc:
-                raise ConfigError(
-                    f"config key 'bic.energies': not a number: {tok!r}") from exc
+    bic_energies = [_number("bic.energies", tok.strip())
+                    for tok in cfg.get("bic.energies", "").split(",") if tok.strip()]
 
     return RunConfig(
         raw=cfg,
@@ -352,47 +341,45 @@ def run_solve_pipeline(rc: RunConfig, model: Optional[ModelSpec] = None,
     return SolveOutcome(model, tmap, mode, result.pairs[0].grid, result)
 
 
-def _analytic_reference(rc: RunConfig, model: ModelSpec, count: int, mode: str) -> List[Optional[analytic.AnalyticSpectrum]]:
-    as_pub = rc.variant == "as-published"
+Reference = List[Optional[analytic.AnalyticSpectrum]]
+
+
+def _analytic_reference(rc: RunConfig, model: ModelSpec, count: int, mode: str) -> Reference:
+    """Closed-form entries for levels 0..count-1 of ``mode``; None where undefined."""
     out = []
     for k in range(count):
-        n = k + 1 if model.name in ("cosh_square", "rational") else k
         try:
-            out.append(analytic.spectrum_entry(model.name, n, model.params,
-                                               as_published=as_pub, exact=mode == "exact"))
+            out.append(analytic.spectrum_entry(
+                model.name, model.facts.first_level + k, model.params,
+                as_published=rc.variant == "as-published", exact=mode == "exact"))
         except (InvalidParameterError, ImaginaryEnergyError):
             out.append(None)
     return out
 
 
-def _match_levels(numeric: Sequence[float],
-                  reference: Sequence[Optional[analytic.AnalyticSpectrum]],
-                  interleave: bool) -> List[Tuple[int, float, Optional[float], float, str]]:
-    """Rows (index, E_num, E_ref, rel_dev, note).
+def _interleaved(reference: Reference) -> bool:
+    """An as-published family may skip numeric levels, so it is matched by nearest member."""
+    return any(r is not None and r.provenance == analytic.AS_PUBLISHED for r in reference)
 
-    With ``interleave`` (hole-type spectra) each numeric level is matched to
-    the nearest reference level; unmatched numeric levels are reported as
-    interleaved rather than failed.
+
+def _match_levels(numeric: Sequence[float], reference: Reference
+                  ) -> List[Tuple[int, float, Optional[analytic.AnalyticSpectrum], float, str]]:
+    """Rows (index, E_num, reference entry, rel_dev, note).
+
+    Level k is matched to entry k, or, for an as-published family, to its
+    nearest member; a level no member is near is noted as interleaved.
     """
     rows = []
-    ref_vals = [r.e_plus if r is not None else None for r in reference]
+    interleave = _interleaved(reference)
     for idx, e_num in enumerate(numeric):
-        if interleave:
-            candidates = [(abs(e_num - rv), rv) for rv in ref_vals if rv is not None]
-            if not candidates:
-                rows.append((idx, e_num, None, math.nan, ""))
-                continue
-            dev, rv = min(candidates)
-            rel = dev / max(abs(rv), 1e-300)
-            note = "interleaved" if rel > 1e-3 else ""
-            rows.append((idx, e_num, rv if note == "" else None,
-                         rel if note == "" else math.nan, note))
+        candidates = [r for r in (reference if interleave else reference[idx:idx + 1])
+                      if r is not None]
+        ref = min(candidates, key=lambda r: abs(e_num - r.e_plus), default=None)
+        rel = abs(e_num - ref.e_plus) / max(abs(ref.e_plus), 1e-300) if ref else math.nan
+        if interleave and rel > 1e-3:
+            rows.append((idx, e_num, None, math.nan, "interleaved"))
         else:
-            rv = ref_vals[idx] if idx < len(ref_vals) else None
-            if rv is None:
-                rows.append((idx, e_num, None, math.nan, ""))
-            else:
-                rows.append((idx, e_num, rv, abs(e_num - rv) / max(abs(rv), 1e-300), ""))
+            rows.append((idx, e_num, ref, rel, ""))
     return rows
 
 
@@ -463,9 +450,7 @@ def cmd_solve(rc: RunConfig) -> int:
 
     if outcome.rest_energy is not None:
         e_plus, e_minus = outcome.rest_energy
-        ref = _analytic_reference(rc, model, 1, mode)[0]
-        rel = (abs(e_plus - ref.e_plus) / max(abs(ref.e_plus), 1e-300)
-               if ref is not None else math.nan)
+        _, _, ref, rel, _ = _match_levels([e_plus], _analytic_reference(rc, model, 1, mode))[0]
         print(f"{model.label}: free constant-mass case, no bound spectrum")
         print("  n  E_numeric              E_analytic             rel_dev    nodes")
         ref_s = _fmt(ref.e_plus) if ref is not None else "-"
@@ -481,21 +466,21 @@ def cmd_solve(rc: RunConfig) -> int:
     result = outcome.result
     numeric = [e[0] for e in result.energies]
     reference = _analytic_reference(rc, model, max(rc.k_states + 3, len(numeric)), mode)
-    interleave = model.name == "poschl_teller" and mode != "exact"
-    rows = _match_levels(numeric, reference, interleave)
+    rows = _match_levels(numeric, reference)
 
     print(f"{model.label}: mode={mode}, grid n={grid.n} h={grid.h:.3e} "
           f"offset={grid.offset}")
     print("  n  E_numeric              E_analytic             rel_dev    nodes")
     worst = 0.0
     for (idx, e_num, e_ref, rel, note), pair in zip(rows, result.pairs):
-        ref_s = _fmt(e_ref) if e_ref is not None else (note or "-")
+        ref_s = _fmt(e_ref.e_plus) if e_ref is not None else (note or "-")
         rel_s = f"{rel:.2e}" if math.isfinite(rel) else "-"
         print(f"  {idx}  {_fmt(e_num):22s} {ref_s:22s} {rel_s:9s}  {pair.nodes:5d}")
         if math.isfinite(rel):
             worst = max(worst, rel)
 
-    missing = _unmatched_reference(numeric, reference, rc.compare_tol) if interleave else []
+    missing = (_unmatched_reference(numeric, reference, rc.compare_tol)
+               if _interleaved(reference) else [])
     for n_ref, e_ref in missing:
         print(f"  reference level n={n_ref} (E={_fmt(e_ref)}) not found numerically")
 
@@ -532,15 +517,11 @@ def cmd_solve(rc: RunConfig) -> int:
 
 
 def _unmatched_reference(numeric, reference, tol) -> List[Tuple[int, float]]:
-    out = []
+    """(n, E) of each reference level in the numeric range that no level is within tol of."""
     top = max(numeric) if numeric else 0.0
-    for ref in reference:
-        if ref is None or ref.e_plus > top * (1.0 + 10 * tol):
-            continue
-        best = min(abs(ref.e_plus - e) / max(abs(ref.e_plus), 1e-300) for e in numeric)
-        if best > tol:
-            out.append((ref.n, ref.e_plus))
-    return out
+    return [(r.n, r.e_plus) for r in reference
+            if r is not None and not r.e_plus > top * (1.0 + 10 * tol)
+            and min(abs(r.e_plus - e) / max(abs(r.e_plus), 1e-300) for e in numeric) > tol]
 
 
 def _potential_for_export(rc: RunConfig, model, tmap, mode, grid, e0):
@@ -635,17 +616,12 @@ def _scan_point(rc: RunConfig, value: float,
             held = (model.map_key,
                     build_transform(model.velocity, model.anchor, rc.quad_tol))
         outcome = run_solve_pipeline(rc, model=model, tmap=held[1])
-        if outcome.rest_energy is not None:
-            ref = _analytic_reference(rc, model, 1, outcome.mode)[0]
-            ref_s = _fmt(ref.e_plus) if ref else "nan"
-            return [(key, "0", _fmt(outcome.rest_energy[0]), ref_s, "ok")], held
-        reference = _analytic_reference(rc, model, rc.k_states, outcome.mode)
-        rows = []
-        for k, (e_plus, _) in enumerate(outcome.result.energies):
-            ref = reference[k]
-            ref_s = _fmt(ref.e_plus) if ref is not None else "nan"
-            rows.append((key, str(k), _fmt(e_plus), ref_s, "ok"))
-        return rows, held
+        energies = ([outcome.rest_energy] if outcome.rest_energy is not None
+                    else outcome.result.energies)
+        # row k holds level k of the resolved mode beside its closed-form entry k
+        reference = _analytic_reference(rc, model, len(energies), outcome.mode)
+        return [(key, str(k), _fmt(e_plus), _fmt(ref.e_plus) if ref else "nan", "ok")
+                for k, ((e_plus, _), ref) in enumerate(zip(energies, reference))], held
     except (_NUMERICAL_ERRORS + (ConfigError, InvalidParameterError)) as exc:
         return [(key, "-", "nan", "nan", f"error:{type(exc).__name__}")], held
 
@@ -654,81 +630,21 @@ def cmd_report(rc: RunConfig) -> int:
     model = _build_model(rc)
     tmap = build_transform(model.velocity, model.anchor, rc.quad_tol)
     os.makedirs(rc.out_dir, exist_ok=True)
-    p = model.params
-
-    if model.name == "poschl_teller":
-        a, v0, m0 = p["alpha"], p["v0"], p["m0"]
-        s_ver = analytic.s_parameter(a, v0, m0)
-        x0 = model.anchor  # q is anchored at the hole center, x = x0 + v0 q
-
-        def claimed(q):
-            coeff = m0 * m0 * v0 ** 4 - 5.0 * a * a * v0 * v0 / 16.0
-            return a * a * v0 * v0 / 16.0 + coeff / np.sin(a * (x0 + v0 * q)) ** 2
-
-        grid = QGrid(tmap.q_lo, tmap.q_hi, rc.grid_n, offset=True)
+    facts = model.facts
+    grid = QGrid(tmap.q_lo if math.isfinite(tmap.q_lo) else -facts.q_bound,
+                 tmap.q_hi if math.isfinite(tmap.q_hi) else facts.q_bound,
+                 rc.grid_n, offset=True)
+    rep = None
+    for label, claimed in facts.claims:
         rep = potential_discrepancy_report(model, claimed, grid, tmap)
-        print(f"potential vs closed form (verified coefficient): {rep.summary()}")
-        print(f"s (verified) = {_fmt(s_ver)}", end="")
-        try:
-            s_ap = analytic.s_parameter(a, v0, m0, as_published=True)
-            print(f", s (as-published) = {_fmt(s_ap)}")
-        except InvalidParameterError:
-            print(", s (as-published) = complex (radicand < 0)")
-        outcome = run_solve_pipeline(rc, model=model, tmap=tmap)
-        numeric = [e[0] for e in outcome.result.energies]
-        interleave = outcome.mode != "exact"  # the exact ladder skips no state
-        print("numeric levels vs published (s+2n) sequence (interleaved levels are genuine "
-              "states the published solution family skips):" if interleave else
-              "numeric levels vs exact (g+n+1/2) ladder:")
-        reference = _analytic_reference(rc, model, rc.k_states + 2, outcome.mode)
-        for idx, e_num, e_ref, rel, note in _match_levels(numeric, reference, interleave):
-            tag = note or (f"matches n={_ref_index(reference, e_ref)} "
-                           f"rel={rel:.2e}" if e_ref is not None else "")
-            print(f"  level {idx}: E={_fmt(e_num)} {tag}")
-    elif model.name == "linear_singular":
-        big_a, v0 = p["A"], p["v0"]
-
-        def claimed_exp(q):
-            return big_a ** 2 * v0 ** 4 * np.exp(2.0 * v0 * q) - v0 * v0 / 16.0
-
-        def claimed_harm(q):
-            omega = 2.0 * big_a * v0 ** 3
-            return 0.25 * omega * omega * q * q
-
-        grid = QGrid(-4.0, 4.0, rc.grid_n, offset=True)
-        rep_exp = potential_discrepancy_report(model, claimed_exp, grid, tmap)
-        rep_harm = potential_discrepancy_report(model, claimed_harm, grid, tmap)
-        print(f"potential vs exponential closed form: {rep_exp.summary()}")
-        print(f"potential vs published harmonic form: {rep_harm.summary()}")
-        print("published oscillator energies (as-published; the reduced "
-              "potential is exponential and supports no bound states):")
-        for n in range(rc.k_states):
-            try:
-                e_plus, _ = analytic.spectrum_value(model.name, n, p)
-                print(f"  n={n}: E = +/-{_fmt(e_plus)} [as_published]")
-            except ImaginaryEnergyError as exc:
-                print(f"  n={n}: {exc}")
-        rep = rep_harm
-    else:
-        a_const = detect_constant_u(model, tol=1e-10)
-        if a_const is None:
-            raise ConfigError(f"no discrepancy report defined for {model.name!r}")
-
-        def claimed_const(q):
-            return np.full_like(np.asarray(q, dtype=float), a_const * a_const)
-
-        lo = tmap.q_lo if math.isfinite(tmap.q_lo) else -8.0
-        hi = tmap.q_hi if math.isfinite(tmap.q_hi) else 8.0
-        grid = QGrid(lo, hi, rc.grid_n, offset=True)
-        if a_const == 0.0:
-            print("massless model: effective potential is identically zero")
-            rep = None
-        else:
-            rep = potential_discrepancy_report(model, claimed_const, grid, tmap)
-            print(f"potential vs constant A^2: {rep.summary()}")
+        print(f"potential vs {label}: {rep.summary()}")
+    if not facts.claims and detect_constant_u(model, tol=1e-10) == 0.0:
+        print("massless model: effective potential is identically zero")
+    if facts.published:
+        _report_levels(rc, model, tmap)
 
     if rep is not None and "discrepancy" in rc.outputs:
-        # the report always compares the approximate potential, whatever rc.mode says
+        # the last claim's table; the report always compares the approximate potential
         _write_csv(os.path.join(rc.out_dir, "discrepancy.csv"),
                    _header_lines(rc, "discrepancy", "approximate", grid),
                    ("q", "computed", "claimed", "residual"),
@@ -736,11 +652,41 @@ def cmd_report(rc: RunConfig) -> int:
     return EXIT_OK
 
 
-def _ref_index(reference, e_ref):
-    for ref in reference:
-        if ref is not None and ref.e_plus == e_ref:
-            return ref.n
-    return "?"
+def _report_levels(rc: RunConfig, model: ModelSpec, tmap: TransformMap) -> None:
+    """The model's as-published level family: listed alone when no verified
+    ladder exists, else set beside the numeric levels and their references."""
+    facts = model.facts
+    values = []
+    for label, value in facts.parameters:
+        try:
+            values.append(f"{label} = {_fmt(value())}")
+        except InvalidParameterError:
+            values.append(f"{label} = complex (radicand < 0)")
+    if values:
+        print(", ".join(values))
+    if not facts.published_stride:
+        print(f"{facts.published}:")
+        for n in range(rc.k_states):
+            try:
+                entry = analytic.spectrum_entry(model.name, facts.first_level + n, model.params)
+                print(f"  n={n}: E = +/-{_fmt(entry.e_plus)} [{entry.provenance}]")
+            except ImaginaryEnergyError as exc:
+                print(f"  n={n}: {exc}")
+        return
+    outcome = run_solve_pipeline(rc, model=model, tmap=tmap)
+    numeric = [e[0] for e in outcome.result.energies]
+    reference = _analytic_reference(rc, model, rc.k_states + 2, outcome.mode)
+    as_pub = _interleaved(reference)
+    # the published family is a claim about approximate-mode levels
+    stride = 0 if as_pub or outcome.mode == "exact" else facts.published_stride
+    print(f"numeric levels vs the {'as-published' if as_pub else 'verified'} "
+          f"{outcome.mode}-mode reference" + (f", beside the {facts.published}:" if stride else ":"))
+    for idx, e_num, ref, rel, note in _match_levels(numeric, reference):
+        tag = note or (f"matches n={ref.n} rel={rel:.2e}" if ref is not None else "")
+        if stride and ref is not None:
+            k = ref.n - facts.first_level
+            tag += f", published n={k // stride}" if k % stride == 0 else ", interleaved"
+        print(f"  level {idx}: E={_fmt(e_num)} {tag}")
 
 
 # ---------------------------------------------------------------------------
@@ -749,8 +695,8 @@ def _ref_index(reference, e_ref):
 
 _CONFIG_KEYS_HELP = """\
 config keys:
-  model.name            cosh_square | rational | poschl_teller |
-                        linear_singular | constant_rest
+""" + textwrap.fill(" | ".join(MODEL_NAMES), 72, initial_indent="  model.name" + " " * 12,
+                    subsequent_indent=" " * 24) + """
   model.<param>         model parameters (alpha, v0, m0, A, c as applicable)
   mode                  auto | exact | approximate | constant-u  [auto]
   grid.n                interior nodes, >= 64                    [2000]

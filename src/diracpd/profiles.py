@@ -207,6 +207,27 @@ class MassProfile:
 
 
 @dataclass(frozen=True)
+class ModelFacts:
+    """What the CLI knows of a model beyond its profiles.
+
+    ``first_level``: closed-form index of the lowest level. ``claims``:
+    (label, V(q)) potentials ``report`` compares with the approximate one,
+    on a grid cut at |q| = ``q_bound`` on an infinite side. ``published``:
+    the as-published level family, every ``published_stride``-th member of
+    the verified ladder (stride 0: no verified ladder; listed alone).
+    ``parameters``: (label, thunk) pairs the report prints before the
+    levels; a thunk raises InvalidParameterError where it is complex.
+    """
+
+    first_level: int = 0
+    claims: Tuple[Tuple[str, Callable], ...] = ()
+    q_bound: float = 8.0
+    published: str = ""
+    published_stride: int = 0
+    parameters: Tuple[Tuple[str, Callable[[], float]], ...] = ()
+
+
+@dataclass(frozen=True)
 class ModelSpec:
     """A mass/velocity pair on a shared domain, plus model metadata.
 
@@ -215,6 +236,7 @@ class ModelSpec:
     exact simplification. ``map_key`` names the map q(x): two specs with
     equal non-None keys have the same velocity, domain and anchor, so one
     ``build_transform`` result serves both. ``None`` means never shared.
+    ``facts`` carries the model's closed-form bookkeeping (``ModelFacts``).
     """
 
     name: str
@@ -226,6 +248,7 @@ class ModelSpec:
     anchor: float
     u_closed: Optional[Tuple[Callable, Callable, Callable]] = None
     map_key: Optional[Hashable] = None
+    facts: ModelFacts = ModelFacts()
 
     def __post_init__(self):
         if self.mass.domain != self.domain or self.velocity.domain != self.domain:
@@ -295,6 +318,22 @@ def detect_constant_u(model: ModelSpec, tol: float = 1e-12) -> Optional[float]:
 # Built-in models
 # ---------------------------------------------------------------------------
 
+def s_parameter(alpha: float, v0: float, m0: float,
+                as_published: bool = False) -> float:
+    """The s > 1 root of the poschl_teller 1/sin^2 coefficient.
+
+    Verified: s(s-1) = m0^2 v0^2 / alpha^2 - 5/16, i.e.
+    s = 1/2 + sqrt(m0^2 v0^2 / alpha^2 - 1/16). The as-published switch
+    evaluates the printed radical sqrt(m0^2 alpha^2 - 1/16) instead.
+    """
+    radicand = (m0 * alpha) ** 2 - 1.0 / 16.0 if as_published \
+        else (m0 * v0 / alpha) ** 2 - 1.0 / 16.0
+    if radicand < 0:
+        raise InvalidParameterError(f"s would be complex: radicand {radicand:g} < 0 "
+                                    f"(need m0 v0 / alpha >= 1/4)")
+    return 0.5 + math.sqrt(radicand)
+
+
 def _require(params: Mapping[str, float], model: str, names, positive, nonneg):
     known = set(names)
     for key in params:
@@ -315,6 +354,16 @@ def _require(params: Mapping[str, float], model: str, names, positive, nonneg):
     return out
 
 
+def _constant_u(A: float, first_level: int = 0):
+    """u_closed and facts of a model with m v_F^2 = A identically."""
+    def zero(x):
+        return 0.0 * np.asarray(x, dtype=float)
+
+    claims = ((("constant A^2", lambda q: np.full_like(np.asarray(q, dtype=float), A * A)),)
+              if A > 0 else ())  # a massless model's potential is identically zero
+    return (lambda x: A + zero(x), zero, zero), ModelFacts(first_level, claims)
+
+
 def _cosh_square(params) -> ModelSpec:
     p = _require(params, "cosh_square", ("alpha", "v0", "m0"), {"alpha", "v0"}, {"m0"})
     a, v0, m0 = p["alpha"], p["v0"], p["m0"]
@@ -333,15 +382,10 @@ def _cosh_square(params) -> ModelSpec:
         / np.cosh(a * x) ** 4,
         domain=dom,
     )
-    A = m0 * v0 * v0
-    u_closed = (
-        lambda x: A + 0.0 * np.asarray(x, dtype=float),
-        lambda x: 0.0 * np.asarray(x, dtype=float),
-        lambda x: 0.0 * np.asarray(x, dtype=float),
-    )
+    u_closed, facts = _constant_u(m0 * v0 * v0, first_level=1)
     return ModelSpec("cosh_square", mass, vel, dom, p,
                      "cosh^2 velocity / sech^4 mass", anchor=0.0, u_closed=u_closed,
-                     map_key=("cosh_square", a, v0))
+                     map_key=("cosh_square", a, v0), facts=facts)
 
 
 def _rational(params) -> ModelSpec:
@@ -362,15 +406,10 @@ def _rational(params) -> ModelSpec:
         / (1.0 + (a * x) ** 2) ** 4,
         domain=dom,
     )
-    A = m0 * v0 * v0
-    u_closed = (
-        lambda x: A + 0.0 * np.asarray(x, dtype=float),
-        lambda x: 0.0 * np.asarray(x, dtype=float),
-        lambda x: 0.0 * np.asarray(x, dtype=float),
-    )
+    u_closed, facts = _constant_u(m0 * v0 * v0, first_level=1)
     return ModelSpec("rational", mass, vel, dom, p,
                      "rational velocity / rational mass", anchor=0.0, u_closed=u_closed,
-                     map_key=("rational", a, v0))
+                     map_key=("rational", a, v0), facts=facts)
 
 
 def _poschl_teller(params) -> ModelSpec:
@@ -395,10 +434,22 @@ def _poschl_teller(params) -> ModelSpec:
         lambda x: -a * c * np.cos(a * x) / np.sin(a * x) ** 2,
         lambda x: a * a * c * (1.0 + np.cos(a * x) ** 2) / np.sin(a * x) ** 3,
     )
+    x0 = math.pi / (2.0 * a)
+
+    def claimed(q):  # x = x0 + v0 q, with q anchored at the hole center x0
+        coeff = m0 * m0 * v0 ** 4 - 5.0 * a * a * v0 * v0 / 16.0
+        return a * a * v0 * v0 / 16.0 + coeff / np.sin(a * (x0 + v0 * q)) ** 2
+
+    facts = ModelFacts(
+        claims=(("closed form (verified coefficient)", claimed),),
+        published="published (s+2n) sequence (interleaved levels are genuine "
+                  "states the published solution family skips)",
+        published_stride=2,
+        parameters=(("s (verified)", lambda: s_parameter(a, v0, m0)),
+                    ("s (as-published)", lambda: s_parameter(a, v0, m0, as_published=True))))
     return ModelSpec("poschl_teller", mass, vel, dom, p,
-                     "constant velocity / 1/sin mass",
-                     anchor=math.pi / (2.0 * a), u_closed=u_closed,
-                     map_key=("poschl_teller", a, v0))
+                     "constant velocity / 1/sin mass", anchor=x0, u_closed=u_closed,
+                     map_key=("poschl_teller", a, v0), facts=facts)
 
 
 def _linear_singular(params) -> ModelSpec:
@@ -422,9 +473,17 @@ def _linear_singular(params) -> ModelSpec:
         lambda x: A * v0 * v0 + 0.0 * np.asarray(x, dtype=float),
         lambda x: 0.0 * np.asarray(x, dtype=float),
     )
+    omega = 2.0 * A * v0 ** 3
+    facts = ModelFacts(
+        claims=(("exponential closed form",
+                 lambda q: A ** 2 * v0 ** 4 * np.exp(2.0 * v0 * q) - v0 * v0 / 16.0),
+                ("published harmonic form", lambda q: 0.25 * omega * omega * q * q)),
+        q_bound=4.0,
+        published="published oscillator energies (as-published; the reduced "
+                  "potential is exponential and supports no bound states)")
     return ModelSpec("linear_singular", mass, vel, dom, p,
                      "linear velocity / 1/x mass", anchor=1.0, u_closed=u_closed,
-                     map_key=("linear_singular", v0))
+                     map_key=("linear_singular", v0), facts=facts)
 
 
 def _constant_rest(params) -> ModelSpec:
@@ -443,15 +502,10 @@ def _constant_rest(params) -> ModelSpec:
         d2func=lambda x: 0.0 * np.asarray(x, dtype=float),
         domain=dom,
     )
-    A = m0 * c * c
-    u_closed = (
-        lambda x: A + 0.0 * np.asarray(x, dtype=float),
-        lambda x: 0.0 * np.asarray(x, dtype=float),
-        lambda x: 0.0 * np.asarray(x, dtype=float),
-    )
+    u_closed, facts = _constant_u(m0 * c * c)
     return ModelSpec("constant_rest", mass, vel, dom, p,
                      "constant rest mass and velocity", anchor=0.0, u_closed=u_closed,
-                     map_key=("constant_rest", c))
+                     map_key=("constant_rest", c), facts=facts)
 
 
 _BUILTINS = {

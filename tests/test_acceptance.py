@@ -174,8 +174,9 @@ def test_criterion_5_poschl_teller():
     numeric = np.array([e[0] for e in result.energies])
     worst_lvl = 0.0
     for n in range(3):
-        target = spectrum_entry("poschl_teller", n, dict(alpha=alpha, v0=v0,
-                                                         m0=m0)).e_plus
+        # the published family's member n is entry 2n of the verified full ladder
+        target = spectrum_entry("poschl_teller", 2 * n, dict(alpha=alpha, v0=v0,
+                                                             m0=m0)).e_plus
         best = float(np.min(np.abs(numeric - target))) / target
         worst_lvl = max(worst_lvl, best)
     # interleaved levels: the solver finds states between the published ones,

@@ -73,6 +73,17 @@ class TestSpectra:
                             as_published=True)
         assert ap.provenance == "as_published"
 
+    def test_poschl_teller_full_ladder(self):
+        # verified entry n is s + n; the printed family is s + 2n with its own radical
+        params = dict(alpha=1.3, v0=0.8, m0=2.1)
+        s_ver = s_parameter(1.3, 0.8, 2.1)
+        s_ap = s_parameter(1.3, 0.8, 2.1, as_published=True)
+        for n in range(5):
+            ver = spectrum_entry("poschl_teller", n, params).e_plus
+            ap = spectrum_entry("poschl_teller", n, params, as_published=True).e_plus
+            assert ver == pytest.approx(0.26 * math.sqrt(1 + 16 * (s_ver + n) ** 2), rel=1e-14)
+            assert ap == pytest.approx(0.26 * math.sqrt(1 + 16 * (s_ap + 2 * n) ** 2), rel=1e-14)
+
     def test_poschl_teller_exact_ladder(self):
         # trigonometric Poschl-Teller: E_n = alpha v0 (g + n + 1/2), g = m0 v0 / alpha
         params = dict(alpha=1.3, v0=0.8, m0=2.0)

@@ -9,6 +9,12 @@ from diracpd.cli import main
 from diracpd.errors import QuadratureFailureError
 
 
+def pt_full_ladder(alpha, v0, m0, n):
+    """Verified approximate-mode poschl_teller level n: (alpha v0/4) sqrt(1 + 16 (s + n)^2)."""
+    s = 0.5 + math.sqrt((m0 * v0 / alpha) ** 2 - 1.0 / 16.0)
+    return 0.25 * alpha * v0 * math.sqrt(1.0 + 16.0 * (s + n) ** 2)
+
+
 def write_config(path, **keys):
     with open(path, "w", encoding="utf-8") as fh:
         for key, value in keys.items():
@@ -149,6 +155,23 @@ class TestSolve:
         for k, row in enumerate(rows):
             assert abs(float(row[2]) - (k + 1.5)) <= 1e-12 * (k + 1.5)
             assert int(row[4]) == k
+
+    def test_poschl_teller_strict_gates_every_level(self, tmp_path, capsys):
+        # approximate mode gates on the full ladder s + n, odd levels included
+        cfg = write_config(
+            tmp_path / "c.txt",
+            model__name="poschl_teller", model__alpha=1.3, model__v0=0.8,
+            model__m0=2.1, grid__n=4000, solve__k_states=4, compare__tol="1e-6",
+            outputs="spectrum", out__dir=str(tmp_path / "out"),
+        )
+        assert main(["solve", "--config", cfg, "--strict"]) == 0
+        out = capsys.readouterr().out
+        assert "interleaved" not in out
+        rows = [line.split() for line in out.splitlines()[2:]]
+        assert [int(r[0]) for r in rows] == [0, 1, 2, 3]
+        for k, row in enumerate(rows):
+            assert float(row[2]) == pytest.approx(pt_full_ladder(1.3, 0.8, 2.1, k), rel=1e-15)
+            assert float(row[3]) <= 1e-6
 
     def test_strict_failure_names_missing_levels(self, tmp_path, capsys):
         cfg = write_config(
@@ -299,6 +322,23 @@ class TestScan:
         _, rows = read_rows(tmp_path / "out" / "scan.csv")
         assert len(rows) == 3
 
+    def test_poschl_teller_reference_is_full_ladder(self, tmp_path):
+        # row k's E_analytic is the reference for level k, not the published s + 2k
+        cfg = write_config(
+            tmp_path / "c.txt",
+            model__name="poschl_teller", model__alpha=1.3, model__v0=0.8,
+            model__m0=2.0, grid__n=600, solve__k_states=3, mode="approximate",
+            scan__param="m0", scan__min=1.7, scan__max=2.5, scan__steps=3,
+            out__dir=str(tmp_path / "out"),
+        )
+        assert main(["scan", "--config", cfg]) == 0
+        _, rows = read_rows(tmp_path / "out" / "scan.csv")
+        assert len(rows) == 9
+        for row in rows:
+            expected = pt_full_ladder(1.3, 0.8, float(row[0]), int(row[1]))
+            assert abs(float(row[3]) - expected) <= 1e-12 * expected
+            assert abs(float(row[2]) - expected) <= 1e-4 * expected
+
     def test_unknown_axis_param(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.txt", model__name="cosh_square",
                            model__alpha=1.0, model__v0=1.0, model__m0=0.0,
@@ -436,6 +476,45 @@ class TestReport:
         assert len(levels) == 4
         for k, words in enumerate(levels):
             assert words[1] == f"{k}:" and words[4] == f"n={k}"
+
+    def test_poschl_teller_levels_beside_published_family(self, tmp_path, capsys):
+        # each level matches its full-ladder entry; only even ones are in s + 2n
+        cfg = write_config(
+            tmp_path / "c.txt",
+            model__name="poschl_teller", model__alpha=1.3, model__v0=0.8,
+            model__m0=2.1, grid__n=2000, solve__k_states=4,
+            out__dir=str(tmp_path / "out"),
+        )
+        assert main(["report", "--config", cfg]) == 0
+        out = capsys.readouterr().out
+        assert "s (verified) = 1.76789556809606" in out
+        assert "s (as-published) = 3.21852901400739" in out
+        levels = [line for line in out.splitlines() if line.startswith("  level ")]
+        assert len(levels) == 4
+        for k, line in enumerate(levels):
+            assert f"matches n={k} " in line
+            assert line.endswith(f", published n={k // 2}" if k % 2 == 0 else ", interleaved")
+
+    @pytest.mark.parametrize("mode_args", [[], ["--mode", "exact"]])
+    @pytest.mark.parametrize("name,params,claimed", [
+        ("cosh_square", dict(model__alpha=1.0, model__v0=1.0, model__m0=0.7), True),
+        ("cosh_square", dict(model__alpha=1.0, model__v0=1.0, model__m0=0.0), False),
+        ("rational", dict(model__alpha=1.2, model__v0=0.9, model__m0=1.5), True),
+        ("constant_rest", dict(model__m0=1.0, model__c=1.0), True),
+    ])
+    def test_constant_u_report(self, tmp_path, capsys, name, params, claimed, mode_args):
+        cfg = write_config(tmp_path / "c.txt", model__name=name, grid__n=800,
+                           outputs="discrepancy", out__dir=str(tmp_path / "out"), **params)
+        assert main(["report", "--config", cfg, *mode_args]) == 0
+        out = capsys.readouterr().out
+        path = tmp_path / "out" / "discrepancy.csv"
+        assert path.exists() == claimed
+        if claimed:
+            assert out.startswith("potential vs constant A^2: ")
+            with open(path, encoding="utf-8") as fh:
+                assert "# mode = approximate" in fh.read().splitlines()
+        else:
+            assert "identically zero" in out
 
     def test_linear_singular_report(self, tmp_path, capsys):
         cfg = write_config(

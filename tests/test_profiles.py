@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from diracpd import builtin_model, detect_constant_u, interior_sample, product_u
+from diracpd import (builtin_model, detect_constant_u, interior_sample, product_u,
+                     spectrum_entry)
 from diracpd.errors import DomainError, InvalidParameterError
 from diracpd.profiles import MassProfile, VelocityProfile
 
@@ -95,6 +96,27 @@ class TestBuiltins:
     def test_unknown_model(self):
         with pytest.raises(InvalidParameterError):
             builtin_model("nosuch", alpha=1.0)
+
+
+@pytest.mark.parametrize("name,params", [
+    ("cosh_square", dict(alpha=1.0, v0=1.0, m0=1.0)),
+    ("rational", dict(alpha=1.0, v0=1.0, m0=1.0)),
+    ("poschl_teller", dict(alpha=1.0, v0=1.0, m0=1.0)),
+    ("linear_singular", dict(A=1.0, v0=1.0)),
+    ("constant_rest", dict(m0=1.0, c=1.0)),
+])
+def test_facts_first_level_is_lowest_closed_form_index(name, params):
+    first = builtin_model(name, **params).facts.first_level
+    assert spectrum_entry(name, first, params).n == first
+    with pytest.raises(InvalidParameterError):
+        spectrum_entry(name, first - 1, params)
+
+
+def test_facts_claims_follow_the_mass():
+    assert builtin_model("cosh_square", alpha=1.0, v0=1.0, m0=0.0).facts.claims == ()
+    (label, claimed), = builtin_model("rational", alpha=1.0, v0=2.0, m0=0.5).facts.claims
+    assert label == "constant A^2"
+    assert np.array_equal(claimed(np.array([-1.0, 0.0, 3.0])), np.full(3, 4.0))
 
 
 class TestProductU:
