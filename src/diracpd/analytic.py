@@ -102,7 +102,8 @@ def spectrum_entry(model: str, n: int, params: Mapping[str, float],
     (alpha v0 / 4) sqrt(1 + 16 (s + n)^2); the published family s + 2n skips
     its odd members, and ``as_published`` gives that family with the printed
     radical for s. ``exact`` gives the exact-mode ladder
-    m0 v0^2 + alpha v0 (n + 1/2), for g = m0 v0 / alpha >= 1/2.
+    m0 v0^2 + alpha v0 (n + 1/2), for g = m0 v0 / alpha >= 1/2; it has no
+    as-published counterpart, so ``exact`` with ``as_published`` raises.
     """
     key = model.strip().lower().replace("-", "_")
     if key in ("cosh_square", "rational"):
@@ -116,7 +117,10 @@ def spectrum_entry(model: str, n: int, params: Mapping[str, float],
         if n < 0:
             raise InvalidParameterError("level index starts at n=0 for this model")
         a, v0, m0 = _params_get(params, "alpha", "v0", "m0")
-        if exact and not as_published:
+        if exact and as_published:
+            raise InvalidParameterError("the published (s+2n) family is an approximate-mode "
+                                        "claim; exact mode has no as-published ladder")
+        if exact:
             if m0 * v0 / a < 0.5:
                 raise InvalidParameterError(f"exact ladder needs g >= 1/2, got {m0 * v0 / a:g}")
             e = m0 * v0 * v0 + a * v0 * (n + 0.5)

@@ -216,6 +216,9 @@ def build_run_config(cfg: Dict[str, str], args: argparse.Namespace) -> RunConfig
     variant = cfg.get("analytic.variant", "verified").strip().lower().replace("_", "-")
     if variant not in ("verified", "as-published"):
         raise ConfigError("config key 'analytic.variant': verified or as-published")
+    if variant == "as-published" and mode == "exact":
+        raise ConfigError("config keys 'mode' and 'analytic.variant': the as-published "
+                          "level family is an approximate-mode claim; exact mode has none")
 
     bic_energies = [_number("bic.energies", tok.strip())
                     for tok in cfg.get("bic.energies", "").split(",") if tok.strip()]

@@ -248,6 +248,16 @@ def solve_self_consistent(model: ModelSpec, tmap: TransformMap, grid: QGrid,
     )
 
 
+def _solve_box(field: PotentialField, k_states: int, L: float) -> SpectrumResult:
+    try:
+        return solve_fixed(field, k_states)
+    except ImaginaryEnergyError as exc:
+        raise NonConvergenceError(
+            f"potential does not confine at |q|={L:g}: the reduced "
+            f"eigenvalue is negative ({exc}); no discrete spectrum"
+        ) from exc
+
+
 def expand_until_settled(builder: Callable[[float], PotentialField],
                          k_states: int, l_start: float = 8.0,
                          settle_tol: float = 1e-8, max_doublings: int = 8,
@@ -258,37 +268,45 @@ def expand_until_settled(builder: Callable[[float], PotentialField],
     ``builder(L)`` must return the potential field on the truncated grid.
     The edge values must dominate the target eigenvalue by ``confine_margin``
     at acceptance, else the potential does not confine and there is no
-    discrete spectrum to report.
+    discrete spectrum to report. Every Dirichlet eigenvalue lies above
+    min V, so an edge that did not grow from L/2 to L and sits within the
+    margin of min V is rejected from the fields alone, before any
+    eigensolve; the first box is solved only once the second has passed
+    that check.
     """
-    lam_prev = None
-    edge_prev = None
+    lam_prev = edge_prev = first = None
     L = l_start
     for _ in range(max_doublings + 1):
         field = builder(L)
-        try:
-            result = solve_fixed(field, k_states)
-        except ImaginaryEnergyError as exc:
-            raise NonConvergenceError(
-                f"potential does not confine at |q|={L:g}: the reduced "
-                f"eigenvalue is negative ({exc}); no discrete spectrum"
-            ) from exc
-        lam_top = result.pairs[-1].lam
         edge = min(float(field.values[0]), float(field.values[-1]))
-        if lam_prev is not None and abs(lam_top - lam_prev) <= settle_tol * max(1.0, abs(lam_top)):
+        if edge_prev is None:
+            first, edge_prev, L = field, edge, 2.0 * L
+            continue
+        stuck = edge <= edge_prev + settle_tol
+        v_min = float(np.min(field.values))
+        if stuck and edge < v_min + confine_margin:
+            raise NonConvergenceError(
+                f"potential does not confine at |q|={L:g}: edge value stuck at "
+                f"{edge:g}, within margin of the potential's minimum {v_min:g}; "
+                f"no discrete spectrum"
+            )
+        if lam_prev is None:
+            lam_prev = _solve_box(first, k_states, L / 2.0).pairs[-1].lam
+        result = _solve_box(field, k_states, L)
+        lam_top = result.pairs[-1].lam
+        if abs(lam_top - lam_prev) <= settle_tol * max(1.0, abs(lam_top)):
             if edge < lam_top + confine_margin:
                 raise NonConvergenceError(
                     f"potential does not confine at |q|={L:g}: edge value "
                     f"{edge:g} vs eigenvalue {lam_top:g}; no discrete spectrum"
                 )
             return result, L
-        if (edge_prev is not None and edge <= edge_prev + settle_tol
-                and edge < lam_top + confine_margin):
+        if stuck and edge < lam_top + confine_margin:
             raise NonConvergenceError(
                 f"potential does not confine: edge value stuck at {edge:g} "
                 f"below eigenvalue {lam_top:g} + margin; no discrete spectrum"
             )
-        lam_prev = lam_top
-        edge_prev = edge
+        lam_prev, edge_prev = lam_top, edge
         L *= 2.0
     raise NonConvergenceError(
         f"eigenvalues did not settle after {max_doublings} domain doublings"

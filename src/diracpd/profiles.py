@@ -326,11 +326,12 @@ def s_parameter(alpha: float, v0: float, m0: float,
     s = 1/2 + sqrt(m0^2 v0^2 / alpha^2 - 1/16). The as-published switch
     evaluates the printed radical sqrt(m0^2 alpha^2 - 1/16) instead.
     """
-    radicand = (m0 * alpha) ** 2 - 1.0 / 16.0 if as_published \
-        else (m0 * v0 / alpha) ** 2 - 1.0 / 16.0
+    product, label = ((m0 * alpha, "m0 alpha") if as_published
+                      else (m0 * v0 / alpha, "m0 v0 / alpha"))
+    radicand = product ** 2 - 1.0 / 16.0
     if radicand < 0:
         raise InvalidParameterError(f"s would be complex: radicand {radicand:g} < 0 "
-                                    f"(need m0 v0 / alpha >= 1/4)")
+                                    f"(need {label} >= 1/4)")
     return 0.5 + math.sqrt(radicand)
 
 

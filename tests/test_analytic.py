@@ -143,6 +143,21 @@ class TestSParameter:
         with pytest.raises(InvalidParameterError):
             s_parameter(alpha=2.0, v0=1.0, m0=0.3)
 
+    def test_complex_s_names_the_radical_used(self):
+        # m0 v0 / alpha = 10 clears the verified condition; m0 alpha = 0.1 fails the printed one
+        assert s_parameter(0.1, 1.0, 1.0) > 1.0
+        with pytest.raises(InvalidParameterError, match=r"need m0 alpha >= 1/4\)"):
+            s_parameter(0.1, 1.0, 1.0, as_published=True)
+        with pytest.raises(InvalidParameterError, match=r"need m0 v0 / alpha >= 1/4\)"):
+            s_parameter(2.0, 1.0, 0.3)
+
+    def test_exact_mode_has_no_published_family(self):
+        params = dict(alpha=1.3, v0=0.8, m0=2.1)
+        with pytest.raises(InvalidParameterError, match="exact mode"):
+            spectrum_entry("poschl_teller", 0, params, as_published=True, exact=True)
+        assert spectrum_entry("poschl_teller", 0, params, exact=True).e_plus == \
+            pytest.approx(2.1 * 0.8 ** 2 + 1.3 * 0.8 * 0.5, rel=1e-15)
+
 
 class TestHermite:
     def test_low_orders(self):

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from diracpd import cli
+from diracpd import cli, eigensolver
 from diracpd.cli import main
 from diracpd.errors import QuadratureFailureError
 
@@ -106,6 +106,42 @@ class TestSolve:
                            solve__k_states=1, out__dir=str(tmp_path / "out"))
         assert main(["solve", "--config", cfg]) == 3
         assert "confine" in capsys.readouterr().err
+
+    def test_linear_singular_unconfined_without_eigensolve(self, tmp_path, capsys,
+                                                            monkeypatch):
+        # the exponential reduced potential is rejected from the box edges alone
+        calls = [0]
+        original = eigensolver.eigh_tridiagonal
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(eigensolver, "eigh_tridiagonal", counted)
+        for big_a in (0.3, 1.1, 1.9):
+            for v0 in (0.6, 1.3, 1.9):
+                cfg = write_config(tmp_path / "c.txt", model__name="linear_singular",
+                                   model__A=big_a, model__v0=v0, grid__n=400,
+                                   solve__k_states=1, out__dir=str(tmp_path / "out"))
+                assert main(["solve", "--config", cfg]) == 3
+                err = capsys.readouterr().err
+                assert "NonConvergenceError" in err and "does not confine" in err
+        assert calls[0] == 0
+
+    @pytest.mark.parametrize("flag", [False, True])
+    def test_exact_mode_as_published_exit_2(self, tmp_path, capsys, flag):
+        # the published (s+2n) family is an approximate-mode claim
+        cfg = write_config(
+            tmp_path / "c.txt", model__name="poschl_teller", model__alpha=1.3,
+            model__v0=0.8, model__m0=2.1, grid__n=2000, solve__k_states=3,
+            analytic__variant="as-published", out__dir=str(tmp_path / "out"),
+            **({} if flag else {"mode": "exact"}),
+        )
+        argv = ["solve", "--config", cfg, "--strict"] + (["--mode", "exact"] if flag else [])
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "analytic.variant" in err and "exact mode" in err
+        assert not (tmp_path / "out").exists()
 
     def test_poschl_teller_as_published_strict_exit_4(self, tmp_path, capsys):
         common = dict(

@@ -308,6 +308,54 @@ class TestExpandUntilSettled:
         assert result.pairs[0].lam == pytest.approx(1.0, abs=1e-6)
         assert L >= 8.0
 
+    @staticmethod
+    def count_calls(monkeypatch, name):
+        calls = [0]
+        original = getattr(eigensolver, name)
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(eigensolver, name, counted)
+        return calls
+
+    def test_finite_well_deeper_than_margin_settles(self, monkeypatch):
+        # V = 100 (1 - exp(-q^2)): the edge is stuck at 100 but stays 100 above
+        # min V, so both boxes are solved once each, as before the early exit
+        def builder(L):
+            g = QGrid(-L, L, 2000, offset=True)
+            return PotentialField.from_function(lambda q: 100.0 * (1.0 - np.exp(-q * q)), g)
+
+        solves = self.count_calls(monkeypatch, "solve_fixed")
+        result, L = expand_until_settled(builder, 1)
+        assert L == 16.0
+        assert solves[0] == 2
+        assert result.pairs[0].lam == pytest.approx(9.623601264604636, rel=1e-12)
+
+    def test_stuck_edge_above_margin_checked_after_solve(self, monkeypatch):
+        # V = 30 (1 - exp(-q^2)): edge 30 clears min V + 25 but not lambda_0 + 25
+        def builder(L):
+            g = QGrid(-L, L, 1000, offset=True)
+            return PotentialField.from_function(lambda q: 30.0 * (1.0 - np.exp(-q * q)), g)
+
+        solves = self.count_calls(monkeypatch, "solve_fixed")
+        with pytest.raises(NonConvergenceError, match="below eigenvalue"):
+            expand_until_settled(builder, 1)
+        assert solves[0] == 2
+
+    def test_unconfined_decided_before_any_eigensolve(self, monkeypatch):
+        # the linear_singular reduced potential A^2 v0^4 e^{2 v0 q} - v0^2/16
+        def builder(L):
+            g = QGrid(-L, L, 400, offset=True)
+            return PotentialField.from_function(lambda q: np.exp(2.0 * q) - 1.0 / 16.0, g)
+
+        tridiag = self.count_calls(monkeypatch, "eigh_tridiagonal")
+        with pytest.raises(NonConvergenceError,
+                           match="does not confine at .q.=16: edge value stuck"):
+            expand_until_settled(builder, 1)
+        assert tridiag[0] == 0
+
     def test_unconfined_raises(self):
         # flat potential: eigenvalues never settle and the edge never beats them
         def builder(L):
