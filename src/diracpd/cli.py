@@ -258,12 +258,18 @@ def _build_model(rc: RunConfig, override: Optional[Dict[str, float]] = None) -> 
 # Pipeline pieces
 # ---------------------------------------------------------------------------
 
-def _resolve_mode(rc: RunConfig, model: ModelSpec) -> str:
+def _resolve_mode(rc: RunConfig, model: ModelSpec) -> Tuple[str, Optional[float]]:
+    """The mode to run, and A when m v_F^2 = A (None outside the constant-u class)."""
+    a_const = detect_constant_u(model)
     if rc.mode != "auto":
-        return rc.mode
-    if detect_constant_u(model, tol=1e-10) is not None:
-        return "constant-u"
-    return "approximate"
+        return rc.mode, a_const
+    return ("constant-u" if a_const is not None else "approximate"), a_const
+
+
+def _require_constant_u(model: ModelSpec, a_const: Optional[float], what: str) -> None:
+    if a_const is None:
+        raise ConfigError(f"{what} requires m v_F^2 = A constant; model "
+                          f"{model.name!r} is not in that class")
 
 
 def _wall_singular(builder, lo: float, hi: float) -> bool:
@@ -290,6 +296,7 @@ class SolveOutcome:
     mode: str
     grid: Optional[QGrid]
     result: Optional[SpectrumResult]
+    a_const: Optional[float]  # A when m v_F^2 = A, else None
     rest_energy: Optional[Tuple[float, float]] = None  # free constant-mass case
 
 
@@ -304,23 +311,18 @@ def run_solve_pipeline(rc: RunConfig, model: Optional[ModelSpec] = None,
         model = _build_model(rc)
     if tmap is None:
         tmap = build_transform(model.velocity, model.anchor, rc.quad_tol)
-    mode = _resolve_mode(rc, model)
+    mode, a_const = _resolve_mode(rc, model)
     finite_q = math.isfinite(tmap.q_lo) and math.isfinite(tmap.q_hi)
 
     if mode == "constant-u":
-        a_const = detect_constant_u(model, tol=1e-10)
-        if a_const is None:
-            raise ConfigError(
-                f"mode constant-u requires m v_F^2 constant; model "
-                f"{model.name!r} is not in that class"
-            )
+        _require_constant_u(model, a_const, "mode constant-u")
         if not finite_q:
             # free particle: no bound states, only the rest energies
             rest = energies_from_lambda(0.0, a_const * a_const)
-            return SolveOutcome(model, tmap, mode, None, None, rest_energy=rest)
+            return SolveOutcome(model, tmap, mode, None, None, a_const, rest_energy=rest)
         grid = QGrid(tmap.q_lo, tmap.q_hi, rc.grid_n, offset=False)
         result = solve_fixed(constant_u_potential(a_const, grid), rc.k_states)
-        return SolveOutcome(model, tmap, mode, grid, result)
+        return SolveOutcome(model, tmap, mode, grid, result, a_const)
 
     def builder(g: QGrid):
         return approx_potential(model, g, tmap)
@@ -341,7 +343,7 @@ def run_solve_pipeline(rc: RunConfig, model: Optional[ModelSpec] = None,
             return builder(QGrid(lo, hi, rc.grid_n, offset=True))
 
         result, _ = expand_until_settled(box_builder, rc.k_states)
-    return SolveOutcome(model, tmap, mode, result.pairs[0].grid, result)
+    return SolveOutcome(model, tmap, mode, result.pairs[0].grid, result, a_const)
 
 
 Reference = List[Optional[analytic.AnalyticSpectrum]]
@@ -449,6 +451,8 @@ def _write_wavefunction(path: str, rc: RunConfig, mode: str, grid: Optional[QGri
 def cmd_solve(rc: RunConfig) -> int:
     outcome = run_solve_pipeline(rc)
     model, tmap, mode, grid = outcome.model, outcome.tmap, outcome.mode, outcome.grid
+    if "bic" in rc.outputs and rc.bic_energies:
+        _require_constant_u(model, outcome.a_const, "output 'bic'")
     os.makedirs(rc.out_dir, exist_ok=True)
 
     if outcome.rest_energy is not None:
@@ -495,7 +499,7 @@ def cmd_solve(rc: RunConfig) -> int:
     # inverse of it, so a solve formats each of these columns once
     q_cells = _cells(grid.nodes) if {"potential", "wavefunctions"} & set(rc.outputs) else None
     if "potential" in rc.outputs:
-        f = _potential_for_export(rc, model, tmap, mode, grid, numeric[0])
+        f = _potential_for_export(model, tmap, mode, grid, numeric[0], outcome.a_const)
         _write_csv(os.path.join(rc.out_dir, "potential.csv"),
                    _header_lines(rc, "potential", mode, grid), ("q", "V"),
                    (q_cells, f.values))
@@ -527,9 +531,8 @@ def _unmatched_reference(numeric, reference, tol) -> List[Tuple[int, float]]:
             and min(abs(r.e_plus - e) / max(abs(r.e_plus), 1e-300) for e in numeric) > tol]
 
 
-def _potential_for_export(rc: RunConfig, model, tmap, mode, grid, e0):
+def _potential_for_export(model, tmap, mode, grid, e0, a_const):
     if mode == "constant-u":
-        a_const = detect_constant_u(model, tol=1e-10)
         return constant_u_potential(a_const, grid)
     if mode == "exact":
         return exact_potential(model, e0, grid, tmap)
@@ -550,9 +553,11 @@ def cmd_bic(rc: RunConfig) -> int:
     if not rc.bic_energies:
         raise ConfigError("config key 'bic.energies' is required for the bic command")
     model = _build_model(rc)
+    mode, a_const = _resolve_mode(rc, model)
+    _require_constant_u(model, a_const, "the bic command")
     tmap = build_transform(model.velocity, model.anchor, rc.quad_tol)
     os.makedirs(rc.out_dir, exist_ok=True)
-    _emit_bic(rc, model, tmap, _resolve_mode(rc, model))
+    _emit_bic(rc, model, tmap, mode)
     return EXIT_OK
 
 
@@ -641,7 +646,7 @@ def cmd_report(rc: RunConfig) -> int:
     for label, claimed in facts.claims:
         rep = potential_discrepancy_report(model, claimed, grid, tmap)
         print(f"potential vs {label}: {rep.summary()}")
-    if not facts.claims and detect_constant_u(model, tol=1e-10) == 0.0:
+    if not facts.claims and detect_constant_u(model) == 0.0:
         print("massless model: effective potential is identically zero")
     if facts.published:
         _report_levels(rc, model, tmap)

@@ -148,17 +148,15 @@ def solve_fixed(potential: PotentialField, k_states: int) -> SpectrumResult:
                           mode=potential.mode, offset=offset)
 
 
-def _lattice_eigs(model: ModelSpec, tmap: TransformMap, n: int, k_states: int,
-                  with_vectors: bool):
+def _lattice_eigs(u: np.ndarray, h: float, k_states: int, with_vectors: bool):
     """Eigenvalues n..n+k_states of the staggered lattice with n phi1 nodes.
 
-    chi_1, phi1_1, chi_2, ..., phi1_n, chi_{n+1} sit at q = lo + j h/2; the
-    off-diagonal alternates +1/h, -1/h so that phi1 keeps its sign between
-    nodes. Index n must be the top non-positive eigenvalue.
+    ``u`` holds u(q) at chi_1, phi1_1, chi_2, ..., phi1_n, chi_{n+1}, which
+    sit at q = lo + j h/2; the off-diagonal alternates +1/h, -1/h so that
+    phi1 keeps its sign between nodes. Index n must be the top non-positive
+    eigenvalue.
     """
-    h = (tmap.q_hi - tmap.q_lo) / (n + 1)
-    q = tmap.q_lo + np.arange(1, 2 * n + 2) * (0.5 * h)
-    u = product_u(model, tmap.inverse_grid(q))[0]
+    n = u.size // 2
     out = eigh_tridiagonal(np.where(np.arange(2 * n + 1) % 2 == 0, -u, u),
                            np.tile([1.0 / h, -1.0 / h], n), select="i",
                            select_range=(n, n + k_states), eigvals_only=not with_vectors)
@@ -179,6 +177,8 @@ def solve_exact(model: ModelSpec, tmap: TransformMap, n: int,
     symmetric [u, -d/dq; d/dq, -u]; a staggered lattice (Susskind) with phi1 = 0
     on the finite walls of q makes it one tridiagonal matrix. E is Richardson-
     refined over (n, 2n+1) nodes: ``lam`` = E^2, ``error_estimate`` = 2 E |E_h - E_{h/2}| / 3.
+    The map is inverted once, on the fine lattice (q = lo + j h/4); every
+    coarse site (q = lo + j h/2) is bit for bit its every second site.
     Vectors have h sum(phi1^2 + chi^2) = 1 and phi1 > 0 at its largest sample.
     """
     if not 1 <= k_states <= n // 2:
@@ -187,8 +187,10 @@ def solve_exact(model: ModelSpec, tmap: TransformMap, n: int,
         raise DomainError(f"exact mode needs a finite q-range; {model.name} maps "
                           f"onto q-range ({tmap.q_lo:g}, {tmap.q_hi:g})")
     grid = QGrid(tmap.q_lo, tmap.q_hi, n, offset=False)
-    w, vecs = _lattice_eigs(model, tmap, n, k_states, with_vectors=True)
-    w_fine = _lattice_eigs(model, tmap, 2 * n + 1, k_states, with_vectors=False)
+    u_fine = product_u(model, tmap.inverse_grid(
+        tmap.q_lo + np.arange(1, 4 * n + 4) * (0.25 * grid.h)))[0]
+    w, vecs = _lattice_eigs(u_fine[1::2], grid.h, k_states, with_vectors=True)
+    w_fine = _lattice_eigs(u_fine, 0.5 * grid.h, k_states, with_vectors=False)
     pairs, energies = [], []
     for k in range(1, k_states + 1):
         e = float((4.0 * w_fine[k] - w[k]) / 3.0)

@@ -159,8 +159,8 @@ def approx_potential(model: ModelSpec, grid: QGrid,
     Requires m(x) > 0 strictly inside the domain; a massless model is
     rejected outright, isolated interior zeros are flagged singular.
     """
-    xs = interior_sample(model.domain)
-    u_probe, _, _ = product_u(model, xs)
+    with np.errstate(all="ignore"):  # a product that overflows is left out below
+        u_probe, _, _ = product_u(model, interior_sample(model.domain))
     finite = np.isfinite(u_probe)
     if not np.any(np.abs(u_probe[finite]) > 0.0):
         raise ApproximationInvalidError(

@@ -56,107 +56,75 @@ def interior_sample(domain: Interval, n: int = _SAMPLE_N) -> np.ndarray:
     return lo + (hi - lo) * t
 
 
-def _central_diff(f, x, h):
-    return (f(x + h) - f(x - h)) / (2.0 * h)
+_EPS = float(np.finfo(float).eps)
+_STEP_POWER = {1: 1 / 3, 2: 1 / 4}  # roundoff-optimal central-difference steps
 
 
-def _central_diff2(f, x, h):
-    return (f(x + h) - 2.0 * f(x) + f(x - h)) / (h * h)
+def _central_diff(f, x, h, order):
+    """The order-th central difference of f at x, and a bound on its roundoff."""
+    fp, fm = f(x + h), f(x - h)
+    if order == 1:
+        return (fp - fm) / (2.0 * h), _EPS * (np.abs(fp) + np.abs(fm)) / (2.0 * h)
+    f0 = f(x)
+    return ((fp - 2.0 * f0 + fm) / (h * h),
+            _EPS * (np.abs(fp) + 2.0 * np.abs(f0) + np.abs(fm)) / (h * h))
 
 
-def _check_derivative(f, df, domain, order, what):
-    """Verify an analytic derivative against central differences.
+def _fd_derivative(f, order):
+    """f' or f'' of f by a central difference, step eps^(1/3) or eps^(1/4) times 1 + |x|."""
+    def deriv(x):
+        x = np.asarray(x, dtype=float)
+        return _central_diff(f, x, _EPS ** _STEP_POWER[order] * (1.0 + np.abs(x)), order)[0]
+    return deriv
 
+
+def _check_derivative(prof: _Profile, order: int) -> None:
+    """Verify an analytic derivative against central differences at steps h and 2h.
+
+    h is eps^(1/3) (eps^(1/4) for f'') times min(1 + |x|, distance to a
+    finite wall). A point passes when |FD_h - f'| <= 1e-6 max(|f'|, |FD_h|)
+    + 2 |FD_h - FD_2h| + 8 roundoff: FD_h - FD_2h estimates the truncation
+    error, so zero crossings, exact zeros and steps shrunk at a wall pass.
     Points where the function overflows (cosh far out, etc.) are skipped:
     finite differences are meaningless there.
     """
-    xs = interior_sample(domain)
-    lo, hi = domain
-    scale = 1.0 + np.abs(xs)
-    h = (np.finfo(float).eps ** (1 / 3 if order == 1 else 1 / 4)) * scale
-    # keep the stencil strictly inside the domain
-    h = np.minimum(h, 0.25 * np.minimum(xs - lo, hi - xs))
-    ok = h > 0
-    xs, h = xs[ok], h[ok]
+    xs = interior_sample(prof.domain)
+    lo, hi = prof.domain
+    h = _EPS ** _STEP_POWER[order] * np.minimum(1.0 + np.abs(xs),
+                                                np.minimum(xs - lo, hi - xs))
 
-    fx = np.asarray(f(xs), dtype=float)
-    d_ana = np.asarray(df(xs), dtype=float)
-    fd = _central_diff(f, xs, h) if order == 1 else _central_diff2(f, xs, h)
-    mask = (
-        np.isfinite(fx) & np.isfinite(d_ana) & np.isfinite(fd)
-        & (np.abs(fx) < 1e100)
-    )
-    if not mask.any():
-        return
-    denom = np.maximum.reduce(
-        [np.abs(d_ana[mask]), np.abs(fd[mask]), 1e-6 * np.maximum(1.0, np.abs(fx[mask]))]
-    )
-    rel = np.abs(fd[mask] - d_ana[mask]) / denom
-    worst = float(np.max(rel))
-    if worst > _FD_REL_TOL:
-        i = int(np.argmax(rel))
+    def f(x):
+        return np.broadcast_to(np.asarray(prof.func(x), dtype=float), x.shape)
+
+    with np.errstate(all="ignore"):
+        fx = f(xs)
+        exact = np.broadcast_to(np.asarray((prof.dfunc, prof.d2func)[order - 1](xs),
+                                           dtype=float), xs.shape)
+        fd, roundoff = _central_diff(f, xs, h, order)
+        fd_2h = _central_diff(f, xs, 2.0 * h, order)[0]
+        err = np.abs(fd - exact)
+        allowance = (_FD_REL_TOL * np.maximum(np.abs(exact), np.abs(fd))
+                     + 2.0 * np.abs(fd - fd_2h) + 8.0 * roundoff)
+        ratio = err / allowance
+    mask = (np.isfinite(fx) & np.isfinite(exact) & np.isfinite(fd) & np.isfinite(fd_2h)
+            & (np.abs(fx) < 1e100))
+    bad = mask & ~(err <= allowance)
+    if bad.any():
+        i = np.flatnonzero(bad)[np.argmax(ratio[bad])]
+        what = prof._noun if order == 1 else f"{prof._noun} (2nd)"
         raise InvalidParameterError(
             f"{what}: analytic derivative disagrees with finite differences "
-            f"(rel err {worst:.2e} at x={xs[mask][i]:.6g})"
+            f"(error {err[i]:.2e}, {ratio[i]:.2e} times its allowance, at x={xs[i]:.6g})"
         )
 
 
 @dataclass(frozen=True)
-class VelocityProfile:
-    """Fermi-velocity profile v_F(x) > 0 with its first derivative."""
+class _Profile:
+    """A profile f(x) with f' and f'' on an open interval.
 
-    func: Callable[[np.ndarray], np.ndarray]
-    dfunc: Callable[[np.ndarray], np.ndarray]
-    domain: Interval
-    d2func: Optional[Callable[[np.ndarray], np.ndarray]] = None
-
-    def __call__(self, x):
-        return self.func(x)
-
-    def deriv1(self, x):
-        return self.dfunc(x)
-
-    def deriv2(self, x):
-        if self.d2func is not None:
-            return self.d2func(x)
-        x = np.asarray(x, dtype=float)
-        h = np.finfo(float).eps ** 0.25 * (1.0 + np.abs(x))
-        return _central_diff2(self.func, x, h)
-
-    @classmethod
-    def from_callable(cls, func, deriv1=None, deriv2=None,
-                      domain: Interval = (-math.inf, math.inf),
-                      validate: bool = True) -> "VelocityProfile":
-        """Wrap a plain callable; missing derivatives fall back to finite
-        differences, which validation then does not check."""
-        fd = deriv1 is None
-        if deriv1 is None:
-            def deriv1(x, _f=func):
-                x = np.asarray(x, dtype=float)
-                h = np.finfo(float).eps ** (1 / 3) * (1.0 + np.abs(x))
-                return _central_diff(_f, x, h)
-        prof = cls(func, deriv1, domain, deriv2)
-        if validate:
-            prof.validate(check_derivatives=not fd)
-        return prof
-
-    def validate(self, check_derivatives: bool = True) -> None:
-        xs = interior_sample(self.domain)
-        with np.errstate(over="ignore"):  # overflow to +inf is still positive
-            v = np.asarray(self.func(xs), dtype=float)
-        bad = ~(v > 0)
-        if bad.any():
-            raise InvalidParameterError(
-                f"velocity profile must be positive inside the domain; "
-                f"v({xs[bad][0]:.6g}) = {v[bad][0]!r}"
-            )
-        if check_derivatives:
-            _check_derivative(self.func, self.dfunc, self.domain, 1, "velocity")
-
-
-@dataclass(frozen=True)
-class MassProfile:
-    """Mass profile m(x) >= 0 with first and second derivatives."""
+    Subclasses differ only in their admissibility rule (``_admissible``,
+    described by ``_rule``) and in the noun their messages use.
+    """
 
     func: Callable[[np.ndarray], np.ndarray]
     dfunc: Callable[[np.ndarray], np.ndarray]
@@ -174,36 +142,49 @@ class MassProfile:
 
     @classmethod
     def from_callable(cls, func, deriv1=None, deriv2=None,
-                      domain: Interval = (-math.inf, math.inf),
-                      validate: bool = True) -> "MassProfile":
-        fd = deriv1 is None or deriv2 is None
-        if deriv1 is None:
-            def deriv1(x, _f=func):
-                x = np.asarray(x, dtype=float)
-                h = np.finfo(float).eps ** (1 / 3) * (1.0 + np.abs(x))
-                return _central_diff(_f, x, h)
-        if deriv2 is None:
-            def deriv2(x, _f=func):
-                x = np.asarray(x, dtype=float)
-                h = np.finfo(float).eps ** 0.25 * (1.0 + np.abs(x))
-                return _central_diff2(_f, x, h)
-        prof = cls(func, deriv1, deriv2, domain)
+                      domain: Interval = (-math.inf, math.inf), validate: bool = True):
+        """Wrap a plain callable. A missing derivative becomes a central
+        difference; validation checks every derivative supplied."""
+        prof = cls(func, _fd_derivative(func, 1) if deriv1 is None else deriv1,
+                   _fd_derivative(func, 2) if deriv2 is None else deriv2, domain)
         if validate:
-            prof.validate(check_derivatives=not fd)
+            prof.validate(orders=tuple(order for order, d in ((1, deriv1), (2, deriv2))
+                                       if d is not None))
         return prof
 
-    def validate(self, check_derivatives: bool = True) -> None:
+    def validate(self, orders: Tuple[int, ...] = (1, 2)) -> None:
+        """Check admissibility on a dense interior sample, then the listed derivative orders."""
         xs = interior_sample(self.domain)
-        with np.errstate(over="ignore"):
-            m = np.asarray(self.func(xs), dtype=float)
-        bad = m < 0
+        with np.errstate(over="ignore"):  # overflow to +inf is still admissible
+            f = np.broadcast_to(np.asarray(self.func(xs), dtype=float), xs.shape)
+        bad = ~self._admissible(f)
         if bad.any():
             raise InvalidParameterError(
-                f"mass profile must be non-negative; m({xs[bad][0]:.6g}) = {m[bad][0]:.6g}"
+                f"{self._noun} profile must be {self._rule}; "
+                f"{self._noun[0]}({xs[bad][0]:.6g}) = {f[bad][0]:.6g}"
             )
-        if check_derivatives:
-            _check_derivative(self.func, self.dfunc, self.domain, 1, "mass")
-            _check_derivative(self.func, self.d2func, self.domain, 2, "mass (2nd)")
+        for order in orders:
+            _check_derivative(self, order)
+
+
+class VelocityProfile(_Profile):
+    """Fermi-velocity profile v_F(x) > 0 with its first two derivatives."""
+
+    _noun, _rule = "velocity", "positive inside the domain"
+
+    @staticmethod
+    def _admissible(v):
+        return v > 0
+
+
+class MassProfile(_Profile):
+    """Mass profile m(x) >= 0 (NaN rejected) with its first two derivatives."""
+
+    _noun, _rule = "mass", "non-negative"
+
+    @staticmethod
+    def _admissible(m):
+        return m >= 0
 
 
 @dataclass(frozen=True)
@@ -296,17 +277,18 @@ def product_u(model: ModelSpec, x):
                  for r in res)
 
 
-def detect_constant_u(model: ModelSpec, tol: float = 1e-12) -> Optional[float]:
+def detect_constant_u(model: ModelSpec, tol: float = 1e-10) -> Optional[float]:
     """Return A when u(x) = m v_F^2 is constant to ``tol``, else None.
 
     Constancy is certified by dense sampling (deterministic grid), not
-    symbolically; the reference value is u at the model anchor.
+    symbolically; the reference value is u at the model anchor. A sample
+    where the product overflows is not finite, so it is not constant.
     """
     if tol <= 0:
         raise InvalidParameterError("tol must be positive")
     u0, _, _ = product_u(model, model.anchor)
-    xs = interior_sample(model.domain)
-    u, _, _ = product_u(model, xs)
+    with np.errstate(all="ignore"):
+        u, _, _ = product_u(model, interior_sample(model.domain))
     if not np.all(np.isfinite(u)):
         return None
     if np.max(np.abs(u - u0)) <= tol * max(1.0, abs(u0)):
@@ -535,6 +517,6 @@ def builtin_model(name: str, **params) -> ModelSpec:
             f"unknown model {name!r}; choose from {', '.join(MODEL_NAMES)}"
         )
     model = _BUILTINS[key](params)
-    model.velocity.validate(check_derivatives=False)
-    model.mass.validate(check_derivatives=False)
+    model.velocity.validate(orders=())
+    model.mass.validate(orders=())
     return model

@@ -180,7 +180,7 @@ def bic_family(model: ModelSpec, energy: float, tmap: Optional[TransformMap] = N
     quantization: normalizable with identically zero current even though E
     is not an eigenvalue. Requires E^2 >= A^2 (above the gap).
     """
-    a_const = detect_constant_u(model, tol=1e-9)
+    a_const = detect_constant_u(model)
     if a_const is None:
         raise InvalidParameterError(
             f"model {model.name!r} is not in the constant-u class"

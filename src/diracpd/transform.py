@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Dict
 
 import numpy as np
 from scipy import integrate
@@ -24,9 +24,6 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _SPLIT_ROUNDS = 40
 _NEWTON_ITERS = 100
 _BLOCK = 500  # nodes per Newton block: (nodes, 16) temporaries under 64 KiB are reused, not paged in
-
-FINITE = "finite"
-INFINITE = "infinite"
 
 
 def _quad(f, a, b, tol):
@@ -84,7 +81,7 @@ def _panel_table(f, anchors_x, anchors_q):
 
 @dataclass
 class TransformMap:
-    """q(x) with its inverse and endpoint classification.
+    """q(x) with its inverse; an infinite q_lo or q_hi marks a divergent end.
 
     Every inverse runs through one panel table, built once per map: the
     anchor ladder refined until GL-16 is exact on each panel. Immutable after
@@ -97,7 +94,6 @@ class TransformMap:
     quad_tol: float
     q_lo: float
     q_hi: float
-    endpoint_kind: Tuple[str, str]
     anchors_x: np.ndarray
     anchors_q: np.ndarray
     table_x: np.ndarray = field(init=False, repr=False)
@@ -204,7 +200,7 @@ class TransformMap:
 
 
 def _explore_side(f, x0, endpoint, quad_tol, sign):
-    """Walk toward one endpoint, returning (anchors, q_limit, kind).
+    """Walk toward one endpoint, returning (anchor xs, anchor qs, q_limit).
 
     Infinite endpoint: doubling steps. Finite endpoint: gap halving. The
     limit is called finite once increments drop below quad_tol; a geometric
@@ -212,7 +208,6 @@ def _explore_side(f, x0, endpoint, quad_tol, sign):
     """
     xs = [x0]
     qs = [0.0]
-    kind = INFINITE
     q_limit = math.inf * sign
     step = max(1.0, 0.125 * abs(x0))
     prev_dq = None
@@ -230,7 +225,6 @@ def _explore_side(f, x0, endpoint, quad_tol, sign):
         xs.append(x_cur)
         qs.append(q_cur)
         if abs(dq) <= quad_tol:
-            kind = FINITE
             tail = 0.0
             if prev_dq is not None and abs(prev_dq) > 0:
                 r = abs(dq) / abs(prev_dq)
@@ -239,7 +233,7 @@ def _explore_side(f, x0, endpoint, quad_tol, sign):
             q_limit = q_cur + sign * tail
             break
         prev_dq = dq
-    return xs, qs, q_limit, kind
+    return xs, qs, q_limit
 
 
 def build_transform(velocity: VelocityProfile, x0: float,
@@ -247,8 +241,8 @@ def build_transform(velocity: VelocityProfile, x0: float,
     """Build q(x) anchored at q(x0) = 0.
 
     The improper integral toward each domain endpoint is evaluated with
-    convergence detection; endpoint_kind records whether q saturates
-    (finite) or diverges (infinite).
+    convergence detection; q_lo and q_hi are finite where q saturates and
+    infinite where it diverges.
     """
     if quad_tol <= 0:
         raise InvalidParameterError("quad_tol must be positive")
@@ -259,8 +253,8 @@ def build_transform(velocity: VelocityProfile, x0: float,
     def f(x):
         return 1.0 / velocity(x)
 
-    xs_up, qs_up, q_hi, kind_hi = _explore_side(f, x0, hi, quad_tol, +1)
-    xs_dn, qs_dn, q_lo, kind_lo = _explore_side(f, x0, lo, quad_tol, -1)
+    xs_up, qs_up, q_hi = _explore_side(f, x0, hi, quad_tol, +1)
+    xs_dn, qs_dn, q_lo = _explore_side(f, x0, lo, quad_tol, -1)
 
     anchors_x = np.array(xs_dn[::-1] + xs_up[1:], dtype=float)
     anchors_q = np.array(qs_dn[::-1] + qs_up[1:], dtype=float)
@@ -271,7 +265,6 @@ def build_transform(velocity: VelocityProfile, x0: float,
         quad_tol=quad_tol,
         q_lo=q_lo,
         q_hi=q_hi,
-        endpoint_kind=(kind_lo, kind_hi),
         anchors_x=anchors_x[order],
         anchors_q=anchors_q[order],
     )

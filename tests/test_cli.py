@@ -467,6 +467,19 @@ class TestBic:
                            model__alpha=1.0, model__v0=1.0, model__m0=1.0)
         assert main(["bic", "--config", cfg]) == 2
 
+    @pytest.mark.parametrize("command,outputs", [("bic", "spectrum"),
+                                                 ("solve", "spectrum, bic")])
+    def test_outside_constant_u_class_exit_2(self, tmp_path, capsys, command, outputs):
+        # poschl_teller's m v_F^2 = m0 v0^2 / sin(alpha x) is not constant
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "c.txt", model__name="poschl_teller",
+                           model__alpha=1.0, model__v0=1.0, model__m0=1.0,
+                           bic__energies="1.5", outputs=outputs, out__dir=str(out))
+        assert main([command, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "m v_F^2 = A constant" in err and "'poschl_teller'" in err
+        assert not out.exists()
+
 
 class TestReport:
     def test_poschl_teller_report(self, tmp_path, capsys, monkeypatch):

@@ -1,10 +1,12 @@
+import argparse
 import math
 
 import numpy as np
 import pytest
 
-from diracpd import (builtin_model, detect_constant_u, interior_sample, product_u,
-                     spectrum_entry)
+from diracpd import (ModelSpec, approx_potential, build_transform, builtin_model,
+                     detect_constant_u, interior_sample, product_u, spectrum_entry)
+from diracpd.cli import build_run_config, run_solve_pipeline
 from diracpd.errors import DomainError, InvalidParameterError
 from diracpd.profiles import MassProfile, VelocityProfile
 
@@ -255,6 +257,101 @@ class TestCustomProfiles:
         with pytest.raises(InvalidParameterError, match="non-negative"):
             MassProfile.from_callable(lambda x: -1.0 + 0.0 * np.asarray(x),
                                       domain=(-5.0, 5.0))
+
+
+def _as_arr(x):
+    return np.asarray(x, dtype=float)
+
+
+def _clone(prof):
+    """The profile rebuilt through from_callable with its analytic derivatives."""
+    return type(prof).from_callable(prof.func, prof.dfunc, prof.d2func, domain=prof.domain)
+
+
+# the parameter sets include ones whose correct derivatives a pointwise
+# relative-error check refused (zero crossings, v'' = 0, steps shrunk at a wall)
+BUILTIN_SETS = [
+    ("cosh_square", dict(alpha=1.2, v0=0.7, m0=1.1)),
+    ("cosh_square", dict(alpha=1.0, v0=1.0, m0=1.0)),
+    ("rational", dict(alpha=0.8, v0=1.5, m0=0.6)),
+    ("rational", dict(alpha=1.4, v0=0.6, m0=2.0)),
+    ("poschl_teller", dict(alpha=1.43, v0=1.9, m0=2.63)),
+    ("poschl_teller", dict(alpha=1.0, v0=1.0, m0=1.0)),
+    ("linear_singular", dict(A=0.7, v0=1.3)),
+    ("linear_singular", dict(A=1.0, v0=1.0)),
+    ("constant_rest", dict(m0=1.0, c=1.0)),
+    ("constant_rest", dict(m0=0.3, c=2.5)),
+]
+
+
+class TestDerivativeCheck:
+    @pytest.mark.parametrize("name,params", BUILTIN_SETS)
+    def test_builtin_derivatives_pass(self, name, params):
+        # from_callable checks both orders of both profiles on the full
+        # domain; a RuntimeWarning fails the test
+        model = builtin_model(name, **params)
+        for prof in (model.velocity, model.mass):
+            _clone(prof)
+
+    @pytest.mark.parametrize("cls,derivs,match", [
+        # v'' wrong beside a correct v'
+        (VelocityProfile, dict(deriv1=lambda x: 0.5 * np.cos(x),
+                               deriv2=lambda x: 100.0 + 0.0 * _as_arr(x)), r"^velocity \(2nd\)"),
+        # only f'' supplied
+        (VelocityProfile, dict(deriv2=lambda x: 100.0 + 0.0 * _as_arr(x)), r"^velocity \(2nd\)"),
+        # f' supplied without f''
+        (MassProfile, dict(deriv1=lambda x: 1.5 * np.cos(x)), r"^mass"),
+        # 1 % off
+        (MassProfile, dict(deriv1=lambda x: 0.505 * np.cos(x),
+                           deriv2=lambda x: -0.5 * np.sin(x)), r"^mass"),
+        (MassProfile, dict(deriv1=lambda x: 0.5 * np.cos(x),
+                           deriv2=lambda x: -0.505 * np.sin(x)), r"^mass \(2nd\)"),
+        (VelocityProfile, dict(deriv1=lambda x: 0.505 * np.cos(x)), r"^velocity"),
+    ])
+    def test_wrong_derivative_named(self, cls, derivs, match):
+        with pytest.raises(InvalidParameterError,
+                           match=match + ": analytic derivative disagrees"):
+            cls.from_callable(lambda x: 1.0 + 0.5 * np.sin(_as_arr(x)), **derivs,
+                              domain=(-10.0, 10.0))
+
+    def test_nan_mass_rejected(self):
+        with pytest.raises(InvalidParameterError, match="mass profile must be non-negative"):
+            MassProfile.from_callable(lambda x: np.where(_as_arr(x) > 1.0, np.nan, 1.0),
+                                      domain=(-5.0, 5.0))
+
+    def test_missing_derivatives_are_central_differences(self):
+        f = lambda x: 2.0 + np.tanh(_as_arr(x)) ** 2  # noqa: E731
+        xs = np.linspace(-2, 2, 11)
+        exact = 2.0 * (1.0 - 2.0 * np.sinh(xs) ** 2) / np.cosh(xs) ** 4
+        for cls in (VelocityProfile, MassProfile):
+            prof = cls.from_callable(f)
+            assert np.asarray(prof.deriv2(xs)) == pytest.approx(exact, abs=1e-6)
+
+
+def _solve(model, mode):
+    cfg = {"model.name": model.name, "grid.n": "2000", "solve.k_states": "3", "mode": mode}
+    args = argparse.Namespace(mode=None, states=None, out=None, strict=False)
+    return run_solve_pipeline(build_run_config(cfg, args), model=model)
+
+
+@pytest.mark.parametrize("name,params", [
+    ("cosh_square", dict(alpha=1.2, v0=0.7, m0=1.1)),
+    ("rational", dict(alpha=0.8, v0=1.5, m0=0.6)),
+    ("poschl_teller", dict(alpha=1.43, v0=1.9, m0=2.63)),
+])
+def test_custom_model_matches_builtin(name, params):
+    # no u_closed: u, u', u'' come from the product rule on the profiles
+    builtin = builtin_model(name, **params)
+    custom = ModelSpec(name, _clone(builtin.mass), _clone(builtin.velocity), builtin.domain,
+                       builtin.params, "custom", builtin.anchor)
+    assert custom.u_closed is None
+    ref = _solve(builtin, "approximate")
+    v_ref = approx_potential(builtin, ref.grid, ref.tmap).values
+    v = approx_potential(custom, ref.grid, build_transform(custom.velocity, custom.anchor)).values
+    assert np.max(np.abs(v - v_ref)) <= 1e-8 * np.max(np.abs(v_ref))
+    levels = [e for e, _ in _solve(custom, "exact").result.energies]
+    assert levels == pytest.approx([e for e, _ in _solve(builtin, "exact").result.energies],
+                                   rel=1e-12)
 
 
 def test_interior_sample_stays_inside():
