@@ -18,6 +18,9 @@ Built-in models:
     constant_rest    m = m0,                      v_F = c
 
 The first two satisfy u(x) = m0 v0^2 identically (the constant-u class).
+Each built-in velocity carries q = integral of dx / v_F in closed form,
+tanh(a x)/(a v0), arctan(a x)/(a v0), (x - pi/(2a))/v0, ln(x)/v0 and x/c,
+with its inverse.
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ def interior_sample(domain: Interval, n: int = _SAMPLE_N) -> np.ndarray:
 
 
 _EPS = float(np.finfo(float).eps)
+_HUGE = 1e100  # samples beyond this magnitude have overflowed, or are about to
 _STEP_POWER = {1: 1 / 3, 2: 1 / 4}  # roundoff-optimal central-difference steps
 
 
@@ -70,28 +74,31 @@ def _central_diff(f, x, h, order):
             _EPS * (np.abs(fp) + 2.0 * np.abs(f0) + np.abs(fm)) / (h * h))
 
 
-def _fd_derivative(f, order):
-    """f' or f'' of f by a central difference, step eps^(1/3) or eps^(1/4) times 1 + |x|."""
+def _fd_step(x, order, domain):
+    """eps^(1/3) (eps^(1/4) for f'') times min(1 + |x|, distance to a finite wall)."""
+    lo, hi = domain
+    return _EPS ** _STEP_POWER[order] * np.minimum(1.0 + np.abs(x), np.minimum(x - lo, hi - x))
+
+
+def _fd_derivative(f, order, domain):
+    """f' or f'' of f by a central difference with the step of ``_fd_step``."""
     def deriv(x):
         x = np.asarray(x, dtype=float)
-        return _central_diff(f, x, _EPS ** _STEP_POWER[order] * (1.0 + np.abs(x)), order)[0]
+        return _central_diff(f, x, _fd_step(x, order, domain), order)[0]
     return deriv
 
 
 def _check_derivative(prof: _Profile, order: int) -> None:
     """Verify an analytic derivative against central differences at steps h and 2h.
 
-    h is eps^(1/3) (eps^(1/4) for f'') times min(1 + |x|, distance to a
-    finite wall). A point passes when |FD_h - f'| <= 1e-6 max(|f'|, |FD_h|)
+    h is ``_fd_step``. A point passes when |FD_h - f'| <= 1e-6 max(|f'|, |FD_h|)
     + 2 |FD_h - FD_2h| + 8 roundoff: FD_h - FD_2h estimates the truncation
     error, so zero crossings, exact zeros and steps shrunk at a wall pass.
     Points where the function overflows (cosh far out, etc.) are skipped:
     finite differences are meaningless there.
     """
     xs = interior_sample(prof.domain)
-    lo, hi = prof.domain
-    h = _EPS ** _STEP_POWER[order] * np.minimum(1.0 + np.abs(xs),
-                                                np.minimum(xs - lo, hi - xs))
+    h = _fd_step(xs, order, prof.domain)
 
     def f(x):
         return np.broadcast_to(np.asarray(prof.func(x), dtype=float), x.shape)
@@ -107,7 +114,7 @@ def _check_derivative(prof: _Profile, order: int) -> None:
                      + 2.0 * np.abs(fd - fd_2h) + 8.0 * roundoff)
         ratio = err / allowance
     mask = (np.isfinite(fx) & np.isfinite(exact) & np.isfinite(fd) & np.isfinite(fd_2h)
-            & (np.abs(fx) < 1e100))
+            & (np.abs(fx) < _HUGE))
     bad = mask & ~(err <= allowance)
     if bad.any():
         i = np.flatnonzero(bad)[np.argmax(ratio[bad])]
@@ -145,8 +152,8 @@ class _Profile:
                       domain: Interval = (-math.inf, math.inf), validate: bool = True):
         """Wrap a plain callable. A missing derivative becomes a central
         difference; validation checks every derivative supplied."""
-        prof = cls(func, _fd_derivative(func, 1) if deriv1 is None else deriv1,
-                   _fd_derivative(func, 2) if deriv2 is None else deriv2, domain)
+        prof = cls(func, _fd_derivative(func, 1, domain) if deriv1 is None else deriv1,
+                   _fd_derivative(func, 2, domain) if deriv2 is None else deriv2, domain)
         if validate:
             prof.validate(orders=tuple(order for order, d in ((1, deriv1), (2, deriv2))
                                        if d is not None))
@@ -167,10 +174,22 @@ class _Profile:
             _check_derivative(self, order)
 
 
+@dataclass(frozen=True)
 class VelocityProfile(_Profile):
-    """Fermi-velocity profile v_F(x) > 0 with its first two derivatives."""
+    """Fermi-velocity profile v_F(x) > 0 with its first two derivatives.
 
+    ``q_of_x``: optionally, a closed-form antiderivative Q of 1/v_F (any
+    constant; +-inf at a wall where the integral diverges), and ``x_of_q``
+    its inverse. ``build_transform`` uses them in place of the numeric map.
+    """
+
+    q_of_x: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    x_of_q: Optional[Callable[[np.ndarray], np.ndarray]] = None
     _noun, _rule = "velocity", "positive inside the domain"
+
+    def __post_init__(self):
+        if (self.q_of_x is None) != (self.x_of_q is None):
+            raise InvalidParameterError("velocity: q_of_x and x_of_q come as a pair")
 
     @staticmethod
     def _admissible(v):
@@ -281,14 +300,22 @@ def detect_constant_u(model: ModelSpec, tol: float = 1e-10) -> Optional[float]:
     """Return A when u(x) = m v_F^2 is constant to ``tol``, else None.
 
     Constancy is certified by dense sampling (deterministic grid), not
-    symbolically; the reference value is u at the model anchor. A sample
-    where the product overflows is not finite, so it is not constant.
+    symbolically; the reference value is u at the model anchor. Without
+    closed forms, samples where m or v_F^2 passes 1e100 are skipped: there a
+    factor has left the finite range (v_F^2 overflows while m underflows to
+    0), and the product reads nothing of u. Any other sample where the
+    product is not finite is not constant.
     """
     if tol <= 0:
         raise InvalidParameterError("tol must be positive")
     u0, _, _ = product_u(model, model.anchor)
+    xs = interior_sample(model.domain)
     with np.errstate(all="ignore"):
-        u, _, _ = product_u(model, interior_sample(model.domain))
+        u, _, _ = product_u(model, xs)
+        if model.u_closed is None:
+            gone = ((np.abs(model.mass(xs)) >= _HUGE)
+                    | (np.asarray(model.velocity(xs)) ** 2 >= _HUGE))
+            u = u[~np.broadcast_to(gone, xs.shape)]
     if not np.all(np.isfinite(u)):
         return None
     if np.max(np.abs(u - u0)) <= tol * max(1.0, abs(u0)):
@@ -356,6 +383,8 @@ def _cosh_square(params) -> ModelSpec:
         dfunc=lambda x: a * v0 * np.sinh(2.0 * a * x),
         d2func=lambda x: 2.0 * a * a * v0 * np.cosh(2.0 * a * x),
         domain=dom,
+        q_of_x=lambda x: np.tanh(a * x) / (a * v0),
+        x_of_q=lambda q: np.arctanh(a * v0 * q) / a,
     )
     mass = MassProfile(
         func=lambda x: m0 / np.cosh(a * x) ** 4,
@@ -380,6 +409,8 @@ def _rational(params) -> ModelSpec:
         dfunc=lambda x: 2.0 * a * a * v0 * np.asarray(x, dtype=float),
         d2func=lambda x: 2.0 * a * a * v0 + 0.0 * np.asarray(x, dtype=float),
         domain=dom,
+        q_of_x=lambda x: np.arctan(a * x) / (a * v0),
+        x_of_q=lambda q: np.tan(a * v0 * q) / a,
     )
     mass = MassProfile(
         func=lambda x: m0 / (1.0 + (a * x) ** 2) ** 2,
@@ -399,11 +430,14 @@ def _poschl_teller(params) -> ModelSpec:
     p = _require(params, "poschl_teller", ("alpha", "v0", "m0"), {"alpha", "v0"}, {"m0"})
     a, v0, m0 = p["alpha"], p["v0"], p["m0"]
     dom = (0.0, math.pi / a)  # first hole between two mass singularities
+    x0 = math.pi / (2.0 * a)
     vel = VelocityProfile(
         func=lambda x: v0 + 0.0 * np.asarray(x, dtype=float),
         dfunc=lambda x: 0.0 * np.asarray(x, dtype=float),
         d2func=lambda x: 0.0 * np.asarray(x, dtype=float),
         domain=dom,
+        q_of_x=lambda x: (x - x0) / v0,
+        x_of_q=lambda q: x0 + v0 * q,
     )
     mass = MassProfile(
         func=lambda x: m0 / np.sin(a * x),
@@ -417,7 +451,6 @@ def _poschl_teller(params) -> ModelSpec:
         lambda x: -a * c * np.cos(a * x) / np.sin(a * x) ** 2,
         lambda x: a * a * c * (1.0 + np.cos(a * x) ** 2) / np.sin(a * x) ** 3,
     )
-    x0 = math.pi / (2.0 * a)
 
     def claimed(q):  # x = x0 + v0 q, with q anchored at the hole center x0
         coeff = m0 * m0 * v0 ** 4 - 5.0 * a * a * v0 * v0 / 16.0
@@ -444,6 +477,8 @@ def _linear_singular(params) -> ModelSpec:
         dfunc=lambda x: v0 + 0.0 * np.asarray(x, dtype=float),
         d2func=lambda x: 0.0 * np.asarray(x, dtype=float),
         domain=dom,
+        q_of_x=lambda x: np.log(x) / v0,
+        x_of_q=lambda q: np.exp(v0 * q),
     )
     mass = MassProfile(
         func=lambda x: A / np.asarray(x, dtype=float),
@@ -478,6 +513,8 @@ def _constant_rest(params) -> ModelSpec:
         dfunc=lambda x: 0.0 * np.asarray(x, dtype=float),
         d2func=lambda x: 0.0 * np.asarray(x, dtype=float),
         domain=dom,
+        q_of_x=lambda x: x / c,
+        x_of_q=lambda q: c * q,
     )
     mass = MassProfile(
         func=lambda x: m0 + 0.0 * np.asarray(x, dtype=float),

@@ -1,10 +1,14 @@
 """The monotone coordinate map q(x) = integral of 1/v_F from the anchor.
 
-Since v_F > 0, q is strictly increasing and invertible. The map is built by
-adaptive quadrature; the (possibly improper) limits toward the domain
-endpoints are classified finite/infinite by watching a doubling (or gap
-halving) sequence of truncations converge, which distinguishes tanh-type
-saturation from log divergence without symbolic analysis.
+Since v_F > 0, q is strictly increasing and invertible. A velocity that
+carries its closed form (``q_of_x``/``x_of_q``; every built-in does) gives
+the range and the inverse directly. Any other (``from_callable``) velocity
+gets the numeric map: adaptive quadrature, with the (possibly improper)
+limits toward the domain endpoints classified finite/infinite by watching a
+doubling (or gap halving) sequence of truncations converge, which
+distinguishes tanh-type saturation from log divergence without symbolic
+analysis. Every inverse, closed form or numeric, is spot-checked against
+adaptive quadrature of 1/v_F.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, Optional
 
 import numpy as np
 from scipy import integrate
@@ -83,7 +87,9 @@ def _panel_table(f, anchors_x, anchors_q):
 class TransformMap:
     """q(x) with its inverse; an infinite q_lo or q_hi marks a divergent end.
 
-    Every inverse runs through one panel table, built once per map: the
+    With ``q_shift`` = Q(x0) set, the map is the velocity's closed form:
+    x(q) = x_of_q(q + Q(x0)), and the anchor ladder is x0 alone. Otherwise
+    every inverse runs through one panel table, built once per map: the
     anchor ladder refined until GL-16 is exact on each panel. Immutable after
     construction apart from the internal inverse cache, which is append-only
     derived data; lookups are pure.
@@ -96,12 +102,14 @@ class TransformMap:
     q_hi: float
     anchors_x: np.ndarray
     anchors_q: np.ndarray
-    table_x: np.ndarray = field(init=False, repr=False)
-    table_q: np.ndarray = field(init=False, repr=False)
+    q_shift: Optional[float] = None
+    table_x: Optional[np.ndarray] = field(init=False, repr=False, default=None)
+    table_q: Optional[np.ndarray] = field(init=False, repr=False, default=None)
     _grid_cache: Dict[tuple, tuple] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        self.table_x, self.table_q = _panel_table(self._f, self.anchors_x, self.anchors_q)
+        if self.q_shift is None:
+            self.table_x, self.table_q = _panel_table(self._f, self.anchors_x, self.anchors_q)
 
     # -- forward ------------------------------------------------------------
 
@@ -109,19 +117,24 @@ class TransformMap:
         return 1.0 / self.velocity(x)
 
     def forward(self, x):
-        """q(x) by adaptive quadrature from the nearest build anchor."""
+        """q(x) by adaptive quadrature, never the closed form.
+
+        Points go in order of their distance from x0, each integrated from the
+        nearest build anchor or point done before: a spread of points far
+        from x0 (the spot check of a closed-form map) costs short integrals.
+        """
         x_arr = np.atleast_1d(np.asarray(x, dtype=float))
         lo, hi = self.velocity.domain
         if np.any(x_arr <= lo) or np.any(x_arr >= hi):
             raise DomainError(f"x must lie strictly inside ({lo:g}, {hi:g})")
         out = np.empty_like(x_arr)
-        for i, xi in enumerate(x_arr):
-            j = int(np.clip(np.searchsorted(self.anchors_x, xi), 1,
-                            len(self.anchors_x) - 1))
-            if abs(xi - self.anchors_x[j - 1]) <= abs(self.anchors_x[j] - xi):
-                j = j - 1
-            out[i] = self.anchors_q[j] + _quad(self._f, self.anchors_x[j], xi,
-                                               self.quad_tol)
+        n0 = self.anchors_x.size
+        known_x = np.concatenate((self.anchors_x, np.full(x_arr.size, np.inf)))
+        known_q = np.concatenate((self.anchors_q, np.zeros(x_arr.size)))
+        for k, i in enumerate(np.argsort(np.abs(x_arr - self.x0), kind="stable")):
+            j = int(np.argmin(np.abs(known_x - x_arr[i])))
+            out[i] = known_q[j] + _quad(self._f, known_x[j], x_arr[i], self.quad_tol)
+            known_x[n0 + k], known_q[n0 + k] = x_arr[i], out[i]
         if np.ndim(x) == 0:
             return float(out[0])
         return out
@@ -146,20 +159,40 @@ class TransformMap:
         return x.copy()
 
     def _solve(self, q):
+        """x(q) in closed form or by ``_newton``; seven nodes are checked
+        against the adaptive-quadrature forward map."""
+        if np.any(np.diff(q) < 0):
+            raise DomainError("inverse_grid expects q sorted ascending")
+        if not (self.q_lo < q[0] and q[-1] < self.q_hi):
+            raise DomainError(f"q in [{q[0]:.17g}, {q[-1]:.17g}] must lie strictly "
+                              f"inside ({self.q_lo:.17g}, {self.q_hi:.17g})")
+        if self.q_shift is None:
+            out = self._newton(q)
+        else:
+            with np.errstate(all="ignore"):
+                out = np.asarray(self.velocity.x_of_q(q + self.q_shift), dtype=float)
+            lo, hi = self.velocity.domain
+            if not np.all((lo < out) & (out < hi)):
+                raise DomainError(f"q in [{q[0]:.17g}, {q[-1]:.17g}] reaches a wall "
+                                  f"({lo:g}, {hi:g}) of the closed-form map in double precision")
+        pick = np.unique(np.linspace(0, q.size - 1, 7).astype(int))
+        res = float(np.max(np.abs(self.forward(out[pick]) - q[pick])))
+        tol = 1e-10 * max(1.0, float(np.max(np.abs(q))))
+        if res > tol:
+            raise QuadratureFailureError(
+                f"inverse: spot-check residual {res:.3e} > {tol:.3e} against "
+                f"adaptive quadrature")
+        return out
+
+    def _newton(self, q):
         """x(q) node by node, each inside its panel of the table.
 
         Start from linear interpolation in the table, then Newton on
         r(x) = q_j + GL16(x_j, x) - q with r' = 1/v_F. The step is clipped to
         a bracket that starts as the panel and shrinks with the sign of r;
         a step that leaves it bisects instead. A node stops once |r| <=
-        1e-13 max(1, |q|) and keeps that last step. Seven nodes are checked
-        against the adaptive-quadrature forward map.
+        1e-13 max(1, |q|) and keeps that last step.
         """
-        if np.any(np.diff(q) < 0):
-            raise DomainError("inverse_grid expects q sorted ascending")
-        if not (self.q_lo < q[0] and q[-1] < self.q_hi):
-            raise DomainError(f"q in [{q[0]:.17g}, {q[-1]:.17g}] must lie strictly "
-                              f"inside ({self.q_lo:.17g}, {self.q_hi:.17g})")
         tx, tq = self.table_x, self.table_q
         if q[0] < tq[0] or q[-1] > tq[-1]:
             raise DomainError(f"q in [{q[0]:.17g}, {q[-1]:.17g}] lies past the anchor "
@@ -186,13 +219,6 @@ class TransformMap:
             else:
                 raise QuadratureFailureError(
                     f"inverse: {idx.size} nodes unconverged after {_NEWTON_ITERS} steps")
-        pick = np.unique(np.linspace(0, q.size - 1, 7).astype(int))
-        res = float(np.max(np.abs(self.forward(out[pick]) - q[pick])))
-        tol = 1e-10 * max(1.0, float(np.max(np.abs(q))))
-        if res > tol:
-            raise QuadratureFailureError(
-                f"inverse: spot-check residual {res:.3e} > {tol:.3e} against "
-                f"adaptive quadrature")
         return out
 
     # aliases matching the operation names
@@ -240,15 +266,24 @@ def build_transform(velocity: VelocityProfile, x0: float,
                     quad_tol: float = 1e-12) -> TransformMap:
     """Build q(x) anchored at q(x0) = 0.
 
-    The improper integral toward each domain endpoint is evaluated with
-    convergence detection; q_lo and q_hi are finite where q saturates and
-    infinite where it diverges.
+    With a closed form on the velocity, q_lo = Q(lo) - Q(x0) and q_hi =
+    Q(hi) - Q(x0). Otherwise (or where Q cannot tell x0 from a wall in
+    double precision) the improper integral toward each domain endpoint is
+    evaluated with convergence detection. Either way q_lo and q_hi are
+    finite where q saturates and infinite where it diverges.
     """
     if quad_tol <= 0:
         raise InvalidParameterError("quad_tol must be positive")
     lo, hi = velocity.domain
     if not (lo < x0 < hi):
         raise DomainError(f"anchor x0={x0:g} must lie strictly inside ({lo:g}, {hi:g})")
+    if velocity.x_of_q is not None:
+        with np.errstate(divide="ignore"):
+            shift = float(velocity.q_of_x(x0))
+            q_lo, q_hi = (float(velocity.q_of_x(end)) - shift for end in (lo, hi))
+        if q_lo < 0.0 < q_hi:
+            return TransformMap(velocity, x0, quad_tol, q_lo, q_hi, np.array([x0]),
+                                np.array([0.0]), q_shift=shift)
 
     def f(x):
         return 1.0 / velocity(x)

@@ -192,6 +192,20 @@ class TestDetectConstantU:
         with pytest.raises(InvalidParameterError):
             detect_constant_u(m, tol=0.0)
 
+    @pytest.mark.parametrize("name,params,expected", [
+        # far out v_F^2 overflows while m underflows to 0: those samples are skipped
+        ("cosh_square", dict(alpha=1.2, v0=0.7, m0=1.1), 1.1 * 0.7 ** 2),
+        ("cosh_square", dict(alpha=1.2, v0=0.7, m0=0.0), 0.0),
+        ("poschl_teller", dict(alpha=1.0, v0=1.0, m0=1.0), None),
+        ("linear_singular", dict(A=0.7, v0=1.3), None),
+    ])
+    def test_custom_profiles_without_closed_u(self, name, params, expected):
+        b = builtin_model(name, **params)
+        m = ModelSpec(name, _clone(b.mass), _clone(b.velocity), b.domain, b.params,
+                      "custom", b.anchor)
+        a = detect_constant_u(m)
+        assert a is None if expected is None else a == pytest.approx(expected, rel=1e-12)
+
 
 class TestDerivativeStencils:
     @pytest.mark.parametrize("name,kwargs", ALL_MODELS)
@@ -319,6 +333,15 @@ class TestDerivativeCheck:
             MassProfile.from_callable(lambda x: np.where(_as_arr(x) > 1.0, np.nan, 1.0),
                                       domain=(-5.0, 5.0))
 
+    def test_central_difference_step_stops_at_a_finite_wall(self):
+        # a step of eps^(1/4) (1 + |x|) would reach past the wall at 0
+        prof = MassProfile.from_callable(lambda x: 1.0 / np.sin(x), domain=(0.0, math.pi))
+        for x in (1e-4, 1e-3, math.pi - 1e-4):
+            exact = (1.0 + math.cos(x) ** 2) / math.sin(x) ** 3
+            assert float(prof.deriv2(x)) == pytest.approx(exact, rel=1e-6)
+            assert float(prof.deriv1(x)) == pytest.approx(-math.cos(x) / math.sin(x) ** 2,
+                                                          rel=1e-6)
+
     def test_missing_derivatives_are_central_differences(self):
         f = lambda x: 2.0 + np.tanh(_as_arr(x)) ** 2  # noqa: E731
         xs = np.linspace(-2, 2, 11)
@@ -345,6 +368,8 @@ def test_custom_model_matches_builtin(name, params):
     custom = ModelSpec(name, _clone(builtin.mass), _clone(builtin.velocity), builtin.domain,
                        builtin.params, "custom", builtin.anchor)
     assert custom.u_closed is None
+    auto = "approximate" if name == "poschl_teller" else "constant-u"
+    assert _solve(custom, "auto").mode == _solve(builtin, "auto").mode == auto
     ref = _solve(builtin, "approximate")
     v_ref = approx_potential(builtin, ref.grid, ref.tmap).values
     v = approx_potential(custom, ref.grid, build_transform(custom.velocity, custom.anchor)).values

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,12 @@ from diracpd.errors import DomainError, InvalidParameterError, QuadratureFailure
 from diracpd.profiles import VelocityProfile
 
 TANH_1 = 0.7615941559557649
+
+
+def _numeric(velocity):
+    """The same velocity through from_callable: no closed form, so the numeric map."""
+    return VelocityProfile.from_callable(velocity.func, velocity.dfunc, velocity.d2func,
+                                         domain=velocity.domain)
 
 
 def _model_and_map(name, x0=None, **kwargs):
@@ -138,9 +145,10 @@ class TestInverseGrid:
         assert np.max(np.abs(exact(xs) - qs)) <= 1e-11
 
     def test_grid_longer_than_a_block(self):
-        # Newton runs block by block; across the block edges x meets the
-        # closed form and stays increasing
-        _, tmap = _model_and_map("cosh_square", alpha=1, v0=1, m0=1)
+        # Newton (the numeric map) runs block by block; across the block
+        # edges x meets the closed form and stays increasing
+        model = builtin_model("cosh_square", alpha=1, v0=1, m0=1)
+        tmap = build_transform(_numeric(model.velocity), model.anchor)
         qs = np.linspace(tmap.q_lo + 1e-5, tmap.q_hi - 1e-5, 3 * transform._BLOCK + 7)
         xs = tmap.inverse_grid(qs)
         assert np.max(np.abs(np.tanh(xs) - qs)) <= 1e-11
@@ -193,8 +201,11 @@ class TestInverseGrid:
         assert np.max(np.abs(tmap.forward(xs) - qs)) <= 1e-12
 
     def test_past_the_ladder_raises(self):
-        # inside (q_lo, q_hi) but beyond the last ladder anchor, ~1e-12 from q_hi
-        _, tmap = _model_and_map("poschl_teller", alpha=1, v0=1, m0=1)
+        # inside (q_lo, q_hi) but beyond the last ladder anchor, ~1e-12 from
+        # q_hi; only the numeric map has a ladder, so the velocity is a
+        # from_callable copy of poschl_teller's
+        model = builtin_model("poschl_teller", alpha=1, v0=1, m0=1)
+        tmap = build_transform(_numeric(model.velocity), model.anchor)
         with pytest.raises(DomainError, match="past the anchor ladder"):
             tmap.inverse(tmap.q_hi - 1e-14)
 
@@ -204,6 +215,58 @@ class TestInverseGrid:
         a = tmap.inverse_grid(qs)
         b = tmap.inverse_grid(qs)
         assert np.array_equal(a, b)
+
+
+CLOSED_FORM_CASES = [  # (name, params, an anchor other than model.anchor)
+    ("cosh_square", dict(alpha=1.2, v0=0.7, m0=1.1), 0.4),
+    ("rational", dict(alpha=0.8, v0=1.5, m0=0.6), -2.0),
+    ("poschl_teller", dict(alpha=1.43, v0=1.9, m0=2.63), 0.5),
+    ("linear_singular", dict(A=0.7, v0=1.3), 3.0),
+    ("constant_rest", dict(m0=0.3, c=2.5), -1.0),
+]
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("name,params,other", CLOSED_FORM_CASES)
+    def test_matches_numeric_map(self, name, params, other):
+        model = builtin_model(name, **params)
+        for x0 in (model.anchor, other):
+            closed = build_transform(model.velocity, x0)
+            numeric = build_transform(_numeric(model.velocity), x0)
+            assert closed.table_x is None and numeric.table_x is not None
+            for a, b in ((closed.q_lo, numeric.q_lo), (closed.q_hi, numeric.q_hi)):
+                assert a == b if math.isinf(b) else abs(a - b) <= 1e-12 * max(1.0, abs(b))
+            lo = closed.q_lo if math.isfinite(closed.q_lo) else -8.0
+            hi = closed.q_hi if math.isfinite(closed.q_hi) else 8.0
+            qs = lo + (np.arange(2000) + 0.5) * (hi - lo) / 2000
+            xc, xn = closed.inverse_grid(qs), numeric.inverse_grid(qs)
+            assert np.max(np.abs(xc - xn) / np.maximum(1.0, np.abs(xn))) <= 1e-11
+
+    def test_wrong_closed_form_raises_and_caches_nothing(self):
+        model = builtin_model("cosh_square", alpha=1, v0=1, m0=1)
+        true_x = model.velocity.x_of_q
+        wrong = dataclasses.replace(model.velocity, x_of_q=lambda q: true_x(q) + 1e-6)
+        tmap = build_transform(wrong, model.anchor)
+        with pytest.raises(QuadratureFailureError, match="spot-check residual"):
+            tmap.inverse_grid(np.linspace(-0.9, 0.9, 41))
+        assert tmap._grid_cache == {}
+
+    def test_half_a_closed_form_refused(self):
+        model = builtin_model("constant_rest", m0=1, c=2)
+        with pytest.raises(InvalidParameterError, match="come as a pair"):
+            dataclasses.replace(model.velocity, q_of_x=None)
+
+    def test_q_that_rounds_onto_the_wall_raises(self):
+        # the last double below q_hi: x0 + v0 q rounds to pi / alpha
+        _, tmap = _model_and_map("poschl_teller", alpha=1, v0=1, m0=1)
+        with pytest.raises(DomainError, match="reaches a wall"):
+            tmap.inverse(np.nextafter(tmap.q_hi, 0.0))
+
+    def test_anchor_at_float_wall_takes_numeric_map(self):
+        # tanh(40) == 1.0: the closed form cannot tell x0 = 40 from the wall
+        model = builtin_model("cosh_square", alpha=1, v0=1, m0=1)
+        tmap = build_transform(model.velocity, 40.0)
+        assert tmap.q_shift is None and 0.0 < tmap.q_hi < 1e-30
 
 
 class TestBuildValidation:
