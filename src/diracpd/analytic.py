@@ -30,7 +30,6 @@ from functools import lru_cache
 from typing import Mapping, Tuple
 
 import numpy as np
-from scipy import integrate
 
 from .errors import (
     AsPublishedWarning,
@@ -225,6 +224,8 @@ def _raw_components(model: str, n: int, params: Mapping[str, float],
 
 @lru_cache(maxsize=256)
 def _numeric_norm_cached(model: str, n: int, params_key: Tuple[Tuple[str, float], ...]) -> float:
+    from scipy import integrate  # QUADPACK: an oracle independent of the map's quadrature
+
     params = dict(params_key)
 
     def rho(t):
@@ -237,7 +238,12 @@ def _numeric_norm_cached(model: str, n: int, params_key: Tuple[Tuple[str, float]
 
 
 def numeric_normalization(model: str, n: int, params: Mapping[str, float]) -> float:
-    """1/sqrt of the quadrature of the closed-form density (always trustworthy)."""
+    """1/sqrt of the quadrature of the closed-form density (always trustworthy).
+
+    The quadrature is QUADPACK's (``scipy.integrate.quad``) over the whole,
+    possibly infinite, domain; ``scipy.integrate`` is imported on the first
+    call, so only callers of this oracle pay for loading it.
+    """
     key = model.strip().lower().replace("-", "_")
     params_key = tuple(sorted((k, float(v)) for k, v in params.items()))
     with warnings.catch_warnings():

@@ -100,6 +100,24 @@ class TestSolve:
         assert float(rows[0][2]) == 1.0
         assert float(rows[0][3]) == -1.0
 
+    def test_rational_approximate_mode_takes_the_wall_grid(self, tmp_path):
+        # V = (m0 v0^2)^2 is flat up to the finite q-walls, so the probe must
+        # not call them singular: the plain grid puts the walls where they
+        # are. Spot-checking the far probe nodes (|x| ~ 1e7) needs the map's
+        # integral across the peak of 1/v_F at x = 0, which QUADPACK missed.
+        alpha, v0, m0 = 0.8, 1.5, 0.6
+        cfg = write_config(tmp_path / "c.txt", model__name="rational", model__alpha=alpha,
+                           model__v0=v0, model__m0=m0, mode="approximate", grid__n=2000,
+                           solve__k_states=3, outputs="spectrum",
+                           out__dir=str(tmp_path / "out"))
+        assert main(["solve", "--config", cfg]) == 0
+        text = (tmp_path / "out" / "spectrum.csv").read_text(encoding="utf-8")
+        assert "# grid_offset = false" in text
+        _, rows = read_rows(tmp_path / "out" / "spectrum.csv")
+        for k, row in enumerate(rows, start=1):
+            assert float(row[2]) == pytest.approx(math.hypot(k * alpha * v0, m0 * v0 * v0),
+                                                  rel=1e-9)
+
     def test_linear_singular_no_bound_states_exit_3(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.txt", model__name="linear_singular",
                            model__A=1.0, model__v0=1.0, grid__n=400,

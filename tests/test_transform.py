@@ -1,10 +1,16 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import integrate
 
-from diracpd import build_transform, builtin_model, transform
+from diracpd import QGrid, build_transform, builtin_model, transform
 from diracpd.errors import DomainError, InvalidParameterError, QuadratureFailureError
 from diracpd.profiles import VelocityProfile
 
@@ -15,6 +21,13 @@ def _numeric(velocity):
     """The same velocity through from_callable: no closed form, so the numeric map."""
     return VelocityProfile.from_callable(velocity.func, velocity.dfunc, velocity.d2func,
                                          domain=velocity.domain)
+
+
+def _oscillating():
+    return VelocityProfile.from_callable(
+        lambda x: 1.0 + 0.5 * np.sin(3.0 * np.asarray(x, dtype=float)),
+        deriv1=lambda x: 1.5 * np.cos(3.0 * np.asarray(x, dtype=float)),
+        domain=(-10.0, 10.0))
 
 
 def _model_and_map(name, x0=None, **kwargs):
@@ -189,11 +202,7 @@ class TestInverseGrid:
             assert tmap.inverse(q) == tmap.inverse_grid(np.array([q]))[0]
 
     def test_oscillating_velocity_splits_panels(self):
-        prof = VelocityProfile.from_callable(
-            lambda x: 1.0 + 0.5 * np.sin(3.0 * np.asarray(x, dtype=float)),
-            deriv1=lambda x: 1.5 * np.cos(3.0 * np.asarray(x, dtype=float)),
-            domain=(-10.0, 10.0))
-        tmap = build_transform(prof, 0.0)
+        tmap = build_transform(_oscillating(), 0.0)
         assert tmap.table_x.size > tmap.anchors_x.size
         assert np.all(np.isin(tmap.anchors_x, tmap.table_x))
         qs = np.linspace(tmap.q_lo + 1e-6, tmap.q_hi - 1e-6, 4001)
@@ -208,6 +217,30 @@ class TestInverseGrid:
         tmap = build_transform(_numeric(model.velocity), model.anchor)
         with pytest.raises(DomainError, match="past the anchor ladder"):
             tmap.inverse(tmap.q_hi - 1e-14)
+
+    @pytest.mark.parametrize("closed_form", [True, False])
+    def test_nan_q_raises_and_caches_nothing(self, closed_form):
+        # a NaN inside the grid passes the sorted and range checks (every
+        # comparison with NaN is False), so finiteness is checked first
+        if closed_form:
+            _, tmap = _model_and_map("cosh_square", alpha=1, v0=1, m0=1)
+        else:
+            tmap = build_transform(_oscillating(), 0.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(DomainError, match="q must be finite"):
+                tmap.inverse_grid(np.array([-0.5, bad, 0.5]))
+            with pytest.raises(DomainError, match="q must be finite"):
+                tmap.inverse(bad)
+        with pytest.raises(DomainError, match="strictly inside"):
+            tmap.forward(np.array([0.1, math.nan]))
+        assert tmap._grid_cache == {}
+
+    def test_nan_spot_check_residual_raises(self, monkeypatch):
+        _, tmap = _model_and_map("cosh_square", alpha=1, v0=1, m0=1)
+        monkeypatch.setattr(tmap, "forward", lambda x: np.full(np.shape(x), np.nan))
+        with pytest.raises(QuadratureFailureError, match="residual nan"):
+            tmap.inverse_grid(np.linspace(-0.9, 0.9, 41))
+        assert tmap._grid_cache == {}
 
     def test_caching_returns_same(self):
         _, tmap = _model_and_map("rational", alpha=1, v0=1, m0=0)
@@ -267,6 +300,95 @@ class TestClosedForm:
         model = builtin_model("cosh_square", alpha=1, v0=1, m0=1)
         tmap = build_transform(model.velocity, 40.0)
         assert tmap.q_shift is None and 0.0 < tmap.q_hi < 1e-30
+
+
+def _spot_segments(tmap, q):
+    """The segments ``forward`` integrates for the spot check of grid q on a
+    closed-form map: outward from x0, each picked node from the one before."""
+    pick = np.unique(np.linspace(0, q.size - 1, 7).astype(int))
+    x = tmap.velocity.x_of_q(q[pick] + tmap.q_shift)
+    segments = []
+    for side in (x[x < tmap.x0][::-1], x[x >= tmap.x0]):
+        start = tmap.x0
+        for end in side:
+            segments.append((start, float(end)))
+            start = float(end)
+    return segments
+
+
+def _quadpack(f, a, b):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", integrate.IntegrationWarning)
+        return integrate.quad(f, a, b, epsabs=1e-13, epsrel=1e-12, limit=200)[0]
+
+
+QUAD_CASES = [
+    ("cosh_square", dict(alpha=1.2, v0=0.7, m0=1.1), None),
+    ("rational", dict(alpha=0.8, v0=1.5, m0=0.6), None),  # x ~ 2.5e4 at both q-edges
+    ("poschl_teller", dict(alpha=1.43, v0=1.9, m0=2.63), None),
+    ("linear_singular", dict(A=0.7, v0=1.3), (-64.0, 64.0)),  # x from 1e-37 to 1e36
+    ("linear_singular", dict(A=2.0, v0=2.0), (-64.0, 64.0)),  # x from 1e-56 to 1e56
+    ("constant_rest", dict(m0=0.3, c=2.5), (-10.0, 10.0)),
+]
+
+
+class TestQuadrature:
+    @pytest.mark.parametrize("name,params,box", QUAD_CASES)
+    @pytest.mark.parametrize("offset", [True, False])
+    def test_spot_check_segments_match_quadpack(self, name, params, box, offset):
+        # the segments of an n = 32000 spot check, both ways round: QUADPACK
+        # and the closed form agree with the GL-16 rule
+        model, tmap = _model_and_map(name, **params)
+        lo, hi = (tmap.q_lo, tmap.q_hi) if box is None else box
+        f = tmap._f
+        for a, b in _spot_segments(tmap, QGrid(lo, hi, 32000, offset=offset).nodes):
+            exact = float(model.velocity.q_of_x(b) - model.velocity.q_of_x(a))
+            tol = 1e-13 * max(1.0, abs(exact))
+            ours = transform._quad(f, a, b, 1e-12)
+            assert abs(ours - _quadpack(f, a, b)) <= tol
+            assert abs(ours - exact) <= tol
+            assert abs(transform._quad(f, b, a, 1e-12) + ours) <= tol
+
+    def test_oscillating_velocity_matches_quadpack(self):
+        f = build_transform(_oscillating(), 0.0)._f
+        for a, b in ((-9.5, 9.5), (0.0, 3.7), (2.0, -7.25), (-0.1, 0.1), (4.0, 4.0 + 1e-9)):
+            ref = _quadpack(f, a, b)
+            assert transform._quad(f, a, b, 1e-12) == pytest.approx(ref, rel=1e-13, abs=1e-13)
+
+    def test_empty_segment_is_zero(self):
+        # not even evaluated: a == b may sit on a wall where 1/v_F is infinite
+        assert transform._quad(lambda x: 1.0 / x, 0.0, 0.0, 1e-12) == 0.0
+
+    def test_forward_many_points_in_one_pass(self):
+        # near and far points, both sides of x0, one repeated: every q meets
+        # the closed form, and the repeat gets the same q
+        model, tmap = _model_and_map("rational", alpha=0.8, v0=1.5, m0=0.6)
+        xs = np.array([3.0, -2.0, 0.5, 1e4, -40.0, 0.5])
+        q = tmap.forward(xs)
+        assert q == pytest.approx(model.velocity.q_of_x(xs), abs=1e-13)
+        assert q[2] == q[5]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_integrand_raises(self, bad):
+        def f(x):
+            return np.where(np.asarray(x) > 0.5, bad, 1.0)
+
+        with pytest.raises(QuadratureFailureError, match=r"quadrature failed on \[0, 1\]"):
+            transform._quad(f, 0.0, 1.0, 1e-12)
+
+    def test_endless_splitting_raises(self):
+        # 1600 periods on [0, 1]: the panels still unsettled outnumber the cap
+        with pytest.raises(QuadratureFailureError,
+                           match=r"quadrature failed on \[0, 1\]: more than 200 panels") as info:
+            transform._quad(lambda x: np.sin(1e4 * x), 0.0, 1.0, 1e-12)
+        assert math.isfinite(info.value.partial)
+
+    def test_import_does_not_load_quadpack(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        code = ("import sys, diracpd, diracpd.cli; "
+                "assert 'scipy.integrate' not in sys.modules, 'scipy.integrate loaded'")
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 class TestBuildValidation:
