@@ -273,6 +273,11 @@ def _require_constant_u(model: ModelSpec, a_const: Optional[float], what: str) -
 
 
 def _wall_singular(builder, lo: float, hi: float) -> bool:
+    """Whether V blows up at a wall of (lo, hi): probes within 3e-8 of each wall.
+
+    A DomainError (probe nodes that round onto a wall) means a singular
+    wall; any other error propagates with its own cause.
+    """
     width = hi - lo
     try:
         mid_vals = builder(QGrid(lo + 0.4 * width, hi - 0.4 * width, 3, offset=True)).values
@@ -284,7 +289,7 @@ def _wall_singular(builder, lo: float, hi: float) -> bool:
                 return True
             if float(np.max(np.abs(edge_vals))) > 1e6 * (1.0 + center):
                 return True
-    except _NUMERICAL_ERRORS:
+    except DomainError:
         return True
     return False
 

@@ -8,6 +8,15 @@ scipy.linalg.eigh_tridiagonal), then one Richardson step over (h, h/2)
 removes the leading O(h^2) error. Interior sign changes of each vector give
 the oscillation count for free.
 
+Only the base grid is bisected by index from the whole spectrum. Each
+refined level is bisected in a narrow window around its base value (about
+1e-6 |lambda|, widened 16-fold while empty) to the base grid's absolute
+tolerance eps * (Gershgorin norm of T_h), a quarter of the refined grid's
+own default; Sturm counts certify that the windows found the lowest levels.
+When a window holds more than one level, or the counts disagree, the refined
+grid is bisected by index like the base grid. The exact-mode lattice
+(solve_exact) refines the same way.
+
 In constant-u mode the operator solved is the free one and the constant
 A^2 is kept as a spectral offset, so lambda is exactly E^2 - A^2. The free
 operator's eigenpairs are known in closed form (the DST-I basis), so that
@@ -81,11 +90,69 @@ def _canonical_sign(phi: np.ndarray) -> np.ndarray:
     return -phi if phi[i] < 0 else phi
 
 
+def _schrodinger(values: np.ndarray, h: float):
+    """Diagonal and off-diagonal of -d^2/dq^2 + V on a grid of step h."""
+    return 2.0 / (h * h) + values, np.full(values.size - 1, -1.0 / (h * h))
+
+
 def _tridiag_eigs(values: np.ndarray, h: float, k: int, with_vectors: bool):
     """Lowest k eigenvalues, and (w, vecs) when with_vectors, by bisection."""
-    return eigh_tridiagonal(2.0 / (h * h) + values, np.full(values.size - 1, -1.0 / (h * h)),
-                            select="i", select_range=(0, k - 1),
+    return eigh_tridiagonal(*_schrodinger(values, h), select="i", select_range=(0, k - 1),
                             eigvals_only=not with_vectors)
+
+
+def _bisection_tol(d: np.ndarray, e: np.ndarray) -> float:
+    """eps * Gershgorin norm of tridiag(e, d, e), LAPACK's default bisection tolerance."""
+    r = np.abs(e)
+    r = np.concatenate(([0.0], r)) + np.concatenate((r, [0.0]))
+    return float(np.finfo(float).eps * max(abs(np.min(d - r)), abs(np.max(d + r))))
+
+
+def _count(d: np.ndarray, e: np.ndarray, lo: float, hi: float) -> int:
+    """Number of eigenvalues of tridiag(e, d, e) in (lo, hi], from Sturm counts.
+
+    With an infinite tolerance LAPACK's bisection stops after its first
+    sweep and reports each eigenvalue of the range, so this costs about three
+    Sturm sweeps.
+    """
+    return eigh_tridiagonal(d, e, eigvals_only=True, select="v", select_range=(lo, hi),
+                            tol=math.inf).size
+
+
+def _bisect_near(d: np.ndarray, e: np.ndarray, guesses: np.ndarray, tol: float,
+                 floor: float, below: int) -> Optional[np.ndarray]:
+    """Eigenvalues below .. below + k - 1 of tridiag(e, d, e), or None.
+
+    ``guesses`` are k rising approximations (the base grid's levels). Each
+    level is bisected to ``tol`` in a window around its guess that starts at
+    1e-6 |guess| (at least tol) either side and widens 16-fold while it is
+    empty, up to the Gershgorin norm. Sturm counts certify the result: every
+    window holds exactly one eigenvalue, the levels rise from ``floor`` by
+    more than tol (none is found twice), ``below`` eigenvalues lie at or
+    under ``floor`` and exactly k in (floor, top window edge]. None means a
+    window held more than one level or a count disagreed; the caller then
+    bisects by index.
+    """
+    limit = tol / np.finfo(float).eps
+    w = np.empty(len(guesses))
+    for j, guess in enumerate(guesses):
+        half = max(1e-6 * abs(guess), tol)
+        while True:
+            found = eigh_tridiagonal(d, e, eigvals_only=True, select="v",
+                                     select_range=(guess - half, guess + half), tol=tol)
+            if found.size or half > limit:
+                break
+            half *= 16.0
+        if found.size != 1:
+            return None
+        w[j] = found[0]
+    if not (w[0] > floor and np.all(np.diff(w) > tol)):
+        return None
+    if _count(d, e, floor, guesses[-1] + half) != w.size:
+        return None
+    if _count(d, e, -math.inf, floor) != below:
+        return None
+    return w
 
 
 def _free_eigs(grid: QGrid, k: int, with_vectors: bool):
@@ -106,7 +173,10 @@ def solve_fixed(potential: PotentialField, k_states: int) -> SpectrumResult:
 
     Eigenvalues are Richardson-refined over (h, h/2) with
     error_estimate = |lam_h - lam_{h/2}| / 3; eigenvectors live on the
-    base grid, normalized so that sum(phi^2) h = 1.
+    base grid, normalized so that sum(phi^2) h = 1. The h grid is bisected
+    by index; each h/2 level in a window around its h level, to the h
+    grid's tolerance, with min V as the floor of the Sturm-count check, or
+    by index when that check fails.
     """
     if k_states < 1:
         raise InvalidParameterError("k_states must be >= 1")
@@ -131,7 +201,11 @@ def solve_fixed(potential: PotentialField, k_states: int) -> SpectrumResult:
         fine = potential.on_grid(grid.refined())
         if np.any(fine.singular):
             raise SingularNodeError("refined grid produced singular nodes")
-        w_fine = _tridiag_eigs(fine.values, fine.grid.h, k_states, with_vectors=False)
+        w_fine = _bisect_near(*_schrodinger(fine.values, fine.grid.h), w,
+                              _bisection_tol(*_schrodinger(potential.values, grid.h)),
+                              float(np.min(fine.values)), 0)
+        if w_fine is None:
+            w_fine = _tridiag_eigs(fine.values, fine.grid.h, k_states, with_vectors=False)
 
     pairs: List[EigenPair] = []
     energies: List[Tuple[float, float]] = []
@@ -148,6 +222,17 @@ def solve_fixed(potential: PotentialField, k_states: int) -> SpectrumResult:
                           mode=potential.mode, offset=offset)
 
 
+def _staggered(u: np.ndarray, h: float):
+    """Diagonal and off-diagonal of the staggered lattice over ``u`` (see _lattice_eigs)."""
+    n = u.size // 2
+    return np.where(np.arange(2 * n + 1) % 2 == 0, -u, u), np.tile([1.0 / h, -1.0 / h], n)
+
+
+def _inertia_floor(u: np.ndarray, h: float) -> float:
+    """The zero mode of a massless model sits at 0 to within this floor."""
+    return 64.0 * np.finfo(float).eps * (2.0 / h + float(np.max(np.abs(u))))
+
+
 def _lattice_eigs(u: np.ndarray, h: float, k_states: int, with_vectors: bool):
     """Eigenvalues n..n+k_states of the staggered lattice with n phi1 nodes.
 
@@ -157,12 +242,10 @@ def _lattice_eigs(u: np.ndarray, h: float, k_states: int, with_vectors: bool):
     eigenvalue.
     """
     n = u.size // 2
-    out = eigh_tridiagonal(np.where(np.arange(2 * n + 1) % 2 == 0, -u, u),
-                           np.tile([1.0 / h, -1.0 / h], n), select="i",
+    out = eigh_tridiagonal(*_staggered(u, h), select="i",
                            select_range=(n, n + k_states), eigvals_only=not with_vectors)
     w = out[0] if with_vectors else out
-    # the zero mode of a massless model sits at 0 to within this floor
-    floor = 64.0 * np.finfo(float).eps * (2.0 / h + float(np.max(np.abs(u))))
+    floor = _inertia_floor(u, h)
     if not w[0] < floor < w[1]:
         raise NonConvergenceError(f"lattice inertia: eigenvalues {n} and {n + 1} are "
                                   f"{w[0]:g} and {w[1]:g}, not <= 0 and > 0")
@@ -179,6 +262,10 @@ def solve_exact(model: ModelSpec, tmap: TransformMap, n: int,
     refined over (n, 2n+1) nodes: ``lam`` = E^2, ``error_estimate`` = 2 E |E_h - E_{h/2}| / 3.
     The map is inverted once, on the fine lattice (q = lo + j h/4); every
     coarse site (q = lo + j h/2) is bit for bit its every second site.
+    The coarse lattice is bisected by index; each fine level in a window
+    around its coarse level, to the coarse lattice's tolerance, with 2n+2
+    eigenvalues at or under the inertia floor as part of the Sturm-count
+    check, or by index (and the inertia test there) when that check fails.
     Vectors have h sum(phi1^2 + chi^2) = 1 and phi1 > 0 at its largest sample.
     """
     if not 1 <= k_states <= n // 2:
@@ -190,15 +277,19 @@ def solve_exact(model: ModelSpec, tmap: TransformMap, n: int,
     u_fine = product_u(model, tmap.inverse_grid(
         tmap.q_lo + np.arange(1, 4 * n + 4) * (0.25 * grid.h)))[0]
     w, vecs = _lattice_eigs(u_fine[1::2], grid.h, k_states, with_vectors=True)
-    w_fine = _lattice_eigs(u_fine, 0.5 * grid.h, k_states, with_vectors=False)
+    w_fine = _bisect_near(*_staggered(u_fine, 0.5 * grid.h), w[1:],
+                          _bisection_tol(*_staggered(u_fine[1::2], grid.h)),
+                          _inertia_floor(u_fine, 0.5 * grid.h), 2 * n + 2)
+    if w_fine is None:
+        w_fine = _lattice_eigs(u_fine, 0.5 * grid.h, k_states, with_vectors=False)[1:]
     pairs, energies = [], []
     for k in range(1, k_states + 1):
-        e = float((4.0 * w_fine[k] - w[k]) / 3.0)
+        e = float((4.0 * w_fine[k - 1] - w[k]) / 3.0)
         vec = vecs[:, k] / math.sqrt(grid.h)
         vec = vec * math.copysign(1.0, vec[1 + 2 * int(np.argmax(np.abs(vec[1::2])))])
         pairs.append(EigenPair(lam=e * e, phi=vec[1::2], grid=grid,
                                nodes=count_nodes(vec[1::2]),
-                               error_estimate=float(2.0 * e * abs(w[k] - w_fine[k]) / 3.0),
+                               error_estimate=float(2.0 * e * abs(w[k] - w_fine[k - 1]) / 3.0),
                                chi=vec[0::2]))
         energies.append((e, -e))
     return SpectrumResult(pairs=tuple(pairs), energies=tuple(energies), mode=EXACT,

@@ -1,8 +1,12 @@
-"""The CI workflow parses as YAML, and its benchmark runs name declared workloads."""
+"""The CI workflow parses as YAML, its benchmark runs name declared workloads, and
+the benchmark's layer tracer still finds every name it wraps in the package."""
 
 import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -19,3 +23,12 @@ def test_workflow_parses_and_runs_declared_workloads():
                 json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["workloads"]}
     assert named, "the workflow runs no benchmark workload"
     assert set(named) <= declared, f"undeclared workloads: {sorted(set(named) - declared)}"
+
+
+def test_tracer_installs_against_src():
+    # install() raises when a wrapped name (diracpd.eigensolver.eigh_tridiagonal
+    # among them) is bound nowhere in the package
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")]))
+    proc = subprocess.run([sys.executable, "-c", "import tracer; tracer.install()"], env=env,
+                          cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

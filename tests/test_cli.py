@@ -118,6 +118,32 @@ class TestSolve:
             assert float(row[2]) == pytest.approx(math.hypot(k * alpha * v0, m0 * v0 * v0),
                                                   rel=1e-9)
 
+    def test_wall_probe_failure_is_not_a_singular_wall(self, tmp_path, capsys, monkeypatch):
+        # only a DomainError (probe nodes rounding onto a wall) means a singular wall
+        def failing(exc):
+            def builder(grid):
+                raise exc
+            return builder
+
+        assert cli._wall_singular(failing(cli.DomainError("on the wall")), 0.0, 1.0)
+        with pytest.raises(QuadratureFailureError):
+            cli._wall_singular(failing(QuadratureFailureError("forced", partial=0.0)), 0.0, 1.0)
+
+        real = cli.approx_potential
+
+        def probe_fails(model, grid, tmap):
+            if grid.n == 3:
+                raise QuadratureFailureError("forced probe failure", partial=0.0)
+            return real(model, grid, tmap)
+
+        monkeypatch.setattr(cli, "approx_potential", probe_fails)
+        cfg = write_config(tmp_path / "c.txt", model__name="rational", model__alpha=0.8,
+                           model__v0=1.5, model__m0=0.6, mode="approximate", grid__n=400,
+                           solve__k_states=1, out__dir=str(tmp_path / "out"))
+        assert main(["solve", "--config", cfg]) == 3
+        err = capsys.readouterr().err
+        assert "QuadratureFailureError" in err and "forced probe failure" in err
+
     def test_linear_singular_no_bound_states_exit_3(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.txt", model__name="linear_singular",
                            model__A=1.0, model__v0=1.0, grid__n=400,

@@ -137,12 +137,13 @@ class TestSolveFixed:
         assert np.max(np.abs(vecs - vecs_lapack)) <= 1e-10
 
     def test_only_approximate_mode_bisects(self, monkeypatch):
+        # one index-range bisection, on the base grid; the refined grid bisects by value
         calls = []
         real = eigensolver.eigh_tridiagonal
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
+        def counted(d, *args, **kwargs):
+            calls.append((kwargs["select"], d.size))
+            return real(d, *args, **kwargs)
 
         monkeypatch.setattr(eigensolver, "eigh_tridiagonal", counted)
         cosh = builtin_model("cosh_square", alpha=1, v0=1, m0=1)
@@ -155,7 +156,8 @@ class TestSolveFixed:
         tmap = build_transform(pt.velocity, pt.anchor)
         solve_fixed(approx_potential(pt, QGrid(tmap.q_lo, tmap.q_hi, 2000, offset=True),
                                      tmap), 3)
-        assert len(calls) == 2
+        assert calls[0] == ("i", 2000)
+        assert len(calls) > 1 and all(select == "v" for select, _ in calls[1:])
 
     def test_constant_u_at_machine_precision(self):
         # bisection left 5.4e-8 on level 0 here; the closed form leaves rounding only
@@ -289,13 +291,79 @@ class TestSolveExact:
             _, e_sc, _ = solve_self_consistent(model, tmap, grid, k, e_lat)
             assert abs(e_lat - e_sc) <= 1e-7 * e_lat
 
-    def test_inertia_is_checked(self):
+    def test_inertia_is_checked(self, monkeypatch):
         # u < 0 puts n+1 positive eigenvalues on the lattice, not n
         model = builtin_model("cosh_square", alpha=1, v0=1, m0=1)
         flipped = dataclasses.replace(model, u_closed=(lambda x: -np.ones_like(x),) * 3)
         tmap = build_transform(model.velocity, model.anchor)
         with pytest.raises(NonConvergenceError, match="inertia"):
             solve_exact(flipped, tmap, 200, 1)
+        # u < 0 on the sites only the refined lattice has: the coarse lattice is
+        # sound, the refined one's count up to the floor is not 2n + 2
+        real = eigensolver.product_u
+
+        def flip_refined_sites(model, x):
+            u, u1, u2 = real(model, x)
+            u = u.copy()
+            u[0::2] *= -1.0
+            return u, u1, u2
+
+        monkeypatch.setattr(eigensolver, "product_u", flip_refined_sites)
+        with pytest.raises(NonConvergenceError, match="inertia"):
+            solve_exact(model, tmap, 200, 1)
+
+
+def pt_matrices(n, lattice):
+    """poschl_teller (1.43, 1.90, 2.63): base levels, base tolerance, refined matrix.
+
+    Returns (d, e, guesses, tol, floor, below) for the refined grid; ``below``
+    is also the index of its lowest refined level.
+    """
+    model = builtin_model("poschl_teller", alpha=1.43, v0=1.90, m0=2.63)
+    tmap = build_transform(model.velocity, model.anchor)
+    if lattice:
+        grid = QGrid(tmap.q_lo, tmap.q_hi, n, offset=False)
+        u = eigensolver.product_u(model, tmap.inverse_grid(
+            tmap.q_lo + np.arange(1, 4 * n + 4) * (0.25 * grid.h)))[0]
+        w = eigensolver._lattice_eigs(u[1::2], grid.h, 4, with_vectors=False)[1:]
+        tol = eigensolver._bisection_tol(*eigensolver._staggered(u[1::2], grid.h))
+        d, e = eigensolver._staggered(u, 0.5 * grid.h)
+        return d, e, w, tol, eigensolver._inertia_floor(u, 0.5 * grid.h), 2 * n + 2
+    field = approx_potential(model, QGrid(tmap.q_lo, tmap.q_hi, n, offset=True), tmap)
+    fine = field.on_grid(field.grid.refined())
+    w = eigensolver._tridiag_eigs(field.values, field.grid.h, 4, with_vectors=False)
+    tol = eigensolver._bisection_tol(*eigensolver._schrodinger(field.values, field.grid.h))
+    d, e = eigensolver._schrodinger(fine.values, fine.grid.h)
+    return d, e, w, tol, float(np.min(fine.values)), 0
+
+
+class TestRefinedBrackets:
+    @pytest.mark.parametrize("n", [2000, 8000])
+    @pytest.mark.parametrize("lattice", [False, True], ids=["approximate", "lattice"])
+    def test_matches_index_range_bisection(self, n, lattice):
+        d, e, guesses, tol, floor, below = pt_matrices(n, lattice)
+        w = eigensolver._bisect_near(d, e, guesses, tol, floor, below)
+        assert w is not None
+        ref = eigensolver.eigh_tridiagonal(d, e, eigvals_only=True, select="i",
+                                           select_range=(below, below + guesses.size - 1),
+                                           tol=tol)
+        assert np.max(np.abs(w - ref)) <= 2.0 * tol
+
+    def test_wrong_floor_count_is_not_certified(self):
+        d, e, guesses, tol, floor, below = pt_matrices(2000, lattice=True)
+        assert eigensolver._bisect_near(d, e, guesses, tol, floor, below + 1) is None
+
+    def test_coarse_grid_falls_back_to_index_range(self):
+        # n = 64, k = 32: the refined levels shift by more than half a gap, so
+        # the windows are not certified and the refined grid is bisected by index
+        pt = builtin_model("poschl_teller", alpha=1, v0=1, m0=1)
+        tmap = build_transform(pt.velocity, pt.anchor)
+        field = approx_potential(pt, QGrid(tmap.q_lo, tmap.q_hi, 64, offset=True), tmap)
+        res = solve_fixed(field, 32)
+        fine = field.on_grid(field.grid.refined())
+        w = eigensolver._tridiag_eigs(field.values, field.grid.h, 32, with_vectors=False)
+        w_fine = eigensolver._tridiag_eigs(fine.values, fine.grid.h, 32, with_vectors=False)
+        assert [p.lam for p in res.pairs] == list((4.0 * w_fine - w) / 3.0)
 
 
 class TestExpandUntilSettled:
