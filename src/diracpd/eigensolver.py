@@ -17,6 +17,14 @@ When a window holds more than one level, or the counts disagree, the refined
 grid is bisected by index like the base grid. The exact-mode lattice
 (solve_exact) refines the same way.
 
+A model that declares ``ModelFacts.even``, on a map anchored at its anchor
+and a q-range symmetric about it, gives matrices that commute with a
+reflection; both solvers then split each matrix exactly into two parity
+blocks of half the size (Cantoni & Butler, Linear Algebra Appl. 13 (1976)
+275) and bisect those instead, with the values averaged with their mirror
+first. A field so declared that differs from its mirror by more than 1e-8
+relative raises InvalidParameterError.
+
 In constant-u mode the operator solved is the free one and the constant
 A^2 is kept as a spectral offset, so lambda is exactly E^2 - A^2. The free
 operator's eigenpairs are known in closed form (the DST-I basis), so that
@@ -95,10 +103,59 @@ def _schrodinger(values: np.ndarray, h: float):
     return 2.0 / (h * h) + values, np.full(values.size - 1, -1.0 / (h * h))
 
 
-def _tridiag_eigs(values: np.ndarray, h: float, k: int, with_vectors: bool):
-    """Lowest k eigenvalues, and (w, vecs) when with_vectors, by bisection."""
-    return eigh_tridiagonal(*_schrodinger(values, h), select="i", select_range=(0, k - 1),
+def _tridiag_eigs(d: np.ndarray, e: np.ndarray, k: int, with_vectors: bool, first: int = 0):
+    """Eigenvalues first .. first + k - 1 of tridiag(e, d, e), and (w, vecs) when
+    with_vectors, by bisection."""
+    return eigh_tridiagonal(d, e, select="i", select_range=(first, first + k - 1),
                             eigvals_only=not with_vectors)
+
+
+def _symmetrized(values: np.ndarray) -> np.ndarray:
+    """(values + values[::-1]) / 2 of samples their model declares even.
+
+    Raises InvalidParameterError naming the first node that differs from its
+    mirror by more than 1e-8 of its own magnitude (or of 1, if that is larger).
+    """
+    mirror = values[::-1]
+    bad = np.flatnonzero(np.abs(values - mirror) > 1e-8 * np.maximum(np.abs(values), 1.0))
+    if bad.size:
+        j = int(bad[0])
+        raise InvalidParameterError(
+            f"field declared even differs from its mirror at node {j} of {values.size}: "
+            f"{values[j]:.17g} against {mirror[j]:.17g}, more than 1e-8 relative")
+    return 0.5 * (values + mirror)
+
+
+def _fold(d: np.ndarray, e: np.ndarray):
+    """The two parity blocks of tridiag(e, d, e), each on its first ceil(N/2) rows.
+
+    The matrix must commute with a signed reflection (Cantoni & Butler 1976):
+    d palindromic and e palindromic (P = J) or, with N odd, anti-palindromic
+    (P = diag((-1)^j) J). With N odd the first block keeps the centre row,
+    its last off-diagonal times sqrt(2), and the second is the leading
+    corner; with N even the first block's last diagonal entry gains the
+    middle coupling and the second's loses it.
+    """
+    c = d.size // 2
+    if d.size % 2:
+        return (d[:c + 1], np.append(e[:c - 1], math.sqrt(2.0) * e[c - 1])), (d[:c], e[:c - 1])
+    return tuple((np.append(d[:c - 1], d[c - 1] + mid), e[:c - 1])
+                 for mid in (e[c - 1], -e[c - 1]))
+
+
+def _unfold(psi: np.ndarray, n: int, sign: np.ndarray) -> np.ndarray:
+    """Unit vectors of order n from unit block vectors ``psi`` (columns, see _fold).
+
+    Site j < n // 2 takes psi[j] / sqrt(2), its mirror n - 1 - j that times
+    sign[j]; a centre site takes psi's last entry, or 0 for the corner block.
+    """
+    c = n // 2
+    v = np.zeros((n, psi.shape[1]))
+    v[:c] = psi[:c] / math.sqrt(2.0)
+    if psi.shape[0] > c:
+        v[c] = psi[c]
+    v[n - c:] = (sign[:, None] * v[:c])[::-1]
+    return v
 
 
 def _bisection_tol(d: np.ndarray, e: np.ndarray) -> float:
@@ -155,6 +212,17 @@ def _bisect_near(d: np.ndarray, e: np.ndarray, guesses: np.ndarray, tol: float,
     return w
 
 
+def _levels(base, fine, k: int, tol: float, floor: float):
+    """Lowest k levels and vectors of the tridiagonal (d, e) ``base``, and the k
+    matching levels of ``fine``: bisected near the base levels, by index when
+    that is not certified."""
+    w, vecs = _tridiag_eigs(*base, k, with_vectors=True)
+    w_fine = _bisect_near(*fine, w, tol, floor, 0)
+    if w_fine is None:
+        w_fine = _tridiag_eigs(*fine, k, with_vectors=False)
+    return w, vecs, w_fine
+
+
 def _free_eigs(grid: QGrid, k: int, with_vectors: bool):
     """Lowest k eigenpairs of tridiag(-1, 2, -1)/h^2 of order n, in closed form.
 
@@ -177,6 +245,11 @@ def solve_fixed(potential: PotentialField, k_states: int) -> SpectrumResult:
     by index; each h/2 level in a window around its h level, to the h
     grid's tolerance, with min V as the floor of the Sturm-count check, or
     by index when that check fails.
+
+    An ``even`` field is folded: (V + V[::-1]) / 2 on the first ceil(n/2)
+    nodes makes an even and an odd block (see _fold), each solved as above.
+    Vector j has j sign changes, so the even block supplies levels 0, 2,
+    4, ... and the odd block 1, 3, ...; vectors unfold by mirroring.
     """
     if k_states < 1:
         raise InvalidParameterError("k_states must be >= 1")
@@ -197,15 +270,23 @@ def solve_fixed(potential: PotentialField, k_states: int) -> SpectrumResult:
         w_fine = _free_eigs(grid.refined(), k_states, with_vectors=False)
     else:
         offset = 0.0
-        w, vecs = _tridiag_eigs(potential.values, grid.h, k_states, with_vectors=True)
         fine = potential.on_grid(grid.refined())
         if np.any(fine.singular):
             raise SingularNodeError("refined grid produced singular nodes")
-        w_fine = _bisect_near(*_schrodinger(fine.values, fine.grid.h), w,
-                              _bisection_tol(*_schrodinger(potential.values, grid.h)),
-                              float(np.min(fine.values)), 0)
-        if w_fine is None:
-            w_fine = _tridiag_eigs(fine.values, fine.grid.h, k_states, with_vectors=False)
+        values, fine_values = potential.values, fine.values
+        if potential.even:
+            values, fine_values = _symmetrized(values), _symmetrized(fine_values)
+        base, refined = _schrodinger(values, grid.h), _schrodinger(fine_values, fine.grid.h)
+        tol, floor = _bisection_tol(*base), float(np.min(fine_values))
+        if potential.even:
+            w, vecs, w_fine = np.empty(k_states), np.empty((grid.n, k_states)), np.empty(k_states)
+            for p, blocks in enumerate(zip(_fold(*base), _fold(*refined))):
+                count = (k_states + 1 - p) // 2  # levels p, p + 2, p + 4, ...
+                if count:
+                    w[p::2], psi, w_fine[p::2] = _levels(*blocks, count, tol, floor)
+                    vecs[:, p::2] = _unfold(psi, grid.n, np.full(grid.n // 2, 1.0 - 2.0 * p))
+        else:
+            w, vecs, w_fine = _levels(base, refined, k_states, tol, floor)
 
     pairs: List[EigenPair] = []
     energies: List[Tuple[float, float]] = []
@@ -242,14 +323,56 @@ def _lattice_eigs(u: np.ndarray, h: float, k_states: int, with_vectors: bool):
     eigenvalue.
     """
     n = u.size // 2
-    out = eigh_tridiagonal(*_staggered(u, h), select="i",
-                           select_range=(n, n + k_states), eigvals_only=not with_vectors)
+    out = _tridiag_eigs(*_staggered(u, h), k_states + 1, with_vectors, first=n)
     w = out[0] if with_vectors else out
     floor = _inertia_floor(u, h)
     if not w[0] < floor < w[1]:
         raise NonConvergenceError(f"lattice inertia: eigenvalues {n} and {n + 1} are "
                                   f"{w[0]:g} and {w[1]:g}, not <= 0 and > 0")
     return out
+
+
+def _lattice_blocks(d: np.ndarray, e: np.ndarray, below: int, floor: float):
+    """Parity blocks of a staggered lattice, and how many eigenvalues of each
+    lie at or under ``floor``; those counts must sum to ``below``."""
+    blocks = _fold(d, e)
+    counts = [_count(*block, -math.inf, floor) for block in blocks]
+    if sum(counts) != below:
+        raise NonConvergenceError(f"lattice inertia: the parity blocks hold {counts[0]} + "
+                                  f"{counts[1]} eigenvalues <= {floor:g}, not {below}")
+    return blocks, counts
+
+
+def _lattice_folded(coarse, fine, k_states: int, tol: float, floors):
+    """Levels, unit vectors and refined levels of an even lattice from its
+    parity blocks (see solve_exact), or None when the coarse blocks are not
+    certified."""
+    n = coarse[0].size // 2
+    blocks, counts = _lattice_blocks(*coarse, n + 1, floors[0])
+    half = (k_states + 1) // 2
+    found = [_tridiag_eigs(*block, half, True, first=c) for block, c in zip(blocks, counts)]
+    lam = np.concatenate([w for w, _ in found])
+    order = np.argsort(lam, kind="stable")[:k_states]
+    parity, rank = order // half, order % half
+    top = lam[order[-1]] + max(1e-6 * abs(lam[order[-1]]), tol)
+    used = [int(np.count_nonzero(parity == p)) for p in (0, 1)]
+    if any(_count(*block, floors[0], top) != m for block, m in zip(blocks, used)):
+        return None
+    fine_blocks, fine_counts = _lattice_blocks(*fine, 2 * n + 2, floors[1])
+    if n % 2 == 0:  # the centre's block is P-even here; on the fine lattice it is P-odd
+        fine_blocks, fine_counts = fine_blocks[::-1], fine_counts[::-1]
+    sign = np.where(np.arange(n) % 2 == n % 2, 1.0, -1.0)  # (-1)^(n + j) for the centre block
+    vecs, w_fine = np.empty((2 * n + 1, k_states)), np.empty(k_states)
+    for p in (0, 1):
+        if not used[p]:
+            continue
+        cols = parity == p
+        vecs[:, cols] = _unfold(found[p][1][:, rank[cols]], 2 * n + 1, (1.0 - 2.0 * p) * sign)
+        levels = _bisect_near(*fine_blocks[p], found[p][0][:used[p]], tol, floors[1],
+                              fine_counts[p])
+        w_fine[cols] = levels if levels is not None else _tridiag_eigs(
+            *fine_blocks[p], used[p], False, first=fine_counts[p])
+    return lam[order], vecs, w_fine
 
 
 def solve_exact(model: ModelSpec, tmap: TransformMap, n: int,
@@ -267,6 +390,13 @@ def solve_exact(model: ModelSpec, tmap: TransformMap, n: int,
     eigenvalues at or under the inertia floor as part of the Sturm-count
     check, or by index (and the inertia test there) when that check fails.
     Vectors have h sum(phi1^2 + chi^2) = 1 and phi1 > 0 at its largest sample.
+
+    For an even model on a symmetric q-range the lattice commutes with
+    P = diag((-1)^j) J and is solved as two parity blocks (_lattice_folded):
+    per-block Sturm counts give each block's inertia, which must sum to n+1
+    (2n+2 on the fine lattice); each block gives ceil(k/2) levels, the lowest
+    k are kept, and counts certify that no block holds more of them than it
+    supplied, or the full lattice is solved.
     """
     if not 1 <= k_states <= n // 2:
         raise InsufficientResolutionError(f"cannot resolve {k_states} states on {n} nodes")
@@ -276,20 +406,30 @@ def solve_exact(model: ModelSpec, tmap: TransformMap, n: int,
     grid = QGrid(tmap.q_lo, tmap.q_hi, n, offset=False)
     u_fine = product_u(model, tmap.inverse_grid(
         tmap.q_lo + np.arange(1, 4 * n + 4) * (0.25 * grid.h)))[0]
-    w, vecs = _lattice_eigs(u_fine[1::2], grid.h, k_states, with_vectors=True)
-    w_fine = _bisect_near(*_staggered(u_fine, 0.5 * grid.h), w[1:],
-                          _bisection_tol(*_staggered(u_fine[1::2], grid.h)),
-                          _inertia_floor(u_fine, 0.5 * grid.h), 2 * n + 2)
-    if w_fine is None:
-        w_fine = _lattice_eigs(u_fine, 0.5 * grid.h, k_states, with_vectors=False)[1:]
+    even = model.facts.even and tmap.x0 == model.anchor and grid.lo == -grid.hi
+    if even:
+        u_fine = _symmetrized(u_fine)
+    u = u_fine[1::2]
+    coarse, fine = _staggered(u, grid.h), _staggered(u_fine, 0.5 * grid.h)
+    tol = _bisection_tol(*coarse)
+    floors = _inertia_floor(u, grid.h), _inertia_floor(u_fine, 0.5 * grid.h)
+    solved = _lattice_folded(coarse, fine, k_states, tol, floors) if even else None
+    if solved is None:
+        w, vecs = _lattice_eigs(u, grid.h, k_states, with_vectors=True)
+        w, vecs = w[1:], vecs[:, 1:]
+        w_fine = _bisect_near(*fine, w, tol, floors[1], 2 * n + 2)
+        if w_fine is None:
+            w_fine = _lattice_eigs(u_fine, 0.5 * grid.h, k_states, with_vectors=False)[1:]
+    else:
+        w, vecs, w_fine = solved
     pairs, energies = [], []
-    for k in range(1, k_states + 1):
-        e = float((4.0 * w_fine[k - 1] - w[k]) / 3.0)
+    for k in range(k_states):
+        e = float((4.0 * w_fine[k] - w[k]) / 3.0)
         vec = vecs[:, k] / math.sqrt(grid.h)
         vec = vec * math.copysign(1.0, vec[1 + 2 * int(np.argmax(np.abs(vec[1::2])))])
         pairs.append(EigenPair(lam=e * e, phi=vec[1::2], grid=grid,
                                nodes=count_nodes(vec[1::2]),
-                               error_estimate=float(2.0 * e * abs(w[k] - w_fine[k - 1]) / 3.0),
+                               error_estimate=float(2.0 * e * abs(w[k] - w_fine[k]) / 3.0),
                                chi=vec[0::2]))
         energies.append((e, -e))
     return SpectrumResult(pairs=tuple(pairs), energies=tuple(energies), mode=EXACT,

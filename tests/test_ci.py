@@ -1,4 +1,4 @@
-"""The CI workflow parses as YAML, its benchmark runs name declared workloads, and
+"""The CI workflow parses as YAML, its benchmark runs cover exactly the declared workloads, and
 the benchmark's layer tracer still finds every name it wraps in the package."""
 
 import json
@@ -23,6 +23,8 @@ def test_workflow_parses_and_runs_declared_workloads():
                 json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["workloads"]}
     assert named, "the workflow runs no benchmark workload"
     assert set(named) <= declared, f"undeclared workloads: {sorted(set(named) - declared)}"
+    # every one runs: exact_sc alone reaches the folded lattice, scan alone resumed scans
+    assert declared <= set(named), f"workloads not run: {sorted(declared - set(named))}"
 
 
 def test_tracer_installs_against_src():

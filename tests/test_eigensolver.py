@@ -6,6 +6,8 @@ import pytest
 
 from diracpd import eigensolver
 from diracpd import (
+    MassProfile,
+    ModelSpec,
     PotentialField,
     QGrid,
     approx_potential,
@@ -19,6 +21,7 @@ from diracpd import (
     solve_exact,
     solve_fixed,
     solve_self_consistent,
+    VelocityProfile,
 )
 from diracpd.errors import (
     ImaginaryEnergyError,
@@ -129,15 +132,17 @@ class TestSolveFixed:
     def test_closed_form_matches_lapack(self, offset):
         grid = QGrid(-1.3, 2.1, 2000, offset=offset)
         w, vecs = eigensolver._free_eigs(grid, 5, with_vectors=True)
-        w_lapack, vecs_lapack = eigensolver._tridiag_eigs(np.zeros(grid.n), grid.h, 5,
-                                                          with_vectors=True)
+        w_lapack, vecs_lapack = eigensolver._tridiag_eigs(
+            *eigensolver._schrodinger(np.zeros(grid.n), grid.h), 5, with_vectors=True)
         assert np.max(np.abs(w - w_lapack) / w_lapack) <= 1e-9
         vecs = vecs / np.linalg.norm(vecs, axis=0)
         vecs *= np.sign(np.sum(vecs * vecs_lapack, axis=0))
         assert np.max(np.abs(vecs - vecs_lapack)) <= 1e-10
 
     def test_only_approximate_mode_bisects(self, monkeypatch):
-        # one index-range bisection, on the base grid; the refined grid bisects by value
+        # index-range bisection only on the base grid: once per parity block, on
+        # ceil(n/2) rows, for an even field, once on all n rows otherwise; the
+        # refined grid bisects by value
         calls = []
         real = eigensolver.eigh_tridiagonal
 
@@ -154,10 +159,14 @@ class TestSolveFixed:
         assert calls == []
         pt = builtin_model("poschl_teller", alpha=1, v0=1, m0=1)
         tmap = build_transform(pt.velocity, pt.anchor)
-        solve_fixed(approx_potential(pt, QGrid(tmap.q_lo, tmap.q_hi, 2000, offset=True),
-                                     tmap), 3)
-        assert calls[0] == ("i", 2000)
-        assert len(calls) > 1 and all(select == "v" for select, _ in calls[1:])
+        field = approx_potential(pt, QGrid(tmap.q_lo, tmap.q_hi, 2000, offset=True), tmap)
+        assert field.even
+        for f, rows in ((field, [1000, 1000]), (dataclasses.replace(field, even=False), [2000])):
+            calls.clear()
+            solve_fixed(f, 3)
+            assert calls[0] == ("i", rows[0])
+            assert [size for select, size in calls if select == "i"] == rows
+            assert len(calls) > len(rows) and all(select in "iv" for select, _ in calls)
 
     def test_constant_u_at_machine_precision(self):
         # bisection left 5.4e-8 on level 0 here; the closed form leaves rounding only
@@ -298,6 +307,20 @@ class TestSolveExact:
         tmap = build_transform(model.velocity, model.anchor)
         with pytest.raises(NonConvergenceError, match="inertia"):
             solve_exact(flipped, tmap, 200, 1)
+        # either parity block of either lattice (401 and 803 sites) sunk under the floor
+        real_fold = eigensolver._fold
+        for sites in (401, 803):
+            for p in (0, 1):
+                def sunk(d, e, sites=sites, p=p):
+                    blocks = list(real_fold(d, e))
+                    if d.size == sites:
+                        blocks[p] = (blocks[p][0] - 1e4, blocks[p][1])
+                    return tuple(blocks)
+
+                monkeypatch.setattr(eigensolver, "_fold", sunk)
+                with pytest.raises(NonConvergenceError, match="inertia"):
+                    solve_exact(model, tmap, 200, 1)
+        monkeypatch.setattr(eigensolver, "_fold", real_fold)
         # u < 0 on the sites only the refined lattice has: the coarse lattice is
         # sound, the refined one's count up to the floor is not 2n + 2
         real = eigensolver.product_u
@@ -331,7 +354,8 @@ def pt_matrices(n, lattice):
         return d, e, w, tol, eigensolver._inertia_floor(u, 0.5 * grid.h), 2 * n + 2
     field = approx_potential(model, QGrid(tmap.q_lo, tmap.q_hi, n, offset=True), tmap)
     fine = field.on_grid(field.grid.refined())
-    w = eigensolver._tridiag_eigs(field.values, field.grid.h, 4, with_vectors=False)
+    w = eigensolver._tridiag_eigs(*eigensolver._schrodinger(field.values, field.grid.h), 4,
+                                  with_vectors=False)
     tol = eigensolver._bisection_tol(*eigensolver._schrodinger(field.values, field.grid.h))
     d, e = eigensolver._schrodinger(fine.values, fine.grid.h)
     return d, e, w, tol, float(np.min(fine.values)), 0
@@ -354,16 +378,128 @@ class TestRefinedBrackets:
         assert eigensolver._bisect_near(d, e, guesses, tol, floor, below + 1) is None
 
     def test_coarse_grid_falls_back_to_index_range(self):
-        # n = 64, k = 32: the refined levels shift by more than half a gap, so
-        # the windows are not certified and the refined grid is bisected by index
+        # n = 64, k = 32: the refined levels shift by more than half a gap, so in
+        # neither parity block are the windows certified, and each refined block
+        # is bisected by index
         pt = builtin_model("poschl_teller", alpha=1, v0=1, m0=1)
         tmap = build_transform(pt.velocity, pt.anchor)
         field = approx_potential(pt, QGrid(tmap.q_lo, tmap.q_hi, 64, offset=True), tmap)
         res = solve_fixed(field, 32)
         fine = field.on_grid(field.grid.refined())
-        w = eigensolver._tridiag_eigs(field.values, field.grid.h, 32, with_vectors=False)
-        w_fine = eigensolver._tridiag_eigs(fine.values, fine.grid.h, 32, with_vectors=False)
+        values = eigensolver._symmetrized(field.values)
+        base = eigensolver._fold(*eigensolver._schrodinger(values, field.grid.h))
+        refined = eigensolver._fold(*eigensolver._schrodinger(
+            eigensolver._symmetrized(fine.values), fine.grid.h))
+        tol = eigensolver._bisection_tol(*eigensolver._schrodinger(values, field.grid.h))
+        w, w_fine = np.empty(32), np.empty(32)
+        for p in (0, 1):
+            w[p::2] = eigensolver._tridiag_eigs(*base[p], 16, with_vectors=False)
+            assert eigensolver._bisect_near(*refined[p], w[p::2], tol,
+                                            float(np.min(fine.values)), 0) is None
+            w_fine[p::2] = eigensolver._tridiag_eigs(*refined[p], 16, with_vectors=False)
         assert [p.lam for p in res.pairs] == list((4.0 * w_fine - w) / 3.0)
+
+
+def unit_vectors(pair):
+    """The pair's vector (phi, and chi on the lattice), scaled to unit norm."""
+    v = pair.phi if pair.chi is None else np.concatenate((pair.phi, pair.chi))
+    return v / np.linalg.norm(v)
+
+
+def assert_same_states(folded, full, tol):
+    assert len(folded.pairs) == len(full.pairs)
+    for k, (a, b) in enumerate(zip(folded.pairs, full.pairs)):
+        assert a.nodes == b.nodes == k
+        assert abs(folded.energies[k][0] - full.energies[k][0]) <= tol
+        va, vb = unit_vectors(a), unit_vectors(b)
+        assert np.max(np.abs(va * np.sign(va @ vb) - vb)) <= 1e-8
+
+
+def not_even(model):
+    return dataclasses.replace(model, facts=dataclasses.replace(model.facts, even=False))
+
+
+class TestParityFold:
+    """Even models solve two parity blocks; the levels and vectors are the full solve's."""
+
+    @pytest.mark.parametrize("k", [1, 4, 5])
+    @pytest.mark.parametrize("name,n,offset", [
+        ("poschl_teller", 2000, True), ("poschl_teller", 2001, True),
+        ("cosh_square", 2000, False), ("cosh_square", 2001, False),
+        ("rational", 2001, False)])
+    def test_approximate_mode_matches_full_solve(self, name, n, offset, k):
+        model = builtin_model(name, alpha=1.43, v0=1.9, m0=2.63)
+        tmap = build_transform(model.velocity, model.anchor)
+        field = approx_potential(model, QGrid(tmap.q_lo, tmap.q_hi, n, offset=offset), tmap)
+        assert field.even
+        full = solve_fixed(dataclasses.replace(field, even=False), k)
+        tol = eigensolver._bisection_tol(*eigensolver._schrodinger(field.values, field.grid.h))
+        folded = solve_fixed(field, k)
+        for a, b in zip(folded.pairs, full.pairs):
+            assert abs(a.lam - b.lam) <= 2.0 * tol
+        assert_same_states(folded, full, math.inf)
+
+    @pytest.mark.parametrize("n", [1999, 2000, 2001])
+    @pytest.mark.parametrize("name,m0", [("poschl_teller", 2.63), ("cosh_square", 0.0)])
+    def test_lattice_matches_full_solve(self, name, m0, n):
+        model = builtin_model(name, alpha=1.43, v0=1.9, m0=m0)
+        tmap = build_transform(model.velocity, model.anchor)
+        h = QGrid(tmap.q_lo, tmap.q_hi, n).h
+        u = eigensolver.product_u(model, tmap.inverse_grid(
+            tmap.q_lo + np.arange(1, 2 * n + 2) * (0.5 * h)))[0]
+        tol = eigensolver._bisection_tol(*eigensolver._staggered(u, h))
+        for k in (1, 4, 5):
+            assert_same_states(solve_exact(model, tmap, n, k),
+                               solve_exact(not_even(model), tmap, n, k), 2.0 * tol)
+
+    def test_uncertified_blocks_take_the_full_lattice(self, monkeypatch):
+        # counts that find a level more in a coarse block (400 or 401 rows) than
+        # it supplied: the 801-site lattice is solved whole
+        real_count, real_eigs = eigensolver._count, eigensolver.eigh_tridiagonal
+        monkeypatch.setattr(eigensolver, "_count", lambda d, e, lo, hi: real_count(d, e, lo, hi)
+                            + (d.size <= 401 and lo > -math.inf))
+        calls = []
+        monkeypatch.setattr(eigensolver, "eigh_tridiagonal", lambda d, *args, **kwargs: (
+            calls.append((kwargs["select"], d.size)) or real_eigs(d, *args, **kwargs)))
+        model = builtin_model("poschl_teller", alpha=1.43, v0=1.9, m0=2.63)
+        tmap = build_transform(model.velocity, model.anchor)
+        folded = solve_exact(model, tmap, 400, 3)
+        assert ("i", 801) in calls
+        monkeypatch.setattr(eigensolver, "_count", real_count)
+        assert_same_states(folded, solve_exact(not_even(model), tmap, 400, 3), 1e-9)
+
+    def test_only_centred_even_models_fold(self, monkeypatch):
+        folds = []
+        real = eigensolver._fold
+        monkeypatch.setattr(eigensolver, "_fold", lambda d, e: folds.append(d.size) or real(d, e))
+        pt = builtin_model("poschl_teller", alpha=1, v0=1, m0=1)
+        clone = ModelSpec("clone", MassProfile.from_callable(pt.mass.func, pt.mass.dfunc,
+                                                             pt.mass.d2func, pt.domain),
+                          VelocityProfile.from_callable(pt.velocity.func, domain=pt.domain),
+                          pt.domain, {}, "clone", anchor=pt.anchor)
+        for model, x0 in ((clone, pt.anchor), (pt, pt.anchor + 0.1)):
+            tmap = build_transform(model.velocity, x0)
+            field = approx_potential(model, QGrid(tmap.q_lo, tmap.q_hi, 400, offset=True), tmap)
+            assert not field.even
+            solve_fixed(field, 3)
+            solve_exact(model, tmap, 400, 3)
+        assert folds == []
+        tmap = build_transform(pt.velocity, pt.anchor)
+        solve_exact(pt, tmap, 400, 3)
+        assert folds == [801, 1603]
+
+    def test_asymmetric_field_declared_even_raises(self):
+        model = builtin_model("cosh_square", alpha=1, v0=1, m0=1)
+        skewed = dataclasses.replace(model, u_closed=(
+            lambda x: 1.0 + 1e-3 * np.tanh(x), lambda x: 1e-3 / np.cosh(x) ** 2,
+            lambda x: -2e-3 * np.tanh(x) / np.cosh(x) ** 2))
+        assert skewed.facts.even
+        tmap = build_transform(model.velocity, model.anchor)
+        field = approx_potential(skewed, QGrid(tmap.q_lo, tmap.q_hi, 400), tmap)
+        with pytest.raises(InvalidParameterError, match="even differs from its mirror at node 0"):
+            solve_fixed(field, 3)
+        with pytest.raises(InvalidParameterError, match="even differs from its mirror at node 0"):
+            solve_exact(skewed, tmap, 400, 3)
 
 
 class TestExpandUntilSettled:
