@@ -17,13 +17,12 @@ When a window holds more than one level, or the counts disagree, the refined
 grid is bisected by index like the base grid. The exact-mode lattice
 (solve_exact) refines the same way.
 
-A model that declares ``ModelFacts.even``, on a map anchored at its anchor
-and a q-range symmetric about it, gives matrices that commute with a
-reflection; both solvers then split each matrix exactly into two parity
-blocks of half the size (Cantoni & Butler, Linear Algebra Appl. 13 (1976)
-275) and bisect those instead, with the values averaged with their mirror
-first. A field so declared that differs from its mirror by more than 1e-8
-relative raises InvalidParameterError.
+When the sampled potential (or u, on the lattice) matches its mirror to
+1e-8 relative, as the paper's even models do on their whole q-range, it
+is averaged with its mirror; the matrices then commute with a reflection,
+and both solvers split each one exactly into two parity blocks of half
+the size (Cantoni & Butler, Linear Algebra Appl. 13 (1976) 275) and
+bisect those instead.
 
 In constant-u mode the operator solved is the free one and the constant
 A^2 is kept as a spectral offset, so lambda is exactly E^2 - A^2. The free
@@ -94,6 +93,7 @@ def count_nodes(phi: np.ndarray) -> int:
 
 
 def _canonical_sign(phi: np.ndarray) -> np.ndarray:
+    """phi or -phi, positive at its largest sample (the first of equal ones)."""
     i = int(np.argmax(np.abs(phi)))
     return -phi if phi[i] < 0 else phi
 
@@ -110,20 +110,15 @@ def _tridiag_eigs(d: np.ndarray, e: np.ndarray, k: int, with_vectors: bool, firs
                             eigvals_only=not with_vectors)
 
 
-def _symmetrized(values: np.ndarray) -> np.ndarray:
-    """(values + values[::-1]) / 2 of samples their model declares even.
-
-    Raises InvalidParameterError naming the first node that differs from its
-    mirror by more than 1e-8 of its own magnitude (or of 1, if that is larger).
-    """
-    mirror = values[::-1]
-    bad = np.flatnonzero(np.abs(values - mirror) > 1e-8 * np.maximum(np.abs(values), 1.0))
-    if bad.size:
-        j = int(bad[0])
-        raise InvalidParameterError(
-            f"field declared even differs from its mirror at node {j} of {values.size}: "
-            f"{values[j]:.17g} against {mirror[j]:.17g}, more than 1e-8 relative")
-    return 0.5 * (values + mirror)
+def _symmetrized(*samples: np.ndarray) -> Optional[Tuple[np.ndarray, ...]]:
+    """(s + s[::-1]) / 2 of each array s when each sample in the first half of
+    every one matches its mirror to 1e-8 of its own magnitude (or of 1, if
+    that is larger); None otherwise, and for NaN samples."""
+    for s in samples:
+        head, mirror = s[:s.size // 2], s[:(s.size - 1) // 2:-1]
+        if not np.all(np.abs(head - mirror) <= 1e-8 * np.maximum(np.abs(head), 1.0)):
+            return None
+    return tuple(0.5 * (s + s[::-1]) for s in samples)
 
 
 def _fold(d: np.ndarray, e: np.ndarray):
@@ -246,10 +241,12 @@ def solve_fixed(potential: PotentialField, k_states: int) -> SpectrumResult:
     grid's tolerance, with min V as the floor of the Sturm-count check, or
     by index when that check fails.
 
-    An ``even`` field is folded: (V + V[::-1]) / 2 on the first ceil(n/2)
-    nodes makes an even and an odd block (see _fold), each solved as above.
-    Vector j has j sign changes, so the even block supplies levels 0, 2,
-    4, ... and the odd block 1, 3, ...; vectors unfold by mirroring.
+    A field whose values on both grids match their mirror (_symmetrized) is
+    folded: (V + V[::-1]) / 2 on the first ceil(n/2) nodes makes an even and
+    an odd block (see _fold), each solved as above. Vector j has j sign
+    changes, so the even block supplies levels 0, 2, 4, ... and the odd
+    block 1, 3, ...; vectors unfold by mirroring, and an odd vector is
+    positive at the left one of its two largest samples.
     """
     if k_states < 1:
         raise InvalidParameterError("k_states must be >= 1")
@@ -273,12 +270,11 @@ def solve_fixed(potential: PotentialField, k_states: int) -> SpectrumResult:
         fine = potential.on_grid(grid.refined())
         if np.any(fine.singular):
             raise SingularNodeError("refined grid produced singular nodes")
-        values, fine_values = potential.values, fine.values
-        if potential.even:
-            values, fine_values = _symmetrized(values), _symmetrized(fine_values)
+        even = _symmetrized(potential.values, fine.values)
+        values, fine_values = even or (potential.values, fine.values)
         base, refined = _schrodinger(values, grid.h), _schrodinger(fine_values, fine.grid.h)
         tol, floor = _bisection_tol(*base), float(np.min(fine_values))
-        if potential.even:
+        if even:
             w, vecs, w_fine = np.empty(k_states), np.empty((grid.n, k_states)), np.empty(k_states)
             for p, blocks in enumerate(zip(_fold(*base), _fold(*refined))):
                 count = (k_states + 1 - p) // 2  # levels p, p + 2, p + 4, ...
@@ -389,9 +385,10 @@ def solve_exact(model: ModelSpec, tmap: TransformMap, n: int,
     around its coarse level, to the coarse lattice's tolerance, with 2n+2
     eigenvalues at or under the inertia floor as part of the Sturm-count
     check, or by index (and the inertia test there) when that check fails.
-    Vectors have h sum(phi1^2 + chi^2) = 1 and phi1 > 0 at its largest sample.
+    Vectors have h sum(phi1^2 + chi^2) = 1 and phi1 > 0 at its largest
+    sample (the first of equal ones).
 
-    For an even model on a symmetric q-range the lattice commutes with
+    When u matches its mirror (_symmetrized) the lattice commutes with
     P = diag((-1)^j) J and is solved as two parity blocks (_lattice_folded):
     per-block Sturm counts give each block's inertia, which must sum to n+1
     (2n+2 on the fine lattice); each block gives ceil(k/2) levels, the lowest
@@ -406,9 +403,9 @@ def solve_exact(model: ModelSpec, tmap: TransformMap, n: int,
     grid = QGrid(tmap.q_lo, tmap.q_hi, n, offset=False)
     u_fine = product_u(model, tmap.inverse_grid(
         tmap.q_lo + np.arange(1, 4 * n + 4) * (0.25 * grid.h)))[0]
-    even = model.facts.even and tmap.x0 == model.anchor and grid.lo == -grid.hi
+    even = _symmetrized(u_fine)
     if even:
-        u_fine = _symmetrized(u_fine)
+        u_fine = even[0]
     u = u_fine[1::2]
     coarse, fine = _staggered(u, grid.h), _staggered(u_fine, 0.5 * grid.h)
     tol = _bisection_tol(*coarse)

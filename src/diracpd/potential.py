@@ -82,9 +82,7 @@ class PotentialField:
 
     ``evaluator`` rebuilds the values on another grid between the same
     walls, which is what eigenvalue refinement needs. Values at flagged
-    (singular) nodes are NaN by convention. ``even``: the values are even
-    about the grid's centre (``ModelFacts.even`` on a symmetric grid), and
-    solve_fixed folds them into two parity blocks.
+    (singular) nodes are NaN by convention.
     """
 
     grid: QGrid
@@ -94,7 +92,6 @@ class PotentialField:
     energy: Optional[float] = None
     constant_a: Optional[float] = None
     evaluator: Optional[Callable[[QGrid], "PotentialField"]] = None
-    even: bool = False
 
     def on_grid(self, grid: QGrid) -> "PotentialField":
         if self.evaluator is None:
@@ -160,9 +157,7 @@ def approx_potential(model: ModelSpec, grid: QGrid,
     """Energy-independent potential (non-relativistic reduction).
 
     Requires m(x) > 0 strictly inside the domain; a massless model is
-    rejected outright, isolated interior zeros are flagged singular. The
-    field is ``even`` when the model declares it, the map is anchored at
-    the model's anchor and the grid is symmetric about q = 0.
+    rejected outright, isolated interior zeros are flagged singular.
     """
     with np.errstate(all="ignore"):  # a product that overflows is left out below
         u_probe, _, _ = product_u(model, interior_sample(model.domain))
@@ -182,9 +177,7 @@ def approx_potential(model: ModelSpec, grid: QGrid,
         vals = np.where(singular, np.nan, vals)
         singular = singular | ~np.isfinite(vals)
         vals = np.where(singular, np.nan, vals)
-        return PotentialField(g, vals, APPROXIMATE, singular, evaluator=build,
-                              even=model.facts.even and tmap.x0 == model.anchor
-                              and g.lo == -g.hi)
+        return PotentialField(g, vals, APPROXIMATE, singular, evaluator=build)
 
     return build(grid)
 

@@ -217,9 +217,6 @@ class ModelFacts:
     the verified ladder (stride 0: no verified ladder; listed alone).
     ``parameters``: (label, thunk) pairs the report prints before the
     levels; a thunk raises InvalidParameterError where it is complex.
-    ``even``: u(x(q)) is even in q about the anchor, so on a q-range
-    symmetric about it both eigensolvers split into two parity blocks of
-    half the size (a field that is not even then raises).
     """
 
     first_level: int = 0
@@ -228,7 +225,6 @@ class ModelFacts:
     published: str = ""
     published_stride: int = 0
     parameters: Tuple[Tuple[str, Callable[[], float]], ...] = ()
-    even: bool = False
 
 
 @dataclass(frozen=True)
@@ -368,14 +364,14 @@ def _require(params: Mapping[str, float], model: str, names, positive, nonneg):
     return out
 
 
-def _constant_u(A: float, first_level: int = 0, even: bool = False):
+def _constant_u(A: float, first_level: int = 0):
     """u_closed and facts of a model with m v_F^2 = A identically."""
     def zero(x):
         return 0.0 * np.asarray(x, dtype=float)
 
     claims = ((("constant A^2", lambda q: np.full_like(np.asarray(q, dtype=float), A * A)),)
               if A > 0 else ())  # a massless model's potential is identically zero
-    return (lambda x: A + zero(x), zero, zero), ModelFacts(first_level, claims, even=even)
+    return (lambda x: A + zero(x), zero, zero), ModelFacts(first_level, claims)
 
 
 def _cosh_square(params) -> ModelSpec:
@@ -398,7 +394,7 @@ def _cosh_square(params) -> ModelSpec:
         / np.cosh(a * x) ** 4,
         domain=dom,
     )
-    u_closed, facts = _constant_u(m0 * v0 * v0, first_level=1, even=True)
+    u_closed, facts = _constant_u(m0 * v0 * v0, first_level=1)
     return ModelSpec("cosh_square", mass, vel, dom, p,
                      "cosh^2 velocity / sech^4 mass", anchor=0.0, u_closed=u_closed,
                      map_key=("cosh_square", a, v0), facts=facts)
@@ -424,7 +420,7 @@ def _rational(params) -> ModelSpec:
         / (1.0 + (a * x) ** 2) ** 4,
         domain=dom,
     )
-    u_closed, facts = _constant_u(m0 * v0 * v0, first_level=1, even=True)
+    u_closed, facts = _constant_u(m0 * v0 * v0, first_level=1)
     return ModelSpec("rational", mass, vel, dom, p,
                      "rational velocity / rational mass", anchor=0.0, u_closed=u_closed,
                      map_key=("rational", a, v0), facts=facts)
@@ -466,8 +462,7 @@ def _poschl_teller(params) -> ModelSpec:
                   "states the published solution family skips)",
         published_stride=2,
         parameters=(("s (verified)", lambda: s_parameter(a, v0, m0)),
-                    ("s (as-published)", lambda: s_parameter(a, v0, m0, as_published=True))),
-        even=True)
+                    ("s (as-published)", lambda: s_parameter(a, v0, m0, as_published=True))))
     return ModelSpec("poschl_teller", mass, vel, dom, p,
                      "constant velocity / 1/sin mass", anchor=x0, u_closed=u_closed,
                      map_key=("poschl_teller", a, v0), facts=facts)

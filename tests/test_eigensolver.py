@@ -141,8 +141,8 @@ class TestSolveFixed:
 
     def test_only_approximate_mode_bisects(self, monkeypatch):
         # index-range bisection only on the base grid: once per parity block, on
-        # ceil(n/2) rows, for an even field, once on all n rows otherwise; the
-        # refined grid bisects by value
+        # ceil(n/2) rows, for a field even about the grid's centre, once on all
+        # n rows otherwise; the refined grid bisects by value
         calls = []
         real = eigensolver.eigh_tridiagonal
 
@@ -160,8 +160,10 @@ class TestSolveFixed:
         pt = builtin_model("poschl_teller", alpha=1, v0=1, m0=1)
         tmap = build_transform(pt.velocity, pt.anchor)
         field = approx_potential(pt, QGrid(tmap.q_lo, tmap.q_hi, 2000, offset=True), tmap)
-        assert field.even
-        for f, rows in ((field, [1000, 1000]), (dataclasses.replace(field, even=False), [2000])):
+        cosh = builtin_model("cosh_square", alpha=1, v0=1, m0=1)
+        skewed = approx_potential(dataclasses.replace(cosh, u_closed=SKEWED_U),
+                                  QGrid(tmap.q_lo, tmap.q_hi, 2000, offset=True), tmap)
+        for f, rows in ((field, [1000, 1000]), (skewed, [2000])):
             calls.clear()
             solve_fixed(f, 3)
             assert calls[0] == ("i", rows[0])
@@ -336,6 +338,13 @@ class TestSolveExact:
             solve_exact(model, tmap, 200, 1)
 
 
+# u, u' and u'' with an odd part of 1e-3, and of an even, non-constant u
+SKEWED_U = (lambda x: 1.0 + 1e-3 * np.tanh(x), lambda x: 1e-3 / np.cosh(x) ** 2,
+            lambda x: -2e-3 * np.tanh(x) / np.cosh(x) ** 2)
+EVEN_U = (lambda x: 1.0 + 0.5 / np.cosh(x) ** 2, lambda x: -np.tanh(x) / np.cosh(x) ** 2,
+          lambda x: (2.0 * np.sinh(x) ** 2 - 1.0) / np.cosh(x) ** 4)
+
+
 def pt_matrices(n, lattice):
     """poschl_teller (1.43, 1.90, 2.63): base levels, base tolerance, refined matrix.
 
@@ -386,10 +395,9 @@ class TestRefinedBrackets:
         field = approx_potential(pt, QGrid(tmap.q_lo, tmap.q_hi, 64, offset=True), tmap)
         res = solve_fixed(field, 32)
         fine = field.on_grid(field.grid.refined())
-        values = eigensolver._symmetrized(field.values)
+        values, fine_values = eigensolver._symmetrized(field.values, fine.values)
         base = eigensolver._fold(*eigensolver._schrodinger(values, field.grid.h))
-        refined = eigensolver._fold(*eigensolver._schrodinger(
-            eigensolver._symmetrized(fine.values), fine.grid.h))
+        refined = eigensolver._fold(*eigensolver._schrodinger(fine_values, fine.grid.h))
         tol = eigensolver._bisection_tol(*eigensolver._schrodinger(values, field.grid.h))
         w, w_fine = np.empty(32), np.empty(32)
         for p in (0, 1):
@@ -415,12 +423,28 @@ def assert_same_states(folded, full, tol):
         assert np.max(np.abs(va * np.sign(va @ vb) - vb)) <= 1e-8
 
 
-def not_even(model):
-    return dataclasses.replace(model, facts=dataclasses.replace(model.facts, even=False))
+def unfolded(solve, *args):
+    """``solve(*args)`` on the whole matrices, with the parity fold switched off."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(eigensolver, "_symmetrized", lambda *samples: None)
+        return solve(*args)
 
 
 class TestParityFold:
-    """Even models solve two parity blocks; the levels and vectors are the full solve's."""
+    """Even fields solve two parity blocks; the levels and vectors are the full solve's."""
+
+    def test_mirror_test(self):
+        v = np.array([3.0, -1.0, 0.5, -1.0, 3.0])
+        assert eigensolver._symmetrized(v, v[1:-1]) is not None
+        for gap, even in ((0.9e-8, True), (1.1e-8, False)):  # of the end samples' magnitude
+            near = v.copy()
+            near[-1] *= 1.0 + gap
+            sym = eigensolver._symmetrized(near)
+            assert (sym is not None) == even
+            if even:
+                assert np.array_equal(sym[0], sym[0][::-1])
+        assert eigensolver._symmetrized(v, np.array([1.0, 2.0])) is None
+        assert eigensolver._symmetrized(np.array([np.nan, 1.0, np.nan])) is None
 
     @pytest.mark.parametrize("k", [1, 4, 5])
     @pytest.mark.parametrize("name,n,offset", [
@@ -431,12 +455,16 @@ class TestParityFold:
         model = builtin_model(name, alpha=1.43, v0=1.9, m0=2.63)
         tmap = build_transform(model.velocity, model.anchor)
         field = approx_potential(model, QGrid(tmap.q_lo, tmap.q_hi, n, offset=offset), tmap)
-        assert field.even
-        full = solve_fixed(dataclasses.replace(field, even=False), k)
+        assert eigensolver._symmetrized(field.values,
+                                        field.on_grid(field.grid.refined()).values) is not None
+        full = unfolded(solve_fixed, field, k)
         tol = eigensolver._bisection_tol(*eigensolver._schrodinger(field.values, field.grid.h))
         folded = solve_fixed(field, k)
         for a, b in zip(folded.pairs, full.pairs):
             assert abs(a.lam - b.lam) <= 2.0 * tol
+            # |phi| is exactly even: the sign is taken at the left largest sample
+            i = int(np.argmax(np.abs(a.phi)))
+            assert a.phi[i] > 0 and 2 * i < n and abs(a.phi[n - 1 - i]) == a.phi[i]
         assert_same_states(folded, full, math.inf)
 
     @pytest.mark.parametrize("n", [1999, 2000, 2001])
@@ -450,7 +478,7 @@ class TestParityFold:
         tol = eigensolver._bisection_tol(*eigensolver._staggered(u, h))
         for k in (1, 4, 5):
             assert_same_states(solve_exact(model, tmap, n, k),
-                               solve_exact(not_even(model), tmap, n, k), 2.0 * tol)
+                               unfolded(solve_exact, model, tmap, n, k), 2.0 * tol)
 
     def test_uncertified_blocks_take_the_full_lattice(self, monkeypatch):
         # counts that find a level more in a coarse block (400 or 401 rows) than
@@ -466,9 +494,13 @@ class TestParityFold:
         folded = solve_exact(model, tmap, 400, 3)
         assert ("i", 801) in calls
         monkeypatch.setattr(eigensolver, "_count", real_count)
-        assert_same_states(folded, solve_exact(not_even(model), tmap, 400, 3), 1e-9)
+        assert_same_states(folded, unfolded(solve_exact, model, tmap, 400, 3), 1e-9)
 
-    def test_only_centred_even_models_fold(self, monkeypatch):
+    def test_fold_follows_the_samples(self, monkeypatch):
+        # a from_callable clone of an even model folds like the model itself, and
+        # so does a map anchored off the centre: its q-range moves with the
+        # anchor, so the nodes stay where the centred map puts them. A grid cut
+        # short on one side, or an odd part of 1e-3 in u, does not fold
         folds = []
         real = eigensolver._fold
         monkeypatch.setattr(eigensolver, "_fold", lambda d, e: folds.append(d.size) or real(d, e))
@@ -477,29 +509,22 @@ class TestParityFold:
                                                              pt.mass.d2func, pt.domain),
                           VelocityProfile.from_callable(pt.velocity.func, domain=pt.domain),
                           pt.domain, {}, "clone", anchor=pt.anchor)
-        for model, x0 in ((clone, pt.anchor), (pt, pt.anchor + 0.1)):
+        cosh = builtin_model("cosh_square", alpha=1, v0=1, m0=1)
+        bump = dataclasses.replace(cosh, u_closed=EVEN_U)
+        skewed = dataclasses.replace(cosh, u_closed=SKEWED_U)
+        for model, x0, cut, fold in ((pt, pt.anchor, 0.0, True), (clone, pt.anchor, 0.0, True),
+                                     (pt, pt.anchor + 0.1, 0.0, True), (bump, 0.1, 0.0, True),
+                                     (bump, 0.0, 0.1, False), (skewed, 0.0, 0.0, False)):
             tmap = build_transform(model.velocity, x0)
-            field = approx_potential(model, QGrid(tmap.q_lo, tmap.q_hi, 400, offset=True), tmap)
-            assert not field.even
-            solve_fixed(field, 3)
-            solve_exact(model, tmap, 400, 3)
-        assert folds == []
-        tmap = build_transform(pt.velocity, pt.anchor)
-        solve_exact(pt, tmap, 400, 3)
-        assert folds == [801, 1603]
-
-    def test_asymmetric_field_declared_even_raises(self):
-        model = builtin_model("cosh_square", alpha=1, v0=1, m0=1)
-        skewed = dataclasses.replace(model, u_closed=(
-            lambda x: 1.0 + 1e-3 * np.tanh(x), lambda x: 1e-3 / np.cosh(x) ** 2,
-            lambda x: -2e-3 * np.tanh(x) / np.cosh(x) ** 2))
-        assert skewed.facts.even
-        tmap = build_transform(model.velocity, model.anchor)
-        field = approx_potential(skewed, QGrid(tmap.q_lo, tmap.q_hi, 400), tmap)
-        with pytest.raises(InvalidParameterError, match="even differs from its mirror at node 0"):
-            solve_fixed(field, 3)
-        with pytest.raises(InvalidParameterError, match="even differs from its mirror at node 0"):
-            solve_exact(skewed, tmap, 400, 3)
+            field = approx_potential(model, QGrid(tmap.q_lo, tmap.q_hi - cut, 400), tmap)
+            cases = [(solve_fixed, (field, 3), [400, 801])]
+            if not cut:  # the lattice always spans the whole q-range
+                cases.append((solve_exact, (model, tmap, 400, 3), [801, 1603]))
+            for solve, args, sizes in cases:
+                folds.clear()
+                res = solve(*args)
+                assert folds == (sizes if fold else [])
+                assert_same_states(res, unfolded(solve, *args), 1e-9)
 
 
 class TestExpandUntilSettled:
