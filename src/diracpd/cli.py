@@ -13,10 +13,13 @@ Configs are flat key = value text with dotted sections, e.g.::
     outputs = spectrum, potential
     out.dir = out
 
-Subcommands: ``solve`` (spectrum + artifacts), ``scan`` (one parameter axis),
+Commands: ``solve`` (spectrum + artifacts), ``scan`` (one parameter axis),
 ``bic`` (continuum-family states at listed energies), ``report`` (potential
-discrepancy adjudication). Exit codes: 0 success, 2 config error,
-3 numerical failure, 4 comparison beyond tolerance under --strict.
+discrepancy adjudication). One flat parser reads the command as its first
+positional argument; all four share ``--config``, ``--out``, ``--mode``,
+``--states`` and ``--strict``, and ``--axis`` belongs to ``scan`` alone (with
+any other command it is a config error). Exit codes: 0 success, 2 config
+error, 3 numerical failure, 4 comparison beyond tolerance under --strict.
 
 Runs are deterministic: identical configs produce byte-identical outputs,
 and every artifact records the config hash and resolved grid in '#' header
@@ -706,7 +709,14 @@ def _report_levels(rc: RunConfig, model: ModelSpec, tmap: TransformMap) -> None:
 # Entry point
 # ---------------------------------------------------------------------------
 
-_CONFIG_KEYS_HELP = """\
+_COMMANDS = (
+    ("solve", "solve the spectrum and write artifacts"),
+    ("scan", "solve along one parameter axis (--axis belongs here only)"),
+    ("bic", "build continuum-family states at listed energies"),
+    ("report", "potential discrepancy adjudication"),
+)
+
+_EPILOG = "commands:\n" + "".join(f"  {name:22s}{text}\n" for name, text in _COMMANDS) + """
 config keys:
 """ + textwrap.fill(" | ".join(MODEL_NAMES), 72, initial_indent="  model.name" + " " * 12,
                     subsequent_indent=" " * 24) + """
@@ -725,38 +735,33 @@ config keys:
 
 
 def _make_parser() -> argparse.ArgumentParser:
+    # one flat parser: main builds it on every call, and a subparser per command
+    # would cost about 1 ms more each time
     parser = argparse.ArgumentParser(
         prog="diracpd",
         description="Bound states of the 1D Dirac equation with "
                     "position-dependent mass and Fermi velocity.",
-        epilog=_CONFIG_KEYS_HELP,
+        epilog=_EPILOG,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("solve", "solve the spectrum and write artifacts"),
-        ("scan", "solve along one parameter axis"),
-        ("bic", "build continuum-family states at listed energies"),
-        ("report", "potential discrepancy adjudication"),
-    ):
-        cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--config", required=True, help="path to key=value config")
-        cmd.add_argument("--out", default=None, help="output directory override")
-        cmd.add_argument("--mode", default=None, choices=_MODES)
-        cmd.add_argument("--states", type=int, default=None,
-                         help="override solve.k_states")
-        cmd.add_argument("--strict", action="store_true",
-                         help="exit 4 when comparison exceeds compare.tol")
-        if name == "scan":
-            cmd.add_argument("--axis", default=None,
-                             help="scan axis as name=min:max:steps")
+    parser.add_argument("command", choices=[name for name, _ in _COMMANDS],
+                        help="what to run (see commands below)")
+    parser.add_argument("--config", required=True, help="path to key=value config")
+    parser.add_argument("--out", default=None, help="output directory override")
+    parser.add_argument("--mode", default=None, choices=_MODES)
+    parser.add_argument("--states", type=int, default=None, help="override solve.k_states")
+    parser.add_argument("--strict", action="store_true",
+                        help="exit 4 when comparison exceeds compare.tol")
+    parser.add_argument("--axis", default=None,
+                        help="scan only: scan axis as name=min:max:steps")
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _make_parser()
-    args = parser.parse_args(argv)
+    args = _make_parser().parse_args(argv)
     try:
+        if args.axis is not None and args.command != "scan":
+            raise ConfigError(f"--axis belongs to the scan command, not {args.command!r}")
         cfg = parse_config(args.config)
         rc = build_run_config(cfg, args)
         if args.command == "solve":

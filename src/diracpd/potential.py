@@ -19,7 +19,7 @@ intermediate m * v^4 products.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -83,6 +83,11 @@ class PotentialField:
     ``evaluator`` rebuilds the values on another grid between the same
     walls, which is what eigenvalue refinement needs. Values at flagged
     (singular) nodes are NaN by convention.
+
+    The evaluator is attached to what it returns by ``_sampled``, not from
+    inside it: a closure that passed itself would reference itself, and that
+    cycle would keep its model and map, inverse cache included, alive until
+    the cyclic garbage collector runs.
     """
 
     grid: QGrid
@@ -96,7 +101,7 @@ class PotentialField:
     def on_grid(self, grid: QGrid) -> "PotentialField":
         if self.evaluator is None:
             raise InvalidParameterError("potential field carries no evaluator")
-        return self.evaluator(grid)
+        return _sampled(self.evaluator, grid)
 
     @classmethod
     def from_function(cls, func: Callable[[np.ndarray], np.ndarray],
@@ -106,9 +111,14 @@ class PotentialField:
         def build(g: QGrid) -> "PotentialField":
             vals = np.asarray(func(g.nodes), dtype=float)
             vals = np.broadcast_to(vals, g.nodes.shape).copy()
-            return cls(g, vals, mode, ~np.isfinite(vals), evaluator=build)
+            return cls(g, vals, mode, ~np.isfinite(vals))
 
-        return build(grid)
+        return _sampled(build, grid)
+
+
+def _sampled(build: Callable[[QGrid], PotentialField], grid: QGrid) -> PotentialField:
+    """``build(grid)`` carrying ``build`` as its evaluator."""
+    return replace(build(grid), evaluator=build)
 
 
 def _fields_on_grid(model: ModelSpec, grid: QGrid, tmap: TransformMap):
@@ -146,10 +156,9 @@ def exact_potential(model: ModelSpec, energy: float, grid: QGrid,
         vals = np.where(singular, np.nan, vals)
         singular = singular | ~np.isfinite(vals)
         vals = np.where(singular, np.nan, vals)
-        return PotentialField(g, vals, EXACT, singular, energy=energy,
-                              evaluator=build)
+        return PotentialField(g, vals, EXACT, singular, energy=energy)
 
-    return build(grid)
+    return _sampled(build, grid)
 
 
 def approx_potential(model: ModelSpec, grid: QGrid,
@@ -177,9 +186,9 @@ def approx_potential(model: ModelSpec, grid: QGrid,
         vals = np.where(singular, np.nan, vals)
         singular = singular | ~np.isfinite(vals)
         vals = np.where(singular, np.nan, vals)
-        return PotentialField(g, vals, APPROXIMATE, singular, evaluator=build)
+        return PotentialField(g, vals, APPROXIMATE, singular)
 
-    return build(grid)
+    return _sampled(build, grid)
 
 
 def constant_u_potential(constant_a: float, grid: QGrid) -> PotentialField:
@@ -190,9 +199,9 @@ def constant_u_potential(constant_a: float, grid: QGrid) -> PotentialField:
     def build(g: QGrid) -> PotentialField:
         vals = np.full(g.n, constant_a * constant_a, dtype=float)
         return PotentialField(g, vals, CONSTANT_U, np.zeros(g.n, dtype=bool),
-                              constant_a=constant_a, evaluator=build)
+                              constant_a=constant_a)
 
-    return build(grid)
+    return _sampled(build, grid)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
+import gc
 import math
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -329,6 +331,58 @@ class TestWriter:
             _, rows = read_rows(tmp_path / "out" / f"wavefunction_{k}.csv")
             assert [r[0] for r in rows] == x
             assert [r[1] for r in rows] == q
+
+
+class TestCommandLine:
+    @pytest.mark.parametrize("command", ["solve", "bic", "report"])
+    def test_axis_outside_scan_exit_2(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path / "c.txt", model__name="cosh_square", model__alpha=1.0,
+                           model__v0=1.0, model__m0=1.0, bic__energies=1.5,
+                           out__dir=str(tmp_path / "out"))
+        assert main([command, "--config", cfg, "--axis", "m0=0:1:3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "--axis" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_help_names_commands_and_config_keys(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        for name, purpose in [("solve", "solve the spectrum and write artifacts"),
+                              ("scan", "solve along one parameter axis"),
+                              ("bic", "build continuum-family states at listed energies"),
+                              ("report", "potential discrepancy adjudication")]:
+            assert f"  {name} " in out and purpose in out
+        assert "config keys:" in out and "model.name" in out
+
+    @pytest.mark.parametrize("argv", [["simulate", "--config", "c.txt"], ["solve"]])
+    def test_bad_command_line_exit_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage: diracpd" in capsys.readouterr().err
+
+
+class TestSolveMemory:
+    def test_solve_frees_its_map_without_cyclic_gc(self, tmp_path):
+        # the map (inverse cache included) goes with the outcome by reference
+        # counting, not at the next run of the cyclic collector
+        cfg = write_config(tmp_path / "c.txt", model__name="poschl_teller", model__alpha=1.0,
+                           model__v0=1.0, model__m0=1.0, grid__n=200, solve__k_states=2,
+                           mode="approximate", out__dir=str(tmp_path / "out"))
+        rc = cli.build_run_config(cli.parse_config(cfg),
+                                  cli._make_parser().parse_args(["solve", "--config", cfg]))
+        gc.collect()
+        gc.disable()
+        try:
+            outcome = cli.run_solve_pipeline(rc)
+            assert outcome.mode == "approximate"
+            tmap = weakref.ref(outcome.tmap)
+            del outcome
+            assert tmap() is None
+        finally:
+            gc.enable()
 
 
 class TestScan:

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -238,3 +241,46 @@ class TestFromFunction:
         assert f.values == pytest.approx(g.nodes ** 2)
         fr = f.on_grid(g.refined())
         assert fr.values == pytest.approx(fr.grid.nodes ** 2)
+
+
+@pytest.fixture
+def no_cyclic_gc():
+    """Run with the cyclic collector off, so only reference counting frees objects."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+def _fields():
+    model, tmap, grid = pt_setup(n=201)
+    return {
+        "approx": lambda: approx_potential(model, grid, tmap),
+        "exact": lambda: exact_potential(model, 2.0, grid, tmap),
+        "constant_u": lambda: constant_u_potential(1.5, grid),
+        "from_function": lambda: PotentialField.from_function(lambda q: q ** 2, grid),
+    }
+
+
+@pytest.mark.usefixtures("no_cyclic_gc")
+class TestEvaluatorNotCyclic:
+    """A field's evaluator (and the model and map it holds) dies with the field."""
+
+    @pytest.mark.parametrize("kind", ["approx", "exact", "constant_u", "from_function"])
+    def test_evaluator_freed_with_field(self, kind):
+        field = _fields()[kind]()
+        evaluator = weakref.ref(field.evaluator)
+        del field
+        assert evaluator() is None
+
+    @pytest.mark.parametrize("kind", ["approx", "exact", "constant_u", "from_function"])
+    def test_on_grid_keeps_the_evaluator(self, kind):
+        field = _fields()[kind]()
+        fine = field.on_grid(field.grid.refined())
+        assert fine.evaluator is field.evaluator
+        assert fine.on_grid(field.grid).values == pytest.approx(field.values, nan_ok=True)
+        evaluator = weakref.ref(field.evaluator)
+        del field, fine
+        assert evaluator() is None
