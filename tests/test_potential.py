@@ -254,33 +254,24 @@ def no_cyclic_gc():
         gc.enable()
 
 
-def _fields():
-    model, tmap, grid = pt_setup(n=201)
-    return {
-        "approx": lambda: approx_potential(model, grid, tmap),
-        "exact": lambda: exact_potential(model, 2.0, grid, tmap),
-        "constant_u": lambda: constant_u_potential(1.5, grid),
-        "from_function": lambda: PotentialField.from_function(lambda q: q ** 2, grid),
-    }
+
+BUILDERS = {
+    "approx": lambda model, tmap, grid: approx_potential(model, grid, tmap),
+    "exact": lambda model, tmap, grid: exact_potential(model, 2.0, grid, tmap),
+    "constant_u": lambda model, tmap, grid: constant_u_potential(1.5, grid),
+    "from_function": lambda model, tmap, grid: PotentialField.from_function(
+        lambda q: q ** 2, grid),
+}
 
 
 @pytest.mark.usefixtures("no_cyclic_gc")
-class TestEvaluatorNotCyclic:
-    """A field's evaluator (and the model and map it holds) dies with the field."""
-
-    @pytest.mark.parametrize("kind", ["approx", "exact", "constant_u", "from_function"])
-    def test_evaluator_freed_with_field(self, kind):
-        field = _fields()[kind]()
-        evaluator = weakref.ref(field.evaluator)
-        del field
-        assert evaluator() is None
-
-    @pytest.mark.parametrize("kind", ["approx", "exact", "constant_u", "from_function"])
-    def test_on_grid_keeps_the_evaluator(self, kind):
-        field = _fields()[kind]()
-        fine = field.on_grid(field.grid.refined())
-        assert fine.evaluator is field.evaluator
-        assert fine.on_grid(field.grid).values == pytest.approx(field.values, nan_ok=True)
-        evaluator = weakref.ref(field.evaluator)
-        del field, fine
-        assert evaluator() is None
+@pytest.mark.parametrize("kind", sorted(BUILDERS))
+def test_evaluator_dies_with_its_fields(kind):
+    # the evaluator holds the model and map; no cycle may keep it alive
+    field = BUILDERS[kind](*pt_setup(n=201))
+    fine = field.on_grid(field.grid.refined())
+    assert fine.evaluator is field.evaluator
+    assert fine.on_grid(field.grid).values == pytest.approx(field.values, nan_ok=True)
+    evaluator = weakref.ref(field.evaluator)
+    del field, fine
+    assert evaluator() is None
