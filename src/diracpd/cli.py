@@ -418,21 +418,41 @@ def _header_lines(rc: RunConfig, artifact: str, mode: str,
     return lines
 
 
-def _cells(column) -> List[str]:
-    """A float array as %.17g cells, any other array as str; a list passes as is."""
-    if isinstance(column, np.ndarray):
-        return list(map(_fmt if column.dtype.kind == "f" else str, column.tolist()))
-    return column
+def _cells(column: np.ndarray) -> List[str]:
+    """A float array's %.17g cells, formatted once for every file that shares them."""
+    return list(map(_fmt, column.tolist()))
 
 
 def _write_csv(path: str, header: List[str], names: Sequence[str],
                columns: Sequence) -> None:
-    # row chunks keep the cells of a long table from raising the peak memory
+    """Write a table: float array columns as %.17g cells, other arrays and
+    lists of ready cells as str.
+
+    Each chunk of rows is formatted by one %-template. A float column that
+    is all zero is written from its signs, "-0" or "0", the cells %.17g
+    gives it (a NaN makes a column nonzero). Chunks keep the text of a
+    long table from raising the peak memory.
+    """
+    rows = len(columns[0])
+    for name, column in zip(names, columns):
+        if len(column) != rows:
+            raise ValueError(f"ragged table: column {name!r} has {len(column)} rows, "
+                             f"column {names[0]!r} {rows}")
+    floats = [isinstance(c, np.ndarray) and c.dtype.kind == "f" for c in columns]
+    zeros = [f and not c.any() for c, f in zip(columns, floats)]
+    columns = [np.where(np.signbit(c), "-0", "0") if z else c for c, z in zip(columns, zeros)]
+    # whole-column conversion left a lower peak RSS than chunk by chunk
+    values = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    row = ",".join("%.17g" if f and not z else "%s" for f, z in zip(floats, zeros)) + "\n"
+    k = len(values)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join([*header, ",".join(names), ""]))
-        for i in range(0, len(columns[0]), _CSV_CHUNK):
-            cells = [_cells(c[i:i + _CSV_CHUNK]) for c in columns]
-            fh.write("\n".join([*map(",".join, zip(*cells)), ""]))
+        for i in range(0, rows, _CSV_CHUNK):
+            m = min(_CSV_CHUNK, rows - i)
+            flat = [None] * (m * k)
+            for j, column in enumerate(values):
+                flat[j::k] = column[i:i + m]
+            fh.write((row * m) % tuple(flat))
 
 
 def _write_spectrum(rc: RunConfig, mode: str, grid: Optional[QGrid],

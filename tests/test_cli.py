@@ -294,7 +294,21 @@ class TestSolve:
         assert np.max(np.abs(js)) <= 1e-12
 
 
+def per_cell_csv(header, names, columns):
+    """The per-cell rule the writer must reproduce: %.17g for a float, str for anything else."""
+    rows = [[f"{c:.17g}" if isinstance(c, float) else str(c) for c in row]
+            for row in zip(*columns, strict=True)]
+    return ("\n".join([*header, ",".join(names), ""])
+            + "".join(",".join(r) + "\n" for r in rows)).encode("utf-8")
+
+
 class TestWriter:
+    def write(self, tmp_path, names, columns):
+        path = tmp_path / "t.csv"
+        cli._write_csv(str(path), ["# t"], names, columns)
+        assert path.read_bytes() == per_cell_csv(["# t"], names, columns)
+        return path
+
     def test_columns_byte_identical_to_per_cell_format(self, tmp_path):
         floats = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 0.1, 1 / 3, 1e-5,
                   1e16, 1e17, 123456789012345678.0, np.float64(2.5)]
@@ -303,15 +317,77 @@ class TestWriter:
         ready = [f"c{i}" for i in range(len(floats))]
         # repeated past two row chunks of the writer
         floats, ints, ready = floats * 700, ints * 700, ready * 700
-        path = tmp_path / "t.csv"
-        cli._write_csv(str(path), ["# edge values"], ("f", "i", "s"),
-                       (np.array(floats), np.array(ints), ready))
-        # the per-cell rule the column writer replaces
-        cells = [[f"{c:.17g}" if isinstance(c, float) else str(c) for c in row]
-                 for row in zip(floats, ints, ready)]
-        expected = "# edge values\nf,i,s\n" + "".join(",".join(r) + "\n" for r in cells)
-        assert path.read_bytes() == expected.encode("utf-8")
+        self.write(tmp_path, ("f", "i", "s"), (np.array(floats), np.array(ints), ready))
         assert [cli._fmt(c) for c in floats] == [f"{c:.17g}" for c in floats]
+
+    def test_zero_columns_keep_their_signs(self, tmp_path):
+        signs = np.where(np.arange(3 * cli._CSV_CHUNK) % 7 < 3, -0.0, 0.0)
+        with_nan = np.zeros(signs.size)
+        with_nan[cli._CSV_CHUNK + 5] = math.nan
+        path = self.write(tmp_path, ("z", "n", "p"), (signs, with_nan, -0.0 * with_nan))
+        _, rows = read_rows(path)
+        assert [r[0] for r in rows] == ["-0" if np.signbit(v) else "0" for v in signs]
+        assert rows[cli._CSV_CHUNK + 5][1:] == ["nan", "nan"]
+        assert {r[1] for r in rows} == {"0", "nan"} and {r[2] for r in rows} == {"-0", "nan"}
+
+    @pytest.mark.parametrize("rows", [0, 1, cli._CSV_CHUNK - 1, cli._CSV_CHUNK,
+                                      cli._CSV_CHUNK + 1, 2 * cli._CSV_CHUNK + 1])
+    def test_row_counts(self, tmp_path, rows):
+        values = np.linspace(-1.0, 1.0, rows) ** 3
+        self.write(tmp_path, ("f", "z", "i", "s"),
+                   (values, np.zeros(rows), np.arange(rows), [f"c{i}" for i in range(rows)]))
+
+    def test_int_and_bool_columns_beside_ready_cells(self, tmp_path):
+        rows = cli._CSV_CHUNK + 3
+        ints = np.arange(rows, dtype=np.int64) * -(2**40)
+        bools = np.arange(rows) % 3 == 0
+        self.write(tmp_path, ("s", "i", "b", "t", "f"),
+                   ([f"{v:.3f}" for v in range(rows)], ints, bools,
+                    tuple(f"t{i}" for i in range(rows)), ints / 7.0))
+
+    @pytest.mark.parametrize("length", [4, 6])
+    def test_ragged_table_raises(self, tmp_path, length):
+        with pytest.raises(ValueError, match=f"'b' has {length} rows, column 'a' 5"):
+            cli._write_csv(str(tmp_path / "t.csv"), [], ("a", "b"),
+                           (np.zeros(5), np.ones(length)))
+
+    def test_artifacts_follow_per_cell_format(self, tmp_path, monkeypatch):
+        # record each table's (path, header, names, columns) while writing it
+        calls, write = [], cli._write_csv
+        monkeypatch.setattr(cli, "_write_csv", lambda *args: (calls.append(args), write(*args)))
+        cfg = write_config(
+            tmp_path / "c.txt",
+            model__name="cosh_square", model__alpha=1.0, model__v0=1.0,
+            model__m0=1.0, grid__n=300, solve__k_states=3, bic__energies="1.5, 2.5",
+            outputs="spectrum, potential, wavefunctions, bic",
+            out__dir=str(tmp_path / "out"),
+        )
+        assert main(["solve", "--config", cfg]) == 0
+        cfg = write_config(
+            tmp_path / "r.txt",
+            model__name="poschl_teller", model__alpha=1.0, model__v0=1.0,
+            model__m0=1.0, grid__n=800, solve__k_states=2,
+            outputs="discrepancy", out__dir=str(tmp_path / "out"),
+        )
+        assert main(["report", "--config", cfg]) == 0
+        written = {os.path.basename(path): args for path, *args in calls}
+        assert sorted(written) == sorted(
+            ["spectrum.csv", "potential.csv", "discrepancy.csv", "bic_0.csv", "bic_1.csv"]
+            + [f"wavefunction_{k}.csv" for k in range(3)])
+        negative_zeros = 0
+        for name, (header, names, columns) in written.items():
+            path = tmp_path / "out" / name
+            assert path.read_bytes() == per_cell_csv(header, names, columns), name
+            if not name.startswith(("wavefunction_", "bic_")):
+                continue
+            _, rows = read_rows(path)
+            for col in ("re_psi2", "j"):
+                values = columns[names.index(col)]
+                assert not values.any()
+                cells = [r[names.index(col)] for r in rows]
+                assert [c == "-0" for c in cells] == np.signbit(values).tolist()
+                negative_zeros += int(np.signbit(values).sum())
+        assert negative_zeros > 0
 
     def test_solve_shares_x_and_q_columns(self, tmp_path):
         cfg = write_config(
