@@ -14,8 +14,8 @@ refined level is bisected in a narrow window around its base value (about
 tolerance eps * (Gershgorin norm of T_h), a quarter of the refined grid's
 own default; Sturm counts certify that the windows found the lowest levels.
 When a window holds more than one level, or the counts disagree, the refined
-grid is bisected by index like the base grid. The exact-mode lattice
-(solve_exact) refines the same way.
+grid is bisected by index like the base grid. One engine (_levels) runs
+this for both solve_fixed and the exact-mode lattice (solve_exact).
 
 When the sampled potential (or u, on the lattice) matches its mirror to
 1e-8 relative, as the paper's even models do on their whole q-range, it
@@ -175,15 +175,16 @@ def _bisect_near(d: np.ndarray, e: np.ndarray, guesses: np.ndarray, tol: float,
                  floor: float, below: int) -> Optional[np.ndarray]:
     """Eigenvalues below .. below + k - 1 of tridiag(e, d, e), or None.
 
-    ``guesses`` are k rising approximations (the base grid's levels). Each
-    level is bisected to ``tol`` in a window around its guess that starts at
-    1e-6 |guess| (at least tol) either side and widens 16-fold while it is
-    empty, up to the Gershgorin norm. Sturm counts certify the result: every
-    window holds exactly one eigenvalue, the levels rise from ``floor`` by
-    more than tol (none is found twice), ``below`` eigenvalues lie at or
-    under ``floor`` and exactly k in (floor, top window edge]. None means a
-    window held more than one level or a count disagreed; the caller then
-    bisects by index.
+    ``guesses`` are k rising approximations (the base grid's levels), and
+    ``below`` eigenvalues lie at or under ``floor`` (the caller counts them,
+    see _inertia). Each level is bisected to ``tol`` in a window around its
+    guess that starts at 1e-6 |guess| (at least tol) either side and widens
+    16-fold while it is empty, up to the Gershgorin norm. A Sturm count
+    certifies the result: every window holds exactly one eigenvalue, the
+    levels rise from ``floor`` by more than tol (none is found twice), and
+    exactly below + k eigenvalues lie at or under the top window edge. None
+    means a window held more than one level or the count disagreed; the
+    caller then bisects by index.
     """
     limit = tol / np.finfo(float).eps
     w = np.empty(len(guesses))
@@ -200,22 +201,63 @@ def _bisect_near(d: np.ndarray, e: np.ndarray, guesses: np.ndarray, tol: float,
         w[j] = found[0]
     if not (w[0] > floor and np.all(np.diff(w) > tol)):
         return None
-    if _count(d, e, floor, guesses[-1] + half) != w.size:
-        return None
-    if _count(d, e, -math.inf, floor) != below:
+    if _count(d, e, -math.inf, guesses[-1] + half) != below + w.size:
         return None
     return w
 
 
-def _levels(base, fine, k: int, tol: float, floor: float):
-    """Lowest k levels and vectors of the tridiagonal (d, e) ``base``, and the k
-    matching levels of ``fine``: bisected near the base levels, by index when
-    that is not certified."""
-    w, vecs = _tridiag_eigs(*base, k, with_vectors=True)
-    w_fine = _bisect_near(*fine, w, tol, floor, 0)
-    if w_fine is None:
-        w_fine = _tridiag_eigs(*fine, k, with_vectors=False)
+def _inertia(blocks, floor: float, below: int) -> List[int]:
+    """How many eigenvalues of each (d, e) block lie at or under ``floor``,
+    which must sum to ``below``; none is counted when ``below`` is 0, as the
+    counts of _levels and _bisect_near would see a level there."""
+    if not below:
+        return [0] * len(blocks)
+    counts = [_count(*block, -math.inf, floor) for block in blocks]
+    if sum(counts) != below:
+        raise NonConvergenceError(f"inertia: {' + '.join(map(str, counts))} eigenvalues "
+                                  f"<= {floor:g}, not {below}")
+    return counts
+
+
+def _levels(coarse, fine, k: int, tol: float, floors, below, mirror=None):
+    """(w, unit vectors, w_fine): the k levels over the floor of a tridiagonal
+    matrix and of its refinement; None when a fold is not certified.
+
+    ``coarse`` and ``fine`` hold each grid's (d, e), whole or as its two _fold
+    blocks, the one that holds the lowest level first; ``mirror`` then gives
+    the first block's signs for _unfold, and the second's are the opposite.
+    ``below`` eigenvalues lie at or under each grid's floor (0 for a
+    Schrödinger matrix), counted once per block (_inertia). Block p supplies
+    levels p, p + 2, ..., bisected by index. Folded, the levels must rise and
+    no block, also one that supplied none, may hold more levels in (floor,
+    just above the top one] than it supplied, or the caller solves the whole
+    matrix. Fine levels are bisected near the coarse ones, else by index.
+    """
+    size, n = len(coarse), sum(d.size for d, _ in coarse)
+    supply = [(k + size - 1 - p) // size for p in range(size)]
+    w, vecs, w_fine = np.empty(k), np.empty((n, k)), np.empty(k)
+    for p, (block, m, first) in enumerate(zip(coarse, supply,
+                                              _inertia(coarse, floors[0], below[0]))):
+        if m:
+            w[p::size], psi = _tridiag_eigs(*block, m, True, first=first)
+            vecs[:, p::size] = psi if mirror is None else _unfold(psi, n, (1 - 2 * p) * mirror)
+    top = w[-1] + max(1e-6 * abs(w[-1]), tol)
+    if size > 1 and not (np.all(np.diff(w) > 0) and all(
+            _count(*block, floors[0], top) == m for block, m in zip(coarse, supply))):
+        return None
+    for p, (block, m, first) in enumerate(zip(fine, supply,
+                                              _inertia(fine, floors[1], below[1]))):
+        if m:
+            near = _bisect_near(*block, w[p::size], tol, floors[1], first)
+            w_fine[p::size] = near if near is not None else _tridiag_eigs(
+                *block, m, False, first=first)
     return w, vecs, w_fine
+
+
+def _richardson(w: np.ndarray, w_fine: np.ndarray):
+    """(4 w_fine - w) / 3, the levels with the h^2 error removed, and
+    |w - w_fine|, which sets their error estimates."""
+    return (4.0 * w_fine - w) / 3.0, np.abs(w - w_fine)
 
 
 def _free_eigs(grid: QGrid, k: int, with_vectors: bool):
@@ -236,17 +278,17 @@ def solve_fixed(potential: PotentialField, k_states: int) -> SpectrumResult:
 
     Eigenvalues are Richardson-refined over (h, h/2) with
     error_estimate = |lam_h - lam_{h/2}| / 3; eigenvectors live on the
-    base grid, normalized so that sum(phi^2) h = 1. The h grid is bisected
-    by index; each h/2 level in a window around its h level, to the h
-    grid's tolerance, with min V as the floor of the Sturm-count check, or
-    by index when that check fails.
+    base grid, normalized so that sum(phi^2) h = 1. Both grids go through
+    _levels, with min V as each grid's floor and no eigenvalue under it:
+    the h grid is bisected by index, each h/2 level near its h level.
 
     A field whose values on both grids match their mirror (_symmetrized) is
     folded: (V + V[::-1]) / 2 on the first ceil(n/2) nodes makes an even and
-    an odd block (see _fold), each solved as above. Vector j has j sign
-    changes, so the even block supplies levels 0, 2, 4, ... and the odd
-    block 1, 3, ...; vectors unfold by mirroring, and an odd vector is
-    positive at the left one of its two largest samples.
+    an odd block (see _fold). Vector j has j sign changes, so the even block
+    supplies levels 0, 2, 4, ... and the odd block 1, 3, ..., which Sturm
+    counts certify (else the whole matrix is solved); vectors unfold by
+    mirroring, and an odd vector is positive at the left one of its two
+    largest samples.
     """
     if k_states < 1:
         raise InvalidParameterError("k_states must be >= 1")
@@ -273,34 +315,33 @@ def solve_fixed(potential: PotentialField, k_states: int) -> SpectrumResult:
         even = _symmetrized(potential.values, fine.values)
         values, fine_values = even or (potential.values, fine.values)
         base, refined = _schrodinger(values, grid.h), _schrodinger(fine_values, fine.grid.h)
-        tol, floor = _bisection_tol(*base), float(np.min(fine_values))
-        if even:
-            w, vecs, w_fine = np.empty(k_states), np.empty((grid.n, k_states)), np.empty(k_states)
-            for p, blocks in enumerate(zip(_fold(*base), _fold(*refined))):
-                count = (k_states + 1 - p) // 2  # levels p, p + 2, p + 4, ...
-                if count:
-                    w[p::2], psi, w_fine[p::2] = _levels(*blocks, count, tol, floor)
-                    vecs[:, p::2] = _unfold(psi, grid.n, np.full(grid.n // 2, 1.0 - 2.0 * p))
-        else:
-            w, vecs, w_fine = _levels(base, refined, k_states, tol, floor)
+        args = (k_states, _bisection_tol(*base),
+                (float(np.min(values)), float(np.min(fine_values))), (0, 0))
+        solved = _levels(_fold(*base), _fold(*refined), *args,
+                         mirror=np.ones(grid.n // 2)) if even else None
+        w, vecs, w_fine = solved or _levels([base], [refined], *args)
 
-    pairs: List[EigenPair] = []
-    energies: List[Tuple[float, float]] = []
+    pairs, energies = [], []
+    lam, gap = _richardson(w, w_fine)
     for k in range(k_states):
-        lam_r = (4.0 * w_fine[k] - w[k]) / 3.0
-        err = abs(w[k] - w_fine[k]) / 3.0
         phi = _canonical_sign(vecs[:, k])
         phi = phi / math.sqrt(float(np.sum(phi * phi)) * grid.h)
-        pairs.append(EigenPair(lam=float(lam_r), phi=phi, grid=grid,
-                               nodes=count_nodes(phi), error_estimate=float(err)))
-        energies.append(energies_from_lambda(lam_r, offset))
+        pairs.append(EigenPair(lam=float(lam[k]), phi=phi, grid=grid,
+                               nodes=count_nodes(phi), error_estimate=float(gap[k] / 3.0)))
+        energies.append(energies_from_lambda(lam[k], offset))
 
     return SpectrumResult(pairs=tuple(pairs), energies=tuple(energies),
                           mode=potential.mode, offset=offset)
 
 
 def _staggered(u: np.ndarray, h: float):
-    """Diagonal and off-diagonal of the staggered lattice over ``u`` (see _lattice_eigs)."""
+    """Diagonal and off-diagonal of the staggered lattice over ``u``.
+
+    ``u`` holds u(q) at chi_1, phi1_1, chi_2, ..., phi1_n, chi_{n+1}, which
+    sit at q = lo + j h/2, and the diagonal is -u at the chi sites and u at
+    the phi1 sites; the off-diagonal alternates +1/h, -1/h so that phi1 keeps
+    its sign between nodes. Eigenvalues 0 .. n are the non-positive ones.
+    """
     n = u.size // 2
     return np.where(np.arange(2 * n + 1) % 2 == 0, -u, u), np.tile([1.0 / h, -1.0 / h], n)
 
@@ -310,90 +351,26 @@ def _inertia_floor(u: np.ndarray, h: float) -> float:
     return 64.0 * np.finfo(float).eps * (2.0 / h + float(np.max(np.abs(u))))
 
 
-def _lattice_eigs(u: np.ndarray, h: float, k_states: int, with_vectors: bool):
-    """Eigenvalues n..n+k_states of the staggered lattice with n phi1 nodes.
-
-    ``u`` holds u(q) at chi_1, phi1_1, chi_2, ..., phi1_n, chi_{n+1}, which
-    sit at q = lo + j h/2; the off-diagonal alternates +1/h, -1/h so that
-    phi1 keeps its sign between nodes. Index n must be the top non-positive
-    eigenvalue.
-    """
-    n = u.size // 2
-    out = _tridiag_eigs(*_staggered(u, h), k_states + 1, with_vectors, first=n)
-    w = out[0] if with_vectors else out
-    floor = _inertia_floor(u, h)
-    if not w[0] < floor < w[1]:
-        raise NonConvergenceError(f"lattice inertia: eigenvalues {n} and {n + 1} are "
-                                  f"{w[0]:g} and {w[1]:g}, not <= 0 and > 0")
-    return out
-
-
-def _lattice_blocks(d: np.ndarray, e: np.ndarray, below: int, floor: float):
-    """Parity blocks of a staggered lattice, and how many eigenvalues of each
-    lie at or under ``floor``; those counts must sum to ``below``."""
-    blocks = _fold(d, e)
-    counts = [_count(*block, -math.inf, floor) for block in blocks]
-    if sum(counts) != below:
-        raise NonConvergenceError(f"lattice inertia: the parity blocks hold {counts[0]} + "
-                                  f"{counts[1]} eigenvalues <= {floor:g}, not {below}")
-    return blocks, counts
-
-
-def _lattice_folded(coarse, fine, k_states: int, tol: float, floors):
-    """Levels, unit vectors and refined levels of an even lattice from its
-    parity blocks (see solve_exact), or None when the coarse blocks are not
-    certified."""
-    n = coarse[0].size // 2
-    blocks, counts = _lattice_blocks(*coarse, n + 1, floors[0])
-    half = (k_states + 1) // 2
-    found = [_tridiag_eigs(*block, half, True, first=c) for block, c in zip(blocks, counts)]
-    lam = np.concatenate([w for w, _ in found])
-    order = np.argsort(lam, kind="stable")[:k_states]
-    parity, rank = order // half, order % half
-    top = lam[order[-1]] + max(1e-6 * abs(lam[order[-1]]), tol)
-    used = [int(np.count_nonzero(parity == p)) for p in (0, 1)]
-    if any(_count(*block, floors[0], top) != m for block, m in zip(blocks, used)):
-        return None
-    fine_blocks, fine_counts = _lattice_blocks(*fine, 2 * n + 2, floors[1])
-    if n % 2 == 0:  # the centre's block is P-even here; on the fine lattice it is P-odd
-        fine_blocks, fine_counts = fine_blocks[::-1], fine_counts[::-1]
-    sign = np.where(np.arange(n) % 2 == n % 2, 1.0, -1.0)  # (-1)^(n + j) for the centre block
-    vecs, w_fine = np.empty((2 * n + 1, k_states)), np.empty(k_states)
-    for p in (0, 1):
-        if not used[p]:
-            continue
-        cols = parity == p
-        vecs[:, cols] = _unfold(found[p][1][:, rank[cols]], 2 * n + 1, (1.0 - 2.0 * p) * sign)
-        levels = _bisect_near(*fine_blocks[p], found[p][0][:used[p]], tol, floors[1],
-                              fine_counts[p])
-        w_fine[cols] = levels if levels is not None else _tridiag_eigs(
-            *fine_blocks[p], used[p], False, first=fine_counts[p])
-    return lam[order], vecs, w_fine
-
-
 def solve_exact(model: ModelSpec, tmap: TransformMap, n: int,
                 k_states: int) -> SpectrumResult:
     """Lowest k_states positive energies of H = sigma_x p_q + sigma_z u(q), u = m v_F^2.
 
     On (phi1, chi), with phi = sqrt(v_F) psi and phi2 = -i chi, H is the real
     symmetric [u, -d/dq; d/dq, -u]; a staggered lattice (Susskind) with phi1 = 0
-    on the finite walls of q makes it one tridiagonal matrix. E is Richardson-
+    on the finite walls of q makes it one tridiagonal matrix (_staggered). E is Richardson-
     refined over (n, 2n+1) nodes: ``lam`` = E^2, ``error_estimate`` = 2 E |E_h - E_{h/2}| / 3.
     The map is inverted once, on the fine lattice (q = lo + j h/4); every
     coarse site (q = lo + j h/2) is bit for bit its every second site.
-    The coarse lattice is bisected by index; each fine level in a window
-    around its coarse level, to the coarse lattice's tolerance, with 2n+2
-    eigenvalues at or under the inertia floor as part of the Sturm-count
-    check, or by index (and the inertia test there) when that check fails.
-    Vectors have h sum(phi1^2 + chi^2) = 1 and phi1 > 0 at its largest
-    sample (the first of equal ones).
+    Both lattices go through _levels, with n+1 (coarse) and 2n+2 (fine)
+    eigenvalues at or under the inertia floor. Vectors have
+    h sum(phi1^2 + chi^2) = 1 and phi1 > 0 at its largest sample (the first
+    of equal ones).
 
     When u matches its mirror (_symmetrized) the lattice commutes with
-    P = diag((-1)^j) J and is solved as two parity blocks (_lattice_folded):
-    per-block Sturm counts give each block's inertia, which must sum to n+1
-    (2n+2 on the fine lattice); each block gives ceil(k/2) levels, the lowest
-    k are kept, and counts certify that no block holds more of them than it
-    supplied, or the full lattice is solved.
+    P = diag((-1)^j) J and is solved as two parity blocks (_fold, _levels),
+    or whole when _levels does not certify them. The lowest level sits in the
+    corner block when n is even and in the centre's when n is odd (so on the
+    fine lattice, with 2n+1 phi1 nodes, always in the centre's).
     """
     if not 1 <= k_states <= n // 2:
         raise InsufficientResolutionError(f"cannot resolve {k_states} states on {n} nodes")
@@ -408,25 +385,23 @@ def solve_exact(model: ModelSpec, tmap: TransformMap, n: int,
         u_fine = even[0]
     u = u_fine[1::2]
     coarse, fine = _staggered(u, grid.h), _staggered(u_fine, 0.5 * grid.h)
-    tol = _bisection_tol(*coarse)
-    floors = _inertia_floor(u, grid.h), _inertia_floor(u_fine, 0.5 * grid.h)
-    solved = _lattice_folded(coarse, fine, k_states, tol, floors) if even else None
-    if solved is None:
-        w, vecs = _lattice_eigs(u, grid.h, k_states, with_vectors=True)
-        w, vecs = w[1:], vecs[:, 1:]
-        w_fine = _bisect_near(*fine, w, tol, floors[1], 2 * n + 2)
-        if w_fine is None:
-            w_fine = _lattice_eigs(u_fine, 0.5 * grid.h, k_states, with_vectors=False)[1:]
-    else:
-        w, vecs, w_fine = solved
+    args = (k_states, _bisection_tol(*coarse),
+            (_inertia_floor(u, grid.h), _inertia_floor(u_fine, 0.5 * grid.h)), (n + 1, 2 * n + 2))
+    solved = None
+    if even:  # the block that holds the lowest level first, as _levels wants
+        blocks = _fold(*coarse)
+        solved = _levels(blocks[::-1] if n % 2 == 0 else blocks, _fold(*fine), *args,
+                         mirror=np.where(np.arange(n) % 2, 1.0, -1.0))  # (-1)^(j+1)
+    w, vecs, w_fine = solved or _levels([coarse], [fine], *args)
     pairs, energies = [], []
+    lam, gap = _richardson(w, w_fine)
     for k in range(k_states):
-        e = float((4.0 * w_fine[k] - w[k]) / 3.0)
+        e = float(lam[k])
         vec = vecs[:, k] / math.sqrt(grid.h)
         vec = vec * math.copysign(1.0, vec[1 + 2 * int(np.argmax(np.abs(vec[1::2])))])
         pairs.append(EigenPair(lam=e * e, phi=vec[1::2], grid=grid,
                                nodes=count_nodes(vec[1::2]),
-                               error_estimate=float(2.0 * e * abs(w[k] - w_fine[k]) / 3.0),
+                               error_estimate=float(2.0 * e * gap[k] / 3.0),
                                chi=vec[0::2]))
         energies.append((e, -e))
     return SpectrumResult(pairs=tuple(pairs), energies=tuple(energies), mode=EXACT,

@@ -309,6 +309,11 @@ class TestSolveExact:
         tmap = build_transform(model.velocity, model.anchor)
         with pytest.raises(NonConvergenceError, match="inertia"):
             solve_exact(flipped, tmap, 200, 1)
+        # the same with an odd part in u, which takes the whole lattice
+        skewed = dataclasses.replace(model, u_closed=tuple(
+            lambda x, f=f: -f(x) for f in SKEWED_U))
+        with pytest.raises(NonConvergenceError, match="inertia"):
+            solve_exact(skewed, tmap, 200, 1)
         # either parity block of either lattice (401 and 803 sites) sunk under the floor
         real_fold = eigensolver._fold
         for sites in (401, 803):
@@ -357,8 +362,9 @@ def pt_matrices(n, lattice):
         grid = QGrid(tmap.q_lo, tmap.q_hi, n, offset=False)
         u = eigensolver.product_u(model, tmap.inverse_grid(
             tmap.q_lo + np.arange(1, 4 * n + 4) * (0.25 * grid.h)))[0]
-        w = eigensolver._lattice_eigs(u[1::2], grid.h, 4, with_vectors=False)[1:]
-        tol = eigensolver._bisection_tol(*eigensolver._staggered(u[1::2], grid.h))
+        coarse = eigensolver._staggered(u[1::2], grid.h)
+        w = eigensolver._tridiag_eigs(*coarse, 4, with_vectors=False, first=n + 1)
+        tol = eigensolver._bisection_tol(*coarse)
         d, e = eigensolver._staggered(u, 0.5 * grid.h)
         return d, e, w, tol, eigensolver._inertia_floor(u, 0.5 * grid.h), 2 * n + 2
     field = approx_potential(model, QGrid(tmap.q_lo, tmap.q_hi, n, offset=True), tmap)
@@ -480,21 +486,55 @@ class TestParityFold:
             assert_same_states(solve_exact(model, tmap, n, k),
                                unfolded(solve_exact, model, tmap, n, k), 2.0 * tol)
 
-    def test_uncertified_blocks_take_the_full_lattice(self, monkeypatch):
-        # counts that find a level more in a coarse block (400 or 401 rows) than
-        # it supplied: the 801-site lattice is solved whole
-        real_count, real_eigs = eigensolver._count, eigensolver.eigh_tridiagonal
-        monkeypatch.setattr(eigensolver, "_count", lambda d, e, lo, hi: real_count(d, e, lo, hi)
-                            + (d.size <= 401 and lo > -math.inf))
-        calls = []
-        monkeypatch.setattr(eigensolver, "eigh_tridiagonal", lambda d, *args, **kwargs: (
-            calls.append((kwargs["select"], d.size)) or real_eigs(d, *args, **kwargs)))
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("lattice", [False, True], ids=["approximate", "lattice"])
+    def test_uncertified_blocks_take_the_full_lattice(self, monkeypatch, lattice, k):
+        # counts that find a level more than it supplied in the coarse block that
+        # supplies fewer levels (none at k = 1): the 200-row block of the 401-node
+        # approximate grid, the 401-row block of the 801-site lattice (n = 400).
+        # Either solver then solves the whole matrices: the fold is tried, then
+        # one block per grid
         model = builtin_model("poschl_teller", alpha=1.43, v0=1.9, m0=2.63)
         tmap = build_transform(model.velocity, model.anchor)
-        folded = solve_exact(model, tmap, 400, 3)
-        assert ("i", 801) in calls
+        if lattice:
+            solve, inputs, sunk = solve_exact, (model, tmap, 400, k), 401
+        else:
+            field = approx_potential(model, QGrid(tmap.q_lo, tmap.q_hi, 401, offset=True), tmap)
+            solve, inputs, sunk = solve_fixed, (field, k), 200
+        real_count, real_levels = eigensolver._count, eigensolver._levels
+        monkeypatch.setattr(eigensolver, "_count", lambda d, e, lo, hi: real_count(d, e, lo, hi)
+                            + (d.size == sunk and lo > -math.inf))
+        blocks = []
+        monkeypatch.setattr(eigensolver, "_levels", lambda coarse, *args, **kwargs: (
+            blocks.append(len(coarse)) or real_levels(coarse, *args, **kwargs)))
+        folded = solve(*inputs)
+        assert blocks == [2, 1]
         monkeypatch.setattr(eigensolver, "_count", real_count)
-        assert_same_states(folded, unfolded(solve_exact, model, tmap, 400, 3), 1e-9)
+        assert_same_states(folded, unfolded(solve, *inputs), 1e-9)
+
+    @pytest.mark.parametrize("n,rows", [(400, [(400, 2), (401, 1)]),
+                                        (401, [(402, 2), (401, 1)])])
+    def test_lattice_blocks_supply_alternate_levels(self, monkeypatch, n, rows):
+        # k = 3: the block that holds the lowest level (the corner one for n even,
+        # the centre's for n odd) is bisected by index for levels 0 and 2, the
+        # other for level 1; the fine lattice bisects by value. No Sturm count
+        # (a block's inertia among them) is made twice
+        bisected, counted = [], []
+        real = eigensolver.eigh_tridiagonal
+
+        def logged(d, *args, **kwargs):
+            lo, hi = kwargs["select_range"]
+            if kwargs["select"] == "i":
+                bisected.append((d.size, hi - lo + 1))
+            elif kwargs.get("tol") == math.inf:
+                counted.append((d.size, lo, hi))
+            return real(d, *args, **kwargs)
+
+        monkeypatch.setattr(eigensolver, "eigh_tridiagonal", logged)
+        model = builtin_model("poschl_teller", alpha=1.43, v0=1.9, m0=2.63)
+        solve_exact(model, build_transform(model.velocity, model.anchor), n, 3)
+        assert bisected == rows
+        assert len(counted) == len(set(counted)) > 0
 
     def test_fold_follows_the_samples(self, monkeypatch):
         # a from_callable clone of an even model folds like the model itself, and
