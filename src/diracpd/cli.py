@@ -18,8 +18,10 @@ Commands: ``solve`` (spectrum + artifacts), ``scan`` (one parameter axis),
 discrepancy adjudication). One flat parser reads the command as its first
 positional argument; all four share ``--config``, ``--out``, ``--mode``,
 ``--states`` and ``--strict``, and ``--axis`` belongs to ``scan`` alone (with
-any other command it is a config error). Exit codes: 0 success, 2 config
-error, 3 numerical failure, 4 comparison beyond tolerance under --strict.
+any other command it is a config error). The parser is built once per
+process, on the first ``main`` call, and keeps nothing between calls. Exit
+codes: 0 success, 2 config error, 3 numerical failure, 4 comparison beyond
+tolerance under --strict.
 
 Runs are deterministic: identical configs produce byte-identical outputs,
 and every artifact records the config hash and resolved grid in '#' header
@@ -29,6 +31,7 @@ lines.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import math
 import os
@@ -62,6 +65,7 @@ from .errors import (
     ZetaCrossingError,
 )
 from .potential import (
+    PotentialField,
     QGrid,
     approx_potential,
     constant_u_potential,
@@ -306,6 +310,9 @@ class SolveOutcome:
     result: Optional[SpectrumResult]
     a_const: Optional[float]  # A when m v_F^2 = A, else None
     rest_energy: Optional[Tuple[float, float]] = None  # free constant-mass case
+    # the potential the levels were solved on, on ``grid``; None in the free
+    # case and in exact mode, whose potential depends on the energy
+    field: Optional[PotentialField] = None
 
 
 def run_solve_pipeline(rc: RunConfig, model: Optional[ModelSpec] = None,
@@ -328,30 +335,33 @@ def run_solve_pipeline(rc: RunConfig, model: Optional[ModelSpec] = None,
             # free particle: no bound states, only the rest energies
             rest = energies_from_lambda(0.0, a_const * a_const)
             return SolveOutcome(model, tmap, mode, None, None, a_const, rest_energy=rest)
-        grid = QGrid(tmap.q_lo, tmap.q_hi, rc.grid_n, offset=False)
-        result = solve_fixed(constant_u_potential(a_const, grid), rc.k_states)
-        return SolveOutcome(model, tmap, mode, grid, result, a_const)
+        field = constant_u_potential(a_const, QGrid(tmap.q_lo, tmap.q_hi, rc.grid_n))
+        return SolveOutcome(model, tmap, mode, field.grid, solve_fixed(field, rc.k_states),
+                            a_const, field=field)
 
     def builder(g: QGrid):
         return approx_potential(model, g, tmap)
 
+    field = None
     if mode == "exact":
         result = solve_exact(model, tmap, rc.grid_n, rc.k_states)
     elif finite_q:
         offset = _wall_singular(builder, tmap.q_lo, tmap.q_hi)
-        grid = QGrid(tmap.q_lo, tmap.q_hi, rc.grid_n, offset=offset)
-        result = solve_fixed(builder(grid), rc.k_states)
+        field = builder(QGrid(tmap.q_lo, tmap.q_hi, rc.grid_n, offset=offset))
+        result = solve_fixed(field, rc.k_states)
     else:
         lo0 = tmap.q_lo if math.isfinite(tmap.q_lo) else None
         hi0 = tmap.q_hi if math.isfinite(tmap.q_hi) else None
 
         def box_builder(L: float):
+            nonlocal field  # the last box built is the one the result is solved on
             lo = lo0 if lo0 is not None else -L
             hi = hi0 if hi0 is not None else L
-            return builder(QGrid(lo, hi, rc.grid_n, offset=True))
+            field = builder(QGrid(lo, hi, rc.grid_n, offset=True))
+            return field
 
         result, _ = expand_until_settled(box_builder, rc.k_states)
-    return SolveOutcome(model, tmap, mode, result.pairs[0].grid, result, a_const)
+    return SolveOutcome(model, tmap, mode, result.pairs[0].grid, result, a_const, field=field)
 
 
 Reference = List[Optional[analytic.AnalyticSpectrum]]
@@ -527,7 +537,9 @@ def cmd_solve(rc: RunConfig) -> int:
     # inverse of it, so a solve formats each of these columns once
     q_cells = _cells(grid.nodes) if {"potential", "wavefunctions"} & set(rc.outputs) else None
     if "potential" in rc.outputs:
-        f = _potential_for_export(model, tmap, mode, grid, numeric[0], outcome.a_const)
+        f = outcome.field
+        if f is None:
+            f = exact_potential(model, numeric[0], grid, tmap)
         _write_csv(os.path.join(rc.out_dir, "potential.csv"),
                    _header_lines(rc, "potential", mode, grid), ("q", "V"),
                    (q_cells, f.values))
@@ -557,14 +569,6 @@ def _unmatched_reference(numeric, reference, tol) -> List[Tuple[int, float]]:
     return [(r.n, r.e_plus) for r in reference
             if r is not None and not r.e_plus > top * (1.0 + 10 * tol)
             and min(abs(r.e_plus - e) / max(abs(r.e_plus), 1e-300) for e in numeric) > tol]
-
-
-def _potential_for_export(model, tmap, mode, grid, e0, a_const):
-    if mode == "constant-u":
-        return constant_u_potential(a_const, grid)
-    if mode == "exact":
-        return exact_potential(model, e0, grid, tmap)
-    return approx_potential(model, grid, tmap)
 
 
 def _emit_bic(rc: RunConfig, model: ModelSpec, tmap: TransformMap, mode: str) -> None:
@@ -754,9 +758,11 @@ config keys:
 """
 
 
+@functools.cache
 def _make_parser() -> argparse.ArgumentParser:
-    # one flat parser: main builds it on every call, and a subparser per command
-    # would cost about 1 ms more each time
+    # one flat parser, built on the first call and shared by every later one:
+    # parse_args keeps nothing between calls, and building it took about a
+    # tenth of a small solve (a subparser per command would cost 1 ms more)
     parser = argparse.ArgumentParser(
         prog="diracpd",
         description="Bound states of the 1D Dirac equation with "

@@ -360,7 +360,8 @@ def solve_exact(model: ModelSpec, tmap: TransformMap, n: int,
     on the finite walls of q makes it one tridiagonal matrix (_staggered). E is Richardson-
     refined over (n, 2n+1) nodes: ``lam`` = E^2, ``error_estimate`` = 2 E |E_h - E_{h/2}| / 3.
     The map is inverted once, on the fine lattice (q = lo + j h/4); every
-    coarse site (q = lo + j h/2) is bit for bit its every second site.
+    coarse site (q = lo + j h/2) is bit for bit its every second site, and
+    the phi1 nodes (``grid.nodes``) its every fourth, which the map caches.
     Both lattices go through _levels, with n+1 (coarse) and 2n+2 (fine)
     eigenvalues at or under the inertia floor. Vectors have
     h sum(phi1^2 + chi^2) = 1 and phi1 > 0 at its largest sample (the first
@@ -378,8 +379,11 @@ def solve_exact(model: ModelSpec, tmap: TransformMap, n: int,
         raise DomainError(f"exact mode needs a finite q-range; {model.name} maps "
                           f"onto q-range ({tmap.q_lo:g}, {tmap.q_hi:g})")
     grid = QGrid(tmap.q_lo, tmap.q_hi, n, offset=False)
-    u_fine = product_u(model, tmap.inverse_grid(
-        tmap.q_lo + np.arange(1, 4 * n + 4) * (0.25 * grid.h)))[0]
+    q_fine = tmap.q_lo + np.arange(1, 4 * n + 4) * (0.25 * grid.h)
+    x_fine = tmap.inverse_grid(q_fine)
+    # fine site 4j is phi1 node j bit for bit: the lift and the exported potential reuse it
+    tmap.remember(q_fine[3::4], x_fine[3::4])
+    u_fine = product_u(model, x_fine)[0]
     even = _symmetrized(u_fine)
     if even:
         u_fine = even[0]

@@ -29,7 +29,7 @@ from .errors import (
     InvalidParameterError,
     ZetaCrossingError,
 )
-from .profiles import ModelSpec, interior_sample, product_u
+from .profiles import ModelSpec, product_u
 from .transform import TransformMap
 
 EXACT = "exact"
@@ -166,10 +166,12 @@ def approx_potential(model: ModelSpec, grid: QGrid,
     """Energy-independent potential (non-relativistic reduction).
 
     Requires m(x) > 0 strictly inside the domain; a massless model is
-    rejected outright, isolated interior zeros are flagged singular.
+    rejected outright, isolated interior zeros are flagged singular. The
+    massless check reads ``model.u_sample``, u on the model's interior
+    sample, evaluated once per model however many grids are built; its
+    overflowed samples are left out.
     """
-    with np.errstate(all="ignore"):  # a product that overflows is left out below
-        u_probe, _, _ = product_u(model, interior_sample(model.domain))
+    u_probe = model.u_sample
     finite = np.isfinite(u_probe)
     if not np.any(np.abs(u_probe[finite]) > 0.0):
         raise ApproximationInvalidError(

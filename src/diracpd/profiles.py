@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Hashable, Mapping, Optional, Tuple
 
 import numpy as np
@@ -264,6 +265,19 @@ class ModelSpec:
         lo, hi = self.domain
         return (x > lo) & (x < hi)
 
+    @cached_property
+    def u_sample(self) -> np.ndarray:
+        """u = m v_F^2 on ``interior_sample(domain)``, evaluated once per spec.
+
+        Overflowed samples stay in the read-only array as inf or NaN; its
+        readers (``detect_constant_u``, ``approx_potential``'s massless
+        check) each decide what such a sample means.
+        """
+        with np.errstate(all="ignore"):
+            u, _, _ = product_u(self, interior_sample(self.domain))
+        u.flags.writeable = False
+        return u
+
 
 def product_u(model: ModelSpec, x):
     """u = m v_F^2 and its first two x-derivatives at x (strictly interior).
@@ -299,23 +313,24 @@ def product_u(model: ModelSpec, x):
 def detect_constant_u(model: ModelSpec, tol: float = 1e-10) -> Optional[float]:
     """Return A when u(x) = m v_F^2 is constant to ``tol``, else None.
 
-    Constancy is certified by dense sampling (deterministic grid), not
-    symbolically; the reference value is u at the model anchor. Without
-    closed forms, samples where m or v_F^2 passes 1e100 are skipped: there a
-    factor has left the finite range (v_F^2 overflows while m underflows to
-    0), and the product reads nothing of u. Any other sample where the
-    product is not finite is not constant.
+    Constancy is certified by dense sampling (``model.u_sample``, the
+    model's one evaluation of u on ``interior_sample``), not symbolically;
+    the reference value is u at the model anchor. Without closed forms,
+    samples where m or v_F^2 passes 1e100 are skipped: there a factor has
+    left the finite range (v_F^2 overflows while m underflows to 0), and the
+    product reads nothing of u. Any other sample where the product is not
+    finite is not constant.
     """
     if tol <= 0:
         raise InvalidParameterError("tol must be positive")
     u0, _, _ = product_u(model, model.anchor)
-    xs = interior_sample(model.domain)
-    with np.errstate(all="ignore"):
-        u, _, _ = product_u(model, xs)
-        if model.u_closed is None:
+    u = model.u_sample
+    if model.u_closed is None:
+        xs = interior_sample(model.domain)
+        with np.errstate(all="ignore"):
             gone = ((np.abs(model.mass(xs)) >= _HUGE)
                     | (np.asarray(model.velocity(xs)) ** 2 >= _HUGE))
-            u = u[~np.broadcast_to(gone, xs.shape)]
+        u = u[~np.broadcast_to(gone, xs.shape)]
     if not np.all(np.isfinite(u)):
         return None
     if np.max(np.abs(u - u0)) <= tol * max(1.0, abs(u0)):

@@ -216,6 +216,12 @@ class TransformMap:
         self._grid_cache[key] = (q.copy(), x)
         return x.copy()
 
+    def remember(self, q: np.ndarray, x: np.ndarray) -> None:
+        """Cache ``x`` as the inverse of the sorted grid ``q``, nodes taken
+        from a grid inverted here: each node is inverted on its own, so a
+        node's x is the same in any grid that holds it."""
+        self._grid_cache.setdefault((q[0], q[-1], q.size), (q.copy(), x.copy()))
+
     def _solve(self, q):
         """x(q) in closed form or by ``_newton``; seven nodes are checked
         against the adaptive-quadrature forward map."""

@@ -1,5 +1,6 @@
-"""The CI workflow parses as YAML, its benchmark runs cover exactly the declared workloads, and
-the benchmark's layer tracer still finds every name it wraps in the package."""
+"""The CI workflow parses as YAML, its benchmark runs cover exactly the declared workloads, its
+tier-1 job pins the BLAS/OpenMP pools to one thread as the benchmark does, and the benchmark's
+layer tracer still finds every name it wraps in the package."""
 
 import json
 import os
@@ -25,6 +26,15 @@ def test_workflow_parses_and_runs_declared_workloads():
     assert set(named) <= declared, f"undeclared workloads: {sorted(set(named) - declared)}"
     # every one runs: exact_sc alone reaches the folded lattice, scan alone resumed scans
     assert declared <= set(named), f"workloads not run: {sorted(declared - set(named))}"
+
+
+def test_tier1_pins_blas_threads():
+    yaml = pytest.importorskip("yaml")
+    workflow = yaml.safe_load((ROOT / ".github/workflows/tests.yml").read_text(encoding="utf-8"))
+    env = workflow["jobs"]["tier1"].get("env", {})
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        assert str(env.get(var)) == "1", var
+        assert var in (ROOT / "perfbench/run.py").read_text(encoding="utf-8")
 
 
 def test_tracer_installs_against_src():

@@ -6,7 +6,8 @@ import weakref
 import numpy as np
 import pytest
 
-from diracpd import cli, eigensolver
+from diracpd import (QGrid, build_transform, builtin_model, cli, eigensolver, potential, profiles,
+                     spinor, transform)
 from diracpd.cli import main
 from diracpd.errors import QuadratureFailureError
 
@@ -409,7 +410,118 @@ class TestWriter:
             assert [r[1] for r in rows] == q
 
 
+class TestSolveReuse:
+    """Work a solve does once: u on the interior sample, the base-grid field,
+    and in exact mode one inversion of the map."""
+
+    PT = dict(model__name="poschl_teller", model__alpha=1.0, model__v0=1.0,
+              model__m0=1.0, grid__n=300, solve__k_states=2)
+
+    def test_u_sample_evaluated_once(self, tmp_path, monkeypatch):
+        calls = []
+        real = profiles.product_u
+
+        def counted(model, x):
+            if np.size(x) == profiles._SAMPLE_N:
+                calls.append(model.params["m0"])
+            return real(model, x)
+
+        for module in (profiles, potential, eigensolver, spinor):
+            monkeypatch.setattr(module, "product_u", counted)
+        cfg = write_config(tmp_path / "c.txt", **self.PT, out__dir=str(tmp_path / "out"),
+                           outputs="spectrum, potential, wavefunctions")
+        assert main(["solve", "--config", cfg]) == 0
+        assert calls == [1.0]
+        args = cli._make_parser().parse_args(["scan", "--config", cfg, "--axis", "m0=1:2:2"])
+        rows, _ = cli._scan_point(cli.build_run_config(cli.parse_config(cfg), args), 1.5,
+                                  (None, None))
+        assert [row[4] for row in rows] == ["ok", "ok"]
+        assert calls == [1.0, 1.5]
+
+    @pytest.mark.parametrize("name,mode,builder", [
+        ("poschl_teller", "approximate", "approx_potential"),
+        ("cosh_square", "auto", "constant_u_potential"),
+    ])
+    def test_potential_export_writes_the_solved_field(self, tmp_path, monkeypatch,
+                                                      name, mode, builder):
+        grids = []
+        real = getattr(cli, builder)
+
+        def counted(*args):
+            field = real(*args)
+            grids.append(field.grid)
+            return field
+
+        monkeypatch.setattr(cli, builder, counted)
+        cfg = write_config(tmp_path / "c.txt", **dict(self.PT, model__name=name), mode=mode,
+                           outputs="potential", out__dir=str(tmp_path / "out"))
+        assert main(["solve", "--config", cfg]) == 0
+        base = [g for g in grids if g.n == 300]
+        assert len(base) == 1
+        _, rows = read_rows(tmp_path / "out" / "potential.csv")
+        monkeypatch.undo()
+        args = cli._make_parser().parse_args(["solve", "--config", cfg])
+        outcome = cli.run_solve_pipeline(cli.build_run_config(cli.parse_config(cfg), args))
+        assert outcome.grid == base[0]
+        fresh = (cli.approx_potential(outcome.model, outcome.grid, outcome.tmap)
+                 if builder == "approx_potential"
+                 else cli.constant_u_potential(outcome.a_const, outcome.grid))
+        assert [r[1] for r in rows] == [cli._fmt(v) for v in fresh.values.tolist()]
+
+    def test_exact_solve_inverts_the_map_once(self, tmp_path, monkeypatch):
+        sizes = []
+        real = transform.TransformMap._solve
+
+        def counted(tmap, q):
+            sizes.append(q.size)
+            return real(tmap, q)
+
+        monkeypatch.setattr(transform.TransformMap, "_solve", counted)
+        cfg = write_config(tmp_path / "c.txt", **self.PT, mode="exact",
+                           outputs="potential, wavefunctions", out__dir=str(tmp_path / "out"))
+        assert main(["solve", "--config", cfg]) == 0
+        assert sizes == [4 * 300 + 3]  # the fine lattice only
+        # the x column is what a fresh map gives the phi1 nodes, byte for byte
+        monkeypatch.undo()
+        model = builtin_model("poschl_teller", alpha=1.0, v0=1.0, m0=1.0)
+        tmap = build_transform(model.velocity, model.anchor)
+        nodes = QGrid(tmap.q_lo, tmap.q_hi, 300).nodes
+        x = [cli._fmt(v) for v in tmap.inverse_grid(nodes).tolist()]
+        for k in range(2):
+            _, rows = read_rows(tmp_path / "out" / f"wavefunction_{k}.csv")
+            assert [r[0] for r in rows] == x
+
+
 class TestCommandLine:
+    def test_parser_is_built_once(self):
+        assert cli._make_parser() is cli._make_parser()
+
+    def test_consecutive_calls_behave_as_fresh_processes(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "c.txt", model__name="poschl_teller", model__alpha=1.0,
+                           model__v0=1.0, model__m0=1.0, grid__n=200, solve__k_states=2,
+                           mode="approximate", compare__tol="1e-12", out__dir=str(out))
+        runs = [
+            (["solve", "--config", cfg, "--strict", "--states", "3"], 4, 3),
+            (["solve", "--config", cfg], 0, 2),  # neither --strict nor --states stays
+            (["scan", "--config", cfg, "--axis", "m0=1:2:2"], 0, None),
+            (["solve", "--config", cfg, "--axis", "m0=1:2:2"], 2, None),
+            (["scan", "--config", cfg], 2, None),  # the first scan's axis did not stay
+        ]
+        fresh = cli._make_parser.__wrapped__()
+        for argv, code, levels in runs:
+            assert vars(cli._make_parser().parse_args(argv)) == vars(fresh.parse_args(argv))
+            capsys.readouterr()
+            assert main(argv) == code, argv
+            err = capsys.readouterr().err
+            if levels is not None:
+                assert len(read_rows(out / "spectrum.csv")[1]) == levels
+            if code == 2:
+                assert err.startswith("config error")
+                assert ("--axis" if "--axis" in argv else "scan.param") in err
+        _, rows = read_rows(out / "scan.csv")
+        assert [row[0] for row in rows] == ["1", "1", "2", "2"]
+
     @pytest.mark.parametrize("command", ["solve", "bic", "report"])
     def test_axis_outside_scan_exit_2(self, tmp_path, capsys, command):
         cfg = write_config(tmp_path / "c.txt", model__name="cosh_square", model__alpha=1.0,

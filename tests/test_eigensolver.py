@@ -302,6 +302,25 @@ class TestSolveExact:
             _, e_sc, _ = solve_self_consistent(model, tmap, grid, k, e_lat)
             assert abs(e_lat - e_sc) <= 1e-7 * e_lat
 
+    @pytest.mark.parametrize("closed_form", [True, False], ids=["closed_form", "newton"])
+    def test_phi1_nodes_come_from_the_lattice_inversion(self, monkeypatch, closed_form):
+        model = builtin_model("poschl_teller", alpha=1.3, v0=0.8, m0=2.0)
+        if not closed_form:  # the same velocity inverted through the panel table
+            v = model.velocity
+            model = dataclasses.replace(model, velocity=VelocityProfile.from_callable(
+                v.func, v.dfunc, v.d2func, domain=v.domain))
+        tmap = build_transform(model.velocity, model.anchor)
+        assert (tmap.q_shift is None) != closed_form
+        result = solve_exact(model, tmap, 301, 2)
+        nodes = result.pairs[0].grid.nodes
+        solves = []
+        monkeypatch.setattr(type(tmap), "_solve", lambda self, q: solves.append(q.size))
+        x = tmap.inverse_grid(nodes)
+        assert solves == []  # a warm lookup: the lattice inversion holds every node
+        monkeypatch.undo()
+        fresh = build_transform(model.velocity, model.anchor).inverse_grid(nodes)
+        assert x.tobytes() == fresh.tobytes()
+
     def test_inertia_is_checked(self, monkeypatch):
         # u < 0 puts n+1 positive eigenvalues on the lattice, not n
         model = builtin_model("cosh_square", alpha=1, v0=1, m0=1)

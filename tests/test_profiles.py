@@ -1,13 +1,15 @@
 import argparse
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from diracpd import (ModelSpec, approx_potential, build_transform, builtin_model,
+from diracpd import (ModelSpec, QGrid, approx_potential, build_transform, builtin_model,
                      detect_constant_u, interior_sample, product_u, spectrum_entry)
 from diracpd.cli import build_run_config, run_solve_pipeline
-from diracpd.errors import DomainError, InvalidParameterError
+from diracpd import potential, profiles
+from diracpd.errors import ApproximationInvalidError, DomainError, InvalidParameterError
 from diracpd.profiles import MassProfile, VelocityProfile
 
 COSH4_1 = 0.1763784476141347  # 1/cosh^4(1), high-precision reference
@@ -377,6 +379,78 @@ def test_custom_model_matches_builtin(name, params):
     levels = [e for e, _ in _solve(custom, "exact").result.energies]
     assert levels == pytest.approx([e for e, _ in _solve(builtin, "exact").result.energies],
                                    rel=1e-12)
+
+
+def _custom(name, **params):
+    """A built-in's profiles as a custom model, without u_closed."""
+    b = builtin_model(name, **params)
+    return ModelSpec(name, _clone(b.mass), _clone(b.velocity), b.domain, b.params,
+                     "custom", b.anchor)
+
+
+def count_sample_products(monkeypatch):
+    """Record product_u calls on the 1024-point interior sample."""
+    calls = []
+    real = profiles.product_u
+
+    def counted(model, x):
+        if np.size(x) == profiles._SAMPLE_N:
+            calls.append(model)
+        return real(model, x)
+
+    for module in (profiles, potential):
+        monkeypatch.setattr(module, "product_u", counted)
+    return calls
+
+
+class TestUSample:
+    def test_evaluated_once_per_model(self, monkeypatch):
+        calls = count_sample_products(monkeypatch)
+        model = builtin_model("poschl_teller", alpha=1.0, v0=1.0, m0=1.0)
+        tmap = build_transform(model.velocity, model.anchor)
+        grid = QGrid(tmap.q_lo, tmap.q_hi, 300, offset=True)
+        assert detect_constant_u(model) is None
+        for _ in range(3):
+            approx_potential(model, grid, tmap)
+        assert detect_constant_u(model) is None
+        assert calls == [model]
+
+    @pytest.mark.parametrize("make", [builtin_model, _custom])
+    def test_sample_is_u_on_the_interior_sample(self, make):
+        model = make("poschl_teller", alpha=1.3, v0=0.8, m0=2.0)
+        expected = product_u(model, interior_sample(model.domain))[0]
+        assert np.array_equal(model.u_sample, expected)
+        assert not model.u_sample.flags.writeable
+
+    def test_models_do_not_share_a_sample(self):
+        a = builtin_model("poschl_teller", alpha=1.0, v0=1.0, m0=1.0)
+        b = builtin_model("poschl_teller", alpha=1.0, v0=1.0, m0=2.0)
+        assert np.array_equal(2.0 * a.u_sample, b.u_sample)
+        flipped = dataclasses.replace(a, u_closed=tuple(lambda x, f=f: -f(x)
+                                                        for f in a.u_closed))
+        assert a.u_sample is not flipped.u_sample
+        assert np.array_equal(flipped.u_sample, -a.u_sample)
+
+    @pytest.mark.parametrize("m0,expected", [(1.1, 1.1 * 0.7 ** 2), (0.0, 0.0)])
+    def test_custom_models_read_the_sample(self, monkeypatch, m0, expected):
+        model = _custom("cosh_square", alpha=1.2, v0=0.7, m0=m0)
+        calls = count_sample_products(monkeypatch)
+        # far out v_F^2 passes 1e100 while m underflows, and the product reads 0
+        # at some of those samples: detect_constant_u skips them (the gone mask)
+        with np.errstate(over="ignore"):
+            gone = np.asarray(model.velocity(interior_sample(model.domain))) ** 2 >= 1e100
+        assert gone.any() and np.min(model.u_sample[gone]) == 0.0
+        assert detect_constant_u(model) == pytest.approx(expected, rel=1e-12)
+        tmap = build_transform(model.velocity, model.anchor)
+        grid = QGrid(tmap.q_lo, tmap.q_hi, 300)
+        if m0 == 0.0:
+            with pytest.raises(ApproximationInvalidError, match="non-zero mass"):
+                approx_potential(model, grid, tmap)
+        else:
+            values = approx_potential(model, grid, tmap).values
+            assert values == pytest.approx(expected ** 2, rel=1e-8)
+        assert detect_constant_u(model) == pytest.approx(expected, rel=1e-12)
+        assert calls == [model]
 
 
 def test_interior_sample_stays_inside():
