@@ -316,11 +316,13 @@ class SolveOutcome:
 
 
 def run_solve_pipeline(rc: RunConfig, model: Optional[ModelSpec] = None,
-                       tmap: Optional[TransformMap] = None) -> SolveOutcome:
+                       tmap: Optional[TransformMap] = None,
+                       vectors: bool = True) -> SolveOutcome:
     """profiles -> transform -> potential -> eigensolver, per resolved mode.
 
     A given ``tmap`` must be the map of ``model.velocity`` anchored at
     ``model.anchor`` with ``rc.quad_tol``; without one it is built here.
+    ``vectors`` asks the eigensolver for eigenvectors (see solve_fixed).
     """
     if model is None:
         model = _build_model(rc)
@@ -336,19 +338,19 @@ def run_solve_pipeline(rc: RunConfig, model: Optional[ModelSpec] = None,
             rest = energies_from_lambda(0.0, a_const * a_const)
             return SolveOutcome(model, tmap, mode, None, None, a_const, rest_energy=rest)
         field = constant_u_potential(a_const, QGrid(tmap.q_lo, tmap.q_hi, rc.grid_n))
-        return SolveOutcome(model, tmap, mode, field.grid, solve_fixed(field, rc.k_states),
-                            a_const, field=field)
+        return SolveOutcome(model, tmap, mode, field.grid,
+                            solve_fixed(field, rc.k_states, vectors=vectors), a_const, field=field)
 
     def builder(g: QGrid):
         return approx_potential(model, g, tmap)
 
     field = None
     if mode == "exact":
-        result = solve_exact(model, tmap, rc.grid_n, rc.k_states)
+        result = solve_exact(model, tmap, rc.grid_n, rc.k_states, vectors=vectors)
     elif finite_q:
         offset = _wall_singular(builder, tmap.q_lo, tmap.q_hi)
         field = builder(QGrid(tmap.q_lo, tmap.q_hi, rc.grid_n, offset=offset))
-        result = solve_fixed(field, rc.k_states)
+        result = solve_fixed(field, rc.k_states, vectors=vectors)
     else:
         lo0 = tmap.q_lo if math.isfinite(tmap.q_lo) else None
         hi0 = tmap.q_hi if math.isfinite(tmap.q_hi) else None
@@ -360,7 +362,7 @@ def run_solve_pipeline(rc: RunConfig, model: Optional[ModelSpec] = None,
             field = builder(QGrid(lo, hi, rc.grid_n, offset=True))
             return field
 
-        result, _ = expand_until_settled(box_builder, rc.k_states)
+        result, _ = expand_until_settled(box_builder, rc.k_states, vectors=vectors)
     return SolveOutcome(model, tmap, mode, result.pairs[0].grid, result, a_const, field=field)
 
 
@@ -487,7 +489,9 @@ def _write_wavefunction(path: str, rc: RunConfig, mode: str, grid: Optional[QGri
 # ---------------------------------------------------------------------------
 
 def cmd_solve(rc: RunConfig) -> int:
-    outcome = run_solve_pipeline(rc)
+    # only the wavefunction lift reads eigenvectors; a vectorless level's
+    # nodes column is its certified index (see eigensolver)
+    outcome = run_solve_pipeline(rc, vectors="wavefunctions" in rc.outputs)
     model, tmap, mode, grid = outcome.model, outcome.tmap, outcome.mode, outcome.grid
     if "bic" in rc.outputs and rc.bic_energies:
         _require_constant_u(model, outcome.a_const, "output 'bic'")
@@ -655,7 +659,7 @@ def _scan_point(rc: RunConfig, value: float,
         if model.map_key is None or model.map_key != held[0]:
             held = (model.map_key,
                     build_transform(model.velocity, model.anchor, rc.quad_tol))
-        outcome = run_solve_pipeline(rc, model=model, tmap=held[1])
+        outcome = run_solve_pipeline(rc, model=model, tmap=held[1], vectors=False)
         energies = ([outcome.rest_energy] if outcome.rest_energy is not None
                     else outcome.result.energies)
         # row k holds level k of the resolved mode beside its closed-form entry k
@@ -713,7 +717,7 @@ def _report_levels(rc: RunConfig, model: ModelSpec, tmap: TransformMap) -> None:
             except ImaginaryEnergyError as exc:
                 print(f"  n={n}: {exc}")
         return
-    outcome = run_solve_pipeline(rc, model=model, tmap=tmap)
+    outcome = run_solve_pipeline(rc, model=model, tmap=tmap, vectors=False)
     numeric = [e[0] for e in outcome.result.energies]
     reference = _analytic_reference(rc, model, rc.k_states + 2, outcome.mode)
     as_pub = _interleaved(reference)

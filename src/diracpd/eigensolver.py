@@ -5,8 +5,12 @@ plus diag(V); for a non-constant V (approximate mode, and the scalar exact
 reduction of solve_self_consistent) eigenvalues come from bisection over
 Sturm sequences with inverse iteration for the vectors (LAPACK, via
 scipy.linalg.eigh_tridiagonal), then one Richardson step over (h, h/2)
-removes the leading O(h^2) error. Interior sign changes of each vector give
-the oscillation count for free.
+removes the leading O(h^2) error. Vectors are computed only when asked for
+(``vectors=True``, the default; only the spinor lift reads them). Level k,
+whose index bisection and Sturm counts certify, has k sign changes by the
+oscillation theorem for Jacobi matrices (Gantmacher & Krein, Oscillation
+Matrices and Kernels), so the node count of a vectorless level is its index;
+with vectors it is counted from the vector's interior sign changes.
 
 Only the base grid is bisected by index from the whole spectrum. Each
 refined level is bisected in a narrow window around its base value (about
@@ -54,10 +58,14 @@ from .transform import TransformMap
 
 @dataclass(frozen=True)
 class EigenPair:
-    """One converged state: refined eigenvalue, vector on the base grid."""
+    """One converged state: refined eigenvalue, vector on the base grid.
+
+    ``phi`` (and ``chi``) are None when the state was solved with
+    ``vectors=False``; ``nodes`` is then the certified level index.
+    """
 
     lam: float
-    phi: np.ndarray
+    phi: Optional[np.ndarray]
     grid: QGrid
     nodes: int
     error_estimate: float
@@ -219,9 +227,11 @@ def _inertia(blocks, floor: float, below: int) -> List[int]:
     return counts
 
 
-def _levels(coarse, fine, k: int, tol: float, floors, below, mirror=None):
+def _levels(coarse, fine, k: int, tol: float, floors, below, mirror=None,
+            vectors: bool = True):
     """(w, unit vectors, w_fine): the k levels over the floor of a tridiagonal
-    matrix and of its refinement; None when a fold is not certified.
+    matrix and of its refinement; None when a fold is not certified. The
+    vectors are None unless ``vectors``; the LAPACK calls are the same.
 
     ``coarse`` and ``fine`` hold each grid's (d, e), whole or as its two _fold
     blocks, the one that holds the lowest level first; ``mirror`` then gives
@@ -235,12 +245,15 @@ def _levels(coarse, fine, k: int, tol: float, floors, below, mirror=None):
     """
     size, n = len(coarse), sum(d.size for d, _ in coarse)
     supply = [(k + size - 1 - p) // size for p in range(size)]
-    w, vecs, w_fine = np.empty(k), np.empty((n, k)), np.empty(k)
+    w, vecs, w_fine = np.empty(k), np.empty((n, k)) if vectors else None, np.empty(k)
     for p, (block, m, first) in enumerate(zip(coarse, supply,
                                               _inertia(coarse, floors[0], below[0]))):
         if m:
-            w[p::size], psi = _tridiag_eigs(*block, m, True, first=first)
-            vecs[:, p::size] = psi if mirror is None else _unfold(psi, n, (1 - 2 * p) * mirror)
+            found = _tridiag_eigs(*block, m, vectors, first=first)
+            w[p::size], psi = found if vectors else (found, None)
+            if vectors:
+                vecs[:, p::size] = (psi if mirror is None
+                                    else _unfold(psi, n, (1 - 2 * p) * mirror))
     top = w[-1] + max(1e-6 * abs(w[-1]), tol)
     if size > 1 and not (np.all(np.diff(w) > 0) and all(
             _count(*block, floors[0], top) == m for block, m in zip(coarse, supply))):
@@ -273,14 +286,17 @@ def _free_eigs(grid: QGrid, k: int, with_vectors: bool):
     return w, np.sin(np.outer(np.arange(1, n + 1), ks) * (math.pi / (n + 1)))
 
 
-def solve_fixed(potential: PotentialField, k_states: int) -> SpectrumResult:
+def solve_fixed(potential: PotentialField, k_states: int,
+                vectors: bool = True) -> SpectrumResult:
     """Lowest k_states eigenpairs of the fixed potential.
 
     Eigenvalues are Richardson-refined over (h, h/2) with
     error_estimate = |lam_h - lam_{h/2}| / 3; eigenvectors live on the
-    base grid, normalized so that sum(phi^2) h = 1. Both grids go through
-    _levels, with min V as each grid's floor and no eigenvalue under it:
-    the h grid is bisected by index, each h/2 level near its h level.
+    base grid, normalized so that sum(phi^2) h = 1. With ``vectors=False``
+    none is computed: each pair's phi is None and its nodes its index, and
+    the levels and error estimates are bit for bit the same. Both grids go
+    through _levels, with min V as each grid's floor and no eigenvalue under
+    it: the h grid is bisected by index, each h/2 level near its h level.
 
     A field whose values on both grids match their mirror (_symmetrized) is
     folded: (V + V[::-1]) / 2 on the first ceil(n/2) nodes makes an even and
@@ -305,7 +321,8 @@ def solve_fixed(potential: PotentialField, k_states: int) -> SpectrumResult:
 
     if potential.mode == CONSTANT_U:
         offset = float(potential.constant_a) ** 2
-        w, vecs = _free_eigs(grid, k_states, with_vectors=True)
+        found = _free_eigs(grid, k_states, with_vectors=vectors)
+        w, vecs = found if vectors else (found, None)
         w_fine = _free_eigs(grid.refined(), k_states, with_vectors=False)
     else:
         offset = 0.0
@@ -317,17 +334,20 @@ def solve_fixed(potential: PotentialField, k_states: int) -> SpectrumResult:
         base, refined = _schrodinger(values, grid.h), _schrodinger(fine_values, fine.grid.h)
         args = (k_states, _bisection_tol(*base),
                 (float(np.min(values)), float(np.min(fine_values))), (0, 0))
-        solved = _levels(_fold(*base), _fold(*refined), *args,
-                         mirror=np.ones(grid.n // 2)) if even else None
-        w, vecs, w_fine = solved or _levels([base], [refined], *args)
+        solved = _levels(_fold(*base), _fold(*refined), *args, mirror=np.ones(grid.n // 2),
+                         vectors=vectors) if even else None
+        w, vecs, w_fine = solved or _levels([base], [refined], *args, vectors=vectors)
 
     pairs, energies = [], []
     lam, gap = _richardson(w, w_fine)
     for k in range(k_states):
-        phi = _canonical_sign(vecs[:, k])
-        phi = phi / math.sqrt(float(np.sum(phi * phi)) * grid.h)
+        phi, nodes = None, k
+        if vectors:
+            phi = _canonical_sign(vecs[:, k])
+            phi = phi / math.sqrt(float(np.sum(phi * phi)) * grid.h)
+            nodes = count_nodes(phi)
         pairs.append(EigenPair(lam=float(lam[k]), phi=phi, grid=grid,
-                               nodes=count_nodes(phi), error_estimate=float(gap[k] / 3.0)))
+                               nodes=nodes, error_estimate=float(gap[k] / 3.0)))
         energies.append(energies_from_lambda(lam[k], offset))
 
     return SpectrumResult(pairs=tuple(pairs), energies=tuple(energies),
@@ -352,7 +372,7 @@ def _inertia_floor(u: np.ndarray, h: float) -> float:
 
 
 def solve_exact(model: ModelSpec, tmap: TransformMap, n: int,
-                k_states: int) -> SpectrumResult:
+                k_states: int, vectors: bool = True) -> SpectrumResult:
     """Lowest k_states positive energies of H = sigma_x p_q + sigma_z u(q), u = m v_F^2.
 
     On (phi1, chi), with phi = sqrt(v_F) psi and phi2 = -i chi, H is the real
@@ -365,7 +385,9 @@ def solve_exact(model: ModelSpec, tmap: TransformMap, n: int,
     Both lattices go through _levels, with n+1 (coarse) and 2n+2 (fine)
     eigenvalues at or under the inertia floor. Vectors have
     h sum(phi1^2 + chi^2) = 1 and phi1 > 0 at its largest sample (the first
-    of equal ones).
+    of equal ones). With ``vectors=False`` none is computed: each pair's phi
+    and chi are None and its nodes its index, and the levels and error
+    estimates are bit for bit the same.
 
     When u matches its mirror (_symmetrized) the lattice commutes with
     P = diag((-1)^j) J and is solved as two parity blocks (_fold, _levels),
@@ -395,18 +417,21 @@ def solve_exact(model: ModelSpec, tmap: TransformMap, n: int,
     if even:  # the block that holds the lowest level first, as _levels wants
         blocks = _fold(*coarse)
         solved = _levels(blocks[::-1] if n % 2 == 0 else blocks, _fold(*fine), *args,
-                         mirror=np.where(np.arange(n) % 2, 1.0, -1.0))  # (-1)^(j+1)
-    w, vecs, w_fine = solved or _levels([coarse], [fine], *args)
+                         mirror=np.where(np.arange(n) % 2, 1.0, -1.0),  # (-1)^(j+1)
+                         vectors=vectors)
+    w, vecs, w_fine = solved or _levels([coarse], [fine], *args, vectors=vectors)
     pairs, energies = [], []
     lam, gap = _richardson(w, w_fine)
     for k in range(k_states):
         e = float(lam[k])
-        vec = vecs[:, k] / math.sqrt(grid.h)
-        vec = vec * math.copysign(1.0, vec[1 + 2 * int(np.argmax(np.abs(vec[1::2])))])
-        pairs.append(EigenPair(lam=e * e, phi=vec[1::2], grid=grid,
-                               nodes=count_nodes(vec[1::2]),
-                               error_estimate=float(2.0 * e * gap[k] / 3.0),
-                               chi=vec[0::2]))
+        phi, chi, nodes = None, None, k
+        if vectors:
+            vec = vecs[:, k] / math.sqrt(grid.h)
+            vec = vec * math.copysign(1.0, vec[1 + 2 * int(np.argmax(np.abs(vec[1::2])))])
+            phi, chi = vec[1::2], vec[0::2]
+            nodes = count_nodes(phi)
+        pairs.append(EigenPair(lam=e * e, phi=phi, grid=grid, nodes=nodes,
+                               error_estimate=float(2.0 * e * gap[k] / 3.0), chi=chi))
         energies.append((e, -e))
     return SpectrumResult(pairs=tuple(pairs), energies=tuple(energies), mode=EXACT,
                           offset=0.0)
@@ -457,9 +482,10 @@ def solve_self_consistent(model: ModelSpec, tmap: TransformMap, grid: QGrid,
     )
 
 
-def _solve_box(field: PotentialField, k_states: int, L: float) -> SpectrumResult:
+def _solve_box(field: PotentialField, k_states: int, L: float,
+               vectors: bool) -> SpectrumResult:
     try:
-        return solve_fixed(field, k_states)
+        return solve_fixed(field, k_states, vectors=vectors)
     except ImaginaryEnergyError as exc:
         raise NonConvergenceError(
             f"potential does not confine at |q|={L:g}: the reduced "
@@ -470,7 +496,7 @@ def _solve_box(field: PotentialField, k_states: int, L: float) -> SpectrumResult
 def expand_until_settled(builder: Callable[[float], PotentialField],
                          k_states: int, l_start: float = 8.0,
                          settle_tol: float = 1e-8, max_doublings: int = 8,
-                         confine_margin: float = 25.0
+                         confine_margin: float = 25.0, vectors: bool = True
                          ) -> Tuple[SpectrumResult, float]:
     """Truncate an unbounded q-domain at |q| = L, doubling until eigenvalues settle.
 
@@ -481,7 +507,7 @@ def expand_until_settled(builder: Callable[[float], PotentialField],
     min V, so an edge that did not grow from L/2 to L and sits within the
     margin of min V is rejected from the fields alone, before any
     eigensolve; the first box is solved only once the second has passed
-    that check.
+    that check. Every box is solved with ``vectors`` (see solve_fixed).
     """
     lam_prev = edge_prev = first = None
     L = l_start
@@ -500,8 +526,8 @@ def expand_until_settled(builder: Callable[[float], PotentialField],
                 f"no discrete spectrum"
             )
         if lam_prev is None:
-            lam_prev = _solve_box(first, k_states, L / 2.0).pairs[-1].lam
-        result = _solve_box(field, k_states, L)
+            lam_prev = _solve_box(first, k_states, L / 2.0, vectors).pairs[-1].lam
+        result = _solve_box(field, k_states, L, vectors)
         lam_top = result.pairs[-1].lam
         if abs(lam_top - lam_prev) <= settle_tol * max(1.0, abs(lam_top)):
             if edge < lam_top + confine_margin:

@@ -87,6 +87,9 @@ def reconstruct(pair: EigenPair, model: ModelSpec, tmap: TransformMap,
     The global phase makes psi_1 real and positive at its largest sample.
     The result is unnormalized; feed it to :func:`normalize`.
     """
+    if pair.phi is None:
+        raise InvalidParameterError(
+            "the pair has no eigenvector to lift; solve with vectors=True")
     q = pair.grid.nodes
     x = tmap.inverse_grid(q)
     v = np.broadcast_to(np.asarray(model.velocity(x), dtype=float), x.shape)

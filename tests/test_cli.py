@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import os
@@ -490,6 +491,108 @@ class TestSolveReuse:
         for k in range(2):
             _, rows = read_rows(tmp_path / "out" / f"wavefunction_{k}.csv")
             assert [r[0] for r in rows] == x
+
+
+def spy_eigensolves(monkeypatch):
+    """Log each LAPACK call as (rows, select, select_range, tol, computes vectors)
+    and each closed-form free solve as (n, k, computes vectors)."""
+    calls = []
+    real_tridiag, real_free = eigensolver.eigh_tridiagonal, eigensolver._free_eigs
+
+    def tridiag(d, e, **kwargs):
+        calls.append((d.size, kwargs["select"], tuple(kwargs["select_range"]),
+                      kwargs.get("tol"), not kwargs.get("eigvals_only", False)))
+        return real_tridiag(d, e, **kwargs)
+
+    def free(grid, k, with_vectors):
+        calls.append((grid.n, k, with_vectors))
+        return real_free(grid, k, with_vectors)
+
+    monkeypatch.setattr(eigensolver, "eigh_tridiagonal", tridiag)
+    monkeypatch.setattr(eigensolver, "_free_eigs", free)
+    return calls
+
+
+def solve_config(tmp_path, argv, **keys):
+    """The RunConfig of ``solve --config <keys> argv``."""
+    cfg = write_config(tmp_path / "c.txt", **keys, out__dir=str(tmp_path / "out"))
+    args = cli._make_parser().parse_args(["solve", "--config", cfg, *argv])
+    return cli.build_run_config(cli.parse_config(cfg), args)
+
+
+class TestVectorsOnlyForWavefunctions:
+    """Only the wavefunction lift reads eigenvectors: every other solve asks
+    the same LAPACK calls for levels alone, and writes the same bytes."""
+
+    PT = dict(model__name="poschl_teller", model__alpha=1.0, model__v0=1.0, model__m0=1.0)
+
+    @pytest.mark.parametrize("name,argv,rows", [
+        ("poschl_teller", [], 300),  # approximate mode: the 300-node grid
+        ("poschl_teller", ["--mode", "exact"], 601),  # the 601-site lattice
+        ("cosh_square", [], None),  # constant-u: the DST-I table
+    ], ids=["poschl_teller", "poschl_teller_exact", "cosh_square"])
+    def test_solve_asks_for_vectors_with_wavefunctions_alone(self, tmp_path, monkeypatch,
+                                                             name, argv, rows):
+        rc = solve_config(tmp_path, argv, **dict(self.PT, model__name=name),
+                          grid__n=300, solve__k_states=3)
+        runs = []
+        for outputs in (("spectrum", "potential"), ("spectrum", "potential", "wavefunctions")):
+            runs.append(spy_eigensolves(monkeypatch))
+            assert cli.cmd_solve(dataclasses.replace(rc, outputs=outputs)) == 0
+            monkeypatch.undo()
+        lean, full = runs
+        assert lean and not any(call[-1] for call in lean)
+        # the same calls, of which the base grid's index bisections compute vectors
+        assert [call[:-1] for call in full] == [call[:-1] for call in lean]
+        vectors = [call for call in full if call[-1]]
+        if rows is None:
+            assert vectors == [(300, 3, True)]
+        else:  # one per parity block, levels 0 and 2 from one and 1 from the other
+            assert sorted(call[1] for call in vectors) == ["i", "i"]
+            assert sum(call[2][1] - call[2][0] + 1 for call in vectors) == 3
+            assert sum(call[0] for call in vectors) == rows
+
+    def test_scan_and_report_ask_for_no_vectors(self, tmp_path, monkeypatch, capsys):
+        cfg = write_config(tmp_path / "c.txt", **self.PT, grid__n=300, solve__k_states=3,
+                           out__dir=str(tmp_path / "out"))
+        for mode in ("approximate", "exact"):
+            calls = spy_eigensolves(monkeypatch)
+            args = cli._make_parser().parse_args(["scan", "--config", cfg, "--axis", "m0=1:2:2",
+                                                  "--mode", mode])
+            rows, _ = cli._scan_point(cli.build_run_config(cli.parse_config(cfg), args), 1.5,
+                                      (None, None))
+            assert [row[4] for row in rows] == ["ok"] * 3
+            assert main(["report", "--config", cfg, "--mode", mode]) == 0
+            assert "level 2:" in capsys.readouterr().out
+            assert calls and not any(call[-1] for call in calls), mode
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("name,params,argv", [
+        ("cosh_square", dict(model__alpha=1.0, model__v0=1.0, model__m0=1.0), []),
+        ("rational", dict(model__alpha=1.2, model__v0=0.9, model__m0=1.5), []),
+        ("constant_rest", dict(model__m0=1.0, model__c=1.0), []),
+        ("poschl_teller", dict(model__alpha=1.0, model__v0=1.0, model__m0=1.0), []),
+        ("poschl_teller", dict(model__alpha=1.0, model__v0=1.0, model__m0=1.0),
+         ["--mode", "exact"]),
+    ], ids=["cosh_square", "rational", "constant_rest", "poschl_teller",
+            "poschl_teller_exact"])
+    def test_levels_byte_identical_without_vectors(self, tmp_path, capsys, name, params, argv):
+        # the nodes column of spectrum.csv and stdout: the certified index
+        # without vectors, the vector's sign changes with them
+        rc = solve_config(tmp_path, argv, model__name=name, grid__n=500, solve__k_states=4,
+                          **params)
+        runs = []
+        for tag, outputs in (("lean", ("spectrum", "potential")),
+                             ("full", ("spectrum", "potential", "wavefunctions"))):
+            out_dir = tmp_path / tag
+            capsys.readouterr()
+            assert cli.cmd_solve(dataclasses.replace(rc, outputs=outputs,
+                                                     out_dir=str(out_dir))) == 0
+            files = {f: (out_dir / f).read_bytes() for f in os.listdir(out_dir)
+                     if not f.startswith("wavefunction_")}
+            runs.append((capsys.readouterr().out, files))
+        assert "spectrum.csv" in runs[0][1]
+        assert runs[0] == runs[1]
 
 
 class TestCommandLine:

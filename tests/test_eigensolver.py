@@ -14,6 +14,7 @@ from diracpd import (
     build_transform,
     builtin_model,
     constant_u_potential,
+    detect_constant_u,
     energies_from_lambda,
     exact_potential,
     expand_until_settled,
@@ -584,6 +585,84 @@ class TestParityFold:
                 res = solve(*args)
                 assert folds == (sizes if fold else [])
                 assert_same_states(res, unfolded(solve, *args), 1e-9)
+
+
+SWEEP_NS = [64, 65, 400, 2000, 2001]
+
+
+def sweep_model(name):
+    return builtin_model(name, alpha=1.43, v0=1.9, m0=2.63)
+
+
+def fold_switch(monkeypatch, whole):
+    """Switch the parity fold off (whole), or log the sizes _fold is called on."""
+    folds = []
+    if whole:
+        monkeypatch.setattr(eigensolver, "_symmetrized", lambda *samples: None)
+    else:
+        real = eigensolver._fold
+        monkeypatch.setattr(eigensolver, "_fold", lambda d, e: folds.append(d.size) or real(d, e))
+    return folds
+
+
+def assert_vectorless_matches(on, off):
+    """Level k of the vector solve ``on`` has k sign changes, and the vectorless
+    solve ``off`` has its levels, energies, error estimates and nodes bit for bit."""
+    assert len(on.pairs) == len(off.pairs) == 5
+    for k, (a, b) in enumerate(zip(on.pairs, off.pairs)):
+        assert eigensolver.count_nodes(a.phi) == a.nodes == k
+        assert b.phi is None and b.chi is None
+        assert (b.lam, b.error_estimate, b.nodes) == (a.lam, a.error_estimate, a.nodes)
+    assert off.energies == on.energies
+
+
+class TestNodeSweep:
+    """Vector k of every solver has k sign changes (the oscillation theorem for
+    Jacobi matrices), which lets a vectorless solve report its certified index
+    as the node count; its levels are the vector solve's, bit for bit."""
+
+    @pytest.mark.parametrize("n", SWEEP_NS)
+    @pytest.mark.parametrize("name", ["cosh_square", "rational"])
+    def test_constant_u(self, name, n):
+        model = sweep_model(name)
+        tmap = build_transform(model.velocity, model.anchor)
+        field = constant_u_potential(detect_constant_u(model), QGrid(tmap.q_lo, tmap.q_hi, n))
+        assert_vectorless_matches(solve_fixed(field, 5), solve_fixed(field, 5, vectors=False))
+
+    @pytest.mark.parametrize("whole", [False, True], ids=["folded", "whole"])
+    @pytest.mark.parametrize("n", SWEEP_NS)
+    @pytest.mark.parametrize("name,offset", [("poschl_teller", True), ("cosh_square", False),
+                                             ("rational", False)])
+    def test_approximate(self, monkeypatch, name, offset, n, whole):
+        model = sweep_model(name)
+        tmap = build_transform(model.velocity, model.anchor)
+        field = approx_potential(model, QGrid(tmap.q_lo, tmap.q_hi, n, offset=offset), tmap)
+        folds = fold_switch(monkeypatch, whole)
+        assert_vectorless_matches(solve_fixed(field, 5), solve_fixed(field, 5, vectors=False))
+        assert bool(folds) != whole
+
+    @pytest.mark.parametrize("whole", [False, True], ids=["folded", "whole"])
+    @pytest.mark.parametrize("n", SWEEP_NS)
+    @pytest.mark.parametrize("name", ["poschl_teller", "cosh_square", "rational"])
+    def test_lattice(self, monkeypatch, name, n, whole):
+        model = sweep_model(name)
+        tmap = build_transform(model.velocity, model.anchor)
+        folds = fold_switch(monkeypatch, whole)
+        assert_vectorless_matches(solve_exact(model, tmap, n, 5),
+                                  solve_exact(model, tmap, n, 5, vectors=False))
+        assert bool(folds) != whole
+
+    @pytest.mark.parametrize("tilt", [0.0, 1.0], ids=["even", "tilted"])
+    def test_expand_until_settled(self, tilt):
+        # a confining q^2 + tilt q: the even well folds, the tilted one is solved whole
+        def builder(L):
+            return PotentialField.from_function(lambda q: q * q + tilt * q,
+                                                QGrid(-L, L, 2000, offset=True))
+
+        on, L = expand_until_settled(builder, 5)
+        off, L_off = expand_until_settled(builder, 5, vectors=False)
+        assert L_off == L
+        assert_vectorless_matches(on, off)
 
 
 class TestExpandUntilSettled:

@@ -90,6 +90,22 @@ class TestReconstruct:
         with pytest.raises(ZetaCrossingError):
             reconstruct(res.pairs[0], model, tmap, -2.0)
 
+    @pytest.mark.parametrize("exact", [False, True], ids=["approximate", "lattice"])
+    def test_vectorless_pair_raises(self, exact):
+        # a lattice pair solved without vectors has chi None too: the phi test
+        # comes first, so it does not fall into the approximate-mode lift
+        model = builtin_model("poschl_teller", alpha=1, v0=1, m0=1)
+        tmap = build_transform(model.velocity, model.anchor)
+        if exact:
+            res = solve_exact(model, tmap, 400, 2, vectors=False)
+        else:
+            grid = QGrid(tmap.q_lo, tmap.q_hi, 400, offset=True)
+            res = solve_fixed(approx_potential(model, grid, tmap), 2, vectors=False)
+        assert res.pairs[1].phi is None and res.pairs[1].chi is None
+        with pytest.raises(InvalidParameterError,
+                           match=r"no eigenvector.*solve with vectors=True"):
+            reconstruct(res.pairs[1], model, tmap, res.energies[1][0])
+
     def test_prefactor_scaling_between_masses(self):
         # same free eigenvector; components differ only by zeta prefactors
         model0, tmap, grid, res0 = cosh_setup(m0=0.0)
