@@ -3,8 +3,9 @@
 The discrete operator is the symmetric tridiagonal second-difference matrix
 plus diag(V); for a non-constant V (approximate mode, and the scalar exact
 reduction of solve_self_consistent) eigenvalues come from bisection over
-Sturm sequences with inverse iteration for the vectors (LAPACK, via
-scipy.linalg.eigh_tridiagonal), then one Richardson step over (h, h/2)
+Sturm sequences with inverse iteration for the vectors (LAPACK's dstebz and
+dstein, bound from scipy's LAPACK extension without importing scipy.linalg;
+see eigh_tridiagonal), then one Richardson step over (h, h/2)
 removes the leading O(h^2) error. Vectors are computed only when asked for
 (``vectors=True``, the default; only the spinor lift reads them). Level k,
 whose index bisection and Sturm counts certify, has k sign changes by the
@@ -36,12 +37,16 @@ mode needs no bisection and no potential on the refined grid.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+import scipy
 
 from .errors import (
     DomainError,
@@ -54,6 +59,77 @@ from .errors import (
 from .potential import CONSTANT_U, EXACT, PotentialField, QGrid, exact_potential
 from .profiles import ModelSpec, product_u
 from .transform import TransformMap
+
+
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def _lapack():
+    """(dstebz, dstein) from scipy's LAPACK extension.
+
+    The extension is found in scipy's ``linalg`` directory and loaded under
+    its own name without running ``scipy.linalg``'s package, which would
+    import numpy.ma, numpy.testing and the rest of scipy.linalg's Python
+    layer. A module already in sys.modules is reused, and a later
+    ``import scipy.linalg`` reuses this one. When the extension is not
+    found there, the functions come from ``scipy.linalg.lapack``.
+    """
+    module = sys.modules.get(_FLAPACK)
+    if module is None:
+        spec = importlib.machinery.PathFinder.find_spec(
+            _FLAPACK, [os.path.join(os.path.dirname(scipy.__file__), "linalg")])
+        if spec is None:
+            from scipy.linalg import lapack as module
+        else:
+            module = importlib.util.module_from_spec(spec)
+            sys.modules[_FLAPACK] = module
+            spec.loader.exec_module(module)
+    return module.dstebz, module.dstein
+
+
+_dstebz, _dstein = _lapack()
+
+
+def _check_info(info: int, driver: str) -> None:
+    """scipy.linalg's exceptions for a non-zero LAPACK info code."""
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of internal {driver}")
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{driver} did not converge (LAPACK info={info})")
+
+
+def eigh_tridiagonal(d, e, eigvals_only=False, *, select, select_range, tol=0.0):
+    """Eigenvalues (and, unless ``eigvals_only``, unit vectors as columns) of
+    tridiag(e, d, e): indices lo..hi for ``select="i"``, those in (lo, hi] for
+    ``select="v"``, with ``select_range=(lo, hi)``.
+
+    The calls and results are scipy.linalg.eigh_tridiagonal's with its stebz
+    driver: dstebz (order "E" without vectors, "B" with them), then dstein
+    and a sort by eigenvalue, and the same 1-row quick exit. Non-finite or
+    mismatched input raises ValueError, and a non-zero LAPACK info
+    ValueError or LinAlgError, as there.
+    """
+    d, e = np.asarray_chkfinite(d), np.asarray_chkfinite(e)
+    if d.ndim != 1 or e.ndim != 1:
+        raise ValueError("expected a 1-D array")
+    if d.size != e.size + 1:
+        raise ValueError(f"d ({d.size}) must have one more element than e ({e.size})")
+    lo, hi = select_range
+    by_index = select == "i"
+    if d.size == 1:
+        w = d[:1].copy() if by_index or lo < d[0] <= hi else np.array([])
+        return w if eigvals_only else (w, np.ones((1, w.size)))
+    vl, vu, il, iu = (0.0, 1.0, lo + 1, hi + 1) if by_index else (lo, hi, 1, 1)
+    m, w, iblock, isplit, info = _dstebz(d, e, 2 if by_index else 1, vl, vu, il, iu,
+                                         float(tol), "E" if eigvals_only else "B")
+    _check_info(info, "stebz (eigh_tridiagonal)")
+    w = w[:m]
+    if eigvals_only:
+        return w
+    v, info = _dstein(d, e, w, iblock, isplit)
+    _check_info(info, "stein (eigh_tridiagonal)")
+    order = np.argsort(w)
+    return w[order], v[:, order]
 
 
 @dataclass(frozen=True)
@@ -507,7 +583,9 @@ def expand_until_settled(builder: Callable[[float], PotentialField],
     min V, so an edge that did not grow from L/2 to L and sits within the
     margin of min V is rejected from the fields alone, before any
     eigensolve; the first box is solved only once the second has passed
-    that check. Every box is solved with ``vectors`` (see solve_fixed).
+    that check. The first box only sets the level the next one is compared
+    with, so it is solved without vectors; every later box is solved with
+    ``vectors`` (see solve_fixed).
     """
     lam_prev = edge_prev = first = None
     L = l_start
@@ -526,7 +604,7 @@ def expand_until_settled(builder: Callable[[float], PotentialField],
                 f"no discrete spectrum"
             )
         if lam_prev is None:
-            lam_prev = _solve_box(first, k_states, L / 2.0, vectors).pairs[-1].lam
+            lam_prev = _solve_box(first, k_states, L / 2.0, False).pairs[-1].lam
         result = _solve_box(field, k_states, L, vectors)
         lam_top = result.pairs[-1].lam
         if abs(lam_top - lam_prev) <= settle_tol * max(1.0, abs(lam_top)):

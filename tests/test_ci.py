@@ -1,6 +1,7 @@
 """The CI workflow parses as YAML, its benchmark runs cover exactly the declared workloads, its
-tier-1 job pins the BLAS/OpenMP pools to one thread as the benchmark does, and the benchmark's
-layer tracer still finds every name it wraps in the package."""
+tier-1 job pins the BLAS/OpenMP pools to one thread as the benchmark does and runs one-shot
+solves in a fresh interpreter, and the benchmark's layer tracer still finds every name it wraps
+in the package."""
 
 import json
 import os
@@ -35,6 +36,19 @@ def test_tier1_pins_blas_threads():
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         assert str(env.get(var)) == "1", var
         assert var in (ROOT / "perfbench/run.py").read_text(encoding="utf-8")
+
+
+def test_tier1_runs_one_shot_solves():
+    # outside pytest's process, whose scipy.linalg is loaded before the package, on
+    # every matrix entry (the scipy floor among them): approximate and exact mode
+    yaml = pytest.importorskip("yaml")
+    workflow = yaml.safe_load((ROOT / ".github/workflows/tests.yml").read_text(encoding="utf-8"))
+    steps = [step for step in workflow["jobs"]["tier1"]["steps"]
+             if "python -m diracpd.cli solve" in step.get("run", "")]
+    assert len(steps) == 1 and "if" not in steps[0]
+    run = steps[0]["run"]
+    assert "poschl_teller" in run and "grid.n = 400" in run
+    assert re.search(r"for mode in approximate exact\b", run) and '--mode "$mode"' in run
 
 
 def test_tracer_installs_against_src():

@@ -1,8 +1,11 @@
 import dataclasses
 import math
+import sys
+from importlib.machinery import PathFinder
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from diracpd import eigensolver
 from diracpd import (
@@ -434,6 +437,90 @@ class TestRefinedBrackets:
         assert [p.lam for p in res.pairs] == list((4.0 * w_fine - w) / 3.0)
 
 
+class TestLapackBinding:
+    """The package's eigh_tridiagonal is scipy.linalg's, with ==, for each call it makes."""
+
+    @staticmethod
+    def assert_same(d, e, **kwargs):
+        got = eigensolver.eigh_tridiagonal(d, e, **kwargs)
+        want = scipy.linalg.eigh_tridiagonal(d, e, **kwargs)
+        if kwargs.get("eigvals_only"):
+            got, want = (got,), (want,)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape and np.array_equal(g, w)
+        return got[0]
+
+    @pytest.mark.parametrize("folded", [False, True], ids=["whole", "folded"])
+    @pytest.mark.parametrize("lattice", [False, True], ids=["approximate", "lattice"])
+    def test_call_shapes(self, lattice, folded):
+        d, e, _, tol, floor, below = pt_matrices(400, lattice)
+        for d, e in eigensolver._fold(d, e) if folded else [(d, e)]:
+            first = below // 2 if folded else below
+            for vectors in (False, True):
+                for lo in sorted({0, first}):
+                    self.assert_same(d, e, eigvals_only=not vectors, select="i",
+                                     select_range=(lo, lo + 3))
+            w = self.assert_same(d, e, eigvals_only=True, select="i",
+                                 select_range=(first, first + 3), tol=tol)
+            for lam in w:  # the window _bisect_near starts with, and an empty one above it
+                half = max(1e-6 * abs(lam), tol)
+                for lo, size in ((lam - half, 1), (lam + half, 0)):
+                    assert self.assert_same(d, e, eigvals_only=True, select="v", tol=tol,
+                                            select_range=(lo, lo + 2 * half)).size == size
+            for hi in (floor, w[-1]):  # the Sturm counts of _count
+                self.assert_same(d, e, eigvals_only=True, select="v",
+                                 select_range=(-math.inf, hi), tol=math.inf)
+
+    def test_one_row_blocks(self):
+        # n = 3 folds into blocks of 2 and 1 rows; the 1-row block takes
+        # scipy's quick exit, inside and outside a window
+        (d2, e2), (d1, e1) = eigensolver._fold(np.array([3.0, 1.0, 3.0]), np.array([-0.5, -0.5]))
+        assert (d2.size, d1.size) == (2, 1)
+        for d, e in ((d2, e2), (d1, e1)):
+            for vectors in (False, True):
+                self.assert_same(d, e, eigvals_only=not vectors, select="i", select_range=(0, 0))
+                for window in ((2.0, 4.0), (3.0, 4.0), (-math.inf, 2.0)):
+                    self.assert_same(d, e, eigvals_only=not vectors, select="v",
+                                     select_range=window, tol=math.inf)
+
+    def test_split_matrix(self):
+        # a zero off-diagonal splits the matrix: stebz's order "E" sorts the levels
+        # of both blocks, order "B" groups them by block until the sort after stein
+        d, e = np.array([5.0, 1.0, 4.0, 2.0]), np.array([0.1, 0.0, 0.1])
+        for vectors in (False, True):
+            w = self.assert_same(d, e, eigvals_only=not vectors, select="i",
+                                 select_range=(0, 3))
+            assert np.all(np.diff(w) > 0)
+
+    @pytest.mark.parametrize("d,e", [([1.0, np.nan, 1.0], [0.5, 0.5]),
+                                     ([1.0, 2.0, 1.0], [0.5, np.inf]),
+                                     ([1.0, 2.0, 1.0], [0.5])])
+    def test_bad_input_raises_scipys_exception(self, d, e):
+        for solve in (eigensolver.eigh_tridiagonal, scipy.linalg.eigh_tridiagonal):
+            with pytest.raises(ValueError):
+                solve(np.array(d), np.array(e), select="i", select_range=(0, 1))
+
+    def test_public_lapack_when_the_extension_is_not_found(self, monkeypatch):
+        real = PathFinder.find_spec
+        asked = []
+
+        def find_spec(name, path=None, target=None):
+            asked.append(name)
+            return None if name == eigensolver._FLAPACK else real(name, path, target)
+
+        monkeypatch.setattr(PathFinder, "find_spec", find_spec)
+        monkeypatch.delitem(sys.modules, eigensolver._FLAPACK)
+        bound = eigensolver._lapack()
+        assert asked == [eigensolver._FLAPACK]
+        assert eigensolver._FLAPACK not in sys.modules
+        assert bound == (scipy.linalg.lapack.dstebz, scipy.linalg.lapack.dstein)
+        monkeypatch.setattr(eigensolver, "_dstebz", bound[0])
+        monkeypatch.setattr(eigensolver, "_dstein", bound[1])
+        d, e, *_ = pt_matrices(400, lattice=False)
+        self.assert_same(d, e, select="i", select_range=(0, 2))
+
+
 def unit_vectors(pair):
     """The pair's vector (phi, and chi on the lattice), scaled to unit norm."""
     v = pair.phi if pair.chi is None else np.concatenate((pair.phi, pair.chi))
@@ -674,6 +761,30 @@ class TestExpandUntilSettled:
         result, L = expand_until_settled(builder, 3, l_start=8.0)
         assert result.pairs[0].lam == pytest.approx(1.0, abs=1e-6)
         assert L >= 8.0
+
+    def test_first_box_computes_no_vectors(self, monkeypatch):
+        # the L = 8 box only sets the level L = 16 is compared with: vectors are
+        # bisected for the two parity blocks of the returned box alone, and it
+        # is returned as solve_fixed solves it
+        def builder(L):
+            return PotentialField.from_function(lambda q: q * q, QGrid(-L, L, 2000, offset=True))
+
+        steps = []  # h of each vector-computing index bisection, from e = -1/h^2
+        real = eigensolver.eigh_tridiagonal
+
+        def logged(d, e, *args, **kwargs):
+            if kwargs["select"] == "i" and not kwargs.get("eigvals_only"):
+                steps.append(math.sqrt(-1.0 / e[0]))
+            return real(d, e, *args, **kwargs)
+
+        monkeypatch.setattr(eigensolver, "eigh_tridiagonal", logged)
+        result, L = expand_until_settled(builder, 3, vectors=True)
+        assert L == 16.0
+        assert steps == pytest.approx([builder(16.0).grid.h] * 2, rel=1e-12)
+        monkeypatch.undo()
+        direct = solve_fixed(builder(16.0), 3)
+        for got, want in zip(result.pairs, direct.pairs):
+            assert got.lam == want.lam and np.array_equal(got.phi, want.phi)
 
     @staticmethod
     def count_calls(monkeypatch, name):

@@ -196,6 +196,12 @@ class TestInverseGrid:
         xs = tmap.inverse_grid(qs)
         assert np.max(np.abs(np.tanh(xs) - qs)) <= 1e-11
 
+    def test_spot_nodes_are_np_unique_picks(self):
+        for size in range(1, 65):
+            want = np.unique(np.linspace(0, size - 1, 7).astype(int))
+            got = transform._spot_nodes(size)
+            assert got.dtype == want.dtype and np.array_equal(got, want), size
+
     def test_scalar_is_size_one_grid(self):
         _, tmap = _model_and_map("rational", alpha=1.3, v0=0.7, m0=0.2)
         for q in (tmap.q_lo + 1e-4, -0.37, 0.0, 1.1, tmap.q_hi - 1e-4):
@@ -388,6 +394,46 @@ class TestQuadrature:
         env = dict(os.environ, PYTHONPATH=src)
         code = ("import sys, diracpd, diracpd.cli; "
                 "assert 'scipy.integrate' not in sys.modules, 'scipy.integrate loaded'")
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+    def test_jobs_run_without_scipy_linalg(self, tmp_path):
+        # in a fresh interpreter (this one has scipy.linalg from scipy.integrate):
+        # LAPACK comes from scipy's extension alone, and neither the import nor a
+        # constant-u, approximate, exact-with-wavefunctions or scan job loads
+        # scipy.linalg's package or numpy.ma; a later import of scipy.linalg
+        # shares the extension the package bound
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        code = f"""
+import sys
+import diracpd, diracpd.cli
+from diracpd import cli, eigensolver
+for name in ("scipy.linalg", "scipy.integrate"):
+    assert name not in sys.modules, name + " loaded by the import"
+
+def run(command, name, **keys):
+    path = {str(tmp_path)!r} + "/" + name + ".txt"
+    keys.update(grid__n=400, solve__k_states=3, out__dir={str(tmp_path)!r} + "/" + name)
+    with open(path, "w") as fh:
+        fh.writelines(f"{{key.replace('__', '.')}} = {{value}}\\n" for key, value in keys.items())
+    assert cli.main([command, "--config", path]) == 0, name
+
+pt = dict(model__name="poschl_teller", model__alpha=1.43, model__v0=1.9, model__m0=2.63)
+run("solve", "constant_u", model__name="cosh_square", model__alpha=1.3, model__v0=0.8,
+    model__m0=1.2)
+run("solve", "approximate", mode="approximate", **pt)
+run("solve", "exact", mode="exact", outputs="spectrum, potential, wavefunctions", **pt)
+run("scan", "scan", scan__param="m0", scan__min=2.0, scan__max=3.0, scan__steps=3, **pt)
+for name in ("scipy.linalg", "numpy.ma"):
+    assert name not in sys.modules, name + " loaded by a job"
+
+import numpy as np
+import scipy.linalg
+assert scipy.linalg.lapack.dstebz is eigensolver._dstebz
+assert scipy.linalg.lapack.dstein is eigensolver._dstein
+w = scipy.linalg.eigh_tridiagonal(np.full(3, 2.0), np.full(2, -1.0), eigvals_only=True)
+assert np.allclose(w, 2.0 - 2.0 * np.cos(np.arange(1, 4) * np.pi / 4))
+"""
+        env = dict(os.environ, PYTHONPATH=src)
         subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
