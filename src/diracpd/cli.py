@@ -20,8 +20,8 @@ positional argument; all four share ``--config``, ``--out``, ``--mode``,
 ``--states`` and ``--strict``, and ``--axis`` belongs to ``scan`` alone (with
 any other command it is a config error). The parser is built once per
 process, on the first ``main`` call, and keeps nothing between calls. Exit
-codes: 0 success, 2 config error, 3 numerical failure, 4 comparison beyond
-tolerance under --strict.
+codes: 0 success, 2 config error, 3 numerical failure (any
+``errors.NumericalError``), 4 comparison beyond tolerance under --strict.
 
 Runs are deterministic: identical configs produce byte-identical outputs,
 and every artifact records the config hash and resolved grid in '#' header
@@ -51,18 +51,11 @@ from .eigensolver import (
     solve_fixed,
 )
 from .errors import (
-    ApproximationInvalidError,
     ConfigError,
     DomainError,
     ImaginaryEnergyError,
-    InsufficientResolutionError,
     InvalidParameterError,
-    NonConvergenceError,
-    NonNormalizableError,
-    QuadratureFailureError,
-    SingularNodeError,
-    SubGapError,
-    ZetaCrossingError,
+    NumericalError,
 )
 from .potential import (
     PotentialField,
@@ -80,19 +73,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_COMPARE = 4
-
-_NUMERICAL_ERRORS = (
-    ApproximationInvalidError,
-    DomainError,
-    ZetaCrossingError,
-    NonConvergenceError,
-    QuadratureFailureError,
-    ImaginaryEnergyError,
-    SingularNodeError,
-    InsufficientResolutionError,
-    NonNormalizableError,
-    SubGapError,
-)
 
 _MODES = ("auto", "exact", "approximate", "constant-u")
 _OUTPUTS = ("spectrum", "wavefunctions", "potential", "bic", "discrepancy")
@@ -134,7 +114,6 @@ class RunConfig:
     mode: str
     grid_n: int
     k_states: int
-    quad_tol: float
     compare_tol: float
     outputs: Tuple[str, ...]
     out_dir: str
@@ -155,10 +134,13 @@ class RunConfig:
 
 def _number(key: str, text: str, kind=float):
     try:
-        return kind(text)
+        value = kind(text)
     except ValueError as exc:
         what = "an integer" if kind is int else "a number"
         raise ConfigError(f"config key {key!r}: not {what}: {text!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"config key {key!r}: not finite")
+    return value
 
 
 def _get_number(cfg: Dict[str, str], key: str, default, kind=float):
@@ -203,13 +185,9 @@ def build_run_config(cfg: Dict[str, str], args: argparse.Namespace) -> RunConfig
     if k_states < 1:
         raise ConfigError("config key 'solve.k_states': must be >= 1")
 
-    tols = {
-        "tol.quad": _get_number(cfg, "tol.quad", 1e-12),
-        "compare.tol": _get_number(cfg, "compare.tol", 1e-5),
-    }
-    for key, val in tols.items():
-        if val <= 0:
-            raise ConfigError(f"config key {key!r}: tolerance must be > 0")
+    compare_tol = _get_number(cfg, "compare.tol", 1e-5)
+    if compare_tol <= 0:
+        raise ConfigError("config key 'compare.tol': tolerance must be > 0")
 
     outputs_raw = cfg.get("outputs", "spectrum")
     outputs = tuple(tok.strip() for tok in outputs_raw.split(",") if tok.strip())
@@ -237,8 +215,7 @@ def build_run_config(cfg: Dict[str, str], args: argparse.Namespace) -> RunConfig
         mode=mode,
         grid_n=grid_n,
         k_states=k_states,
-        quad_tol=tols["tol.quad"],
-        compare_tol=tols["compare.tol"],
+        compare_tol=compare_tol,
         outputs=outputs,
         out_dir=cfg.get("out.dir", "out"),
         strict=bool(args.strict),
@@ -321,13 +298,13 @@ def run_solve_pipeline(rc: RunConfig, model: Optional[ModelSpec] = None,
     """profiles -> transform -> potential -> eigensolver, per resolved mode.
 
     A given ``tmap`` must be the map of ``model.velocity`` anchored at
-    ``model.anchor`` with ``rc.quad_tol``; without one it is built here.
+    ``model.anchor``; without one it is built here.
     ``vectors`` asks the eigensolver for eigenvectors (see solve_fixed).
     """
     if model is None:
         model = _build_model(rc)
     if tmap is None:
-        tmap = build_transform(model.velocity, model.anchor, rc.quad_tol)
+        tmap = build_transform(model.velocity, model.anchor)
     mode, a_const = _resolve_mode(rc, model)
     finite_q = math.isfinite(tmap.q_lo) and math.isfinite(tmap.q_hi)
 
@@ -591,7 +568,7 @@ def cmd_bic(rc: RunConfig) -> int:
     model = _build_model(rc)
     mode, a_const = _resolve_mode(rc, model)
     _require_constant_u(model, a_const, "the bic command")
-    tmap = build_transform(model.velocity, model.anchor, rc.quad_tol)
+    tmap = build_transform(model.velocity, model.anchor)
     os.makedirs(rc.out_dir, exist_ok=True)
     _emit_bic(rc, model, tmap, mode)
     return EXIT_OK
@@ -657,8 +634,7 @@ def _scan_point(rc: RunConfig, value: float,
     try:
         model = _build_model(rc, override={rc.scan_param: value})
         if model.map_key is None or model.map_key != held[0]:
-            held = (model.map_key,
-                    build_transform(model.velocity, model.anchor, rc.quad_tol))
+            held = (model.map_key, build_transform(model.velocity, model.anchor))
         outcome = run_solve_pipeline(rc, model=model, tmap=held[1], vectors=False)
         energies = ([outcome.rest_energy] if outcome.rest_energy is not None
                     else outcome.result.energies)
@@ -666,13 +642,13 @@ def _scan_point(rc: RunConfig, value: float,
         reference = _analytic_reference(rc, model, len(energies), outcome.mode)
         return [(key, str(k), _fmt(e_plus), _fmt(ref.e_plus) if ref else "nan", "ok")
                 for k, ((e_plus, _), ref) in enumerate(zip(energies, reference))], held
-    except (_NUMERICAL_ERRORS + (ConfigError, InvalidParameterError)) as exc:
+    except (NumericalError, ConfigError, InvalidParameterError) as exc:
         return [(key, "-", "nan", "nan", f"error:{type(exc).__name__}")], held
 
 
 def cmd_report(rc: RunConfig) -> int:
     model = _build_model(rc)
-    tmap = build_transform(model.velocity, model.anchor, rc.quad_tol)
+    tmap = build_transform(model.velocity, model.anchor)
     os.makedirs(rc.out_dir, exist_ok=True)
     facts = model.facts
     grid = QGrid(tmap.q_lo if math.isfinite(tmap.q_lo) else -facts.q_bound,
@@ -752,7 +728,6 @@ config keys:
   mode                  auto | exact | approximate | constant-u  [auto]
   grid.n                interior nodes, >= 64                    [2000]
   solve.k_states        number of states                         [3]
-  tol.quad              map quadrature tolerance                 [1e-12]
   compare.tol           strict-mode comparison tolerance         [1e-5]
   analytic.variant      verified | as-published                  [verified]
   outputs               spectrum,wavefunctions,potential,bic,discrepancy
@@ -804,7 +779,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except _NUMERICAL_ERRORS as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

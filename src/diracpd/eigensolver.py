@@ -20,14 +20,17 @@ tolerance eps * (Gershgorin norm of T_h), a quarter of the refined grid's
 own default; Sturm counts certify that the windows found the lowest levels.
 When a window holds more than one level, or the counts disagree, the refined
 grid is bisected by index like the base grid. One engine (_levels) runs
-this for both solve_fixed and the exact-mode lattice (solve_exact).
+this for both solve_fixed and the exact-mode lattice (solve_exact): each
+solver hands it the whole matrices of both grids once, and it owns the
+tolerance, the parity fold and its fallback, and the Richardson step.
 
 When the sampled potential (or u, on the lattice) matches its mirror to
 1e-8 relative, as the paper's even models do on their whole q-range, it
 is averaged with its mirror; the matrices then commute with a reflection,
-and both solvers split each one exactly into two parity blocks of half
-the size (Cantoni & Butler, Linear Algebra Appl. 13 (1976) 275) and
-bisect those instead.
+and _levels splits each one exactly into two parity blocks of half the
+size (Cantoni & Butler, Linear Algebra Appl. 13 (1976) 275) and bisects
+those instead, or the whole matrices when Sturm counts do not certify
+the blocks.
 
 In constant-u mode the operator solved is the free one and the constant
 A^2 is kept as a spectral offset, so lambda is exactly E^2 - A^2. The free
@@ -70,9 +73,12 @@ def _lapack():
     The extension is found in scipy's ``linalg`` directory and loaded under
     its own name without running ``scipy.linalg``'s package, which would
     import numpy.ma, numpy.testing and the rest of scipy.linalg's Python
-    layer. A module already in sys.modules is reused, and a later
-    ``import scipy.linalg`` reuses this one. When the extension is not
-    found there, the functions come from ``scipy.linalg.lapack``.
+    layer. A module already in sys.modules is reused. One loaded here is
+    dropped from sys.modules again, so that a later ``import scipy.linalg``
+    loads it after its parent and binds it as ``scipy.linalg._flapack``;
+    the extension's functions are then the ones bound here. When the
+    extension is not found there, the functions come from
+    ``scipy.linalg.lapack``.
     """
     module = sys.modules.get(_FLAPACK)
     if module is None:
@@ -82,8 +88,8 @@ def _lapack():
             from scipy.linalg import lapack as module
         else:
             module = importlib.util.module_from_spec(spec)
-            sys.modules[_FLAPACK] = module
             spec.loader.exec_module(module)
+            sys.modules.pop(_FLAPACK, None)  # loading entered it there
     return module.dstebz, module.dstein
 
 
@@ -185,13 +191,6 @@ def _canonical_sign(phi: np.ndarray) -> np.ndarray:
 def _schrodinger(values: np.ndarray, h: float):
     """Diagonal and off-diagonal of -d^2/dq^2 + V on a grid of step h."""
     return 2.0 / (h * h) + values, np.full(values.size - 1, -1.0 / (h * h))
-
-
-def _tridiag_eigs(d: np.ndarray, e: np.ndarray, k: int, with_vectors: bool, first: int = 0):
-    """Eigenvalues first .. first + k - 1 of tridiag(e, d, e), and (w, vecs) when
-    with_vectors, by bisection."""
-    return eigh_tridiagonal(d, e, select="i", select_range=(first, first + k - 1),
-                            eigvals_only=not with_vectors)
 
 
 def _symmetrized(*samples: np.ndarray) -> Optional[Tuple[np.ndarray, ...]]:
@@ -303,44 +302,51 @@ def _inertia(blocks, floor: float, below: int) -> List[int]:
     return counts
 
 
-def _levels(coarse, fine, k: int, tol: float, floors, below, mirror=None,
+def _levels(coarse, fine, k: int, floors, below, mirror=None, lowest_second: bool = False,
             vectors: bool = True):
-    """(w, unit vectors, w_fine): the k levels over the floor of a tridiagonal
-    matrix and of its refinement; None when a fold is not certified. The
-    vectors are None unless ``vectors``; the LAPACK calls are the same.
+    """(levels, gap, unit vectors) of the k levels over the floor of the
+    tridiagonal matrix ``coarse`` and its refinement ``fine``, each a whole
+    (d, e): _richardson's levels and gaps, and the coarse vectors (None
+    unless ``vectors``; the LAPACK calls are the same).
 
-    ``coarse`` and ``fine`` hold each grid's (d, e), whole or as its two _fold
-    blocks, the one that holds the lowest level first; ``mirror`` then gives
-    the first block's signs for _unfold, and the second's are the opposite.
     ``below`` eigenvalues lie at or under each grid's floor (0 for a
-    Schrödinger matrix), counted once per block (_inertia). Block p supplies
-    levels p, p + 2, ..., bisected by index. Folded, the levels must rise and
-    no block, also one that supplied none, may hold more levels in (floor,
-    just above the top one] than it supplied, or the caller solves the whole
-    matrix. Fine levels are bisected near the coarse ones, else by index.
+    Schrödinger matrix), counted once per block (_inertia); the coarse
+    matrix's _bisection_tol serves both. With a ``mirror`` each matrix is
+    first split into its two _fold blocks, the coarse ones swapped when
+    ``lowest_second``, so that the block holding the lowest level is first;
+    ``mirror`` gives its signs for _unfold, and the other's are the opposite.
+    Block p supplies levels p, p + 2, ..., bisected by index. Folded, the
+    levels must rise and no block, also one that supplied none, may hold
+    more levels in (floor, just above the top one] than it supplied, or the
+    whole matrices are solved. Fine levels are bisected near the coarse
+    ones, else by index.
     """
-    size, n = len(coarse), sum(d.size for d, _ in coarse)
-    supply = [(k + size - 1 - p) // size for p in range(size)]
-    w, vecs, w_fine = np.empty(k), np.empty((n, k)) if vectors else None, np.empty(k)
-    for p, (block, m, first) in enumerate(zip(coarse, supply,
-                                              _inertia(coarse, floors[0], below[0]))):
-        if m:
-            found = _tridiag_eigs(*block, m, vectors, first=first)
-            w[p::size], psi = found if vectors else (found, None)
-            if vectors:
-                vecs[:, p::size] = (psi if mirror is None
-                                    else _unfold(psi, n, (1 - 2 * p) * mirror))
-    top = w[-1] + max(1e-6 * abs(w[-1]), tol)
-    if size > 1 and not (np.all(np.diff(w) > 0) and all(
-            _count(*block, floors[0], top) == m for block, m in zip(coarse, supply))):
-        return None
-    for p, (block, m, first) in enumerate(zip(fine, supply,
-                                              _inertia(fine, floors[1], below[1]))):
-        if m:
-            near = _bisect_near(*block, w[p::size], tol, floors[1], first)
-            w_fine[p::size] = near if near is not None else _tridiag_eigs(
-                *block, m, False, first=first)
-    return w, vecs, w_fine
+    tol, n = _bisection_tol(*coarse), coarse[0].size
+    folded = [] if mirror is None else [
+        (_fold(*coarse)[::-1 if lowest_second else 1], _fold(*fine))]
+    for coarse_blocks, fine_blocks in folded + [([coarse], [fine])]:
+        size = len(coarse_blocks)
+        supply = [(k + size - 1 - p) // size for p in range(size)]
+        w, vecs, w_fine = np.empty(k), np.empty((n, k)) if vectors else None, np.empty(k)
+        for p, (block, m, first) in enumerate(zip(
+                coarse_blocks, supply, _inertia(coarse_blocks, floors[0], below[0]))):
+            if m:
+                found = eigh_tridiagonal(*block, eigvals_only=not vectors, select="i",
+                                         select_range=(first, first + m - 1))
+                w[p::size], psi = found if vectors else (found, None)
+                if vectors:
+                    vecs[:, p::size] = psi if size == 1 else _unfold(psi, n, (1 - 2 * p) * mirror)
+        top = w[-1] + max(1e-6 * abs(w[-1]), tol)
+        if size > 1 and not (np.all(np.diff(w) > 0) and all(
+                _count(*block, floors[0], top) == m for block, m in zip(coarse_blocks, supply))):
+            continue
+        for p, (block, m, first) in enumerate(zip(
+                fine_blocks, supply, _inertia(fine_blocks, floors[1], below[1]))):
+            if m:
+                near = _bisect_near(*block, w[p::size], tol, floors[1], first)
+                w_fine[p::size] = near if near is not None else eigh_tridiagonal(
+                    *block, eigvals_only=True, select="i", select_range=(first, first + m - 1))
+        return (*_richardson(w, w_fine), vecs)
 
 
 def _richardson(w: np.ndarray, w_fine: np.ndarray):
@@ -375,8 +381,8 @@ def solve_fixed(potential: PotentialField, k_states: int,
     it: the h grid is bisected by index, each h/2 level near its h level.
 
     A field whose values on both grids match their mirror (_symmetrized) is
-    folded: (V + V[::-1]) / 2 on the first ceil(n/2) nodes makes an even and
-    an odd block (see _fold). Vector j has j sign changes, so the even block
+    averaged with it, (V + V[::-1]) / 2, and _levels folds it: the first
+    ceil(n/2) nodes make an even and an odd block (see _fold). Vector j has j sign changes, so the even block
     supplies levels 0, 2, 4, ... and the odd block 1, 3, ..., which Sturm
     counts certify (else the whole matrix is solved); vectors unfold by
     mirroring, and an odd vector is positive at the left one of its two
@@ -399,7 +405,7 @@ def solve_fixed(potential: PotentialField, k_states: int,
         offset = float(potential.constant_a) ** 2
         found = _free_eigs(grid, k_states, with_vectors=vectors)
         w, vecs = found if vectors else (found, None)
-        w_fine = _free_eigs(grid.refined(), k_states, with_vectors=False)
+        lam, gap = _richardson(w, _free_eigs(grid.refined(), k_states, with_vectors=False))
     else:
         offset = 0.0
         fine = potential.on_grid(grid.refined())
@@ -407,15 +413,12 @@ def solve_fixed(potential: PotentialField, k_states: int,
             raise SingularNodeError("refined grid produced singular nodes")
         even = _symmetrized(potential.values, fine.values)
         values, fine_values = even or (potential.values, fine.values)
-        base, refined = _schrodinger(values, grid.h), _schrodinger(fine_values, fine.grid.h)
-        args = (k_states, _bisection_tol(*base),
-                (float(np.min(values)), float(np.min(fine_values))), (0, 0))
-        solved = _levels(_fold(*base), _fold(*refined), *args, mirror=np.ones(grid.n // 2),
-                         vectors=vectors) if even else None
-        w, vecs, w_fine = solved or _levels([base], [refined], *args, vectors=vectors)
+        lam, gap, vecs = _levels(
+            _schrodinger(values, grid.h), _schrodinger(fine_values, fine.grid.h), k_states,
+            (float(np.min(values)), float(np.min(fine_values))), (0, 0),
+            mirror=np.ones(grid.n // 2) if even else None, vectors=vectors)
 
     pairs, energies = [], []
-    lam, gap = _richardson(w, w_fine)
     for k in range(k_states):
         phi, nodes = None, k
         if vectors:
@@ -468,8 +471,9 @@ def solve_exact(model: ModelSpec, tmap: TransformMap, n: int,
     When u matches its mirror (_symmetrized) the lattice commutes with
     P = diag((-1)^j) J and is solved as two parity blocks (_fold, _levels),
     or whole when _levels does not certify them. The lowest level sits in the
-    corner block when n is even and in the centre's when n is odd (so on the
-    fine lattice, with 2n+1 phi1 nodes, always in the centre's).
+    corner block (_levels' lowest_second) when n is even and in the centre's
+    when n is odd (so on the fine lattice, with 2n+1 phi1 nodes, always in
+    the centre's).
     """
     if not 1 <= k_states <= n // 2:
         raise InsufficientResolutionError(f"cannot resolve {k_states} states on {n} nodes")
@@ -486,18 +490,12 @@ def solve_exact(model: ModelSpec, tmap: TransformMap, n: int,
     if even:
         u_fine = even[0]
     u = u_fine[1::2]
-    coarse, fine = _staggered(u, grid.h), _staggered(u_fine, 0.5 * grid.h)
-    args = (k_states, _bisection_tol(*coarse),
-            (_inertia_floor(u, grid.h), _inertia_floor(u_fine, 0.5 * grid.h)), (n + 1, 2 * n + 2))
-    solved = None
-    if even:  # the block that holds the lowest level first, as _levels wants
-        blocks = _fold(*coarse)
-        solved = _levels(blocks[::-1] if n % 2 == 0 else blocks, _fold(*fine), *args,
-                         mirror=np.where(np.arange(n) % 2, 1.0, -1.0),  # (-1)^(j+1)
-                         vectors=vectors)
-    w, vecs, w_fine = solved or _levels([coarse], [fine], *args, vectors=vectors)
+    lam, gap, vecs = _levels(
+        _staggered(u, grid.h), _staggered(u_fine, 0.5 * grid.h), k_states,
+        (_inertia_floor(u, grid.h), _inertia_floor(u_fine, 0.5 * grid.h)), (n + 1, 2 * n + 2),
+        mirror=np.where(np.arange(n) % 2, 1.0, -1.0) if even else None,  # (-1)^(j+1)
+        lowest_second=n % 2 == 0, vectors=vectors)
     pairs, energies = [], []
-    lam, gap = _richardson(w, w_fine)
     for k in range(k_states):
         e = float(lam[k])
         phi, chi, nodes = None, None, k

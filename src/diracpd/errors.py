@@ -1,15 +1,19 @@
 """Exception types shared across the package."""
 
 
+class NumericalError(Exception):
+    """A computation failed on valid input: the root of every exit-3 error."""
+
+
 class InvalidParameterError(ValueError):
     """A model or operation parameter is missing or out of range."""
 
 
-class DomainError(ValueError):
+class DomainError(ValueError, NumericalError):
     """A coordinate lies at or outside the allowed open interval."""
 
 
-class QuadratureFailureError(RuntimeError):
+class QuadratureFailureError(RuntimeError, NumericalError):
     """Adaptive quadrature could not reach the requested accuracy.
 
     Carries the partial estimate in ``partial``.
@@ -20,7 +24,7 @@ class QuadratureFailureError(RuntimeError):
         self.partial = partial
 
 
-class ZetaCrossingError(RuntimeError):
+class ZetaCrossingError(RuntimeError, NumericalError):
     """zeta_2(x) = E + m v_F^2 changes sign inside the domain.
 
     The component reduction divides by zeta_2, so the requested energy is
@@ -28,15 +32,15 @@ class ZetaCrossingError(RuntimeError):
     """
 
 
-class ApproximationInvalidError(ValueError):
+class ApproximationInvalidError(ValueError, NumericalError):
     """The energy-independent effective potential needs m(x) > 0."""
 
 
-class SingularNodeError(RuntimeError):
+class SingularNodeError(RuntimeError, NumericalError):
     """A grid node carries a non-finite value where a finite one is required."""
 
 
-class NonConvergenceError(RuntimeError):
+class NonConvergenceError(RuntimeError, NumericalError):
     """An iteration exceeded its budget. Carries the iterate ``history``."""
 
     def __init__(self, message, history=None):
@@ -44,19 +48,19 @@ class NonConvergenceError(RuntimeError):
         self.history = list(history) if history is not None else []
 
 
-class InsufficientResolutionError(ValueError):
+class InsufficientResolutionError(ValueError, NumericalError):
     """More eigenstates were requested than the grid can resolve."""
 
 
-class ImaginaryEnergyError(ValueError):
+class ImaginaryEnergyError(ValueError, NumericalError):
     """lambda + offset < 0: the energy would be imaginary (unphysical regime)."""
 
 
-class NonNormalizableError(RuntimeError):
+class NonNormalizableError(RuntimeError, NumericalError):
     """The state's total probability is divergent or zero."""
 
 
-class SubGapError(ValueError):
+class SubGapError(ValueError, NumericalError):
     """Requested energy satisfies E^2 < A^2, below the constant-u gap."""
 
 

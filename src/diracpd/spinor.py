@@ -181,8 +181,10 @@ def bic_family(model: ModelSpec, energy: float, tmap: Optional[TransformMap] = N
 
     phi(q) = sin(lam q) with lam = sqrt(E^2 - A^2) and no boundary
     quantization: normalizable with identically zero current even though E
-    is not an eigenvalue. Requires E^2 >= A^2 (above the gap).
+    is not an eigenvalue. Requires a finite E with E^2 >= A^2 (above the gap).
     """
+    if not math.isfinite(energy):
+        raise InvalidParameterError(f"energy must be finite, got {energy!r}")
     a_const = detect_constant_u(model)
     if a_const is None:
         raise InvalidParameterError(

@@ -1,7 +1,7 @@
 """The CI workflow parses as YAML, its benchmark runs cover exactly the declared workloads, its
 tier-1 job pins the BLAS/OpenMP pools to one thread as the benchmark does and runs one-shot
-solves in a fresh interpreter, and the benchmark's layer tracer still finds every name it wraps
-in the package."""
+solves, a scipy.linalg import check and a non-finite config in a fresh interpreter, and the
+benchmark's layer tracer still finds every name it wraps in the package."""
 
 import json
 import os
@@ -49,6 +49,14 @@ def test_tier1_runs_one_shot_solves():
     run = steps[0]["run"]
     assert "poschl_teller" in run and "grid.n = 400" in run
     assert re.search(r"for mode in approximate exact\b", run) and '--mode "$mode"' in run
+    # a later import of scipy.linalg binds the extension the package loaded
+    assert "python -c 'import diracpd, scipy.linalg" in run
+    assert 'hasattr(scipy.linalg, "_flapack")' in run
+    assert "scipy.linalg.lapack.dstebz is diracpd.eigensolver._dstebz" in run
+    # a non-finite config number exits 2, also under --strict
+    assert "echo 'compare.tol = nan'; } > \"$RUNNER_TEMP/nan.cfg\"" in run
+    assert re.search(r'--config "\$RUNNER_TEMP/nan\.cfg" --strict .*\|\| status=\$\?', run)
+    assert run.rstrip().endswith('test "$status" -eq 2')
 
 
 def test_tracer_installs_against_src():

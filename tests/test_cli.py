@@ -7,8 +7,8 @@ import weakref
 import numpy as np
 import pytest
 
-from diracpd import (QGrid, build_transform, builtin_model, cli, eigensolver, potential, profiles,
-                     spinor, transform)
+from diracpd import (QGrid, build_transform, builtin_model, cli, eigensolver, errors, potential,
+                     profiles, spinor, transform)
 from diracpd.cli import main
 from diracpd.errors import QuadratureFailureError
 
@@ -653,6 +653,74 @@ class TestCommandLine:
             main(argv)
         assert exc.value.code == 2
         assert "usage: diracpd" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["1e-6", "0"])
+    def test_tol_quad_is_ignored(self, tmp_path, capsys, value):
+        # an unknown key like any other: it enters the config hash and changes
+        # no number (0 was a config error while the key was read)
+        keys = dict(model__name="poschl_teller", model__alpha=1.43, model__v0=1.9,
+                    model__m0=2.63, grid__n=200, mode="exact")
+        rows = []
+        for name, extra in (("plain", {}), ("quad", {"tol__quad": value})):
+            cfg = write_config(tmp_path / f"{name}.txt", **keys, **extra,
+                               out__dir=str(tmp_path / name))
+            assert main(["solve", "--config", cfg]) == 0
+            rows.append(read_rows(tmp_path / name / "spectrum.csv"))
+        assert rows[0] == rows[1]
+        hashes = [line for name in ("plain", "quad")
+                  for line in (tmp_path / name / "spectrum.csv").read_text().splitlines()
+                  if line.startswith("# config_hash")]
+        assert hashes[0] != hashes[1]
+
+
+# the error classes the command line reports with exit code 3
+NUMERICAL_ERRORS = ["ApproximationInvalidError", "DomainError", "ZetaCrossingError",
+                    "NonConvergenceError", "QuadratureFailureError", "ImaginaryEnergyError",
+                    "SingularNodeError", "InsufficientResolutionError", "NonNormalizableError",
+                    "SubGapError"]
+
+
+class TestExitCodes:
+    def test_numerical_error_classes(self):
+        classes = errors.NumericalError.__subclasses__()
+        assert sorted(c.__name__ for c in classes) == sorted(NUMERICAL_ERRORS)
+        # each keeps its builtin base, so existing handlers still catch it
+        assert all(issubclass(c, (ValueError, RuntimeError)) for c in classes)
+
+    @pytest.mark.parametrize("name,code,message", [
+        *((name, 3, f"numerical failure: {name}: forced\n") for name in NUMERICAL_ERRORS),
+        ("ConfigError", 2, "config error: forced\n")])
+    def test_error_type_sets_exit_code(self, tmp_path, capsys, monkeypatch, name, code, message):
+        def fail(*args, **kwargs):
+            raise getattr(errors, name)("forced")
+
+        monkeypatch.setattr(cli, "run_solve_pipeline", fail)
+        cfg = write_config(tmp_path / "c.txt", model__name="cosh_square", model__alpha=1.0,
+                           model__v0=1.0, model__m0=1.0, out__dir=str(tmp_path / "out"))
+        assert main(["solve", "--config", cfg]) == code
+        assert capsys.readouterr().err == message
+
+    @pytest.mark.parametrize("command,key,value", [
+        ("solve", "compare.tol", "nan"), ("bic", "bic.energies", "nan"),
+        ("bic", "bic.energies", "1.5, inf"), ("scan", "scan.min", "nan"),
+        ("scan", "scan.max", "inf"), ("solve", "model.m0", "-inf")])
+    def test_non_finite_number_exit_2(self, tmp_path, capsys, command, key, value):
+        # before: compare.tol = nan made --strict unfailable, a NaN energy wrote
+        # an all-NaN bic CSV, and a NaN scan bound a scan of error rows, all exit 0
+        keys = dict(model__name="cosh_square", model__alpha=1.0, model__v0=1.0,
+                    model__m0=1.0, bic__energies=1.5, scan__param="m0", scan__min=0.5,
+                    scan__max=1.0, scan__steps=2, out__dir=str(tmp_path / "out"))
+        keys[key.replace(".", "__")] = value
+        cfg = write_config(tmp_path / "c.txt", **keys)
+        assert main([command, "--config", cfg, "--strict"]) == 2
+        assert capsys.readouterr().err == f"config error: config key {key!r}: not finite\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_non_finite_axis_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.txt", model__name="cosh_square", model__alpha=1.0,
+                           model__v0=1.0, model__m0=1.0, out__dir=str(tmp_path / "out"))
+        assert main(["scan", "--config", cfg, "--axis", "m0=0.5:nan:3"]) == 2
+        assert capsys.readouterr().err == "config error: config key 'scan.max': not finite\n"
 
 
 class TestSolveMemory:

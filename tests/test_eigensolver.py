@@ -136,8 +136,8 @@ class TestSolveFixed:
     def test_closed_form_matches_lapack(self, offset):
         grid = QGrid(-1.3, 2.1, 2000, offset=offset)
         w, vecs = eigensolver._free_eigs(grid, 5, with_vectors=True)
-        w_lapack, vecs_lapack = eigensolver._tridiag_eigs(
-            *eigensolver._schrodinger(np.zeros(grid.n), grid.h), 5, with_vectors=True)
+        w_lapack, vecs_lapack = eigensolver.eigh_tridiagonal(
+            *eigensolver._schrodinger(np.zeros(grid.n), grid.h), select="i", select_range=(0, 4))
         assert np.max(np.abs(w - w_lapack) / w_lapack) <= 1e-9
         vecs = vecs / np.linalg.norm(vecs, axis=0)
         vecs *= np.sign(np.sum(vecs * vecs_lapack, axis=0))
@@ -386,14 +386,15 @@ def pt_matrices(n, lattice):
         u = eigensolver.product_u(model, tmap.inverse_grid(
             tmap.q_lo + np.arange(1, 4 * n + 4) * (0.25 * grid.h)))[0]
         coarse = eigensolver._staggered(u[1::2], grid.h)
-        w = eigensolver._tridiag_eigs(*coarse, 4, with_vectors=False, first=n + 1)
+        w = eigensolver.eigh_tridiagonal(*coarse, eigvals_only=True, select="i",
+                                         select_range=(n + 1, n + 4))
         tol = eigensolver._bisection_tol(*coarse)
         d, e = eigensolver._staggered(u, 0.5 * grid.h)
         return d, e, w, tol, eigensolver._inertia_floor(u, 0.5 * grid.h), 2 * n + 2
     field = approx_potential(model, QGrid(tmap.q_lo, tmap.q_hi, n, offset=True), tmap)
     fine = field.on_grid(field.grid.refined())
-    w = eigensolver._tridiag_eigs(*eigensolver._schrodinger(field.values, field.grid.h), 4,
-                                  with_vectors=False)
+    w = eigensolver.eigh_tridiagonal(*eigensolver._schrodinger(field.values, field.grid.h),
+                                     eigvals_only=True, select="i", select_range=(0, 3))
     tol = eigensolver._bisection_tol(*eigensolver._schrodinger(field.values, field.grid.h))
     d, e = eigensolver._schrodinger(fine.values, fine.grid.h)
     return d, e, w, tol, float(np.min(fine.values)), 0
@@ -430,10 +431,12 @@ class TestRefinedBrackets:
         tol = eigensolver._bisection_tol(*eigensolver._schrodinger(values, field.grid.h))
         w, w_fine = np.empty(32), np.empty(32)
         for p in (0, 1):
-            w[p::2] = eigensolver._tridiag_eigs(*base[p], 16, with_vectors=False)
+            w[p::2] = eigensolver.eigh_tridiagonal(*base[p], eigvals_only=True, select="i",
+                                                   select_range=(0, 15))
             assert eigensolver._bisect_near(*refined[p], w[p::2], tol,
                                             float(np.min(fine.values)), 0) is None
-            w_fine[p::2] = eigensolver._tridiag_eigs(*refined[p], 16, with_vectors=False)
+            w_fine[p::2] = eigensolver.eigh_tridiagonal(*refined[p], eigvals_only=True,
+                                                        select="i", select_range=(0, 15))
         assert [p.lam for p in res.pairs] == list((4.0 * w_fine - w) / 3.0)
 
 
@@ -500,6 +503,18 @@ class TestLapackBinding:
         for solve in (eigensolver.eigh_tridiagonal, scipy.linalg.eigh_tridiagonal):
             with pytest.raises(ValueError):
                 solve(np.array(d), np.array(e), select="i", select_range=(0, 1))
+
+    def test_extension_entry_is_left_as_found(self, monkeypatch):
+        # a module already in sys.modules is reused and stays; one the package
+        # loads itself is not left there, so that scipy.linalg's own import of
+        # it binds it as its attribute
+        module = sys.modules[eigensolver._FLAPACK]
+        assert eigensolver._lapack() == (module.dstebz, module.dstein)
+        assert sys.modules[eigensolver._FLAPACK] is module
+        monkeypatch.delitem(sys.modules, eigensolver._FLAPACK)
+        bound = eigensolver._lapack()
+        assert eigensolver._FLAPACK not in sys.modules
+        assert bound == (module.dstebz, module.dstein)
 
     def test_public_lapack_when_the_extension_is_not_found(self, monkeypatch):
         real = PathFinder.find_spec
@@ -599,23 +614,25 @@ class TestParityFold:
         # counts that find a level more than it supplied in the coarse block that
         # supplies fewer levels (none at k = 1): the 200-row block of the 401-node
         # approximate grid, the 401-row block of the 801-site lattice (n = 400).
-        # Either solver then solves the whole matrices: the fold is tried, then
-        # one block per grid
+        # Either solver then solves the whole matrices: the coarse fold is tried
+        # (its fine blocks never are), then one block per grid, as the blocks
+        # each grid's inertia is counted on show
         model = builtin_model("poschl_teller", alpha=1.43, v0=1.9, m0=2.63)
         tmap = build_transform(model.velocity, model.anchor)
         if lattice:
-            solve, inputs, sunk = solve_exact, (model, tmap, 400, k), 401
+            solve, inputs, sunk, rows = solve_exact, (model, tmap, 400, k), 401, (801, 1603)
         else:
             field = approx_potential(model, QGrid(tmap.q_lo, tmap.q_hi, 401, offset=True), tmap)
-            solve, inputs, sunk = solve_fixed, (field, k), 200
-        real_count, real_levels = eigensolver._count, eigensolver._levels
+            solve, inputs, sunk, rows = solve_fixed, (field, k), 200, (401, 802)
+        real_count, real_inertia = eigensolver._count, eigensolver._inertia
         monkeypatch.setattr(eigensolver, "_count", lambda d, e, lo, hi: real_count(d, e, lo, hi)
                             + (d.size == sunk and lo > -math.inf))
         blocks = []
-        monkeypatch.setattr(eigensolver, "_levels", lambda coarse, *args, **kwargs: (
-            blocks.append(len(coarse)) or real_levels(coarse, *args, **kwargs)))
+        monkeypatch.setattr(eigensolver, "_inertia", lambda grid, *args: (
+            blocks.append((len(grid), sum(d.size for d, _ in grid)))
+            or real_inertia(grid, *args)))
         folded = solve(*inputs)
-        assert blocks == [2, 1]
+        assert blocks == [(2, rows[0]), (1, rows[0]), (1, rows[1])]
         monkeypatch.setattr(eigensolver, "_count", real_count)
         assert_same_states(folded, unfolded(solve, *inputs), 1e-9)
 

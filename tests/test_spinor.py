@@ -227,6 +227,12 @@ class TestBicFamily:
         with pytest.raises(SubGapError):
             bic_family(model, 0.7)
 
+    @pytest.mark.parametrize("energy", [math.nan, math.inf, -math.inf])
+    def test_non_finite_energy_rejected(self, energy):
+        model = builtin_model("cosh_square", alpha=1, v0=1, m0=1)
+        with pytest.raises(InvalidParameterError, match="finite"):
+            bic_family(model, energy)
+
     def test_non_constant_u_rejected(self):
         model = builtin_model("poschl_teller", alpha=1, v0=1, m0=1)
         with pytest.raises(InvalidParameterError):

@@ -401,7 +401,8 @@ class TestQuadrature:
         # LAPACK comes from scipy's extension alone, and neither the import nor a
         # constant-u, approximate, exact-with-wavefunctions or scan job loads
         # scipy.linalg's package or numpy.ma; a later import of scipy.linalg
-        # shares the extension the package bound
+        # binds the extension as its attribute and shares the functions the
+        # package bound
         src = str(Path(__file__).resolve().parents[1] / "src")
         code = f"""
 import sys
@@ -428,6 +429,8 @@ for name in ("scipy.linalg", "numpy.ma"):
 
 import numpy as np
 import scipy.linalg
+assert hasattr(scipy.linalg, "_flapack")
+assert scipy.linalg._flapack is sys.modules["scipy.linalg._flapack"]
 assert scipy.linalg.lapack.dstebz is eigensolver._dstebz
 assert scipy.linalg.lapack.dstein is eigensolver._dstein
 w = scipy.linalg.eigh_tridiagonal(np.full(3, 2.0), np.full(2, -1.0), eigvals_only=True)
