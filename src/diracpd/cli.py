@@ -42,7 +42,7 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import analytic
+from . import _csvfloat, analytic
 from .eigensolver import (
     SpectrumResult,
     energies_from_lambda,
@@ -76,7 +76,10 @@ EXIT_COMPARE = 4
 
 _MODES = ("auto", "exact", "approximate", "constant-u")
 _OUTPUTS = ("spectrum", "wavefunctions", "potential", "bic", "discrepancy")
-_CSV_CHUNK = 4096  # rows formatted and written at a time
+# rows formatted and written at a time: at 8 columns the numpy path's
+# largest arrays (32 bytes a cell) stay below 128 KiB, glibc's default
+# threshold for fresh mmap pages, whose faults made 512 rows 1.6x slower a cell
+_CSV_CHUNK = 256
 
 
 # 17 significant digits round-trip every double; the same bytes as f"{x:.17g}"
@@ -407,41 +410,38 @@ def _header_lines(rc: RunConfig, artifact: str, mode: str,
     return lines
 
 
-def _cells(column: np.ndarray) -> List[str]:
-    """A float array's %.17g cells, formatted once for every file that shares them."""
-    return list(map(_fmt, column.tolist()))
-
-
 def _write_csv(path: str, header: List[str], names: Sequence[str],
                columns: Sequence) -> None:
     """Write a table: float array columns as %.17g cells, other arrays and
     lists of ready cells as str.
 
-    Each chunk of rows is formatted by one %-template. A float column that
-    is all zero is written from its signs, "-0" or "0", the cells %.17g
-    gives it (a NaN makes a column nonzero). Chunks keep the text of a
-    long table from raising the peak memory.
+    A chunk of a table whose columns are all float64 arrays is formatted in
+    numpy (``_csvfloat.rows``), byte for byte what the template gives; any
+    other chunk, and one holding a cell that path does not decide, is
+    formatted by one %-template. Chunks keep the text of a long table from
+    raising the peak memory.
     """
     rows = len(columns[0])
     for name, column in zip(names, columns):
         if len(column) != rows:
             raise ValueError(f"ragged table: column {name!r} has {len(column)} rows, "
                              f"column {names[0]!r} {rows}")
-    floats = [isinstance(c, np.ndarray) and c.dtype.kind == "f" for c in columns]
-    zeros = [f and not c.any() for c, f in zip(columns, floats)]
-    columns = [np.where(np.signbit(c), "-0", "0") if z else c for c, z in zip(columns, zeros)]
-    # whole-column conversion left a lower peak RSS than chunk by chunk
-    values = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
-    row = ",".join("%.17g" if f and not z else "%s" for f, z in zip(floats, zeros)) + "\n"
-    k = len(values)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join([*header, ",".join(names), ""]))
+    fast = all(isinstance(c, np.ndarray) and c.dtype == np.float64 for c in columns)
+    row = ",".join("%.17g" if isinstance(c, np.ndarray) and c.dtype.kind == "f" else "%s"
+                   for c in columns) + "\n"
+    k = len(columns)
+    with open(path, "wb") as fh:
+        fh.write("\n".join([*header, ",".join(names), ""]).encode())
         for i in range(0, rows, _CSV_CHUNK):
-            m = min(_CSV_CHUNK, rows - i)
-            flat = [None] * (m * k)
-            for j, column in enumerate(values):
-                flat[j::k] = column[i:i + m]
-            fh.write((row * m) % tuple(flat))
+            chunk = [c[i:i + _CSV_CHUNK] for c in columns]
+            text = _csvfloat.rows(chunk) if fast else None
+            if text is None:
+                m = len(chunk[0])
+                flat = [None] * (m * k)
+                for j, column in enumerate(chunk):
+                    flat[j::k] = column.tolist() if isinstance(column, np.ndarray) else column
+                text = ((row * m) % tuple(flat)).encode()
+            fh.write(text)
 
 
 def _write_spectrum(rc: RunConfig, mode: str, grid: Optional[QGrid],
@@ -453,11 +453,10 @@ def _write_spectrum(rc: RunConfig, mode: str, grid: Optional[QGrid],
 
 
 def _write_wavefunction(path: str, rc: RunConfig, mode: str, grid: Optional[QGrid],
-                        spinor, obs, x, q) -> None:
-    """``x`` and ``q`` are arrays or ready cells (shared by a solve's files)."""
+                        spinor, obs) -> None:
     _write_csv(path, _header_lines(rc, "wavefunction", mode, grid),
                ("x", "q", "re_psi1", "im_psi1", "re_psi2", "im_psi2", "rho", "j"),
-               (x, q, spinor.psi1.real, spinor.psi1.imag, spinor.psi2.real,
+               (spinor.x, spinor.q, spinor.psi1.real, spinor.psi1.imag, spinor.psi2.real,
                 spinor.psi2.imag, obs.rho, obs.current))
 
 
@@ -514,24 +513,19 @@ def cmd_solve(rc: RunConfig) -> int:
         _write_spectrum(rc, mode, grid,
                         [(k, p.lam, *result.energies[k], p.nodes, p.error_estimate)
                          for k, p in enumerate(result.pairs)])
-    # every pair lives on ``grid`` and every state's x is the map's one
-    # inverse of it, so a solve formats each of these columns once
-    q_cells = _cells(grid.nodes) if {"potential", "wavefunctions"} & set(rc.outputs) else None
     if "potential" in rc.outputs:
         f = outcome.field
         if f is None:
             f = exact_potential(model, numeric[0], grid, tmap)
         _write_csv(os.path.join(rc.out_dir, "potential.csv"),
                    _header_lines(rc, "potential", mode, grid), ("q", "V"),
-                   (q_cells, f.values))
+                   (grid.nodes, f.values))
     if "wavefunctions" in rc.outputs:
-        x_cells = None
         for k, pair in enumerate(result.pairs):
             spin = normalize(reconstruct(pair, model, tmap, numeric[k]))
             obs = observables(spin, model)
-            x_cells = x_cells or _cells(spin.x)
             _write_wavefunction(os.path.join(rc.out_dir, f"wavefunction_{k}.csv"),
-                                rc, mode, grid, spin, obs, x_cells, q_cells)
+                                rc, mode, grid, spin, obs)
     if "bic" in rc.outputs and rc.bic_energies:
         _emit_bic(rc, model, tmap, mode)
 
@@ -557,7 +551,7 @@ def _emit_bic(rc: RunConfig, model: ModelSpec, tmap: TransformMap, mode: str) ->
         spin = bic_family(model, e, tmap=tmap)
         obs = observables(spin, model)
         path = os.path.join(rc.out_dir, f"bic_{i}.csv")
-        _write_wavefunction(path, rc, mode, None, spin, obs, spin.x, spin.q)
+        _write_wavefunction(path, rc, mode, None, spin, obs)
         print(f"bic E={_fmt(e)}: total_prob={obs.total_prob:.12g} "
               f"max|j|={float(np.max(np.abs(obs.current))):.3e}")
 

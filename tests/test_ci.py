@@ -53,6 +53,12 @@ def test_tier1_runs_one_shot_solves():
     assert "python -c 'import diracpd, scipy.linalg" in run
     assert 'hasattr(scipy.linalg, "_flapack")' in run
     assert "scipy.linalg.lapack.dstebz is diracpd.eigensolver._dstebz" in run
+    # every cell of every table both solves write, the potential's among them,
+    # is the %.17g text of its value
+    assert "'outputs = spectrum, potential, wavefunctions'" in run
+    assert 'glob.glob(os.path.join(sys.argv[1], "out-*", "*.csv"))' in run
+    assert "assert len(paths) == 10" in run
+    assert 'assert cell == "%.17g" % float(cell)' in run
     # a non-finite config number exits 2, also under --strict
     assert "echo 'compare.tol = nan'; } > \"$RUNNER_TEMP/nan.cfg\"" in run
     assert re.search(r'--config "\$RUNNER_TEMP/nan\.cfg" --strict .*\|\| status=\$\?', run)

@@ -3,6 +3,7 @@ import gc
 import math
 import os
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -409,6 +410,121 @@ class TestWriter:
             _, rows = read_rows(tmp_path / "out" / f"wavefunction_{k}.csv")
             assert [r[0] for r in rows] == x
             assert [r[1] for r in rows] == q
+
+
+def float_table(values, columns=8):
+    """``values`` cycled into a float64 table past two writer chunks."""
+    values = np.asarray(values, dtype=float)
+    rows = max(2 * cli._CSV_CHUNK + 1, -(-values.size // columns))
+    table = np.resize(values, rows * columns).reshape(rows, columns)
+    return [table[:, j] for j in range(columns)]
+
+
+@pytest.fixture
+def numpy_chunks(monkeypatch):
+    """Each ``_csvfloat.rows`` result: bytes (formatted in numpy) or None (template)."""
+    results, rows = [], cli._csvfloat.rows
+    monkeypatch.setattr(cli._csvfloat, "rows", lambda columns: results.append(rows(columns))
+                        or results[-1])
+    return results
+
+
+def exact_ties(rng, count):
+    """Doubles (2j+1) / 2^(k+1) in [10^(16-k), 10^(17-k)), k = 1..22: times
+    10^k each is an integer plus one half, an exact tie at 17 digits."""
+    out = []
+    for k in range(1, 23):
+        lo = math.ceil(Fraction(10) ** (16 - k) * 2 ** k)
+        hi = min(math.floor(Fraction(10) ** (17 - k) * 2 ** k), 2 ** 51)
+        out.append((2 * rng.integers(lo, hi, count) + 1) / 2.0 ** (k + 1))
+    return np.concatenate(out)
+
+
+class TestFloatTables:
+    """Float-only tables, the numpy path's input, against the per-cell oracle."""
+
+    def write(self, tmp_path, columns):
+        path = tmp_path / "t.csv"
+        names = [f"c{j}" for j in range(len(columns))]
+        cli._write_csv(str(path), ["# t"], names, columns)
+        cells = [c.tolist() for c in columns]  # the cells as Python floats
+        assert path.read_bytes() == per_cell_csv(["# t"], names, cells)
+
+    def test_random_bit_patterns(self, tmp_path, numpy_chunks):
+        bits = np.random.default_rng(1).integers(0, 2 ** 64, 200_000, dtype=np.uint64)
+        values = bits.view(np.float64)
+        self.write(tmp_path, float_table(values))
+        # NaN, inf, subnormal or beyond 1e280 in every chunk
+        assert numpy_chunks and not any(numpy_chunks)
+        numpy_chunks.clear()
+        size = np.abs(values)
+        self.write(tmp_path, float_table(values[(size >= 1e-280) & (size <= 1e280)]))
+        assert len(numpy_chunks) > 2 and all(numpy_chunks)
+
+    def test_forty_ulps_around_every_power_of_ten(self, tmp_path):
+        powers = np.array([float(f"1e{k}") for k in range(-279, 280)])
+        near = np.concatenate([powers.view(np.int64) + d for d in range(-40, 41)])
+        values = near.view(np.float64)
+        self.write(tmp_path, float_table(np.concatenate([values, -values])))
+
+    def test_exact_ties_and_their_eighths(self, tmp_path, numpy_chunks):
+        ties = exact_ties(np.random.default_rng(2), 300)
+        assert all((Fraction(v) * 10 ** (16 - math.floor(math.log10(v)))).denominator == 2
+                   for v in ties[::50])
+        self.write(tmp_path, float_table(np.concatenate([ties, -ties, ties / 8])))
+        # ties at k = 16 - E <= 22 are decided exactly, in numpy
+        assert all(numpy_chunks)
+        # the only ties past 10^22, which no double holds: the template decides them
+        numpy_chunks.clear()
+        inexact = np.array([j / 2.0 ** 24 for j in range(3, 17, 2)] + [2.0 ** -25, 3 / 2.0 ** 25])
+        self.write(tmp_path, float_table(inexact))
+        assert numpy_chunks and not any(numpy_chunks)
+
+    @pytest.mark.parametrize("digits", range(6))
+    def test_short_decimals(self, tmp_path, digits, numpy_chunks):
+        values = np.random.default_rng(3 + digits).uniform(-1e4, 1e4, 20_000)
+        values = np.round(values * 10.0 ** np.arange(-8, 8).repeat(1250), digits)
+        self.write(tmp_path, float_table(values))
+        assert all(numpy_chunks)
+
+    def test_edge_values(self, tmp_path, numpy_chunks):
+        edges = [0.0, -0.0, 1e-280, -1e-280, 1e280, -1e280, 1e-5, 1e16, 1e17, 0.1]
+        self.write(tmp_path, float_table(edges, columns=3))
+        assert all(numpy_chunks)
+        numpy_chunks.clear()
+        beyond = [5e-324, -5e-324, 1.7976931348623157e308, math.nan, math.inf, -math.inf]
+        self.write(tmp_path, float_table(edges + beyond, columns=4))
+        assert numpy_chunks[:2] == [None, None]
+
+    def test_float32_columns(self, tmp_path, numpy_chunks):
+        # a float32 cell is written as its (exact) double's %.17g
+        values = np.random.default_rng(4).standard_normal(6000) * 10.0 ** np.arange(-30, 30).repeat(100)
+        self.write(tmp_path, [c.astype(np.float32) for c in float_table(values, columns=4)])
+        assert numpy_chunks == []
+
+
+class TestNumpyPath:
+    def test_solve_formats_every_chunk_in_numpy(self, tmp_path, numpy_chunks):
+        cfg = write_config(
+            tmp_path / "c.txt",
+            model__name="cosh_square", model__alpha=1.0, model__v0=1.0,
+            model__m0=1.0, grid__n=600, solve__k_states=3, bic__energies="1.5, 2.5",
+            outputs="potential, wavefunctions, bic", out__dir=str(tmp_path / "out"),
+        )
+        assert main(["solve", "--config", cfg]) == 0
+        chunks = 0
+        for path in (tmp_path / "out").iterdir():
+            _, rows = read_rows(path)
+            chunks += -(-len(rows) // cli._CSV_CHUNK)
+        assert chunks > 6 and len(numpy_chunks) == chunks
+        assert all(numpy_chunks)
+
+    def test_a_nan_sends_only_its_chunk_to_the_template(self, tmp_path, numpy_chunks):
+        columns = float_table(np.random.default_rng(5).standard_normal(3 * cli._CSV_CHUNK * 4),
+                              columns=4)
+        columns[2][cli._CSV_CHUNK + 7] = math.nan
+        TestFloatTables().write(tmp_path, columns)
+        assert [text is not None for text in numpy_chunks] == [True, False, True]
 
 
 class TestSolveReuse:
