@@ -354,9 +354,9 @@ def _analytic_reference(rc: RunConfig, model: ModelSpec, count: int, mode: str) 
     out = []
     for k in range(count):
         try:
-            out.append(analytic.spectrum_entry(
-                model.name, model.facts.first_level + k, model.params,
-                as_published=rc.variant == "as-published", exact=mode == "exact"))
+            out.append(model.facts.level(model.facts.first_level + k,
+                                         as_published=rc.variant == "as-published",
+                                         exact=mode == "exact"))
         except (InvalidParameterError, ImaginaryEnergyError):
             out.append(None)
     return out
@@ -682,7 +682,7 @@ def _report_levels(rc: RunConfig, model: ModelSpec, tmap: TransformMap) -> None:
         print(f"{facts.published}:")
         for n in range(rc.k_states):
             try:
-                entry = analytic.spectrum_entry(model.name, facts.first_level + n, model.params)
+                entry = facts.level(facts.first_level + n)
                 print(f"  n={n}: E = +/-{_fmt(entry.e_plus)} [{entry.provenance}]")
             except ImaginaryEnergyError as exc:
                 print(f"  n={n}: {exc}")

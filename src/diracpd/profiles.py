@@ -20,19 +20,21 @@ Built-in models:
 The first two satisfy u(x) = m0 v0^2 identically (the constant-u class).
 Each built-in velocity carries q = integral of dx / v_F in closed form,
 tanh(a x)/(a v0), arctan(a x)/(a v0), (x - pi/(2a))/v0, ln(x)/v0 and x/c,
-with its inverse.
+with its inverse. Each built-in's ``ModelFacts`` record holds its closed
+forms: level ladder, spinor and printed normalization.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Hashable, Mapping, Optional, Tuple
 
 import numpy as np
 
-from .errors import DomainError, InvalidParameterError
+from .errors import AsPublishedWarning, DomainError, ImaginaryEnergyError, InvalidParameterError
 
 Interval = Tuple[float, float]
 
@@ -207,9 +209,24 @@ class MassProfile(_Profile):
         return m >= 0
 
 
+# Provenance: ``VERIFIED`` agrees with direct evaluation of the defining equations (and
+# the numeric solver); ``AS_PUBLISHED`` contradicts it, so is reported, never asserted.
+VERIFIED = "verified"
+AS_PUBLISHED = "as_published"
+
+
+@dataclass(frozen=True)
+class AnalyticSpectrum:
+    model: str
+    n: int
+    e_plus: float
+    e_minus: float
+    provenance: str
+
+
 @dataclass(frozen=True)
 class ModelFacts:
-    """What the CLI knows of a model beyond its profiles.
+    """What is known of a model beyond its profiles.
 
     ``first_level``: closed-form index of the lowest level. ``claims``:
     (label, V(q)) potentials ``report`` compares with the approximate one,
@@ -218,6 +235,12 @@ class ModelFacts:
     the verified ladder (stride 0: no verified ladder; listed alone).
     ``parameters``: (label, thunk) pairs the report prints before the
     levels; a thunk raises InvalidParameterError where it is complex.
+
+    The closed forms, each None where the model has none:
+    ``level(n, as_published=False, exact=False)`` is level n's
+    ``AnalyticSpectrum``; ``components(n, x)`` the unnormalized
+    positive-energy spinor (psi1, psi2) on an array x; ``printed_norm(n)``
+    the printed normalization constant and its provenance.
     """
 
     first_level: int = 0
@@ -226,6 +249,9 @@ class ModelFacts:
     published: str = ""
     published_stride: int = 0
     parameters: Tuple[Tuple[str, Callable[[], float]], ...] = ()
+    level: Optional[Callable[..., AnalyticSpectrum]] = None
+    components: Optional[Callable[[int, np.ndarray], Tuple[np.ndarray, np.ndarray]]] = None
+    printed_norm: Optional[Callable[[int], Tuple[float, str]]] = None
 
 
 @dataclass(frozen=True)
@@ -342,13 +368,46 @@ def detect_constant_u(model: ModelSpec, tol: float = 1e-10) -> Optional[float]:
 # Built-in models
 # ---------------------------------------------------------------------------
 
+def hermite(n: int, y):
+    """Physicists' Hermite polynomial by the three-term recurrence
+    H_{k+1} = 2y H_k - 2k H_{k-1}."""
+    if n < 0:
+        raise InvalidParameterError("hermite order must be >= 0")
+    y = np.asarray(y, dtype=float)
+    h_prev = np.ones_like(y)
+    if n == 0:
+        return h_prev if y.ndim else float(h_prev)
+    h_cur = 2.0 * y
+    for k in range(1, n):
+        h_prev, h_cur = h_cur, 2.0 * y * h_cur - 2.0 * k * h_prev
+    return h_cur if y.ndim else float(h_cur)
+
+
+def hyp2f1_polynomial(n: int, b: float, c: float, z):
+    """2F1(-n, b; c; z) as the exact terminating sum."""
+    if n < 0:
+        raise InvalidParameterError("polynomial order must be >= 0")
+    # the sum divides by (c)_k up to k = n-1, so only c in {0, -1, .., -(n-1)}
+    # actually hits a pole
+    if c <= 0 and float(c).is_integer() and c > -n:
+        raise InvalidParameterError(f"c={c:g} hits a pole of the series")
+    z = np.asarray(z, dtype=float)
+    total = np.ones_like(z)
+    term = np.ones_like(z)
+    for k in range(n):
+        term = term * ((-n + k) * (b + k)) / ((c + k) * (k + 1)) * z
+        total = total + term
+    return total if z.ndim else float(total)
+
+
 def s_parameter(alpha: float, v0: float, m0: float,
                 as_published: bool = False) -> float:
     """The s > 1 root of the poschl_teller 1/sin^2 coefficient.
 
     Verified: s(s-1) = m0^2 v0^2 / alpha^2 - 5/16, i.e.
     s = 1/2 + sqrt(m0^2 v0^2 / alpha^2 - 1/16). The as-published switch
-    evaluates the printed radical sqrt(m0^2 alpha^2 - 1/16) instead.
+    evaluates the printed radical sqrt(m0^2 alpha^2 - 1/16) instead, which
+    is dimensionally inconsistent with the potential the model produces.
     """
     product, label = ((m0 * alpha, "m0 alpha") if as_published
                       else (m0 * v0 / alpha, "m0 v0 / alpha"))
@@ -379,14 +438,40 @@ def _require(params: Mapping[str, float], model: str, names, positive, nonneg):
     return out
 
 
-def _constant_u(A: float, first_level: int = 0):
-    """u_closed and facts of a model with m v_F^2 = A identically."""
+def _constant_u(A: float, first_level: int = 0, **closed):
+    """u_closed and facts of a model with m v_F^2 = A identically; ``closed``
+    holds the facts' closed forms."""
     def zero(x):
         return 0.0 * np.asarray(x, dtype=float)
 
     claims = ((("constant A^2", lambda q: np.full_like(np.asarray(q, dtype=float), A * A)),)
               if A > 0 else ())  # a massless model's potential is identically zero
-    return (lambda x: A + zero(x), zero, zero), ModelFacts(first_level, claims)
+    return (lambda x: A + zero(x), zero, zero), ModelFacts(first_level, claims, **closed)
+
+
+def _hypot_ladder(name: str, v0: float, A: float, lam, wave, printed):
+    """u_closed and facts of a constant-u model on a finite q-range (n >= 1).
+
+    Levels E_n = +/- hypot(lam(n), A); spinor env (sqrt(z2 / v0) sin theta,
+    -i sqrt(z1 / v0) cos theta) with z1, z2 = E -/+ A and (theta, env) = wave(n, x);
+    printed normalization printed(n, E_n).
+    """
+    def level(n, as_published=False, exact=False):
+        if n < 1:
+            raise InvalidParameterError("level index starts at n=1 for this model")
+        e = math.hypot(lam(n), A)
+        return AnalyticSpectrum(name, n, e, -e, VERIFIED)
+
+    def components(n, x):
+        e = level(n).e_plus
+        z1, z2 = e - A, e + A
+        theta, env = wave(n, x)
+        psi1 = np.sqrt(z2 / v0) * env * np.sin(theta) + 0j
+        psi2 = -1j * np.sqrt(z1 / v0) * env * np.cos(theta)
+        return psi1, psi2
+
+    return _constant_u(A, first_level=1, level=level, components=components,
+                       printed_norm=lambda n: printed(n, level(n).e_plus))
 
 
 def _cosh_square(params) -> ModelSpec:
@@ -409,7 +494,25 @@ def _cosh_square(params) -> ModelSpec:
         / np.cosh(a * x) ** 4,
         domain=dom,
     )
-    u_closed, facts = _constant_u(m0 * v0 * v0, first_level=1)
+    A = m0 * v0 * v0
+
+    def lam(n):
+        return n * math.pi * a * v0 / 2.0
+
+    def wave(n, x):
+        with np.errstate(over="ignore"):  # cosh overflow far out -> sech = 0
+            return 0.5 * n * math.pi * (np.tanh(a * x) + 1.0), 1.0 / np.cosh(a * x)
+
+    def printed_norm(n, e):
+        # the printed general form disagrees with direct quadrature (as-published);
+        # its massless limit sqrt(a v0 / 2 E_n) is exact
+        if m0 == 0.0:
+            return math.sqrt(a * v0 / (2.0 * e)), VERIFIED
+        z1 = e - m0 * v0 * v0
+        return (math.sqrt(a * v0 * lam(n) / (2.0 * (lam(n) * z1 + 2.0 * a * m0 * v0 ** 4))),
+                AS_PUBLISHED)
+
+    u_closed, facts = _hypot_ladder("cosh_square", v0, A, lam, wave, printed_norm)
     return ModelSpec("cosh_square", mass, vel, dom, p,
                      "cosh^2 velocity / sech^4 mass", anchor=0.0, u_closed=u_closed,
                      map_key=("cosh_square", a, v0), facts=facts)
@@ -435,7 +538,16 @@ def _rational(params) -> ModelSpec:
         / (1.0 + (a * x) ** 2) ** 4,
         domain=dom,
     )
-    u_closed, facts = _constant_u(m0 * v0 * v0, first_level=1)
+    A = m0 * v0 * v0
+
+    def wave(n, x):
+        return n * (np.arctan(a * x) + math.pi / 2.0), 1.0 / np.sqrt(1.0 + (a * x) ** 2)
+
+    def printed_norm(n, e):  # the printed constant is exact for the discrete states
+        z1 = e - m0 * v0 * v0
+        return math.sqrt(a * v0 / (math.pi * z1 + math.pi * m0 * v0 * v0)), VERIFIED
+
+    u_closed, facts = _hypot_ladder("rational", v0, A, lambda n: n * a * v0, wave, printed_norm)
     return ModelSpec("rational", mass, vel, dom, p,
                      "rational velocity / rational mass", anchor=0.0, u_closed=u_closed,
                      map_key=("rational", a, v0), facts=facts)
@@ -471,13 +583,55 @@ def _poschl_teller(params) -> ModelSpec:
         coeff = m0 * m0 * v0 ** 4 - 5.0 * a * a * v0 * v0 / 16.0
         return a * a * v0 * v0 / 16.0 + coeff / np.sin(a * (x0 + v0 * q)) ** 2
 
+    def level(n, as_published=False, exact=False):
+        # approximate mode: the full ladder (alpha v0 / 4) sqrt(1 + 16 (s + n)^2); the
+        # published family s + 2n skips its odd members, and as_published gives that
+        # family with the printed radical for s. exact: the exact-mode ladder
+        # m0 v0^2 + alpha v0 (n + 1/2) for g = m0 v0 / alpha >= 1/2, with no
+        # as-published counterpart
+        if n < 0:
+            raise InvalidParameterError("level index starts at n=0 for this model")
+        if exact and as_published:
+            raise InvalidParameterError("the published (s+2n) family is an approximate-mode "
+                                        "claim; exact mode has no as-published ladder")
+        if exact:
+            if m0 * v0 / a < 0.5:
+                raise InvalidParameterError(f"exact ladder needs g >= 1/2, got {m0 * v0 / a:g}")
+            e = m0 * v0 * v0 + a * v0 * (n + 0.5)
+            return AnalyticSpectrum("poschl_teller", n, e, -e, VERIFIED)
+        s = s_parameter(a, v0, m0, as_published=as_published)
+        e = (a * v0 / 4.0) * math.sqrt(1.0 + 16.0 * (s + (2 * n if as_published else n)) ** 2)
+        return AnalyticSpectrum("poschl_teller", n, e, -e,
+                                AS_PUBLISHED if as_published else VERIFIED)
+
+    def components(n, x):  # n counts the published family: its state n is level 2n
+        s = s_parameter(a, v0, m0)
+        e = level(2 * n).e_plus
+
+        def psi1_tilde(t):
+            # sqrt(v0) * psi1, the quantity the component relation differentiates
+            z2 = e + m0 * v0 * v0 / np.sin(a * t)
+            return (np.sqrt(z2) * np.sin(a * t) ** s
+                    * hyp2f1_polynomial(n, s + n, s + 0.5, np.sin(a * t) ** 2))
+
+        lo, hi = dom
+        if np.any(x <= lo) or np.any(x >= hi):
+            raise DomainError(f"x must lie inside (0, {hi:g})")
+        z2 = e + m0 * v0 * v0 / np.sin(a * x)
+        psi1 = psi1_tilde(x) / math.sqrt(v0) + 0j
+        h = np.minimum(1e-6 * (hi - lo), np.minimum(x - lo, hi - x) / 3.0)
+        dpt = (psi1_tilde(x + h) - psi1_tilde(x - h)) / (2.0 * h)
+        psi2 = -1j * (v0 * dpt) / (z2 * math.sqrt(v0))
+        return psi1, psi2
+
     facts = ModelFacts(
         claims=(("closed form (verified coefficient)", claimed),),
         published="published (s+2n) sequence (interleaved levels are genuine "
                   "states the published solution family skips)",
         published_stride=2,
         parameters=(("s (verified)", lambda: s_parameter(a, v0, m0)),
-                    ("s (as-published)", lambda: s_parameter(a, v0, m0, as_published=True))))
+                    ("s (as-published)", lambda: s_parameter(a, v0, m0, as_published=True))),
+        level=level, components=components)
     return ModelSpec("poschl_teller", mass, vel, dom, p,
                      "constant velocity / 1/sin mass", anchor=x0, u_closed=u_closed,
                      map_key=("poschl_teller", a, v0), facts=facts)
@@ -507,13 +661,49 @@ def _linear_singular(params) -> ModelSpec:
         lambda x: 0.0 * np.asarray(x, dtype=float),
     )
     omega = 2.0 * A * v0 ** 3
+
+    # The printed oscillator spectrum and spinor (as-published) follow from a potential
+    # that direct evaluation contradicts: the true reduced potential is exponential in q
+    # and supports no bound states at all.
+    def level(n, as_published=False, exact=False):
+        if n < 0:
+            raise InvalidParameterError("level index starts at n=0 for this model")
+        radicand = A * v0 ** 3 * (2 * n + 1) - v0 * v0 / 16.0
+        if radicand < 0:
+            raise ImaginaryEnergyError(f"published spectrum gives E^2 = {radicand:g} < 0 at n={n}")
+        e = math.sqrt(radicand)
+        return AnalyticSpectrum("linear_singular", n, e, -e, AS_PUBLISHED)
+
+    def components(n, x):
+        warnings.warn("linear_singular wavefunctions follow the as-published oscillator "
+                      "solution, which direct evaluation of the reduced potential "
+                      "contradicts", AsPublishedWarning, stacklevel=3)
+        e = level(n).e_plus
+
+        def psi1_tilde(t):
+            y = np.sqrt(A * v0) * np.log(t)
+            z2 = e + A * v0 * v0 * t
+            return np.sqrt(z2) * np.exp(-0.5 * A * v0 * np.log(t) ** 2) * hermite(n, y)
+
+        if np.any(x <= 0):
+            raise DomainError("x must be positive")
+        z2 = e + A * v0 * v0 * x
+        vf = v0 * x
+        psi1 = psi1_tilde(x) / np.sqrt(vf) + 0j
+        h = 1e-7 * x
+        dpt = (psi1_tilde(x + h) - psi1_tilde(x - h)) / (2.0 * h)
+        psi2 = -1j * (vf * dpt) / (z2 * np.sqrt(vf))
+        return psi1, psi2
+
     facts = ModelFacts(
         claims=(("exponential closed form",
                  lambda q: A ** 2 * v0 ** 4 * np.exp(2.0 * v0 * q) - v0 * v0 / 16.0),
-                ("published harmonic form", lambda q: 0.25 * omega * omega * q * q)),
+                ("published harmonic form", lambda q: 0.25 * omega * omega * q * q))
+        if A > 0 else (),  # massless: u = 0, so there is no potential to adjudicate
         q_bound=4.0,
         published="published oscillator energies (as-published; the reduced "
-                  "potential is exponential and supports no bound states)")
+                  "potential is exponential and supports no bound states)",
+        level=level, components=components)
     return ModelSpec("linear_singular", mass, vel, dom, p,
                      "linear velocity / 1/x mass", anchor=1.0, u_closed=u_closed,
                      map_key=("linear_singular", v0), facts=facts)
@@ -537,7 +727,13 @@ def _constant_rest(params) -> ModelSpec:
         d2func=lambda x: 0.0 * np.asarray(x, dtype=float),
         domain=dom,
     )
-    u_closed, facts = _constant_u(m0 * c * c)
+    def level(n, as_published=False, exact=False):
+        if n != 0:
+            raise InvalidParameterError("the free constant-mass model has only E = +/- m0 c^2")
+        e = m0 * c * c
+        return AnalyticSpectrum("constant_rest", n, e, -e, VERIFIED)
+
+    u_closed, facts = _constant_u(m0 * c * c, level=level)
     return ModelSpec("constant_rest", mass, vel, dom, p,
                      "constant rest mass and velocity", anchor=0.0, u_closed=u_closed,
                      map_key=("constant_rest", c), facts=facts)

@@ -26,6 +26,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import (
+    DomainError,
     InvalidParameterError,
     NonNormalizableError,
     SingularNodeError,
@@ -181,7 +182,8 @@ def bic_family(model: ModelSpec, energy: float, tmap: Optional[TransformMap] = N
 
     phi(q) = sin(lam q) with lam = sqrt(E^2 - A^2) and no boundary
     quantization: normalizable with identically zero current even though E
-    is not an eigenvalue. Requires a finite E with E^2 >= A^2 (above the gap).
+    is not an eigenvalue. Requires a finite E with E^2 >= A^2 (above the gap),
+    and a map onto a finite q-range.
     """
     if not math.isfinite(energy):
         raise InvalidParameterError(f"energy must be finite, got {energy!r}")
@@ -197,6 +199,9 @@ def bic_family(model: ModelSpec, energy: float, tmap: Optional[TransformMap] = N
     lam = math.sqrt(energy * energy - a_const * a_const)
     if tmap is None:
         tmap = build_transform(model.velocity, model.anchor)
+    if not (math.isfinite(tmap.q_lo) and math.isfinite(tmap.q_hi)):
+        raise DomainError(f"the bic family needs a finite q-range; {model.name} maps "
+                          f"onto q-range ({tmap.q_lo:g}, {tmap.q_hi:g})")
     grid = QGrid(tmap.q_lo, tmap.q_hi, n_nodes, offset=True)
     q = grid.nodes
     x = tmap.inverse_grid(q)

@@ -1,10 +1,14 @@
+import hashlib
 import math
+import random
+import warnings
 
 import numpy as np
 import pytest
 
 from diracpd import (
     bound_spinor,
+    builtin_model,
     hermite,
     hyp2f1_polynomial,
     numeric_normalization,
@@ -276,3 +280,185 @@ class TestNormalizationConstants:
         params = dict(alpha=1.0, v0=1.0, m0=0.0)
         n_printed, _ = published_normalization("rational", 1, params)
         assert n_printed == pytest.approx(0.5641895835477563, rel=1e-14)
+
+
+class TestByName:
+    def test_missing_closed_form_names_the_model(self):
+        with pytest.raises(InvalidParameterError,
+                           match="no closed-form wavefunction for model 'constant_rest'"):
+            bound_spinor("constant_rest", 0, dict(m0=1.0, c=1.0), 0.0)
+        with pytest.raises(InvalidParameterError, match="no closed-form printed normalization "
+                                                        "for model 'poschl_teller'"):
+            published_normalization("poschl_teller", 0, dict(alpha=1.0, v0=1.0, m0=1.0))
+
+    def test_parameters_pass_the_builder_check(self):
+        with pytest.raises(InvalidParameterError, match="linear_singular: unknown parameter 'm0'"):
+            spectrum_entry("linear_singular", 0, dict(A=1.0, v0=1.0, m0=1.0))
+        with pytest.raises(InvalidParameterError, match="rational: parameter 'alpha' must be > 0"):
+            published_normalization("rational", 1, dict(alpha=0.0, v0=1.0, m0=1.0))
+
+
+# float.hex of the closed forms as first recorded; a reordered operation shows here
+# long before it reaches a rel=1e-14 comparison
+FROZEN_PARAMS = {
+    "cosh_square": dict(alpha=1.37, v0=0.73, m0=0.91),
+    "rational": dict(alpha=0.83, v0=1.47, m0=0.61),
+    "poschl_teller": dict(alpha=1.07, v0=1.23, m0=1.13),
+    "linear_singular": dict(A=1.53, v0=0.81),
+    "constant_rest": dict(m0=1.31, c=0.93),
+}
+FROZEN_LEVELS = {  # (model, variant): E_plus of the first five levels from facts.first_level
+    ("cosh_square", "verified"): ["0x1.a4e3a685e8e62p+0", "0x1.96ed18acad658p+1",
+                                  "0x1.2f373232e5961p+2", "0x1.935c20107d0fcp+2",
+                                  "0x1.f7a988394914dp+2"],
+    ("rational", "verified"): ["0x1.cbd0986ae2e5cp+0", "0x1.6300cf942a1a9p+1",
+                               "0x1.f1f90d259518fp+1", "0x1.4389a6a23a8c4p+2",
+                               "0x1.8f712f71e5fd9p+2"],
+    ("poschl_teller", "verified"): ["0x1.2deac5d30994ep+1", "0x1.d551ccd2040ccp+1",
+                                    "0x1.3ea3d72e15f9ep+2", "0x1.92b9889c2c8e0p+2",
+                                    "0x1.e6dc1e6fa158ap+2"],
+    ("poschl_teller", "as_published"): ["0x1.1ea03353a3567p+1", "0x1.36ee9cca92762p+2",
+                                        "0x1.df24573b72e78p+2", "0x1.43bdbc98207a4p+3",
+                                        "0x1.97efaac9a2f3ep+3"],
+    ("poschl_teller", "exact"): ["0x1.2f0e66cb10342p+1", "0x1.d7845dc832336p+1",
+                                 "0x1.3ffd2a62aa194p+2", "0x1.943825e13b18ep+2",
+                                 "0x1.e873215fcc188p+2"],
+    ("linear_singular", "as_published"): ["0x1.c1e3d4fd312b6p-1", "0x1.8c742371be8d1p+0",
+                                          "0x1.00c88a2acf1fdp+1", "0x1.3045a8225292fp+1",
+                                          "0x1.594a4ac79ff3ep+1"],
+    ("constant_rest", "verified"): ["0x1.220d887ebf22dp+0"],
+}
+FROZEN_NORMS = {  # (model, m0, n): printed normalization and its provenance
+    ("cosh_square", 0.0, 1): ("0x1.20dd750429b6dp-1", "verified"),
+    ("cosh_square", 0.0, 3): ("0x1.4d8d7a58fa311p-2", "verified"),
+    ("cosh_square", 0.91, 1): ("0x1.1d59a3bbb9157p-1", "as_published"),
+    ("cosh_square", 0.91, 3): ("0x1.591688ceb5ad8p-2", "as_published"),
+    ("rational", 0.0, 1): ("0x1.20dd750429b6dp-1", "verified"),
+    ("rational", 0.0, 3): ("0x1.4d8d7a58fa312p-2", "verified"),
+    ("rational", 0.61, 1): ("0x1.dc287d30167bbp-2", "verified"),
+    ("rational", 0.61, 3): ("0x1.4389a62ef9675p-2", "verified"),
+}
+RANDOM_RANGES = {  # (low, high) per parameter; every draw keeps each ladder and s real
+    "cosh_square": dict(alpha=(0.5, 2.0), v0=(0.5, 2.0), m0=(0.3, 2.0)),
+    "rational": dict(alpha=(0.5, 2.0), v0=(0.5, 2.0), m0=(0.3, 2.0)),
+    "poschl_teller": dict(alpha=(0.5, 1.5), v0=(0.8, 1.5), m0=(1.0, 2.0)),
+    "linear_singular": dict(A=(0.5, 2.0), v0=(0.5, 2.0)),
+    "constant_rest": dict(m0=(0.5, 2.0), c=(0.5, 2.0)),
+}
+FROZEN_DIGESTS = {  # sha256 of the float.hex of every level and printed norm at random_params
+    "constant_rest": "c4fa27eb3e2f816634d9ea36a97c8749074af0f0d9d8d65739b319a359343cd2",
+    "cosh_square": "bc5f6329851d38c9ad71d06a36d538958bebb1b3d0be9ed2726920c922d3f4bf",
+    "linear_singular": "829bcf25c33e3e6ccccaecc48da4dd4ffc3429a72b626fb0e001574617c7ef9d",
+    "poschl_teller": "121f1da55b380adae043d483e98b688ce1aa531202e830336c3fcd4c5af79128",
+    "rational": "2e6b1dc1200a73c53ed50f39fbb0be3c519b4038fbd2ba019b3f8de83afe8b35",
+}
+
+
+def random_params(model, draws=20):
+    """Seeded parameter draws; ``random.Random`` keeps its stream across Python versions."""
+    rng = random.Random(sorted(RANDOM_RANGES).index(model))
+    return [{k: rng.uniform(lo, hi) for k, (lo, hi) in RANDOM_RANGES[model].items()}
+            for _ in range(draws)]
+
+
+def first_spinor(model, n, p, x):
+    """(psi1, psi2) of the unnormalized spinor as first written, operation for operation.
+
+    The spinors go through numpy's sin, cosh, exp, ..., whose last bit depends on the CPU
+    (AVX-512 or not), so they are checked against these formulas on the running machine,
+    not against recorded bits.
+    """
+    if model in ("cosh_square", "rational"):
+        a, v0, m0 = p["alpha"], p["v0"], p["m0"]
+        lam = n * math.pi * a * v0 / 2.0 if model == "cosh_square" else n * a * v0
+        e = math.hypot(lam, m0 * v0 * v0)
+        z1, z2 = e - m0 * v0 * v0, e + m0 * v0 * v0
+        if model == "cosh_square":
+            theta = 0.5 * n * math.pi * (np.tanh(a * x) + 1.0)
+            env = 1.0 / np.cosh(a * x)
+        else:
+            theta = n * (np.arctan(a * x) + math.pi / 2.0)
+            env = 1.0 / np.sqrt(1.0 + (a * x) ** 2)
+        return (np.sqrt(z2 / v0) * env * np.sin(theta) + 0j,
+                -1j * np.sqrt(z1 / v0) * env * np.cos(theta))
+    if model == "poschl_teller":  # the published family's state n is level 2n
+        a, v0, m0 = p["alpha"], p["v0"], p["m0"]
+        s = 0.5 + math.sqrt((m0 * v0 / a) ** 2 - 1.0 / 16.0)
+        e = (a * v0 / 4.0) * math.sqrt(1.0 + 16.0 * (s + 2 * n) ** 2)
+
+        def tilde(t):
+            z2 = e + m0 * v0 * v0 / np.sin(a * t)
+            return (np.sqrt(z2) * np.sin(a * t) ** s
+                    * hyp2f1_polynomial(n, s + n, s + 0.5, np.sin(a * t) ** 2))
+
+        hi = math.pi / a
+        h = np.minimum(1e-6 * hi, np.minimum(x, hi - x) / 3.0)
+        dpt = (tilde(x + h) - tilde(x - h)) / (2.0 * h)
+        z2 = e + m0 * v0 * v0 / np.sin(a * x)
+        return tilde(x) / math.sqrt(v0) + 0j, -1j * (v0 * dpt) / (z2 * math.sqrt(v0))
+    big_a, v0 = p["A"], p["v0"]  # linear_singular
+    e = math.sqrt(big_a * v0 ** 3 * (2 * n + 1) - v0 * v0 / 16.0)
+
+    def tilde(t):
+        z2 = e + big_a * v0 * v0 * t
+        return (np.sqrt(z2) * np.exp(-0.5 * big_a * v0 * np.log(t) ** 2)
+                * hermite(n, np.sqrt(big_a * v0) * np.log(t)))
+
+    vf, h = v0 * x, 1e-7 * x
+    dpt = (tilde(x + h) - tilde(x - h)) / (2.0 * h)
+    z2 = e + big_a * v0 * v0 * x
+    return tilde(x) / np.sqrt(vf) + 0j, -1j * (vf * dpt) / (z2 * np.sqrt(vf))
+
+
+class TestFrozenClosedForms:
+    """Bit-for-bit: a reordered operation shows here long before a rel=1e-14 comparison."""
+
+    @pytest.mark.parametrize("model, variant", sorted(FROZEN_LEVELS))
+    def test_levels(self, model, variant):
+        first = 1 if model in ("cosh_square", "rational") else 0
+        flags = dict(as_published=variant == "as_published" and model == "poschl_teller",
+                     exact=variant == "exact")
+        for k, frozen in enumerate(FROZEN_LEVELS[model, variant]):
+            entry = spectrum_entry(model, first + k, FROZEN_PARAMS[model], **flags)
+            assert entry.e_plus.hex() == frozen
+            assert entry.e_minus == -entry.e_plus
+            assert entry.provenance == variant.replace("exact", "verified")
+
+    @pytest.mark.parametrize("model, m0, n", sorted(FROZEN_NORMS))
+    def test_printed_norms(self, model, m0, n):
+        value, provenance = published_normalization(
+            model, n, dict(FROZEN_PARAMS[model], m0=m0))
+        assert (value.hex(), provenance) == FROZEN_NORMS[model, m0, n]
+
+    @pytest.mark.parametrize("model", sorted(RANDOM_RANGES))
+    def test_levels_and_norms_at_random_parameters(self, model):
+        first = 1 if model in ("cosh_square", "rational") else 0
+        flags = ([{}, dict(as_published=True), dict(exact=True)] if model == "poschl_teller"
+                 else [{}])
+        bits = []
+        for params in random_params(model):
+            for kw in flags:
+                for n in range(first, 1 if model == "constant_rest" else first + 5):
+                    bits.append(spectrum_entry(model, n, params, **kw).e_plus.hex())
+            if model in ("cosh_square", "rational"):
+                for m0 in (0.0, params["m0"]):
+                    bits += [published_normalization(model, n, dict(params, m0=m0))[0].hex()
+                             for n in (1, 2, 3)]
+        assert hashlib.sha256(" ".join(bits).encode()).hexdigest() == FROZEN_DIGESTS[model]
+
+    @pytest.mark.parametrize("model", ["cosh_square", "linear_singular", "poschl_teller",
+                                       "rational"])
+    def test_unnormalized_spinors(self, model):
+        first = 1 if model in ("cosh_square", "rational") else 0
+        for params in [FROZEN_PARAMS[model], *random_params(model, draws=10)]:
+            lo, hi = builtin_model(model, **params).domain
+            lo, hi = max(lo, -2.0), min(hi, 4.0)
+            xs = lo + (hi - lo) * np.array([0.1, 0.45, 0.9])
+            for n in (first, first + 1, first + 2):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", AsPublishedWarning)
+                    p1, p2 = bound_spinor(model, n, params, xs, normalized=False)
+                q1, q2 = first_spinor(model, n, params, xs)
+                assert np.all(p1.imag == 0) and np.all(p2.real == 0)
+                assert [v.hex() for v in p1.real] == [v.hex() for v in q1.real]
+                assert [v.hex() for v in p2.imag] == [v.hex() for v in q2.imag]

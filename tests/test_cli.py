@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import math
 import os
+import warnings
 import weakref
 from fractions import Fraction
 
@@ -1053,6 +1054,22 @@ class TestBic:
         assert "m v_F^2 = A constant" in err and "'poschl_teller'" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("params", [
+        dict(model__name="constant_rest", model__m0=1.0, model__c=1.0),
+        dict(model__name="linear_singular", model__A=0.0, model__v0=1.0),
+    ])
+    def test_infinite_q_range_exit_3(self, tmp_path, capsys, params):
+        # both maps run over the whole q-axis, where the bic family's grid has no nodes
+        cfg = write_config(tmp_path / "c.txt", bic__energies="2.0",
+                           out__dir=str(tmp_path / "out"), **params)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["bic", "--config", cfg]) == 3
+        err = capsys.readouterr().err
+        assert "DomainError" in err and "finite q-range" in err
+        assert params["model__name"] in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
 
 class TestReport:
     def test_poschl_teller_report(self, tmp_path, capsys, monkeypatch):
@@ -1123,6 +1140,7 @@ class TestReport:
         ("cosh_square", dict(model__alpha=1.0, model__v0=1.0, model__m0=0.0), False),
         ("rational", dict(model__alpha=1.2, model__v0=0.9, model__m0=1.5), True),
         ("constant_rest", dict(model__m0=1.0, model__c=1.0), True),
+        ("linear_singular", dict(model__A=0.0, model__v0=1.0), False),
     ])
     def test_constant_u_report(self, tmp_path, capsys, name, params, claimed, mode_args):
         cfg = write_config(tmp_path / "c.txt", model__name=name, grid__n=800,
@@ -1149,3 +1167,49 @@ class TestReport:
         out = capsys.readouterr().out
         assert "as-published" in out or "as_published" in out
         assert "exponential" in out
+
+
+def count_models(monkeypatch):
+    """Record the name of every built-in model build, through each _BUILTINS entry."""
+    built = []
+    for name, builder in profiles._BUILTINS.items():
+        def counted(params, name=name, builder=builder):
+            built.append(name)
+            return builder(params)
+        monkeypatch.setitem(profiles._BUILTINS, name, counted)
+    return built
+
+
+class TestOneModelBuild:
+    """The CLI reads references from the model it built; it never builds one again."""
+
+    @pytest.mark.parametrize("mode", ["approximate", "exact"])
+    def test_solve(self, tmp_path, monkeypatch, mode):
+        built = count_models(monkeypatch)
+        cfg = write_config(tmp_path / "c.txt", **PT_SCAN, mode=mode,
+                           outputs="spectrum, wavefunctions", out__dir=str(tmp_path / "out"))
+        assert main(["solve", "--config", cfg]) == 0
+        assert built == ["poschl_teller"]
+
+    @pytest.mark.parametrize("mode_args", [[], ["--mode", "exact"]])
+    def test_report(self, tmp_path, monkeypatch, mode_args):
+        built = count_models(monkeypatch)
+        cfg = write_config(tmp_path / "c.txt", **PT_SCAN, out__dir=str(tmp_path / "out"))
+        assert main(["report", "--config", cfg, *mode_args]) == 0
+        assert built == ["poschl_teller"]
+
+    def test_bic(self, tmp_path, monkeypatch):
+        built = count_models(monkeypatch)
+        cfg = write_config(tmp_path / "c.txt", model__name="cosh_square", model__alpha=1.0,
+                           model__v0=1.0, model__m0=1.0, bic__energies="1.5, 2.5",
+                           out__dir=str(tmp_path / "out"))
+        assert main(["bic", "--config", cfg]) == 0
+        assert built == ["cosh_square"]
+
+    def test_scan_builds_once_per_point(self, tmp_path, monkeypatch):
+        built = count_models(monkeypatch)
+        cfg = write_config(tmp_path / "c.txt", **dict(PT_SCAN, scan__steps=8),
+                           scan__param="m0", scan__min=1.0, scan__max=2.0,
+                           out__dir=str(tmp_path / "out"))
+        assert main(["scan", "--config", cfg]) == 0
+        assert built == ["poschl_teller"] * 8

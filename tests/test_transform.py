@@ -390,10 +390,20 @@ class TestQuadrature:
         assert math.isfinite(info.value.partial)
 
     def test_import_does_not_load_quadpack(self):
+        # nor does a closed form: only the first numeric_normalization call loads it
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=src)
-        code = ("import sys, diracpd, diracpd.cli; "
-                "assert 'scipy.integrate' not in sys.modules, 'scipy.integrate loaded'")
+        code = """
+import sys, diracpd, diracpd.cli
+assert "scipy.integrate" not in sys.modules, "scipy.integrate loaded"
+p = dict(alpha=1.0, v0=1.0, m0=1.0)
+diracpd.spectrum_entry("poschl_teller", 0, p)
+diracpd.bound_spinor("poschl_teller", 0, p, 1.0, normalized=False)
+diracpd.published_normalization("rational", 1, p)
+assert "scipy.integrate" not in sys.modules, "scipy.integrate loaded by a closed form"
+diracpd.numeric_normalization("rational", 1, p)
+assert "scipy.integrate" in sys.modules
+"""
         subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
     def test_jobs_run_without_scipy_linalg(self, tmp_path):
