@@ -22,6 +22,7 @@ from .eigensolver import (
     SpectrumResult,
     energies_from_lambda,
     expand_until_settled,
+    solve_approximate,
     solve_exact,
     solve_fixed,
     solve_self_consistent,
@@ -90,6 +91,7 @@ __all__ = [
     "published_normalization",
     "reconstruct",
     "s_parameter",
+    "solve_approximate",
     "solve_exact",
     "solve_fixed",
     "solve_self_consistent",

@@ -116,14 +116,16 @@ def _tables() -> _Tables:
 
 
 def _scaled(v: np.ndarray, e: np.ndarray, pow10: np.ndarray):
-    """v 10^(16-e) as (integer part, fraction in [0, 1]); an inexact 10^k can
-    leave a tiny negative remainder, whose fraction rounds to 1."""
+    """v 10^(16-e) as (integer part, fraction in [0, 1)); an inexact 10^k can
+    leave a tiny negative remainder, whose fraction rounds to 1 and is carried
+    into the integer part (1e20 at k = -4 would otherwise read 10^16 - 1)."""
     hi, hh, hl, lo = pow10.take((16 - _K_LO) - e, axis=0).T
     p = v * hi
     vh, vl = _split(v)
     rem = ((vh * hh - p) + vh * hl + vl * hh) + vl * hl + v * lo
     whole = np.floor(rem)
-    return p.astype(np.int64) + whole.astype(np.int64), rem - whole
+    up = rem - whole == 1.0
+    return p.astype(np.int64) + (whole + up).astype(np.int64), rem - whole - up
 
 
 def _significands(v: np.ndarray, pow10: np.ndarray):

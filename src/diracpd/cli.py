@@ -44,23 +44,22 @@ import numpy as np
 
 from . import _csvfloat, analytic
 from .eigensolver import (
+    EigenPair,
     SpectrumResult,
     energies_from_lambda,
-    expand_until_settled,
+    solve_approximate,
     solve_exact,
     solve_fixed,
 )
 from .errors import (
     ConfigError,
-    DomainError,
     ImaginaryEnergyError,
     InvalidParameterError,
     NumericalError,
 )
 from .potential import (
-    PotentialField,
+    CONSTANT_U,
     QGrid,
-    approx_potential,
     constant_u_potential,
     exact_potential,
     potential_discrepancy_report,
@@ -259,40 +258,18 @@ def _require_constant_u(model: ModelSpec, a_const: Optional[float], what: str) -
                           f"{model.name!r} is not in that class")
 
 
-def _wall_singular(builder, lo: float, hi: float) -> bool:
-    """Whether V blows up at a wall of (lo, hi): probes within 3e-8 of each wall.
-
-    A DomainError (probe nodes that round onto a wall) means a singular
-    wall; any other error propagates with its own cause.
-    """
-    width = hi - lo
-    try:
-        mid_vals = builder(QGrid(lo + 0.4 * width, hi - 0.4 * width, 3, offset=True)).values
-        center = float(np.max(np.abs(mid_vals[np.isfinite(mid_vals)]), initial=0.0))
-        for probes in (QGrid(lo, lo + 3e-8 * width, 3, offset=True),
-                       QGrid(hi - 3e-8 * width, hi, 3, offset=True)):
-            edge_vals = builder(probes).values
-            if not np.all(np.isfinite(edge_vals)):
-                return True
-            if float(np.max(np.abs(edge_vals))) > 1e6 * (1.0 + center):
-                return True
-    except DomainError:
-        return True
-    return False
-
-
 @dataclass
 class SolveOutcome:
     model: ModelSpec
     tmap: TransformMap
     mode: str
-    grid: Optional[QGrid]
-    result: Optional[SpectrumResult]
     a_const: Optional[float]  # A when m v_F^2 = A, else None
-    rest_energy: Optional[Tuple[float, float]] = None  # free constant-mass case
-    # the potential the levels were solved on, on ``grid``; None in the free
-    # case and in exact mode, whose potential depends on the energy
-    field: Optional[PotentialField] = None
+    result: SpectrumResult
+
+    @property
+    def grid(self) -> Optional[QGrid]:
+        """The base grid the levels were solved on; None in the free case."""
+        return self.result.pairs[0].grid
 
 
 def run_solve_pipeline(rc: RunConfig, model: Optional[ModelSpec] = None,
@@ -309,41 +286,21 @@ def run_solve_pipeline(rc: RunConfig, model: Optional[ModelSpec] = None,
     if tmap is None:
         tmap = build_transform(model.velocity, model.anchor)
     mode, a_const = _resolve_mode(rc, model)
-    finite_q = math.isfinite(tmap.q_lo) and math.isfinite(tmap.q_hi)
-
-    if mode == "constant-u":
-        _require_constant_u(model, a_const, "mode constant-u")
-        if not finite_q:
-            # free particle: no bound states, only the rest energies
-            rest = energies_from_lambda(0.0, a_const * a_const)
-            return SolveOutcome(model, tmap, mode, None, None, a_const, rest_energy=rest)
-        field = constant_u_potential(a_const, QGrid(tmap.q_lo, tmap.q_hi, rc.grid_n))
-        return SolveOutcome(model, tmap, mode, field.grid,
-                            solve_fixed(field, rc.k_states, vectors=vectors), a_const, field=field)
-
-    def builder(g: QGrid):
-        return approx_potential(model, g, tmap)
-
-    field = None
     if mode == "exact":
         result = solve_exact(model, tmap, rc.grid_n, rc.k_states, vectors=vectors)
-    elif finite_q:
-        offset = _wall_singular(builder, tmap.q_lo, tmap.q_hi)
-        field = builder(QGrid(tmap.q_lo, tmap.q_hi, rc.grid_n, offset=offset))
-        result = solve_fixed(field, rc.k_states, vectors=vectors)
+    elif mode == "approximate":
+        result = solve_approximate(model, tmap, rc.grid_n, rc.k_states, vectors=vectors)
     else:
-        lo0 = tmap.q_lo if math.isfinite(tmap.q_lo) else None
-        hi0 = tmap.q_hi if math.isfinite(tmap.q_hi) else None
-
-        def box_builder(L: float):
-            nonlocal field  # the last box built is the one the result is solved on
-            lo = lo0 if lo0 is not None else -L
-            hi = hi0 if hi0 is not None else L
-            field = builder(QGrid(lo, hi, rc.grid_n, offset=True))
-            return field
-
-        result, _ = expand_until_settled(box_builder, rc.k_states, vectors=vectors)
-    return SolveOutcome(model, tmap, mode, result.pairs[0].grid, result, a_const, field=field)
+        _require_constant_u(model, a_const, "mode constant-u")
+        if math.isfinite(tmap.q_lo) and math.isfinite(tmap.q_hi):
+            field = constant_u_potential(a_const, QGrid(tmap.q_lo, tmap.q_hi, rc.grid_n))
+            result = solve_fixed(field, rc.k_states, vectors=vectors)
+        else:
+            # free particle: no bound states, one level at lambda 0 with the rest energies
+            rest = a_const * a_const
+            result = SpectrumResult((EigenPair(0.0, None, None, 0, 0.0),),
+                                    (energies_from_lambda(0.0, rest),), CONSTANT_U, rest)
+    return SolveOutcome(model, tmap, mode, a_const, result)
 
 
 Reference = List[Optional[analytic.AnalyticSpectrum]]
@@ -469,38 +426,25 @@ def cmd_solve(rc: RunConfig) -> int:
     # nodes column is its certified index (see eigensolver)
     outcome = run_solve_pipeline(rc, vectors="wavefunctions" in rc.outputs)
     model, tmap, mode, grid = outcome.model, outcome.tmap, outcome.mode, outcome.grid
+    result = outcome.result
     if "bic" in rc.outputs and rc.bic_energies:
         _require_constant_u(model, outcome.a_const, "output 'bic'")
     os.makedirs(rc.out_dir, exist_ok=True)
 
-    if outcome.rest_energy is not None:
-        e_plus, e_minus = outcome.rest_energy
-        _, _, ref, rel, _ = _match_levels([e_plus], _analytic_reference(rc, model, 1, mode))[0]
-        print(f"{model.label}: free constant-mass case, no bound spectrum")
-        print("  n  E_numeric              E_analytic             rel_dev    nodes")
-        ref_s = _fmt(ref.e_plus) if ref is not None else "-"
-        print(f"  0  {_fmt(e_plus):22s} {ref_s:22s} {rel:.2e}   -")
-        if "spectrum" in rc.outputs:
-            _write_spectrum(rc, mode, None, [(0, 0.0, e_plus, e_minus, 0, 0.0)])
-        if rc.strict and not (rel <= rc.compare_tol):
-            print(f"strict comparison failed: rel dev {rel:.3e} > {rc.compare_tol:g}",
-                  file=sys.stderr)
-            return EXIT_COMPARE
-        return EXIT_OK
-
-    result = outcome.result
     numeric = [e[0] for e in result.energies]
     reference = _analytic_reference(rc, model, max(rc.k_states + 3, len(numeric)), mode)
     rows = _match_levels(numeric, reference)
 
-    print(f"{model.label}: mode={mode}, grid n={grid.n} h={grid.h:.3e} "
-          f"offset={grid.offset}")
+    print(f"{model.label}: " + (f"mode={mode}, grid n={grid.n} h={grid.h:.3e} "
+                                f"offset={grid.offset}" if grid else
+                                "free constant-mass case, no bound spectrum"))
     print("  n  E_numeric              E_analytic             rel_dev    nodes")
     worst = 0.0
     for (idx, e_num, e_ref, rel, note), pair in zip(rows, result.pairs):
         ref_s = _fmt(e_ref.e_plus) if e_ref is not None else (note or "-")
         rel_s = f"{rel:.2e}" if math.isfinite(rel) else "-"
-        print(f"  {idx}  {_fmt(e_num):22s} {ref_s:22s} {rel_s:9s}  {pair.nodes:5d}")
+        nodes_s = f"{pair.nodes:5d}" if grid else "-"  # the free level has no state
+        print(f"  {idx}  {_fmt(e_num):22s} {ref_s:22s} {rel_s:9s}  {nodes_s}")
         if math.isfinite(rel):
             worst = max(worst, rel)
 
@@ -513,14 +457,15 @@ def cmd_solve(rc: RunConfig) -> int:
         _write_spectrum(rc, mode, grid,
                         [(k, p.lam, *result.energies[k], p.nodes, p.error_estimate)
                          for k, p in enumerate(result.pairs)])
-    if "potential" in rc.outputs:
-        f = outcome.field
+    # the free case has no grid, so no potential or wavefunction to write
+    if "potential" in rc.outputs and grid:
+        f = result.field
         if f is None:
             f = exact_potential(model, numeric[0], grid, tmap)
         _write_csv(os.path.join(rc.out_dir, "potential.csv"),
                    _header_lines(rc, "potential", mode, grid), ("q", "V"),
                    (grid.nodes, f.values))
-    if "wavefunctions" in rc.outputs:
+    if "wavefunctions" in rc.outputs and grid:
         for k, pair in enumerate(result.pairs):
             spin = normalize(reconstruct(pair, model, tmap, numeric[k]))
             obs = observables(spin, model)
@@ -630,8 +575,7 @@ def _scan_point(rc: RunConfig, value: float,
         if model.map_key is None or model.map_key != held[0]:
             held = (model.map_key, build_transform(model.velocity, model.anchor))
         outcome = run_solve_pipeline(rc, model=model, tmap=held[1], vectors=False)
-        energies = ([outcome.rest_energy] if outcome.rest_energy is not None
-                    else outcome.result.energies)
+        energies = outcome.result.energies
         # row k holds level k of the resolved mode beside its closed-form entry k
         reference = _analytic_reference(rc, model, len(energies), outcome.mode)
         return [(key, str(k), _fmt(e_plus), _fmt(ref.e_plus) if ref else "nan", "ok")

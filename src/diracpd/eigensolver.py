@@ -59,7 +59,8 @@ from .errors import (
     NonConvergenceError,
     SingularNodeError,
 )
-from .potential import CONSTANT_U, EXACT, PotentialField, QGrid, exact_potential
+from .potential import (CONSTANT_U, EXACT, PotentialField, QGrid, approx_potential,
+                        exact_potential)
 from .profiles import ModelSpec, product_u
 from .transform import TransformMap
 
@@ -143,12 +144,13 @@ class EigenPair:
     """One converged state: refined eigenvalue, vector on the base grid.
 
     ``phi`` (and ``chi``) are None when the state was solved with
-    ``vectors=False``; ``nodes`` is then the certified level index.
+    ``vectors=False``; ``nodes`` is then the certified level index. ``grid``
+    is None for the free case's rest energy, which no grid was solved on.
     """
 
     lam: float
     phi: Optional[np.ndarray]
-    grid: QGrid
+    grid: Optional[QGrid]
     nodes: int
     error_estimate: float
     chi: Optional[np.ndarray] = None  # lattice pairs: chi on the n+1 half nodes around phi
@@ -160,6 +162,9 @@ class SpectrumResult:
     energies: Tuple[Tuple[float, float], ...]
     mode: str
     offset: float
+    # the potential solve_fixed solved the levels on, on the base grid; None
+    # from solve_exact, whose potential depends on the energy
+    field: Optional[PotentialField] = None
 
 
 def energies_from_lambda(lam: float, offset: float) -> Tuple[float, float]:
@@ -430,7 +435,52 @@ def solve_fixed(potential: PotentialField, k_states: int,
         energies.append(energies_from_lambda(lam[k], offset))
 
     return SpectrumResult(pairs=tuple(pairs), energies=tuple(energies),
-                          mode=potential.mode, offset=offset)
+                          mode=potential.mode, offset=offset, field=potential)
+
+
+def _wall_singular(builder, lo: float, hi: float) -> bool:
+    """Whether V blows up at a wall of (lo, hi): probes within 3e-8 of each wall.
+
+    A DomainError (probe nodes that round onto a wall) means a singular
+    wall; any other error propagates with its own cause.
+    """
+    width = hi - lo
+    try:
+        mid_vals = builder(QGrid(lo + 0.4 * width, hi - 0.4 * width, 3, offset=True)).values
+        center = float(np.max(np.abs(mid_vals[np.isfinite(mid_vals)]), initial=0.0))
+        for probes in (QGrid(lo, lo + 3e-8 * width, 3, offset=True),
+                       QGrid(hi - 3e-8 * width, hi, 3, offset=True)):
+            edge_vals = builder(probes).values
+            if not np.all(np.isfinite(edge_vals)):
+                return True
+            if float(np.max(np.abs(edge_vals))) > 1e6 * (1.0 + center):
+                return True
+    except DomainError:
+        return True
+    return False
+
+
+def solve_approximate(model: ModelSpec, tmap: TransformMap, n: int,
+                      k_states: int, vectors: bool = True) -> SpectrumResult:
+    """Lowest k_states levels of the energy-independent (approximate) potential.
+
+    A finite q-range gets one grid of n nodes, offset half a step from the
+    walls when _wall_singular finds V blowing up at one. An infinite side
+    is cut at |q| = L on offset grids of n nodes, L doubled until the levels
+    settle (expand_until_settled). The result's ``field`` is the potential
+    of the grid it was solved on; ``vectors`` as in solve_fixed.
+    """
+    def builder(grid: QGrid) -> PotentialField:
+        return approx_potential(model, grid, tmap)
+
+    lo, hi = tmap.q_lo, tmap.q_hi
+    if math.isfinite(lo) and math.isfinite(hi):
+        offset = _wall_singular(builder, lo, hi)
+        return solve_fixed(builder(QGrid(lo, hi, n, offset=offset)), k_states, vectors=vectors)
+    return expand_until_settled(
+        lambda L: builder(QGrid(lo if math.isfinite(lo) else -L,
+                                hi if math.isfinite(hi) else L, n, offset=True)),
+        k_states, vectors=vectors)[0]
 
 
 def _staggered(u: np.ndarray, h: float):

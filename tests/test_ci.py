@@ -27,6 +27,9 @@ def test_workflow_parses_and_runs_declared_workloads():
     assert set(named) <= declared, f"undeclared workloads: {sorted(set(named) - declared)}"
     # every one runs: exact_sc alone reaches the folded lattice, scan alone resumed scans
     assert declared <= set(named), f"workloads not run: {sorted(declared - set(named))}"
+    # and every one runs traced, so that each keeps the tracer's by-name wraps under test
+    traced = set(re.findall(r"perfbench/run\.py --workload (\S+) .*--trace 1\b", runs))
+    assert declared <= traced, f"workloads never traced: {sorted(declared - traced)}"
 
 
 def test_tier1_pins_blas_threads():
@@ -65,10 +68,23 @@ def test_tier1_runs_one_shot_solves():
     assert run.rstrip().endswith('test "$status" -eq 2')
 
 
+TRACED_APPROXIMATE_SOLVE = """
+import tracer
+spans = tracer.install().spans
+from diracpd import build_transform, builtin_model, eigensolver
+model = builtin_model("poschl_teller", alpha=1.0, v0=1.0, m0=1.5)
+eigensolver.solve_approximate(model, build_transform(model.velocity, model.anchor), 400, 3)
+print(spans["potential.build"][0], spans["eigensolver.solve_fixed"][0])
+"""
+
+
 def test_tracer_installs_against_src():
     # install() raises when a wrapped name (diracpd.eigensolver.eigh_tridiagonal
-    # among them) is bound nowhere in the package
+    # among them) is bound nowhere in the package; an approximate solve then records
+    # the calls solve_approximate makes by name: two wall probes (the first edge probe
+    # finds the 1/sin^2 wall), the grid's potential and one solve_fixed
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")]))
-    proc = subprocess.run([sys.executable, "-c", "import tracer; tracer.install()"], env=env,
+    proc = subprocess.run([sys.executable, "-c", TRACED_APPROXIMATE_SOLVE], env=env,
                           cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["3", "1"]

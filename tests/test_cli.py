@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import math
 import os
+import types
 import warnings
 import weakref
 from fractions import Fraction
@@ -95,16 +96,22 @@ class TestSolve:
         assert all(float(r[1]) == 1.0 for r in rows)  # constant-u: V = A^2
 
     def test_constant_rest(self, tmp_path, capsys):
-        cfg = write_config(
-            tmp_path / "c.txt",
-            model__name="constant_rest", model__m0=1.0, model__c=1.0,
-            compare__tol="1e-10", outputs="spectrum",
-            out__dir=str(tmp_path / "out"),
-        )
-        assert main(["solve", "--config", cfg, "--strict"]) == 0
-        _, rows = read_rows(tmp_path / "out" / "spectrum.csv")
-        assert float(rows[0][2]) == 1.0
-        assert float(rows[0][3]) == -1.0
+        # free cases: one level at the rest energy; massless linear_singular's has
+        # no closed form (the published radicand is negative), so --strict skips it
+        for params, rest in ((dict(model__name="constant_rest", model__m0=1.0, model__c=1.0), 1.0),
+                             (dict(model__name="linear_singular", model__A=0.0, model__v0=1.0),
+                              0.0)):
+            out = tmp_path / params["model__name"]
+            cfg = write_config(tmp_path / "c.txt", **params, compare__tol="1e-10",
+                               outputs="spectrum", out__dir=str(out))
+            assert main(["solve", "--config", cfg, "--strict"]) == 0
+            printed = capsys.readouterr().out
+            assert "free constant-mass case, no bound spectrum" in printed
+            assert "nan" not in printed
+            _, rows = read_rows(out / "spectrum.csv")
+            assert len(rows) == 1
+            assert float(rows[0][2]) == rest
+            assert float(rows[0][3]) == -rest
 
     def test_rational_approximate_mode_takes_the_wall_grid(self, tmp_path):
         # V = (m0 v0^2)^2 is flat up to the finite q-walls, so the probe must
@@ -131,18 +138,30 @@ class TestSolve:
                 raise exc
             return builder
 
-        assert cli._wall_singular(failing(cli.DomainError("on the wall")), 0.0, 1.0)
+        assert eigensolver._wall_singular(failing(errors.DomainError("on the wall")), 0.0, 1.0)
         with pytest.raises(QuadratureFailureError):
-            cli._wall_singular(failing(QuadratureFailureError("forced", partial=0.0)), 0.0, 1.0)
+            eigensolver._wall_singular(failing(QuadratureFailureError("forced", partial=0.0)),
+                                       0.0, 1.0)
 
-        real = cli.approx_potential
+        def flat(nan_at_walls):
+            # V = 1 on the middle probe; on the wall probes 1, or NaN
+            def builder(grid):
+                middle = 0.3 < grid.nodes[0] < 0.7
+                return types.SimpleNamespace(
+                    values=np.full(grid.n, 1.0 if middle or not nan_at_walls else math.nan))
+            return builder
+
+        assert not eigensolver._wall_singular(flat(False), 0.0, 1.0)
+        assert eigensolver._wall_singular(flat(True), 0.0, 1.0)
+
+        real = eigensolver.approx_potential
 
         def probe_fails(model, grid, tmap):
             if grid.n == 3:
                 raise QuadratureFailureError("forced probe failure", partial=0.0)
             return real(model, grid, tmap)
 
-        monkeypatch.setattr(cli, "approx_potential", probe_fails)
+        monkeypatch.setattr(eigensolver, "approx_potential", probe_fails)
         cfg = write_config(tmp_path / "c.txt", model__name="rational", model__alpha=0.8,
                            model__v0=1.5, model__m0=0.6, mode="approximate", grid__n=400,
                            solve__k_states=1, out__dir=str(tmp_path / "out"))
@@ -462,11 +481,16 @@ class TestFloatTables:
         self.write(tmp_path, float_table(values[(size >= 1e-280) & (size <= 1e280)]))
         assert len(numpy_chunks) > 2 and all(numpy_chunks)
 
-    def test_forty_ulps_around_every_power_of_ten(self, tmp_path):
+    def test_forty_ulps_around_every_power_of_ten(self, tmp_path, numpy_chunks):
         powers = np.array([float(f"1e{k}") for k in range(-279, 280)])
         near = np.concatenate([powers.view(np.int64) + d for d in range(-40, 41)])
         values = near.view(np.float64)
         self.write(tmp_path, float_table(np.concatenate([values, -values])))
+        # every exact power of ten, 1e20 among them, is formatted in numpy
+        numpy_chunks.clear()
+        for power in powers:
+            self.write(tmp_path, [np.array([power, -power])])
+        assert len(numpy_chunks) == powers.size and all(numpy_chunks)
 
     def test_exact_ties_and_their_eighths(self, tmp_path, numpy_chunks):
         ties = exact_ties(np.random.default_rng(2), 300)
@@ -563,14 +587,16 @@ class TestSolveReuse:
     def test_potential_export_writes_the_solved_field(self, tmp_path, monkeypatch,
                                                       name, mode, builder):
         grids = []
-        real = getattr(cli, builder)
+        # approximate mode builds its potential in the eigensolver, constant-u mode in the cli
+        module = eigensolver if builder == "approx_potential" else cli
+        real = getattr(module, builder)
 
         def counted(*args):
             field = real(*args)
             grids.append(field.grid)
             return field
 
-        monkeypatch.setattr(cli, builder, counted)
+        monkeypatch.setattr(module, builder, counted)
         cfg = write_config(tmp_path / "c.txt", **dict(self.PT, model__name=name), mode=mode,
                            outputs="potential", out__dir=str(tmp_path / "out"))
         assert main(["solve", "--config", cfg]) == 0
@@ -581,7 +607,7 @@ class TestSolveReuse:
         args = cli._make_parser().parse_args(["solve", "--config", cfg])
         outcome = cli.run_solve_pipeline(cli.build_run_config(cli.parse_config(cfg), args))
         assert outcome.grid == base[0]
-        fresh = (cli.approx_potential(outcome.model, outcome.grid, outcome.tmap)
+        fresh = (eigensolver.approx_potential(outcome.model, outcome.grid, outcome.tmap)
                  if builder == "approx_potential"
                  else cli.constant_u_potential(outcome.a_const, outcome.grid))
         assert [r[1] for r in rows] == [cli._fmt(v) for v in fresh.values.tolist()]
@@ -1059,16 +1085,18 @@ class TestBic:
         dict(model__name="linear_singular", model__A=0.0, model__v0=1.0),
     ])
     def test_infinite_q_range_exit_3(self, tmp_path, capsys, params):
-        # both maps run over the whole q-axis, where the bic family's grid has no nodes
-        cfg = write_config(tmp_path / "c.txt", bic__energies="2.0",
-                           out__dir=str(tmp_path / "out"), **params)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert main(["bic", "--config", cfg]) == 3
-        err = capsys.readouterr().err
-        assert "DomainError" in err and "finite q-range" in err
-        assert params["model__name"] in err
-        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        # both maps run over the whole q-axis, where the bic family's grid has no nodes;
+        # solve reaches the bic output after its free-case spectrum
+        for command, outputs in (("bic", "spectrum"), ("solve", "spectrum, bic")):
+            cfg = write_config(tmp_path / "c.txt", bic__energies="2.0", outputs=outputs,
+                               out__dir=str(tmp_path / command), **params)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert main([command, "--config", cfg]) == 3
+            err = capsys.readouterr().err
+            assert "DomainError" in err and "finite q-range" in err
+            assert params["model__name"] in err
+            assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 class TestReport:

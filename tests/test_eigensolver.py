@@ -22,6 +22,7 @@ from diracpd import (
     exact_potential,
     expand_until_settled,
     s_parameter,
+    solve_approximate,
     solve_exact,
     solve_fixed,
     solve_self_consistent,
@@ -364,6 +365,31 @@ class TestSolveExact:
         monkeypatch.setattr(eigensolver, "product_u", flip_refined_sites)
         with pytest.raises(NonConvergenceError, match="inertia"):
             solve_exact(model, tmap, 200, 1)
+
+
+class TestSolveApproximate:
+    @pytest.mark.parametrize("name,offset", [("poschl_teller", True), ("cosh_square", False)])
+    def test_solve_fixed_on_the_probed_grid(self, name, offset):
+        # poschl_teller's 1/sin^2 walls take the offset grid; cosh_square's potential
+        # (approximate mode on a constant-u model) stays finite there: the plain grid
+        model = builtin_model(name, alpha=1.0, v0=1.0, m0=1.5)
+        tmap = build_transform(model.velocity, model.anchor)
+        grid = QGrid(tmap.q_lo, tmap.q_hi, 400, offset=offset)
+        want = solve_fixed(approx_potential(model, grid, tmap), 3)
+        got = solve_approximate(model, tmap, 400, 3)
+        assert got.field.grid == grid
+        assert np.array_equal(got.field.values, want.field.values)
+        assert got.energies == want.energies
+        for a, b in zip(got.pairs, want.pairs, strict=True):
+            assert (a.lam, a.nodes, a.error_estimate, a.grid) == (b.lam, b.nodes,
+                                                                  b.error_estimate, b.grid)
+            assert np.array_equal(a.phi, b.phi)
+
+    def test_unconfined_infinite_side(self):
+        model = builtin_model("linear_singular", A=1.0, v0=1.0)
+        tmap = build_transform(model.velocity, model.anchor)
+        with pytest.raises(NonConvergenceError, match="does not confine"):
+            solve_approximate(model, tmap, 400, 1)
 
 
 # u, u' and u'' with an odd part of 1e-3, and of an even, non-constant u

@@ -17,3 +17,12 @@ def test_readme_has_examples():
 @pytest.mark.parametrize("code", BLOCKS, ids=[f"block{i}" for i in range(len(BLOCKS))])
 def test_readme_example_runs(code):
     exec(compile(code, str(README), "exec"), {"__name__": "readme_example"})
+
+
+def test_custom_profile_example_finds_poschl_teller_e0():
+    # the 1/sin mass example is poschl_teller at alpha = v0 = m0 = 1
+    code = next(block for block in BLOCKS if "solve_approximate" in block)
+    scope = {"__name__": "readme_example"}
+    exec(compile(code, str(README), "exec"), scope)
+    assert f"{scope['e0']:.8f}" == "1.48937765"
+    assert scope["grid"].offset
