@@ -457,7 +457,10 @@ def cmd_solve(rc: RunConfig) -> int:
         _write_spectrum(rc, mode, grid,
                         [(k, p.lam, *result.energies[k], p.nodes, p.error_estimate)
                          for k, p in enumerate(result.pairs)])
-    # the free case has no grid, so no potential or wavefunction to write
+    # the free case writes neither, and one fixed line names both
+    if not grid and {"potential", "wavefunctions"} & set(rc.outputs):
+        print("potential and wavefunctions not written: the free case has no grid "
+              "and no bound state")
     if "potential" in rc.outputs and grid:
         f = result.field
         if f is None:

@@ -24,6 +24,18 @@ this for both solve_fixed and the exact-mode lattice (solve_exact): each
 solver hands it the whole matrices of both grids once, and it owns the
 tolerance, the parity fold and its fallback, and the Richardson step.
 
+A vectorless solve_fixed on n >= 4000 nodes (so n/16 >= 250) also hands
+_levels a grid ladder: the same potential on n/16 and n/32 nodes. Then only
+those two small grids are bisected by index; the base levels are bisected
+in windows around their h^2 Richardson prediction from the two, and the
+refined ones around theirs from the n/16 and base grids, each window a few
+Sturm sweeps where an index search from the whole Gershgorin interval
+takes about 50 (Barth, Martin & Wilkinson, Numer. Math. 9 (1967) 386). The
+same window checks and one Sturm count per parity block certify each grid;
+on any miss (in the g < 1 band of poschl_teller, where the error is not
+h^2) the solve takes the index path above, bit for bit. Vector solves,
+solve_exact and constant-u mode never take the ladder.
+
 When the sampled potential (or u, on the lattice) matches its mirror to
 1e-8 relative, as the paper's even models do on their whole q-range, it
 is averaged with its mirror; the matrices then commute with a reflection,
@@ -58,6 +70,7 @@ from .errors import (
     InvalidParameterError,
     NonConvergenceError,
     SingularNodeError,
+    UnboundedBelowError,
 )
 from .potential import (CONSTANT_U, EXACT, PotentialField, QGrid, approx_potential,
                         exact_potential)
@@ -260,28 +273,32 @@ def _count(d: np.ndarray, e: np.ndarray, lo: float, hi: float) -> int:
 
 
 def _bisect_near(d: np.ndarray, e: np.ndarray, guesses: np.ndarray, tol: float,
-                 floor: float, below: int) -> Optional[np.ndarray]:
+                 floor: float, below: Optional[int],
+                 halves: Optional[np.ndarray] = None) -> Optional[np.ndarray]:
     """Eigenvalues below .. below + k - 1 of tridiag(e, d, e), or None.
 
     ``guesses`` are k rising approximations (the base grid's levels), and
     ``below`` eigenvalues lie at or under ``floor`` (the caller counts them,
     see _inertia). Each level is bisected to ``tol`` in a window around its
     guess that starts at 1e-6 |guess| (at least tol) either side and widens
-    16-fold while it is empty, up to the Gershgorin norm. A Sturm count
-    certifies the result: every window holds exactly one eigenvalue, the
-    levels rise from ``floor`` by more than tol (none is found twice), and
-    exactly below + k eigenvalues lie at or under the top window edge. None
-    means a window held more than one level or the count disagreed; the
-    caller then bisects by index.
+    16-fold while it is empty, up to the Gershgorin norm; given ``halves``,
+    window j starts at halves[j] either side and widens 16-fold once. A
+    Sturm count certifies the result: every window holds exactly one
+    eigenvalue, the levels rise from ``floor`` by more than tol (none is
+    found twice), and exactly below + k eigenvalues lie at or under the top
+    window edge; with ``below`` None that count is left to the caller
+    (_counted). None means a window held more or fewer than one level or the
+    count disagreed; the caller then bisects by index.
     """
     limit = tol / np.finfo(float).eps
     w = np.empty(len(guesses))
     for j, guess in enumerate(guesses):
-        half = max(1e-6 * abs(guess), tol)
+        half = max(1e-6 * abs(guess), tol) if halves is None else halves[j]
+        cap = limit if halves is None else half
         while True:
             found = eigh_tridiagonal(d, e, eigvals_only=True, select="v",
                                      select_range=(guess - half, guess + half), tol=tol)
-            if found.size or half > limit:
+            if found.size or half > cap:
                 break
             half *= 16.0
         if found.size != 1:
@@ -289,9 +306,82 @@ def _bisect_near(d: np.ndarray, e: np.ndarray, guesses: np.ndarray, tol: float,
         w[j] = found[0]
     if not (w[0] > floor and np.all(np.diff(w) > tol)):
         return None
-    if _count(d, e, -math.inf, guesses[-1] + half) != below + w.size:
+    if below is not None and _count(d, e, -math.inf, guesses[-1] + half) != below + w.size:
         return None
     return w
+
+
+def _counted(blocks, w: np.ndarray, floor: float, tol: float) -> bool:
+    """Whether the levels ``w`` rise and each block p, which supplied
+    w[p::len(blocks)], holds exactly that many eigenvalues in (floor, just
+    above w[-1]]: then they are the lowest levels over the floor, in order."""
+    size, top = len(blocks), w[-1] + max(1e-6 * abs(w[-1]), tol)
+    return bool(np.all(np.diff(w) > 0)) and all(
+        _count(*block, floor, top) == w[p::size].size for p, block in enumerate(blocks))
+
+
+def _extrapolated(a: np.ndarray, b: np.ndarray, ra: float, rb: float, rt: float) -> np.ndarray:
+    """Levels at squared step rt, from levels a and b at squared steps ra and
+    rb, by the h^2 law lambda(h) = lambda + c h^2."""
+    return a + (a - b) * ((rt - ra) / (ra - rb))
+
+
+def _in_windows(blocks, guesses: np.ndarray, halves: np.ndarray, tol: float,
+                floor: float) -> Optional[np.ndarray]:
+    """Levels p, p + len(blocks), ... of block p, each bisected to tol in its
+    own window around guesses[j], or None.
+
+    Window j starts at halves[j] either side and widens 16-fold once. Each
+    block's levels pass _bisect_near's window checks, and one _counted Sturm
+    count per block certifies that they are the lowest levels over ``floor``.
+    """
+    size, w = len(blocks), np.empty(guesses.size)
+    for p, block in enumerate(blocks[:guesses.size]):
+        near = _bisect_near(*block, guesses[p::size], tol, floor, None, halves[p::size])
+        if near is None:
+            return None
+        w[p::size] = near
+    return w if _counted(blocks, w, floor, tol) else None
+
+
+def _ladder(coarse, fine, k: int, floors, folded: bool, ladder, tol: float):
+    """(base levels, refined levels) from a grid ladder, or None on any miss.
+
+    ``ladder`` holds two coarser grids' whole (d, e), each with its squared
+    step in base steps, the n/16 grid's first. Only they are bisected by
+    index, folded like the base and refined grids when ``folded``. The base
+    levels are then bisected in windows (_in_windows) around their h^2
+    Richardson prediction from the two coarse grids, each 1e-2 of its
+    prediction's distance from the n/16 level wide either side (at least
+    tol). The refined (h/2) levels follow around their prediction from the
+    n/16 grid and the base grid, in windows of 0.1 of the base prediction's
+    miss (at least 4 tol): an error term h^p off the h^2 law, 1 <= p <= 4,
+    that the base prediction misses by m misses the refined level by at
+    most 0.05 m, and the refined grid's Sturm counts round at four times
+    the base grid's tolerance.
+    """
+    size = 2 if folded else 1
+
+    def blocks(d, e):
+        return _fold(d, e) if folded else [(d, e)]
+
+    def by_index(d, e):
+        w = np.empty(k)
+        for p, block in enumerate(blocks(d, e)[:k]):
+            w[p::size] = eigh_tridiagonal(*block, eigvals_only=True, select="i",
+                                          select_range=(0, w[p::size].size - 1))
+        return w
+
+    (m16, r16), (m32, r32) = ladder
+    w16 = by_index(*m16)
+    guess = _extrapolated(w16, by_index(*m32), r16, r32, 1.0)
+    w = _in_windows(blocks(*coarse), guess, np.maximum(1e-2 * np.abs(guess - w16), tol),
+                    tol, floors[0])
+    if w is None:
+        return None
+    w_fine = _in_windows(blocks(*fine), _extrapolated(w, w16, 1.0, r16, 0.25),
+                         np.maximum(0.1 * np.abs(w - guess), 4.0 * tol), tol, floors[1])
+    return None if w_fine is None else (w, w_fine)
 
 
 def _inertia(blocks, floor: float, below: int) -> List[int]:
@@ -308,7 +398,7 @@ def _inertia(blocks, floor: float, below: int) -> List[int]:
 
 
 def _levels(coarse, fine, k: int, floors, below, mirror=None, lowest_second: bool = False,
-            vectors: bool = True):
+            vectors: bool = True, ladder=()):
     """(levels, gap, unit vectors) of the k levels over the floor of the
     tridiagonal matrix ``coarse`` and its refinement ``fine``, each a whole
     (d, e): _richardson's levels and gaps, and the coarse vectors (None
@@ -325,8 +415,18 @@ def _levels(coarse, fine, k: int, floors, below, mirror=None, lowest_second: boo
     more levels in (floor, just above the top one] than it supplied, or the
     whole matrices are solved. Fine levels are bisected near the coarse
     ones, else by index.
+
+    A ``ladder`` (see _ladder: two coarser grids of the same potential, for
+    a solve without vectors, no eigenvalue under the floors and the lowest
+    level in the first block) is tried first, in the first configuration
+    (folded when there is a ``mirror``); on any miss all of the above runs
+    as without it.
     """
     tol, n = _bisection_tol(*coarse), coarse[0].size
+    if ladder:
+        found = _ladder(coarse, fine, k, floors, mirror is not None, ladder, tol)
+        if found is not None:
+            return (*_richardson(*found), None)
     folded = [] if mirror is None else [
         (_fold(*coarse)[::-1 if lowest_second else 1], _fold(*fine))]
     for coarse_blocks, fine_blocks in folded + [([coarse], [fine])]:
@@ -341,9 +441,7 @@ def _levels(coarse, fine, k: int, floors, below, mirror=None, lowest_second: boo
                 w[p::size], psi = found if vectors else (found, None)
                 if vectors:
                     vecs[:, p::size] = psi if size == 1 else _unfold(psi, n, (1 - 2 * p) * mirror)
-        top = w[-1] + max(1e-6 * abs(w[-1]), tol)
-        if size > 1 and not (np.all(np.diff(w) > 0) and all(
-                _count(*block, floors[0], top) == m for block, m in zip(coarse_blocks, supply))):
+        if size > 1 and not _counted(coarse_blocks, w, floors[0], tol):
             continue
         for p, (block, m, first) in enumerate(zip(
                 fine_blocks, supply, _inertia(fine_blocks, floors[1], below[1]))):
@@ -373,6 +471,26 @@ def _free_eigs(grid: QGrid, k: int, with_vectors: bool):
     return w, np.sin(np.outer(np.arange(1, n + 1), ks) * (math.pi / (n + 1)))
 
 
+def _grid_ladder(potential: PotentialField, even: bool, k_states: int):
+    """_levels' ladder for ``potential``: its Schrödinger matrices on grids of
+    n // 16 and n // 32 nodes between the same walls (offset as its grid is,
+    averaged with their mirror when ``even``), each with its squared step in
+    base steps. Empty where it does not pay (n // 16 under 250 nodes), where a
+    coarse block could hold fewer than its share of k_states levels, and
+    where a coarse grid has singular nodes."""
+    grid = potential.grid
+    if grid.n // 16 < 250 or k_states > grid.n // 64:
+        return ()
+    ladder = []
+    for m in (16, 32):
+        field = potential.on_grid(QGrid(grid.lo, grid.hi, grid.n // m, grid.offset))
+        if np.any(field.singular):
+            return ()
+        values = 0.5 * (field.values + field.values[::-1]) if even else field.values
+        ladder.append((_schrodinger(values, field.grid.h), (field.grid.h / grid.h) ** 2))
+    return tuple(ladder)
+
+
 def solve_fixed(potential: PotentialField, k_states: int,
                 vectors: bool = True) -> SpectrumResult:
     """Lowest k_states eigenpairs of the fixed potential.
@@ -380,10 +498,16 @@ def solve_fixed(potential: PotentialField, k_states: int,
     Eigenvalues are Richardson-refined over (h, h/2) with
     error_estimate = |lam_h - lam_{h/2}| / 3; eigenvectors live on the
     base grid, normalized so that sum(phi^2) h = 1. With ``vectors=False``
-    none is computed: each pair's phi is None and its nodes its index, and
-    the levels and error estimates are bit for bit the same. Both grids go
-    through _levels, with min V as each grid's floor and no eigenvalue under
-    it: the h grid is bisected by index, each h/2 level near its h level.
+    none is computed: each pair's phi is None and its nodes its index. Both
+    grids go through _levels, with min V as each grid's floor and no
+    eigenvalue under it: the h grid is bisected by index, each h/2 level
+    near its h level, and the levels and error estimates without vectors
+    are those with them, bit for bit, below 4000 nodes. From n = 4000 on, a
+    solve without vectors hands _levels a grid ladder (_grid_ladder), which
+    bisects only the n/16 and n/32 grids by index, and both the h and h/2
+    levels in windows around their Richardson predictions (_ladder). Its
+    levels lie within 2 tol of the index path's, tol the h grid's
+    _bisection_tol; on any miss it falls back to that path, bit for bit.
 
     A field whose values on both grids match their mirror (_symmetrized) is
     averaged with it, (V + V[::-1]) / 2, and _levels folds it: the first
@@ -421,7 +545,8 @@ def solve_fixed(potential: PotentialField, k_states: int,
         lam, gap, vecs = _levels(
             _schrodinger(values, grid.h), _schrodinger(fine_values, fine.grid.h), k_states,
             (float(np.min(values)), float(np.min(fine_values))), (0, 0),
-            mirror=np.ones(grid.n // 2) if even else None, vectors=vectors)
+            mirror=np.ones(grid.n // 2) if even else None, vectors=vectors,
+            ladder=() if vectors else _grid_ladder(potential, bool(even), k_states))
 
     pairs, energies = [], []
     for k in range(k_states):
@@ -442,15 +567,23 @@ def _wall_singular(builder, lo: float, hi: float) -> bool:
     """Whether V blows up at a wall of (lo, hi): probes within 3e-8 of each wall.
 
     A DomainError (probe nodes that round onto a wall) means a singular
-    wall; any other error propagates with its own cause.
+    wall; any other error propagates with its own cause. V d^2 at the probe
+    nearest a wall, d its distance from it, reads the wall coefficient c of
+    V ~ c / d^2; below -1/4 V is unbounded below there (Hardy), and that
+    raises UnboundedBelowError.
     """
     width = hi - lo
     try:
         mid_vals = builder(QGrid(lo + 0.4 * width, hi - 0.4 * width, 3, offset=True)).values
         center = float(np.max(np.abs(mid_vals[np.isfinite(mid_vals)]), initial=0.0))
-        for probes in (QGrid(lo, lo + 3e-8 * width, 3, offset=True),
-                       QGrid(hi - 3e-8 * width, hi, 3, offset=True)):
+        for probes, wall, near in ((QGrid(lo, lo + 3e-8 * width, 3, offset=True), lo, 0),
+                                   (QGrid(hi - 3e-8 * width, hi, 3, offset=True), hi, -1)):
             edge_vals = builder(probes).values
+            c = edge_vals[near] * (probes.nodes[near] - wall) ** 2
+            if c < -0.25:
+                raise UnboundedBelowError(
+                    f"wall coefficient c = V d^2 = {c:.6g} < -1/4 at q = {wall:g}: V is "
+                    f"unbounded below at that wall, so it has no lowest level")
             if not np.all(np.isfinite(edge_vals)):
                 return True
             if float(np.max(np.abs(edge_vals))) > 1e6 * (1.0 + center):

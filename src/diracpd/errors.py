@@ -56,6 +56,11 @@ class ImaginaryEnergyError(ValueError, NumericalError):
     """lambda + offset < 0: the energy would be imaginary (unphysical regime)."""
 
 
+class UnboundedBelowError(ValueError, NumericalError):
+    """V ~ c / d^2 at a wall with c < -1/4: by Hardy's inequality V has no
+    lowest level, so no grid converges to a bound state."""
+
+
 class NonNormalizableError(RuntimeError, NumericalError):
     """The state's total probability is divergent or zero."""
 

@@ -97,21 +97,29 @@ class TestSolve:
 
     def test_constant_rest(self, tmp_path, capsys):
         # free cases: one level at the rest energy; massless linear_singular's has
-        # no closed form (the published radicand is negative), so --strict skips it
+        # no closed form (the published radicand is negative), so --strict skips it.
+        # Asked for a potential and wavefunctions as well, the run names them as
+        # not written and why, writes spectrum.csv alone, and still exits 0
+        skipped = ("potential and wavefunctions not written: the free case has no grid "
+                   "and no bound state\n")
         for params, rest in ((dict(model__name="constant_rest", model__m0=1.0, model__c=1.0), 1.0),
                              (dict(model__name="linear_singular", model__A=0.0, model__v0=1.0),
                               0.0)):
-            out = tmp_path / params["model__name"]
-            cfg = write_config(tmp_path / "c.txt", **params, compare__tol="1e-10",
-                               outputs="spectrum", out__dir=str(out))
-            assert main(["solve", "--config", cfg, "--strict"]) == 0
-            printed = capsys.readouterr().out
-            assert "free constant-mass case, no bound spectrum" in printed
-            assert "nan" not in printed
-            _, rows = read_rows(out / "spectrum.csv")
-            assert len(rows) == 1
-            assert float(rows[0][2]) == rest
-            assert float(rows[0][3]) == -rest
+            for outputs in ("spectrum", "spectrum, potential, wavefunctions"):
+                out = tmp_path / params["model__name"] / str(len(outputs))
+                cfg = write_config(tmp_path / "c.txt", **params, compare__tol="1e-10",
+                                   outputs=outputs, out__dir=str(out))
+                assert main(["solve", "--config", cfg, "--strict"]) == 0
+                printed = capsys.readouterr().out
+                assert "free constant-mass case, no bound spectrum" in printed
+                assert "nan" not in printed
+                assert (skipped in printed) == ("potential" in outputs)
+                assert printed.count("not written") == ("potential" in outputs)
+                assert os.listdir(out) == ["spectrum.csv"]
+                _, rows = read_rows(out / "spectrum.csv")
+                assert len(rows) == 1
+                assert float(rows[0][2]) == rest
+                assert float(rows[0][3]) == -rest
 
     def test_rational_approximate_mode_takes_the_wall_grid(self, tmp_path):
         # V = (m0 v0^2)^2 is flat up to the finite q-walls, so the probe must
@@ -820,7 +828,7 @@ class TestCommandLine:
 NUMERICAL_ERRORS = ["ApproximationInvalidError", "DomainError", "ZetaCrossingError",
                     "NonConvergenceError", "QuadratureFailureError", "ImaginaryEnergyError",
                     "SingularNodeError", "InsufficientResolutionError", "NonNormalizableError",
-                    "SubGapError"]
+                    "SubGapError", "UnboundedBelowError"]
 
 
 class TestExitCodes:
@@ -842,6 +850,20 @@ class TestExitCodes:
                            model__v0=1.0, model__m0=1.0, out__dir=str(tmp_path / "out"))
         assert main(["solve", "--config", cfg]) == code
         assert capsys.readouterr().err == message
+
+    @pytest.mark.parametrize("m0,unbounded", [(0.2, True), (0.26, False)])
+    def test_wall_below_hardy_names_its_cause(self, tmp_path, capsys, m0, unbounded):
+        # poschl_teller's walls have V ~ c / d^2, c = g^2 - 5/16: the wall probe
+        # reads c = -0.2725 at g = 0.2, below -1/4, where V is unbounded below.
+        # At g = 0.26 (c = -0.2449) the lattice still has a spurious wall state
+        # (ROADMAP item 1), but V is bounded below and no probe says otherwise
+        cfg = write_config(tmp_path / "c.txt", model__name="poschl_teller", model__alpha=1.0,
+                           model__v0=1.0, model__m0=m0, mode="approximate", grid__n=2000,
+                           out__dir=str(tmp_path / "out"))
+        assert main(["solve", "--config", cfg]) == 3
+        err = capsys.readouterr().err
+        assert ("UnboundedBelowError" in err) == unbounded
+        assert ("unbounded below" in err and "-0.2725" in err) == unbounded
 
     @pytest.mark.parametrize("command,key,value", [
         ("solve", "compare.tol", "nan"), ("bic", "bic.energies", "nan"),

@@ -466,6 +466,125 @@ class TestRefinedBrackets:
         assert [p.lam for p in res.pairs] == list((4.0 * w_fine - w) / 3.0)
 
 
+def ladder_field(name, n, **params):
+    """``name``'s approximate-mode potential at alpha 1.2, v0 1.1 on n nodes: the
+    offset grid for poschl_teller, m0 from g = m0 v0 / alpha; the plain grid else."""
+    if name == "tilted":  # q^2 + q: no mirror symmetry, so solved whole
+        return PotentialField.from_function(lambda q: q * q + q, QGrid(-8.0, 8.0, n, offset=True))
+    if name == "poschl_teller":
+        params = dict(m0=params.pop("g") * 1.2 / 1.1, **params)
+    model = builtin_model(name, alpha=1.2, v0=1.1, **params)
+    tmap = build_transform(model.velocity, model.anchor)
+    grid = QGrid(tmap.q_lo, tmap.q_hi, n, offset=name == "poschl_teller")
+    return approx_potential(model, grid, tmap)
+
+
+def ladder_outcomes(monkeypatch):
+    """Log whether each _ladder call returned levels (True) or missed (False)."""
+    outcomes = []
+    real = eigensolver._ladder
+    monkeypatch.setattr(eigensolver, "_ladder",
+                        lambda *args: outcomes.append(real(*args) is not None) or real(*args))
+    return outcomes
+
+
+class TestGridLadder:
+    """Vectorless solves on n >= 4000 nodes bisect only the n/16 and n/32 grids by
+    index, and the base and refined grids in windows around Richardson predictions;
+    a miss falls back to the index path, whose levels the vector solve has."""
+
+    @pytest.mark.parametrize("k", [1, 5])
+    @pytest.mark.parametrize("name,n,params", [
+        ("poschl_teller", 8000, dict(g=1.5)), ("poschl_teller", 8000, dict(g=3.5)),
+        ("cosh_square", 4000, dict(m0=1.2)), ("tilted", 4000, {})])
+    def test_levels_within_two_tol_of_the_index_path(self, monkeypatch, name, n, params, k):
+        field = ladder_field(name, n, **params)
+        tol = eigensolver._bisection_tol(*eigensolver._schrodinger(field.values, field.grid.h))
+        outcomes = ladder_outcomes(monkeypatch)
+        lean, full = solve_fixed(field, k, vectors=False), solve_fixed(field, k)
+        assert outcomes == [True]  # the vector solve never tries it
+        for j, (a, b) in enumerate(zip(lean.pairs, full.pairs, strict=True)):
+            assert a.nodes == b.nodes == j and a.phi is None
+            assert abs(a.lam - b.lam) <= 2.0 * tol
+            assert abs(a.error_estimate - b.error_estimate) <= 2.0 * tol
+
+    @pytest.mark.parametrize("name,rows", [("poschl_teller", [125, 125, 63, 62]),
+                                           ("tilted", [250, 125])])
+    def test_index_bisection_only_on_the_coarse_grids(self, monkeypatch, name, rows):
+        # n = 4000: the n/16 = 250 and n/32 = 125 node grids, in their two parity
+        # blocks when the field is even; the base and refined grids (or their
+        # blocks) take windows and Sturm counts
+        field = ladder_field(name, 4000, g=2.0) if name == "poschl_teller" else \
+            ladder_field(name, 4000)
+        calls = []
+        real = eigensolver.eigh_tridiagonal
+
+        def logged(d, *args, **kwargs):
+            calls.append((kwargs["select"], d.size))
+            return real(d, *args, **kwargs)
+
+        monkeypatch.setattr(eigensolver, "eigh_tridiagonal", logged)
+        solve_fixed(field, 3, vectors=False)
+        assert [size for select, size in calls if select == "i"] == rows
+        assert {size for select, size in calls if select == "v"} == (
+            {2000, 4000} if len(rows) == 4 else {4000, 8000})
+
+    def test_below_4000_nodes_no_ladder(self, monkeypatch):
+        outcomes = ladder_outcomes(monkeypatch)
+        for n in (3999, 4000):
+            solve_fixed(ladder_field("poschl_teller", n, g=2.0), 3, vectors=False)
+        assert outcomes == [True]
+
+    def test_predictions_off_by_one_level_fall_back(self, monkeypatch):
+        # the coarse grids' levels 1, 2, ... in place of 0, 1, ...: every base
+        # window finds one level, the next one up its parity block, so only the
+        # Sturm count at the top can tell; it does, and the index path runs
+        field = ladder_field("poschl_teller", 8000, g=2.0)
+        real = eigensolver.eigh_tridiagonal
+
+        def shifted(d, *args, select, select_range, **kwargs):
+            if select == "i" and d.size <= field.grid.n // 16:
+                select_range = (select_range[0] + 1, select_range[1] + 1)
+            return real(d, *args, select=select, select_range=select_range, **kwargs)
+
+        counted = []
+        real_counted = eigensolver._counted
+        monkeypatch.setattr(eigensolver, "_counted",
+                            lambda *args: counted.append(real_counted(*args)) or counted[-1])
+        monkeypatch.setattr(eigensolver, "eigh_tridiagonal", shifted)
+        outcomes = ladder_outcomes(monkeypatch)
+        lean = solve_fixed(field, 5, vectors=False)
+        assert outcomes == [False] and counted[0] is False
+        monkeypatch.undo()
+        full = solve_fixed(field, 5)
+        assert [(p.lam, p.error_estimate) for p in lean.pairs] == [
+            (p.lam, p.error_estimate) for p in full.pairs]
+
+    def test_band_falls_back_bit_for_bit(self, monkeypatch):
+        # g = 0.7: the wall error is not h^2, the first base window misses after
+        # one widening, and the index path runs: the vector solve's levels
+        field = ladder_field("poschl_teller", 8000, g=0.7)
+        calls = []
+        real = eigensolver.eigh_tridiagonal
+
+        def logged(d, *args, **kwargs):
+            calls.append((kwargs["select"], d.size, kwargs.get("tol", 0.0)))
+            return real(d, *args, **kwargs)
+
+        monkeypatch.setattr(eigensolver, "eigh_tridiagonal", logged)
+        outcomes = ladder_outcomes(monkeypatch)
+        lean = solve_fixed(field, 5, vectors=False)
+        monkeypatch.undo()
+        assert outcomes == [False]
+        first_index = calls.index(next(c for c in calls if c[:2] == ("i", 4000)))
+        windows = [c for c in calls[:first_index] if c[0] == "v" and c[2] < math.inf]
+        assert 0 < len(windows) <= 2 * 2  # at most two per parity block
+        full = solve_fixed(field, 5)
+        assert [(p.lam, p.error_estimate) for p in lean.pairs] == [
+            (p.lam, p.error_estimate) for p in full.pairs]
+        assert lean.energies == full.energies
+
+
 class TestLapackBinding:
     """The package's eigh_tridiagonal is scipy.linalg's, with ==, for each call it makes."""
 
