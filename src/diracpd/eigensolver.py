@@ -3,12 +3,13 @@
 The discrete operator is the symmetric tridiagonal second-difference matrix
 plus diag(V); for a non-constant V (approximate mode, and the scalar exact
 reduction of solve_self_consistent) eigenvalues come from bisection over
-Sturm sequences with inverse iteration for the vectors (LAPACK's dstebz and
-dstein, bound from scipy's LAPACK extension without importing scipy.linalg;
-see eigh_tridiagonal), then one Richardson step over (h, h/2)
-removes the leading O(h^2) error. Vectors are computed only when asked for
-(``vectors=True``, the default; only the spinor lift reads them). Level k,
-whose index bisection and Sturm counts certify, has k sign changes by the
+Sturm sequences (LAPACK's dstebz, bound from scipy's LAPACK extension
+without importing scipy.linalg; see eigh_tridiagonal), then one Richardson
+step over (h, h/2) removes the leading O(h^2) error. Vectors are computed
+only when asked for (``vectors=True``, the default; only the spinor lift
+reads them), after the levels are settled: inverse iteration (dstein) on
+the certified base levels, so asking for them changes no level. Level k,
+whose bisection and Sturm counts certify, has k sign changes by the
 oscillation theorem for Jacobi matrices (Gantmacher & Krein, Oscillation
 Matrices and Kernels), so the node count of a vectorless level is its index;
 with vectors it is counted from the vector's interior sign changes.
@@ -22,19 +23,20 @@ When a window holds more than one level, or the counts disagree, the refined
 grid is bisected by index like the base grid. One engine (_levels) runs
 this for both solve_fixed and the exact-mode lattice (solve_exact): each
 solver hands it the whole matrices of both grids once, and it owns the
-tolerance, the parity fold and its fallback, and the Richardson step.
+tolerance, the parity fold and its fallback, the Richardson step and the
+vectors.
 
-A vectorless solve_fixed on n >= 4000 nodes (so n/16 >= 250) also hands
-_levels a grid ladder: the same potential on n/16 and n/32 nodes. Then only
-those two small grids are bisected by index; the base levels are bisected
-in windows around their h^2 Richardson prediction from the two, and the
-refined ones around theirs from the n/16 and base grids, each window a few
-Sturm sweeps where an index search from the whole Gershgorin interval
-takes about 50 (Barth, Martin & Wilkinson, Numer. Math. 9 (1967) 386). The
-same window checks and one Sturm count per parity block certify each grid;
-on any miss (in the g < 1 band of poschl_teller, where the error is not
-h^2) the solve takes the index path above, bit for bit. Vector solves,
-solve_exact and constant-u mode never take the ladder.
+A solve_fixed on n >= 4000 nodes (so n/16 >= 250) also hands _levels a
+grid ladder: the same potential on n/16 and n/32 nodes. Then only those two
+small grids are bisected by index; the base levels are bisected in windows
+around their h^2 Richardson prediction from the two, and the refined ones
+around theirs from the n/16 and base grids, each window a few Sturm sweeps
+where an index search from the whole Gershgorin interval takes about 50
+(Barth, Martin & Wilkinson, Numer. Math. 9 (1967) 386). The same window
+checks and one Sturm count per parity block certify each grid; on any miss
+(in the g < 1 band of poschl_teller, where the error is not h^2) the solve
+takes the index path above. solve_exact and constant-u mode never take the
+ladder.
 
 When the sampled potential (or u, on the lattice) matches its mirror to
 1e-8 relative, as the paper's even models do on their whole q-range, it
@@ -118,16 +120,15 @@ def _check_info(info: int, driver: str) -> None:
         raise np.linalg.LinAlgError(f"{driver} did not converge (LAPACK info={info})")
 
 
-def eigh_tridiagonal(d, e, eigvals_only=False, *, select, select_range, tol=0.0):
-    """Eigenvalues (and, unless ``eigvals_only``, unit vectors as columns) of
-    tridiag(e, d, e): indices lo..hi for ``select="i"``, those in (lo, hi] for
-    ``select="v"``, with ``select_range=(lo, hi)``.
+def eigh_tridiagonal(d, e, *, select, select_range, tol=0.0):
+    """Eigenvalues of tridiag(e, d, e): indices lo..hi for ``select="i"``,
+    those in (lo, hi] for ``select="v"``, with ``select_range=(lo, hi)``.
 
-    The calls and results are scipy.linalg.eigh_tridiagonal's with its stebz
-    driver: dstebz (order "E" without vectors, "B" with them), then dstein
-    and a sort by eigenvalue, and the same 1-row quick exit. Non-finite or
-    mismatched input raises ValueError, and a non-zero LAPACK info
-    ValueError or LinAlgError, as there.
+    The call and result are scipy.linalg.eigh_tridiagonal's with
+    ``eigvals_only=True`` and its stebz driver: dstebz with order "E", and
+    the same 1-row quick exit. Non-finite or mismatched input raises
+    ValueError, and a non-zero LAPACK info ValueError or LinAlgError, as
+    there.
     """
     d, e = np.asarray_chkfinite(d), np.asarray_chkfinite(e)
     if d.ndim != 1 or e.ndim != 1:
@@ -137,19 +138,26 @@ def eigh_tridiagonal(d, e, eigvals_only=False, *, select, select_range, tol=0.0)
     lo, hi = select_range
     by_index = select == "i"
     if d.size == 1:
-        w = d[:1].copy() if by_index or lo < d[0] <= hi else np.array([])
-        return w if eigvals_only else (w, np.ones((1, w.size)))
+        return d[:1].copy() if by_index or lo < d[0] <= hi else np.array([])
     vl, vu, il, iu = (0.0, 1.0, lo + 1, hi + 1) if by_index else (lo, hi, 1, 1)
-    m, w, iblock, isplit, info = _dstebz(d, e, 2 if by_index else 1, vl, vu, il, iu,
-                                         float(tol), "E" if eigvals_only else "B")
+    m, w, _, _, info = _dstebz(d, e, 2 if by_index else 1, vl, vu, il, iu, float(tol), "E")
     _check_info(info, "stebz (eigh_tridiagonal)")
-    w = w[:m]
-    if eigvals_only:
-        return w
-    v, info = _dstein(d, e, w, iblock, isplit)
+    return w[:m]
+
+
+def _eigenvectors(d: np.ndarray, e: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Unit vectors (columns) of tridiag(e, d, e) at its rising eigenvalues w.
+
+    One LAPACK dstein call (inverse iteration) on the matrix as one block:
+    on an unsplit matrix these are scipy.linalg.eigh_tridiagonal's vectors
+    for w, bit for bit; a 1-row matrix's vector is 1, as there.
+    """
+    if d.size == 1:
+        return np.ones((1, w.size))
+    ones = np.ones(d.size, np.int32)
+    v, info = _dstein(d, e, w, ones, d.size * ones)
     _check_info(info, "stein (eigh_tridiagonal)")
-    order = np.argsort(w)
-    return w[order], v[:, order]
+    return v
 
 
 @dataclass(frozen=True)
@@ -268,46 +276,17 @@ def _count(d: np.ndarray, e: np.ndarray, lo: float, hi: float) -> int:
     sweep and reports each eigenvalue of the range, so this costs about three
     Sturm sweeps.
     """
-    return eigh_tridiagonal(d, e, eigvals_only=True, select="v", select_range=(lo, hi),
-                            tol=math.inf).size
+    return eigh_tridiagonal(d, e, select="v", select_range=(lo, hi), tol=math.inf).size
 
 
-def _bisect_near(d: np.ndarray, e: np.ndarray, guesses: np.ndarray, tol: float,
-                 floor: float, below: Optional[int],
-                 halves: Optional[np.ndarray] = None) -> Optional[np.ndarray]:
-    """Eigenvalues below .. below + k - 1 of tridiag(e, d, e), or None.
-
-    ``guesses`` are k rising approximations (the base grid's levels), and
-    ``below`` eigenvalues lie at or under ``floor`` (the caller counts them,
-    see _inertia). Each level is bisected to ``tol`` in a window around its
-    guess that starts at 1e-6 |guess| (at least tol) either side and widens
-    16-fold while it is empty, up to the Gershgorin norm; given ``halves``,
-    window j starts at halves[j] either side and widens 16-fold once. A
-    Sturm count certifies the result: every window holds exactly one
-    eigenvalue, the levels rise from ``floor`` by more than tol (none is
-    found twice), and exactly below + k eigenvalues lie at or under the top
-    window edge; with ``below`` None that count is left to the caller
-    (_counted). None means a window held more or fewer than one level or the
-    count disagreed; the caller then bisects by index.
-    """
-    limit = tol / np.finfo(float).eps
-    w = np.empty(len(guesses))
-    for j, guess in enumerate(guesses):
-        half = max(1e-6 * abs(guess), tol) if halves is None else halves[j]
-        cap = limit if halves is None else half
-        while True:
-            found = eigh_tridiagonal(d, e, eigvals_only=True, select="v",
-                                     select_range=(guess - half, guess + half), tol=tol)
-            if found.size or half > cap:
-                break
-            half *= 16.0
-        if found.size != 1:
-            return None
-        w[j] = found[0]
-    if not (w[0] > floor and np.all(np.diff(w) > tol)):
-        return None
-    if below is not None and _count(d, e, -math.inf, guesses[-1] + half) != below + w.size:
-        return None
+def _by_index(blocks, k: int, firsts) -> np.ndarray:
+    """Levels firsts[p], firsts[p] + 1, ... of (d, e) block p, bisected by index
+    as levels p, p + len(blocks), ... of k."""
+    size, w = len(blocks), np.empty(k)
+    for p, (block, first) in enumerate(zip(blocks, firsts)):
+        m = w[p::size].size
+        if m:
+            w[p::size] = eigh_tridiagonal(*block, select="i", select_range=(first, first + m - 1))
     return w
 
 
@@ -326,68 +305,69 @@ def _extrapolated(a: np.ndarray, b: np.ndarray, ra: float, rb: float, rt: float)
     return a + (a - b) * ((rt - ra) / (ra - rb))
 
 
-def _in_windows(blocks, guesses: np.ndarray, halves: np.ndarray, tol: float,
-                floor: float) -> Optional[np.ndarray]:
+def _in_windows(blocks, guesses: np.ndarray, tol: float, floor: float,
+                halves: Optional[np.ndarray] = None) -> Optional[np.ndarray]:
     """Levels p, p + len(blocks), ... of block p, each bisected to tol in its
     own window around guesses[j], or None.
 
-    Window j starts at halves[j] either side and widens 16-fold once. Each
-    block's levels pass _bisect_near's window checks, and one _counted Sturm
-    count per block certifies that they are the lowest levels over ``floor``.
+    Window j starts at halves[j] either side and widens 16-fold once; without
+    ``halves`` it starts at 1e-6 |guesses[j]| (at least tol) and widens
+    16-fold while it is empty, up to the Gershgorin norm. The certificate:
+    every window holds exactly one eigenvalue, each block's levels rise from
+    ``floor`` by more than tol (none is found twice), and one _counted Sturm
+    count per block shows that they are the lowest levels over ``floor``.
+    None means a miss; the caller then bisects by index.
     """
-    size, w = len(blocks), np.empty(guesses.size)
+    size, w, limit = len(blocks), np.empty(guesses.size), tol / np.finfo(float).eps
     for p, block in enumerate(blocks[:guesses.size]):
-        near = _bisect_near(*block, guesses[p::size], tol, floor, None, halves[p::size])
-        if near is None:
+        for j in range(p, guesses.size, size):
+            half = max(1e-6 * abs(guesses[j]), tol) if halves is None else halves[j]
+            cap = limit if halves is None else half
+            while True:
+                found = eigh_tridiagonal(*block, select="v", tol=tol,
+                                         select_range=(guesses[j] - half, guesses[j] + half))
+                if found.size or half > cap:
+                    break
+                half *= 16.0
+            if found.size != 1:
+                return None
+            w[j] = found[0]
+        if not (w[p] > floor and np.all(np.diff(w[p::size]) > tol)):
             return None
-        w[p::size] = near
     return w if _counted(blocks, w, floor, tol) else None
 
 
-def _ladder(coarse, fine, k: int, floors, folded: bool, ladder, tol: float):
+def _ladder(coarse, fine, k: int, floors, ladder, tol: float):
     """(base levels, refined levels) from a grid ladder, or None on any miss.
 
-    ``ladder`` holds two coarser grids' whole (d, e), each with its squared
-    step in base steps, the n/16 grid's first. Only they are bisected by
-    index, folded like the base and refined grids when ``folded``. The base
-    levels are then bisected in windows (_in_windows) around their h^2
-    Richardson prediction from the two coarse grids, each 1e-2 of its
-    prediction's distance from the n/16 level wide either side (at least
-    tol). The refined (h/2) levels follow around their prediction from the
-    n/16 grid and the base grid, in windows of 0.1 of the base prediction's
-    miss (at least 4 tol): an error term h^p off the h^2 law, 1 <= p <= 4,
-    that the base prediction misses by m misses the refined level by at
-    most 0.05 m, and the refined grid's Sturm counts round at four times
-    the base grid's tolerance.
+    ``coarse`` and ``fine`` are the base and refined grids' (d, e) blocks, and
+    ``ladder`` holds two coarser grids' blocks (folded as they are), each with
+    its squared step in base steps, the n/16 grid's first. Only they are
+    bisected by index. The base levels are then bisected in windows
+    (_in_windows) around their h^2 Richardson prediction from the two coarse
+    grids, each 1e-2 of its prediction's distance from the n/16 level wide
+    either side (at least tol). The refined (h/2) levels follow around their
+    prediction from the n/16 grid and the base grid, in windows of 0.1 of the
+    base prediction's miss (at least 4 tol): an error term h^p off the h^2
+    law, 1 <= p <= 4, that the base prediction misses by m misses the refined
+    level by at most 0.05 m, and the refined grid's Sturm counts round at
+    four times the base grid's tolerance.
     """
-    size = 2 if folded else 1
-
-    def blocks(d, e):
-        return _fold(d, e) if folded else [(d, e)]
-
-    def by_index(d, e):
-        w = np.empty(k)
-        for p, block in enumerate(blocks(d, e)[:k]):
-            w[p::size] = eigh_tridiagonal(*block, eigvals_only=True, select="i",
-                                          select_range=(0, w[p::size].size - 1))
-        return w
-
     (m16, r16), (m32, r32) = ladder
-    w16 = by_index(*m16)
-    guess = _extrapolated(w16, by_index(*m32), r16, r32, 1.0)
-    w = _in_windows(blocks(*coarse), guess, np.maximum(1e-2 * np.abs(guess - w16), tol),
-                    tol, floors[0])
+    w16 = _by_index(m16, k, (0, 0))
+    guess = _extrapolated(w16, _by_index(m32, k, (0, 0)), r16, r32, 1.0)
+    w = _in_windows(coarse, guess, tol, floors[0], np.maximum(1e-2 * np.abs(guess - w16), tol))
     if w is None:
         return None
-    w_fine = _in_windows(blocks(*fine), _extrapolated(w, w16, 1.0, r16, 0.25),
-                         np.maximum(0.1 * np.abs(w - guess), 4.0 * tol), tol, floors[1])
+    w_fine = _in_windows(fine, _extrapolated(w, w16, 1.0, r16, 0.25), tol, floors[1],
+                         np.maximum(0.1 * np.abs(w - guess), 4.0 * tol))
     return None if w_fine is None else (w, w_fine)
 
 
 def _inertia(blocks, floor: float, below: int) -> List[int]:
     """How many eigenvalues of each (d, e) block lie at or under ``floor``,
     which must sum to ``below``; none is counted when ``below`` is 0, as the
-    counts of _levels and _bisect_near would see a level there."""
+    counts of _levels would see a level there."""
     if not below:
         return [0] * len(blocks)
     counts = [_count(*block, -math.inf, floor) for block in blocks]
@@ -402,7 +382,9 @@ def _levels(coarse, fine, k: int, floors, below, mirror=None, lowest_second: boo
     """(levels, gap, unit vectors) of the k levels over the floor of the
     tridiagonal matrix ``coarse`` and its refinement ``fine``, each a whole
     (d, e): _richardson's levels and gaps, and the coarse vectors (None
-    unless ``vectors``; the LAPACK calls are the same).
+    unless ``vectors``). The levels do not depend on ``vectors``: the
+    vectors come last, one _eigenvectors call per block on its certified
+    coarse levels.
 
     ``below`` eigenvalues lie at or under each grid's floor (0 for a
     Schrödinger matrix), counted once per block (_inertia); the coarse
@@ -410,46 +392,38 @@ def _levels(coarse, fine, k: int, floors, below, mirror=None, lowest_second: boo
     first split into its two _fold blocks, the coarse ones swapped when
     ``lowest_second``, so that the block holding the lowest level is first;
     ``mirror`` gives its signs for _unfold, and the other's are the opposite.
-    Block p supplies levels p, p + 2, ..., bisected by index. Folded, the
-    levels must rise and no block, also one that supplied none, may hold
-    more levels in (floor, just above the top one] than it supplied, or the
-    whole matrices are solved. Fine levels are bisected near the coarse
-    ones, else by index.
+    Block p supplies levels p, p + 2, ..., bisected by index (_by_index).
+    Folded, the levels must rise and no block, also one that supplied none,
+    may hold more levels in (floor, just above the top one] than it
+    supplied, or the whole matrices are solved. Fine levels are bisected
+    near the coarse ones (_in_windows), else by index.
 
-    A ``ladder`` (see _ladder: two coarser grids of the same potential, for
-    a solve without vectors, no eigenvalue under the floors and the lowest
-    level in the first block) is tried first, in the first configuration
-    (folded when there is a ``mirror``); on any miss all of the above runs
-    as without it.
+    A ``ladder`` (see _ladder: two coarser grids of the same potential, in
+    blocks as the first configuration's, for no eigenvalue under the floors
+    and the lowest level in the first block) is tried first, in the first
+    configuration (folded when there is a ``mirror``); on a miss all of the
+    above runs as without it.
     """
     tol, n = _bisection_tol(*coarse), coarse[0].size
-    if ladder:
-        found = _ladder(coarse, fine, k, floors, mirror is not None, ladder, tol)
-        if found is not None:
-            return (*_richardson(*found), None)
     folded = [] if mirror is None else [
         (_fold(*coarse)[::-1 if lowest_second else 1], _fold(*fine))]
     for coarse_blocks, fine_blocks in folded + [([coarse], [fine])]:
-        size = len(coarse_blocks)
-        supply = [(k + size - 1 - p) // size for p in range(size)]
-        w, vecs, w_fine = np.empty(k), np.empty((n, k)) if vectors else None, np.empty(k)
-        for p, (block, m, first) in enumerate(zip(
-                coarse_blocks, supply, _inertia(coarse_blocks, floors[0], below[0]))):
-            if m:
-                found = eigh_tridiagonal(*block, eigvals_only=not vectors, select="i",
-                                         select_range=(first, first + m - 1))
-                w[p::size], psi = found if vectors else (found, None)
-                if vectors:
-                    vecs[:, p::size] = psi if size == 1 else _unfold(psi, n, (1 - 2 * p) * mirror)
-        if size > 1 and not _counted(coarse_blocks, w, floors[0], tol):
-            continue
-        for p, (block, m, first) in enumerate(zip(
-                fine_blocks, supply, _inertia(fine_blocks, floors[1], below[1]))):
-            if m:
-                near = _bisect_near(*block, w[p::size], tol, floors[1], first)
-                w_fine[p::size] = near if near is not None else eigh_tridiagonal(
-                    *block, eigvals_only=True, select="i", select_range=(first, first + m - 1))
-        return (*_richardson(w, w_fine), vecs)
+        found = _ladder(coarse_blocks, fine_blocks, k, floors, ladder, tol) if ladder else None
+        ladder = ()
+        if found is None:
+            w = _by_index(coarse_blocks, k, _inertia(coarse_blocks, floors[0], below[0]))
+            if len(coarse_blocks) > 1 and not _counted(coarse_blocks, w, floors[0], tol):
+                continue
+            firsts = _inertia(fine_blocks, floors[1], below[1])
+            w_fine = _in_windows(fine_blocks, w, tol, floors[1])
+            found = w, (_by_index(fine_blocks, k, firsts) if w_fine is None else w_fine)
+        vecs = None
+        if vectors:
+            vecs, size = np.empty((n, k)), len(coarse_blocks)
+            for p, block in enumerate(coarse_blocks[:k]):
+                psi = _eigenvectors(*block, found[0][p::size])
+                vecs[:, p::size] = psi if size == 1 else _unfold(psi, n, (1 - 2 * p) * mirror)
+        return (*_richardson(*found), vecs)
 
 
 def _richardson(w: np.ndarray, w_fine: np.ndarray):
@@ -473,11 +447,12 @@ def _free_eigs(grid: QGrid, k: int, with_vectors: bool):
 
 def _grid_ladder(potential: PotentialField, even: bool, k_states: int):
     """_levels' ladder for ``potential``: its Schrödinger matrices on grids of
-    n // 16 and n // 32 nodes between the same walls (offset as its grid is,
-    averaged with their mirror when ``even``), each with its squared step in
-    base steps. Empty where it does not pay (n // 16 under 250 nodes), where a
-    coarse block could hold fewer than its share of k_states levels, and
-    where a coarse grid has singular nodes."""
+    n // 16 and n // 32 nodes between the same walls (offset as its grid is;
+    averaged with their mirror and split into their _fold blocks when
+    ``even``), each with its squared step in base steps. Empty where it does
+    not pay (n // 16 under 250 nodes), where a coarse block could hold fewer
+    than its share of k_states levels, and where a coarse grid has singular
+    nodes."""
     grid = potential.grid
     if grid.n // 16 < 250 or k_states > grid.n // 64:
         return ()
@@ -486,8 +461,9 @@ def _grid_ladder(potential: PotentialField, even: bool, k_states: int):
         field = potential.on_grid(QGrid(grid.lo, grid.hi, grid.n // m, grid.offset))
         if np.any(field.singular):
             return ()
-        values = 0.5 * (field.values + field.values[::-1]) if even else field.values
-        ladder.append((_schrodinger(values, field.grid.h), (field.grid.h / grid.h) ** 2))
+        matrix = _schrodinger(0.5 * (field.values + field.values[::-1]) if even
+                              else field.values, field.grid.h)
+        ladder.append((_fold(*matrix) if even else [matrix], (field.grid.h / grid.h) ** 2))
     return tuple(ladder)
 
 
@@ -498,24 +474,24 @@ def solve_fixed(potential: PotentialField, k_states: int,
     Eigenvalues are Richardson-refined over (h, h/2) with
     error_estimate = |lam_h - lam_{h/2}| / 3; eigenvectors live on the
     base grid, normalized so that sum(phi^2) h = 1. With ``vectors=False``
-    none is computed: each pair's phi is None and its nodes its index. Both
-    grids go through _levels, with min V as each grid's floor and no
-    eigenvalue under it: the h grid is bisected by index, each h/2 level
-    near its h level, and the levels and error estimates without vectors
-    are those with them, bit for bit, below 4000 nodes. From n = 4000 on, a
-    solve without vectors hands _levels a grid ladder (_grid_ladder), which
-    bisects only the n/16 and n/32 grids by index, and both the h and h/2
-    levels in windows around their Richardson predictions (_ladder). Its
-    levels lie within 2 tol of the index path's, tol the h grid's
-    _bisection_tol; on any miss it falls back to that path, bit for bit.
+    none is computed: each pair's phi is None and its nodes its index; the
+    levels and error estimates are the same bit for bit, as _levels computes
+    the vectors after the levels. Both grids go through _levels, with min V
+    as each grid's floor and no eigenvalue under it: the h grid is bisected
+    by index and each h/2 level near its h level. From n = 4000 on,
+    _levels also gets a grid ladder (_grid_ladder), which bisects only the
+    n/16 and n/32 grids by index, and both the h and h/2 levels in windows
+    around their Richardson predictions (_ladder). Its levels lie within
+    2 tol of the index path's, tol the h grid's _bisection_tol; on any miss
+    the index path runs.
 
     A field whose values on both grids match their mirror (_symmetrized) is
     averaged with it, (V + V[::-1]) / 2, and _levels folds it: the first
-    ceil(n/2) nodes make an even and an odd block (see _fold). Vector j has j sign changes, so the even block
-    supplies levels 0, 2, 4, ... and the odd block 1, 3, ..., which Sturm
-    counts certify (else the whole matrix is solved); vectors unfold by
-    mirroring, and an odd vector is positive at the left one of its two
-    largest samples.
+    ceil(n/2) nodes make an even and an odd block (see _fold). Vector j has
+    j sign changes, so the even block supplies levels 0, 2, 4, ... and the
+    odd block 1, 3, ..., which Sturm counts certify (else the whole matrix
+    is solved); vectors unfold by mirroring, and an odd vector is positive
+    at the left one of its two largest samples.
     """
     if k_states < 1:
         raise InvalidParameterError("k_states must be >= 1")
@@ -546,7 +522,7 @@ def solve_fixed(potential: PotentialField, k_states: int,
             _schrodinger(values, grid.h), _schrodinger(fine_values, fine.grid.h), k_states,
             (float(np.min(values)), float(np.min(fine_values))), (0, 0),
             mirror=np.ones(grid.n // 2) if even else None, vectors=vectors,
-            ladder=() if vectors else _grid_ladder(potential, bool(even), k_states))
+            ladder=_grid_ladder(potential, bool(even), k_states))
 
     pairs, energies = [], []
     for k in range(k_states):

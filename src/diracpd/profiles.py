@@ -625,7 +625,8 @@ def _poschl_teller(params) -> ModelSpec:
         return psi1, psi2
 
     facts = ModelFacts(
-        claims=(("closed form (verified coefficient)", claimed),),
+        claims=(("closed form (verified coefficient)", claimed),) if m0
+        else (),  # massless: u = 0, so there is no potential to adjudicate
         published="published (s+2n) sequence (interleaved levels are genuine "
                   "states the published solution family skips)",
         published_stride=2,

@@ -62,13 +62,23 @@ def test_tier1_runs_one_shot_solves():
     assert 'glob.glob(os.path.join(sys.argv[1], "out-*", "*.csv"))' in run
     assert "assert len(paths) == 10" in run
     assert 'assert cell == "%.17g" % float(cell)' in run
-    # a vectorless n = 8000 approximate solve of the same poschl_teller (g = 3.49)
+    # an n = 8000 approximate solve of the same poschl_teller (g = 3.49)
     # runs the grid ladder's select="v" windows; --strict at compare.tol = 1e-7
     # exits 4 on a wrong window
     assert re.search(r"cat \"\$RUNNER_TEMP/pt\.cfg\"; echo 'grid\.n = 8000'; "
                      r"echo 'outputs = spectrum'; \\\s+echo 'compare\.tol = 1e-7'; } "
                      r"> \"\$RUNNER_TEMP/ladder\.cfg\"", run)
     assert re.search(r'--config "\$RUNNER_TEMP/ladder\.cfg" --mode approximate --strict ', run)
+    # the same solve with wavefunctions writes the same spectrum rows: the vectors
+    # come after the levels and do not move them
+    assert re.search(r"cat \"\$RUNNER_TEMP/ladder\.cfg\"; echo 'outputs = spectrum, "
+                     r"wavefunctions'; } \\\s+> \"\$RUNNER_TEMP/ladder-wf\.cfg\"", run)
+    assert re.search(r'--config "\$RUNNER_TEMP/ladder-wf\.cfg" --mode approximate --strict '
+                     r'--out "\$RUNNER_TEMP/ladder-wf"', run)
+    assert 'if not line.startswith("#")]' in run
+    assert "assert rows[0] and rows[0] == rows[1], rows" in run
+    assert re.search(r'"\$RUNNER_TEMP/ladder/spectrum\.csv" '
+                     r'"\$RUNNER_TEMP/ladder-wf/spectrum\.csv"', run)
     # a non-finite config number exits 2, also under --strict
     assert "echo 'compare.tol = nan'; } > \"$RUNNER_TEMP/nan.cfg\"" in run
     assert re.search(r'--config "\$RUNNER_TEMP/nan\.cfg" --strict .*\|\| status=\$\?', run)

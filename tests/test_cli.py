@@ -645,21 +645,28 @@ class TestSolveReuse:
 
 
 def spy_eigensolves(monkeypatch):
-    """Log each LAPACK call as (rows, select, select_range, tol, computes vectors)
-    and each closed-form free solve as (n, k, computes vectors)."""
+    """Log each LAPACK level call as (rows, select, select_range, tol, False),
+    each vector step as (rows, levels, True) and each closed-form free solve
+    as (n, k, computes vectors)."""
     calls = []
     real_tridiag, real_free = eigensolver.eigh_tridiagonal, eigensolver._free_eigs
+    real_vectors = eigensolver._eigenvectors
 
     def tridiag(d, e, **kwargs):
         calls.append((d.size, kwargs["select"], tuple(kwargs["select_range"]),
-                      kwargs.get("tol"), not kwargs.get("eigvals_only", False)))
+                      kwargs.get("tol"), False))
         return real_tridiag(d, e, **kwargs)
+
+    def vectors(d, e, w):
+        calls.append((d.size, w.size, True))
+        return real_vectors(d, e, w)
 
     def free(grid, k, with_vectors):
         calls.append((grid.n, k, with_vectors))
         return real_free(grid, k, with_vectors)
 
     monkeypatch.setattr(eigensolver, "eigh_tridiagonal", tridiag)
+    monkeypatch.setattr(eigensolver, "_eigenvectors", vectors)
     monkeypatch.setattr(eigensolver, "_free_eigs", free)
     return calls
 
@@ -672,8 +679,9 @@ def solve_config(tmp_path, argv, **keys):
 
 
 class TestVectorsOnlyForWavefunctions:
-    """Only the wavefunction lift reads eigenvectors: every other solve asks
-    the same LAPACK calls for levels alone, and writes the same bytes."""
+    """Only the wavefunction lift reads eigenvectors: every solve makes the same
+    level calls, with wavefunctions a vector step follows them, and the other
+    outputs are the same bytes."""
 
     PT = dict(model__name="poschl_teller", model__alpha=1.0, model__v0=1.0, model__m0=1.0)
 
@@ -693,14 +701,14 @@ class TestVectorsOnlyForWavefunctions:
             monkeypatch.undo()
         lean, full = runs
         assert lean and not any(call[-1] for call in lean)
-        # the same calls, of which the base grid's index bisections compute vectors
-        assert [call[:-1] for call in full] == [call[:-1] for call in lean]
         vectors = [call for call in full if call[-1]]
-        if rows is None:
+        if rows is None:  # the DST-I table with vectors in place of the one without
             assert vectors == [(300, 3, True)]
-        else:  # one per parity block, levels 0 and 2 from one and 1 from the other
-            assert sorted(call[1] for call in vectors) == ["i", "i"]
-            assert sum(call[2][1] - call[2][0] + 1 for call in vectors) == 3
+            assert [call[:-1] for call in full] == [call[:-1] for call in lean]
+        else:  # the same level calls, then one vector step per parity block, on
+            # levels 0 and 2 of one and level 1 of the other
+            assert full[:len(lean)] == lean and full[len(lean):] == vectors
+            assert sorted(call[1] for call in vectors) == [1, 2]
             assert sum(call[0] for call in vectors) == rows
 
     def test_scan_and_report_ask_for_no_vectors(self, tmp_path, monkeypatch, capsys):
@@ -718,19 +726,23 @@ class TestVectorsOnlyForWavefunctions:
             assert calls and not any(call[-1] for call in calls), mode
             monkeypatch.undo()
 
-    @pytest.mark.parametrize("name,params,argv", [
-        ("cosh_square", dict(model__alpha=1.0, model__v0=1.0, model__m0=1.0), []),
-        ("rational", dict(model__alpha=1.2, model__v0=0.9, model__m0=1.5), []),
-        ("constant_rest", dict(model__m0=1.0, model__c=1.0), []),
-        ("poschl_teller", dict(model__alpha=1.0, model__v0=1.0, model__m0=1.0), []),
+    @pytest.mark.parametrize("name,params,argv,n", [
+        ("cosh_square", dict(model__alpha=1.0, model__v0=1.0, model__m0=1.0), [], 500),
+        ("rational", dict(model__alpha=1.2, model__v0=0.9, model__m0=1.5), [], 500),
+        ("constant_rest", dict(model__m0=1.0, model__c=1.0), [], 500),
+        ("poschl_teller", dict(model__alpha=1.0, model__v0=1.0, model__m0=1.0), [], 500),
         ("poschl_teller", dict(model__alpha=1.0, model__v0=1.0, model__m0=1.0),
-         ["--mode", "exact"]),
+         ["--mode", "exact"], 500),
+        # the CI config at n = 8000: both runs take the grid ladder
+        ("poschl_teller", dict(model__alpha=1.43, model__v0=1.9, model__m0=2.63),
+         ["--mode", "approximate"], 8000),
     ], ids=["cosh_square", "rational", "constant_rest", "poschl_teller",
-            "poschl_teller_exact"])
-    def test_levels_byte_identical_without_vectors(self, tmp_path, capsys, name, params, argv):
+            "poschl_teller_exact", "poschl_teller_8000"])
+    def test_levels_byte_identical_without_vectors(self, tmp_path, capsys, name, params, argv,
+                                                   n):
         # the nodes column of spectrum.csv and stdout: the certified index
         # without vectors, the vector's sign changes with them
-        rc = solve_config(tmp_path, argv, model__name=name, grid__n=500, solve__k_states=4,
+        rc = solve_config(tmp_path, argv, model__name=name, grid__n=n, solve__k_states=4,
                           **params)
         runs = []
         for tag, outputs in (("lean", ("spectrum", "potential")),
@@ -1191,6 +1203,7 @@ class TestReport:
         ("rational", dict(model__alpha=1.2, model__v0=0.9, model__m0=1.5), True),
         ("constant_rest", dict(model__m0=1.0, model__c=1.0), True),
         ("linear_singular", dict(model__A=0.0, model__v0=1.0), False),
+        ("poschl_teller", dict(model__alpha=1.0, model__v0=1.0, model__m0=0.0), False),
     ])
     def test_constant_u_report(self, tmp_path, capsys, name, params, claimed, mode_args):
         cfg = write_config(tmp_path / "c.txt", model__name=name, grid__n=800,
@@ -1205,6 +1218,11 @@ class TestReport:
                 assert "# mode = approximate" in fh.read().splitlines()
         else:
             assert "identically zero" in out
+        if name == "poschl_teller":  # its published family, beside the levels
+            assert "s (verified) = complex" in out and "  level 2: E=" in out
+            # approximate mode has no potential to solve without a mass
+            assert main(["report", "--config", cfg, "--mode", "approximate"]) == 3
+            assert "requires non-zero mass" in capsys.readouterr().err
 
     def test_linear_singular_report(self, tmp_path, capsys):
         cfg = write_config(

@@ -137,8 +137,9 @@ class TestSolveFixed:
     def test_closed_form_matches_lapack(self, offset):
         grid = QGrid(-1.3, 2.1, 2000, offset=offset)
         w, vecs = eigensolver._free_eigs(grid, 5, with_vectors=True)
-        w_lapack, vecs_lapack = eigensolver.eigh_tridiagonal(
-            *eigensolver._schrodinger(np.zeros(grid.n), grid.h), select="i", select_range=(0, 4))
+        free = eigensolver._schrodinger(np.zeros(grid.n), grid.h)
+        w_lapack = eigensolver.eigh_tridiagonal(*free, select="i", select_range=(0, 4))
+        vecs_lapack = eigensolver._eigenvectors(*free, w_lapack)
         assert np.max(np.abs(w - w_lapack) / w_lapack) <= 1e-9
         vecs = vecs / np.linalg.norm(vecs, axis=0)
         vecs *= np.sign(np.sum(vecs * vecs_lapack, axis=0))
@@ -412,15 +413,14 @@ def pt_matrices(n, lattice):
         u = eigensolver.product_u(model, tmap.inverse_grid(
             tmap.q_lo + np.arange(1, 4 * n + 4) * (0.25 * grid.h)))[0]
         coarse = eigensolver._staggered(u[1::2], grid.h)
-        w = eigensolver.eigh_tridiagonal(*coarse, eigvals_only=True, select="i",
-                                         select_range=(n + 1, n + 4))
+        w = eigensolver.eigh_tridiagonal(*coarse, select="i", select_range=(n + 1, n + 4))
         tol = eigensolver._bisection_tol(*coarse)
         d, e = eigensolver._staggered(u, 0.5 * grid.h)
         return d, e, w, tol, eigensolver._inertia_floor(u, 0.5 * grid.h), 2 * n + 2
     field = approx_potential(model, QGrid(tmap.q_lo, tmap.q_hi, n, offset=True), tmap)
     fine = field.on_grid(field.grid.refined())
     w = eigensolver.eigh_tridiagonal(*eigensolver._schrodinger(field.values, field.grid.h),
-                                     eigvals_only=True, select="i", select_range=(0, 3))
+                                     select="i", select_range=(0, 3))
     tol = eigensolver._bisection_tol(*eigensolver._schrodinger(field.values, field.grid.h))
     d, e = eigensolver._schrodinger(fine.values, fine.grid.h)
     return d, e, w, tol, float(np.min(fine.values)), 0
@@ -431,20 +431,28 @@ class TestRefinedBrackets:
     @pytest.mark.parametrize("lattice", [False, True], ids=["approximate", "lattice"])
     def test_matches_index_range_bisection(self, n, lattice):
         d, e, guesses, tol, floor, below = pt_matrices(n, lattice)
-        w = eigensolver._bisect_near(d, e, guesses, tol, floor, below)
+        w = eigensolver._in_windows([(d, e)], guesses, tol, floor)
         assert w is not None
-        ref = eigensolver.eigh_tridiagonal(d, e, eigvals_only=True, select="i",
-                                           select_range=(below, below + guesses.size - 1),
-                                           tol=tol)
+        ref = eigensolver.eigh_tridiagonal(d, e, select="i", tol=tol,
+                                           select_range=(below, below + guesses.size - 1))
         assert np.max(np.abs(w - ref)) <= 2.0 * tol
 
     def test_wrong_floor_count_is_not_certified(self):
+        # guesses for levels 1..3 alone: each window finds its one level and they
+        # rise from the floor, but the Sturm count from the floor finds 4, not 3
         d, e, guesses, tol, floor, below = pt_matrices(2000, lattice=True)
-        assert eigensolver._bisect_near(d, e, guesses, tol, floor, below + 1) is None
+        counted = []
+        real = eigensolver._counted
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(eigensolver, "_counted",
+                       lambda *args: counted.append(real(*args)) or counted[-1])
+            assert eigensolver._in_windows([(d, e)], guesses[1:], tol, floor) is None
+        assert counted == [False]
+        assert eigensolver._in_windows([(d, e)], guesses, tol, floor) is not None
 
     def test_coarse_grid_falls_back_to_index_range(self):
         # n = 64, k = 32: the refined levels shift by more than half a gap, so in
-        # neither parity block are the windows certified, and each refined block
+        # neither parity block are the windows certified, and the refined grid
         # is bisected by index
         pt = builtin_model("poschl_teller", alpha=1, v0=1, m0=1)
         tmap = build_transform(pt.velocity, pt.anchor)
@@ -457,12 +465,12 @@ class TestRefinedBrackets:
         tol = eigensolver._bisection_tol(*eigensolver._schrodinger(values, field.grid.h))
         w, w_fine = np.empty(32), np.empty(32)
         for p in (0, 1):
-            w[p::2] = eigensolver.eigh_tridiagonal(*base[p], eigvals_only=True, select="i",
-                                                   select_range=(0, 15))
-            assert eigensolver._bisect_near(*refined[p], w[p::2], tol,
-                                            float(np.min(fine.values)), 0) is None
-            w_fine[p::2] = eigensolver.eigh_tridiagonal(*refined[p], eigvals_only=True,
-                                                        select="i", select_range=(0, 15))
+            w[p::2] = eigensolver.eigh_tridiagonal(*base[p], select="i", select_range=(0, 15))
+            assert eigensolver._in_windows([refined[p]], w[p::2], tol,
+                                           float(np.min(fine_values))) is None
+            w_fine[p::2] = eigensolver.eigh_tridiagonal(*refined[p], select="i",
+                                                        select_range=(0, 15))
+        assert eigensolver._in_windows(refined, w, tol, float(np.min(fine_values))) is None
         assert [p.lam for p in res.pairs] == list((4.0 * w_fine - w) / 3.0)
 
 
@@ -488,10 +496,17 @@ def ladder_outcomes(monkeypatch):
     return outcomes
 
 
+def index_path(field, k):
+    """solve_fixed(field, k) without the grid ladder: the index path's levels."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(eigensolver, "_grid_ladder", lambda *args: ())
+        return solve_fixed(field, k)
+
+
 class TestGridLadder:
-    """Vectorless solves on n >= 4000 nodes bisect only the n/16 and n/32 grids by
-    index, and the base and refined grids in windows around Richardson predictions;
-    a miss falls back to the index path, whose levels the vector solve has."""
+    """Solves on n >= 4000 nodes bisect only the n/16 and n/32 grids by index, and
+    the base and refined grids in windows around Richardson predictions; a miss
+    falls back to the index path. With or without vectors, the levels are the same."""
 
     @pytest.mark.parametrize("k", [1, 5])
     @pytest.mark.parametrize("name,n,params", [
@@ -500,13 +515,18 @@ class TestGridLadder:
     def test_levels_within_two_tol_of_the_index_path(self, monkeypatch, name, n, params, k):
         field = ladder_field(name, n, **params)
         tol = eigensolver._bisection_tol(*eigensolver._schrodinger(field.values, field.grid.h))
+        ref = index_path(field, k)
         outcomes = ladder_outcomes(monkeypatch)
         lean, full = solve_fixed(field, k, vectors=False), solve_fixed(field, k)
-        assert outcomes == [True]  # the vector solve never tries it
-        for j, (a, b) in enumerate(zip(lean.pairs, full.pairs, strict=True)):
-            assert a.nodes == b.nodes == j and a.phi is None
-            assert abs(a.lam - b.lam) <= 2.0 * tol
-            assert abs(a.error_estimate - b.error_estimate) <= 2.0 * tol
+        assert outcomes == [True, True]  # the vector solve takes it too
+        assert lean.energies == full.energies
+        for j, (a, b, c) in enumerate(zip(lean.pairs, full.pairs, ref.pairs, strict=True)):
+            assert a.nodes == b.nodes == c.nodes == j and a.phi is None
+            assert (a.lam, a.error_estimate) == (b.lam, b.error_estimate)
+            assert abs(b.lam - c.lam) <= 2.0 * tol
+            assert abs(b.error_estimate - c.error_estimate) <= 2.0 * tol
+            vb, vc = unit_vectors(b), unit_vectors(c)
+            assert np.max(np.abs(vb * np.sign(vb @ vc) - vc)) <= 1e-8
 
     @pytest.mark.parametrize("name,rows", [("poschl_teller", [125, 125, 63, 62]),
                                            ("tilted", [250, 125])])
@@ -556,13 +576,13 @@ class TestGridLadder:
         lean = solve_fixed(field, 5, vectors=False)
         assert outcomes == [False] and counted[0] is False
         monkeypatch.undo()
-        full = solve_fixed(field, 5)
+        ref = index_path(field, 5)
         assert [(p.lam, p.error_estimate) for p in lean.pairs] == [
-            (p.lam, p.error_estimate) for p in full.pairs]
+            (p.lam, p.error_estimate) for p in ref.pairs]
 
     def test_band_falls_back_bit_for_bit(self, monkeypatch):
         # g = 0.7: the wall error is not h^2, the first base window misses after
-        # one widening, and the index path runs: the vector solve's levels
+        # one widening, and the index path runs: its levels, with vectors or not
         field = ladder_field("poschl_teller", 8000, g=0.7)
         calls = []
         real = eigensolver.eigh_tridiagonal
@@ -579,25 +599,22 @@ class TestGridLadder:
         first_index = calls.index(next(c for c in calls if c[:2] == ("i", 4000)))
         windows = [c for c in calls[:first_index] if c[0] == "v" and c[2] < math.inf]
         assert 0 < len(windows) <= 2 * 2  # at most two per parity block
-        full = solve_fixed(field, 5)
-        assert [(p.lam, p.error_estimate) for p in lean.pairs] == [
-            (p.lam, p.error_estimate) for p in full.pairs]
-        assert lean.energies == full.energies
+        for full in (solve_fixed(field, 5), index_path(field, 5)):
+            assert [(p.lam, p.error_estimate) for p in lean.pairs] == [
+                (p.lam, p.error_estimate) for p in full.pairs]
+            assert lean.energies == full.energies
 
 
 class TestLapackBinding:
-    """The package's eigh_tridiagonal is scipy.linalg's, with ==, for each call it makes."""
+    """The package's eigh_tridiagonal is scipy.linalg's with eigvals_only=True,
+    with ==, for each call it makes."""
 
     @staticmethod
     def assert_same(d, e, **kwargs):
         got = eigensolver.eigh_tridiagonal(d, e, **kwargs)
-        want = scipy.linalg.eigh_tridiagonal(d, e, **kwargs)
-        if kwargs.get("eigvals_only"):
-            got, want = (got,), (want,)
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            assert g.dtype == w.dtype and g.shape == w.shape and np.array_equal(g, w)
-        return got[0]
+        want = scipy.linalg.eigh_tridiagonal(d, e, eigvals_only=True, **kwargs)
+        assert got.dtype == want.dtype and got.shape == want.shape and np.array_equal(got, want)
+        return got
 
     @pytest.mark.parametrize("folded", [False, True], ids=["whole", "folded"])
     @pytest.mark.parametrize("lattice", [False, True], ids=["approximate", "lattice"])
@@ -605,20 +622,17 @@ class TestLapackBinding:
         d, e, _, tol, floor, below = pt_matrices(400, lattice)
         for d, e in eigensolver._fold(d, e) if folded else [(d, e)]:
             first = below // 2 if folded else below
-            for vectors in (False, True):
-                for lo in sorted({0, first}):
-                    self.assert_same(d, e, eigvals_only=not vectors, select="i",
-                                     select_range=(lo, lo + 3))
-            w = self.assert_same(d, e, eigvals_only=True, select="i",
-                                 select_range=(first, first + 3), tol=tol)
-            for lam in w:  # the window _bisect_near starts with, and an empty one above it
+            for lo in sorted({0, first}):
+                self.assert_same(d, e, select="i", select_range=(lo, lo + 3))
+            w = self.assert_same(d, e, select="i", select_range=(first, first + 3), tol=tol)
+            for lam in w:  # the window _in_windows starts with, and an empty one above it
                 half = max(1e-6 * abs(lam), tol)
                 for lo, size in ((lam - half, 1), (lam + half, 0)):
-                    assert self.assert_same(d, e, eigvals_only=True, select="v", tol=tol,
+                    assert self.assert_same(d, e, select="v", tol=tol,
                                             select_range=(lo, lo + 2 * half)).size == size
-            for hi in (floor, w[-1]):  # the Sturm counts of _count
-                self.assert_same(d, e, eigvals_only=True, select="v",
-                                 select_range=(-math.inf, hi), tol=math.inf)
+            top = w[-1] + max(1e-6 * abs(w[-1]), tol)
+            for lo, hi in ((-math.inf, floor), (floor, top)):  # _inertia's and _counted's counts
+                self.assert_same(d, e, select="v", select_range=(lo, hi), tol=math.inf)
 
     def test_one_row_blocks(self):
         # n = 3 folds into blocks of 2 and 1 rows; the 1-row block takes
@@ -626,20 +640,16 @@ class TestLapackBinding:
         (d2, e2), (d1, e1) = eigensolver._fold(np.array([3.0, 1.0, 3.0]), np.array([-0.5, -0.5]))
         assert (d2.size, d1.size) == (2, 1)
         for d, e in ((d2, e2), (d1, e1)):
-            for vectors in (False, True):
-                self.assert_same(d, e, eigvals_only=not vectors, select="i", select_range=(0, 0))
-                for window in ((2.0, 4.0), (3.0, 4.0), (-math.inf, 2.0)):
-                    self.assert_same(d, e, eigvals_only=not vectors, select="v",
-                                     select_range=window, tol=math.inf)
+            self.assert_same(d, e, select="i", select_range=(0, 0))
+            for window in ((2.0, 4.0), (3.0, 4.0), (-math.inf, 2.0)):
+                self.assert_same(d, e, select="v", select_range=window, tol=math.inf)
 
     def test_split_matrix(self):
-        # a zero off-diagonal splits the matrix: stebz's order "E" sorts the levels
-        # of both blocks, order "B" groups them by block until the sort after stein
+        # a zero off-diagonal splits the matrix: stebz's order "E" sorts the
+        # levels of both blocks
         d, e = np.array([5.0, 1.0, 4.0, 2.0]), np.array([0.1, 0.0, 0.1])
-        for vectors in (False, True):
-            w = self.assert_same(d, e, eigvals_only=not vectors, select="i",
-                                 select_range=(0, 3))
-            assert np.all(np.diff(w) > 0)
+        w = self.assert_same(d, e, select="i", select_range=(0, 3))
+        assert np.all(np.diff(w) > 0)
 
     @pytest.mark.parametrize("d,e", [([1.0, np.nan, 1.0], [0.5, 0.5]),
                                      ([1.0, 2.0, 1.0], [0.5, np.inf]),
@@ -678,7 +688,46 @@ class TestLapackBinding:
         monkeypatch.setattr(eigensolver, "_dstebz", bound[0])
         monkeypatch.setattr(eigensolver, "_dstein", bound[1])
         d, e, *_ = pt_matrices(400, lattice=False)
-        self.assert_same(d, e, select="i", select_range=(0, 2))
+        TestVectorStep.assert_scipys(d, e, 0, 2)
+
+
+class TestVectorStep:
+    """_eigenvectors is one dstein call on the certified levels: on the unsplit
+    matrices the package builds, scipy.linalg.eigh_tridiagonal's vectors, with ==."""
+
+    @staticmethod
+    def assert_scipys(d, e, lo, hi):
+        w = TestLapackBinding.assert_same(d, e, select="i", select_range=(lo, hi))
+        _, want = scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(lo, hi))
+        got = eigensolver._eigenvectors(d, e, w)
+        assert got.dtype == want.dtype and got.shape == want.shape and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("folded", [False, True], ids=["whole", "folded"])
+    @pytest.mark.parametrize("lattice", [False, True], ids=["approximate", "lattice"])
+    def test_matches_scipy(self, lattice, folded):
+        d, e, _, _, _, below = pt_matrices(400, lattice)
+        for d, e in eigensolver._fold(d, e) if folded else [(d, e)]:
+            first = below // 2 if folded else below
+            for lo in sorted({0, first}):
+                self.assert_scipys(d, e, lo, lo + 3)
+
+    def test_one_row_blocks(self):
+        (d2, e2), (d1, e1) = eigensolver._fold(np.array([3.0, 1.0, 3.0]), np.array([-0.5, -0.5]))
+        for d, e in ((d2, e2), (d1, e1)):
+            self.assert_scipys(d, e, 0, 0)
+
+    @pytest.mark.parametrize("d,e", [([5.0, 1.0, 4.0, 2.0], [0.1, 0.0, 0.1]),
+                                     ([1.0, 2.0, 1.0, 2.0], [0.1, 0.0, 0.1])],
+                             ids=["split", "repeated_across_split"])
+    def test_split_matrix(self, d, e):
+        # dstein runs on the matrix as one block: across a zero off-diagonal,
+        # also at a level both sides share, it still gives orthonormal eigenvectors
+        d, e = np.array(d), np.array(e)
+        t = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+        w = eigensolver.eigh_tridiagonal(d, e, select="i", select_range=(0, 3))
+        v = eigensolver._eigenvectors(d, e, w)
+        assert np.max(np.linalg.norm(t @ v - v * w, axis=0)) <= 1e-12 * np.linalg.norm(t, 2)
+        assert np.max(np.abs(v.T @ v - np.eye(4))) <= 1e-12
 
 
 def unit_vectors(pair):
@@ -926,20 +975,19 @@ class TestExpandUntilSettled:
 
     def test_first_box_computes_no_vectors(self, monkeypatch):
         # the L = 8 box only sets the level L = 16 is compared with: vectors are
-        # bisected for the two parity blocks of the returned box alone, and it
+        # computed for the two parity blocks of the returned box alone, and it
         # is returned as solve_fixed solves it
         def builder(L):
             return PotentialField.from_function(lambda q: q * q, QGrid(-L, L, 2000, offset=True))
 
-        steps = []  # h of each vector-computing index bisection, from e = -1/h^2
-        real = eigensolver.eigh_tridiagonal
+        steps = []  # h of each vector step, from e = -1/h^2
+        real = eigensolver._eigenvectors
 
-        def logged(d, e, *args, **kwargs):
-            if kwargs["select"] == "i" and not kwargs.get("eigvals_only"):
-                steps.append(math.sqrt(-1.0 / e[0]))
-            return real(d, e, *args, **kwargs)
+        def logged(d, e, w):
+            steps.append(math.sqrt(-1.0 / e[0]))
+            return real(d, e, w)
 
-        monkeypatch.setattr(eigensolver, "eigh_tridiagonal", logged)
+        monkeypatch.setattr(eigensolver, "_eigenvectors", logged)
         result, L = expand_until_settled(builder, 3, vectors=True)
         assert L == 16.0
         assert steps == pytest.approx([builder(16.0).grid.h] * 2, rel=1e-12)

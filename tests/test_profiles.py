@@ -118,6 +118,8 @@ def test_facts_first_level_is_lowest_closed_form_index(name, params):
 
 def test_facts_claims_follow_the_mass():
     assert builtin_model("cosh_square", alpha=1.0, v0=1.0, m0=0.0).facts.claims == ()
+    assert builtin_model("poschl_teller", alpha=1.0, v0=1.0, m0=0.0).facts.claims == ()
+    assert len(builtin_model("poschl_teller", alpha=1.0, v0=1.0, m0=0.5).facts.claims) == 1
     assert builtin_model("linear_singular", A=0.0, v0=1.0).facts.claims == ()
     assert len(builtin_model("linear_singular", A=0.5, v0=1.0).facts.claims) == 2
     (label, claimed), = builtin_model("rational", alpha=1.0, v0=2.0, m0=0.5).facts.claims
