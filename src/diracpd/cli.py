@@ -639,7 +639,7 @@ def _report_levels(rc: RunConfig, model: ModelSpec, tmap: TransformMap) -> None:
     reference = _analytic_reference(rc, model, rc.k_states + 2, outcome.mode)
     as_pub = _interleaved(reference)
     # the published family is a claim about approximate-mode levels
-    stride = 0 if as_pub or outcome.mode == "exact" else facts.published_stride
+    stride = 0 if as_pub or outcome.mode != "approximate" else facts.published_stride
     print(f"numeric levels vs the {'as-published' if as_pub else 'verified'} "
           f"{outcome.mode}-mode reference" + (f", beside the {facts.published}:" if stride else ":"))
     for idx, e_num, ref, rel, note in _match_levels(numeric, reference):

@@ -26,17 +26,22 @@ solver hands it the whole matrices of both grids once, and it owns the
 tolerance, the parity fold and its fallback, the Richardson step and the
 vectors.
 
-A solve_fixed on n >= 4000 nodes (so n/16 >= 250) also hands _levels a
-grid ladder: the same potential on n/16 and n/32 nodes. Then only those two
-small grids are bisected by index; the base levels are bisected in windows
-around their h^2 Richardson prediction from the two, and the refined ones
-around theirs from the n/16 and base grids, each window a few Sturm sweeps
-where an index search from the whole Gershgorin interval takes about 50
-(Barth, Martin & Wilkinson, Numer. Math. 9 (1967) 386). The same window
-checks and one Sturm count per parity block certify each grid; on any miss
-(in the g < 1 band of poschl_teller, where the error is not h^2) the solve
-takes the index path above. solve_exact and constant-u mode never take the
-ladder.
+A solve_fixed on n >= 4000 nodes (so the n/16 grid has >= 250 rows) also
+hands _levels a grid ladder: the same potential on n/16 and n/32 nodes, and
+solve_exact from n = 2000 on (a lattice of n/16 phi1 nodes has 2 (n/16) + 1
+rows) the staggered lattices over n/16 and n/32 phi1 nodes, each with its
+blocks' first indices from its inertia. Then only those two small grids are
+bisected by index; the base levels are bisected in windows around their h^2
+Richardson prediction from the two, and the refined ones around theirs from
+the n/16 and base grids, each window a few Sturm sweeps where an index
+search from the whole Gershgorin interval takes about 50 (Barth, Martin &
+Wilkinson, Numer. Math. 9 (1967) 386). The same window checks and one Sturm
+count per parity block certify each grid; on any miss the solve takes the
+index path above. solve_exact builds its ladder only when each wall of the
+lattice is regular or singular with u ~ g/d, g >= 1 (_h2_walls): in the
+g < 1 band of poschl_teller the lattice error is not h^2 and the windows
+would miss. Approximate mode tries its ladder whatever the wall, and misses
+in that band; constant-u mode needs none.
 
 When the sampled potential (or u, on the lattice) matches its mirror to
 1e-8 relative, as the paper's even models do on their whole q-range, it
@@ -76,7 +81,7 @@ from .errors import (
 )
 from .potential import (CONSTANT_U, EXACT, PotentialField, QGrid, approx_potential,
                         exact_potential)
-from .profiles import ModelSpec, product_u
+from .profiles import ModelSpec, u_values
 from .transform import TransformMap
 
 
@@ -341,9 +346,10 @@ def _ladder(coarse, fine, k: int, floors, ladder, tol: float):
     """(base levels, refined levels) from a grid ladder, or None on any miss.
 
     ``coarse`` and ``fine`` are the base and refined grids' (d, e) blocks, and
-    ``ladder`` holds two coarser grids' blocks (folded as they are), each with
-    its squared step in base steps, the n/16 grid's first. Only they are
-    bisected by index. The base levels are then bisected in windows
+    ``ladder`` holds two coarser grids (see _rung), the n/16 grid's first:
+    each one's blocks (folded as they are), its squared step in base steps
+    and its blocks' first indices. Only they are bisected by index, from
+    those indices. The base levels are then bisected in windows
     (_in_windows) around their h^2 Richardson prediction from the two coarse
     grids, each 1e-2 of its prediction's distance from the n/16 level wide
     either side (at least tol). The refined (h/2) levels follow around their
@@ -353,9 +359,9 @@ def _ladder(coarse, fine, k: int, floors, ladder, tol: float):
     level by at most 0.05 m, and the refined grid's Sturm counts round at
     four times the base grid's tolerance.
     """
-    (m16, r16), (m32, r32) = ladder
-    w16 = _by_index(m16, k, (0, 0))
-    guess = _extrapolated(w16, _by_index(m32, k, (0, 0)), r16, r32, 1.0)
+    (m16, r16, f16), (m32, r32, f32) = ladder
+    w16 = _by_index(m16, k, f16)
+    guess = _extrapolated(w16, _by_index(m32, k, f32), r16, r32, 1.0)
     w = _in_windows(coarse, guess, tol, floors[0], np.maximum(1e-2 * np.abs(guess - w16), tol))
     if w is None:
         return None
@@ -398,11 +404,12 @@ def _levels(coarse, fine, k: int, floors, below, mirror=None, lowest_second: boo
     supplied, or the whole matrices are solved. Fine levels are bisected
     near the coarse ones (_in_windows), else by index.
 
-    A ``ladder`` (see _ladder: two coarser grids of the same potential, in
-    blocks as the first configuration's, for no eigenvalue under the floors
-    and the lowest level in the first block) is tried first, in the first
-    configuration (folded when there is a ``mirror``); on a miss all of the
-    above runs as without it.
+    A ``ladder`` (see _ladder: two coarser grids of the same operator, as
+    _rung entries in blocks as the first configuration's, with their first
+    indices) is tried first, in the first configuration (folded when there
+    is a ``mirror``); where it hits, neither grid's inertia is counted, as
+    the ladder's window checks and counts from the floors certify both
+    grids' levels. On a miss all of the above runs as without it.
     """
     tol, n = _bisection_tol(*coarse), coarse[0].size
     folded = [] if mirror is None else [
@@ -445,16 +452,29 @@ def _free_eigs(grid: QGrid, k: int, with_vectors: bool):
     return w, np.sin(np.outer(np.arange(1, n + 1), ks) * (math.pi / (n + 1)))
 
 
+_LADDER_ROWS = 250  # fewest rows (unfolded) of a ladder's n // 16 grid
+
+
+def _rung(matrix, r: float, even: bool, lowest_second: bool = False, floor: float = 0.0,
+          below: int = 0):
+    """One ladder entry (see _ladder): ``matrix`` as blocks (its two _fold
+    blocks when ``even``, swapped when ``lowest_second`` so that the block
+    holding the lowest level is first), its squared step r in base steps,
+    and the blocks' first indices, their _inertia counts at ``floor``
+    (``below`` in all; none for a Schrödinger matrix)."""
+    blocks = _fold(*matrix)[::-1 if lowest_second else 1] if even else [matrix]
+    return blocks, r, _inertia(blocks, floor, below)
+
+
 def _grid_ladder(potential: PotentialField, even: bool, k_states: int):
     """_levels' ladder for ``potential``: its Schrödinger matrices on grids of
     n // 16 and n // 32 nodes between the same walls (offset as its grid is;
-    averaged with their mirror and split into their _fold blocks when
-    ``even``), each with its squared step in base steps. Empty where it does
-    not pay (n // 16 under 250 nodes), where a coarse block could hold fewer
-    than its share of k_states levels, and where a coarse grid has singular
-    nodes."""
+    averaged with their mirror and folded when ``even``), as _rung entries.
+    Empty where it does not pay (n // 16 under _LADDER_ROWS nodes), where a
+    coarse block could hold fewer than its share of k_states levels
+    (k_states > n // 64), and where a coarse grid has singular nodes."""
     grid = potential.grid
-    if grid.n // 16 < 250 or k_states > grid.n // 64:
+    if grid.n // 16 < _LADDER_ROWS or k_states > grid.n // 64:
         return ()
     ladder = []
     for m in (16, 32):
@@ -463,7 +483,7 @@ def _grid_ladder(potential: PotentialField, even: bool, k_states: int):
             return ()
         matrix = _schrodinger(0.5 * (field.values + field.values[::-1]) if even
                               else field.values, field.grid.h)
-        ladder.append((_fold(*matrix) if even else [matrix], (field.grid.h / grid.h) ** 2))
+        ladder.append(_rung(matrix, (field.grid.h / grid.h) ** 2, even))
     return tuple(ladder)
 
 
@@ -609,6 +629,58 @@ def _inertia_floor(u: np.ndarray, h: float) -> float:
     return 64.0 * np.finfo(float).eps * (2.0 / h + float(np.max(np.abs(u))))
 
 
+def _h2_walls(u_fine: np.ndarray, d: float) -> bool:
+    """Whether both walls of the lattice over ``u_fine`` leave its levels an
+    h^2 error, read from its first two sites from each wall, d and 2 d away.
+
+    A wall where u is finite is regular: u d there about doubles from the
+    first site to the second (it is closer to twice the first value than to
+    the first value). Any other wall is singular, u ~ g / d with g = u d at
+    the first site, and the lattice error has an h^(2g) term beside the h^2
+    one; only g >= 1 (to 1e-9 relative, for g = 1 itself) keeps it h^2.
+    """
+    for first, second in ((u_fine[0], u_fine[1]), (u_fine[-1], u_fine[-2])):
+        g, twice = first * d, second * 2.0 * d
+        if abs(twice - 2.0 * g) > abs(twice - g) and not g >= 1.0 - 1e-9:
+            return False
+    return True
+
+
+def _lattice_ladder(model: ModelSpec, tmap: TransformMap, grid: QGrid, u_fine: np.ndarray,
+                    even: bool, k_states: int):
+    """_levels' ladder for solve_exact on ``grid``: the staggered lattices over
+    n // 16 and n // 32 phi1 nodes between the same walls (averaged with their
+    mirror and folded when ``even``, the lowest level's block first), as
+    _rung entries whose first indices count each block's eigenvalues at or
+    under the lattice's inertia floor, m + 1 in all for m phi1 nodes. Empty
+    where it does not pay, as in _grid_ladder (the n // 16 lattice under
+    _LADDER_ROWS rows, or k_states > n // 64); where a wall of the fine
+    lattice ``u_fine`` is not _h2_walls', checked before any other work; and
+    where a lattice's inertia is not m + 1. The sites of both lattices are
+    inverted in one call.
+    """
+    n = grid.n
+    if 2 * (n // 16) + 1 < _LADDER_ROWS or k_states > n // 64 or not _h2_walls(
+            u_fine, 0.25 * grid.h):
+        return ()
+    lattices = [QGrid(grid.lo, grid.hi, n // m) for m in (16, 32)]
+    q = np.concatenate([g.lo + np.arange(1, 2 * g.n + 2) * (0.5 * g.h) for g in lattices])
+    order = np.argsort(q, kind="stable")
+    u_all = np.empty_like(q)
+    u_all[order] = u_values(model, tmap.inverse_grid(q[order]))
+    ladder = []
+    for lattice, u in zip(lattices, np.split(u_all, [2 * lattices[0].n + 1])):
+        if even:
+            u = 0.5 * (u + u[::-1])
+        try:
+            ladder.append(_rung(_staggered(u, lattice.h), (lattice.h / grid.h) ** 2, even,
+                                lattice.n % 2 == 0, _inertia_floor(u, lattice.h),
+                                lattice.n + 1))
+        except NonConvergenceError:
+            return ()
+    return tuple(ladder)
+
+
 def solve_exact(model: ModelSpec, tmap: TransformMap, n: int,
                 k_states: int, vectors: bool = True) -> SpectrumResult:
     """Lowest k_states positive energies of H = sigma_x p_q + sigma_z u(q), u = m v_F^2.
@@ -621,7 +693,14 @@ def solve_exact(model: ModelSpec, tmap: TransformMap, n: int,
     coarse site (q = lo + j h/2) is bit for bit its every second site, and
     the phi1 nodes (``grid.nodes``) its every fourth, which the map caches.
     Both lattices go through _levels, with n+1 (coarse) and 2n+2 (fine)
-    eigenvalues at or under the inertia floor. Vectors have
+    eigenvalues at or under the inertia floor. From n = 2000 on (and for
+    k_states <= n // 64), _levels also gets a lattice ladder
+    (_lattice_ladder) when both walls pass _h2_walls, read from the fine
+    lattice's u: it bisects only the lattices over n/16 and n/32 phi1 nodes by
+    index, from their inertia counts, and both lattices here in windows
+    around their Richardson predictions (_ladder). Its levels lie within
+    2 tol of the index path's, tol the coarse lattice's _bisection_tol; on
+    any miss, and at a wall with g < 1, the index path runs. Vectors have
     h sum(phi1^2 + chi^2) = 1 and phi1 > 0 at its largest sample (the first
     of equal ones). With ``vectors=False`` none is computed: each pair's phi
     and chi are None and its nodes its index, and the levels and error
@@ -644,7 +723,7 @@ def solve_exact(model: ModelSpec, tmap: TransformMap, n: int,
     x_fine = tmap.inverse_grid(q_fine)
     # fine site 4j is phi1 node j bit for bit: the lift and the exported potential reuse it
     tmap.remember(q_fine[3::4], x_fine[3::4])
-    u_fine = product_u(model, x_fine)[0]
+    u_fine = u_values(model, x_fine)
     even = _symmetrized(u_fine)
     if even:
         u_fine = even[0]
@@ -653,7 +732,8 @@ def solve_exact(model: ModelSpec, tmap: TransformMap, n: int,
         _staggered(u, grid.h), _staggered(u_fine, 0.5 * grid.h), k_states,
         (_inertia_floor(u, grid.h), _inertia_floor(u_fine, 0.5 * grid.h)), (n + 1, 2 * n + 2),
         mirror=np.where(np.arange(n) % 2, 1.0, -1.0) if even else None,  # (-1)^(j+1)
-        lowest_second=n % 2 == 0, vectors=vectors)
+        lowest_second=n % 2 == 0, vectors=vectors,
+        ladder=_lattice_ladder(model, tmap, grid, u_fine, bool(even), k_states))
     pairs, energies = [], []
     for k in range(k_states):
         e = float(lam[k])

@@ -300,7 +300,7 @@ class ModelSpec:
         check) each decide what such a sample means.
         """
         with np.errstate(all="ignore"):
-            u, _, _ = product_u(self, interior_sample(self.domain))
+            u = u_values(self, interior_sample(self.domain))
         u.flags.writeable = False
         return u
 
@@ -311,25 +311,34 @@ def product_u(model: ModelSpec, x):
     Built-in models use their closed forms; otherwise the product rule is
     applied to the profile derivatives.
     """
+    return _product(model, x, 3)
+
+
+def u_values(model: ModelSpec, x):
+    """u = m v_F^2 alone at x: product_u(model, x)[0] bit for bit, without
+    evaluating the two derivatives."""
+    return _product(model, x, 1)[0]
+
+
+def _product(model: ModelSpec, x, count: int):
+    """The first ``count`` of product_u's (u, u', u'')."""
     x_arr = np.asarray(x, dtype=float)
     if not np.all(model.contains(x_arr)):
         lo, hi = model.domain
         raise DomainError(f"x must lie strictly inside ({lo:g}, {hi:g})")
     if model.u_closed is not None:
-        u, u1, u2 = model.u_closed
-        res = (u(x_arr), u1(x_arr), u2(x_arr))
+        res = tuple(f(x_arr) for f in model.u_closed[:count])
     else:
         m = model.mass(x_arr)
-        m1 = model.mass.deriv1(x_arr)
-        m2 = model.mass.deriv2(x_arr)
         v = model.velocity(x_arr)
-        v1 = model.velocity.deriv1(x_arr)
-        v2 = model.velocity.deriv2(x_arr)
-        res = (
-            m * v * v,
-            m1 * v * v + 2.0 * m * v * v1,
-            m2 * v * v + 4.0 * m1 * v * v1 + 2.0 * m * (v1 * v1 + v * v2),
-        )
+        res = (m * v * v,)
+        if count > 1:
+            m1 = model.mass.deriv1(x_arr)
+            m2 = model.mass.deriv2(x_arr)
+            v1 = model.velocity.deriv1(x_arr)
+            v2 = model.velocity.deriv2(x_arr)
+            res += (m1 * v * v + 2.0 * m * v * v1,
+                    m2 * v * v + 4.0 * m1 * v * v1 + 2.0 * m * (v1 * v1 + v * v2))
     if np.isscalar(x) or np.ndim(x) == 0:
         return tuple(float(np.asarray(r)) for r in res)
     return tuple(np.broadcast_to(np.asarray(r, dtype=float), x_arr.shape).copy()
@@ -349,7 +358,7 @@ def detect_constant_u(model: ModelSpec, tol: float = 1e-10) -> Optional[float]:
     """
     if tol <= 0:
         raise InvalidParameterError("tol must be positive")
-    u0, _, _ = product_u(model, model.anchor)
+    u0 = u_values(model, model.anchor)
     u = model.u_sample
     if model.u_closed is None:
         xs = interior_sample(model.domain)
@@ -588,12 +597,16 @@ def _poschl_teller(params) -> ModelSpec:
         # published family s + 2n skips its odd members, and as_published gives that
         # family with the printed radical for s. exact: the exact-mode ladder
         # m0 v0^2 + alpha v0 (n + 1/2) for g = m0 v0 / alpha >= 1/2, with no
-        # as-published counterpart
+        # as-published counterpart. Massless, u = 0: a free Dirac particle in the q-box of
+        # width pi / (alpha v0), alpha v0 (n + 1), in constant-u and exact mode alike
         if n < 0:
             raise InvalidParameterError("level index starts at n=0 for this model")
         if exact and as_published:
             raise InvalidParameterError("the published (s+2n) family is an approximate-mode "
                                         "claim; exact mode has no as-published ladder")
+        if not m0 and not as_published:
+            return AnalyticSpectrum("poschl_teller", n, a * v0 * (n + 1), -a * v0 * (n + 1),
+                                    VERIFIED)
         if exact:
             if m0 * v0 / a < 0.5:
                 raise InvalidParameterError(f"exact ladder needs g >= 1/2, got {m0 * v0 / a:g}")

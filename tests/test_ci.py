@@ -79,6 +79,19 @@ def test_tier1_runs_one_shot_solves():
     assert "assert rows[0] and rows[0] == rows[1], rows" in run
     assert re.search(r'"\$RUNNER_TEMP/ladder/spectrum\.csv" '
                      r'"\$RUNNER_TEMP/ladder-wf/spectrum\.csv"', run)
+    # an n = 2000 exact solve of the same model takes the lattice ladder, under
+    # --strict at compare.tol = 1e-7, and writes the same spectrum rows with
+    # wavefunctions
+    assert re.search(r"cat \"\$RUNNER_TEMP/pt\.cfg\"; echo 'grid\.n = 2000'; "
+                     r"echo 'outputs = spectrum'; \\\s+echo 'compare\.tol = 1e-7'; } "
+                     r"> \"\$RUNNER_TEMP/lattice\.cfg\"", run)
+    assert re.search(r'--config "\$RUNNER_TEMP/lattice\.cfg" --mode exact --strict ', run)
+    assert re.search(r"cat \"\$RUNNER_TEMP/lattice\.cfg\"; echo 'outputs = spectrum, "
+                     r"wavefunctions'; } \\\s+> \"\$RUNNER_TEMP/lattice-wf\.cfg\"", run)
+    assert re.search(r'--config "\$RUNNER_TEMP/lattice-wf\.cfg" --mode exact --strict '
+                     r'--out "\$RUNNER_TEMP/lattice-wf"', run)
+    assert re.search(r'"\$RUNNER_TEMP/lattice/spectrum\.csv" '
+                     r'"\$RUNNER_TEMP/lattice-wf/spectrum\.csv"', run)
     # a non-finite config number exits 2, also under --strict
     assert "echo 'compare.tol = nan'; } > \"$RUNNER_TEMP/nan.cfg\"" in run
     assert re.search(r'--config "\$RUNNER_TEMP/nan\.cfg" --strict .*\|\| status=\$\?', run)

@@ -286,6 +286,24 @@ class TestSolve:
             assert float(row[2]) == pytest.approx(pt_full_ladder(1.3, 0.8, 2.1, k), rel=1e-15)
             assert float(row[3]) <= 1e-6
 
+    @pytest.mark.parametrize("mode", ["constant-u", "exact"])
+    def test_massless_poschl_teller_strict(self, tmp_path, capsys, mode):
+        # m0 = 0: u = 0, so the reference is the free Dirac ladder alpha v0 (n + 1)
+        # of the q-box, and --strict compares every level with it
+        keys = dict(model__name="poschl_teller", model__alpha=1.3, model__v0=0.8,
+                    model__m0=0.0, grid__n=2000, solve__k_states=3, mode=mode,
+                    outputs="spectrum", out__dir=str(tmp_path / "out"))
+        cfg = write_config(tmp_path / "c.txt", compare__tol="1e-10", **keys)
+        assert main(["solve", "--config", cfg, "--strict"]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()[2:]]
+        assert [int(r[0]) for r in rows] == [0, 1, 2]
+        for k, row in enumerate(rows):  # 1.04, 2.08, 3.12
+            assert float(row[2]) == pytest.approx(1.3 * 0.8 * (k + 1), rel=1e-15)
+            assert float(row[3]) <= 1e-12
+        # a tolerance under the solve's rounding fails: the levels are compared
+        cfg = write_config(tmp_path / "c.txt", compare__tol="1e-16", **keys)
+        assert main(["solve", "--config", cfg, "--strict"]) == 4
+
     def test_strict_failure_names_missing_levels(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path / "c.txt",
@@ -569,15 +587,18 @@ class TestSolveReuse:
 
     def test_u_sample_evaluated_once(self, tmp_path, monkeypatch):
         calls = []
-        real = profiles.product_u
 
-        def counted(model, x):
-            if np.size(x) == profiles._SAMPLE_N:
-                calls.append(model.params["m0"])
-            return real(model, x)
+        def counted(real):
+            def call(model, x):
+                if np.size(x) == profiles._SAMPLE_N:
+                    calls.append(model.params["m0"])
+                return real(model, x)
+            return call
 
         for module in (profiles, potential, eigensolver, spinor):
-            monkeypatch.setattr(module, "product_u", counted)
+            for name in ("product_u", "u_values"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(getattr(profiles, name)))
         cfg = write_config(tmp_path / "c.txt", **self.PT, out__dir=str(tmp_path / "out"),
                            outputs="spectrum, potential, wavefunctions")
         assert main(["solve", "--config", cfg]) == 0
@@ -1220,6 +1241,8 @@ class TestReport:
             assert "identically zero" in out
         if name == "poschl_teller":  # its published family, beside the levels
             assert "s (verified) = complex" in out and "  level 2: E=" in out
+            # massless: the levels match the free ladder, no published member
+            assert "matches n=2 " in out and "published n=" not in out
             # approximate mode has no potential to solve without a mass
             assert main(["report", "--config", cfg, "--mode", "approximate"]) == 3
             assert "requires non-zero mass" in capsys.readouterr().err

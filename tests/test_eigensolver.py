@@ -355,15 +355,14 @@ class TestSolveExact:
         monkeypatch.setattr(eigensolver, "_fold", real_fold)
         # u < 0 on the sites only the refined lattice has: the coarse lattice is
         # sound, the refined one's count up to the floor is not 2n + 2
-        real = eigensolver.product_u
+        real = eigensolver.u_values
 
         def flip_refined_sites(model, x):
-            u, u1, u2 = real(model, x)
-            u = u.copy()
+            u = real(model, x).copy()
             u[0::2] *= -1.0
-            return u, u1, u2
+            return u
 
-        monkeypatch.setattr(eigensolver, "product_u", flip_refined_sites)
+        monkeypatch.setattr(eigensolver, "u_values", flip_refined_sites)
         with pytest.raises(NonConvergenceError, match="inertia"):
             solve_exact(model, tmap, 200, 1)
 
@@ -410,8 +409,8 @@ def pt_matrices(n, lattice):
     tmap = build_transform(model.velocity, model.anchor)
     if lattice:
         grid = QGrid(tmap.q_lo, tmap.q_hi, n, offset=False)
-        u = eigensolver.product_u(model, tmap.inverse_grid(
-            tmap.q_lo + np.arange(1, 4 * n + 4) * (0.25 * grid.h)))[0]
+        u = eigensolver.u_values(model, tmap.inverse_grid(
+            tmap.q_lo + np.arange(1, 4 * n + 4) * (0.25 * grid.h)))
         coarse = eigensolver._staggered(u[1::2], grid.h)
         w = eigensolver.eigh_tridiagonal(*coarse, select="i", select_range=(n + 1, n + 4))
         tol = eigensolver._bisection_tol(*coarse)
@@ -605,6 +604,147 @@ class TestGridLadder:
             assert lean.energies == full.energies
 
 
+def lattice_case(name, g=None, m0=1.2):
+    """(model, map) at alpha 1.2, v0 1.1: poschl_teller with m0 from
+    g = m0 v0 / alpha (g = 0 is massless), else ``name`` at ``m0``."""
+    if name == "poschl_teller":
+        m0 = g * 1.2 / 1.1
+    model = builtin_model(name, alpha=1.2, v0=1.1, m0=m0)
+    return model, build_transform(model.velocity, model.anchor)
+
+
+def lattice_tol(model, tmap, n):
+    """The coarse lattice's _bisection_tol, the ladder's bound on its levels."""
+    h = QGrid(tmap.q_lo, tmap.q_hi, n).h
+    u = eigensolver.u_values(model, tmap.inverse_grid(
+        tmap.q_lo + np.arange(1, 2 * n + 2) * (0.5 * h)))
+    return eigensolver._bisection_tol(*eigensolver._staggered(u, h))
+
+
+def lattice_index_path(model, tmap, n, k, vectors=True):
+    """solve_exact without the lattice ladder: the index path's levels."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(eigensolver, "_lattice_ladder", lambda *args: ())
+        return solve_exact(model, tmap, n, k, vectors=vectors)
+
+
+def gap(pair, energy):
+    """|E_h - E_{h/2}| of a lattice pair, from error_estimate = 2 E gap / 3."""
+    return pair.error_estimate / (2.0 * energy / 3.0)
+
+
+class TestLatticeLadder:
+    """Exact-mode solves from n = 2000 on bisect only the lattices over n/16 and
+    n/32 phi1 nodes by index, from their inertia counts, when both walls leave
+    the lattice an h^2 error (regular, or singular with g >= 1); band walls
+    (g < 1) skip the ladder before building any of it."""
+
+    @pytest.mark.parametrize("k", [1, 5])
+    @pytest.mark.parametrize("n", [2000, 2001, 8000])
+    @pytest.mark.parametrize("name,g", [
+        ("poschl_teller", 1.0), ("poschl_teller", 1.5), ("poschl_teller", 3.0),
+        ("poschl_teller", 0.0), ("cosh_square", None), ("rational", None)],
+        ids=["pt_g1", "pt_g1.5", "pt_g3", "pt_massless", "cosh_square", "rational"])
+    def test_levels_within_two_tol_of_the_index_path(self, monkeypatch, name, g, n, k):
+        model, tmap = lattice_case(name, g)
+        tol = lattice_tol(model, tmap, n)
+        ref = lattice_index_path(model, tmap, n, k)
+        outcomes = ladder_outcomes(monkeypatch)
+        lean, full = solve_exact(model, tmap, n, k, vectors=False), solve_exact(model, tmap, n, k)
+        assert outcomes == [True, True]  # the vector solve takes it too
+        assert lean.energies == full.energies
+        for j, (a, b, c) in enumerate(zip(lean.pairs, full.pairs, ref.pairs, strict=True)):
+            assert a.nodes == b.nodes == c.nodes == j and a.phi is None and a.chi is None
+            assert (a.lam, a.error_estimate) == (b.lam, b.error_estimate)
+            e_b, e_c = full.energies[j][0], ref.energies[j][0]
+            assert abs(e_b - e_c) <= 2.0 * tol
+            assert abs(gap(b, e_b) - gap(c, e_c)) <= 2.0 * tol
+            vb, vc = unit_vectors(b), unit_vectors(c)
+            assert np.max(np.abs(vb * np.sign(vb @ vc) - vc)) <= 1e-8
+
+    @pytest.mark.parametrize("n", [2000, 8000])
+    @pytest.mark.parametrize("g", [0.5, 0.7, 0.9])
+    def test_band_walls_skip_the_ladder(self, monkeypatch, g, n):
+        # g < 1: the gate reads the walls from the fine lattice and builds nothing:
+        # no _ladder call, and the map inverts the fine lattice alone
+        model, tmap = lattice_case("poschl_teller", g)
+        ref = lattice_index_path(model, tmap, n, 4, vectors=False)
+        model, tmap = lattice_case("poschl_teller", g)
+        solves = []
+        real_solve = type(tmap)._solve
+        monkeypatch.setattr(type(tmap), "_solve",
+                            lambda self, q: solves.append(q.size) or real_solve(self, q))
+        monkeypatch.setattr(eigensolver, "_ladder", lambda *args: pytest.fail("_ladder called"))
+        for vectors in (False, True):
+            got = solve_exact(model, tmap, n, 4, vectors=vectors)
+            assert got.energies == ref.energies
+            assert [(p.lam, p.error_estimate) for p in got.pairs] == [
+                (p.lam, p.error_estimate) for p in ref.pairs]
+        assert solves == [4 * n + 3]
+
+    def test_index_bisection_only_on_the_ladder_lattices(self, monkeypatch):
+        # n = 2000, poschl_teller g = 3: the 251- and 125-row lattices in their
+        # parity blocks, the lowest level's first (the corner one for 62 phi1
+        # nodes); a skewed u (no mirror) bisects them whole. The base and fine
+        # lattices (or their blocks) take windows and Sturm counts only
+        cosh, _ = lattice_case("cosh_square")
+        for model, rows, sizes in (
+                (lattice_case("poschl_teller", 3.0)[0], [126, 125, 62, 63],
+                 {2001, 2000, 4002, 4001}),
+                (dataclasses.replace(cosh, u_closed=SKEWED_U), [251, 125], {4001, 8003})):
+            calls = []
+            real = eigensolver.eigh_tridiagonal
+
+            def logged(d, *args, **kwargs):
+                calls.append((kwargs["select"], d.size))
+                return real(d, *args, **kwargs)
+
+            monkeypatch.setattr(eigensolver, "eigh_tridiagonal", logged)
+            solve_exact(model, build_transform(model.velocity, model.anchor), 2000, 3)
+            monkeypatch.undo()
+            assert [size for select, size in calls if select == "i"] == rows
+            assert {size for select, size in calls if select == "v"} == sizes | set(rows)
+
+    def test_ladder_lattices_take_one_inversion(self, monkeypatch):
+        model, tmap = lattice_case("poschl_teller", 2.0)
+        solves = []
+        real_solve = type(tmap)._solve
+        monkeypatch.setattr(type(tmap), "_solve",
+                            lambda self, q: solves.append(q.size) or real_solve(self, q))
+        outcomes = ladder_outcomes(monkeypatch)
+        solve_exact(model, tmap, 2000, 3, vectors=False)
+        assert outcomes == [True]
+        assert solves == [4 * 2000 + 3, (2 * 125 + 1) + (2 * 62 + 1)]
+
+    def test_size_thresholds(self, monkeypatch):
+        # a ladder needs 250 rows in its n/16 lattice (n >= 2000) and k <= n // 64
+        model, tmap = lattice_case("poschl_teller", 2.0)
+        outcomes = ladder_outcomes(monkeypatch)
+        for n, k in ((1999, 3), (2000, 31), (2000, 32)):
+            solve_exact(model, tmap, n, k, vectors=False)
+        assert outcomes == [True]
+
+    def test_wall_gate(self):
+        d = 1e-4
+        sites = d * np.arange(1, 9)
+        sites = np.minimum(sites, sites[::-1])  # distance to the nearer wall
+        assert eigensolver._h2_walls(np.full(8, 2.0), d)  # regular, u finite
+        assert eigensolver._h2_walls(np.zeros(8), d)  # massless
+        assert eigensolver._h2_walls((1.0 - 1e-12) / sites, d)  # g = 1, to rounding
+        assert eigensolver._h2_walls(3.0 / sites, d)
+        assert not eigensolver._h2_walls(0.99 / sites, d)
+        assert not eigensolver._h2_walls(np.where(np.arange(8) < 4, 2.0, 0.9 / sites), d)
+        assert not eigensolver._h2_walls(-2.0 / sites, d)
+
+    def test_wrong_inertia_still_names_the_base_lattice(self):
+        # u < 0 has regular walls, so the ladder is tried; its lattices' inertia
+        # is wrong, the ladder is dropped, and the base lattice's count raises
+        model, tmap = lattice_case("cosh_square")
+        flipped = dataclasses.replace(model, u_closed=(lambda x: -np.ones_like(x),) * 3)
+        with pytest.raises(NonConvergenceError, match=r"inertia: .*, not 2001$"):
+            solve_exact(flipped, tmap, 2000, 1)
+
+
 class TestLapackBinding:
     """The package's eigh_tridiagonal is scipy.linalg's with eigvals_only=True,
     with ==, for each call it makes."""
@@ -795,8 +935,8 @@ class TestParityFold:
         model = builtin_model(name, alpha=1.43, v0=1.9, m0=m0)
         tmap = build_transform(model.velocity, model.anchor)
         h = QGrid(tmap.q_lo, tmap.q_hi, n).h
-        u = eigensolver.product_u(model, tmap.inverse_grid(
-            tmap.q_lo + np.arange(1, 2 * n + 2) * (0.5 * h)))[0]
+        u = eigensolver.u_values(model, tmap.inverse_grid(
+            tmap.q_lo + np.arange(1, 2 * n + 2) * (0.5 * h)))
         tol = eigensolver._bisection_tol(*eigensolver._staggered(u, h))
         for k in (1, 4, 5):
             assert_same_states(solve_exact(model, tmap, n, k),

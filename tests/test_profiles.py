@@ -154,6 +154,21 @@ class TestProductU:
         with pytest.raises(DomainError):
             product_u(m, math.pi + 0.1)
 
+    @pytest.mark.parametrize("closed", [True, False], ids=["closed_form", "product_rule"])
+    def test_u_values_is_product_u_first_entry(self, closed):
+        # bit for bit, on arrays and scalars, with the same domain check
+        for name, kwargs in ALL_MODELS:
+            m = builtin_model(name, **kwargs)
+            if not closed:
+                m = ModelSpec(name, _clone(m.mass), _clone(m.velocity), m.domain, m.params,
+                              "custom", m.anchor)
+            xs = np.linspace(*fd_window(name, kwargs), 41)
+            got = profiles.u_values(m, xs)
+            assert got.shape == xs.shape and np.array_equal(got, product_u(m, xs)[0])
+            assert profiles.u_values(m, float(xs[20])) == product_u(m, float(xs[20]))[0]
+        with pytest.raises(DomainError):
+            profiles.u_values(builtin_model("poschl_teller", alpha=1, v0=1, m0=1), 0.0)
+
     def test_closed_form_matches_composed(self):
         # the closed-form u must agree with the product rule on the profiles
         for name, kwargs in ALL_MODELS:
@@ -393,17 +408,20 @@ def _custom(name, **params):
 
 
 def count_sample_products(monkeypatch):
-    """Record product_u calls on the 1024-point interior sample."""
+    """Record product_u and u_values calls on the 1024-point interior sample."""
     calls = []
-    real = profiles.product_u
 
-    def counted(model, x):
-        if np.size(x) == profiles._SAMPLE_N:
-            calls.append(model)
-        return real(model, x)
+    def counted(real):
+        def call(model, x):
+            if np.size(x) == profiles._SAMPLE_N:
+                calls.append(model)
+            return real(model, x)
+        return call
 
     for module in (profiles, potential):
-        monkeypatch.setattr(module, "product_u", counted)
+        for name in ("product_u", "u_values"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(getattr(profiles, name)))
     return calls
 
 
