@@ -535,14 +535,25 @@ def cmd_scan(rc: RunConfig) -> int:
 
     done = set()
     header = _header_lines(rc, "scan", rc.mode, None)
+    columns = "param,n,E_numeric,E_analytic,status\n"
     if os.path.exists(path):
         with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-        if any(line == header[1] for line in lines):
-            for line in lines:
-                if line.startswith("#") or line.startswith("param"):
-                    continue
-                done.add(line.split(",", 1)[0])
+            lines = fh.read().splitlines(keepends=True)
+        keys = [None if line.startswith(("#", "param")) else line.split(",", 1)[0]
+                for line in lines]
+        cut = bool(lines) and not lines[-1].endswith("\n")
+        if cut:
+            # a row cut short: drop it, and the rows of the point before it,
+            # which the cut may have left short of its last rows
+            del lines[-1], keys[-1]
+            last = keys[-1] if keys else None
+            while keys and last is not None and keys[-1] == last:
+                del lines[-1], keys[-1]
+        if header[1] + "\n" in lines and (columns in lines or not cut):
+            if cut:
+                with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                    fh.writelines(lines)
+            done = set(keys) - {None}
         else:
             os.remove(path)
 
@@ -552,7 +563,7 @@ def cmd_scan(rc: RunConfig) -> int:
         if new_file:
             for line in header:
                 fh.write(line + "\n")
-            fh.write("param,n,E_numeric,E_analytic,status\n")
+            fh.write(columns)
         for val in values:
             key = _fmt(float(val))
             if key in done:

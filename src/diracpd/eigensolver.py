@@ -14,34 +14,37 @@ oscillation theorem for Jacobi matrices (Gantmacher & Krein, Oscillation
 Matrices and Kernels), so the node count of a vectorless level is its index;
 with vectors it is counted from the vector's interior sign changes.
 
-Only the base grid is bisected by index from the whole spectrum. Each
-refined level is bisected in a narrow window around its base value (about
-1e-6 |lambda|, widened 16-fold while empty) to the base grid's absolute
-tolerance eps * (Gershgorin norm of T_h), a quarter of the refined grid's
-own default; Sturm counts certify that the windows found the lowest levels.
-When a window holds more than one level, or the counts disagree, the refined
-grid is bisected by index like the base grid. One engine (_levels) runs
-this for both solve_fixed and the exact-mode lattice (solve_exact): each
-solver hands it the whole matrices of both grids once, and it owns the
-tolerance, the parity fold and its fallback, the Richardson step and the
-vectors.
+Each solve hands _levels its grids as one coarse-to-fine sequence of _Grid
+records: a base grid (h) and its refinement (h/2), led where it pays by a
+ladder of the same operator on n/16 and n/32 nodes. A record holds the
+grid's whole matrix, its squared step in base steps, the floor its levels
+are counted from and how many eigenvalues lie at or under that floor.
+_levels owns the tolerance, the parity fold and its fallback, the
+Richardson step and the vectors.
 
-A solve_fixed on n >= 4000 nodes (so the n/16 grid has >= 250 rows) also
-hands _levels a grid ladder: the same potential on n/16 and n/32 nodes, and
-solve_exact from n = 2000 on (a lattice of n/16 phi1 nodes has 2 (n/16) + 1
-rows) the staggered lattices over n/16 and n/32 phi1 nodes, each with its
-blocks' first indices from its inertia. Then only those two small grids are
-bisected by index; the base levels are bisected in windows around their h^2
-Richardson prediction from the two, and the refined ones around theirs from
-the n/16 and base grids, each window a few Sturm sweeps where an index
-search from the whole Gershgorin interval takes about 50 (Barth, Martin &
-Wilkinson, Numer. Math. 9 (1967) 386). The same window checks and one Sturm
-count per parity block certify each grid; on any miss the solve takes the
-index path above. solve_exact builds its ladder only when each wall of the
+Without a ladder the base grid is bisected by index from the whole
+spectrum. Each refined level is bisected in a narrow window around its base
+value (about 1e-6 |lambda|, widened 16-fold while empty) to the base grid's
+absolute tolerance eps * (Gershgorin norm of T_h), a quarter of the refined
+grid's own default; Sturm counts certify that the windows found the lowest
+levels. When a window holds more than one level, or the counts disagree,
+the refined grid is bisected by index like the base grid.
+
+With a ladder only its two grids are bisected by index. The base levels are
+bisected in windows around their h^2 Richardson prediction from the two,
+and the refined ones around theirs from the n/16 and base grids, each
+window a few Sturm sweeps where an index search from the whole Gershgorin
+interval takes about 50 (Barth, Martin & Wilkinson, Numer. Math. 9 (1967)
+386). The same window checks and one Sturm count per parity block certify
+each grid; on any miss the solve takes the ladderless path. The ladder's
+levels lie within 2 tol of that path's, tol the base grid's
+_bisection_tol. A ladder is built where its n/16 grid has _LADDER_ROWS
+rows (n >= 4000 for solve_fixed, n >= 2000 for the lattice of
+solve_exact) and k <= n/64; in exact mode, only when each wall of the
 lattice is regular or singular with u ~ g/d, g >= 1 (_h2_walls): in the
 g < 1 band of poschl_teller the lattice error is not h^2 and the windows
-would miss. Approximate mode tries its ladder whatever the wall, and misses
-in that band; constant-u mode needs none.
+would miss. Approximate mode tries its ladder whatever the wall, and
+misses in that band; constant-u mode needs none.
 
 When the sampled potential (or u, on the lattice) matches its mirror to
 1e-8 relative, as the paper's even models do on their whole q-range, it
@@ -224,15 +227,20 @@ def _schrodinger(values: np.ndarray, h: float):
     return 2.0 / (h * h) + values, np.full(values.size - 1, -1.0 / (h * h))
 
 
-def _symmetrized(*samples: np.ndarray) -> Optional[Tuple[np.ndarray, ...]]:
-    """(s + s[::-1]) / 2 of each array s when each sample in the first half of
-    every one matches its mirror to 1e-8 of its own magnitude (or of 1, if
-    that is larger); None otherwise, and for NaN samples."""
+def _even(*samples: np.ndarray) -> bool:
+    """Whether each sample in the first half of every array matches its mirror
+    to 1e-8 of its own magnitude (or of 1, if that is larger); False for NaN
+    samples."""
     for s in samples:
         head, mirror = s[:s.size // 2], s[:(s.size - 1) // 2:-1]
         if not np.all(np.abs(head - mirror) <= 1e-8 * np.maximum(np.abs(head), 1.0)):
-            return None
-    return tuple(0.5 * (s + s[::-1]) for s in samples)
+            return False
+    return True
+
+
+def _mirror_average(s: np.ndarray, even: bool) -> np.ndarray:
+    """(s + s[::-1]) / 2 when ``even`` (see _even), else s itself."""
+    return 0.5 * (s + s[::-1]) if even else s
 
 
 def _fold(d: np.ndarray, e: np.ndarray):
@@ -250,6 +258,27 @@ def _fold(d: np.ndarray, e: np.ndarray):
         return (d[:c + 1], np.append(e[:c - 1], math.sqrt(2.0) * e[c - 1])), (d[:c], e[:c - 1])
     return tuple((np.append(d[:c - 1], d[c - 1] + mid), e[:c - 1])
                  for mid in (e[c - 1], -e[c - 1]))
+
+
+@dataclass(frozen=True)
+class _Grid:
+    """One grid of a solve (see _levels): its whole tridiag(e, d, e) as
+    ``matrix`` = (d, e), its squared step ``r`` in base steps, the ``floor``
+    its levels are counted from, how many eigenvalues lie at or under that
+    floor (``below``: 0 for a Schrödinger matrix, m + 1 for a lattice of m
+    phi1 nodes), and whether its folded lowest level sits in the second
+    _fold block (``second``)."""
+
+    matrix: Tuple[np.ndarray, np.ndarray]
+    r: float
+    floor: float
+    below: int = 0
+    second: bool = False
+
+    def blocks(self, folded: bool):
+        """The matrix as (d, e) blocks: its two _fold blocks when ``folded``,
+        the one holding the lowest level first; else the whole matrix."""
+        return _fold(*self.matrix)[::-1 if self.second else 1] if folded else [self.matrix]
 
 
 def _unfold(psi: np.ndarray, n: int, sign: np.ndarray) -> np.ndarray:
@@ -342,87 +371,84 @@ def _in_windows(blocks, guesses: np.ndarray, tol: float, floor: float,
     return w if _counted(blocks, w, floor, tol) else None
 
 
-def _ladder(coarse, fine, k: int, floors, ladder, tol: float):
-    """(base levels, refined levels) from a grid ladder, or None on any miss.
+def _ladder(grids, blocks, k: int, tol: float):
+    """(base levels, refined levels) from the grid sequence (n/16, n/32, base,
+    refined) and its ``blocks`` as _levels folds them, or None on any miss.
 
-    ``coarse`` and ``fine`` are the base and refined grids' (d, e) blocks, and
-    ``ladder`` holds two coarser grids (see _rung), the n/16 grid's first:
-    each one's blocks (folded as they are), its squared step in base steps
-    and its blocks' first indices. Only they are bisected by index, from
-    those indices. The base levels are then bisected in windows
-    (_in_windows) around their h^2 Richardson prediction from the two coarse
-    grids, each 1e-2 of its prediction's distance from the n/16 level wide
-    either side (at least tol). The refined (h/2) levels follow around their
-    prediction from the n/16 grid and the base grid, in windows of 0.1 of the
-    base prediction's miss (at least 4 tol): an error term h^p off the h^2
-    law, 1 <= p <= 4, that the base prediction misses by m misses the refined
-    level by at most 0.05 m, and the refined grid's Sturm counts round at
-    four times the base grid's tolerance.
+    Only the two coarse grids are bisected by index, from their _inertia
+    counts; a wrong count is a miss. The base levels are then bisected in
+    windows (_in_windows) around their h^2 Richardson prediction from the
+    two coarse grids, each 1e-2 of its prediction's distance from the n/16
+    level wide either side (at least tol). The refined (h/2) levels follow
+    around their prediction from the n/16 grid and the base grid, in windows
+    of 0.1 of the base prediction's miss (at least 4 tol): an error term h^p
+    off the h^2 law, 1 <= p <= 4, that the base prediction misses by m
+    misses the refined level by at most 0.05 m, and the refined grid's Sturm
+    counts round at four times the base grid's tolerance.
     """
-    (m16, r16, f16), (m32, r32, f32) = ladder
-    w16 = _by_index(m16, k, f16)
-    guess = _extrapolated(w16, _by_index(m32, k, f32), r16, r32, 1.0)
-    w = _in_windows(coarse, guess, tol, floors[0], np.maximum(1e-2 * np.abs(guess - w16), tol))
+    try:
+        firsts = [_inertia(b, grid) for grid, b in zip(grids[:2], blocks)]
+    except NonConvergenceError:
+        return None
+    g16, g32, coarse, fine = grids
+    w16 = _by_index(blocks[0], k, firsts[0])
+    guess = _extrapolated(w16, _by_index(blocks[1], k, firsts[1]), g16.r, g32.r, coarse.r)
+    w = _in_windows(blocks[2], guess, tol, coarse.floor,
+                    np.maximum(1e-2 * np.abs(guess - w16), tol))
     if w is None:
         return None
-    w_fine = _in_windows(fine, _extrapolated(w, w16, 1.0, r16, 0.25), tol, floors[1],
-                         np.maximum(0.1 * np.abs(w - guess), 4.0 * tol))
+    w_fine = _in_windows(blocks[3], _extrapolated(w, w16, coarse.r, g16.r, fine.r), tol,
+                         fine.floor, np.maximum(0.1 * np.abs(w - guess), 4.0 * tol))
     return None if w_fine is None else (w, w_fine)
 
 
-def _inertia(blocks, floor: float, below: int) -> List[int]:
-    """How many eigenvalues of each (d, e) block lie at or under ``floor``,
-    which must sum to ``below``; none is counted when ``below`` is 0, as the
-    counts of _levels would see a level there."""
-    if not below:
+def _inertia(blocks, grid: _Grid) -> List[int]:
+    """How many eigenvalues of each (d, e) block of ``grid`` lie at or under
+    its floor, which must sum to its ``below``; none is counted when that is
+    0, as the counts of _levels would see a level there."""
+    if not grid.below:
         return [0] * len(blocks)
-    counts = [_count(*block, -math.inf, floor) for block in blocks]
-    if sum(counts) != below:
+    counts = [_count(*block, -math.inf, grid.floor) for block in blocks]
+    if sum(counts) != grid.below:
         raise NonConvergenceError(f"inertia: {' + '.join(map(str, counts))} eigenvalues "
-                                  f"<= {floor:g}, not {below}")
+                                  f"<= {grid.floor:g}, not {grid.below}")
     return counts
 
 
-def _levels(coarse, fine, k: int, floors, below, mirror=None, lowest_second: bool = False,
-            vectors: bool = True, ladder=()):
-    """(levels, gap, unit vectors) of the k levels over the floor of the
-    tridiagonal matrix ``coarse`` and its refinement ``fine``, each a whole
-    (d, e): _richardson's levels and gaps, and the coarse vectors (None
-    unless ``vectors``). The levels do not depend on ``vectors``: the
-    vectors come last, one _eigenvectors call per block on its certified
-    coarse levels.
+def _levels(grids, k: int, mirror=None, vectors: bool = True):
+    """(levels, gap, unit vectors) of the k levels over the floor of a grid
+    sequence of _Grid records, (base, refined) or with a ladder (n/16, n/32,
+    base, refined): _richardson's levels and gaps of the base and refined
+    grids, and the base vectors (None unless ``vectors``). The levels do not
+    depend on ``vectors``: the vectors come last, one _eigenvectors call per
+    block on its certified base levels.
 
-    ``below`` eigenvalues lie at or under each grid's floor (0 for a
-    Schrödinger matrix), counted once per block (_inertia); the coarse
-    matrix's _bisection_tol serves both. With a ``mirror`` each matrix is
-    first split into its two _fold blocks, the coarse ones swapped when
-    ``lowest_second``, so that the block holding the lowest level is first;
-    ``mirror`` gives its signs for _unfold, and the other's are the opposite.
-    Block p supplies levels p, p + 2, ..., bisected by index (_by_index).
-    Folded, the levels must rise and no block, also one that supplied none,
-    may hold more levels in (floor, just above the top one] than it
-    supplied, or the whole matrices are solved. Fine levels are bisected
-    near the coarse ones (_in_windows), else by index.
-
-    A ``ladder`` (see _ladder: two coarser grids of the same operator, as
-    _rung entries in blocks as the first configuration's, with their first
-    indices) is tried first, in the first configuration (folded when there
-    is a ``mirror``); where it hits, neither grid's inertia is counted, as
-    the ladder's window checks and counts from the floors certify both
-    grids' levels. On a miss all of the above runs as without it.
+    The base matrix's _bisection_tol serves every grid. With a ``mirror``
+    each matrix is first split into its _Grid.blocks, the one holding the
+    lowest level first; ``mirror`` gives that block's signs for _unfold, and
+    the other's are the opposite. A ladder is tried first (_ladder), in the
+    first configuration (folded when there is a ``mirror``); where it hits,
+    neither grid's inertia is counted, as the ladder's window checks and
+    counts from the floors certify both grids' levels. Otherwise block p of
+    the base grid supplies levels p, p + 2, ..., bisected by index
+    (_by_index) from its _inertia count. Folded, the levels must rise and no
+    block, also one that supplied none, may hold more levels in (floor, just
+    above the top one] than it supplied, or the whole matrices are solved.
+    Refined levels are bisected near the base ones (_in_windows), else by
+    index.
     """
-    tol, n = _bisection_tol(*coarse), coarse[0].size
-    folded = [] if mirror is None else [
-        (_fold(*coarse)[::-1 if lowest_second else 1], _fold(*fine))]
-    for coarse_blocks, fine_blocks in folded + [([coarse], [fine])]:
-        found = _ladder(coarse_blocks, fine_blocks, k, floors, ladder, tol) if ladder else None
-        ladder = ()
+    tol, n = _bisection_tol(*grids[-2].matrix), grids[-2].matrix[0].size
+    for folded in (True, False) if mirror is not None else (False,):
+        blocks = [grid.blocks(folded) for grid in grids]
+        found = _ladder(grids, blocks, k, tol) if len(grids) > 2 else None
+        grids = grids[-2:]
+        (coarse, fine), (coarse_blocks, fine_blocks) = grids, blocks[-2:]
         if found is None:
-            w = _by_index(coarse_blocks, k, _inertia(coarse_blocks, floors[0], below[0]))
-            if len(coarse_blocks) > 1 and not _counted(coarse_blocks, w, floors[0], tol):
+            w = _by_index(coarse_blocks, k, _inertia(coarse_blocks, coarse))
+            if folded and not _counted(coarse_blocks, w, coarse.floor, tol):
                 continue
-            firsts = _inertia(fine_blocks, floors[1], below[1])
-            w_fine = _in_windows(fine_blocks, w, tol, floors[1])
+            firsts = _inertia(fine_blocks, fine)
+            w_fine = _in_windows(fine_blocks, w, tol, fine.floor)
             found = w, (_by_index(fine_blocks, k, firsts) if w_fine is None else w_fine)
         vecs = None
         if vectors:
@@ -455,38 +481,6 @@ def _free_eigs(grid: QGrid, k: int, with_vectors: bool):
 _LADDER_ROWS = 250  # fewest rows (unfolded) of a ladder's n // 16 grid
 
 
-def _rung(matrix, r: float, even: bool, lowest_second: bool = False, floor: float = 0.0,
-          below: int = 0):
-    """One ladder entry (see _ladder): ``matrix`` as blocks (its two _fold
-    blocks when ``even``, swapped when ``lowest_second`` so that the block
-    holding the lowest level is first), its squared step r in base steps,
-    and the blocks' first indices, their _inertia counts at ``floor``
-    (``below`` in all; none for a Schrödinger matrix)."""
-    blocks = _fold(*matrix)[::-1 if lowest_second else 1] if even else [matrix]
-    return blocks, r, _inertia(blocks, floor, below)
-
-
-def _grid_ladder(potential: PotentialField, even: bool, k_states: int):
-    """_levels' ladder for ``potential``: its Schrödinger matrices on grids of
-    n // 16 and n // 32 nodes between the same walls (offset as its grid is;
-    averaged with their mirror and folded when ``even``), as _rung entries.
-    Empty where it does not pay (n // 16 under _LADDER_ROWS nodes), where a
-    coarse block could hold fewer than its share of k_states levels
-    (k_states > n // 64), and where a coarse grid has singular nodes."""
-    grid = potential.grid
-    if grid.n // 16 < _LADDER_ROWS or k_states > grid.n // 64:
-        return ()
-    ladder = []
-    for m in (16, 32):
-        field = potential.on_grid(QGrid(grid.lo, grid.hi, grid.n // m, grid.offset))
-        if np.any(field.singular):
-            return ()
-        matrix = _schrodinger(0.5 * (field.values + field.values[::-1]) if even
-                              else field.values, field.grid.h)
-        ladder.append(_rung(matrix, (field.grid.h / grid.h) ** 2, even))
-    return tuple(ladder)
-
-
 def solve_fixed(potential: PotentialField, k_states: int,
                 vectors: bool = True) -> SpectrumResult:
     """Lowest k_states eigenpairs of the fixed potential.
@@ -496,17 +490,15 @@ def solve_fixed(potential: PotentialField, k_states: int,
     base grid, normalized so that sum(phi^2) h = 1. With ``vectors=False``
     none is computed: each pair's phi is None and its nodes its index; the
     levels and error estimates are the same bit for bit, as _levels computes
-    the vectors after the levels. Both grids go through _levels, with min V
-    as each grid's floor and no eigenvalue under it: the h grid is bisected
-    by index and each h/2 level near its h level. From n = 4000 on,
-    _levels also gets a grid ladder (_grid_ladder), which bisects only the
-    n/16 and n/32 grids by index, and both the h and h/2 levels in windows
-    around their Richardson predictions (_ladder). Its levels lie within
-    2 tol of the index path's, tol the h grid's _bisection_tol; on any miss
-    the index path runs.
+    the vectors after the levels. The grids handed to _levels are the
+    potential's Schrödinger matrices on its own grid and the refined one,
+    each with its min V as floor, led by its matrices on n // 16 and n // 32
+    nodes between the same walls (offset as its grid is) where the n // 16
+    grid has _LADDER_ROWS nodes, k_states <= n // 64, and neither coarse grid
+    has a singular node.
 
-    A field whose values on both grids match their mirror (_symmetrized) is
-    averaged with it, (V + V[::-1]) / 2, and _levels folds it: the first
+    A field whose values on both grids match their mirror (_even) is
+    averaged with it on every grid, and _levels folds it: the first
     ceil(n/2) nodes make an even and an odd block (see _fold). Vector j has
     j sign changes, so the even block supplies levels 0, 2, 4, ... and the
     odd block 1, 3, ..., which Sturm counts certify (else the whole matrix
@@ -536,13 +528,24 @@ def solve_fixed(potential: PotentialField, k_states: int,
         fine = potential.on_grid(grid.refined())
         if np.any(fine.singular):
             raise SingularNodeError("refined grid produced singular nodes")
-        even = _symmetrized(potential.values, fine.values)
-        values, fine_values = even or (potential.values, fine.values)
-        lam, gap, vecs = _levels(
-            _schrodinger(values, grid.h), _schrodinger(fine_values, fine.grid.h), k_states,
-            (float(np.min(values)), float(np.min(fine_values))), (0, 0),
-            mirror=np.ones(grid.n // 2) if even else None, vectors=vectors,
-            ladder=_grid_ladder(potential, bool(even), k_states))
+        even = _even(potential.values, fine.values)
+
+        def grid_of(field: PotentialField) -> _Grid:
+            values = _mirror_average(field.values, even)
+            return _Grid(_schrodinger(values, field.grid.h), (field.grid.h / grid.h) ** 2,
+                         float(np.min(values)))
+
+        fields = [potential, fine]
+        if grid.n // 16 >= _LADDER_ROWS and k_states <= grid.n // 64:
+            ladder = []
+            for m in (16, 32):
+                ladder.append(potential.on_grid(QGrid(grid.lo, grid.hi, grid.n // m, grid.offset)))
+                if np.any(ladder[-1].singular):
+                    break
+            else:
+                fields = ladder + fields
+        lam, gap, vecs = _levels([grid_of(field) for field in fields], k_states,
+                                 np.ones(grid.n // 2) if even else None, vectors)
 
     pairs, energies = [], []
     for k in range(k_states):
@@ -646,41 +649,6 @@ def _h2_walls(u_fine: np.ndarray, d: float) -> bool:
     return True
 
 
-def _lattice_ladder(model: ModelSpec, tmap: TransformMap, grid: QGrid, u_fine: np.ndarray,
-                    even: bool, k_states: int):
-    """_levels' ladder for solve_exact on ``grid``: the staggered lattices over
-    n // 16 and n // 32 phi1 nodes between the same walls (averaged with their
-    mirror and folded when ``even``, the lowest level's block first), as
-    _rung entries whose first indices count each block's eigenvalues at or
-    under the lattice's inertia floor, m + 1 in all for m phi1 nodes. Empty
-    where it does not pay, as in _grid_ladder (the n // 16 lattice under
-    _LADDER_ROWS rows, or k_states > n // 64); where a wall of the fine
-    lattice ``u_fine`` is not _h2_walls', checked before any other work; and
-    where a lattice's inertia is not m + 1. The sites of both lattices are
-    inverted in one call.
-    """
-    n = grid.n
-    if 2 * (n // 16) + 1 < _LADDER_ROWS or k_states > n // 64 or not _h2_walls(
-            u_fine, 0.25 * grid.h):
-        return ()
-    lattices = [QGrid(grid.lo, grid.hi, n // m) for m in (16, 32)]
-    q = np.concatenate([g.lo + np.arange(1, 2 * g.n + 2) * (0.5 * g.h) for g in lattices])
-    order = np.argsort(q, kind="stable")
-    u_all = np.empty_like(q)
-    u_all[order] = u_values(model, tmap.inverse_grid(q[order]))
-    ladder = []
-    for lattice, u in zip(lattices, np.split(u_all, [2 * lattices[0].n + 1])):
-        if even:
-            u = 0.5 * (u + u[::-1])
-        try:
-            ladder.append(_rung(_staggered(u, lattice.h), (lattice.h / grid.h) ** 2, even,
-                                lattice.n % 2 == 0, _inertia_floor(u, lattice.h),
-                                lattice.n + 1))
-        except NonConvergenceError:
-            return ()
-    return tuple(ladder)
-
-
 def solve_exact(model: ModelSpec, tmap: TransformMap, n: int,
                 k_states: int, vectors: bool = True) -> SpectrumResult:
     """Lowest k_states positive energies of H = sigma_x p_q + sigma_z u(q), u = m v_F^2.
@@ -692,26 +660,23 @@ def solve_exact(model: ModelSpec, tmap: TransformMap, n: int,
     The map is inverted once, on the fine lattice (q = lo + j h/4); every
     coarse site (q = lo + j h/2) is bit for bit its every second site, and
     the phi1 nodes (``grid.nodes``) its every fourth, which the map caches.
-    Both lattices go through _levels, with n+1 (coarse) and 2n+2 (fine)
-    eigenvalues at or under the inertia floor. From n = 2000 on (and for
-    k_states <= n // 64), _levels also gets a lattice ladder
-    (_lattice_ladder) when both walls pass _h2_walls, read from the fine
-    lattice's u: it bisects only the lattices over n/16 and n/32 phi1 nodes by
-    index, from their inertia counts, and both lattices here in windows
-    around their Richardson predictions (_ladder). Its levels lie within
-    2 tol of the index path's, tol the coarse lattice's _bisection_tol; on
-    any miss, and at a wall with g < 1, the index path runs. Vectors have
+    The grids handed to _levels are the staggered lattices over n and 2n+1
+    phi1 nodes, each with n+1 and 2n+2 eigenvalues at or under its inertia
+    floor, led by the lattices over n // 16 and n // 32 phi1 nodes between
+    the same walls where the first has _LADDER_ROWS rows, k_states <= n // 64
+    and both walls of the fine lattice pass _h2_walls. The sites of both
+    coarse lattices are inverted in one call. Vectors have
     h sum(phi1^2 + chi^2) = 1 and phi1 > 0 at its largest sample (the first
     of equal ones). With ``vectors=False`` none is computed: each pair's phi
     and chi are None and its nodes its index, and the levels and error
     estimates are bit for bit the same.
 
-    When u matches its mirror (_symmetrized) the lattice commutes with
-    P = diag((-1)^j) J and is solved as two parity blocks (_fold, _levels),
-    or whole when _levels does not certify them. The lowest level sits in the
-    corner block (_levels' lowest_second) when n is even and in the centre's
-    when n is odd (so on the fine lattice, with 2n+1 phi1 nodes, always in
-    the centre's).
+    When u on the fine lattice matches its mirror (_even), u is averaged with
+    it on every lattice, which then commutes with P = diag((-1)^j) J and is
+    solved as two parity blocks (_fold, _levels), or whole when _levels does
+    not certify them. The lowest level sits in the corner block when the
+    number of phi1 nodes is even and in the centre's when it is odd (so on
+    the fine lattice, with 2n+1 phi1 nodes, always in the centre's).
     """
     if not 1 <= k_states <= n // 2:
         raise InsufficientResolutionError(f"cannot resolve {k_states} states on {n} nodes")
@@ -724,16 +689,25 @@ def solve_exact(model: ModelSpec, tmap: TransformMap, n: int,
     # fine site 4j is phi1 node j bit for bit: the lift and the exported potential reuse it
     tmap.remember(q_fine[3::4], x_fine[3::4])
     u_fine = u_values(model, x_fine)
-    even = _symmetrized(u_fine)
-    if even:
-        u_fine = even[0]
-    u = u_fine[1::2]
-    lam, gap, vecs = _levels(
-        _staggered(u, grid.h), _staggered(u_fine, 0.5 * grid.h), k_states,
-        (_inertia_floor(u, grid.h), _inertia_floor(u_fine, 0.5 * grid.h)), (n + 1, 2 * n + 2),
-        mirror=np.where(np.arange(n) % 2, 1.0, -1.0) if even else None,  # (-1)^(j+1)
-        lowest_second=n % 2 == 0, vectors=vectors,
-        ladder=_lattice_ladder(model, tmap, grid, u_fine, bool(even), k_states))
+    even = _even(u_fine)
+    u_fine = _mirror_average(u_fine, even)
+
+    def lattice(u: np.ndarray, h: float) -> _Grid:
+        m = u.size // 2  # phi1 nodes
+        return _Grid(_staggered(u, h), (h / grid.h) ** 2, _inertia_floor(u, h), m + 1, m % 2 == 0)
+
+    grids = [lattice(u_fine[1::2], grid.h), lattice(u_fine, 0.5 * grid.h)]
+    if 2 * (n // 16) + 1 >= _LADDER_ROWS and k_states <= n // 64 and _h2_walls(
+            u_fine, 0.25 * grid.h):
+        coarse = [QGrid(grid.lo, grid.hi, n // m) for m in (16, 32)]
+        q = np.concatenate([g.lo + np.arange(1, 2 * g.n + 2) * (0.5 * g.h) for g in coarse])
+        order = np.argsort(q, kind="stable")
+        u_all = np.empty_like(q)
+        u_all[order] = u_values(model, tmap.inverse_grid(q[order]))
+        grids = [lattice(_mirror_average(u, even), g.h)
+                 for g, u in zip(coarse, np.split(u_all, [2 * coarse[0].n + 1]))] + grids
+    mirror = np.where(np.arange(n) % 2, 1.0, -1.0) if even else None  # (-1)^(j+1)
+    lam, gap, vecs = _levels(grids, k_states, mirror, vectors)
     pairs, energies = [], []
     for k in range(k_states):
         e = float(lam[k])

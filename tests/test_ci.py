@@ -30,6 +30,9 @@ def test_workflow_parses_and_runs_declared_workloads():
     # and every one runs traced, so that each keeps the tracer's by-name wraps under test
     traced = set(re.findall(r"perfbench/run\.py --workload (\S+) .*--trace 1\b", runs))
     assert declared <= traced, f"workloads never traced: {sorted(declared - traced)}"
+    # and every one runs untraced, the timed path the benchmark measures
+    untraced = set(re.findall(r"perfbench/run\.py --workload (\S+) .*--trace 0\b", runs))
+    assert declared <= untraced, f"workloads never run untraced: {sorted(declared - untraced)}"
 
 
 def test_tier1_pins_blas_threads():

@@ -1001,6 +1001,22 @@ class TestScan:
         (tmp_path / "out" / "scan.csv").write_text("".join(lines[:-2]))
         assert main(["scan", "--config", cfg]) == 0
         assert (tmp_path / "out" / "scan.csv").read_text() == full
+        # a file cut inside a row does not end in a newline: the fragment and
+        # the rows of the point before it are computed again, so no row is
+        # glued onto the fragment and no point is left short of a row
+        kwargs.update(model__name="poschl_teller", model__m0=2.0, grid__n=400,
+                      solve__k_states=2, scan__min=2.0, scan__max=3.0, scan__steps=4)
+        cfg = write_config(tmp_path / "c.txt", **kwargs)
+        assert main(["scan", "--config", cfg]) == 0
+        path = tmp_path / "out" / "scan.csv"
+        full = path.read_bytes()
+        lines = full.splitlines(keepends=True)
+        second = next(i for i, line in enumerate(lines) if line.startswith(b"param")) + 3
+        for row in (0, 1):  # cut 9 bytes into the second point's first or second row
+            assert lines[second + row].split(b",")[1] == str(row).encode()
+            path.write_bytes(b"".join(lines[:second + row]) + lines[second + row][:9])
+            assert main(["scan", "--config", cfg]) == 0
+            assert path.read_bytes() == full
 
     def test_axis_flag_override(self, tmp_path):
         cfg = write_config(

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import math
 import sys
@@ -458,7 +459,9 @@ class TestRefinedBrackets:
         field = approx_potential(pt, QGrid(tmap.q_lo, tmap.q_hi, 64, offset=True), tmap)
         res = solve_fixed(field, 32)
         fine = field.on_grid(field.grid.refined())
-        values, fine_values = eigensolver._symmetrized(field.values, fine.values)
+        assert eigensolver._even(field.values, fine.values)
+        values, fine_values = (eigensolver._mirror_average(v, True)
+                               for v in (field.values, fine.values))
         base = eigensolver._fold(*eigensolver._schrodinger(values, field.grid.h))
         refined = eigensolver._fold(*eigensolver._schrodinger(fine_values, fine.grid.h))
         tol = eigensolver._bisection_tol(*eigensolver._schrodinger(values, field.grid.h))
@@ -498,7 +501,7 @@ def ladder_outcomes(monkeypatch):
 def index_path(field, k):
     """solve_fixed(field, k) without the grid ladder: the index path's levels."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(eigensolver, "_grid_ladder", lambda *args: ())
+        mp.setattr(eigensolver, "_LADDER_ROWS", math.inf)
         return solve_fixed(field, k)
 
 
@@ -603,6 +606,21 @@ class TestGridLadder:
                 (p.lam, p.error_estimate) for p in full.pairs]
             assert lean.energies == full.energies
 
+    def test_singular_coarse_node_takes_the_index_path(self, monkeypatch):
+        # q^2 + q is NaN at node 37 of the n/16 grid alone: no node of the base,
+        # refined or n/32 grid sits there, so the solve runs, without a ladder
+        bad = QGrid(-8.0, 8.0, 250, offset=True).nodes[37]
+        field = PotentialField.from_function(lambda q: np.where(q == bad, np.nan, q * q + q),
+                                             QGrid(-8.0, 8.0, 4000, offset=True))
+        for n, singular in ((4000, []), (8000, []), (250, [37]), (125, [])):
+            grid = QGrid(-8.0, 8.0, n, offset=True)
+            assert np.flatnonzero(field.on_grid(grid).singular).tolist() == singular
+        outcomes = ladder_outcomes(monkeypatch)
+        levels = [p.lam for p in solve_fixed(field, 3).pairs]
+        assert outcomes == []
+        assert levels == [p.lam for p in index_path(field, 3).pairs]
+        assert levels == pytest.approx([0.75, 2.75, 4.75], abs=1e-9)
+
 
 def lattice_case(name, g=None, m0=1.2):
     """(model, map) at alpha 1.2, v0 1.1: poschl_teller with m0 from
@@ -624,7 +642,7 @@ def lattice_tol(model, tmap, n):
 def lattice_index_path(model, tmap, n, k, vectors=True):
     """solve_exact without the lattice ladder: the index path's levels."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(eigensolver, "_lattice_ladder", lambda *args: ())
+        mp.setattr(eigensolver, "_LADDER_ROWS", math.inf)
         return solve_exact(model, tmap, n, k, vectors=vectors)
 
 
@@ -744,6 +762,63 @@ class TestLatticeLadder:
         with pytest.raises(NonConvergenceError, match=r"inertia: .*, not 2001$"):
             solve_exact(flipped, tmap, 2000, 1)
 
+
+# each solve's eigh_tridiagonal calls as a multiset of (select, tol is inf, rows):
+# vectorless, at alpha 1.2, v0 1.1 and m0 = g alpha / v0 for poschl_teller
+PINNED_CALLS = [
+    ("approximate", 2.0, 2000, 5, {("i", False, 1000): 2, ("v", False, 2000): 8,
+                                   ("v", True, 1000): 2, ("v", True, 2000): 2}),
+    ("approximate", 2.0, 8000, 5, {("i", False, 125): 2, ("i", False, 250): 2,
+                                   ("v", False, 4000): 5, ("v", False, 8000): 5,
+                                   ("v", True, 4000): 2, ("v", True, 8000): 2}),
+    ("approximate", 0.7, 8000, 5, {("i", False, 125): 2, ("i", False, 250): 2,
+                                   ("i", False, 4000): 2, ("v", False, 4000): 2,
+                                   ("v", False, 8000): 10, ("v", True, 4000): 2,
+                                   ("v", True, 8000): 2}),
+    ("exact", 2.0, 1000, 4, {("i", False, 1000): 1, ("i", False, 1001): 1,
+                             ("v", False, 2001): 4, ("v", False, 2002): 3,
+                             ("v", True, 1000): 2, ("v", True, 1001): 2,
+                             ("v", True, 2001): 2, ("v", True, 2002): 2}),
+    ("exact", 3.0, 2000, 4, {("i", False, 62): 1, ("i", False, 63): 1, ("i", False, 125): 1,
+                             ("i", False, 126): 1, ("v", False, 2000): 2,
+                             ("v", False, 2001): 2, ("v", False, 4001): 2,
+                             ("v", False, 4002): 2, ("v", True, 62): 1, ("v", True, 63): 1,
+                             ("v", True, 125): 1, ("v", True, 126): 1, ("v", True, 2000): 1,
+                             ("v", True, 2001): 1, ("v", True, 4001): 1,
+                             ("v", True, 4002): 1}),
+    ("exact", 0.7, 2000, 4, {("i", False, 2000): 1, ("i", False, 2001): 1,
+                             ("v", False, 4001): 4, ("v", False, 4002): 4,
+                             ("v", True, 2000): 2, ("v", True, 2001): 2,
+                             ("v", True, 4001): 2, ("v", True, 4002): 2}),
+    ("tilted", None, 4000, 3, {("i", False, 125): 1, ("i", False, 250): 1,
+                               ("v", False, 4000): 3, ("v", False, 8000): 3,
+                               ("v", True, 4000): 1, ("v", True, 8000): 1}),
+]
+
+
+class TestLapackCalls:
+    """Each solver path makes a fixed set of LAPACK bisections: the index path,
+    the grid ladder's hit and its band miss, the lattice ladder, the band
+    lattice that builds none, and a field solved whole."""
+
+    @pytest.mark.parametrize("mode,g,n,k,calls", PINNED_CALLS,
+                             ids=[f"{c[0]}-g{c[1]}-n{c[2]}" for c in PINNED_CALLS])
+    def test_call_multiset(self, monkeypatch, mode, g, n, k, calls):
+        logged = []
+        real = eigensolver.eigh_tridiagonal
+
+        def spy(d, e, **kwargs):
+            logged.append((kwargs["select"], kwargs.get("tol") == math.inf, d.size))
+            return real(d, e, **kwargs)
+
+        monkeypatch.setattr(eigensolver, "eigh_tridiagonal", spy)
+        if mode == "tilted":
+            solve_fixed(ladder_field("tilted", n), k, vectors=False)
+        else:
+            model, tmap = lattice_case("poschl_teller", g)
+            solve = solve_approximate if mode == "approximate" else solve_exact
+            solve(model, tmap, n, k, vectors=False)
+        assert collections.Counter(logged) == calls
 
 class TestLapackBinding:
     """The package's eigh_tridiagonal is scipy.linalg's with eigvals_only=True,
@@ -888,7 +963,7 @@ def assert_same_states(folded, full, tol):
 def unfolded(solve, *args):
     """``solve(*args)`` on the whole matrices, with the parity fold switched off."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(eigensolver, "_symmetrized", lambda *samples: None)
+        mp.setattr(eigensolver, "_even", lambda *samples: False)
         return solve(*args)
 
 
@@ -897,16 +972,16 @@ class TestParityFold:
 
     def test_mirror_test(self):
         v = np.array([3.0, -1.0, 0.5, -1.0, 3.0])
-        assert eigensolver._symmetrized(v, v[1:-1]) is not None
+        assert eigensolver._even(v, v[1:-1])
         for gap, even in ((0.9e-8, True), (1.1e-8, False)):  # of the end samples' magnitude
             near = v.copy()
             near[-1] *= 1.0 + gap
-            sym = eigensolver._symmetrized(near)
-            assert (sym is not None) == even
+            assert eigensolver._even(near) == even
             if even:
-                assert np.array_equal(sym[0], sym[0][::-1])
-        assert eigensolver._symmetrized(v, np.array([1.0, 2.0])) is None
-        assert eigensolver._symmetrized(np.array([np.nan, 1.0, np.nan])) is None
+                sym = eigensolver._mirror_average(near, True)
+                assert np.array_equal(sym, sym[::-1])
+        assert not eigensolver._even(v, np.array([1.0, 2.0]))
+        assert not eigensolver._even(np.array([np.nan, 1.0, np.nan]))
 
     @pytest.mark.parametrize("k", [1, 4, 5])
     @pytest.mark.parametrize("name,n,offset", [
@@ -917,8 +992,7 @@ class TestParityFold:
         model = builtin_model(name, alpha=1.43, v0=1.9, m0=2.63)
         tmap = build_transform(model.velocity, model.anchor)
         field = approx_potential(model, QGrid(tmap.q_lo, tmap.q_hi, n, offset=offset), tmap)
-        assert eigensolver._symmetrized(field.values,
-                                        field.on_grid(field.grid.refined()).values) is not None
+        assert eigensolver._even(field.values, field.on_grid(field.grid.refined()).values)
         full = unfolded(solve_fixed, field, k)
         tol = eigensolver._bisection_tol(*eigensolver._schrodinger(field.values, field.grid.h))
         folded = solve_fixed(field, k)
@@ -1036,7 +1110,7 @@ def fold_switch(monkeypatch, whole):
     """Switch the parity fold off (whole), or log the sizes _fold is called on."""
     folds = []
     if whole:
-        monkeypatch.setattr(eigensolver, "_symmetrized", lambda *samples: None)
+        monkeypatch.setattr(eigensolver, "_even", lambda *samples: False)
     else:
         real = eigensolver._fold
         monkeypatch.setattr(eigensolver, "_fold", lambda d, e: folds.append(d.size) or real(d, e))
