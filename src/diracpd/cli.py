@@ -42,7 +42,7 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import _csvfloat, analytic
+from . import _csvfloat
 from .eigensolver import (
     EigenPair,
     SpectrumResult,
@@ -64,7 +64,8 @@ from .potential import (
     exact_potential,
     potential_discrepancy_report,
 )
-from .profiles import MODEL_NAMES, ModelSpec, builtin_model, detect_constant_u
+from .profiles import (AS_PUBLISHED, MODEL_NAMES, AnalyticSpectrum, ModelSpec, builtin_model,
+                       detect_constant_u)
 from .spinor import bic_family, normalize, observables, reconstruct
 from .transform import TransformMap, build_transform
 
@@ -75,6 +76,11 @@ EXIT_COMPARE = 4
 
 _MODES = ("auto", "exact", "approximate", "constant-u")
 _OUTPUTS = ("spectrum", "wavefunctions", "potential", "bic", "discrepancy")
+_VARIANTS = ("verified", "as-published")
+# the value a config key takes when left out, as config text; --help shows those it lists
+_DEFAULTS = {"mode": "auto", "grid.n": "2000", "solve.k_states": "3", "compare.tol": "1e-5",
+             "analytic.variant": "verified", "outputs": "spectrum", "out.dir": "out",
+             "scan.min": "0", "scan.max": "0", "scan.steps": "0"}
 # rows formatted and written at a time: at 8 columns the numpy path's
 # largest arrays (32 bytes a cell) stay below 128 KiB, glibc's default
 # threshold for fresh mmap pages, whose faults made 512 rows 1.6x slower a cell
@@ -145,8 +151,19 @@ def _number(key: str, text: str, kind=float):
     return value
 
 
-def _get_number(cfg: Dict[str, str], key: str, default, kind=float):
-    return _number(key, cfg[key], kind) if key in cfg else default
+def _get_number(cfg: Dict[str, str], key: str, kind=float):
+    return _number(key, cfg.get(key, _DEFAULTS[key]), kind)
+
+
+def _choice(key: str, word: str, choices: Sequence[str]) -> str:
+    if word not in choices:
+        raise ConfigError(f"config key {key!r}: unknown value {word!r} "
+                          f"(choose from {', '.join(choices)})")
+    return word
+
+
+def _get_choice(cfg: Dict[str, str], key: str, choices: Sequence[str]) -> str:
+    return _choice(key, cfg.get(key, _DEFAULTS[key]).strip().lower().replace("_", "-"), choices)
 
 
 def build_run_config(cfg: Dict[str, str], args: argparse.Namespace) -> RunConfig:
@@ -160,15 +177,10 @@ def build_run_config(cfg: Dict[str, str], args: argparse.Namespace) -> RunConfig
     if getattr(args, "axis", None):
         try:
             name, rng = args.axis.split("=", 1)
-            lo, hi, steps = rng.split(":")
+            cfg["scan.min"], cfg["scan.max"], cfg["scan.steps"] = rng.split(":")
             cfg["scan.param"] = name.strip()
-            cfg["scan.min"] = lo
-            cfg["scan.max"] = hi
-            cfg["scan.steps"] = steps
         except ValueError as exc:
-            raise ConfigError(
-                f"--axis expects name=min:max:steps, got {args.axis!r}"
-            ) from exc
+            raise ConfigError(f"--axis expects name=min:max:steps, got {args.axis!r}") from exc
 
     if "model.name" not in cfg:
         raise ConfigError("config key 'model.name' is required")
@@ -176,33 +188,23 @@ def build_run_config(cfg: Dict[str, str], args: argparse.Namespace) -> RunConfig
     params = {key[len("model."):]: _number(key, value) for key, value in cfg.items()
               if key.startswith("model.") and key != "model.name"}
 
-    mode = cfg.get("mode", "auto").strip().lower().replace("_", "-")
-    if mode not in _MODES:
-        raise ConfigError(f"config key 'mode': unknown mode {mode!r}")
+    mode = _get_choice(cfg, "mode", _MODES)
 
-    grid_n = _get_number(cfg, "grid.n", 2000, int)
+    grid_n = _get_number(cfg, "grid.n", int)
     if grid_n < 64:
         raise ConfigError("config key 'grid.n': node count must be >= 64")
-    k_states = _get_number(cfg, "solve.k_states", 3, int)
+    k_states = _get_number(cfg, "solve.k_states", int)
     if k_states < 1:
         raise ConfigError("config key 'solve.k_states': must be >= 1")
 
-    compare_tol = _get_number(cfg, "compare.tol", 1e-5)
+    compare_tol = _get_number(cfg, "compare.tol")
     if compare_tol <= 0:
         raise ConfigError("config key 'compare.tol': tolerance must be > 0")
 
-    outputs_raw = cfg.get("outputs", "spectrum")
-    outputs = tuple(tok.strip() for tok in outputs_raw.split(",") if tok.strip())
-    for tok in outputs:
-        if tok not in _OUTPUTS:
-            raise ConfigError(
-                f"config key 'outputs': unknown artifact {tok!r} "
-                f"(choose from {', '.join(_OUTPUTS)})"
-            )
+    outputs = tuple(_choice("outputs", tok.strip(), _OUTPUTS)
+                    for tok in cfg.get("outputs", _DEFAULTS["outputs"]).split(",") if tok.strip())
 
-    variant = cfg.get("analytic.variant", "verified").strip().lower().replace("_", "-")
-    if variant not in ("verified", "as-published"):
-        raise ConfigError("config key 'analytic.variant': verified or as-published")
+    variant = _get_choice(cfg, "analytic.variant", _VARIANTS)
     if variant == "as-published" and mode == "exact":
         raise ConfigError("config keys 'mode' and 'analytic.variant': the as-published "
                           "level family is an approximate-mode claim; exact mode has none")
@@ -219,14 +221,14 @@ def build_run_config(cfg: Dict[str, str], args: argparse.Namespace) -> RunConfig
         k_states=k_states,
         compare_tol=compare_tol,
         outputs=outputs,
-        out_dir=cfg.get("out.dir", "out"),
+        out_dir=cfg.get("out.dir", _DEFAULTS["out.dir"]),
         strict=bool(args.strict),
         variant=variant,
         bic_energies=tuple(bic_energies),
         scan_param=cfg.get("scan.param"),
-        scan_min=_get_number(cfg, "scan.min", 0.0),
-        scan_max=_get_number(cfg, "scan.max", 0.0),
-        scan_steps=_get_number(cfg, "scan.steps", 0, int),
+        scan_min=_get_number(cfg, "scan.min"),
+        scan_max=_get_number(cfg, "scan.max"),
+        scan_steps=_get_number(cfg, "scan.steps", int),
     )
 
 
@@ -303,29 +305,33 @@ def run_solve_pipeline(rc: RunConfig, model: Optional[ModelSpec] = None,
     return SolveOutcome(model, tmap, mode, a_const, result)
 
 
-Reference = List[Optional[analytic.AnalyticSpectrum]]
+Reference = List[Optional[AnalyticSpectrum]]
 
 
-def _analytic_reference(rc: RunConfig, model: ModelSpec, count: int, mode: str) -> Reference:
-    """Closed-form entries for levels 0..count-1 of ``mode``; None where undefined."""
-    out = []
-    for k in range(count):
+def _paired_levels(rc: RunConfig, outcome: SolveOutcome):
+    """(E_plus of each level, reference, _match_levels rows) of a solve: the one
+    pairing solve, report and scan show. The reference holds the closed-form
+    entries 0.. of the resolved mode, None where undefined: k_states + 3 of
+    them, or one per level if that is more, so that an as-published family
+    holds a member near every level it has."""
+    numeric = [e[0] for e in outcome.result.energies]
+    facts, reference = outcome.model.facts, []
+    for k in range(max(rc.k_states + 3, len(numeric))):
         try:
-            out.append(model.facts.level(model.facts.first_level + k,
-                                         as_published=rc.variant == "as-published",
-                                         exact=mode == "exact"))
+            reference.append(facts.level(facts.first_level + k, exact=outcome.mode == "exact",
+                                         as_published=rc.variant == "as-published"))
         except (InvalidParameterError, ImaginaryEnergyError):
-            out.append(None)
-    return out
+            reference.append(None)
+    return numeric, reference, _match_levels(numeric, reference)
 
 
 def _interleaved(reference: Reference) -> bool:
     """An as-published family may skip numeric levels, so it is matched by nearest member."""
-    return any(r is not None and r.provenance == analytic.AS_PUBLISHED for r in reference)
+    return any(r is not None and r.provenance == AS_PUBLISHED for r in reference)
 
 
 def _match_levels(numeric: Sequence[float], reference: Reference
-                  ) -> List[Tuple[int, float, Optional[analytic.AnalyticSpectrum], float, str]]:
+                  ) -> List[Tuple[int, float, Optional[AnalyticSpectrum], float, str]]:
     """Rows (index, E_num, reference entry, rel_dev, note).
 
     Level k is matched to entry k, or, for an as-published family, to its
@@ -351,19 +357,10 @@ def _match_levels(numeric: Sequence[float], reference: Reference
 
 def _header_lines(rc: RunConfig, artifact: str, mode: str,
                   grid: Optional[QGrid]) -> List[str]:
-    lines = [
-        f"# diracpd {artifact}",
-        f"# config_hash = {rc.config_hash()}",
-        f"# mode = {mode}",
-    ]
+    lines = [f"# diracpd {artifact}", f"# config_hash = {rc.config_hash()}", f"# mode = {mode}"]
     if grid is not None:
-        lines += [
-            f"# grid_n = {grid.n}",
-            f"# grid_h = {_fmt(grid.h)}",
-            f"# q_lo = {_fmt(grid.lo)}",
-            f"# q_hi = {_fmt(grid.hi)}",
-            f"# grid_offset = {str(grid.offset).lower()}",
-        ]
+        lines += [f"# grid_n = {grid.n}", f"# grid_h = {_fmt(grid.h)}", f"# q_lo = {_fmt(grid.lo)}",
+                  f"# q_hi = {_fmt(grid.hi)}", f"# grid_offset = {str(grid.offset).lower()}"]
     return lines
 
 
@@ -431,9 +428,7 @@ def cmd_solve(rc: RunConfig) -> int:
         _require_constant_u(model, outcome.a_const, "output 'bic'")
     os.makedirs(rc.out_dir, exist_ok=True)
 
-    numeric = [e[0] for e in result.energies]
-    reference = _analytic_reference(rc, model, max(rc.k_states + 3, len(numeric)), mode)
-    rows = _match_levels(numeric, reference)
+    numeric, reference, rows = _paired_levels(rc, outcome)
 
     print(f"{model.label}: " + (f"mode={mode}, grid n={grid.n} h={grid.h:.3e} "
                                 f"offset={grid.offset}" if grid else
@@ -538,19 +533,20 @@ def cmd_scan(rc: RunConfig) -> int:
     columns = "param,n,E_numeric,E_analytic,status\n"
     if os.path.exists(path):
         with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines(keepends=True)
+            text = fh.read()
+        # a row cut short has no final newline: it is dropped
+        lines = text[:text.rfind("\n") + 1].splitlines(keepends=True)
         keys = [None if line.startswith(("#", "param")) else line.split(",", 1)[0]
                 for line in lines]
-        cut = bool(lines) and not lines[-1].endswith("\n")
-        if cut:
-            # a row cut short: drop it, and the rows of the point before it,
-            # which the cut may have left short of its last rows
-            del lines[-1], keys[-1]
-            last = keys[-1] if keys else None
-            while keys and last is not None and keys[-1] == last:
-                del lines[-1], keys[-1]
-        if header[1] + "\n" in lines and (columns in lines or not cut):
-            if cut:
+        if header[1] + "\n" in lines and columns in lines:
+            # the last point is done when it holds k_states rows or its one
+            # error row; else its rows are dropped and it is solved again
+            last = len(keys)
+            while last and keys[last - 1] is not None and keys[last - 1] == keys[-1]:
+                last -= 1
+            if not (len(keys) - last in (0, rc.k_states) or ",-,nan,nan,error:" in lines[-1]):
+                del lines[last:], keys[last:]
+            if "".join(lines) != text:
                 with open(path, "w", encoding="utf-8", newline="\n") as fh:
                     fh.writelines(lines)
             done = set(keys) - {None}
@@ -589,11 +585,10 @@ def _scan_point(rc: RunConfig, value: float,
         if model.map_key is None or model.map_key != held[0]:
             held = (model.map_key, build_transform(model.velocity, model.anchor))
         outcome = run_solve_pipeline(rc, model=model, tmap=held[1], vectors=False)
-        energies = outcome.result.energies
-        # row k holds level k of the resolved mode beside its closed-form entry k
-        reference = _analytic_reference(rc, model, len(energies), outcome.mode)
-        return [(key, str(k), _fmt(e_plus), _fmt(ref.e_plus) if ref else "nan", "ok")
-                for k, ((e_plus, _), ref) in enumerate(zip(energies, reference))], held
+        # row k holds level k beside the entry solve prints for it: nan when none
+        # is defined or the level is interleaved in an as-published family
+        return [(key, str(k), _fmt(e_num), _fmt(ref.e_plus) if ref else "nan", "ok")
+                for k, e_num, ref, _, _ in _paired_levels(rc, outcome)[2]], held
     except (NumericalError, ConfigError, InvalidParameterError) as exc:
         return [(key, "-", "nan", "nan", f"error:{type(exc).__name__}")], held
 
@@ -646,14 +641,13 @@ def _report_levels(rc: RunConfig, model: ModelSpec, tmap: TransformMap) -> None:
                 print(f"  n={n}: {exc}")
         return
     outcome = run_solve_pipeline(rc, model=model, tmap=tmap, vectors=False)
-    numeric = [e[0] for e in outcome.result.energies]
-    reference = _analytic_reference(rc, model, rc.k_states + 2, outcome.mode)
+    _, reference, rows = _paired_levels(rc, outcome)
     as_pub = _interleaved(reference)
     # the published family is a claim about approximate-mode levels
     stride = 0 if as_pub or outcome.mode != "approximate" else facts.published_stride
     print(f"numeric levels vs the {'as-published' if as_pub else 'verified'} "
           f"{outcome.mode}-mode reference" + (f", beside the {facts.published}:" if stride else ":"))
-    for idx, e_num, ref, rel, note in _match_levels(numeric, reference):
+    for idx, e_num, ref, rel, note in rows:
         tag = note or (f"matches n={ref.n} rel={rel:.2e}" if ref is not None else "")
         if stride and ref is not None:
             k = ref.n - facts.first_level
@@ -665,28 +659,33 @@ def _report_levels(rc: RunConfig, model: ModelSpec, tmap: TransformMap) -> None:
 # Entry point
 # ---------------------------------------------------------------------------
 
-_COMMANDS = (
-    ("solve", "solve the spectrum and write artifacts"),
-    ("scan", "solve along one parameter axis (--axis belongs here only)"),
-    ("bic", "build continuum-family states at listed energies"),
-    ("report", "potential discrepancy adjudication"),
+_COMMANDS = {  # name: (runner, what it does)
+    "solve": (cmd_solve, "solve the spectrum and write artifacts"),
+    "scan": (cmd_scan, "solve along one parameter axis (--axis belongs here only)"),
+    "bic": (cmd_bic, "build continuum-family states at listed energies"),
+    "report": (cmd_report, "potential discrepancy adjudication"),
+}
+
+_KEYS = (  # (config key, what it holds); a key in _DEFAULTS also shows its default
+    ("model.name", " | ".join(MODEL_NAMES)),
+    ("model.<param>", "model parameters (alpha, v0, m0, A, c as applicable)"),
+    ("mode", " | ".join(_MODES)),
+    ("grid.n", "interior nodes, >= 64"),
+    ("solve.k_states", "number of states"),
+    ("compare.tol", "strict-mode comparison tolerance"),
+    ("analytic.variant", " | ".join(_VARIANTS)),
+    ("outputs", ",".join(_OUTPUTS)),
+    ("out.dir", "output directory"),
+    ("bic.energies", "comma list of energies for bic states"),
+    ("scan.param/min/max/steps", "scan axis"),
 )
 
-_EPILOG = "commands:\n" + "".join(f"  {name:22s}{text}\n" for name, text in _COMMANDS) + """
-config keys:
-""" + textwrap.fill(" | ".join(MODEL_NAMES), 72, initial_indent="  model.name" + " " * 12,
-                    subsequent_indent=" " * 24) + """
-  model.<param>         model parameters (alpha, v0, m0, A, c as applicable)
-  mode                  auto | exact | approximate | constant-u  [auto]
-  grid.n                interior nodes, >= 64                    [2000]
-  solve.k_states        number of states                         [3]
-  compare.tol           strict-mode comparison tolerance         [1e-5]
-  analytic.variant      verified | as-published                  [verified]
-  outputs               spectrum,wavefunctions,potential,bic,discrepancy
-  out.dir               output directory                         [out]
-  bic.energies          comma list of energies for bic states
-  scan.param/min/max/steps   scan axis
-"""
+_EPILOG = "\n".join([
+    "commands:", *(f"  {name:22s}{text}" for name, (_, text) in _COMMANDS.items()),
+    "", "config keys:",
+    *(textwrap.fill(f"{text:39s}  [{_DEFAULTS[key]}]" if key in _DEFAULTS else text, 78,
+                    initial_indent=f"  {key:21s} ", subsequent_indent=" " * 24)
+      for key, text in _KEYS), ""])
 
 
 @functools.cache
@@ -701,7 +700,7 @@ def _make_parser() -> argparse.ArgumentParser:
         epilog=_EPILOG,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    parser.add_argument("command", choices=[name for name, _ in _COMMANDS],
+    parser.add_argument("command", choices=list(_COMMANDS),
                         help="what to run (see commands below)")
     parser.add_argument("--config", required=True, help="path to key=value config")
     parser.add_argument("--out", default=None, help="output directory override")
@@ -719,15 +718,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if args.axis is not None and args.command != "scan":
             raise ConfigError(f"--axis belongs to the scan command, not {args.command!r}")
-        cfg = parse_config(args.config)
-        rc = build_run_config(cfg, args)
-        if args.command == "solve":
-            return cmd_solve(rc)
-        if args.command == "scan":
-            return cmd_scan(rc)
-        if args.command == "bic":
-            return cmd_bic(rc)
-        return cmd_report(rc)
+        return _COMMANDS[args.command][0](build_run_config(parse_config(args.config), args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

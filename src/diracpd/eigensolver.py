@@ -20,7 +20,8 @@ ladder of the same operator on n/16 and n/32 nodes. A record holds the
 grid's whole matrix, its squared step in base steps, the floor its levels
 are counted from and how many eigenvalues lie at or under that floor.
 _levels owns the tolerance, the parity fold and its fallback, the
-Richardson step and the vectors.
+Richardson step and the vectors. One h^2 law (_h2) gives both the
+Richardson level and the ladder's predictions.
 
 Without a ladder the base grid is bisected by index from the whole
 spectrum. Each refined level is bisected in a narrow window around its base
@@ -38,13 +39,13 @@ interval takes about 50 (Barth, Martin & Wilkinson, Numer. Math. 9 (1967)
 386). The same window checks and one Sturm count per parity block certify
 each grid; on any miss the solve takes the ladderless path. The ladder's
 levels lie within 2 tol of that path's, tol the base grid's
-_bisection_tol. A ladder is built where its n/16 grid has _LADDER_ROWS
-rows (n >= 4000 for solve_fixed, n >= 2000 for the lattice of
-solve_exact) and k <= n/64; in exact mode, only when each wall of the
-lattice is regular or singular with u ~ g/d, g >= 1 (_h2_walls): in the
-g < 1 band of poschl_teller the lattice error is not h^2 and the windows
-would miss. Approximate mode tries its ladder whatever the wall, and
-misses in that band; constant-u mode needs none.
+_bisection_tol. Both solvers build a ladder where _ladder_pays: its n/16
+grid has _LADDER_ROWS rows (n >= 4000 for solve_fixed, n >= 2000 for the
+lattice of solve_exact) and k <= n/64; in exact mode, only when each wall
+of the lattice is regular or singular with u ~ g/d, g >= 1 (_h2_walls): in
+the g < 1 band of poschl_teller the lattice error is not h^2 and the
+windows would miss. Approximate mode tries its ladder whatever the wall,
+and misses in that band; constant-u mode needs none.
 
 When the sampled potential (or u, on the lattice) matches its mirror to
 1e-8 relative, as the paper's even models do on their whole q-range, it
@@ -333,10 +334,12 @@ def _counted(blocks, w: np.ndarray, floor: float, tol: float) -> bool:
         _count(*block, floor, top) == w[p::size].size for p, block in enumerate(blocks))
 
 
-def _extrapolated(a: np.ndarray, b: np.ndarray, ra: float, rb: float, rt: float) -> np.ndarray:
+def _h2(a: np.ndarray, b: np.ndarray, ra: float, rb: float, rt: float) -> np.ndarray:
     """Levels at squared step rt, from levels a and b at squared steps ra and
-    rb, by the h^2 law lambda(h) = lambda + c h^2."""
-    return a + (a - b) * ((rt - ra) / (ra - rb))
+    rb, by the h^2 law lambda(h) = lambda + c h^2 (Sidi, Practical
+    Extrapolation Methods, CUP 2003): rt = 0 is the Richardson level, which
+    for ra = 1, rb = 1/4 is (4 b - a) / 3 bit for bit."""
+    return (a * (rt - rb) - b * (rt - ra)) / (ra - rb)
 
 
 def _in_windows(blocks, guesses: np.ndarray, tol: float, floor: float,
@@ -392,12 +395,12 @@ def _ladder(grids, blocks, k: int, tol: float):
         return None
     g16, g32, coarse, fine = grids
     w16 = _by_index(blocks[0], k, firsts[0])
-    guess = _extrapolated(w16, _by_index(blocks[1], k, firsts[1]), g16.r, g32.r, coarse.r)
+    guess = _h2(w16, _by_index(blocks[1], k, firsts[1]), g16.r, g32.r, coarse.r)
     w = _in_windows(blocks[2], guess, tol, coarse.floor,
                     np.maximum(1e-2 * np.abs(guess - w16), tol))
     if w is None:
         return None
-    w_fine = _in_windows(blocks[3], _extrapolated(w, w16, coarse.r, g16.r, fine.r), tol,
+    w_fine = _in_windows(blocks[3], _h2(w, w16, coarse.r, g16.r, fine.r), tol,
                          fine.floor, np.maximum(0.1 * np.abs(w - guess), 4.0 * tol))
     return None if w_fine is None else (w, w_fine)
 
@@ -418,10 +421,10 @@ def _inertia(blocks, grid: _Grid) -> List[int]:
 def _levels(grids, k: int, mirror=None, vectors: bool = True):
     """(levels, gap, unit vectors) of the k levels over the floor of a grid
     sequence of _Grid records, (base, refined) or with a ladder (n/16, n/32,
-    base, refined): _richardson's levels and gaps of the base and refined
-    grids, and the base vectors (None unless ``vectors``). The levels do not
-    depend on ``vectors``: the vectors come last, one _eigenvectors call per
-    block on its certified base levels.
+    base, refined): the base and refined grids' Richardson levels (_h2 at
+    step 0) and gaps |w - w_fine|, and the base vectors (None unless
+    ``vectors``), which come last, one _eigenvectors call per block on its
+    certified base levels, so the levels do not depend on them.
 
     The base matrix's _bisection_tol serves every grid. With a ``mirror``
     each matrix is first split into its _Grid.blocks, the one holding the
@@ -456,29 +459,30 @@ def _levels(grids, k: int, mirror=None, vectors: bool = True):
             for p, block in enumerate(coarse_blocks[:k]):
                 psi = _eigenvectors(*block, found[0][p::size])
                 vecs[:, p::size] = psi if size == 1 else _unfold(psi, n, (1 - 2 * p) * mirror)
-        return (*_richardson(*found), vecs)
-
-
-def _richardson(w: np.ndarray, w_fine: np.ndarray):
-    """(4 w_fine - w) / 3, the levels with the h^2 error removed, and
-    |w - w_fine|, which sets their error estimates."""
-    return (4.0 * w_fine - w) / 3.0, np.abs(w - w_fine)
+        w, w_fine = found
+        return _h2(w, w_fine, coarse.r, fine.r, 0.0), np.abs(w - w_fine), vecs
 
 
 def _free_eigs(grid: QGrid, k: int, with_vectors: bool):
     """Lowest k eigenpairs of tridiag(-1, 2, -1)/h^2 of order n, in closed form.
 
     lam_k = (2/h sin(k pi / (2(n+1))))^2 and phi_k[j] = sin(j k pi / (n+1))
-    (DST-I); they depend on n and h only, so offset grids are no exception.
+    (DST-I), the vectors None unless ``with_vectors``; they depend on n and
+    h only, so offset grids are no exception.
     """
     n, ks = grid.n, np.arange(1, k + 1)
     w = (2.0 / grid.h * np.sin(ks * (math.pi / (2 * (n + 1))))) ** 2
-    if not with_vectors:
-        return w
-    return w, np.sin(np.outer(np.arange(1, n + 1), ks) * (math.pi / (n + 1)))
+    return w, (np.sin(np.outer(np.arange(1, n + 1), ks) * (math.pi / (n + 1)))
+               if with_vectors else None)
 
 
 _LADDER_ROWS = 250  # fewest rows (unfolded) of a ladder's n // 16 grid
+
+
+def _ladder_pays(rows: int, n: int, k: int) -> bool:
+    """Whether a ladder leads a solve of k levels on n nodes: its n // 16 grid
+    has ``rows`` >= _LADDER_ROWS rows, and k <= n // 64."""
+    return rows >= _LADDER_ROWS and k <= n // 64
 
 
 def solve_fixed(potential: PotentialField, k_states: int,
@@ -493,9 +497,8 @@ def solve_fixed(potential: PotentialField, k_states: int,
     the vectors after the levels. The grids handed to _levels are the
     potential's Schrödinger matrices on its own grid and the refined one,
     each with its min V as floor, led by its matrices on n // 16 and n // 32
-    nodes between the same walls (offset as its grid is) where the n // 16
-    grid has _LADDER_ROWS nodes, k_states <= n // 64, and neither coarse grid
-    has a singular node.
+    nodes between the same walls (offset as its grid is) where _ladder_pays
+    and neither coarse grid has a singular node.
 
     A field whose values on both grids match their mirror (_even) is
     averaged with it on every grid, and _levels folds it: the first
@@ -509,20 +512,17 @@ def solve_fixed(potential: PotentialField, k_states: int,
         raise InvalidParameterError("k_states must be >= 1")
     grid = potential.grid
     if np.any(potential.singular):
-        raise SingularNodeError(
-            "potential carries singular interior nodes; shrink the grid or "
-            "use an offset grid"
-        )
+        raise SingularNodeError("potential carries singular interior nodes; shrink the grid "
+                                "or use an offset grid")
     if k_states > grid.n // 2:
-        raise InsufficientResolutionError(
-            f"cannot resolve {k_states} states on {grid.n} nodes"
-        )
+        raise InsufficientResolutionError(f"cannot resolve {k_states} states on {grid.n} nodes")
 
     if potential.mode == CONSTANT_U:
         offset = float(potential.constant_a) ** 2
-        found = _free_eigs(grid, k_states, with_vectors=vectors)
-        w, vecs = found if vectors else (found, None)
-        lam, gap = _richardson(w, _free_eigs(grid.refined(), k_states, with_vectors=False))
+        w, vecs = _free_eigs(grid, k_states, with_vectors=vectors)
+        fine = grid.refined()
+        w_fine = _free_eigs(fine, k_states, with_vectors=False)[0]
+        lam, gap = _h2(w, w_fine, 1.0, (fine.h / grid.h) ** 2, 0.0), np.abs(w - w_fine)
     else:
         offset = 0.0
         fine = potential.on_grid(grid.refined())
@@ -536,7 +536,7 @@ def solve_fixed(potential: PotentialField, k_states: int,
                          float(np.min(values)))
 
         fields = [potential, fine]
-        if grid.n // 16 >= _LADDER_ROWS and k_states <= grid.n // 64:
+        if _ladder_pays(grid.n // 16, grid.n, k_states):
             ladder = []
             for m in (16, 32):
                 ladder.append(potential.on_grid(QGrid(grid.lo, grid.hi, grid.n // m, grid.offset)))
@@ -663,7 +663,7 @@ def solve_exact(model: ModelSpec, tmap: TransformMap, n: int,
     The grids handed to _levels are the staggered lattices over n and 2n+1
     phi1 nodes, each with n+1 and 2n+2 eigenvalues at or under its inertia
     floor, led by the lattices over n // 16 and n // 32 phi1 nodes between
-    the same walls where the first has _LADDER_ROWS rows, k_states <= n // 64
+    the same walls where _ladder_pays (the first has 2 (n // 16) + 1 rows)
     and both walls of the fine lattice pass _h2_walls. The sites of both
     coarse lattices are inverted in one call. Vectors have
     h sum(phi1^2 + chi^2) = 1 and phi1 > 0 at its largest sample (the first
@@ -697,8 +697,7 @@ def solve_exact(model: ModelSpec, tmap: TransformMap, n: int,
         return _Grid(_staggered(u, h), (h / grid.h) ** 2, _inertia_floor(u, h), m + 1, m % 2 == 0)
 
     grids = [lattice(u_fine[1::2], grid.h), lattice(u_fine, 0.5 * grid.h)]
-    if 2 * (n // 16) + 1 >= _LADDER_ROWS and k_states <= n // 64 and _h2_walls(
-            u_fine, 0.25 * grid.h):
+    if _ladder_pays(2 * (n // 16) + 1, n, k_states) and _h2_walls(u_fine, 0.25 * grid.h):
         coarse = [QGrid(grid.lo, grid.hi, n // m) for m in (16, 32)]
         q = np.concatenate([g.lo + np.arange(1, 2 * g.n + 2) * (0.5 * g.h) for g in coarse])
         order = np.argsort(q, kind="stable")

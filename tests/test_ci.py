@@ -63,7 +63,12 @@ def test_tier1_runs_one_shot_solves():
     # is the %.17g text of its value
     assert "'outputs = spectrum, potential, wavefunctions'" in run
     assert 'glob.glob(os.path.join(sys.argv[1], "out-*", "*.csv"))' in run
-    assert "assert len(paths) == 10" in run
+    # a constant-u solve of cosh_square writes its closed-form levels' Richardson
+    # step into the same out-* directories, under the same cell check
+    assert "'model.name = cosh_square'" in run and "'grid.n = 400'" in run
+    assert re.search(r'--config "\$RUNNER_TEMP/cosh\.cfg" --mode constant-u '
+                     r'--out "\$RUNNER_TEMP/out-constant-u"', run)
+    assert "assert len(paths) == 15" in run
     assert 'assert cell == "%.17g" % float(cell)' in run
     # an n = 8000 approximate solve of the same poschl_teller (g = 3.49)
     # runs the grid ladder's select="v" windows; --strict at compare.tol = 1e-7

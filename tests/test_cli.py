@@ -70,6 +70,17 @@ class TestSolve:
                            mode="magic")
         assert main(["solve", "--config", cfg]) == 2
 
+    @pytest.mark.parametrize("key,choices", [("mode", cli._MODES),
+                                             ("analytic__variant", cli._VARIANTS),
+                                             ("outputs", cli._OUTPUTS)])
+    def test_unknown_choice_names_the_choices(self, tmp_path, capsys, key, choices):
+        # one check for every key whose values --help lists
+        cfg = write_config(tmp_path / "c.txt", model__name="cosh_square", model__alpha=1.0,
+                           model__v0=1.0, model__m0=0.0, **{key: "magic"})
+        assert main(["solve", "--config", cfg]) == 2
+        assert (f"config key '{key.replace('__', '.')}': unknown value 'magic' "
+                f"(choose from {', '.join(choices)})") in capsys.readouterr().err
+
     def test_tiny_grid_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.txt", model__name="cosh_square",
                            model__alpha=1.0, model__v0=1.0, model__m0=0.0,
@@ -830,6 +841,22 @@ class TestCommandLine:
                               ("report", "potential discrepancy adjudication")]:
             assert f"  {name} " in out and purpose in out
         assert "config keys:" in out and "model.name" in out
+        keys = out[out.index("config keys:"):]
+        # every mode, output, variant and default, from the constants the parser
+        # and build_run_config read
+        for word in (*cli._MODES, *cli._OUTPUTS, *cli._VARIANTS, *profiles.MODEL_NAMES):
+            assert word in keys
+        for key in ("mode", "grid.n", "solve.k_states", "compare.tol", "analytic.variant",
+                    "outputs", "out.dir"):
+            line = keys[keys.index(f"  {key} "):]
+            assert line[:line.index("]") + 1].endswith(f"[{cli._DEFAULTS[key]}]"), key
+        for default in ("[auto]", "[2000]", "[3]", "[1e-5]", "[verified]", "[spectrum]", "[out]"):
+            assert default in keys
+        # and a config that sets none of them runs with those values
+        rc = cli.build_run_config({"model.name": "cosh_square"},
+                                  cli._make_parser().parse_args(["solve", "--config", "c.txt"]))
+        assert (rc.mode, rc.grid_n, rc.k_states, rc.compare_tol, rc.variant, rc.outputs,
+                rc.out_dir) == ("auto", 2000, 3, 1e-5, "verified", ("spectrum",), "out")
 
     @pytest.mark.parametrize("argv", [["simulate", "--config", "c.txt"], ["solve"]])
     def test_bad_command_line_exit_2(self, capsys, argv):
@@ -986,7 +1013,7 @@ class TestScan:
         assert slope == pytest.approx(math.pi / 2, rel=1e-6)
         assert intercept == pytest.approx(0.0, abs=1e-6)
 
-    def test_resume_appends_missing_rows(self, tmp_path):
+    def test_resume_appends_missing_rows(self, tmp_path, monkeypatch):
         kwargs = dict(
             model__name="cosh_square", model__alpha=1.0, model__v0=1.0,
             model__m0=0.0, grid__n=800, solve__k_states=1,
@@ -1001,9 +1028,9 @@ class TestScan:
         (tmp_path / "out" / "scan.csv").write_text("".join(lines[:-2]))
         assert main(["scan", "--config", cfg]) == 0
         assert (tmp_path / "out" / "scan.csv").read_text() == full
-        # a file cut inside a row does not end in a newline: the fragment and
-        # the rows of the point before it are computed again, so no row is
-        # glued onto the fragment and no point is left short of a row
+        # a file cut inside a row does not end in a newline: the fragment is
+        # dropped, so no row is glued onto it, and the point it belonged to is
+        # solved again when the rows left leave it short
         kwargs.update(model__name="poschl_teller", model__m0=2.0, grid__n=400,
                       solve__k_states=2, scan__min=2.0, scan__max=3.0, scan__steps=4)
         cfg = write_config(tmp_path / "c.txt", **kwargs)
@@ -1017,6 +1044,36 @@ class TestScan:
             path.write_bytes(b"".join(lines[:second + row]) + lines[second + row][:9])
             assert main(["scan", "--config", cfg]) == 0
             assert path.read_bytes() == full
+        # a file that ends in a newline after some of a point's rows: the last
+        # point counts as done only with k_states rows (or its one error row),
+        # so the second point, holding row 0 of 2, is solved again
+        path.write_bytes(b"".join(lines[:second + 1]))
+        assert main(["scan", "--config", cfg]) == 0
+        assert path.read_bytes() == full
+
+        solves = []
+        real = cli.run_solve_pipeline
+        monkeypatch.setattr(cli, "run_solve_pipeline",
+                            lambda *a, **kw: solves.append(a) or real(*a, **kw))
+        # the free case writes one row a point, fewer than k_states = 3, so the
+        # last point kept is solved again, and the file comes out the same; a
+        # last point that holds its one error row (g = 0.1 < 1/4) is done
+        for model, rows, kept, again in (
+                (dict(model__name="constant_rest", model__c=1.0), 3, 2, 2),
+                (dict(model__name="poschl_teller", model__alpha=1.0, model__v0=1.0), 7, 1, 2)):
+            cfg = write_config(tmp_path / "c.txt", **model, model__m0=0.1, grid__n=400,
+                               solve__k_states=3, scan__param="m0", scan__min=0.1,
+                               scan__max=2.0, scan__steps=3, out__dir=str(tmp_path / "out"))
+            assert main(["scan", "--config", cfg]) == 0
+            full = path.read_bytes()
+            lines = full.splitlines(keepends=True)
+            first = next(i for i, line in enumerate(lines) if line.startswith(b"param")) + 1
+            assert len(lines) == first + rows
+            path.write_bytes(b"".join(lines[:first + kept]))
+            del solves[:]
+            assert main(["scan", "--config", cfg]) == 0
+            assert path.read_bytes() == full and len(solves) == again
+        assert b",-,nan,nan,error:UnboundedBelowError" in lines[first]
 
     def test_axis_flag_override(self, tmp_path):
         cfg = write_config(
@@ -1045,6 +1102,22 @@ class TestScan:
             expected = pt_full_ladder(1.3, 0.8, float(row[0]), int(row[1]))
             assert abs(float(row[3]) - expected) <= 1e-12 * expected
             assert abs(float(row[2]) - expected) <= 1e-4 * expected
+
+    def test_as_published_rows_follow_solve(self, tmp_path, capsys):
+        # each row's E_analytic is the reference solve prints for that level,
+        # nan where solve prints "interleaved" (the s + 2n family skips it)
+        keys = dict(model__name="poschl_teller", model__alpha=1.0, model__v0=1.0,
+                    model__m0=2.0, grid__n=400, solve__k_states=5,
+                    analytic__variant="as-published", out__dir=str(tmp_path / "out"))
+        cfg = write_config(tmp_path / "c.txt", **keys)
+        assert main(["solve", "--config", cfg]) == 0
+        table = [line.split() for line in capsys.readouterr().out.splitlines()[2:7]]
+        assert main(["scan", "--config", cfg, "--axis", "m0=2:2.5:2"]) == 0
+        _, rows = read_rows(tmp_path / "out" / "scan.csv")
+        assert [row[:3] for row in rows[:5]] == [["2", n, e] for n, e, *_ in table]
+        written = [row[3] for row in rows[:5]]
+        assert written == [ref.replace("interleaved", "nan") for _, _, ref, *_ in table]
+        assert written.count("nan") == 2 and "nan" not in written[::2]
 
     def test_unknown_axis_param(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.txt", model__name="cosh_square",

@@ -796,6 +796,49 @@ PINNED_CALLS = [
 ]
 
 
+class TestOneH2Law:
+    """One h^2 law (_h2) gives the ladder's predictions and the Richardson
+    level; at step 0 from squared steps 1 and 1/4 it is (4 w_fine - w) / 3 bit
+    for bit, and the gap is |w - w_fine|."""
+
+    def test_richardson_step_bit_for_bit(self):
+        rng = np.random.default_rng(33)
+        w = rng.standard_normal(100000) * 10.0 ** rng.uniform(-6, 8, 100000)
+        w_fine = w * (1.0 - rng.uniform(-1e-2, 1e-2, w.size))
+        assert np.array_equal(eigensolver._h2(w, w_fine, 1.0, 0.25, 0.0), (4.0 * w_fine - w) / 3.0)
+
+    @pytest.mark.parametrize("mode,n", [("approximate", 2000), ("exact", 400),
+                                        ("constant-u", 1000)])
+    def test_levels_and_estimates(self, monkeypatch, mode, n):
+        # ladderless solves: approximate below n = 4000, exact below n = 2000
+        steps = []
+        real = eigensolver._h2
+
+        def spy(a, b, ra, rb, rt):
+            out = real(a, b, ra, rb, rt)
+            steps.append((a, b, ra, rb, rt, out))
+            return out
+
+        monkeypatch.setattr(eigensolver, "_h2", spy)
+        if mode == "constant-u":
+            model, tmap = lattice_case("cosh_square")
+            res = solve_fixed(constant_u_potential(
+                1.2 * 1.1 ** 2, QGrid(tmap.q_lo, tmap.q_hi, n)), 4, vectors=False)
+        else:
+            model, tmap = lattice_case("poschl_teller", 1.5)
+            solve = solve_approximate if mode == "approximate" else solve_exact
+            res = solve(model, tmap, n, 4, vectors=False)
+        (w, w_fine, ra, rb, rt, lam), = steps
+        assert (ra, rb, rt) == (1.0, 0.25, 0.0)
+        assert np.array_equal(lam, (4.0 * w_fine - w) / 3.0)
+        gap = np.abs(w - w_fine)
+        for k, pair in enumerate(res.pairs):
+            if mode == "exact":
+                assert (pair.lam, pair.error_estimate) == (lam[k] ** 2, 2.0 * lam[k] * gap[k] / 3.0)
+            else:
+                assert (pair.lam, pair.error_estimate) == (lam[k], gap[k] / 3.0)
+
+
 class TestLapackCalls:
     """Each solver path makes a fixed set of LAPACK bisections: the index path,
     the grid ladder's hit and its band miss, the lattice ladder, the band
