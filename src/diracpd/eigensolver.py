@@ -45,7 +45,7 @@ lattice of solve_exact) and k <= n/64; in exact mode, only when each wall
 of the lattice is regular or singular with u ~ g/d, g >= 1 (_h2_walls): in
 the g < 1 band of poschl_teller the lattice error is not h^2 and the
 windows would miss. Approximate mode tries its ladder whatever the wall,
-and misses in that band; constant-u mode needs none.
+and misses in that band; a constant u needs none in either mode.
 
 When the sampled potential (or u, on the lattice) matches its mirror to
 1e-8 relative, as the paper's even models do on their whole q-range, it
@@ -58,7 +58,13 @@ the blocks.
 In constant-u mode the operator solved is the free one and the constant
 A^2 is kept as a spectral offset, so lambda is exactly E^2 - A^2. The free
 operator's eigenpairs are known in closed form (the DST-I basis), so that
-mode needs no bisection and no potential on the refined grid.
+mode needs no bisection and no potential on the refined grid. Nor does exact
+mode where u on the fine lattice lies within the base lattice's tol of
+a = (max u + min u) / 2 >= 0 (_free_lattice): the lattice over a has levels
+sqrt(a^2 + lambda_j) and DST-I phi1, and the lattice over u differs from it
+by a diagonal of norm <= tol, so by Weyl's inequality (Horn & Johnson,
+Matrix Analysis, Thm 4.3.1) each of its levels lies within tol of the closed
+form's, which is within 2 tol of its bisected value.
 """
 
 from __future__ import annotations
@@ -632,6 +638,24 @@ def _inertia_floor(u: np.ndarray, h: float) -> float:
     return 64.0 * np.finfo(float).eps * (2.0 / h + float(np.max(np.abs(u))))
 
 
+def _free_lattice(grid: QGrid, u: np.ndarray, tol: float, k: int, vectors: bool):
+    """(levels, gap, unit vectors) as _levels gives them, in closed form, when
+    u lies within tol of a = (max u + min u) / 2 >= 0, else None (also for
+    NaN); see the module docstring. chi_i = (phi_i - phi_{i-1}) / (h (E + a))
+    are the chi rows of _staggered."""
+    top, bottom = float(np.max(u)), float(np.min(u))
+    a = 0.5 * (top + bottom)
+    if not (a >= 0.0 and 0.5 * (top - bottom) <= tol):
+        return None
+    w, vecs = _free_eigs(grid, k, vectors)  # phi1 on the n nodes
+    w, w_fine = np.sqrt(a * a + w), np.sqrt(a * a + _free_eigs(grid.refined(), k, False)[0])
+    if vectors:
+        chi = np.diff(vecs, axis=0, prepend=0.0, append=0.0) / (grid.h * (w + a))
+        vecs = np.insert(chi, np.arange(1, grid.n + 1), vecs, axis=0)  # chi_1, phi1_1, chi_2, ...
+        vecs /= np.linalg.norm(vecs, axis=0)
+    return _h2(w, w_fine, 1.0, 0.25, 0.0), np.abs(w - w_fine), vecs
+
+
 def _h2_walls(u_fine: np.ndarray, d: float) -> bool:
     """Whether both walls of the lattice over ``u_fine`` leave its levels an
     h^2 error, read from its first two sites from each wall, d and 2 d away.
@@ -660,12 +684,14 @@ def solve_exact(model: ModelSpec, tmap: TransformMap, n: int,
     The map is inverted once, on the fine lattice (q = lo + j h/4); every
     coarse site (q = lo + j h/2) is bit for bit its every second site, and
     the phi1 nodes (``grid.nodes``) its every fourth, which the map caches.
-    The grids handed to _levels are the staggered lattices over n and 2n+1
-    phi1 nodes, each with n+1 and 2n+2 eigenvalues at or under its inertia
-    floor, led by the lattices over n // 16 and n // 32 phi1 nodes between
-    the same walls where _ladder_pays (the first has 2 (n // 16) + 1 rows)
-    and both walls of the fine lattice pass _h2_walls. The sites of both
-    coarse lattices are inverted in one call. Vectors have
+    A u on the fine lattice within the base lattice's _bisection_tol of a
+    constant a >= 0 takes the closed form (_free_lattice), which builds no other
+    lattice and calls no LAPACK routine. Any other u hands _levels the staggered
+    lattices over n and 2n+1 phi1 nodes, each with n+1 and 2n+2 eigenvalues at
+    or under its inertia floor, led by the lattices over n // 16 and n // 32
+    phi1 nodes between the same walls where _ladder_pays (the first has
+    2 (n // 16) + 1 rows) and both walls of the fine lattice pass _h2_walls.
+    The sites of both coarse lattices are inverted in one call. Vectors have
     h sum(phi1^2 + chi^2) = 1 and phi1 > 0 at its largest sample (the first
     of equal ones). With ``vectors=False`` none is computed: each pair's phi
     and chi are None and its nodes its index, and the levels and error
@@ -696,17 +722,21 @@ def solve_exact(model: ModelSpec, tmap: TransformMap, n: int,
         m = u.size // 2  # phi1 nodes
         return _Grid(_staggered(u, h), (h / grid.h) ** 2, _inertia_floor(u, h), m + 1, m % 2 == 0)
 
-    grids = [lattice(u_fine[1::2], grid.h), lattice(u_fine, 0.5 * grid.h)]
-    if _ladder_pays(2 * (n // 16) + 1, n, k_states) and _h2_walls(u_fine, 0.25 * grid.h):
-        coarse = [QGrid(grid.lo, grid.hi, n // m) for m in (16, 32)]
-        q = np.concatenate([g.lo + np.arange(1, 2 * g.n + 2) * (0.5 * g.h) for g in coarse])
-        order = np.argsort(q, kind="stable")
-        u_all = np.empty_like(q)
-        u_all[order] = u_values(model, tmap.inverse_grid(q[order]))
-        grids = [lattice(_mirror_average(u, even), g.h)
-                 for g, u in zip(coarse, np.split(u_all, [2 * coarse[0].n + 1]))] + grids
-    mirror = np.where(np.arange(n) % 2, 1.0, -1.0) if even else None  # (-1)^(j+1)
-    lam, gap, vecs = _levels(grids, k_states, mirror, vectors)
+    base = lattice(u_fine[1::2], grid.h)
+    found = _free_lattice(grid, u_fine, _bisection_tol(*base.matrix), k_states, vectors)
+    if found is None:
+        grids = [base, lattice(u_fine, 0.5 * grid.h)]
+        if _ladder_pays(2 * (n // 16) + 1, n, k_states) and _h2_walls(u_fine, 0.25 * grid.h):
+            coarse = [QGrid(grid.lo, grid.hi, n // m) for m in (16, 32)]
+            q = np.concatenate([g.lo + np.arange(1, 2 * g.n + 2) * (0.5 * g.h) for g in coarse])
+            order = np.argsort(q, kind="stable")
+            u_all = np.empty_like(q)
+            u_all[order] = u_values(model, tmap.inverse_grid(q[order]))
+            grids = [lattice(_mirror_average(u, even), g.h)
+                     for g, u in zip(coarse, np.split(u_all, [2 * coarse[0].n + 1]))] + grids
+        mirror = np.where(np.arange(n) % 2, 1.0, -1.0) if even else None  # (-1)^(j+1)
+        found = _levels(grids, k_states, mirror, vectors)
+    lam, gap, vecs = found
     pairs, energies = [], []
     for k in range(k_states):
         e = float(lam[k])

@@ -68,7 +68,17 @@ def test_tier1_runs_one_shot_solves():
     assert "'model.name = cosh_square'" in run and "'grid.n = 400'" in run
     assert re.search(r'--config "\$RUNNER_TEMP/cosh\.cfg" --mode constant-u '
                      r'--out "\$RUNNER_TEMP/out-constant-u"', run)
-    assert "assert len(paths) == 15" in run
+    # and so does its exact solve under --strict, the lattice's closed form for a
+    # constant u, whose spectrum rows equal the same solve's without wavefunctions
+    assert re.search(r'--config "\$RUNNER_TEMP/cosh\.cfg" --mode exact --strict '
+                     r'--out "\$RUNNER_TEMP/out-exact-cosh"', run)
+    assert re.search(r"cat \"\$RUNNER_TEMP/cosh\.cfg\"; echo 'outputs = spectrum'; } "
+                     r"> \"\$RUNNER_TEMP/cosh-lean\.cfg\"", run)
+    assert re.search(r'--config "\$RUNNER_TEMP/cosh-lean\.cfg" --mode exact --strict '
+                     r'--out "\$RUNNER_TEMP/cosh-lean"', run)
+    assert re.search(r'"\$RUNNER_TEMP/cosh-lean/spectrum\.csv" '
+                     r'"\$RUNNER_TEMP/out-exact-cosh/spectrum\.csv"', run)
+    assert "assert len(paths) == 20" in run
     assert 'assert cell == "%.17g" % float(cell)' in run
     # an n = 8000 approximate solve of the same poschl_teller (g = 3.49)
     # runs the grid ladder's select="v" windows; --strict at compare.tol = 1e-7

@@ -948,6 +948,70 @@ class TestExitCodes:
         assert capsys.readouterr().err == "config error: config key 'scan.max': not finite\n"
 
 
+# exact mode over the five built-ins at edge parameters (n = 400): the model's
+# nominal parameters, m0 = 0 (A = 0 for linear_singular), k_states = n // 2 + 1,
+# and poschl_teller at g = m0 v0 / alpha in {0.3, 0.5, 1}
+EXACT_SWEEP_MODELS = {
+    "cosh_square": dict(alpha=1.1, v0=0.9, m0=0.7), "rational": dict(alpha=1.2, v0=1.1, m0=1.5),
+    "poschl_teller": dict(alpha=1.0, v0=1.0, m0=2.0), "linear_singular": dict(A=1.0, v0=1.0),
+    "constant_rest": dict(m0=1.0, c=1.0)}
+RESOLUTION = ("numerical failure: InsufficientResolutionError: cannot resolve 201 states "
+              "on 400 nodes")
+# (model, edge, command, exit code, the cause: on stderr for an exit 3, else on stdout)
+EXACT_SWEEP = [
+    *((name, edge, "solve", 0, "mode=exact, grid n=400")
+      for name in ("cosh_square", "rational", "poschl_teller")
+      for edge in ("nominal", "massless")),
+    *((name, "k_max", "solve", 3, RESOLUTION) for name in EXACT_SWEEP_MODELS),
+    *((name, edge, "solve", 3, f"numerical failure: DomainError: exact mode needs a finite "
+                               f"q-range; {name} maps onto q-range (-inf, inf)")
+      for name in ("linear_singular", "constant_rest") for edge in ("nominal", "massless")),
+    *((name, edge, "report", 0, "potential vs constant A^2: max |dV| = 0")
+      for name in ("cosh_square", "rational", "constant_rest") for edge in ("nominal", "k_max")),
+    *((name, "massless", "report", 0, "massless model: effective potential is identically zero")
+      for name in EXACT_SWEEP_MODELS),
+    ("poschl_teller", "nominal", "report", 0, "level 0: E=2.50000000000"),
+    ("poschl_teller", "k_max", "report", 3, RESOLUTION),
+    ("linear_singular", "nominal", "report", 0, "supports no bound states"),
+    ("linear_singular", "k_max", "report", 0, "n=200: E = +/-"),
+    ("poschl_teller", "g0.3", "solve", 0, "0  0.80772119515"),
+    ("poschl_teller", "g0.3", "report", 0, "level 0: E=0.80772119515"),
+    ("poschl_teller", "g0.5", "solve", 0, "0  1.00032598532"),
+    ("poschl_teller", "g0.5", "report", 0, "level 0: E=1.00032598532"),
+    ("poschl_teller", "g1", "solve", 0, "0  1.50000000000"),
+    ("poschl_teller", "g1", "report", 0, "level 0: E=1.50000000000"),
+]
+
+
+class TestExactModeExitSweep:
+    @pytest.mark.parametrize("name,edge,command,code,cause", EXACT_SWEEP,
+                             ids=[f"{c[0]}-{c[1]}-{c[2]}" for c in EXACT_SWEEP])
+    def test_exit_code_and_cause(self, tmp_path, capsys, monkeypatch, name, edge, command, code,
+                                 cause):
+        params, k = dict(EXACT_SWEEP_MODELS[name]), 3
+        if edge == "massless":
+            params["A" if name == "linear_singular" else "m0"] = 0.0
+        elif edge == "k_max":
+            k = 400 // 2 + 1
+        elif edge.startswith("g"):
+            params["m0"] = float(edge[1:])  # alpha = v0 = 1
+        cfg = write_config(tmp_path / "c.txt", model__name=name, grid__n=400, solve__k_states=k,
+                           out__dir=str(tmp_path / "out"),
+                           **{f"model__{key}": value for key, value in params.items()})
+        # a range or resolution error comes before the lattice is built, so before
+        # the closed form of a constant u is tried
+        tried = []
+        real = eigensolver._free_lattice
+        monkeypatch.setattr(eigensolver, "_free_lattice",
+                            lambda *args: tried.append(1) or real(*args))
+        assert main([command, "--config", cfg, "--mode", "exact"]) == code
+        out, err = capsys.readouterr()
+        if code:
+            assert err.startswith(cause + "\n") and not tried
+        else:
+            assert cause in out and err == ""
+
+
 class TestSolveMemory:
     def test_solve_frees_its_map_without_cyclic_gc(self, tmp_path):
         # the map (inverse cache included) goes with the outcome by reference

@@ -340,7 +340,9 @@ class TestSolveExact:
             lambda x, f=f: -f(x) for f in SKEWED_U))
         with pytest.raises(NonConvergenceError, match="inertia"):
             solve_exact(skewed, tmap, 200, 1)
-        # either parity block of either lattice (401 and 803 sites) sunk under the floor
+        # either parity block of either lattice (401 and 803 sites) sunk under the
+        # floor, on an even u that is not constant (a constant one is never folded)
+        bump = dataclasses.replace(model, u_closed=EVEN_U)
         real_fold = eigensolver._fold
         for sites in (401, 803):
             for p in (0, 1):
@@ -352,7 +354,7 @@ class TestSolveExact:
 
                 monkeypatch.setattr(eigensolver, "_fold", sunk)
                 with pytest.raises(NonConvergenceError, match="inertia"):
-                    solve_exact(model, tmap, 200, 1)
+                    solve_exact(bump, tmap, 200, 1)
         monkeypatch.setattr(eigensolver, "_fold", real_fold)
         # u < 0 on the sites only the refined lattice has: the coarse lattice is
         # sound, the refined one's count up to the floor is not 2n + 2
@@ -398,6 +400,10 @@ SKEWED_U = (lambda x: 1.0 + 1e-3 * np.tanh(x), lambda x: 1e-3 / np.cosh(x) ** 2,
             lambda x: -2e-3 * np.tanh(x) / np.cosh(x) ** 2)
 EVEN_U = (lambda x: 1.0 + 0.5 / np.cosh(x) ** 2, lambda x: -np.tanh(x) / np.cosh(x) ** 2,
           lambda x: (2.0 * np.sinh(x) ** 2 - 1.0) / np.cosh(x) ** 4)
+# an even, non-constant u, smooth in q up to the walls of every map (x = +/-inf there)
+# and with no overflow on the way: the u of a ``_bump`` model
+BUMP_U = (lambda x: 1.0 + 0.5 * np.exp(-x * x), lambda x: -x * np.exp(-x * x),
+          lambda x: (2.0 * x * x - 1.0) * np.exp(-x * x))
 
 
 def pt_matrices(n, lattice):
@@ -624,7 +630,11 @@ class TestGridLadder:
 
 def lattice_case(name, g=None, m0=1.2):
     """(model, map) at alpha 1.2, v0 1.1: poschl_teller with m0 from
-    g = m0 v0 / alpha (g = 0 is massless), else ``name`` at ``m0``."""
+    g = m0 v0 / alpha (g = 0 is massless), else ``name`` at ``m0``; a name
+    ending in ``_bump`` is that model with u = BUMP_U."""
+    if name.endswith("_bump"):
+        model, tmap = lattice_case(name[:-len("_bump")], g, m0)
+        return dataclasses.replace(model, u_closed=BUMP_U), tmap
     if name == "poschl_teller":
         m0 = g * 1.2 / 1.1
     model = builtin_model(name, alpha=1.2, v0=1.1, m0=m0)
@@ -640,10 +650,19 @@ def lattice_tol(model, tmap, n):
 
 
 def lattice_index_path(model, tmap, n, k, vectors=True):
-    """solve_exact without the lattice ladder: the index path's levels."""
+    """solve_exact without the lattice ladder or the closed form of a constant
+    u: the index path's levels."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(eigensolver, "_LADDER_ROWS", math.inf)
+        mp.setattr(eigensolver, "_free_lattice", lambda *args: None)
         return solve_exact(model, tmap, n, k, vectors=vectors)
+
+
+def no_lapack(monkeypatch):
+    """Fail the test on any LAPACK bisection (dstebz) or inverse iteration (dstein)."""
+    for name in ("_dstebz", "_dstein"):
+        monkeypatch.setattr(eigensolver, name,
+                            lambda *args, name=name: pytest.fail(f"{name} called"))
 
 
 def gap(pair, energy):
@@ -655,21 +674,28 @@ class TestLatticeLadder:
     """Exact-mode solves from n = 2000 on bisect only the lattices over n/16 and
     n/32 phi1 nodes by index, from their inertia counts, when both walls leave
     the lattice an h^2 error (regular, or singular with g >= 1); band walls
-    (g < 1) skip the ladder before building any of it."""
+    (g < 1) skip the ladder before building any of it. A constant u (massless
+    poschl_teller, cosh_square, rational) takes the closed form instead, with
+    no ladder and no LAPACK call, within the same bound of the index path."""
 
     @pytest.mark.parametrize("k", [1, 5])
     @pytest.mark.parametrize("n", [2000, 2001, 8000])
-    @pytest.mark.parametrize("name,g", [
-        ("poschl_teller", 1.0), ("poschl_teller", 1.5), ("poschl_teller", 3.0),
-        ("poschl_teller", 0.0), ("cosh_square", None), ("rational", None)],
-        ids=["pt_g1", "pt_g1.5", "pt_g3", "pt_massless", "cosh_square", "rational"])
-    def test_levels_within_two_tol_of_the_index_path(self, monkeypatch, name, g, n, k):
+    @pytest.mark.parametrize("name,g,closed", [
+        ("poschl_teller", 1.0, False), ("poschl_teller", 1.5, False),
+        ("poschl_teller", 3.0, False), ("poschl_teller", 0.0, True),
+        ("cosh_square", None, True), ("rational", None, True),
+        ("cosh_square_bump", None, False), ("rational_bump", None, False)],
+        ids=["pt_g1", "pt_g1.5", "pt_g3", "pt_massless", "cosh_square", "rational",
+             "cosh_square_bump", "rational_bump"])
+    def test_levels_within_two_tol_of_the_index_path(self, monkeypatch, name, g, closed, n, k):
         model, tmap = lattice_case(name, g)
         tol = lattice_tol(model, tmap, n)
         ref = lattice_index_path(model, tmap, n, k)
         outcomes = ladder_outcomes(monkeypatch)
+        if closed:
+            no_lapack(monkeypatch)
         lean, full = solve_exact(model, tmap, n, k, vectors=False), solve_exact(model, tmap, n, k)
-        assert outcomes == [True, True]  # the vector solve takes it too
+        assert outcomes == ([] if closed else [True, True])  # the vector solve takes it too
         assert lean.energies == full.energies
         for j, (a, b, c) in enumerate(zip(lean.pairs, full.pairs, ref.pairs, strict=True)):
             assert a.nodes == b.nodes == c.nodes == j and a.phi is None and a.chi is None
@@ -761,6 +787,137 @@ class TestLatticeLadder:
         flipped = dataclasses.replace(model, u_closed=(lambda x: -np.ones_like(x),) * 3)
         with pytest.raises(NonConvergenceError, match=r"inertia: .*, not 2001$"):
             solve_exact(flipped, tmap, 2000, 1)
+
+
+def decisions(monkeypatch):
+    """Log whether each _free_lattice call took the closed form (True) or left
+    the solve to the lattice (False)."""
+    out = []
+    real = eigensolver._free_lattice
+
+    def logged(*args):
+        found = real(*args)
+        out.append(found is not None)
+        return found
+
+    monkeypatch.setattr(eigensolver, "_free_lattice", logged)
+    return out
+
+
+def with_u(model, u):
+    """``model`` with u = u(x) (its derivatives are not read in exact mode)."""
+    return dataclasses.replace(model, u_closed=(u, None, None))
+
+
+class TestWeylCertificate:
+    """solve_exact takes the closed form when u on the fine lattice lies within
+    the base lattice's bisection tolerance tol of a = (max u + min u) / 2 >= 0:
+    the lattice then differs from the one over a by a diagonal of norm <= tol,
+    so by Weyl's inequality its levels are within tol of the closed form's."""
+
+    def assert_near_index_path(self, model, tmap, n, k):
+        tol = lattice_tol(model, tmap, n)
+        ref = lattice_index_path(model, tmap, n, k)
+        got = solve_exact(model, tmap, n, k)
+        for j, (b, c) in enumerate(zip(got.pairs, ref.pairs, strict=True)):
+            e_b, e_c = got.energies[j][0], ref.energies[j][0]
+            assert b.nodes == c.nodes == j
+            assert abs(e_b - e_c) <= 2.0 * tol
+            assert abs(gap(b, e_b) - gap(c, e_c)) <= 2.0 * tol
+            vb, vc = unit_vectors(b), unit_vectors(c)
+            assert np.max(np.abs(vb * np.sign(vb @ vc) - vc)) <= 1e-8
+        return got
+
+    def test_decision(self):
+        def closed(u, tol):
+            found = eigensolver._free_lattice(QGrid(0.0, 1.0, 8), np.array(u), tol, 2, False)
+            return None if found is None else found[0]  # the levels
+
+        step = 2.0 ** -40
+        assert np.array_equal(closed([1.0 - step, 1.0 + step], step), closed([1.0], 0.0))  # a = 1
+        assert closed([1.0 - step, 1.0 + step], step / 2.0) is None
+        assert closed([0.0] * 5, 0.0) is not None
+        assert closed([-1e-300] * 5, 1.0) is None  # a < 0
+        assert closed([1.0, np.nan, 1.0], 1.0) is None
+        assert closed([1.0, np.inf], 1.0) is None
+
+    def test_library_model_a_few_ulp_from_constant(self):
+        # cosh_square's profiles wrapped by from_callable: no u_closed, and m v_F^2
+        # spreads over a few ulp of A = m0 v0^2, far under tol
+        cosh = builtin_model("cosh_square", alpha=1.2, v0=1.1, m0=1.2)
+        model = ModelSpec("library", MassProfile.from_callable(
+            cosh.mass.func, cosh.mass.dfunc, cosh.mass.d2func, cosh.domain),
+            VelocityProfile.from_callable(cosh.velocity.func, cosh.velocity.dfunc,
+                                          cosh.velocity.d2func, domain=cosh.domain),
+            cosh.domain, {}, "library", anchor=cosh.anchor)
+        assert model.u_closed is None
+        tmap = build_transform(model.velocity, model.anchor)
+        h = QGrid(tmap.q_lo, tmap.q_hi, 400).h
+        u = eigensolver.u_values(model, tmap.inverse_grid(
+            tmap.q_lo + np.arange(1, 4 * 400 + 4) * (0.25 * h)))
+        assert 0.0 < np.ptp(u) <= 64.0 * np.spacing(1.452)
+        with pytest.MonkeyPatch.context() as mp:
+            no_lapack(mp)
+            seen = decisions(mp)
+            lean = solve_exact(model, tmap, 400, 3, vectors=False)
+        assert seen == [True]
+        full = self.assert_near_index_path(model, tmap, 400, 3)
+        assert lean.energies == full.energies
+        for k, (e, _) in enumerate(full.energies):
+            assert e == pytest.approx(math.hypot((k + 1) * math.pi * 1.2 * 1.1 / 2.0,
+                                                 1.2 * 1.1 ** 2), rel=1e-9)
+
+    @pytest.mark.parametrize("factor,closed", [(0.9, True), (1.1, False)])
+    def test_bump_just_under_and_over_tol(self, monkeypatch, factor, closed):
+        # u = A + delta exp(-x^2), delta set so that the spread of u over the fine
+        # lattice is factor * tol
+        n, A = 400, 1.2 * 1.1 ** 2
+        base, tmap = lattice_case("cosh_square")
+        h = QGrid(tmap.q_lo, tmap.q_hi, n).h
+        x = tmap.inverse_grid(tmap.q_lo + np.arange(1, 4 * n + 4) * (0.25 * h))
+        tol = lattice_tol(base, tmap, n)
+        delta = 2.0 * factor * tol / np.ptp(np.exp(-x * x))
+        model = with_u(base, lambda x: A + delta * np.exp(-x * x))
+        spread = 0.5 * np.ptp(eigensolver.u_values(model, x)) / lattice_tol(model, tmap, n)
+        assert spread == pytest.approx(factor, rel=1e-2)  # A + delta b rounds to ulps of A
+        self.assert_near_index_path(model, tmap, n, 3)
+        seen, bisected = decisions(monkeypatch), []
+        real = eigensolver.eigh_tridiagonal
+        monkeypatch.setattr(eigensolver, "eigh_tridiagonal",
+                            lambda *args, **kwargs: bisected.append(1) or real(*args, **kwargs))
+        solve_exact(model, tmap, n, 3)
+        assert seen == [closed]
+        assert bool(bisected) != closed
+
+    @pytest.mark.parametrize("u", [lambda x: 0.0 * x, lambda x: 1e-20 * np.exp(-x * x)],
+                             ids=["massless", "a_near_zero"])
+    def test_zero_mode_stays_under_the_floor(self, u):
+        # a = 0: the lattice's eigenvalue at 0 (phi1 = 0, chi constant) is not a
+        # level; the lowest is the first sine's, pi alpha v0 / 2 for cosh_square
+        base, tmap = lattice_case("cosh_square")
+        model = with_u(base, u)
+        with pytest.MonkeyPatch.context() as mp:
+            no_lapack(mp)
+            lean = solve_exact(model, tmap, 400, 2, vectors=False)
+        full = self.assert_near_index_path(model, tmap, 400, 2)
+        assert lean.energies == full.energies
+        assert full.energies[0][0] == pytest.approx(math.pi * 1.2 * 1.1 / 2.0, rel=1e-6)
+
+    def test_negative_constant_u_raises_inertia(self, monkeypatch):
+        # a < 0 puts a chi mode at -a > 0 among the levels: no closed form, and
+        # the lattice's inertia count names it
+        base, tmap = lattice_case("cosh_square")
+        seen = decisions(monkeypatch)
+        with pytest.raises(NonConvergenceError, match="inertia"):
+            solve_exact(with_u(base, lambda x: -1.2 + 0.0 * x), tmap, 400, 1)
+        assert seen == [False]
+
+    def test_nan_u_falls_through(self, monkeypatch):
+        base, tmap = lattice_case("cosh_square")
+        seen = decisions(monkeypatch)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            solve_exact(with_u(base, lambda x: np.where(x > 0.5, np.nan, 1.0)), tmap, 400, 1)
+        assert seen == [False]
 
 
 # each solve's eigh_tridiagonal calls as a multiset of (select, tol is inf, rows):
@@ -1146,6 +1303,10 @@ SWEEP_NS = [64, 65, 400, 2000, 2001]
 
 
 def sweep_model(name):
+    """``name`` at alpha 1.43, v0 1.9, m0 2.63; a name ending in ``_bump`` is
+    that model with u = BUMP_U."""
+    if name.endswith("_bump"):
+        return dataclasses.replace(sweep_model(name[:-len("_bump")]), u_closed=BUMP_U)
     return builtin_model(name, alpha=1.43, v0=1.9, m0=2.63)
 
 
@@ -1198,14 +1359,20 @@ class TestNodeSweep:
 
     @pytest.mark.parametrize("whole", [False, True], ids=["folded", "whole"])
     @pytest.mark.parametrize("n", SWEEP_NS)
-    @pytest.mark.parametrize("name", ["poschl_teller", "cosh_square", "rational"])
+    @pytest.mark.parametrize("name", ["poschl_teller", "cosh_square", "rational",
+                                      "cosh_square_bump", "rational_bump"])
     def test_lattice(self, monkeypatch, name, n, whole):
+        # the constant u of cosh_square and rational takes the closed form, with
+        # no fold and no LAPACK call; their maps with BUMP_U take the lattice
         model = sweep_model(name)
         tmap = build_transform(model.velocity, model.anchor)
+        closed = name in ("cosh_square", "rational")
         folds = fold_switch(monkeypatch, whole)
+        if closed:
+            no_lapack(monkeypatch)
         assert_vectorless_matches(solve_exact(model, tmap, n, 5),
                                   solve_exact(model, tmap, n, 5, vectors=False))
-        assert bool(folds) != whole
+        assert bool(folds) == (not whole and not closed)
 
     @pytest.mark.parametrize("tilt", [0.0, 1.0], ids=["even", "tilted"])
     def test_expand_until_settled(self, tilt):
