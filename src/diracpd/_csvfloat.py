@@ -6,6 +6,12 @@ one it does not decide exactly: NaN, +-inf, a subnormal, a nonzero |x|
 outside [1e-280, 1e280], or a rounding it cannot settle. The caller formats
 such a chunk with the %-template.
 
+Zeros and shared columns. Only nonzero cells are formatted: a zero is "0"
+or "-0", and a column whose chunk is all zeros is written as constant cells.
+``rows(columns, cells)`` keeps each column chunk it formats in the dict
+``cells``, where a later bit-equal chunk finds its cells, so the x and q of a
+solve's tables are formatted once.
+
 Digits. For v = |x| with E = floor(log10 v) and k = 16 - E, the significand
 is N = v 10^k rounded half-even, an integer in [1e16, 1e17). The product is
 Dekker's two-product of v and the double-double 10^k = hi + lo (Veltkamp
@@ -22,12 +28,13 @@ are formed eight at a time in uint64 lanes (SWAR).
 Layout, as %.17g's: X the exponent after rounding, fixed notation for
 -4 <= X < 17, else d.ddde+-XX (at least two exponent digits); trailing zeros
 and a bare dot dropped; zero written "0" or "-0". Each cell fills a slot of
-_W bytes whose unused bytes are NUL, and one compress per chunk drops them.
-In a slot the separator before the cell ("\\n" in the first column) and the
-prefix (sign, "0.000") end at byte 6, the body (digits, dot) starts at byte
-7 and the exponent ends at byte 29. A pattern (notation and X, significant
-digits, separator, sign) gives the slot's constant bytes and the bytes that
-take a digit of N, from N's digits at bytes 7-23 or, past a dot, 8-24.
+_W bytes whose unused bytes are NUL: the prefix (sign, "0.000") ends at byte
+6, the body (digits, dot) starts at byte 7 and the exponent ends at byte 29.
+A pattern (notation and X, significant digits, sign) gives the slot's
+constant bytes and the bytes that take a digit of N, from N's digits at
+bytes 7-23 or, past a dot, 8-24. A row of a chunk holds, for each column,
+bytes 1-29 of the cell's slot, or a sign byte and "0" if the column is all
+zeros, then the separator; one compress per chunk drops the NUL bytes.
 
 The lookup tables are built on first use.
 """
@@ -49,9 +56,9 @@ _SPLIT = 134217729.0  # 2^27 + 1
 class _Tables(NamedTuple):
     pow10: np.ndarray     # (k, 4): hi, hi's split halves and lo of 10^k
     zeros4: np.ndarray    # trailing zeros of 0..9999 written with 4 digits
-    klass: np.ndarray     # (X + _EXP_OFF): the pattern of X, 17 digits, first column, x > 0
+    klass: np.ndarray     # (X + _EXP_OFF): the pattern of X, 17 digits, x > 0
     exponent: np.ndarray  # (X + _EXP_OFF, _W): "e+XX" ending at byte 29, blank if fixed
-    const: np.ndarray     # (pattern, _W): separator, prefix and dot
+    const: np.ndarray     # (pattern, _W): prefix and dot
     first: np.ndarray     # (pattern, _W): 0xFF where digit i sits at byte 7 + i
     second: np.ndarray    # (pattern, _W): 0xFF where digit i sits at byte 8 + i
 
@@ -62,10 +69,10 @@ def _split(a):
     return high, a - high
 
 
-def _fill(rows: Sequence[np.ndarray], cls: int, sig: int, sep: str, neg: bool) -> None:
-    """Write one pattern (class, sig significant digits, separator, sign)
-    into its rows of the const, first and second tables."""
-    prefix = sep + ("-" if neg else "")
+def _fill(rows: Sequence[np.ndarray], cls: int, sig: int, neg: bool) -> None:
+    """Write one pattern (class, sig significant digits, sign) into its rows
+    of the const, first and second tables."""
+    prefix = "-" if neg else ""
     if cls == _ZERO:
         body = ["0"]
     elif cls < 4:  # fixed, X < 0: 0.000ddd
@@ -99,11 +106,10 @@ def _tables() -> _Tables:
     zeros = np.full(10000, 4, np.uint8)
     for t in (3, 2, 1, 0):
         zeros[n % 10 ** (t + 1) != 0] = t
-    # pattern ((class * 17 + sig - 1) * 2 + not first column) * 2 + negative
-    tables = [np.zeros(((_ZERO + 1) * 17 * 4, _W), np.uint8) for _ in range(3)]
+    # pattern (class * 17 + sig - 1) * 2 + negative
+    tables = [np.zeros(((_ZERO + 1) * 34, _W), np.uint8) for _ in range(3)]
     for i in range(len(tables[0])):
-        cls, sig, sep, neg = i // 68, i // 4 % 17 + 1, "\n,"[i // 2 % 2], bool(i % 2)
-        _fill([table[i] for table in tables], cls, sig, sep, neg)
+        _fill([table[i] for table in tables], i // 34, i // 2 % 17 + 1, bool(i % 2))
     klass = np.full(2 * _EXP_OFF + 1, _SCI)
     exponent = np.zeros((2 * _EXP_OFF + 1, _W), np.uint8)
     for x in range(-_EXP_OFF, _EXP_OFF + 1):
@@ -112,7 +118,7 @@ def _tables() -> _Tables:
         else:
             text = ("e%+03d" % x).encode()
             exponent[x + _EXP_OFF, 30 - len(text):30] = list(text)
-    return _Tables(np.array(pow10), zeros, klass * 68 + 64, exponent, *tables)
+    return _Tables(np.array(pow10), zeros, klass * 34 + 32, exponent, *tables)
 
 
 def _scaled(v: np.ndarray, e: np.ndarray, pow10: np.ndarray):
@@ -152,18 +158,11 @@ def _significands(v: np.ndarray, pow10: np.ndarray):
     return n, e
 
 
-def rows(columns: Sequence[np.ndarray]) -> Optional[bytes]:
-    """The %.17g CSV rows of equal-length float64 columns, or None (see module)."""
-    if not len(columns[0]):
-        return b""
-    table = np.stack(columns, axis=1)
-    x = table.reshape(-1)
-    zero = x == 0
-    # a zero's significand is never read; 1 + 2^-52 has no trailing zeros
-    v = np.abs(np.where(zero, 1.0000000000000002, x))
+def _digits(x: np.ndarray, t: _Tables) -> Optional[np.ndarray]:
+    """The (x.size, _W) slots of nonzero cells x, or None (see module)."""
+    v = np.abs(x)
     if not ((v >= 1e-280) & (v <= 1e280)).all():
         return None
-    t = _tables()
     found = _significands(v, t.pow10)
     if found is None:
         return None
@@ -194,9 +193,7 @@ def rows(columns: Sequence[np.ndarray]) -> Optional[bytes]:
     lanes |= 0x3030303030303030
     index = e + _EXP_OFF
     pattern = t.klass.take(index)
-    pattern -= trailing * 4
-    np.putmask(pattern, zero, _ZERO * 68)
-    pattern.reshape(table.shape)[:, 1:] += 2
+    pattern -= trailing * 2
     pattern += np.signbit(x)
     # N's digits at bytes 7-23 (first) and, one byte on, 8-24 (second)
     raw = np.zeros(x.size * _W + 8, np.uint8)
@@ -210,6 +207,48 @@ def rows(columns: Sequence[np.ndarray]) -> Optional[bytes]:
     slot |= part
     slot |= t.const.take(pattern, axis=0, out=part, mode="clip")
     slot |= t.exponent.take(index, axis=0, out=part, mode="clip")
-    flat = slot.reshape(-1)
-    # the first cell's separator opens the text; the last row's closes it
-    return flat[flat != 0][1:].tobytes() + b"\n"
+    return slot
+
+
+def rows(columns: Sequence[np.ndarray], cells: Optional[dict] = None) -> Optional[bytes]:
+    """The %.17g CSV rows of equal-length float64 columns, or None (see module).
+
+    Given ``cells``, a column chunk bit-equal to one kept there takes its
+    cells, and each column chunk formatted here is kept there."""
+    m = len(columns[0])
+    if not m:
+        return b""
+    t = _tables()
+    zero = [not np.count_nonzero(c) for c in columns]
+    text = b"".join(b"\0" b"0," if z else b"\0" * 29 + b"," for z in zero)
+    out = np.empty((m, len(text)), np.uint8)
+    out[:] = np.frombuffer(text[:-1] + b"\n", np.uint8)
+    at, fresh = 0, []
+    for column, z in zip(columns, zero):
+        into = out[:, at:at + (2 if z else 29)]
+        at += into.shape[1] + 1
+        hit = None if z or cells is None else next(
+            (held for kept, held in cells.get((column[0], column[-1]), ())
+             if np.array_equal(kept.view(np.int64), column.view(np.int64))), None)
+        if z:
+            np.multiply(np.signbit(column), ord("-"), out=into[:, 0], casting="unsafe")
+        elif hit is not None:
+            into[:] = hit
+        else:
+            fresh.append((column, into))
+    if fresh:
+        x = np.stack([c for c, _ in fresh], axis=1).reshape(-1)
+        live = (x != 0).nonzero()[0]
+        slots = _digits(x[live] if live.size < x.size else x, t)
+        if slots is None:
+            return None
+        if live.size < x.size:
+            slots, part = t.const.take(_ZERO * 34 + np.signbit(x), axis=0), slots
+            slots[live] = part
+        slots = slots.reshape(m, len(fresh), _W)[:, :, 1:30]
+        for i, (c, into) in enumerate(fresh):
+            into[:] = slots[:, i]
+            if cells is not None:
+                cells.setdefault((c[0], c[-1]), []).append((c.copy(), slots[:, i]))
+    flat = out.reshape(-1)
+    return flat[flat != 0].tobytes()

@@ -81,10 +81,10 @@ _VARIANTS = ("verified", "as-published")
 _DEFAULTS = {"mode": "auto", "grid.n": "2000", "solve.k_states": "3", "compare.tol": "1e-5",
              "analytic.variant": "verified", "outputs": "spectrum", "out.dir": "out",
              "scan.min": "0", "scan.max": "0", "scan.steps": "0"}
-# rows formatted and written at a time: at 8 columns the numpy path's
-# largest arrays (32 bytes a cell) stay below 128 KiB, glibc's default
-# threshold for fresh mmap pages, whose faults made 512 rows 1.6x slower a cell
-_CSV_CHUNK = 256
+# rows formatted and written at a time: in alternated `wavefunctions` benchmark
+# pairs on a 2-core x86-64 host, 1024 rows beat 256 in 3 of 4 and were level with
+# 512 and 2048, and 2048 raised the peak RSS by 2.4 MB
+_CSV_CHUNK = 1024
 
 
 # 17 significant digits round-trip every double; the same bytes as f"{x:.17g}"
@@ -365,7 +365,7 @@ def _header_lines(rc: RunConfig, artifact: str, mode: str,
 
 
 def _write_csv(path: str, header: List[str], names: Sequence[str],
-               columns: Sequence) -> None:
+               columns: Sequence, cells: Optional[dict] = None) -> None:
     """Write a table: float array columns as %.17g cells, other arrays and
     lists of ready cells as str.
 
@@ -373,7 +373,7 @@ def _write_csv(path: str, header: List[str], names: Sequence[str],
     numpy (``_csvfloat.rows``), byte for byte what the template gives; any
     other chunk, and one holding a cell that path does not decide, is
     formatted by one %-template. Chunks keep the text of a long table from
-    raising the peak memory.
+    raising the peak memory. ``cells`` is passed to ``_csvfloat.rows``.
     """
     rows = len(columns[0])
     for name, column in zip(names, columns):
@@ -388,7 +388,7 @@ def _write_csv(path: str, header: List[str], names: Sequence[str],
         fh.write("\n".join([*header, ",".join(names), ""]).encode())
         for i in range(0, rows, _CSV_CHUNK):
             chunk = [c[i:i + _CSV_CHUNK] for c in columns]
-            text = _csvfloat.rows(chunk) if fast else None
+            text = _csvfloat.rows(chunk, cells) if fast else None
             if text is None:
                 m = len(chunk[0])
                 flat = [None] * (m * k)
@@ -407,11 +407,11 @@ def _write_spectrum(rc: RunConfig, mode: str, grid: Optional[QGrid],
 
 
 def _write_wavefunction(path: str, rc: RunConfig, mode: str, grid: Optional[QGrid],
-                        spinor, obs) -> None:
+                        spinor, obs, cells: Optional[dict] = None) -> None:
     _write_csv(path, _header_lines(rc, "wavefunction", mode, grid),
                ("x", "q", "re_psi1", "im_psi1", "re_psi2", "im_psi2", "rho", "j"),
                (spinor.x, spinor.q, spinor.psi1.real, spinor.psi1.imag, spinor.psi2.real,
-                spinor.psi2.imag, obs.rho, obs.current))
+                spinor.psi2.imag, obs.rho, obs.current), cells)
 
 
 # ---------------------------------------------------------------------------
@@ -456,19 +456,20 @@ def cmd_solve(rc: RunConfig) -> int:
     if not grid and {"potential", "wavefunctions"} & set(rc.outputs):
         print("potential and wavefunctions not written: the free case has no grid "
               "and no bound state")
+    cells: dict = {}  # the grid's x and q, formatted once for every table below
     if "potential" in rc.outputs and grid:
         f = result.field
         if f is None:
             f = exact_potential(model, numeric[0], grid, tmap)
         _write_csv(os.path.join(rc.out_dir, "potential.csv"),
                    _header_lines(rc, "potential", mode, grid), ("q", "V"),
-                   (grid.nodes, f.values))
+                   (grid.nodes, f.values), cells)
     if "wavefunctions" in rc.outputs and grid:
         for k, pair in enumerate(result.pairs):
             spin = normalize(reconstruct(pair, model, tmap, numeric[k]))
             obs = observables(spin, model)
             _write_wavefunction(os.path.join(rc.out_dir, f"wavefunction_{k}.csv"),
-                                rc, mode, grid, spin, obs)
+                                rc, mode, grid, spin, obs, cells)
     if "bic" in rc.outputs and rc.bic_energies:
         _emit_bic(rc, model, tmap, mode)
 

@@ -704,11 +704,11 @@ def solve_exact(model: ModelSpec, tmap: TransformMap, n: int,
     number of phi1 nodes is even and in the centre's when it is odd (so on
     the fine lattice, with 2n+1 phi1 nodes, always in the centre's).
     """
-    if not 1 <= k_states <= n // 2:
-        raise InsufficientResolutionError(f"cannot resolve {k_states} states on {n} nodes")
     if not (math.isfinite(tmap.q_lo) and math.isfinite(tmap.q_hi)):
         raise DomainError(f"exact mode needs a finite q-range; {model.name} maps "
                           f"onto q-range ({tmap.q_lo:g}, {tmap.q_hi:g})")
+    if not 1 <= k_states <= n // 2:
+        raise InsufficientResolutionError(f"cannot resolve {k_states} states on {n} nodes")
     grid = QGrid(tmap.q_lo, tmap.q_hi, n, offset=False)
     q_fine = tmap.q_lo + np.arange(1, 4 * n + 4) * (0.25 * grid.h)
     x_fine = tmap.inverse_grid(q_fine)

@@ -64,9 +64,13 @@ def test_tier1_runs_one_shot_solves():
     assert "'outputs = spectrum, potential, wavefunctions'" in run
     assert 'glob.glob(os.path.join(sys.argv[1], "out-*", "*.csv"))' in run
     # a constant-u solve of cosh_square writes its closed-form levels' Richardson
-    # step into the same out-* directories, under the same cell check
+    # step and a bic state (20001 rows, three all-zero columns) into the same out-*
+    # directories, under the same cell check
     assert "'model.name = cosh_square'" in run and "'grid.n = 400'" in run
-    assert re.search(r'--config "\$RUNNER_TEMP/cosh\.cfg" --mode constant-u '
+    assert re.search(r"cat \"\$RUNNER_TEMP/cosh\.cfg\"; echo 'outputs = spectrum, potential, "
+                     r"wavefunctions, bic'; \\\s+echo 'bic\.energies = 1\.5'; } "
+                     r"> \"\$RUNNER_TEMP/cosh-bic\.cfg\"", run)
+    assert re.search(r'--config "\$RUNNER_TEMP/cosh-bic\.cfg" --mode constant-u '
                      r'--out "\$RUNNER_TEMP/out-constant-u"', run)
     # and so does its exact solve under --strict, the lattice's closed form for a
     # constant u, whose spectrum rows equal the same solve's without wavefunctions
@@ -78,7 +82,7 @@ def test_tier1_runs_one_shot_solves():
                      r'--out "\$RUNNER_TEMP/cosh-lean"', run)
     assert re.search(r'"\$RUNNER_TEMP/cosh-lean/spectrum\.csv" '
                      r'"\$RUNNER_TEMP/out-exact-cosh/spectrum\.csv"', run)
-    assert "assert len(paths) == 20" in run
+    assert "assert len(paths) == 21" in run
     assert 'assert cell == "%.17g" % float(cell)' in run
     # an n = 8000 approximate solve of the same poschl_teller (g = 3.49)
     # runs the grid ladder's select="v" windows; --strict at compare.tol = 1e-7

@@ -362,10 +362,25 @@ def per_cell_csv(header, names, columns):
             + "".join(",".join(r) + "\n" for r in rows)).encode("utf-8")
 
 
+@pytest.fixture
+def formatted(monkeypatch):
+    """|x| of the cells each chunk runs through the digit arithmetic."""
+    seen, significands = [], cli._csvfloat._significands
+    monkeypatch.setattr(cli._csvfloat, "_significands",
+                        lambda v, pow10: seen.append(v.copy()) or significands(v, pow10))
+    return seen
+
+
+def same_cells(formatted, *columns):
+    """Whether the formatted cells are, as a multiset, the nonzero cells of ``columns``."""
+    cells = np.abs(np.concatenate(columns))
+    return np.array_equal(np.sort(np.concatenate(formatted or [[]])), np.sort(cells[cells != 0]))
+
+
 class TestWriter:
-    def write(self, tmp_path, names, columns):
+    def write(self, tmp_path, names, columns, *cells):
         path = tmp_path / "t.csv"
-        cli._write_csv(str(path), ["# t"], names, columns)
+        cli._write_csv(str(path), ["# t"], names, columns, *cells)
         assert path.read_bytes() == per_cell_csv(["# t"], names, columns)
         return path
 
@@ -389,6 +404,55 @@ class TestWriter:
         assert [r[0] for r in rows] == ["-0" if np.signbit(v) else "0" for v in signs]
         assert rows[cli._CSV_CHUNK + 5][1:] == ["nan", "nan"]
         assert {r[1] for r in rows} == {"0", "nan"} and {r[2] for r in rows} == {"-0", "nan"}
+
+    def test_zero_chunks_beside_nonzero_chunks(self, tmp_path, numpy_chunks, formatted):
+        # all zeros of both signs, then nonzero cells, then all -0: only nonzero
+        # cells run through the digits, sparse zeros among them
+        n = cli._CSV_CHUNK
+        values = np.random.default_rng(6).standard_normal(3 * n)
+        mixed = np.concatenate([np.where(np.arange(n) % 3, 0.0, -0.0), values[n:2 * n],
+                                np.full(n, -0.0)])
+        sparse = values.copy()
+        sparse[::7], sparse[3::7] = 0.0, -0.0
+        self.write(tmp_path, ("m", "s", "v"), (mixed, sparse, values))
+        assert len(numpy_chunks) == 3 and all(numpy_chunks)
+        assert same_cells(formatted, mixed, sparse, values)
+
+    def test_bit_equal_columns_share_cells(self, tmp_path, formatted):
+        a, b, c = np.random.default_rng(7).standard_normal((3, 2 * cli._CSV_CHUNK + 5))
+        cells = {}
+        self.write(tmp_path, ("a", "b"), (a, b), cells)
+        assert same_cells(formatted, a, b)
+        formatted.clear()
+        # equal columns in distinct arrays, in other places of the table, take the
+        # kept cells; a table written without the cells formats them again
+        self.write(tmp_path, ("c", "b", "a"), (c, b.copy(), a.copy()), cells)
+        assert same_cells(formatted, c)
+        formatted.clear()
+        self.write(tmp_path, ("a", "b"), (a, b))
+        assert same_cells(formatted, a, b)
+
+    def test_a_changed_cell_is_formatted_anew(self, tmp_path, formatted, numpy_chunks):
+        n = cli._CSV_CHUNK
+        a = np.random.default_rng(8).standard_normal(3 * n)
+        a[5] = 0.0
+        cells = {}
+        self.write(tmp_path, ("a",), (a,), cells)
+        # one ulp off, or -0 for 0 (value-equal, not the same cell): that chunk only
+        for at, value in ((n + 3, np.nextafter(a[n + 3], np.inf)), (5, -0.0)):
+            changed = a.copy()
+            changed[at] = value
+            formatted.clear()
+            self.write(tmp_path, ("a",), (changed,), cells)
+            assert same_cells(formatted, changed[at // n * n:(at // n + 1) * n])
+        # a NaN sends its chunk to the template; the others take the kept cells
+        changed = a.copy()
+        changed[n + 5] = math.nan
+        formatted.clear()
+        numpy_chunks.clear()
+        self.write(tmp_path, ("a",), (changed,), cells)
+        assert [text is not None for text in numpy_chunks] == [True, False, True]
+        assert formatted == []
 
     @pytest.mark.parametrize("rows", [0, 1, cli._CSV_CHUNK - 1, cli._CSV_CHUNK,
                                       cli._CSV_CHUNK + 1, 2 * cli._CSV_CHUNK + 1])
@@ -435,7 +499,7 @@ class TestWriter:
             ["spectrum.csv", "potential.csv", "discrepancy.csv", "bic_0.csv", "bic_1.csv"]
             + [f"wavefunction_{k}.csv" for k in range(3)])
         negative_zeros = 0
-        for name, (header, names, columns) in written.items():
+        for name, (header, names, columns, *_) in written.items():
             path = tmp_path / "out" / name
             assert path.read_bytes() == per_cell_csv(header, names, columns), name
             if not name.startswith(("wavefunction_", "bic_")):
@@ -449,7 +513,9 @@ class TestWriter:
                 negative_zeros += int(np.signbit(values).sum())
         assert negative_zeros > 0
 
-    def test_solve_shares_x_and_q_columns(self, tmp_path):
+    def test_solve_shares_x_and_q_columns(self, tmp_path, monkeypatch, formatted):
+        calls, write = [], cli._write_csv
+        monkeypatch.setattr(cli, "_write_csv", lambda *args: (calls.append(args), write(*args)))
         cfg = write_config(
             tmp_path / "c.txt",
             model__name="cosh_square", model__alpha=1.0, model__v0=1.0,
@@ -467,6 +533,40 @@ class TestWriter:
             _, rows = read_rows(tmp_path / "out" / f"wavefunction_{k}.csv")
             assert [r[0] for r in rows] == x
             assert [r[1] for r in rows] == q
+        # the solve formats q once (potential.csv) and x once (wavefunction_0.csv),
+        # though each wavefunction holds x and q in arrays of its own
+        tables = {os.path.basename(path): columns for path, _, _, columns, *_ in calls}
+        grid, field = tables["potential.csv"]
+        distinct = [grid, field, tables["wavefunction_0.csv"][0]]
+        for k in range(3):
+            x_k, q_k, *rest = tables[f"wavefunction_{k}.csv"]
+            assert np.array_equal(x_k, distinct[2]) and np.array_equal(q_k, grid)
+            assert k == 0 or x_k is not distinct[2]
+            distinct += rest
+        assert same_cells(formatted, *distinct)
+
+    def test_two_solves_in_one_process(self, tmp_path, monkeypatch, formatted):
+        # each solve's cells live for that solve: the first grid solved again
+        # formats as many cells as at first, and every table is per-cell exact
+        calls, write = [], cli._write_csv
+        monkeypatch.setattr(cli, "_write_csv", lambda *args: (calls.append(args), write(*args)))
+        cells = []
+        for run, n in enumerate((300, 301, 300)):
+            cfg = write_config(
+                tmp_path / f"c{run}.txt",
+                model__name="cosh_square", model__alpha=1.0, model__v0=1.0,
+                model__m0=1.0, grid__n=n, solve__k_states=2,
+                outputs="potential, wavefunctions", out__dir=str(tmp_path / f"out{run}"),
+            )
+            formatted.clear()
+            assert main(["solve", "--config", cfg]) == 0
+            cells.append(sum(len(v) for v in formatted))
+        assert cells[0] == cells[2] != cells[1]
+        for path, header, names, columns, *_ in calls:
+            with open(path, "rb") as fh:
+                assert fh.read() == per_cell_csv(header, names, columns), path
+        for name in os.listdir(tmp_path / "out0"):
+            assert (tmp_path / "out0" / name).read_bytes() == (tmp_path / "out2" / name).read_bytes()
 
 
 def float_table(values, columns=8):
@@ -481,7 +581,7 @@ def float_table(values, columns=8):
 def numpy_chunks(monkeypatch):
     """Each ``_csvfloat.rows`` result: bytes (formatted in numpy) or None (template)."""
     results, rows = [], cli._csvfloat.rows
-    monkeypatch.setattr(cli._csvfloat, "rows", lambda columns: results.append(rows(columns))
+    monkeypatch.setattr(cli._csvfloat, "rows", lambda *args: results.append(rows(*args))
                         or results[-1])
     return results
 
@@ -962,10 +1062,13 @@ EXACT_SWEEP = [
     *((name, edge, "solve", 0, "mode=exact, grid n=400")
       for name in ("cosh_square", "rational", "poschl_teller")
       for edge in ("nominal", "massless")),
-    *((name, "k_max", "solve", 3, RESOLUTION) for name in EXACT_SWEEP_MODELS),
+    *((name, "k_max", "solve", 3, RESOLUTION)
+      for name in ("cosh_square", "rational", "poschl_teller")),
+    # the infinite q-range is named before the resolution, which no n would mend
     *((name, edge, "solve", 3, f"numerical failure: DomainError: exact mode needs a finite "
                                f"q-range; {name} maps onto q-range (-inf, inf)")
-      for name in ("linear_singular", "constant_rest") for edge in ("nominal", "massless")),
+      for name in ("linear_singular", "constant_rest")
+      for edge in ("nominal", "massless", "k_max")),
     *((name, edge, "report", 0, "potential vs constant A^2: max |dV| = 0")
       for name in ("cosh_square", "rational", "constant_rest") for edge in ("nominal", "k_max")),
     *((name, "massless", "report", 0, "massless model: effective potential is identically zero")
@@ -1008,6 +1111,57 @@ class TestExactModeExitSweep:
         out, err = capsys.readouterr()
         if code:
             assert err.startswith(cause + "\n") and not tried
+        else:
+            assert cause in out and err == ""
+
+
+FREE_REST = dict(model__name="constant_rest", model__m0=1.0, model__c=1.0)
+FREE_LINEAR = dict(model__name="linear_singular", model__A=0.0, model__v0=1.0)
+MASSLESS_PT = dict(model__name="poschl_teller", model__alpha=1.0, model__v0=1.0, model__m0=0.0)
+BIC_RANGE = ("numerical failure: DomainError: the bic family needs a finite q-range; {} maps "
+             "onto q-range (-inf, inf)")
+FREE_NOTE = "potential and wavefunctions not written: the free case has no grid and no bound state"
+# (id, command, config, exit code, the cause: on stderr for an exit 3, else on stdout)
+EDGE_SWEEP = [
+    ("bic-infinite-range-constant_rest", "bic", dict(FREE_REST, bic__energies="2.0"), 3,
+     BIC_RANGE.format("constant_rest")),
+    ("bic-infinite-range-linear_singular", "bic", dict(FREE_LINEAR, bic__energies="2.0"), 3,
+     BIC_RANGE.format("linear_singular")),
+    ("report-massless-linear_singular", "report", FREE_LINEAR, 0,
+     "massless model: effective potential is identically zero\npublished oscillator energies "
+     "(as-published; the reduced potential is exponential and supports no bound states):\n"
+     "  n=0: published spectrum gives E^2 = -0.0625 < 0 at n=0\n"),
+    ("report-massless-poschl_teller", "report", MASSLESS_PT, 0,
+     "massless model: effective potential is identically zero\ns (verified) = complex "
+     "(radicand < 0), s (as-published) = complex (radicand < 0)\nnumeric levels vs the "
+     "verified constant-u-mode reference:\n  level 0: E="),
+    ("wall-g0.2-solve", "solve", dict(MASSLESS_PT, model__m0=0.2, mode="approximate", grid__n=2000),
+     3, "numerical failure: UnboundedBelowError: wall coefficient c = V d^2 = -0.2725 < -1/4 at "
+        "q = -1.5708: V is unbounded below at that wall, so it has no lowest level"),
+    ("free-note-constant_rest", "solve",
+     dict(FREE_REST, outputs="spectrum, potential, wavefunctions"), 0, FREE_NOTE),
+    ("free-note-linear_singular", "solve",
+     dict(FREE_LINEAR, outputs="spectrum, potential, wavefunctions"), 0, FREE_NOTE),
+    ("free-solve-bic-constant_rest", "solve",
+     dict(FREE_REST, outputs="spectrum, bic", bic__energies="2.0"), 3,
+     BIC_RANGE.format("constant_rest")),
+    ("free-solve-bic-linear_singular", "solve",
+     dict(FREE_LINEAR, outputs="spectrum, bic", bic__energies="2.0"), 3,
+     BIC_RANGE.format("linear_singular")),
+]
+
+
+class TestExitSweep:
+    """Edge cases outside exact mode, each with its exit code and the cause it names."""
+
+    @pytest.mark.parametrize("command,keys,code,cause", [c[1:] for c in EDGE_SWEEP],
+                             ids=[c[0] for c in EDGE_SWEEP])
+    def test_exit_code_and_cause(self, tmp_path, capsys, command, keys, code, cause):
+        cfg = write_config(tmp_path / "c.txt", out__dir=str(tmp_path / "out"), **keys)
+        assert main([command, "--config", cfg]) == code
+        out, err = capsys.readouterr()
+        if code:
+            assert err.startswith(cause + "\n")
         else:
             assert cause in out and err == ""
 
