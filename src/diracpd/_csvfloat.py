@@ -10,7 +10,7 @@ Zeros and shared columns. Only nonzero cells are formatted: a zero is "0"
 or "-0", and a column whose chunk is all zeros is written as constant cells.
 ``rows(columns, cells)`` keeps each column chunk it formats in the dict
 ``cells``, where a later bit-equal chunk finds its cells, so the x and q of a
-solve's tables are formatted once.
+solve's tables are formatted once; ``keep`` drops the others after a table.
 
 Digits. For v = |x| with E = floor(log10 v) and k = 16 - E, the significand
 is N = v 10^k rounded half-even, an integer in [1e16, 1e17). The product is
@@ -252,3 +252,11 @@ def rows(columns: Sequence[np.ndarray], cells: Optional[dict] = None) -> Optiona
                 cells.setdefault((c[0], c[-1]), []).append((c.copy(), slots[:, i]))
     flat = out.reshape(-1)
     return flat[flat != 0].tobytes()
+
+
+def keep(cells: dict, columns: Sequence[np.ndarray], chunk: int) -> None:
+    """Drop from ``cells`` (see rows) all but the chunks of ``columns`` cut in
+    ``chunk`` rows, as a table hands them to rows."""
+    for key in cells.keys() - {(c[i], c[min(i + chunk, c.size) - 1])
+                               for c in columns for i in range(0, c.size, chunk)}:
+        del cells[key]

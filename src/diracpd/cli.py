@@ -464,12 +464,14 @@ def cmd_solve(rc: RunConfig) -> int:
         _write_csv(os.path.join(rc.out_dir, "potential.csv"),
                    _header_lines(rc, "potential", mode, grid), ("q", "V"),
                    (grid.nodes, f.values), cells)
+        _csvfloat.keep(cells, [grid.nodes], _CSV_CHUNK)  # a solve repeats only x and q
     if "wavefunctions" in rc.outputs and grid:
         for k, pair in enumerate(result.pairs):
             spin = normalize(reconstruct(pair, model, tmap, numeric[k]))
             obs = observables(spin, model)
             _write_wavefunction(os.path.join(rc.out_dir, f"wavefunction_{k}.csv"),
                                 rc, mode, grid, spin, obs, cells)
+            _csvfloat.keep(cells, [grid.nodes, spin.x], _CSV_CHUNK)
     if "bic" in rc.outputs and rc.bic_energies:
         _emit_bic(rc, model, tmap, mode)
 

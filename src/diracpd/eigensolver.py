@@ -4,12 +4,13 @@ The discrete operator is the symmetric tridiagonal second-difference matrix
 plus diag(V); for a non-constant V (approximate mode, and the scalar exact
 reduction of solve_self_consistent) eigenvalues come from bisection over
 Sturm sequences (LAPACK's dstebz, bound from scipy's LAPACK extension
-without importing scipy.linalg; see eigh_tridiagonal), then one Richardson
+without importing scipy.linalg; see eigh_tridiagonal) and from certified
+shifted solves (dgttrf, dgttrs; see _in_windows), then one Richardson
 step over (h, h/2) removes the leading O(h^2) error. Vectors are computed
 only when asked for (``vectors=True``, the default; only the spinor lift
 reads them), after the levels are settled: inverse iteration (dstein) on
 the certified base levels, so asking for them changes no level. Level k,
-whose bisection and Sturm counts certify, has k sign changes by the
+which the Sturm counts certify, has k sign changes by the
 oscillation theorem for Jacobi matrices (Gantmacher & Krein, Oscillation
 Matrices and Kernels), so the node count of a vectorless level is its index;
 with vectors it is counted from the vector's interior sign changes.
@@ -24,28 +25,28 @@ Richardson step and the vectors. One h^2 law (_h2) gives both the
 Richardson level and the ladder's predictions.
 
 Without a ladder the base grid is bisected by index from the whole
-spectrum. Each refined level is bisected in a narrow window around its base
-value (about 1e-6 |lambda|, widened 16-fold while empty) to the base grid's
-absolute tolerance eps * (Gershgorin norm of T_h), a quarter of the refined
-grid's own default; Sturm counts certify that the windows found the lowest
-levels. When a window holds more than one level, or the counts disagree,
-the refined grid is bisected by index like the base grid.
+spectrum, and each refined level comes from a shifted solve at its base
+value (_in_windows): T - sigma factored once (dgttrf), two solves (dgttrs)
+from a fixed start vector, and a Rayleigh quotient theta whose residual r
+puts an eigenvalue in [theta - r, theta + r]; where r is not yet small the
+shift follows theta (Rayleigh quotient iteration). One Sturm count per
+block and the Kato-Temple bound certify that these are the lowest levels,
+each within the base grid's bisection tolerance eps * (Gershgorin norm of
+T_h) (Parlett, The Symmetric Eigenvalue Problem, SIAM 1998, chs. 4, 10);
+on a refusal the refined grid is bisected by index like the base grid.
 
-With a ladder only its two grids are bisected by index. The base levels are
-bisected in windows around their h^2 Richardson prediction from the two,
-and the refined ones around theirs from the n/16 and base grids, each
-window a few Sturm sweeps where an index search from the whole Gershgorin
-interval takes about 50 (Barth, Martin & Wilkinson, Numer. Math. 9 (1967)
-386). The same window checks and one Sturm count per parity block certify
-each grid; on any miss the solve takes the ladderless path. The ladder's
-levels lie within 2 tol of that path's, tol the base grid's
-_bisection_tol. Both solvers build a ladder where _ladder_pays: its n/16
-grid has _LADDER_ROWS rows (n >= 4000 for solve_fixed, n >= 2000 for the
-lattice of solve_exact) and k <= n/64; in exact mode, only when each wall
-of the lattice is regular or singular with u ~ g/d, g >= 1 (_h2_walls): in
-the g < 1 band of poschl_teller the lattice error is not h^2 and the
-windows would miss. Approximate mode tries its ladder whatever the wall,
-and misses in that band; a constant u needs none in either mode.
+With a ladder only its two grids are bisected by index, each costing about
+50 Sturm sweeps from the whole Gershgorin interval (Barth, Martin &
+Wilkinson, Numer. Math. 9 (1967) 386). The base levels come from shifted
+solves at their h^2 Richardson prediction from the two, and the refined
+ones at theirs from the n/16 and base grids, each about a dozen sweeps'
+cost; on a refusal the solve takes the ladderless path. The ladder's levels
+lie within 2 tol of that path's, tol the base grid's _bisection_tol. Both
+solvers build a ladder where _ladder_pays: its n/16 grid has _LADDER_ROWS
+rows (n >= 4000 for solve_fixed, n >= 2000 for the lattice of solve_exact)
+and k <= n/64, whatever the walls (in the g < 1 band of poschl_teller,
+where the error is not h^2, the shifts take a second factorization); a
+constant u needs none in either mode.
 
 When the sampled potential (or u, on the lattice) matches its mirror to
 1e-8 relative, as the paper's even models do on their whole q-range, it
@@ -69,6 +70,7 @@ form's, which is within 2 tol of its bisected value.
 
 from __future__ import annotations
 
+import functools
 import importlib.machinery
 import importlib.util
 import math
@@ -99,7 +101,7 @@ _FLAPACK = "scipy.linalg._flapack"
 
 
 def _lapack():
-    """(dstebz, dstein) from scipy's LAPACK extension.
+    """(dstebz, dstein, dgttrf, dgttrs) from scipy's LAPACK extension.
 
     The extension is found in scipy's ``linalg`` directory and loaded under
     its own name without running ``scipy.linalg``'s package, which would
@@ -121,10 +123,10 @@ def _lapack():
             module = importlib.util.module_from_spec(spec)
             spec.loader.exec_module(module)
             sys.modules.pop(_FLAPACK, None)  # loading entered it there
-    return module.dstebz, module.dstein
+    return module.dstebz, module.dstein, module.dgttrf, module.dgttrs
 
 
-_dstebz, _dstein = _lapack()
+_dstebz, _dstein, _dgttrf, _dgttrs = _lapack()
 
 
 def _check_info(info: int, driver: str) -> None:
@@ -331,13 +333,18 @@ def _by_index(blocks, k: int, firsts) -> np.ndarray:
     return w
 
 
-def _counted(blocks, w: np.ndarray, floor: float, tol: float) -> bool:
+def _top(w: np.ndarray, tol: float, reach: float = 0.0) -> float:
+    """w[-1] + max(1e-6 |w[-1]|, tol, reach): the top of _counted's count over w."""
+    return w[-1] + max(1e-6 * abs(w[-1]), tol, reach)
+
+
+def _counted(blocks, w: np.ndarray, floor: float, top: float) -> bool:
     """Whether the levels ``w`` rise and each block p, which supplied
-    w[p::len(blocks)], holds exactly that many eigenvalues in (floor, just
-    above w[-1]]: then they are the lowest levels over the floor, in order."""
-    size, top = len(blocks), w[-1] + max(1e-6 * abs(w[-1]), tol)
+    w[p::len(blocks)], holds exactly that many eigenvalues in (floor, top]:
+    then they are the lowest levels over the floor, in order (for a top
+    under the next level)."""
     return bool(np.all(np.diff(w) > 0)) and all(
-        _count(*block, floor, top) == w[p::size].size for p, block in enumerate(blocks))
+        _count(*block, floor, top) == w[p::len(blocks)].size for p, block in enumerate(blocks))
 
 
 def _h2(a: np.ndarray, b: np.ndarray, ra: float, rb: float, rt: float) -> np.ndarray:
@@ -348,52 +355,84 @@ def _h2(a: np.ndarray, b: np.ndarray, ra: float, rb: float, rt: float) -> np.nda
     return (a * (rt - rb) - b * (rt - ra)) / (ra - rb)
 
 
-def _in_windows(blocks, guesses: np.ndarray, tol: float, floor: float,
-                halves: Optional[np.ndarray] = None) -> Optional[np.ndarray]:
-    """Levels p, p + len(blocks), ... of block p, each bisected to tol in its
-    own window around guesses[j], or None.
+@functools.lru_cache(maxsize=4)
+def _start(size: int) -> np.ndarray:
+    """_shifted's fixed start vector: splitmix64 hashes of 1 .. size as numbers
+    in [-1/2, 1/2). It has no structure; one with reflection symmetry, say,
+    has no part along the odd levels of an even matrix solved whole."""
+    v = np.arange(1, size + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        v = (v ^ (v >> np.uint64(shift))) * np.uint64(factor)
+    x = ((v ^ (v >> np.uint64(31))) >> np.uint64(11)) * 2.0 ** -53 - 0.5
+    x.setflags(write=False)
+    return x
 
-    Window j starts at halves[j] either side and widens 16-fold once; without
-    ``halves`` it starts at 1e-6 |guesses[j]| (at least tol) and widens
-    16-fold while it is empty, up to the Gershgorin norm. The certificate:
-    every window holds exactly one eigenvalue, each block's levels rise from
-    ``floor`` by more than tol (none is found twice), and one _counted Sturm
-    count per block shows that they are the lowest levels over ``floor``.
-    None means a miss; the caller then bisects by index.
+
+def _shifted(d: np.ndarray, e: np.ndarray, sigma: float, tol: float) -> Tuple[float, float]:
+    """(theta, r) near sigma for T = tridiag(e, d, e): the Rayleigh quotient
+    theta = x.T x of a unit x and its residual r = |T x - theta x|, which
+    puts an eigenvalue within r of theta. x is _start after two solves
+    (dgttrs) with T - sigma, factored once (dgttrf). While r tops both 32 tol
+    (r's rounding floor on a refined grid, of 4 times the base grid's norm)
+    and (1e-6 |theta| tol)^(1/2) (which the Kato-Temple bound takes at
+    _top's margin), the shift follows theta (Rayleigh quotient iteration),
+    three factorizations at most. A singular one stops it (r = inf if first).
     """
-    size, w, limit = len(blocks), np.empty(guesses.size), tol / np.finfo(float).eps
+    x, theta, r = _start(d.size), sigma, math.inf
+    for _ in range(3):
+        *lu, info = _dgttrf(e, d - theta, e)
+        if info:
+            break
+        x = _dgttrs(*lu, _dgttrs(*lu, x)[0])[0]
+        x /= math.sqrt(np.sum(x * x))  # sums, not BLAS dots, which may wake threads
+        tx = d * x
+        tx[1:] += e * x[:-1]
+        tx[:-1] += e * x[1:]
+        theta = float(np.sum(x * tx))
+        r = math.sqrt(np.sum((tx - theta * x) ** 2))
+        if r <= max(32.0 * tol, math.sqrt(1e-6 * abs(theta) * tol)):
+            break
+    return theta, r
+
+
+def _in_windows(blocks, guesses: np.ndarray, tol: float,
+                floor: float) -> Optional[np.ndarray]:
+    """Levels p, p + len(blocks), ... of block p, each the Rayleigh quotient
+    theta_j of a shifted solve at guesses[j] (_shifted), or None.
+
+    Certificate, per block: the windows [theta_j -/+ r_j], r_j the residual,
+    each hold an eigenvalue and rise from ``floor``, none touching the next,
+    and one _counted Sturm count finds as many eigenvalues in (floor, top]:
+    so each holds one, the lowest, in order. By the Kato-Temple bound
+    (Parlett 1998, ch. 10) theta_j then lies within r_j^2 / delta_j of it,
+    delta_j its distance to the next windows (or to floor and top), which
+    must be <= tol, as bisection would give; the top (_top) reaches
+    4 max(r)^2 / tol over the last level, so there it holds. None is a
+    refusal: the caller bisects by index. Blocks come from grids of 3 nodes
+    or more, so each has the 3 rows dgttrf's binding needs.
+    """
+    size, w, r = len(blocks), np.empty(guesses.size), np.empty(guesses.size)
     for p, block in enumerate(blocks[:guesses.size]):
         for j in range(p, guesses.size, size):
-            half = max(1e-6 * abs(guesses[j]), tol) if halves is None else halves[j]
-            cap = limit if halves is None else half
-            while True:
-                found = eigh_tridiagonal(*block, select="v", tol=tol,
-                                         select_range=(guesses[j] - half, guesses[j] + half))
-                if found.size or half > cap:
-                    break
-                half *= 16.0
-            if found.size != 1:
-                return None
-            w[j] = found[0]
-        if not (w[p] > floor and np.all(np.diff(w[p::size]) > tol)):
+            w[j], r[j] = _shifted(*block, guesses[j], tol)
+    top = _top(w, tol, 4.0 * float(np.max(r)) ** 2 / tol)
+    for p in range(min(size, w.size)):
+        t, s = w[p::size], r[p::size]
+        delta = np.minimum(t - np.append(floor, t[:-1] + s[:-1]),
+                           np.append(t[1:] - s[1:], top) - t)
+        if not np.all((delta > s) & (s * s <= tol * delta)):
             return None
-    return w if _counted(blocks, w, floor, tol) else None
+    return w if _counted(blocks, w, floor, top) else None
 
 
 def _ladder(grids, blocks, k: int, tol: float):
     """(base levels, refined levels) from the grid sequence (n/16, n/32, base,
-    refined) and its ``blocks`` as _levels folds them, or None on any miss.
+    refined) and its ``blocks`` as _levels folds them, or None on a refusal.
 
     Only the two coarse grids are bisected by index, from their _inertia
-    counts; a wrong count is a miss. The base levels are then bisected in
-    windows (_in_windows) around their h^2 Richardson prediction from the
-    two coarse grids, each 1e-2 of its prediction's distance from the n/16
-    level wide either side (at least tol). The refined (h/2) levels follow
-    around their prediction from the n/16 grid and the base grid, in windows
-    of 0.1 of the base prediction's miss (at least 4 tol): an error term h^p
-    off the h^2 law, 1 <= p <= 4, that the base prediction misses by m
-    misses the refined level by at most 0.05 m, and the refined grid's Sturm
-    counts round at four times the base grid's tolerance.
+    counts; a wrong count is a refusal. The base levels then come from
+    shifted solves (_in_windows) at their h^2 prediction from the two coarse
+    grids, and the refined (h/2) levels at theirs from the n/16 and base grids.
     """
     try:
         firsts = [_inertia(b, grid) for grid, b in zip(grids[:2], blocks)]
@@ -401,13 +440,11 @@ def _ladder(grids, blocks, k: int, tol: float):
         return None
     g16, g32, coarse, fine = grids
     w16 = _by_index(blocks[0], k, firsts[0])
-    guess = _h2(w16, _by_index(blocks[1], k, firsts[1]), g16.r, g32.r, coarse.r)
-    w = _in_windows(blocks[2], guess, tol, coarse.floor,
-                    np.maximum(1e-2 * np.abs(guess - w16), tol))
+    w = _in_windows(blocks[2], _h2(w16, _by_index(blocks[1], k, firsts[1]), g16.r, g32.r,
+                                   coarse.r), tol, coarse.floor)
     if w is None:
         return None
-    w_fine = _in_windows(blocks[3], _h2(w, w16, coarse.r, g16.r, fine.r), tol,
-                         fine.floor, np.maximum(0.1 * np.abs(w - guess), 4.0 * tol))
+    w_fine = _in_windows(blocks[3], _h2(w, w16, coarse.r, g16.r, fine.r), tol, fine.floor)
     return None if w_fine is None else (w, w_fine)
 
 
@@ -436,15 +473,15 @@ def _levels(grids, k: int, mirror=None, vectors: bool = True):
     each matrix is first split into its _Grid.blocks, the one holding the
     lowest level first; ``mirror`` gives that block's signs for _unfold, and
     the other's are the opposite. A ladder is tried first (_ladder), in the
-    first configuration (folded when there is a ``mirror``); where it hits,
-    neither grid's inertia is counted, as the ladder's window checks and
-    counts from the floors certify both grids' levels. Otherwise block p of
+    first configuration (folded when there is a ``mirror``); where it is
+    certified, neither grid's inertia is counted, as the certificates'
+    counts from the floors cover both grids' levels. Otherwise block p of
     the base grid supplies levels p, p + 2, ..., bisected by index
     (_by_index) from its _inertia count. Folded, the levels must rise and no
     block, also one that supplied none, may hold more levels in (floor, just
     above the top one] than it supplied, or the whole matrices are solved.
-    Refined levels are bisected near the base ones (_in_windows), else by
-    index.
+    Refined levels come from shifted solves at the base ones (_in_windows),
+    else they are bisected by index.
     """
     tol, n = _bisection_tol(*grids[-2].matrix), grids[-2].matrix[0].size
     for folded in (True, False) if mirror is not None else (False,):
@@ -454,7 +491,7 @@ def _levels(grids, k: int, mirror=None, vectors: bool = True):
         (coarse, fine), (coarse_blocks, fine_blocks) = grids, blocks[-2:]
         if found is None:
             w = _by_index(coarse_blocks, k, _inertia(coarse_blocks, coarse))
-            if folded and not _counted(coarse_blocks, w, coarse.floor, tol):
+            if folded and not _counted(coarse_blocks, w, coarse.floor, _top(w, tol)):
                 continue
             firsts = _inertia(fine_blocks, fine)
             w_fine = _in_windows(fine_blocks, w, tol, fine.floor)
@@ -656,23 +693,6 @@ def _free_lattice(grid: QGrid, u: np.ndarray, tol: float, k: int, vectors: bool)
     return _h2(w, w_fine, 1.0, 0.25, 0.0), np.abs(w - w_fine), vecs
 
 
-def _h2_walls(u_fine: np.ndarray, d: float) -> bool:
-    """Whether both walls of the lattice over ``u_fine`` leave its levels an
-    h^2 error, read from its first two sites from each wall, d and 2 d away.
-
-    A wall where u is finite is regular: u d there about doubles from the
-    first site to the second (it is closer to twice the first value than to
-    the first value). Any other wall is singular, u ~ g / d with g = u d at
-    the first site, and the lattice error has an h^(2g) term beside the h^2
-    one; only g >= 1 (to 1e-9 relative, for g = 1 itself) keeps it h^2.
-    """
-    for first, second in ((u_fine[0], u_fine[1]), (u_fine[-1], u_fine[-2])):
-        g, twice = first * d, second * 2.0 * d
-        if abs(twice - 2.0 * g) > abs(twice - g) and not g >= 1.0 - 1e-9:
-            return False
-    return True
-
-
 def solve_exact(model: ModelSpec, tmap: TransformMap, n: int,
                 k_states: int, vectors: bool = True) -> SpectrumResult:
     """Lowest k_states positive energies of H = sigma_x p_q + sigma_z u(q), u = m v_F^2.
@@ -690,7 +710,7 @@ def solve_exact(model: ModelSpec, tmap: TransformMap, n: int,
     lattices over n and 2n+1 phi1 nodes, each with n+1 and 2n+2 eigenvalues at
     or under its inertia floor, led by the lattices over n // 16 and n // 32
     phi1 nodes between the same walls where _ladder_pays (the first has
-    2 (n // 16) + 1 rows) and both walls of the fine lattice pass _h2_walls.
+    2 (n // 16) + 1 rows), whatever the walls.
     The sites of both coarse lattices are inverted in one call. Vectors have
     h sum(phi1^2 + chi^2) = 1 and phi1 > 0 at its largest sample (the first
     of equal ones). With ``vectors=False`` none is computed: each pair's phi
@@ -726,7 +746,7 @@ def solve_exact(model: ModelSpec, tmap: TransformMap, n: int,
     found = _free_lattice(grid, u_fine, _bisection_tol(*base.matrix), k_states, vectors)
     if found is None:
         grids = [base, lattice(u_fine, 0.5 * grid.h)]
-        if _ladder_pays(2 * (n // 16) + 1, n, k_states) and _h2_walls(u_fine, 0.25 * grid.h):
+        if _ladder_pays(2 * (n // 16) + 1, n, k_states):
             coarse = [QGrid(grid.lo, grid.hi, n // m) for m in (16, 32)]
             q = np.concatenate([g.lo + np.arange(1, 2 * g.n + 2) * (0.5 * g.h) for g in coarse])
             order = np.argsort(q, kind="stable")

@@ -58,7 +58,8 @@ def test_tier1_runs_one_shot_solves():
     # a later import of scipy.linalg binds the extension the package loaded
     assert "python -c 'import diracpd, scipy.linalg" in run
     assert 'hasattr(scipy.linalg, "_flapack")' in run
-    assert "scipy.linalg.lapack.dstebz is diracpd.eigensolver._dstebz" in run
+    for routine in ("dstebz", "dgttrf", "dgttrs"):
+        assert f"scipy.linalg.lapack.{routine} is diracpd.eigensolver._{routine}" in run
     # every cell of every table both solves write, the potential's among them,
     # is the %.17g text of its value
     assert "'outputs = spectrum, potential, wavefunctions'" in run
@@ -85,8 +86,8 @@ def test_tier1_runs_one_shot_solves():
     assert "assert len(paths) == 21" in run
     assert 'assert cell == "%.17g" % float(cell)' in run
     # an n = 8000 approximate solve of the same poschl_teller (g = 3.49)
-    # runs the grid ladder's select="v" windows; --strict at compare.tol = 1e-7
-    # exits 4 on a wrong window
+    # runs the grid ladder's shifted solves; --strict at compare.tol = 1e-7
+    # exits 4 on a wrong level
     assert re.search(r"cat \"\$RUNNER_TEMP/pt\.cfg\"; echo 'grid\.n = 8000'; "
                      r"echo 'outputs = spectrum'; \\\s+echo 'compare\.tol = 1e-7'; } "
                      r"> \"\$RUNNER_TEMP/ladder\.cfg\"", run)
@@ -114,6 +115,19 @@ def test_tier1_runs_one_shot_solves():
                      r'--out "\$RUNNER_TEMP/lattice-wf"', run)
     assert re.search(r'"\$RUNNER_TEMP/lattice/spectrum\.csv" '
                      r'"\$RUNNER_TEMP/lattice-wf/spectrum\.csv"', run)
+    # an n = 2000, k = 4 exact solve in the g < 1 band (g = 0.9) takes the lattice
+    # ladder under the same checks, with and without wavefunctions
+    assert re.search(r"'model\.alpha = 1' 'model\.v0 = 1' \\\s+'model\.m0 = 0\.9' "
+                     r"'grid\.n = 2000' 'solve\.k_states = 4' 'outputs = spectrum' \\\s+"
+                     r"'compare\.tol = 1e-7' > \"\$RUNNER_TEMP/band\.cfg\"", run)
+    assert re.search(r'--config "\$RUNNER_TEMP/band\.cfg" --mode exact --strict '
+                     r'--out "\$RUNNER_TEMP/band"', run)
+    assert re.search(r"cat \"\$RUNNER_TEMP/band\.cfg\"; echo 'outputs = spectrum, "
+                     r"wavefunctions'; } \\\s+> \"\$RUNNER_TEMP/band-wf\.cfg\"", run)
+    assert re.search(r'--config "\$RUNNER_TEMP/band-wf\.cfg" --mode exact --strict '
+                     r'--out "\$RUNNER_TEMP/band-wf"', run)
+    assert re.search(r'"\$RUNNER_TEMP/band/spectrum\.csv" '
+                     r'"\$RUNNER_TEMP/band-wf/spectrum\.csv"', run)
     # a non-finite config number exits 2, also under --strict
     assert "echo 'compare.tol = nan'; } > \"$RUNNER_TEMP/nan.cfg\"" in run
     assert re.search(r'--config "\$RUNNER_TEMP/nan\.cfg" --strict .*\|\| status=\$\?', run)

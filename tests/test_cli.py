@@ -545,6 +545,41 @@ class TestWriter:
             distinct += rest
         assert same_cells(formatted, *distinct)
 
+    def test_only_grid_cells_outlive_their_table(self, tmp_path, monkeypatch):
+        # n = 2500 (three chunks): after the potential table the cells hold q's
+        # chunks alone, after each wavefunction table q's and x's alone, and every
+        # table is per-cell exact
+        calls, held, write = [], [], cli._write_csv
+
+        def spy(*args):
+            held.append({kept.tobytes() for v in args[4].values() for kept, _ in v})
+            calls.append(args)
+            write(*args)
+
+        monkeypatch.setattr(cli, "_write_csv", spy)
+        cfg = write_config(
+            tmp_path / "c.txt",
+            model__name="cosh_square", model__alpha=1.0, model__v0=1.0,
+            model__m0=1.0, grid__n=2500, solve__k_states=3,
+            outputs="potential, wavefunctions", out__dir=str(tmp_path / "out"),
+        )
+        assert main(["solve", "--config", cfg]) == 0
+        cells = calls[-1][4]
+        held.append({kept.tobytes() for v in cells.values() for kept, _ in v})
+        x, q = calls[1][3][:2]
+
+        def chunks(column):
+            return {column[i:i + cli._CSV_CHUNK].tobytes()
+                    for i in range(0, column.size, cli._CSV_CHUNK)}
+
+        assert [os.path.basename(args[0]) for args in calls] == [
+            "potential.csv", "wavefunction_0.csv", "wavefunction_1.csv", "wavefunction_2.csv"]
+        assert len(chunks(q)) == 3
+        assert held == [set(), chunks(q)] + [chunks(q) | chunks(x)] * 3
+        for path, header, names, columns, *_ in calls:
+            with open(path, "rb") as fh:
+                assert fh.read() == per_cell_csv(header, names, columns), path
+
     def test_two_solves_in_one_process(self, tmp_path, monkeypatch, formatted):
         # each solve's cells live for that solve: the first grid solved again
         # formats as many cells as at first, and every table is per-cell exact

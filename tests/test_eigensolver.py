@@ -1,8 +1,11 @@
 import collections
 import dataclasses
 import math
+import os
+import subprocess
 import sys
 from importlib.machinery import PathFinder
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -444,7 +447,7 @@ class TestRefinedBrackets:
         assert np.max(np.abs(w - ref)) <= 2.0 * tol
 
     def test_wrong_floor_count_is_not_certified(self):
-        # guesses for levels 1..3 alone: each window finds its one level and they
+        # guesses for levels 1..3 alone: each shift finds its one level and they
         # rise from the floor, but the Sturm count from the floor finds 4, not 3
         d, e, guesses, tol, floor, below = pt_matrices(2000, lattice=True)
         counted = []
@@ -458,7 +461,7 @@ class TestRefinedBrackets:
 
     def test_coarse_grid_falls_back_to_index_range(self):
         # n = 64, k = 32: the refined levels shift by more than half a gap, so in
-        # neither parity block are the windows certified, and the refined grid
+        # neither parity block are the shifted solves certified, and the refined grid
         # is bisected by index
         pt = builtin_model("poschl_teller", alpha=1, v0=1, m0=1)
         tmap = build_transform(pt.velocity, pt.anchor)
@@ -482,6 +485,93 @@ class TestRefinedBrackets:
         assert [p.lam for p in res.pairs] == list((4.0 * w_fine - w) / 3.0)
 
 
+class TestShiftedCertificate:
+    """_in_windows takes each level from a shifted solve (_shifted) and certifies
+    them together: windows [theta -/+ r] that rise from the floor and stay apart,
+    one Sturm count per block, and the Kato-Temple bound r^2 / delta <= tol. Any
+    refusal is None, and the solve takes the index path."""
+
+    def test_even_matrix_solved_whole_finds_its_odd_levels(self, monkeypatch):
+        # the potential made exactly even and solved without the fold: levels 1
+        # and 3 are odd, and a start vector with reflection symmetry has no part
+        # along them, so its solve at level 1 falls to level 0, which is refused
+        d, e, guesses, tol, floor, below = pt_matrices(2000, lattice=False)
+        d = 0.5 * (d + d[::-1])
+        ref = eigensolver.eigh_tridiagonal(d, e, select="i", tol=tol, select_range=(0, 3))
+        w = eigensolver._in_windows([(d, e)], guesses, tol, floor)
+        assert w is not None and np.max(np.abs(w - ref)) <= 2.0 * tol
+        x = eigensolver._start(d.size)
+        monkeypatch.setattr(eigensolver, "_start", lambda size: x + x[::-1])
+        thetas = [eigensolver._shifted(d, e, g, tol)[0] for g in guesses]
+        assert abs(thetas[1] - ref[0]) <= 2.0 * tol
+        assert eigensolver._in_windows([(d, e)], guesses, tol, floor) is None
+
+    def test_two_guesses_for_one_level_are_refused(self, monkeypatch):
+        d, e, guesses, tol, floor, below = pt_matrices(2000, lattice=True)
+        twice = np.array([guesses[0], guesses[0] + 1e-6, guesses[1]])
+        assert eigensolver._in_windows([(d, e)], twice, tol, floor) is None
+        # in a solve: the ladder's second base prediction moved onto the first
+        # (the tilted field is solved whole), and the index path's levels follow
+        field = ladder_field("tilted", 4000)
+        ref = index_path(field, 3)
+        real, calls = eigensolver._in_windows, []
+
+        def doubled(blocks, guesses, tol, floor):
+            if blocks[0][0].size == 4000:  # the base grid's, from the ladder
+                calls.append(guesses)
+                guesses = np.array([guesses[0], guesses[0], guesses[2]])
+            return real(blocks, guesses, tol, floor)
+
+        monkeypatch.setattr(eigensolver, "_in_windows", doubled)
+        outcomes = ladder_outcomes(monkeypatch)
+        got = solve_fixed(field, 3, vectors=False)
+        assert calls and outcomes == [False]
+        assert [(p.lam, p.error_estimate) for p in got.pairs] == [
+            (p.lam, p.error_estimate) for p in ref.pairs]
+
+    @pytest.mark.parametrize("level,residual,certified",
+                             [(1, 1e-7, True), (1, 1e-5, False), (3, 1e-7, True)])
+    def test_kato_temple(self, monkeypatch, level, residual, certified):
+        # one level's residual set to 1e-7 or 1e-5, far under level 1's distance
+        # delta to levels 0 and 2, so the windows stay apart; but 1e-5 puts
+        # r^2 / delta over tol, which refuses the levels before any Sturm count.
+        # At the top level 1e-7 tops (1e-6 |theta| tol)^(1/2), so the count
+        # reaches 4 r^2 / tol over it, and certifies
+        d, e, guesses, tol, floor, below = pt_matrices(2000, lattice=True)
+        real, counted = eigensolver._shifted, []
+        want = [real(d, e, g, tol)[0] for g in guesses]
+        delta = min(want[1] - want[0], want[2] - want[1])
+        assert residual < delta / 2 and (residual ** 2 <= tol * delta / 2) == certified
+        assert residual ** 2 > 1e-6 * want[3] * tol
+
+        def shifted(d, e, sigma, tol):
+            theta, r = real(d, e, sigma, tol)
+            return theta, residual if sigma == guesses[level] else r
+
+        monkeypatch.setattr(eigensolver, "_shifted", shifted)
+        real_counted = eigensolver._counted
+        monkeypatch.setattr(eigensolver, "_counted",
+                            lambda *args: counted.append(args[-1]) or real_counted(*args))
+        w = eigensolver._in_windows([(d, e)], guesses, tol, floor)
+        assert (w is not None) == certified and len(counted) == certified
+        if certified:
+            assert w.tolist() == want
+            assert counted == [want[3] + max(1e-6 * want[3], 4.0 * residual ** 2 / tol)]
+
+    def test_solve_does_not_load_numpy_random(self):
+        # the start vector is hashed in numpy, not drawn from numpy.random
+        code = """
+import sys, diracpd.cli
+from diracpd import build_transform, builtin_model, solve_exact
+model = builtin_model("poschl_teller", alpha=1.2, v0=1.1, m0=2.0)
+solve_exact(model, build_transform(model.velocity, model.anchor), 2000, 3)
+assert "numpy.random" not in sys.modules, "numpy.random loaded"
+"""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                       check=True)
+
+
 def ladder_field(name, n, **params):
     """``name``'s approximate-mode potential at alpha 1.2, v0 1.1 on n nodes: the
     offset grid for poschl_teller, m0 from g = m0 v0 / alpha; the plain grid else."""
@@ -496,7 +586,7 @@ def ladder_field(name, n, **params):
 
 
 def ladder_outcomes(monkeypatch):
-    """Log whether each _ladder call returned levels (True) or missed (False)."""
+    """Log whether each _ladder call returned levels (True) or was refused (False)."""
     outcomes = []
     real = eigensolver._ladder
     monkeypatch.setattr(eigensolver, "_ladder",
@@ -513,8 +603,9 @@ def index_path(field, k):
 
 class TestGridLadder:
     """Solves on n >= 4000 nodes bisect only the n/16 and n/32 grids by index, and
-    the base and refined grids in windows around Richardson predictions; a miss
-    falls back to the index path. With or without vectors, the levels are the same."""
+    take the base and refined levels from shifted solves at Richardson
+    predictions; a refusal falls back to the index path. With or without
+    vectors, the levels are the same."""
 
     @pytest.mark.parametrize("k", [1, 5])
     @pytest.mark.parametrize("name,n,params", [
@@ -541,7 +632,7 @@ class TestGridLadder:
     def test_index_bisection_only_on_the_coarse_grids(self, monkeypatch, name, rows):
         # n = 4000: the n/16 = 250 and n/32 = 125 node grids, in their two parity
         # blocks when the field is even; the base and refined grids (or their
-        # blocks) take windows and Sturm counts
+        # blocks) take shifted solves and Sturm counts
         field = ladder_field(name, 4000, g=2.0) if name == "poschl_teller" else \
             ladder_field(name, 4000)
         calls = []
@@ -565,7 +656,7 @@ class TestGridLadder:
 
     def test_predictions_off_by_one_level_fall_back(self, monkeypatch):
         # the coarse grids' levels 1, 2, ... in place of 0, 1, ...: every base
-        # window finds one level, the next one up its parity block, so only the
+        # shift finds one level, the next one up its parity block, so only the
         # Sturm count at the top can tell; it does, and the index path runs
         field = ladder_field("poschl_teller", 8000, g=2.0)
         real = eigensolver.eigh_tridiagonal
@@ -589,28 +680,35 @@ class TestGridLadder:
             (p.lam, p.error_estimate) for p in ref.pairs]
 
     def test_band_falls_back_bit_for_bit(self, monkeypatch):
-        # g = 0.7: the wall error is not h^2, the first base window misses after
-        # one widening, and the index path runs: its levels, with vectors or not
+        # g = 0.7: the wall error is not h^2, yet the ladder is certified, within
+        # 2 tol of the index path; refused (a Sturm count forced to disagree
+        # inside _ladder), the solve gives the index path's levels bit for bit,
+        # with vectors or not
         field = ladder_field("poschl_teller", 8000, g=0.7)
-        calls = []
-        real = eigensolver.eigh_tridiagonal
-
-        def logged(d, *args, **kwargs):
-            calls.append((kwargs["select"], d.size, kwargs.get("tol", 0.0)))
-            return real(d, *args, **kwargs)
-
-        monkeypatch.setattr(eigensolver, "eigh_tridiagonal", logged)
+        tol = eigensolver._bisection_tol(*eigensolver._schrodinger(field.values, field.grid.h))
+        ref = index_path(field, 5)
         outcomes = ladder_outcomes(monkeypatch)
-        lean = solve_fixed(field, 5, vectors=False)
+        got = solve_fixed(field, 5, vectors=False)
+        assert outcomes == [True]
+        assert max(abs(a.lam - b.lam) for a, b in zip(got.pairs, ref.pairs)) <= 2.0 * tol
         monkeypatch.undo()
-        assert outcomes == [False]
-        first_index = calls.index(next(c for c in calls if c[:2] == ("i", 4000)))
-        windows = [c for c in calls[:first_index] if c[0] == "v" and c[2] < math.inf]
-        assert 0 < len(windows) <= 2 * 2  # at most two per parity block
-        for full in (solve_fixed(field, 5), index_path(field, 5)):
-            assert [(p.lam, p.error_estimate) for p in lean.pairs] == [
-                (p.lam, p.error_estimate) for p in full.pairs]
-            assert lean.energies == full.energies
+        real = eigensolver._ladder
+
+        def refused(*args):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(eigensolver, "_counted", lambda *_: False)
+                found = real(*args)
+            outcomes.append(found is None)
+            return found
+
+        outcomes.clear()
+        monkeypatch.setattr(eigensolver, "_ladder", refused)
+        for vectors in (False, True):
+            got = solve_fixed(field, 5, vectors=vectors)
+            assert [(p.lam, p.error_estimate) for p in got.pairs] == [
+                (p.lam, p.error_estimate) for p in ref.pairs]
+            assert got.energies == ref.energies
+        assert outcomes == [True, True]
 
     def test_singular_coarse_node_takes_the_index_path(self, monkeypatch):
         # q^2 + q is NaN at node 37 of the n/16 grid alone: no node of the base,
@@ -672,11 +770,10 @@ def gap(pair, energy):
 
 class TestLatticeLadder:
     """Exact-mode solves from n = 2000 on bisect only the lattices over n/16 and
-    n/32 phi1 nodes by index, from their inertia counts, when both walls leave
-    the lattice an h^2 error (regular, or singular with g >= 1); band walls
-    (g < 1) skip the ladder before building any of it. A constant u (massless
-    poschl_teller, cosh_square, rational) takes the closed form instead, with
-    no ladder and no LAPACK call, within the same bound of the index path."""
+    n/32 phi1 nodes by index, from their inertia counts, whatever the walls:
+    in the band (g < 1) too. A constant u (massless poschl_teller, cosh_square,
+    rational) takes the closed form instead, with no ladder and no LAPACK
+    call, within the same bound of the index path."""
 
     @pytest.mark.parametrize("k", [1, 5])
     @pytest.mark.parametrize("n", [2000, 2001, 8000])
@@ -708,29 +805,35 @@ class TestLatticeLadder:
 
     @pytest.mark.parametrize("n", [2000, 8000])
     @pytest.mark.parametrize("g", [0.5, 0.7, 0.9])
-    def test_band_walls_skip_the_ladder(self, monkeypatch, g, n):
-        # g < 1: the gate reads the walls from the fine lattice and builds nothing:
-        # no _ladder call, and the map inverts the fine lattice alone
+    def test_band_lattices_take_the_ladder(self, monkeypatch, g, n):
+        # g < 1: the lattice error is not h^2, so the predictions are coarser,
+        # yet the shifted solves certify them, within 2 tol of the index path;
+        # the coarse lattices take one more inversion, as out of the band
         model, tmap = lattice_case("poschl_teller", g)
-        ref = lattice_index_path(model, tmap, n, 4, vectors=False)
+        tol = lattice_tol(model, tmap, n)
+        ref = lattice_index_path(model, tmap, n, 4)
         model, tmap = lattice_case("poschl_teller", g)
         solves = []
         real_solve = type(tmap)._solve
         monkeypatch.setattr(type(tmap), "_solve",
                             lambda self, q: solves.append(q.size) or real_solve(self, q))
-        monkeypatch.setattr(eigensolver, "_ladder", lambda *args: pytest.fail("_ladder called"))
-        for vectors in (False, True):
-            got = solve_exact(model, tmap, n, 4, vectors=vectors)
-            assert got.energies == ref.energies
-            assert [(p.lam, p.error_estimate) for p in got.pairs] == [
-                (p.lam, p.error_estimate) for p in ref.pairs]
-        assert solves == [4 * n + 3]
+        outcomes = ladder_outcomes(monkeypatch)
+        lean, full = solve_exact(model, tmap, n, 4, vectors=False), solve_exact(model, tmap, n, 4)
+        assert outcomes == [True, True]
+        assert lean.energies == full.energies
+        for j, (a, b, c) in enumerate(zip(lean.pairs, full.pairs, ref.pairs, strict=True)):
+            assert a.nodes == b.nodes == c.nodes == j
+            assert (a.lam, a.error_estimate) == (b.lam, b.error_estimate)
+            e_b, e_c = full.energies[j][0], ref.energies[j][0]
+            assert abs(e_b - e_c) <= 2.0 * tol
+            assert abs(gap(b, e_b) - gap(c, e_c)) <= 2.0 * tol
+        assert solves == [4 * n + 3, (2 * (n // 16) + 1) + (2 * (n // 32) + 1)]
 
     def test_index_bisection_only_on_the_ladder_lattices(self, monkeypatch):
         # n = 2000, poschl_teller g = 3: the 251- and 125-row lattices in their
         # parity blocks, the lowest level's first (the corner one for 62 phi1
         # nodes); a skewed u (no mirror) bisects them whole. The base and fine
-        # lattices (or their blocks) take windows and Sturm counts only
+        # lattices (or their blocks) take shifted solves and Sturm counts only
         cosh, _ = lattice_case("cosh_square")
         for model, rows, sizes in (
                 (lattice_case("poschl_teller", 3.0)[0], [126, 125, 62, 63],
@@ -767,18 +870,6 @@ class TestLatticeLadder:
         for n, k in ((1999, 3), (2000, 31), (2000, 32)):
             solve_exact(model, tmap, n, k, vectors=False)
         assert outcomes == [True]
-
-    def test_wall_gate(self):
-        d = 1e-4
-        sites = d * np.arange(1, 9)
-        sites = np.minimum(sites, sites[::-1])  # distance to the nearer wall
-        assert eigensolver._h2_walls(np.full(8, 2.0), d)  # regular, u finite
-        assert eigensolver._h2_walls(np.zeros(8), d)  # massless
-        assert eigensolver._h2_walls((1.0 - 1e-12) / sites, d)  # g = 1, to rounding
-        assert eigensolver._h2_walls(3.0 / sites, d)
-        assert not eigensolver._h2_walls(0.99 / sites, d)
-        assert not eigensolver._h2_walls(np.where(np.arange(8) < 4, 2.0, 0.9 / sites), d)
-        assert not eigensolver._h2_walls(-2.0 / sites, d)
 
     def test_wrong_inertia_still_names_the_base_lattice(self):
         # u < 0 has regular walls, so the ladder is tried; its lattices' inertia
@@ -920,35 +1011,38 @@ class TestWeylCertificate:
         assert seen == [False]
 
 
-# each solve's eigh_tridiagonal calls as a multiset of (select, tol is inf, rows):
-# vectorless, at alpha 1.2, v0 1.1 and m0 = g alpha / v0 for poschl_teller
+# each solve's eigh_tridiagonal calls as a multiset of (select, tol is inf, rows),
+# with its dgttrf factorizations as ("gttrf", rows): vectorless, at alpha 1.2,
+# v0 1.1 and m0 = g alpha / v0 for poschl_teller. Only Sturm counts (tol inf)
+# run on the base and refined grids but for the index path's base grid; the
+# band (g 0.7) takes the ladder, two factorizations for some of its levels
 PINNED_CALLS = [
-    ("approximate", 2.0, 2000, 5, {("i", False, 1000): 2, ("v", False, 2000): 8,
+    ("approximate", 2.0, 2000, 5, {("i", False, 1000): 2, ("gttrf", 2000): 5,
                                    ("v", True, 1000): 2, ("v", True, 2000): 2}),
     ("approximate", 2.0, 8000, 5, {("i", False, 125): 2, ("i", False, 250): 2,
-                                   ("v", False, 4000): 5, ("v", False, 8000): 5,
+                                   ("gttrf", 4000): 5, ("gttrf", 8000): 5,
                                    ("v", True, 4000): 2, ("v", True, 8000): 2}),
     ("approximate", 0.7, 8000, 5, {("i", False, 125): 2, ("i", False, 250): 2,
-                                   ("i", False, 4000): 2, ("v", False, 4000): 2,
-                                   ("v", False, 8000): 10, ("v", True, 4000): 2,
-                                   ("v", True, 8000): 2}),
+                                   ("gttrf", 4000): 8, ("gttrf", 8000): 5,
+                                   ("v", True, 4000): 2, ("v", True, 8000): 2}),
     ("exact", 2.0, 1000, 4, {("i", False, 1000): 1, ("i", False, 1001): 1,
-                             ("v", False, 2001): 4, ("v", False, 2002): 3,
+                             ("gttrf", 2001): 2, ("gttrf", 2002): 2,
                              ("v", True, 1000): 2, ("v", True, 1001): 2,
                              ("v", True, 2001): 2, ("v", True, 2002): 2}),
     ("exact", 3.0, 2000, 4, {("i", False, 62): 1, ("i", False, 63): 1, ("i", False, 125): 1,
-                             ("i", False, 126): 1, ("v", False, 2000): 2,
-                             ("v", False, 2001): 2, ("v", False, 4001): 2,
-                             ("v", False, 4002): 2, ("v", True, 62): 1, ("v", True, 63): 1,
-                             ("v", True, 125): 1, ("v", True, 126): 1, ("v", True, 2000): 1,
-                             ("v", True, 2001): 1, ("v", True, 4001): 1,
+                             ("i", False, 126): 1, ("gttrf", 2000): 2, ("gttrf", 2001): 2,
+                             ("gttrf", 4001): 2, ("gttrf", 4002): 2, ("v", True, 62): 1,
+                             ("v", True, 63): 1, ("v", True, 125): 1, ("v", True, 126): 1,
+                             ("v", True, 2000): 1, ("v", True, 2001): 1, ("v", True, 4001): 1,
                              ("v", True, 4002): 1}),
-    ("exact", 0.7, 2000, 4, {("i", False, 2000): 1, ("i", False, 2001): 1,
-                             ("v", False, 4001): 4, ("v", False, 4002): 4,
-                             ("v", True, 2000): 2, ("v", True, 2001): 2,
-                             ("v", True, 4001): 2, ("v", True, 4002): 2}),
+    ("exact", 0.7, 2000, 4, {("i", False, 62): 1, ("i", False, 63): 1, ("i", False, 125): 1,
+                             ("i", False, 126): 1, ("gttrf", 2000): 4, ("gttrf", 2001): 4,
+                             ("gttrf", 4001): 2, ("gttrf", 4002): 2, ("v", True, 62): 1,
+                             ("v", True, 63): 1, ("v", True, 125): 1, ("v", True, 126): 1,
+                             ("v", True, 2000): 1, ("v", True, 2001): 1, ("v", True, 4001): 1,
+                             ("v", True, 4002): 1}),
     ("tilted", None, 4000, 3, {("i", False, 125): 1, ("i", False, 250): 1,
-                               ("v", False, 4000): 3, ("v", False, 8000): 3,
+                               ("gttrf", 4000): 3, ("gttrf", 8000): 3,
                                ("v", True, 4000): 1, ("v", True, 8000): 1}),
 ]
 
@@ -997,9 +1091,9 @@ class TestOneH2Law:
 
 
 class TestLapackCalls:
-    """Each solver path makes a fixed set of LAPACK bisections: the index path,
-    the grid ladder's hit and its band miss, the lattice ladder, the band
-    lattice that builds none, and a field solved whole."""
+    """Each solver path makes a fixed set of LAPACK bisections and
+    factorizations: the index path, the grid ladder in and out of the band,
+    the lattice ladder in and out of the band, and a field solved whole."""
 
     @pytest.mark.parametrize("mode,g,n,k,calls", PINNED_CALLS,
                              ids=[f"{c[0]}-g{c[1]}-n{c[2]}" for c in PINNED_CALLS])
@@ -1011,7 +1105,12 @@ class TestLapackCalls:
             logged.append((kwargs["select"], kwargs.get("tol") == math.inf, d.size))
             return real(d, e, **kwargs)
 
+        def factored(dl, d, du, real_trf=eigensolver._dgttrf):
+            logged.append(("gttrf", d.size))
+            return real_trf(dl, d, du)
+
         monkeypatch.setattr(eigensolver, "eigh_tridiagonal", spy)
+        monkeypatch.setattr(eigensolver, "_dgttrf", factored)
         if mode == "tilted":
             solve_fixed(ladder_field("tilted", n), k, vectors=False)
         else:
@@ -1040,7 +1139,7 @@ class TestLapackBinding:
             for lo in sorted({0, first}):
                 self.assert_same(d, e, select="i", select_range=(lo, lo + 3))
             w = self.assert_same(d, e, select="i", select_range=(first, first + 3), tol=tol)
-            for lam in w:  # the window _in_windows starts with, and an empty one above it
+            for lam in w:  # finite-tol windows (the package asks none), one empty
                 half = max(1e-6 * abs(lam), tol)
                 for lo, size in ((lam - half, 1), (lam + half, 0)):
                     assert self.assert_same(d, e, select="v", tol=tol,
@@ -1079,12 +1178,13 @@ class TestLapackBinding:
         # loads itself is not left there, so that scipy.linalg's own import of
         # it binds it as its attribute
         module = sys.modules[eigensolver._FLAPACK]
-        assert eigensolver._lapack() == (module.dstebz, module.dstein)
+        routines = (module.dstebz, module.dstein, module.dgttrf, module.dgttrs)
+        assert eigensolver._lapack() == routines
         assert sys.modules[eigensolver._FLAPACK] is module
         monkeypatch.delitem(sys.modules, eigensolver._FLAPACK)
         bound = eigensolver._lapack()
         assert eigensolver._FLAPACK not in sys.modules
-        assert bound == (module.dstebz, module.dstein)
+        assert bound == routines
 
     def test_public_lapack_when_the_extension_is_not_found(self, monkeypatch):
         real = PathFinder.find_spec
@@ -1099,11 +1199,13 @@ class TestLapackBinding:
         bound = eigensolver._lapack()
         assert asked == [eigensolver._FLAPACK]
         assert eigensolver._FLAPACK not in sys.modules
-        assert bound == (scipy.linalg.lapack.dstebz, scipy.linalg.lapack.dstein)
-        monkeypatch.setattr(eigensolver, "_dstebz", bound[0])
-        monkeypatch.setattr(eigensolver, "_dstein", bound[1])
-        d, e, *_ = pt_matrices(400, lattice=False)
+        lapack = scipy.linalg.lapack
+        assert bound == (lapack.dstebz, lapack.dstein, lapack.dgttrf, lapack.dgttrs)
+        for name, routine in zip(("_dstebz", "_dstein", "_dgttrf", "_dgttrs"), bound):
+            monkeypatch.setattr(eigensolver, name, routine)
+        d, e, guesses, tol, floor, below = pt_matrices(400, lattice=False)
         TestVectorStep.assert_scipys(d, e, 0, 2)
+        assert eigensolver._in_windows([(d, e)], guesses, tol, floor) is not None
 
 
 class TestVectorStep:
