@@ -17,36 +17,35 @@ with vectors it is counted from the vector's interior sign changes.
 
 Each solve hands _levels its grids as one coarse-to-fine sequence of _Grid
 records: a base grid (h) and its refinement (h/2), led where it pays by a
-ladder of the same operator on n/16 and n/32 nodes. A record holds the
+ladder of the same operator on n/32 and n/16 nodes. A record holds the
 grid's whole matrix, its squared step in base steps, the floor its levels
 are counted from and how many eigenvalues lie at or under that floor.
 _levels owns the tolerance, the parity fold and its fallback, the
 Richardson step and the vectors. One h^2 law (_h2) gives both the
 Richardson level and the ladder's predictions.
 
-Without a ladder the base grid is bisected by index from the whole
-spectrum, and each refined level comes from a shifted solve at its base
-value (_in_windows): T - sigma factored once (dgttrf), two solves (dgttrs)
-from a fixed start vector, and a Rayleigh quotient theta whose residual r
-puts an eigenvalue in [theta - r, theta + r]; where r is not yet small the
-shift follows theta (Rayleigh quotient iteration). One Sturm count per
-block and the Kato-Temple bound certify that these are the lowest levels,
-each within the base grid's bisection tolerance eps * (Gershgorin norm of
-T_h) (Parlett, The Symmetric Eigenvalue Problem, SIAM 1998, chs. 4, 10);
-on a refusal the refined grid is bisected by index like the base grid.
-
-With a ladder only its two grids are bisected by index, each costing about
-50 Sturm sweeps from the whole Gershgorin interval (Barth, Martin &
-Wilkinson, Numer. Math. 9 (1967) 386). The base levels come from shifted
-solves at their h^2 Richardson prediction from the two, and the refined
-ones at theirs from the n/16 and base grids, each about a dozen sweeps'
-cost; on a refusal the solve takes the ladderless path. The ladder's levels
-lie within 2 tol of that path's, tol the base grid's _bisection_tol. Both
-solvers build a ladder where _ladder_pays: its n/16 grid has _LADDER_ROWS
-rows (n >= 4000 for solve_fixed, n >= 2000 for the lattice of solve_exact)
-and k <= n/64, whatever the walls (in the g < 1 band of poschl_teller,
-where the error is not h^2, the shifts take a second factorization); a
-constant u needs none in either mode.
+_levels solves the grids in one pass. The first grid, and each grid of a
+ladder, is bisected by index from the whole spectrum, about 50 Sturm
+sweeps (Barth, Martin & Wilkinson, Numer. Math. 9 (1967) 386). Every later
+grid takes shifted solves at its prediction, the h^2 law through the two
+grids before it (or the base levels, for the refined grid without a
+ladder), each about a dozen sweeps' cost (_in_windows): T - sigma factored
+once (dgttrf), two solves (dgttrs) from a fixed start vector, and a
+Rayleigh quotient theta whose residual r puts an eigenvalue in
+[theta - r, theta + r]; where r is not yet small the shift follows theta
+(Rayleigh quotient iteration). One Sturm count per block and the
+Kato-Temple bound certify that these are the lowest levels, each within
+the base grid's bisection tolerance eps * (Gershgorin norm of T_h)
+(Parlett, The Symmetric Eigenvalue Problem, SIAM 1998, chs. 4, 10). Every
+fallback solves again with less: a refused ladder leaves the base and
+refined grids alone, and a refused refined grid without a ladder is
+bisected by index. The ladder's levels lie within 2 tol of the ladderless
+path's, tol the base grid's _bisection_tol. Both solvers build a ladder
+where _ladder_pays: its n/16 grid has _LADDER_ROWS rows (n >= 4000 for
+solve_fixed, n >= 2000 for the lattice of solve_exact) and k <= n/64,
+whatever the walls (in the g < 1 band of poschl_teller, where the error is
+not h^2, the shifts take a second factorization); a constant u needs none
+in either mode.
 
 When the sampled potential (or u, on the lattice) matches its mirror to
 1e-8 relative, as the paper's even models do on their whole q-range, it
@@ -408,8 +407,8 @@ def _in_windows(blocks, guesses: np.ndarray, tol: float,
     delta_j its distance to the next windows (or to floor and top), which
     must be <= tol, as bisection would give; the top (_top) reaches
     4 max(r)^2 / tol over the last level, so there it holds. None is a
-    refusal: the caller bisects by index. Blocks come from grids of 3 nodes
-    or more, so each has the 3 rows dgttrf's binding needs.
+    refusal, on which _levels solves again with less. Blocks come from
+    grids of 3 nodes or more, so each has the 3 rows dgttrf's binding needs.
     """
     size, w, r = len(blocks), np.empty(guesses.size), np.empty(guesses.size)
     for p, block in enumerate(blocks[:guesses.size]):
@@ -423,29 +422,6 @@ def _in_windows(blocks, guesses: np.ndarray, tol: float,
         if not np.all((delta > s) & (s * s <= tol * delta)):
             return None
     return w if _counted(blocks, w, floor, top) else None
-
-
-def _ladder(grids, blocks, k: int, tol: float):
-    """(base levels, refined levels) from the grid sequence (n/16, n/32, base,
-    refined) and its ``blocks`` as _levels folds them, or None on a refusal.
-
-    Only the two coarse grids are bisected by index, from their _inertia
-    counts; a wrong count is a refusal. The base levels then come from
-    shifted solves (_in_windows) at their h^2 prediction from the two coarse
-    grids, and the refined (h/2) levels at theirs from the n/16 and base grids.
-    """
-    try:
-        firsts = [_inertia(b, grid) for grid, b in zip(grids[:2], blocks)]
-    except NonConvergenceError:
-        return None
-    g16, g32, coarse, fine = grids
-    w16 = _by_index(blocks[0], k, firsts[0])
-    w = _in_windows(blocks[2], _h2(w16, _by_index(blocks[1], k, firsts[1]), g16.r, g32.r,
-                                   coarse.r), tol, coarse.floor)
-    if w is None:
-        return None
-    w_fine = _in_windows(blocks[3], _h2(w, w16, coarse.r, g16.r, fine.r), tol, fine.floor)
-    return None if w_fine is None else (w, w_fine)
 
 
 def _inertia(blocks, grid: _Grid) -> List[int]:
@@ -462,48 +438,63 @@ def _inertia(blocks, grid: _Grid) -> List[int]:
 
 
 def _levels(grids, k: int, mirror=None, vectors: bool = True):
-    """(levels, gap, unit vectors) of the k levels over the floor of a grid
-    sequence of _Grid records, (base, refined) or with a ladder (n/16, n/32,
-    base, refined): the base and refined grids' Richardson levels (_h2 at
-    step 0) and gaps |w - w_fine|, and the base vectors (None unless
-    ``vectors``), which come last, one _eigenvectors call per block on its
-    certified base levels, so the levels do not depend on them.
+    """(levels, gap, unit vectors) of the k levels over the floor of a
+    coarse-to-fine sequence of _Grid records, (base, refined) or with a
+    ladder (n/32, n/16, base, refined): the base and refined grids'
+    Richardson levels (_h2 at step 0) and gaps |w - w_fine|, and the base
+    vectors (None unless ``vectors``), made last, one _eigenvectors call per
+    block on its certified base levels, so the levels do not depend on them.
 
     The base matrix's _bisection_tol serves every grid. With a ``mirror``
     each matrix is first split into its _Grid.blocks, the one holding the
     lowest level first; ``mirror`` gives that block's signs for _unfold, and
-    the other's are the opposite. A ladder is tried first (_ladder), in the
-    first configuration (folded when there is a ``mirror``); where it is
-    certified, neither grid's inertia is counted, as the certificates'
-    counts from the floors cover both grids' levels. Otherwise block p of
-    the base grid supplies levels p, p + 2, ..., bisected by index
-    (_by_index) from its _inertia count. Folded, the levels must rise and no
-    block, also one that supplied none, may hold more levels in (floor, just
-    above the top one] than it supplied, or the whole matrices are solved.
-    Refined levels come from shifted solves at the base ones (_in_windows),
-    else they are bisected by index.
+    the other's are the opposite. One pass solves the grids in order: the
+    first and a ladder's own are bisected by index (_by_index, block p
+    supplying levels p, p + 2, ...) from their _inertia counts, and each
+    later one takes shifted solves (_in_windows) at its prediction, _h2
+    through the two grids before it or, for the refined grid without a
+    ladder, the base levels. Every fallback solves again with less: a
+    refusal or a wrong inertia count in a ladder drops the ladder; folded
+    base levels bisected by index must rise and no block, also one that
+    supplied none, may hold more levels in (floor, just above the top one]
+    than it supplied, or the whole matrices are solved; and a refused
+    refined grid without a ladder is bisected by index.
+
+    Inertia is counted on the first two grids: a ladder's own, or both
+    grids without one. The refined grid's count there is read only when its
+    shifted solves are refused, yet it is made first: a parity block of the
+    refined lattice sunk under its floor, which supplies no level, passes
+    the certificate's counts from the floor, and only that count raises.
     """
-    tol, n = _bisection_tol(*grids[-2].matrix), grids[-2].matrix[0].size
-    for folded in (True, False) if mirror is not None else (False,):
-        blocks = [grid.blocks(folded) for grid in grids]
-        found = _ladder(grids, blocks, k, tol) if len(grids) > 2 else None
-        grids = grids[-2:]
-        (coarse, fine), (coarse_blocks, fine_blocks) = grids, blocks[-2:]
-        if found is None:
-            w = _by_index(coarse_blocks, k, _inertia(coarse_blocks, coarse))
-            if folded and not _counted(coarse_blocks, w, coarse.floor, _top(w, tol)):
-                continue
-            firsts = _inertia(fine_blocks, fine)
-            w_fine = _in_windows(fine_blocks, w, tol, fine.floor)
-            found = w, (_by_index(fine_blocks, k, firsts) if w_fine is None else w_fine)
-        vecs = None
-        if vectors:
-            vecs, size = np.empty((n, k)), len(coarse_blocks)
-            for p, block in enumerate(coarse_blocks[:k]):
-                psi = _eigenvectors(*block, found[0][p::size])
-                vecs[:, p::size] = psi if size == 1 else _unfold(psi, n, (1 - 2 * p) * mirror)
-        w, w_fine = found
-        return _h2(w, w_fine, coarse.r, fine.r, 0.0), np.abs(w - w_fine), vecs
+    base, folded, levels, blocks = len(grids) - 2, mirror is not None, [], []
+    tol, n = _bisection_tol(*grids[base].matrix), grids[base].matrix[0].size
+    for i, grid in enumerate(grids):
+        blocks.append(grid.blocks(folded))
+        try:
+            firsts = _inertia(blocks[i], grid) if i < 2 else None
+        except NonConvergenceError:
+            if not base:
+                raise
+            return _levels(grids[base:], k, mirror, vectors)
+        w = None
+        if i >= max(base, 1):
+            w = _in_windows(blocks[i], _h2(*levels[-2:], grids[i - 2].r, grids[i - 1].r, grid.r)
+                            if i > 1 else levels[-1], tol, grid.floor)
+            if w is None and base:
+                return _levels(grids[base:], k, mirror, vectors)
+        if w is None:
+            w = _by_index(blocks[i], k, firsts)
+            if folded and i == base and not _counted(blocks[i], w, grid.floor, _top(w, tol)):
+                return _levels(grids, k, None, vectors)
+        levels.append(w)
+    vecs = None
+    if vectors:
+        vecs, size = np.empty((n, k)), len(blocks[base])
+        for p, block in enumerate(blocks[base][:k]):
+            psi = _eigenvectors(*block, levels[base][p::size])
+            vecs[:, p::size] = psi if size == 1 else _unfold(psi, n, (1 - 2 * p) * mirror)
+    (coarse, fine), (w, w_fine) = grids[base:], levels[base:]
+    return _h2(w, w_fine, coarse.r, fine.r, 0.0), np.abs(w - w_fine), vecs
 
 
 def _free_eigs(grid: QGrid, k: int, with_vectors: bool):
@@ -539,7 +530,7 @@ def solve_fixed(potential: PotentialField, k_states: int,
     levels and error estimates are the same bit for bit, as _levels computes
     the vectors after the levels. The grids handed to _levels are the
     potential's Schrödinger matrices on its own grid and the refined one,
-    each with its min V as floor, led by its matrices on n // 16 and n // 32
+    each with its min V as floor, led by its matrices on n // 32 and n // 16
     nodes between the same walls (offset as its grid is) where _ladder_pays
     and neither coarse grid has a singular node.
 
@@ -581,7 +572,7 @@ def solve_fixed(potential: PotentialField, k_states: int,
         fields = [potential, fine]
         if _ladder_pays(grid.n // 16, grid.n, k_states):
             ladder = []
-            for m in (16, 32):
+            for m in (32, 16):
                 ladder.append(potential.on_grid(QGrid(grid.lo, grid.hi, grid.n // m, grid.offset)))
                 if np.any(ladder[-1].singular):
                     break
@@ -708,8 +699,8 @@ def solve_exact(model: ModelSpec, tmap: TransformMap, n: int,
     constant a >= 0 takes the closed form (_free_lattice), which builds no other
     lattice and calls no LAPACK routine. Any other u hands _levels the staggered
     lattices over n and 2n+1 phi1 nodes, each with n+1 and 2n+2 eigenvalues at
-    or under its inertia floor, led by the lattices over n // 16 and n // 32
-    phi1 nodes between the same walls where _ladder_pays (the first has
+    or under its inertia floor, led by the lattices over n // 32 and n // 16
+    phi1 nodes between the same walls where _ladder_pays (the second has
     2 (n // 16) + 1 rows), whatever the walls.
     The sites of both coarse lattices are inverted in one call. Vectors have
     h sum(phi1^2 + chi^2) = 1 and phi1 > 0 at its largest sample (the first
@@ -747,7 +738,7 @@ def solve_exact(model: ModelSpec, tmap: TransformMap, n: int,
     if found is None:
         grids = [base, lattice(u_fine, 0.5 * grid.h)]
         if _ladder_pays(2 * (n // 16) + 1, n, k_states):
-            coarse = [QGrid(grid.lo, grid.hi, n // m) for m in (16, 32)]
+            coarse = [QGrid(grid.lo, grid.hi, n // m) for m in (32, 16)]
             q = np.concatenate([g.lo + np.arange(1, 2 * g.n + 2) * (0.5 * g.h) for g in coarse])
             order = np.argsort(q, kind="stable")
             u_all = np.empty_like(q)

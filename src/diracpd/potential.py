@@ -81,8 +81,8 @@ class PotentialField:
     """Potential samples on a q-grid, tagged by reduction mode.
 
     ``evaluator`` rebuilds the values on another grid between the same
-    walls, which is what eigenvalue refinement needs. Values at flagged
-    (singular) nodes are NaN by convention.
+    walls, which is what eigenvalue refinement needs. Flagged (singular)
+    nodes are those whose value is not finite, NaN by convention.
 
     The evaluator is attached to what it returns by ``_sampled``, not from
     inside it: a closure that passed itself would reference itself, and that
@@ -93,10 +93,13 @@ class PotentialField:
     grid: QGrid
     values: np.ndarray
     mode: str
-    singular: np.ndarray
     energy: Optional[float] = None
     constant_a: Optional[float] = None
     evaluator: Optional[Callable[[QGrid], "PotentialField"]] = None
+
+    @property
+    def singular(self) -> np.ndarray:
+        return ~np.isfinite(self.values)
 
     def on_grid(self, grid: QGrid) -> "PotentialField":
         if self.evaluator is None:
@@ -111,7 +114,7 @@ class PotentialField:
         def build(g: QGrid) -> "PotentialField":
             vals = np.asarray(func(g.nodes), dtype=float)
             vals = np.broadcast_to(vals, g.nodes.shape).copy()
-            return cls(g, vals, mode, ~np.isfinite(vals))
+            return cls(g, vals, mode)
 
         return _sampled(build, grid)
 
@@ -153,10 +156,8 @@ def exact_potential(model: ModelSpec, energy: float, grid: QGrid,
         with np.errstate(divide="ignore", invalid="ignore"):
             r = u1 / z2
             vals = 0.75 * (v * r) ** 2 - 0.5 * v * v * u2 / z2 - 0.5 * v * v1 * r + u * u
-        vals = np.where(singular, np.nan, vals)
-        singular = singular | ~np.isfinite(vals)
-        vals = np.where(singular, np.nan, vals)
-        return PotentialField(g, vals, EXACT, singular, energy=energy)
+        vals = np.where(singular | ~np.isfinite(vals), np.nan, vals)
+        return PotentialField(g, vals, EXACT, energy=energy)
 
     return _sampled(build, grid)
 
@@ -185,10 +186,8 @@ def approx_potential(model: ModelSpec, grid: QGrid,
         with np.errstate(divide="ignore", invalid="ignore"):
             vals = (3.0 / 16.0) * (u1 * v / u) ** 2 \
                 - 0.25 * (v * v * u2 + v * v1 * u1) / u + u * u
-        vals = np.where(singular, np.nan, vals)
-        singular = singular | ~np.isfinite(vals)
-        vals = np.where(singular, np.nan, vals)
-        return PotentialField(g, vals, APPROXIMATE, singular)
+        vals = np.where(singular | ~np.isfinite(vals), np.nan, vals)
+        return PotentialField(g, vals, APPROXIMATE)
 
     return _sampled(build, grid)
 
@@ -200,8 +199,7 @@ def constant_u_potential(constant_a: float, grid: QGrid) -> PotentialField:
 
     def build(g: QGrid) -> PotentialField:
         vals = np.full(g.n, constant_a * constant_a, dtype=float)
-        return PotentialField(g, vals, CONSTANT_U, np.zeros(g.n, dtype=bool),
-                              constant_a=constant_a)
+        return PotentialField(g, vals, CONSTANT_U, constant_a=constant_a)
 
     return _sampled(build, grid)
 

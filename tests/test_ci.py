@@ -81,7 +81,7 @@ def test_tier1_runs_one_shot_solves():
                      r"> \"\$RUNNER_TEMP/cosh-lean\.cfg\"", run)
     assert re.search(r'--config "\$RUNNER_TEMP/cosh-lean\.cfg" --mode exact --strict '
                      r'--out "\$RUNNER_TEMP/cosh-lean"', run)
-    assert re.search(r'"\$RUNNER_TEMP/cosh-lean/spectrum\.csv" '
+    assert re.search(r'same_rows "\$RUNNER_TEMP/cosh-lean/spectrum\.csv" '
                      r'"\$RUNNER_TEMP/out-exact-cosh/spectrum\.csv"', run)
     assert "assert len(paths) == 21" in run
     assert 'assert cell == "%.17g" % float(cell)' in run
@@ -98,9 +98,12 @@ def test_tier1_runs_one_shot_solves():
                      r"wavefunctions'; } \\\s+> \"\$RUNNER_TEMP/ladder-wf\.cfg\"", run)
     assert re.search(r'--config "\$RUNNER_TEMP/ladder-wf\.cfg" --mode approximate --strict '
                      r'--out "\$RUNNER_TEMP/ladder-wf"', run)
+    # one shell function compares every pair's spectrum rows
+    assert "same_rows() { python -c 'import sys" in run and "' \"$@\"; }" in run
+    assert run.index("same_rows() {") < run.index('same_rows "')
     assert 'if not line.startswith("#")]' in run
-    assert "assert rows[0] and rows[0] == rows[1], rows" in run
-    assert re.search(r'"\$RUNNER_TEMP/ladder/spectrum\.csv" '
+    assert run.count("assert rows[0] and rows[0] == rows[1], rows") == 1
+    assert re.search(r'same_rows "\$RUNNER_TEMP/ladder/spectrum\.csv" '
                      r'"\$RUNNER_TEMP/ladder-wf/spectrum\.csv"', run)
     # an n = 2000 exact solve of the same model takes the lattice ladder, under
     # --strict at compare.tol = 1e-7, and writes the same spectrum rows with
@@ -113,7 +116,7 @@ def test_tier1_runs_one_shot_solves():
                      r"wavefunctions'; } \\\s+> \"\$RUNNER_TEMP/lattice-wf\.cfg\"", run)
     assert re.search(r'--config "\$RUNNER_TEMP/lattice-wf\.cfg" --mode exact --strict '
                      r'--out "\$RUNNER_TEMP/lattice-wf"', run)
-    assert re.search(r'"\$RUNNER_TEMP/lattice/spectrum\.csv" '
+    assert re.search(r'same_rows "\$RUNNER_TEMP/lattice/spectrum\.csv" '
                      r'"\$RUNNER_TEMP/lattice-wf/spectrum\.csv"', run)
     # an n = 2000, k = 4 exact solve in the g < 1 band (g = 0.9) takes the lattice
     # ladder under the same checks, with and without wavefunctions
@@ -126,7 +129,7 @@ def test_tier1_runs_one_shot_solves():
                      r"wavefunctions'; } \\\s+> \"\$RUNNER_TEMP/band-wf\.cfg\"", run)
     assert re.search(r'--config "\$RUNNER_TEMP/band-wf\.cfg" --mode exact --strict '
                      r'--out "\$RUNNER_TEMP/band-wf"', run)
-    assert re.search(r'"\$RUNNER_TEMP/band/spectrum\.csv" '
+    assert re.search(r'same_rows "\$RUNNER_TEMP/band/spectrum\.csv" '
                      r'"\$RUNNER_TEMP/band-wf/spectrum\.csv"', run)
     # a non-finite config number exits 2, also under --strict
     assert "echo 'compare.tol = nan'; } > \"$RUNNER_TEMP/nan.cfg\"" in run

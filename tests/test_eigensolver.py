@@ -585,12 +585,40 @@ def ladder_field(name, n, **params):
     return approx_potential(model, grid, tmap)
 
 
+def in_ladder(monkeypatch):
+    """A stack whose last entry tells whether the running _levels call is a
+    ladder's (4 grids) or not; a refused ladder solves again, inside its own
+    call, on the last 2 grids."""
+    stack = []
+    real = eigensolver._levels
+
+    def levels(grids, *args):
+        stack.append(len(grids) > 2)
+        try:
+            return real(grids, *args)
+        finally:
+            stack.pop()
+
+    monkeypatch.setattr(eigensolver, "_levels", levels)
+    return stack
+
+
 def ladder_outcomes(monkeypatch):
-    """Log whether each _ladder call returned levels (True) or was refused (False)."""
+    """Log whether each ladder (a _levels call on 4 grids) kept its levels
+    (True) or was refused (False): a refused one calls _levels again, inside
+    its own call, on its last 2 grids."""
     outcomes = []
-    real = eigensolver._ladder
-    monkeypatch.setattr(eigensolver, "_ladder",
-                        lambda *args: outcomes.append(real(*args) is not None) or real(*args))
+    stack = in_ladder(monkeypatch)
+    real = eigensolver._levels
+
+    def levels(grids, *args):
+        if len(grids) > 2:
+            outcomes.append(True)
+        elif stack and stack[-1]:
+            outcomes[-1] = False
+        return real(grids, *args)
+
+    monkeypatch.setattr(eigensolver, "_levels", levels)
     return outcomes
 
 
@@ -602,7 +630,7 @@ def index_path(field, k):
 
 
 class TestGridLadder:
-    """Solves on n >= 4000 nodes bisect only the n/16 and n/32 grids by index, and
+    """Solves on n >= 4000 nodes bisect only the n/32 and n/16 grids by index, and
     take the base and refined levels from shifted solves at Richardson
     predictions; a refusal falls back to the index path. With or without
     vectors, the levels are the same."""
@@ -627,10 +655,10 @@ class TestGridLadder:
             vb, vc = unit_vectors(b), unit_vectors(c)
             assert np.max(np.abs(vb * np.sign(vb @ vc) - vc)) <= 1e-8
 
-    @pytest.mark.parametrize("name,rows", [("poschl_teller", [125, 125, 63, 62]),
-                                           ("tilted", [250, 125])])
+    @pytest.mark.parametrize("name,rows", [("poschl_teller", [63, 62, 125, 125]),
+                                           ("tilted", [125, 250])])
     def test_index_bisection_only_on_the_coarse_grids(self, monkeypatch, name, rows):
-        # n = 4000: the n/16 = 250 and n/32 = 125 node grids, in their two parity
+        # n = 4000: the n/32 = 125 and n/16 = 250 node grids, in their two parity
         # blocks when the field is even; the base and refined grids (or their
         # blocks) take shifted solves and Sturm counts
         field = ladder_field(name, 4000, g=2.0) if name == "poschl_teller" else \
@@ -682,8 +710,8 @@ class TestGridLadder:
     def test_band_falls_back_bit_for_bit(self, monkeypatch):
         # g = 0.7: the wall error is not h^2, yet the ladder is certified, within
         # 2 tol of the index path; refused (a Sturm count forced to disagree
-        # inside _ladder), the solve gives the index path's levels bit for bit,
-        # with vectors or not
+        # inside the ladder's 4-grid pass alone), the solve gives the index
+        # path's levels bit for bit, with vectors or not
         field = ladder_field("poschl_teller", 8000, g=0.7)
         tol = eigensolver._bisection_tol(*eigensolver._schrodinger(field.values, field.grid.h))
         ref = index_path(field, 5)
@@ -692,23 +720,53 @@ class TestGridLadder:
         assert outcomes == [True]
         assert max(abs(a.lam - b.lam) for a, b in zip(got.pairs, ref.pairs)) <= 2.0 * tol
         monkeypatch.undo()
-        real = eigensolver._ladder
-
-        def refused(*args):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(eigensolver, "_counted", lambda *_: False)
-                found = real(*args)
-            outcomes.append(found is None)
-            return found
-
-        outcomes.clear()
-        monkeypatch.setattr(eigensolver, "_ladder", refused)
+        ladder, real = in_ladder(monkeypatch), eigensolver._counted
+        monkeypatch.setattr(eigensolver, "_counted", lambda *args: not ladder[-1] and real(*args))
+        outcomes = ladder_outcomes(monkeypatch)
         for vectors in (False, True):
             got = solve_fixed(field, 5, vectors=vectors)
             assert [(p.lam, p.error_estimate) for p in got.pairs] == [
                 (p.lam, p.error_estimate) for p in ref.pairs]
             assert got.energies == ref.energies
-        assert outcomes == [True, True]
+        assert outcomes == [False, False]
+
+    @pytest.mark.parametrize("mode", ["approximate", "exact"])
+    def test_refined_refusal_falls_back_bit_for_bit(self, monkeypatch, mode):
+        # the ladder's base levels certified and its refined ones alone refused
+        # (n = 8000, and the n = 2000 lattice): the solve again gives the index
+        # path's levels bit for bit, with vectors or not
+        if mode == "approximate":
+            field = ladder_field("poschl_teller", 8000, g=2.0)
+            ref, rows = index_path(field, 5), (8000, 16000)
+
+            def solve(vectors):
+                return solve_fixed(field, 5, vectors=vectors)
+        else:
+            model, tmap = lattice_case("poschl_teller", 2.0)
+            ref, rows = lattice_index_path(model, tmap, 2000, 5), (4001, 8003)
+
+            def solve(vectors):
+                return solve_exact(model, tmap, 2000, 5, vectors=vectors)
+        ladder, real, seen = in_ladder(monkeypatch), eigensolver._in_windows, []
+
+        def refused(blocks, *args):
+            size = sum(d.size for d, _ in blocks)
+            w = None if ladder[-1] and size == rows[1] else real(blocks, *args)
+            if ladder[-1]:
+                seen.append((size, w is not None))
+            return w
+
+        monkeypatch.setattr(eigensolver, "_in_windows", refused)
+        outcomes = ladder_outcomes(monkeypatch)
+        for vectors in (False, True):
+            got = solve(vectors)
+            assert [(p.lam, p.error_estimate) for p in got.pairs] == [
+                (p.lam, p.error_estimate) for p in ref.pairs]
+            assert got.energies == ref.energies
+            if vectors:
+                assert all(np.array_equal(a.phi, b.phi) for a, b in zip(got.pairs, ref.pairs))
+        assert outcomes == [False, False]
+        assert seen == [(rows[0], True), (rows[1], False)] * 2
 
     def test_singular_coarse_node_takes_the_index_path(self, monkeypatch):
         # q^2 + q is NaN at node 37 of the n/16 grid alone: no node of the base,
@@ -769,8 +827,8 @@ def gap(pair, energy):
 
 
 class TestLatticeLadder:
-    """Exact-mode solves from n = 2000 on bisect only the lattices over n/16 and
-    n/32 phi1 nodes by index, from their inertia counts, whatever the walls:
+    """Exact-mode solves from n = 2000 on bisect only the lattices over n/32 and
+    n/16 phi1 nodes by index, from their inertia counts, whatever the walls:
     in the band (g < 1) too. A constant u (massless poschl_teller, cosh_square,
     rational) takes the closed form instead, with no ladder and no LAPACK
     call, within the same bound of the index path."""
@@ -830,15 +888,15 @@ class TestLatticeLadder:
         assert solves == [4 * n + 3, (2 * (n // 16) + 1) + (2 * (n // 32) + 1)]
 
     def test_index_bisection_only_on_the_ladder_lattices(self, monkeypatch):
-        # n = 2000, poschl_teller g = 3: the 251- and 125-row lattices in their
+        # n = 2000, poschl_teller g = 3: the 125- and 251-row lattices in their
         # parity blocks, the lowest level's first (the corner one for 62 phi1
         # nodes); a skewed u (no mirror) bisects them whole. The base and fine
         # lattices (or their blocks) take shifted solves and Sturm counts only
         cosh, _ = lattice_case("cosh_square")
         for model, rows, sizes in (
-                (lattice_case("poschl_teller", 3.0)[0], [126, 125, 62, 63],
+                (lattice_case("poschl_teller", 3.0)[0], [62, 63, 126, 125],
                  {2001, 2000, 4002, 4001}),
-                (dataclasses.replace(cosh, u_closed=SKEWED_U), [251, 125], {4001, 8003})):
+                (dataclasses.replace(cosh, u_closed=SKEWED_U), [125, 251], {4001, 8003})):
             calls = []
             real = eigensolver.eigh_tridiagonal
 
