@@ -41,11 +41,10 @@ fallback solves again with less: a refused ladder leaves the base and
 refined grids alone, and a refused refined grid without a ladder is
 bisected by index. The ladder's levels lie within 2 tol of the ladderless
 path's, tol the base grid's _bisection_tol. Both solvers build a ladder
-where _ladder_pays: its n/16 grid has _LADDER_ROWS rows (n >= 4000 for
-solve_fixed, n >= 2000 for the lattice of solve_exact) and k <= n/64,
-whatever the walls (in the g < 1 band of poschl_teller, where the error is
-not h^2, the shifts take a second factorization); a constant u needs none
-in either mode.
+where _ladder_pays, from n = 2000 base nodes (phi1 nodes on the lattice of
+solve_exact) on and for k <= n/64, whatever the walls (in the g < 1 band of
+poschl_teller, where the error is not h^2, the shifts take a second
+factorization); a constant u needs none in either mode.
 
 When the sampled potential (or u, on the lattice) matches its mirror to
 1e-8 relative, as the paper's even models do on their whole q-range, it
@@ -510,13 +509,19 @@ def _free_eigs(grid: QGrid, k: int, with_vectors: bool):
                if with_vectors else None)
 
 
-_LADDER_ROWS = 250  # fewest rows (unfolded) of a ladder's n // 16 grid
+def _ladder_pays(n: int, k: int) -> bool:
+    """Whether a ladder leads a solve of k levels on n base nodes (phi1 nodes
+    on a lattice), in either mode: n >= 2000 and k <= n // 64."""
+    return n >= 2000 and k <= n // 64
 
 
-def _ladder_pays(rows: int, n: int, k: int) -> bool:
-    """Whether a ladder leads a solve of k levels on n nodes: its n // 16 grid
-    has ``rows`` >= _LADDER_ROWS rows, and k <= n // 64."""
-    return rows >= _LADDER_ROWS and k <= n // 64
+def _square_finite(u, name: str) -> None:
+    """Raise SingularNodeError when some |u| tops sqrt(max float), so that
+    u^2, and E^2 with it, overflows: a cause no grid mends. NaN passes."""
+    top = float(np.max(np.abs(u)))
+    if top > math.sqrt(sys.float_info.max):
+        raise SingularNodeError(f"{name} = m v_F^2 reaches {top:g}: {name}^2 overflows a "
+                                f"float, so no grid resolves the levels")
 
 
 def solve_fixed(potential: PotentialField, k_states: int,
@@ -532,7 +537,8 @@ def solve_fixed(potential: PotentialField, k_states: int,
     potential's Schrödinger matrices on its own grid and the refined one,
     each with its min V as floor, led by its matrices on n // 32 and n // 16
     nodes between the same walls (offset as its grid is) where _ladder_pays
-    and neither coarse grid has a singular node.
+    (n >= 2000, k_states <= n // 64) and neither coarse grid has a singular
+    node. A constant-u field whose A^2 overflows raises (_square_finite).
 
     A field whose values on both grids match their mirror (_even) is
     averaged with it on every grid, and _levels folds it: the first
@@ -545,6 +551,8 @@ def solve_fixed(potential: PotentialField, k_states: int,
     if k_states < 1:
         raise InvalidParameterError("k_states must be >= 1")
     grid = potential.grid
+    if potential.mode == CONSTANT_U:
+        _square_finite(potential.constant_a, "A")
     if np.any(potential.singular):
         raise SingularNodeError("potential carries singular interior nodes; shrink the grid "
                                 "or use an offset grid")
@@ -570,7 +578,7 @@ def solve_fixed(potential: PotentialField, k_states: int,
                          float(np.min(values)))
 
         fields = [potential, fine]
-        if _ladder_pays(grid.n // 16, grid.n, k_states):
+        if _ladder_pays(grid.n, k_states):
             ladder = []
             for m in (32, 16):
                 ladder.append(potential.on_grid(QGrid(grid.lo, grid.hi, grid.n // m, grid.offset)))
@@ -700,8 +708,9 @@ def solve_exact(model: ModelSpec, tmap: TransformMap, n: int,
     lattice and calls no LAPACK routine. Any other u hands _levels the staggered
     lattices over n and 2n+1 phi1 nodes, each with n+1 and 2n+2 eigenvalues at
     or under its inertia floor, led by the lattices over n // 32 and n // 16
-    phi1 nodes between the same walls where _ladder_pays (the second has
-    2 (n // 16) + 1 rows), whatever the walls.
+    phi1 nodes between the same walls where _ladder_pays (n >= 2000,
+    k_states <= n // 64), whatever the walls. A u whose square overflows on the
+    fine lattice raises (_square_finite).
     The sites of both coarse lattices are inverted in one call. Vectors have
     h sum(phi1^2 + chi^2) = 1 and phi1 > 0 at its largest sample (the first
     of equal ones). With ``vectors=False`` none is computed: each pair's phi
@@ -726,6 +735,7 @@ def solve_exact(model: ModelSpec, tmap: TransformMap, n: int,
     # fine site 4j is phi1 node j bit for bit: the lift and the exported potential reuse it
     tmap.remember(q_fine[3::4], x_fine[3::4])
     u_fine = u_values(model, x_fine)
+    _square_finite(u_fine, "u")
     even = _even(u_fine)
     u_fine = _mirror_average(u_fine, even)
 
@@ -737,7 +747,7 @@ def solve_exact(model: ModelSpec, tmap: TransformMap, n: int,
     found = _free_lattice(grid, u_fine, _bisection_tol(*base.matrix), k_states, vectors)
     if found is None:
         grids = [base, lattice(u_fine, 0.5 * grid.h)]
-        if _ladder_pays(2 * (n // 16) + 1, n, k_states):
+        if _ladder_pays(n, k_states):
             coarse = [QGrid(grid.lo, grid.hi, n // m) for m in (32, 16)]
             q = np.concatenate([g.lo + np.arange(1, 2 * g.n + 2) * (0.5 * g.h) for g in coarse])
             order = np.argsort(q, kind="stable")

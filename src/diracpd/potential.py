@@ -127,10 +127,8 @@ def _sampled(build: Callable[[QGrid], PotentialField], grid: QGrid) -> Potential
 def _fields_on_grid(model: ModelSpec, grid: QGrid, tmap: TransformMap):
     x = tmap.inverse_grid(grid.nodes)
     u, u1, u2 = product_u(model, x)
-    v = np.asarray(model.velocity(x), dtype=float)
-    v1 = np.asarray(model.velocity.deriv1(x), dtype=float)
-    v = np.broadcast_to(v, x.shape).copy()
-    v1 = np.broadcast_to(v1, x.shape).copy()
+    v = np.full(x.shape, model.velocity(x), dtype=float)
+    v1 = np.full(x.shape, model.velocity.deriv1(x), dtype=float)
     return x, u, u1, u2, v, v1
 
 

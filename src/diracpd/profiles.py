@@ -341,8 +341,7 @@ def _product(model: ModelSpec, x, count: int):
                     m2 * v * v + 4.0 * m1 * v * v1 + 2.0 * m * (v1 * v1 + v * v2))
     if np.isscalar(x) or np.ndim(x) == 0:
         return tuple(float(np.asarray(r)) for r in res)
-    return tuple(np.broadcast_to(np.asarray(r, dtype=float), x_arr.shape).copy()
-                 for r in res)
+    return tuple(np.full(x_arr.shape, r, dtype=float) for r in res)
 
 
 def detect_constant_u(model: ModelSpec, tol: float = 1e-10) -> Optional[float]:

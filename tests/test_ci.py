@@ -83,7 +83,22 @@ def test_tier1_runs_one_shot_solves():
                      r'--out "\$RUNNER_TEMP/cosh-lean"', run)
     assert re.search(r'same_rows "\$RUNNER_TEMP/cosh-lean/spectrum\.csv" '
                      r'"\$RUNNER_TEMP/out-exact-cosh/spectrum\.csv"', run)
-    assert "assert len(paths) == 21" in run
+    # an n = 2000 approximate solve of poschl_teller at g = 2 takes the grid ladder
+    # under --strict at compare.tol = 1e-7, and writes the same spectrum rows with
+    # wavefunctions; its five tables join the cell check
+    assert re.search(r"'model\.alpha = 1' 'model\.v0 = 1' \\\s+'model\.m0 = 2' "
+                     r"'grid\.n = 2000' 'solve\.k_states = 3' 'outputs = spectrum' \\\s+"
+                     r"'compare\.tol = 1e-7' > \"\$RUNNER_TEMP/ladder2000\.cfg\"", run)
+    assert re.search(r'--config "\$RUNNER_TEMP/ladder2000\.cfg" --mode approximate --strict '
+                     r'--out "\$RUNNER_TEMP/out-ladder2000"', run)
+    assert re.search(r"cat \"\$RUNNER_TEMP/ladder2000\.cfg\"; echo 'outputs = spectrum, "
+                     r"wavefunctions'; } \\\s+> \"\$RUNNER_TEMP/ladder2000-wf\.cfg\"", run)
+    assert re.search(r'--config "\$RUNNER_TEMP/ladder2000-wf\.cfg" --mode approximate --strict '
+                     r'--out "\$RUNNER_TEMP/out-ladder2000-wf"', run)
+    assert re.search(r'same_rows "\$RUNNER_TEMP/out-ladder2000/spectrum\.csv" '
+                     r'"\$RUNNER_TEMP/out-ladder2000-wf/spectrum\.csv"', run)
+    assert run.index("out-ladder2000-wf\"") < run.index("glob.glob(")
+    assert "assert len(paths) == 26" in run
     assert 'assert cell == "%.17g" % float(cell)' in run
     # an n = 8000 approximate solve of the same poschl_teller (g = 3.49)
     # runs the grid ladder's shifted solves; --strict at compare.tol = 1e-7

@@ -1156,6 +1156,11 @@ MASSLESS_PT = dict(model__name="poschl_teller", model__alpha=1.0, model__v0=1.0,
 BIC_RANGE = ("numerical failure: DomainError: the bic family needs a finite q-range; {} maps "
              "onto q-range (-inf, inf)")
 FREE_NOTE = "potential and wavefunctions not written: the free case has no grid and no bound state"
+# A = m v_F^2 = 8.1e159 on cosh_square: a finite A whose square overflows, which no grid mends
+OVERFLOW = dict(model__name="cosh_square", model__alpha=1.1, model__v0=0.9, model__m0=1e160,
+                grid__n=400, solve__k_states=3)
+SQUARE_OVERFLOW = ("numerical failure: SingularNodeError: {0} = m v_F^2 reaches 8.1e+159: {0}^2 "
+                   "overflows a float, so no grid resolves the levels")
 # (id, command, config, exit code, the cause: on stderr for an exit 3, else on stdout)
 EDGE_SWEEP = [
     ("bic-infinite-range-constant_rest", "bic", dict(FREE_REST, bic__energies="2.0"), 3,
@@ -1183,11 +1188,16 @@ EDGE_SWEEP = [
     ("free-solve-bic-linear_singular", "solve",
      dict(FREE_LINEAR, outputs="spectrum, bic", bic__energies="2.0"), 3,
      BIC_RANGE.format("linear_singular")),
+    ("overflow-constant-u", "solve", dict(OVERFLOW, mode="constant-u"), 3,
+     SQUARE_OVERFLOW.format("A")),
+    ("overflow-default-mode", "solve", OVERFLOW, 3, SQUARE_OVERFLOW.format("A")),
+    ("overflow-exact", "solve", dict(OVERFLOW, mode="exact"), 3, SQUARE_OVERFLOW.format("u")),
 ]
 
 
 class TestExitSweep:
-    """Edge cases outside exact mode, each with its exit code and the cause it names."""
+    """Edge cases outside the exact-mode sweep, each with its exit code and the
+    cause it names."""
 
     @pytest.mark.parametrize("command,keys,code,cause", [c[1:] for c in EDGE_SWEEP],
                              ids=[c[0] for c in EDGE_SWEEP])

@@ -150,9 +150,10 @@ class TestSolveFixed:
         assert np.max(np.abs(vecs - vecs_lapack)) <= 1e-10
 
     def test_only_approximate_mode_bisects(self, monkeypatch):
-        # index-range bisection only on the base grid: once per parity block, on
-        # ceil(n/2) rows, for a field even about the grid's centre, once on all
-        # n rows otherwise; the refined grid bisects by value
+        # index-range bisection only on the base grid (n = 1999, below the grid
+        # ladder): once per parity block, on ceil(n/2) and floor(n/2) rows, for a
+        # field even about the grid's centre, once on all n rows otherwise; the
+        # refined grid bisects by value
         calls = []
         real = eigensolver.eigh_tridiagonal
 
@@ -169,11 +170,11 @@ class TestSolveFixed:
         assert calls == []
         pt = builtin_model("poschl_teller", alpha=1, v0=1, m0=1)
         tmap = build_transform(pt.velocity, pt.anchor)
-        field = approx_potential(pt, QGrid(tmap.q_lo, tmap.q_hi, 2000, offset=True), tmap)
+        field = approx_potential(pt, QGrid(tmap.q_lo, tmap.q_hi, 1999, offset=True), tmap)
         cosh = builtin_model("cosh_square", alpha=1, v0=1, m0=1)
         skewed = approx_potential(dataclasses.replace(cosh, u_closed=SKEWED_U),
-                                  QGrid(tmap.q_lo, tmap.q_hi, 2000, offset=True), tmap)
-        for f, rows in ((field, [1000, 1000]), (skewed, [2000])):
+                                  QGrid(tmap.q_lo, tmap.q_hi, 1999, offset=True), tmap)
+        for f, rows in ((field, [1000, 999]), (skewed, [1999])):
             calls.clear()
             solve_fixed(f, 3)
             assert calls[0] == ("i", rows[0])
@@ -625,12 +626,12 @@ def ladder_outcomes(monkeypatch):
 def index_path(field, k):
     """solve_fixed(field, k) without the grid ladder: the index path's levels."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(eigensolver, "_LADDER_ROWS", math.inf)
+        mp.setattr(eigensolver, "_ladder_pays", lambda n, k: False)
         return solve_fixed(field, k)
 
 
 class TestGridLadder:
-    """Solves on n >= 4000 nodes bisect only the n/32 and n/16 grids by index, and
+    """Solves on n >= 2000 nodes bisect only the n/32 and n/16 grids by index, and
     take the base and refined levels from shifted solves at Richardson
     predictions; a refusal falls back to the index path. With or without
     vectors, the levels are the same."""
@@ -638,7 +639,10 @@ class TestGridLadder:
     @pytest.mark.parametrize("k", [1, 5])
     @pytest.mark.parametrize("name,n,params", [
         ("poschl_teller", 8000, dict(g=1.5)), ("poschl_teller", 8000, dict(g=3.5)),
-        ("cosh_square", 4000, dict(m0=1.2)), ("tilted", 4000, {})])
+        ("cosh_square", 4000, dict(m0=1.2)), ("tilted", 4000, {}),
+        # the g < 1 band at n = 2000, where every scan point of the paper's model sits
+        ("poschl_teller", 2000, dict(g=0.55)), ("poschl_teller", 2000, dict(g=0.7)),
+        ("poschl_teller", 2000, dict(g=0.9))])
     def test_levels_within_two_tol_of_the_index_path(self, monkeypatch, name, n, params, k):
         field = ladder_field(name, n, **params)
         tol = eigensolver._bisection_tol(*eigensolver._schrodinger(field.values, field.grid.h))
@@ -676,10 +680,11 @@ class TestGridLadder:
         assert {size for select, size in calls if select == "v"} == (
             {2000, 4000} if len(rows) == 4 else {4000, 8000})
 
-    def test_below_4000_nodes_no_ladder(self, monkeypatch):
+    def test_below_2000_nodes_no_ladder(self, monkeypatch):
+        # the gate of both solvers: n >= 2000 base nodes and k <= n // 64
         outcomes = ladder_outcomes(monkeypatch)
-        for n in (3999, 4000):
-            solve_fixed(ladder_field("poschl_teller", n, g=2.0), 3, vectors=False)
+        for n, k in ((1999, 3), (2000, 3), (2000, 32)):
+            solve_fixed(ladder_field("poschl_teller", n, g=2.0), k, vectors=False)
         assert outcomes == [True]
 
     def test_predictions_off_by_one_level_fall_back(self, monkeypatch):
@@ -809,7 +814,7 @@ def lattice_index_path(model, tmap, n, k, vectors=True):
     """solve_exact without the lattice ladder or the closed form of a constant
     u: the index path's levels."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(eigensolver, "_LADDER_ROWS", math.inf)
+        mp.setattr(eigensolver, "_ladder_pays", lambda n, k: False)
         mp.setattr(eigensolver, "_free_lattice", lambda *args: None)
         return solve_exact(model, tmap, n, k, vectors=vectors)
 
@@ -922,7 +927,7 @@ class TestLatticeLadder:
         assert solves == [4 * 2000 + 3, (2 * 125 + 1) + (2 * 62 + 1)]
 
     def test_size_thresholds(self, monkeypatch):
-        # a ladder needs 250 rows in its n/16 lattice (n >= 2000) and k <= n // 64
+        # a ladder needs n >= 2000 phi1 nodes and k <= n // 64, as in approximate mode
         model, tmap = lattice_case("poschl_teller", 2.0)
         outcomes = ladder_outcomes(monkeypatch)
         for n, k in ((1999, 3), (2000, 31), (2000, 32)):
@@ -1075,8 +1080,10 @@ class TestWeylCertificate:
 # run on the base and refined grids but for the index path's base grid; the
 # band (g 0.7) takes the ladder, two factorizations for some of its levels
 PINNED_CALLS = [
-    ("approximate", 2.0, 2000, 5, {("i", False, 1000): 2, ("gttrf", 2000): 5,
-                                   ("v", True, 1000): 2, ("v", True, 2000): 2}),
+    ("approximate", 2.0, 2000, 5, {("i", False, 31): 2, ("i", False, 62): 1,
+                                   ("i", False, 63): 1, ("gttrf", 1000): 5,
+                                   ("gttrf", 2000): 5, ("v", True, 1000): 2,
+                                   ("v", True, 2000): 2}),
     ("approximate", 2.0, 8000, 5, {("i", False, 125): 2, ("i", False, 250): 2,
                                    ("gttrf", 4000): 5, ("gttrf", 8000): 5,
                                    ("v", True, 4000): 2, ("v", True, 8000): 2}),
@@ -1116,10 +1123,10 @@ class TestOneH2Law:
         w_fine = w * (1.0 - rng.uniform(-1e-2, 1e-2, w.size))
         assert np.array_equal(eigensolver._h2(w, w_fine, 1.0, 0.25, 0.0), (4.0 * w_fine - w) / 3.0)
 
-    @pytest.mark.parametrize("mode,n", [("approximate", 2000), ("exact", 400),
+    @pytest.mark.parametrize("mode,n", [("approximate", 1999), ("exact", 400),
                                         ("constant-u", 1000)])
     def test_levels_and_estimates(self, monkeypatch, mode, n):
-        # ladderless solves: approximate below n = 4000, exact below n = 2000
+        # ladderless solves: below n = 2000 in either mode
         steps = []
         real = eigensolver._h2
 
