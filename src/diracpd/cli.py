@@ -63,6 +63,7 @@ from .potential import (
     constant_u_potential,
     exact_potential,
     potential_discrepancy_report,
+    square_finite,
 )
 from .profiles import (AS_PUBLISHED, MODEL_NAMES, AnalyticSpectrum, ModelSpec, builtin_model,
                        detect_constant_u)
@@ -299,6 +300,7 @@ def run_solve_pipeline(rc: RunConfig, model: Optional[ModelSpec] = None,
             result = solve_fixed(field, rc.k_states, vectors=vectors)
         else:
             # free particle: no bound states, one level at lambda 0 with the rest energies
+            square_finite(a_const, "A")
             rest = a_const * a_const
             result = SpectrumResult((EigenPair(0.0, None, None, 0, 0.0),),
                                     (energies_from_lambda(0.0, rest),), CONSTANT_U, rest)

@@ -41,7 +41,7 @@ fallback solves again with less: a refused ladder leaves the base and
 refined grids alone, and a refused refined grid without a ladder is
 bisected by index. The ladder's levels lie within 2 tol of the ladderless
 path's, tol the base grid's _bisection_tol. Both solvers build a ladder
-where _ladder_pays, from n = 2000 base nodes (phi1 nodes on the lattice of
+(_ladder_grids) from n = 2000 base nodes (phi1 nodes on the lattice of
 solve_exact) on and for k <= n/64, whatever the walls (in the g < 1 band of
 poschl_teller, where the error is not h^2, the shifts take a second
 factorization); a constant u needs none in either mode.
@@ -86,11 +86,12 @@ from .errors import (
     InsufficientResolutionError,
     InvalidParameterError,
     NonConvergenceError,
+    NumericalError,
     SingularNodeError,
     UnboundedBelowError,
 )
 from .potential import (CONSTANT_U, EXACT, PotentialField, QGrid, approx_potential,
-                        exact_potential)
+                        exact_potential, square_finite)
 from .profiles import ModelSpec, u_values
 from .transform import TransformMap
 
@@ -509,19 +510,13 @@ def _free_eigs(grid: QGrid, k: int, with_vectors: bool):
                if with_vectors else None)
 
 
-def _ladder_pays(n: int, k: int) -> bool:
-    """Whether a ladder leads a solve of k levels on n base nodes (phi1 nodes
-    on a lattice), in either mode: n >= 2000 and k <= n // 64."""
-    return n >= 2000 and k <= n // 64
-
-
-def _square_finite(u, name: str) -> None:
-    """Raise SingularNodeError when some |u| tops sqrt(max float), so that
-    u^2, and E^2 with it, overflows: a cause no grid mends. NaN passes."""
-    top = float(np.max(np.abs(u)))
-    if top > math.sqrt(sys.float_info.max):
-        raise SingularNodeError(f"{name} = m v_F^2 reaches {top:g}: {name}^2 overflows a "
-                                f"float, so no grid resolves the levels")
+def _ladder_grids(grid: QGrid, k: int) -> List[QGrid]:
+    """The grids of the ladder that leads a solve of k levels on ``grid`` of n
+    nodes (phi1 nodes on a lattice), in either mode, where it pays (n >= 2000
+    and k <= n // 64): n // 32 and n // 16 nodes between its walls, offset as
+    it is; else none."""
+    return [QGrid(grid.lo, grid.hi, grid.n // m, grid.offset) for m in (32, 16)
+            if grid.n >= 2000 and k <= grid.n // 64]
 
 
 def solve_fixed(potential: PotentialField, k_states: int,
@@ -535,10 +530,9 @@ def solve_fixed(potential: PotentialField, k_states: int,
     levels and error estimates are the same bit for bit, as _levels computes
     the vectors after the levels. The grids handed to _levels are the
     potential's Schrödinger matrices on its own grid and the refined one,
-    each with its min V as floor, led by its matrices on n // 32 and n // 16
-    nodes between the same walls (offset as its grid is) where _ladder_pays
-    (n >= 2000, k_states <= n // 64) and neither coarse grid has a singular
-    node. A constant-u field whose A^2 overflows raises (_square_finite).
+    each with its min V as floor, led by its matrices on the _ladder_grids
+    (n >= 2000, k_states <= n // 64) where neither has a singular node. A
+    constant-u field whose A^2 overflows raises (square_finite).
 
     A field whose values on both grids match their mirror (_even) is
     averaged with it on every grid, and _levels folds it: the first
@@ -552,7 +546,7 @@ def solve_fixed(potential: PotentialField, k_states: int,
         raise InvalidParameterError("k_states must be >= 1")
     grid = potential.grid
     if potential.mode == CONSTANT_U:
-        _square_finite(potential.constant_a, "A")
+        square_finite(potential.constant_a, "A")
     if np.any(potential.singular):
         raise SingularNodeError("potential carries singular interior nodes; shrink the grid "
                                 "or use an offset grid")
@@ -577,15 +571,13 @@ def solve_fixed(potential: PotentialField, k_states: int,
             return _Grid(_schrodinger(values, field.grid.h), (field.grid.h / grid.h) ** 2,
                          float(np.min(values)))
 
-        fields = [potential, fine]
-        if _ladder_pays(grid.n, k_states):
-            ladder = []
-            for m in (32, 16):
-                ladder.append(potential.on_grid(QGrid(grid.lo, grid.hi, grid.n // m, grid.offset)))
-                if np.any(ladder[-1].singular):
-                    break
-            else:
-                fields = ladder + fields
+        fields, ladder = [potential, fine], []
+        for coarse in _ladder_grids(grid, k_states):
+            ladder.append(potential.on_grid(coarse))
+            if np.any(ladder[-1].singular):
+                break
+        else:
+            fields = ladder + fields
         lam, gap, vecs = _levels([grid_of(field) for field in fields], k_states,
                                  np.ones(grid.n // 2) if even else None, vectors)
 
@@ -604,22 +596,30 @@ def solve_fixed(potential: PotentialField, k_states: int,
                           mode=potential.mode, offset=offset, field=potential)
 
 
-def _wall_singular(builder, lo: float, hi: float) -> bool:
+def _wall_singular(fields_on, lo: float, hi: float) -> bool:
     """Whether V blows up at a wall of (lo, hi): probes within 3e-8 of each wall.
 
-    A DomainError (probe nodes that round onto a wall) means a singular
-    wall; any other error propagates with its own cause. V d^2 at the probe
-    nearest a wall, d its distance from it, reads the wall coefficient c of
-    V ~ c / d^2; below -1/4 V is unbounded below there (Hardy), and that
-    raises UnboundedBelowError.
+    ``fields_on(grids)`` gives V on the middle and the two wall probes in one
+    call or, where that raises a NumericalError, in one call each, in that
+    order. A DomainError (probe nodes that round onto a wall) or
+    SingularNodeError (u^2 overflowing there) means a singular wall; any
+    other error propagates with its own cause. V d^2 at the probe nearest a
+    wall, d its distance from it, reads the wall coefficient c of V ~ c /
+    d^2; below -1/4 V is unbounded below there (Hardy), and that raises
+    UnboundedBelowError.
     """
     width = hi - lo
+    grids = [QGrid(a, b, 3, offset=True) for a, b in (
+        (lo + 0.4 * width, hi - 0.4 * width), (lo, lo + 3e-8 * width), (hi - 3e-8 * width, hi))]
     try:
-        mid_vals = builder(QGrid(lo + 0.4 * width, hi - 0.4 * width, 3, offset=True)).values
+        try:
+            fields = iter(fields_on(grids))
+        except NumericalError:
+            fields = (fields_on((grid,))[0] for grid in grids)
+        mid_vals = next(fields).values
         center = float(np.max(np.abs(mid_vals[np.isfinite(mid_vals)]), initial=0.0))
-        for probes, wall, near in ((QGrid(lo, lo + 3e-8 * width, 3, offset=True), lo, 0),
-                                   (QGrid(hi - 3e-8 * width, hi, 3, offset=True), hi, -1)):
-            edge_vals = builder(probes).values
+        for probes, wall, near in zip(grids[1:], (lo, hi), (0, -1)):
+            edge_vals = next(fields).values
             c = edge_vals[near] * (probes.nodes[near] - wall) ** 2
             if c < -0.25:
                 raise UnboundedBelowError(
@@ -629,7 +629,7 @@ def _wall_singular(builder, lo: float, hi: float) -> bool:
                 return True
             if float(np.max(np.abs(edge_vals))) > 1e6 * (1.0 + center):
                 return True
-    except DomainError:
+    except (DomainError, SingularNodeError):
         return True
     return False
 
@@ -639,21 +639,27 @@ def solve_approximate(model: ModelSpec, tmap: TransformMap, n: int,
     """Lowest k_states levels of the energy-independent (approximate) potential.
 
     A finite q-range gets one grid of n nodes, offset half a step from the
-    walls when _wall_singular finds V blowing up at one. An infinite side
-    is cut at |q| = L on offset grids of n nodes, L doubled until the levels
-    settle (expand_until_settled). The result's ``field`` is the potential
-    of the grid it was solved on; ``vectors`` as in solve_fixed.
+    walls when _wall_singular finds V blowing up at one; V on it and on the
+    ladder and refined grids solve_fixed reads comes from one pass
+    (approx_potential's ``also``), as V on the wall probes did. An infinite
+    side is cut at |q| = L on offset grids of n nodes, L doubled until the
+    levels settle (expand_until_settled). The result's ``field`` is the
+    potential of the grid it was solved on; ``vectors`` as in solve_fixed.
     """
-    def builder(grid: QGrid) -> PotentialField:
-        return approx_potential(model, grid, tmap)
+    def fields_on(grids):
+        first = approx_potential(model, grids[0], tmap, also=grids[1:])
+        return [first] + [first.on_grid(grid) for grid in grids[1:]]
 
     lo, hi = tmap.q_lo, tmap.q_hi
     if math.isfinite(lo) and math.isfinite(hi):
-        offset = _wall_singular(builder, lo, hi)
-        return solve_fixed(builder(QGrid(lo, hi, n, offset=offset)), k_states, vectors=vectors)
+        grid = QGrid(lo, hi, n, offset=_wall_singular(fields_on, lo, hi))
+        also = _ladder_grids(grid, k_states) + [grid.refined()]
+        return solve_fixed(approx_potential(model, grid, tmap, also=also), k_states,
+                           vectors=vectors)
     return expand_until_settled(
-        lambda L: builder(QGrid(lo if math.isfinite(lo) else -L,
-                                hi if math.isfinite(hi) else L, n, offset=True)),
+        lambda L: approx_potential(model, QGrid(lo if math.isfinite(lo) else -L,
+                                                hi if math.isfinite(hi) else L, n, offset=True),
+                                   tmap),
         k_states, vectors=vectors)[0]
 
 
@@ -700,18 +706,17 @@ def solve_exact(model: ModelSpec, tmap: TransformMap, n: int,
     symmetric [u, -d/dq; d/dq, -u]; a staggered lattice (Susskind) with phi1 = 0
     on the finite walls of q makes it one tridiagonal matrix (_staggered). E is Richardson-
     refined over (n, 2n+1) nodes: ``lam`` = E^2, ``error_estimate`` = 2 E |E_h - E_{h/2}| / 3.
-    The map is inverted once, on the fine lattice (q = lo + j h/4); every
-    coarse site (q = lo + j h/2) is bit for bit its every second site, and
-    the phi1 nodes (``grid.nodes``) its every fourth, which the map caches.
+    The map is inverted in one call (TransformMap.inverse_grids), on the fine
+    lattice (q = lo + j h/4) and the ladder's sites, sorted together: every
+    base site (q = lo + j h/2) is bit for bit a second fine site, and the
+    phi1 nodes (``grid.nodes``) every fourth, which the map caches.
     A u on the fine lattice within the base lattice's _bisection_tol of a
     constant a >= 0 takes the closed form (_free_lattice), which builds no other
     lattice and calls no LAPACK routine. Any other u hands _levels the staggered
     lattices over n and 2n+1 phi1 nodes, each with n+1 and 2n+2 eigenvalues at
-    or under its inertia floor, led by the lattices over n // 32 and n // 16
-    phi1 nodes between the same walls where _ladder_pays (n >= 2000,
-    k_states <= n // 64), whatever the walls. A u whose square overflows on the
-    fine lattice raises (_square_finite).
-    The sites of both coarse lattices are inverted in one call. Vectors have
+    or under its inertia floor, led by the lattices over the _ladder_grids'
+    phi1 nodes (n >= 2000, k_states <= n // 64), whatever the walls. A u whose
+    square overflows on the fine lattice raises (square_finite). Vectors have
     h sum(phi1^2 + chi^2) = 1 and phi1 > 0 at its largest sample (the first
     of equal ones). With ``vectors=False`` none is computed: each pair's phi
     and chi are None and its nodes its index, and the levels and error
@@ -730,12 +735,16 @@ def solve_exact(model: ModelSpec, tmap: TransformMap, n: int,
     if not 1 <= k_states <= n // 2:
         raise InsufficientResolutionError(f"cannot resolve {k_states} states on {n} nodes")
     grid = QGrid(tmap.q_lo, tmap.q_hi, n, offset=False)
+    coarse = _ladder_grids(grid, k_states)
     q_fine = tmap.q_lo + np.arange(1, 4 * n + 4) * (0.25 * grid.h)
-    x_fine = tmap.inverse_grid(q_fine)
+    q = np.concatenate([np.empty(0)] + [g.lo + np.arange(1, 2 * g.n + 2) * (0.5 * g.h)
+                                        for g in coarse])
+    order = np.argsort(q, kind="stable")
+    x_fine, x_coarse = tmap.inverse_grids([q_fine, q[order]])
     # fine site 4j is phi1 node j bit for bit: the lift and the exported potential reuse it
     tmap.remember(q_fine[3::4], x_fine[3::4])
     u_fine = u_values(model, x_fine)
-    _square_finite(u_fine, "u")
+    square_finite(u_fine, "u")
     even = _even(u_fine)
     u_fine = _mirror_average(u_fine, even)
 
@@ -747,12 +756,9 @@ def solve_exact(model: ModelSpec, tmap: TransformMap, n: int,
     found = _free_lattice(grid, u_fine, _bisection_tol(*base.matrix), k_states, vectors)
     if found is None:
         grids = [base, lattice(u_fine, 0.5 * grid.h)]
-        if _ladder_pays(n, k_states):
-            coarse = [QGrid(grid.lo, grid.hi, n // m) for m in (32, 16)]
-            q = np.concatenate([g.lo + np.arange(1, 2 * g.n + 2) * (0.5 * g.h) for g in coarse])
-            order = np.argsort(q, kind="stable")
+        if coarse:
             u_all = np.empty_like(q)
-            u_all[order] = u_values(model, tmap.inverse_grid(q[order]))
+            u_all[order] = u_values(model, x_coarse)
             grids = [lattice(_mirror_average(u, even), g.h)
                      for g, u in zip(coarse, np.split(u_all, [2 * coarse[0].n + 1]))] + grids
         mirror = np.where(np.arange(n) % 2, 1.0, -1.0) if even else None  # (-1)^(j+1)

@@ -14,27 +14,31 @@ Two reductions are supported:
 Everything is written in terms of u = m v_F^2 and the velocity alone,
 which preserves exact cancellations (constant-u models give V = A^2
 identically, massless models give exactly zero) and avoids overflow from
-intermediate m * v^4 products.
+intermediate m * v^4 products. The approximate V of several grids comes
+from one pass over their nodes, bit for bit each grid's own values.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import (
     ApproximationInvalidError,
     InvalidParameterError,
+    SingularNodeError,
     ZetaCrossingError,
 )
-from .profiles import ModelSpec, product_u
+from .profiles import ModelSpec, filled, product_u
 from .transform import TransformMap
 
 EXACT = "exact"
 APPROXIMATE = "approximate"
 CONSTANT_U = "constant_u"
+_PASS_BLOCK = 8192  # nodes per block of a pass: each 64 KiB temporary stays in cache
 
 
 @dataclass(frozen=True)
@@ -124,12 +128,33 @@ def _sampled(build: Callable[[QGrid], PotentialField], grid: QGrid) -> Potential
     return replace(build(grid), evaluator=build)
 
 
-def _fields_on_grid(model: ModelSpec, grid: QGrid, tmap: TransformMap):
-    x = tmap.inverse_grid(grid.nodes)
-    u, u1, u2 = product_u(model, x)
-    v = np.full(x.shape, model.velocity(x), dtype=float)
-    v1 = np.full(x.shape, model.velocity.deriv1(x), dtype=float)
-    return x, u, u1, u2, v, v1
+def square_finite(u, name: str) -> None:
+    """Raise SingularNodeError when some |u| tops sqrt(max float), so that
+    u^2, and E^2 with it, overflows: a cause no grid mends. NaN passes."""
+    top = float(np.max(np.abs(u)))
+    if top > np.sqrt(np.finfo(float).max):
+        raise SingularNodeError(f"{name} = m v_F^2 reaches {top:g}: {name}^2 overflows a "
+                                f"float, so no grid resolves the levels")
+
+
+def _approx_pass(model: ModelSpec, grids: Sequence[QGrid], tmap: TransformMap):
+    """V on each of ``grids``, an array of its own each: their nodes inverted
+    in one call (TransformMap.inverse_grids), V evaluated over their
+    concatenated x in blocks of _PASS_BLOCK nodes, NaN where singular; a u
+    whose square overflows raises (square_finite)."""
+    x_all = np.concatenate(tmap.inverse_grids([g.nodes for g in grids]))
+    out = np.empty(x_all.size)
+    for b in range(0, x_all.size, _PASS_BLOCK):
+        x = x_all[b:b + _PASS_BLOCK]
+        u, u1, u2 = product_u(model, x)
+        square_finite(u, "u")
+        v, v1 = filled(model.velocity(x), x), filled(model.velocity.deriv1(x), x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vals = (3.0 / 16.0) * (u1 * v / u) ** 2 \
+                - 0.25 * (v * v * u2 + v * v1 * u1) / u + u * u
+        out[b:b + _PASS_BLOCK] = np.where(~(np.abs(u) > 0) | ~np.isfinite(vals), np.nan, vals)
+    ends = itertools.accumulate(g.n for g in grids)
+    return [out[end - g.n:end].copy() for g, end in zip(grids, ends)]
 
 
 def exact_potential(model: ModelSpec, energy: float, grid: QGrid,
@@ -142,7 +167,9 @@ def exact_potential(model: ModelSpec, energy: float, grid: QGrid,
     """
 
     def build(g: QGrid) -> PotentialField:
-        _, u, u1, u2, v, v1 = _fields_on_grid(model, g, tmap)
+        x = tmap.inverse_grid(g.nodes)
+        u, u1, u2 = product_u(model, x)
+        v, v1 = filled(model.velocity(x), x), filled(model.velocity.deriv1(x), x)
         z2 = energy + u
         scale = max(1.0, abs(energy), float(np.max(np.abs(u[np.isfinite(u)]), initial=0.0)))
         eps = 1e-10 * scale
@@ -160,15 +187,17 @@ def exact_potential(model: ModelSpec, energy: float, grid: QGrid,
     return _sampled(build, grid)
 
 
-def approx_potential(model: ModelSpec, grid: QGrid,
-                     tmap: TransformMap) -> PotentialField:
+def approx_potential(model: ModelSpec, grid: QGrid, tmap: TransformMap,
+                     also: Sequence[QGrid] = ()) -> PotentialField:
     """Energy-independent potential (non-relativistic reduction).
 
     Requires m(x) > 0 strictly inside the domain; a massless model is
-    rejected outright, isolated interior zeros are flagged singular. The
-    massless check reads ``model.u_sample``, u on the model's interior
-    sample, evaluated once per model however many grids are built; its
-    overflowed samples are left out.
+    rejected outright (read from ``model.u_sample``, its overflowed samples
+    left out), isolated interior zeros are flagged singular, and a u whose
+    square overflows raises SingularNodeError. One pass (_approx_pass)
+    evaluates ``grid`` and the grids ``also`` lists, whose values
+    ``on_grid`` then hands over once: the evaluator keeps arrays, never
+    fields, so no cycle holds it.
     """
     u_probe = model.u_sample
     finite = np.isfinite(u_probe)
@@ -178,14 +207,14 @@ def approx_potential(model: ModelSpec, grid: QGrid,
             "(massless models reduce exactly instead)"
         )
 
+    grids = (grid, *also)
+    ready = dict(zip(grids, _approx_pass(model, grids, tmap)))
+
     def build(g: QGrid) -> PotentialField:
-        _, u, u1, u2, v, v1 = _fields_on_grid(model, g, tmap)
-        singular = ~(np.abs(u) > 0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = (3.0 / 16.0) * (u1 * v / u) ** 2 \
-                - 0.25 * (v * v * u2 + v * v1 * u1) / u + u * u
-        vals = np.where(singular | ~np.isfinite(vals), np.nan, vals)
-        return PotentialField(g, vals, APPROXIMATE)
+        values = ready.pop(g, None)
+        if values is None:
+            (values,) = _approx_pass(model, (g,), tmap)
+        return PotentialField(g, values, APPROXIMATE)
 
     return _sampled(build, grid)
 

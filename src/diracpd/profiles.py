@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Hashable, Mapping, Optional, Tuple
 
 import numpy as np
@@ -42,24 +42,26 @@ _FD_REL_TOL = 1e-6
 _SAMPLE_N = 1024
 
 
+@lru_cache(maxsize=16)
 def interior_sample(domain: Interval, n: int = _SAMPLE_N) -> np.ndarray:
     """Deterministic dense sample strictly inside an open interval.
 
     Infinite ends are reached through a tan() stretch so the sample probes
-    far tails without ever landing on an endpoint.
+    far tails without ever landing on an endpoint. Built once per (domain, n),
+    read-only: a model's validations and ``u_sample`` share it.
     """
     lo, hi = domain
     t = (np.arange(n) + 0.5) / n  # in (0, 1)
     if math.isinf(lo) and math.isinf(hi):
-        theta = (t - 0.5) * (np.pi - 4e-3)
-        return np.tan(theta)
-    if math.isinf(hi):
-        theta = t * (np.pi / 2 - 2e-3)
-        return lo + np.tan(theta)
-    if math.isinf(lo):
-        theta = t * (np.pi / 2 - 2e-3)
-        return hi - np.tan(theta)[::-1]
-    return lo + (hi - lo) * t
+        xs = np.tan((t - 0.5) * (np.pi - 4e-3))
+    elif math.isinf(hi):
+        xs = lo + np.tan(t * (np.pi / 2 - 2e-3))
+    elif math.isinf(lo):
+        xs = hi - np.tan(t * (np.pi / 2 - 2e-3))[::-1]
+    else:
+        xs = lo + (hi - lo) * t
+    xs.flags.writeable = False
+    return xs
 
 
 _EPS = float(np.finfo(float).eps)
@@ -259,10 +261,11 @@ class ModelSpec:
     """A mass/velocity pair on a shared domain, plus model metadata.
 
     ``anchor`` is the reference point where the canonical map q(x) vanishes;
-    ``u_closed`` holds closed forms (u, u', u'') when the product admits an
-    exact simplification. ``map_key`` names the map q(x): two specs with
-    equal non-None keys have the same velocity, domain and anchor, so one
-    ``build_transform`` result serves both. ``None`` means never shared.
+    ``u_closed(x, count)`` gives the first ``count`` of the closed forms (u,
+    u', u'') when the product admits an exact simplification. ``map_key``
+    names the map q(x): two specs with equal non-None keys have the same
+    velocity, domain and anchor, so one ``build_transform`` result serves
+    both. ``None`` means never shared.
     ``facts`` carries the model's closed-form bookkeeping (``ModelFacts``).
     """
 
@@ -273,7 +276,7 @@ class ModelSpec:
     params: Mapping[str, float]
     label: str
     anchor: float
-    u_closed: Optional[Tuple[Callable, Callable, Callable]] = None
+    u_closed: Optional[Callable[[np.ndarray, int], Tuple[np.ndarray, ...]]] = None
     map_key: Optional[Hashable] = None
     facts: ModelFacts = ModelFacts()
 
@@ -320,6 +323,15 @@ def u_values(model: ModelSpec, x):
     return _product(model, x, 1)[0]
 
 
+def filled(r, x: np.ndarray) -> np.ndarray:
+    """``r`` as a float array of x's shape its caller owns: ``r`` when it is
+    one, writeable and sharing no memory with x, else a filled copy."""
+    if (isinstance(r, np.ndarray) and r.shape == x.shape and r.dtype == np.float64
+            and r.flags.writeable and not np.may_share_memory(r, x)):
+        return r
+    return np.full(x.shape, r, dtype=float)
+
+
 def _product(model: ModelSpec, x, count: int):
     """The first ``count`` of product_u's (u, u', u'')."""
     x_arr = np.asarray(x, dtype=float)
@@ -327,7 +339,7 @@ def _product(model: ModelSpec, x, count: int):
         lo, hi = model.domain
         raise DomainError(f"x must lie strictly inside ({lo:g}, {hi:g})")
     if model.u_closed is not None:
-        res = tuple(f(x_arr) for f in model.u_closed[:count])
+        res = model.u_closed(x_arr, count)
     else:
         m = model.mass(x_arr)
         v = model.velocity(x_arr)
@@ -341,7 +353,7 @@ def _product(model: ModelSpec, x, count: int):
                     m2 * v * v + 4.0 * m1 * v * v1 + 2.0 * m * (v1 * v1 + v * v2))
     if np.isscalar(x) or np.ndim(x) == 0:
         return tuple(float(np.asarray(r)) for r in res)
-    return tuple(np.full(x_arr.shape, r, dtype=float) for r in res)
+    return tuple(filled(r, x_arr) for r in res)
 
 
 def detect_constant_u(model: ModelSpec, tol: float = 1e-10) -> Optional[float]:
@@ -449,12 +461,13 @@ def _require(params: Mapping[str, float], model: str, names, positive, nonneg):
 def _constant_u(A: float, first_level: int = 0, **closed):
     """u_closed and facts of a model with m v_F^2 = A identically; ``closed``
     holds the facts' closed forms."""
-    def zero(x):
-        return 0.0 * np.asarray(x, dtype=float)
+    def u_closed(x, count):
+        x = np.asarray(x, dtype=float)
+        return (A + 0.0 * x, 0.0 * x, 0.0 * x)[:count]
 
     claims = ((("constant A^2", lambda q: np.full_like(np.asarray(q, dtype=float), A * A)),)
               if A > 0 else ())  # a massless model's potential is identically zero
-    return (lambda x: A + zero(x), zero, zero), ModelFacts(first_level, claims, **closed)
+    return u_closed, ModelFacts(first_level, claims, **closed)
 
 
 def _hypot_ladder(name: str, v0: float, A: float, lam, wave, printed):
@@ -581,11 +594,14 @@ def _poschl_teller(params) -> ModelSpec:
         domain=dom,
     )
     c = m0 * v0 * v0
-    u_closed = (
-        lambda x: c / np.sin(a * x),
-        lambda x: -a * c * np.cos(a * x) / np.sin(a * x) ** 2,
-        lambda x: a * a * c * (1.0 + np.cos(a * x) ** 2) / np.sin(a * x) ** 3,
-    )
+
+    def u_closed(x, count):
+        ax = a * x
+        sin = np.sin(ax)
+        if count == 1:
+            return (c / sin,)
+        cos = np.cos(ax)
+        return (c / sin, -a * c * cos / sin ** 2, a * a * c * (1.0 + cos ** 2) / sin ** 3)[:count]
 
     def claimed(q):  # x = x0 + v0 q, with q anchored at the hole center x0
         coeff = m0 * m0 * v0 ** 4 - 5.0 * a * a * v0 * v0 / 16.0
@@ -668,11 +684,11 @@ def _linear_singular(params) -> ModelSpec:
         d2func=lambda x: 2.0 * A / np.asarray(x, dtype=float) ** 3,
         domain=dom,
     )
-    u_closed = (
-        lambda x: A * v0 * v0 * np.asarray(x, dtype=float),
-        lambda x: A * v0 * v0 + 0.0 * np.asarray(x, dtype=float),
-        lambda x: 0.0 * np.asarray(x, dtype=float),
-    )
+
+    def u_closed(x, count):
+        x = np.asarray(x, dtype=float)
+        return (A * v0 * v0 * x, A * v0 * v0 + 0.0 * x, 0.0 * x)[:count]
+
     omega = 2.0 * A * v0 ** 3
 
     # The printed oscillator spectrum and spinor (as-published) follow from a potential

@@ -8,7 +8,8 @@ limits toward the domain endpoints classified finite/infinite by watching a
 doubling (or gap halving) sequence of truncations converge, which
 distinguishes tanh-type saturation from log divergence without symbolic
 analysis. Every inverse, closed form or numeric, is spot-checked against
-adaptive quadrature of 1/v_F.
+adaptive quadrature of 1/v_F, seven nodes per grid, all of one call's grids
+in one quadrature call.
 
 The adaptive quadrature is this module's own: Gauss-Legendre of order 16 on
 panels that split, all segments of a call at once, until each panel's GL-16
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -208,30 +209,53 @@ class TransformMap:
 
     def inverse(self, q: float) -> float:
         """The unique x with forward(x) = q, to |forward(x) - q| <= 1e-12 max(1,|q|)."""
-        return float(self._solve(np.array([q], dtype=float))[0])
+        return float(self._checked([np.array([q], dtype=float)])[0][0])
 
     def inverse_grid(self, q: np.ndarray) -> np.ndarray:
-        """Inverse of a sorted array of q values, cached per grid on the map."""
-        q = np.asarray(q, dtype=float)
-        if q.size == 0:
-            return q.copy()
-        key = (q[0], q[-1], q.size)
-        hit = self._grid_cache.get(key)
-        if hit is not None and np.array_equal(hit[0], q):
-            return hit[1].copy()
-        x = self._solve(q)
-        self._grid_cache[key] = (q.copy(), x)
-        return x.copy()
+        """Inverse of a sorted array of q values, cached per grid on the map:
+        ``inverse_grids`` of the one grid, as a writeable copy."""
+        return self.inverse_grids([q])[0].copy()
+
+    def inverse_grids(self, qs) -> List[np.ndarray]:
+        """Inverses of sorted arrays of q values, each grid cached (read-only,
+        as returned) on its own once one ``_checked`` call passes them all."""
+        qs = [np.asarray(q, dtype=float) for q in qs]
+        hits = [self._grid_cache.get((q[0], q[-1], q.size)) if q.size else (q, q.copy())
+                for q in qs]
+        cold = [i for i, (q, hit) in enumerate(zip(qs, hits))
+                if hit is None or not np.array_equal(hit[0], q)]
+        for i, x in zip(cold, self._checked([qs[i] for i in cold])):
+            x.flags.writeable = False
+            hits[i] = self._grid_cache[(qs[i][0], qs[i][-1], qs[i].size)] = (qs[i].copy(), x)
+        return [x for _, x in hits]
 
     def remember(self, q: np.ndarray, x: np.ndarray) -> None:
         """Cache ``x`` as the inverse of the sorted grid ``q``, nodes taken
         from a grid inverted here: each node is inverted on its own, so a
         node's x is the same in any grid that holds it."""
-        self._grid_cache.setdefault((q[0], q[-1], q.size), (q.copy(), x.copy()))
+        x = x.copy()
+        x.flags.writeable = False
+        self._grid_cache.setdefault((q[0], q[-1], q.size), (q.copy(), x))
+
+    def _checked(self, qs) -> List[np.ndarray]:
+        """x(q) of each sorted q array by ``_solve``, in order, seven nodes of
+        each (``_spot_nodes``) checked in one ``forward`` call to 1e-10
+        max(1, max |q|) of their own grid."""
+        xs = [self._solve(q) for q in qs]
+        picks = [_spot_nodes(q.size) for q in qs]
+        got = self.forward(np.concatenate([x[p] for x, p in zip(xs, picks)])) if qs else None
+        for q, pick in zip(qs, picks):
+            res = float(np.max(np.abs(got[:pick.size] - q[pick])))
+            tol = 1e-10 * max(1.0, float(np.max(np.abs(q))))
+            if not res <= tol:
+                raise QuadratureFailureError(
+                    f"inverse: spot-check residual {res:.3e} > {tol:.3e} against "
+                    f"adaptive quadrature")
+            got = got[pick.size:]
+        return xs
 
     def _solve(self, q):
-        """x(q) in closed form or by ``_newton``; seven nodes are checked
-        against the adaptive-quadrature forward map."""
+        """x(q) in closed form or by ``_newton``, unchecked (see ``_checked``)."""
         if not np.all(np.isfinite(q)):
             raise DomainError("q must be finite")
         if np.any(np.diff(q) < 0):
@@ -248,13 +272,6 @@ class TransformMap:
             if not np.all((lo < out) & (out < hi)):
                 raise DomainError(f"q in [{q[0]:.17g}, {q[-1]:.17g}] reaches a wall "
                                   f"({lo:g}, {hi:g}) of the closed-form map in double precision")
-        pick = _spot_nodes(q.size)
-        res = float(np.max(np.abs(self.forward(out[pick]) - q[pick])))
-        tol = 1e-10 * max(1.0, float(np.max(np.abs(q))))
-        if not res <= tol:
-            raise QuadratureFailureError(
-                f"inverse: spot-check residual {res:.3e} > {tol:.3e} against "
-                f"adaptive quadrature")
         return out
 
     def _newton(self, q):

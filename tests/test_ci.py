@@ -1,6 +1,7 @@
 """The CI workflow parses as YAML, its benchmark runs cover exactly the declared workloads, its
 tier-1 job pins the BLAS/OpenMP pools to one thread as the benchmark does and runs one-shot
-solves, a scipy.linalg import check and a non-finite config in a fresh interpreter, and the
+solves, a scan and its resume, a scipy.linalg import check and a non-finite config in a fresh
+interpreter, and the
 benchmark's layer tracer still finds every name it wraps in the package."""
 
 import json
@@ -152,6 +153,35 @@ def test_tier1_runs_one_shot_solves():
     assert run.rstrip().endswith('test "$status" -eq 2')
 
 
+def test_tier1_runs_a_one_shot_scan():
+    # a scan in a fresh interpreter, which keeps the map between its points: its
+    # m0 = 2 rows are the ladder2000 solve's levels, every row reads ok, and a
+    # scan.csv cut to its first point resumes to the same bytes; its directory is
+    # not an out-* one, so the cell check's 26 tables stay those of the solves
+    yaml = pytest.importorskip("yaml")
+    workflow = yaml.safe_load((ROOT / ".github/workflows/tests.yml").read_text(encoding="utf-8"))
+    (step,) = [step for step in workflow["jobs"]["tier1"]["steps"]
+               if "python -m diracpd.cli scan" in step.get("run", "")]
+    run = step["run"]
+    assert re.search(r"'model\.alpha = 1' 'model\.v0 = 1' \\\s+'model\.m0 = 1' "
+                     r"'grid\.n = 2000' 'solve\.k_states = 3' 'scan\.param = m0' \\\s+"
+                     r"'scan\.min = 1' 'scan\.max = 2' 'scan\.steps = 3' "
+                     r"> \"\$RUNNER_TEMP/scan\.cfg\"", run)
+    scans = re.findall(r'python -m diracpd\.cli scan \\\s+--config "\$RUNNER_TEMP/scan\.cfg" '
+                       r'--out "\$RUNNER_TEMP/scan"', run)
+    assert len(scans) == 2
+    assert 'assert len(rows) == 9 and all(row[4] == "ok" for row in rows), rows' in run
+    assert ('assert [row[2] for row in rows if row[0] == "2"] == '
+            '[row[2] for row in spectrum], rows') in run
+    assert re.search(r'"\$RUNNER_TEMP/scan/scan\.csv" '
+                     r'"\$RUNNER_TEMP/out-ladder2000/spectrum\.csv"', run)
+    cut = 'head -n -6 "$RUNNER_TEMP/scan-full.csv" > "$RUNNER_TEMP/scan/scan.csv"'
+    assert cut in run and run.index("out-ladder2000-wf\"") < run.index("scan.cfg")
+    assert run.index(cut) < run.rindex("python -m diracpd.cli scan")
+    assert run.rstrip().count('cmp "$RUNNER_TEMP/scan/scan.csv" "$RUNNER_TEMP/scan-full.csv"') == 1
+    assert "assert len(paths) == 26" in run and '"out-*", "*.csv"' in run
+
+
 TRACED_APPROXIMATE_SOLVE = """
 import tracer
 spans = tracer.install().spans
@@ -165,10 +195,10 @@ print(spans["potential.build"][0], spans["eigensolver.solve_fixed"][0])
 def test_tracer_installs_against_src():
     # install() raises when a wrapped name (diracpd.eigensolver.eigh_tridiagonal
     # among them) is bound nowhere in the package; an approximate solve then records
-    # the calls solve_approximate makes by name: two wall probes (the first edge probe
-    # finds the 1/sin^2 wall), the grid's potential and one solve_fixed
+    # the calls solve_approximate makes by name: two passes of approx_potential (the
+    # three wall probes, then the grid with its refined grid) and one solve_fixed
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")]))
     proc = subprocess.run([sys.executable, "-c", TRACED_APPROXIMATE_SOLVE], env=env,
                           cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["3", "1"]
+    assert proc.stdout.split() == ["2", "1"]

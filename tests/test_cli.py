@@ -153,9 +153,9 @@ class TestSolve:
     def test_wall_probe_failure_is_not_a_singular_wall(self, tmp_path, capsys, monkeypatch):
         # only a DomainError (probe nodes rounding onto a wall) means a singular wall
         def failing(exc):
-            def builder(grid):
+            def fields_on(grids):
                 raise exc
-            return builder
+            return fields_on
 
         assert eigensolver._wall_singular(failing(errors.DomainError("on the wall")), 0.0, 1.0)
         with pytest.raises(QuadratureFailureError):
@@ -164,21 +164,22 @@ class TestSolve:
 
         def flat(nan_at_walls):
             # V = 1 on the middle probe; on the wall probes 1, or NaN
-            def builder(grid):
-                middle = 0.3 < grid.nodes[0] < 0.7
-                return types.SimpleNamespace(
-                    values=np.full(grid.n, 1.0 if middle or not nan_at_walls else math.nan))
-            return builder
+            def fields_on(grids):
+                middle = [0.3 < grid.nodes[0] < 0.7 for grid in grids]
+                return [types.SimpleNamespace(
+                    values=np.full(grid.n, 1.0 if mid or not nan_at_walls else math.nan))
+                    for grid, mid in zip(grids, middle)]
+            return fields_on
 
         assert not eigensolver._wall_singular(flat(False), 0.0, 1.0)
         assert eigensolver._wall_singular(flat(True), 0.0, 1.0)
 
         real = eigensolver.approx_potential
 
-        def probe_fails(model, grid, tmap):
+        def probe_fails(model, grid, tmap, also=()):
             if grid.n == 3:
                 raise QuadratureFailureError("forced probe failure", partial=0.0)
-            return real(model, grid, tmap)
+            return real(model, grid, tmap, also)
 
         monkeypatch.setattr(eigensolver, "approx_potential", probe_fails)
         cfg = write_config(tmp_path / "c.txt", model__name="rational", model__alpha=0.8,
@@ -766,8 +767,8 @@ class TestSolveReuse:
         module = eigensolver if builder == "approx_potential" else cli
         real = getattr(module, builder)
 
-        def counted(*args):
-            field = real(*args)
+        def counted(*args, **kwargs):
+            field = real(*args, **kwargs)
             grids.append(field.grid)
             return field
 
@@ -1192,6 +1193,20 @@ EDGE_SWEEP = [
      SQUARE_OVERFLOW.format("A")),
     ("overflow-default-mode", "solve", OVERFLOW, 3, SQUARE_OVERFLOW.format("A")),
     ("overflow-exact", "solve", dict(OVERFLOW, mode="exact"), 3, SQUARE_OVERFLOW.format("u")),
+    # approximate mode checks u on every grid it solves, with no numpy overflow warning
+    ("overflow-approximate", "solve", dict(OVERFLOW, mode="approximate"), 3,
+     SQUARE_OVERFLOW.format("u")),
+    # 1/sin u: the wall probes find the wall singular, and the largest u of the solve's
+    # grids (the refined grid's, half a refined step from the wall) names the overflow
+    ("overflow-approximate-poschl_teller", "solve",
+     dict(OVERFLOW, model__name="poschl_teller", model__alpha=1.0, model__v0=1.0,
+          mode="approximate"), 3,
+     "numerical failure: SingularNodeError: u = m v_F^2 reaches 5.09296e+162: u^2 overflows "
+     "a float, so no grid resolves the levels"),
+    # the free case's rest energy A^2 overflows: no E = inf row
+    ("overflow-free-constant_rest", "solve", dict(FREE_REST, model__m0=1e160), 3,
+     "numerical failure: SingularNodeError: A = m v_F^2 reaches 1e+160: A^2 overflows a "
+     "float, so no grid resolves the levels"),
 ]
 
 

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 from importlib.machinery import PathFinder
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from diracpd import eigensolver
+from diracpd import eigensolver, potential
 from diracpd import (
     MassProfile,
     ModelSpec,
@@ -33,11 +34,14 @@ from diracpd import (
     VelocityProfile,
 )
 from diracpd.errors import (
+    DomainError,
     ImaginaryEnergyError,
     InsufficientResolutionError,
     InvalidParameterError,
     NonConvergenceError,
+    QuadratureFailureError,
     SingularNodeError,
+    UnboundedBelowError,
 )
 
 E1_COSH_MASSIVE = 1.8620958891185866  # sqrt(pi^2/4 + 1)
@@ -335,13 +339,12 @@ class TestSolveExact:
     def test_inertia_is_checked(self, monkeypatch):
         # u < 0 puts n+1 positive eigenvalues on the lattice, not n
         model = builtin_model("cosh_square", alpha=1, v0=1, m0=1)
-        flipped = dataclasses.replace(model, u_closed=(lambda x: -np.ones_like(x),) * 3)
+        flipped = dataclasses.replace(model, u_closed=closed_u(*(lambda x: -np.ones_like(x),) * 3))
         tmap = build_transform(model.velocity, model.anchor)
         with pytest.raises(NonConvergenceError, match="inertia"):
             solve_exact(flipped, tmap, 200, 1)
         # the same with an odd part in u, which takes the whole lattice
-        skewed = dataclasses.replace(model, u_closed=tuple(
-            lambda x, f=f: -f(x) for f in SKEWED_U))
+        skewed = dataclasses.replace(model, u_closed=negated(SKEWED_U))
         with pytest.raises(NonConvergenceError, match="inertia"):
             solve_exact(skewed, tmap, 200, 1)
         # either parity block of either lattice (401 and 803 sites) sunk under the
@@ -392,6 +395,73 @@ class TestSolveApproximate:
                                                                   b.error_estimate, b.grid)
             assert np.array_equal(a.phi, b.phi)
 
+    @pytest.mark.parametrize("name", ["poschl_teller", "cosh_square"])
+    def test_two_passes_give_the_per_grid_solve(self, monkeypatch, name):
+        # n = 2000: the three wall probes take one pass, and the ladder's two grids,
+        # the base and the refined grid another; solve_fixed evaluates nothing again
+        model = builtin_model(name, alpha=1.0, v0=1.0, m0=1.5)
+        tmap = build_transform(model.velocity, model.anchor)
+        offset = name == "poschl_teller"
+        want = solve_fixed(approx_potential(model, QGrid(tmap.q_lo, tmap.q_hi, 2000, offset),
+                                            build_transform(model.velocity, model.anchor)), 3)
+        passes = []
+        real = potential._approx_pass
+        monkeypatch.setattr(potential, "_approx_pass", lambda model, grids, tmap: passes.append(
+            [grid.n for grid in grids]) or real(model, grids, tmap))
+        got = solve_approximate(model, tmap, 2000, 3)
+        assert passes == [[3, 3, 3], [2000, 62, 125, 4000 if offset else 4001]]
+        assert got.field.grid == want.field.grid and got.field.grid.offset == offset
+        assert got.field.values.tobytes() == want.field.values.tobytes()
+        assert got.energies == want.energies
+        for a, b in zip(got.pairs, want.pairs, strict=True):
+            assert (a.lam, a.error_estimate) == (b.lam, b.error_estimate)
+
+    def test_a_later_probe_failure_does_not_preempt_an_earlier_decision(self):
+        # the one pass raises on the high wall's probe; one call per probe, in order,
+        # then lets the low wall decide first, as when each probe took its own call
+        calls = []
+
+        def fields_on(lo_values, hi_error):
+            def call(grids):
+                calls.append(len(grids))
+                fields = []
+                for grid in grids:
+                    if grid.nodes[0] > 0.9:
+                        raise hi_error
+                    fields.append(types.SimpleNamespace(
+                        values=lo_values(grid.nodes) if grid.nodes[0] < 0.1 else np.ones(3)))
+                return fields
+            return call
+
+        nan = fields_on(lambda q: np.full(3, np.nan), QuadratureFailureError("hi", partial=0.0))
+        assert eigensolver._wall_singular(nan, 0.0, 1.0) and calls == [3, 1, 1]
+        calls.clear()
+        below = fields_on(lambda q: -1.0 / q ** 2, DomainError("on the high wall"))
+        with pytest.raises(UnboundedBelowError, match=r"c = V d\^2 = -1 < -1/4 at q = 0"):
+            eigensolver._wall_singular(below, 0.0, 1.0)
+        assert calls == [3, 1, 1]
+        calls.clear()
+        assert eigensolver._wall_singular(fields_on(lambda q: np.ones(3), DomainError("hi")),
+                                          0.0, 1.0)
+        assert calls == [3, 1, 1, 1]
+
+    def test_overflow_on_a_wall_probe_is_a_singular_wall(self):
+        # m0 = 1e150: u^2 overflows on the probes 3e-8 from the 1/sin walls, as a
+        # non-finite probe value a singular wall, but not on the offset grid and
+        # its refinement, half a step from the walls
+        model = builtin_model("poschl_teller", alpha=1.0, v0=1.0, m0=1e150)
+        tmap = build_transform(model.velocity, model.anchor)
+
+        def fields_on(grids):
+            first = approx_potential(model, grids[0], tmap, also=grids[1:])
+            return [first] + [first.on_grid(grid) for grid in grids[1:]]
+
+        assert eigensolver._wall_singular(fields_on, tmap.q_lo, tmap.q_hi)
+        grid = QGrid(tmap.q_lo, tmap.q_hi, 400, offset=True)
+        field = approx_potential(model, grid, tmap, also=[grid.refined()])
+        for f in (field, field.on_grid(grid.refined())):
+            assert np.all(np.isfinite(f.values))
+
     def test_unconfined_infinite_side(self):
         model = builtin_model("linear_singular", A=1.0, v0=1.0)
         tmap = build_transform(model.velocity, model.anchor)
@@ -399,15 +469,25 @@ class TestSolveApproximate:
             solve_approximate(model, tmap, 400, 1)
 
 
+def closed_u(*forms):
+    """A model's ``u_closed(x, count)`` from separate closed forms of u, u', u''."""
+    return lambda x, count: tuple(f(x) for f in forms[:count])
+
+
+def negated(u_closed):
+    """``u_closed`` of -u."""
+    return lambda x, count: tuple(-u for u in u_closed(x, count))
+
+
 # u, u' and u'' with an odd part of 1e-3, and of an even, non-constant u
-SKEWED_U = (lambda x: 1.0 + 1e-3 * np.tanh(x), lambda x: 1e-3 / np.cosh(x) ** 2,
-            lambda x: -2e-3 * np.tanh(x) / np.cosh(x) ** 2)
-EVEN_U = (lambda x: 1.0 + 0.5 / np.cosh(x) ** 2, lambda x: -np.tanh(x) / np.cosh(x) ** 2,
-          lambda x: (2.0 * np.sinh(x) ** 2 - 1.0) / np.cosh(x) ** 4)
+SKEWED_U = closed_u(lambda x: 1.0 + 1e-3 * np.tanh(x), lambda x: 1e-3 / np.cosh(x) ** 2,
+                    lambda x: -2e-3 * np.tanh(x) / np.cosh(x) ** 2)
+EVEN_U = closed_u(lambda x: 1.0 + 0.5 / np.cosh(x) ** 2, lambda x: -np.tanh(x) / np.cosh(x) ** 2,
+                  lambda x: (2.0 * np.sinh(x) ** 2 - 1.0) / np.cosh(x) ** 4)
 # an even, non-constant u, smooth in q up to the walls of every map (x = +/-inf there)
 # and with no overflow on the way: the u of a ``_bump`` model
-BUMP_U = (lambda x: 1.0 + 0.5 * np.exp(-x * x), lambda x: -x * np.exp(-x * x),
-          lambda x: (2.0 * x * x - 1.0) * np.exp(-x * x))
+BUMP_U = closed_u(lambda x: 1.0 + 0.5 * np.exp(-x * x), lambda x: -x * np.exp(-x * x),
+                  lambda x: (2.0 * x * x - 1.0) * np.exp(-x * x))
 
 
 def pt_matrices(n, lattice):
@@ -626,7 +706,7 @@ def ladder_outcomes(monkeypatch):
 def index_path(field, k):
     """solve_fixed(field, k) without the grid ladder: the index path's levels."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(eigensolver, "_ladder_pays", lambda n, k: False)
+        mp.setattr(eigensolver, "_ladder_grids", lambda grid, k: [])
         return solve_fixed(field, k)
 
 
@@ -814,7 +894,7 @@ def lattice_index_path(model, tmap, n, k, vectors=True):
     """solve_exact without the lattice ladder or the closed form of a constant
     u: the index path's levels."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(eigensolver, "_ladder_pays", lambda n, k: False)
+        mp.setattr(eigensolver, "_ladder_grids", lambda grid, k: [])
         mp.setattr(eigensolver, "_free_lattice", lambda *args: None)
         return solve_exact(model, tmap, n, k, vectors=vectors)
 
@@ -938,7 +1018,7 @@ class TestLatticeLadder:
         # u < 0 has regular walls, so the ladder is tried; its lattices' inertia
         # is wrong, the ladder is dropped, and the base lattice's count raises
         model, tmap = lattice_case("cosh_square")
-        flipped = dataclasses.replace(model, u_closed=(lambda x: -np.ones_like(x),) * 3)
+        flipped = dataclasses.replace(model, u_closed=closed_u(*(lambda x: -np.ones_like(x),) * 3))
         with pytest.raises(NonConvergenceError, match=r"inertia: .*, not 2001$"):
             solve_exact(flipped, tmap, 2000, 1)
 
@@ -960,7 +1040,7 @@ def decisions(monkeypatch):
 
 def with_u(model, u):
     """``model`` with u = u(x) (its derivatives are not read in exact mode)."""
-    return dataclasses.replace(model, u_closed=(u, None, None))
+    return dataclasses.replace(model, u_closed=closed_u(u, None, None))
 
 
 class TestWeylCertificate:

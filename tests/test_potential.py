@@ -5,18 +5,24 @@ import numpy as np
 import pytest
 
 from diracpd import (
+    MassProfile,
+    ModelSpec,
     PotentialField,
     QGrid,
+    VelocityProfile,
     approx_potential,
     build_transform,
     builtin_model,
     constant_u_potential,
     exact_potential,
+    potential,
     potential_discrepancy_report,
+    product_u,
 )
 from diracpd.errors import (
     ApproximationInvalidError,
     InvalidParameterError,
+    SingularNodeError,
     ZetaCrossingError,
 )
 
@@ -179,6 +185,98 @@ class TestApproxPotential:
             grid = QGrid(tmap.q_lo, tmap.q_hi, 400, offset=True)
             f = approx_potential(model, grid, tmap)
             assert np.max(np.abs(f.values - f.values[::-1])) <= 1e-10
+
+
+PASS_MODELS = {
+    "cosh_square": dict(alpha=1.1, v0=0.9, m0=0.7),
+    "rational": dict(alpha=0.8, v0=1.5, m0=0.6),
+    "poschl_teller": dict(alpha=1.43, v0=1.9, m0=2.63),
+    "linear_singular": dict(A=0.7, v0=1.3),
+    "constant_rest": dict(m0=0.3, c=2.5),
+}
+
+
+def pass_case(name):
+    """(model, its map, the q-range cut at |q| = 4 on an infinite side); ``custom``
+    is poschl_teller's profiles through from_callable: no u_closed, the numeric map."""
+    model = builtin_model(name if name != "custom" else "poschl_teller",
+                          **PASS_MODELS.get(name, PASS_MODELS["poschl_teller"]))
+    if name == "custom":
+        mass, vel = (cls.from_callable(p.func, p.dfunc, p.d2func, domain=p.domain)
+                     for cls, p in ((MassProfile, model.mass), (VelocityProfile, model.velocity)))
+        model = ModelSpec("custom", mass, vel, model.domain, model.params, "custom", model.anchor)
+    tmap = build_transform(model.velocity, model.anchor)
+    return model, tmap, (max(tmap.q_lo, -4.0), min(tmap.q_hi, 4.0))
+
+
+def one_grid(model, grid, tmap, energy=None):
+    """V on one grid evaluated whole, in the expressions and with the copies
+    that each grid's own evaluation used: the approximate reduction, or the
+    exact one at ``energy``."""
+    x = tmap.inverse_grid(grid.nodes)
+    u, u1, u2 = (np.full(x.shape, r, dtype=float) for r in product_u(model, x))
+    v = np.full(x.shape, model.velocity(x), dtype=float)
+    v1 = np.full(x.shape, model.velocity.deriv1(x), dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if energy is None:
+            singular = ~(np.abs(u) > 0)
+            vals = (3.0 / 16.0) * (u1 * v / u) ** 2 \
+                - 0.25 * (v * v * u2 + v * v1 * u1) / u + u * u
+        else:
+            z2 = energy + u
+            scale = max(1.0, abs(energy), float(np.max(np.abs(u[np.isfinite(u)]), initial=0.0)))
+            singular = np.abs(z2) < 1e-10 * scale
+            r = u1 / z2
+            vals = 0.75 * (v * r) ** 2 - 0.5 * v * v * u2 / z2 - 0.5 * v * v1 * r + u * u
+    return np.where(singular | ~np.isfinite(vals), np.nan, vals)
+
+
+class TestPass:
+    """approx_potential evaluates a grid and the grids ``also`` lists in one pass,
+    in blocks over their concatenated nodes, to the bits of each grid alone."""
+
+    @pytest.mark.parametrize("name", [*PASS_MODELS, "custom"])
+    def test_values_match_each_grid_alone(self, name):
+        model, tmap, (lo, hi) = pass_case(name)
+        base = QGrid(lo, hi, 5000, offset=True)
+        also = [QGrid(lo, hi, 156, offset=True), QGrid(lo, hi, 312, offset=True),
+                base.refined()]
+        # the refined grid straddles the first block's end
+        assert 5000 + 156 + 312 < potential._PASS_BLOCK < sum(g.n for g in [base, *also])
+        field = approx_potential(model, base, tmap, also=also)
+        fresh = build_transform(model.velocity, model.anchor)
+        for f in [field] + [field.on_grid(g) for g in also]:
+            assert f.values.flags.owndata
+            assert f.values.tobytes() == one_grid(model, f.grid, fresh).tobytes()
+            # handed over once: on_grid evaluates the grid again, to the same bits
+            assert field.on_grid(f.grid).values.tobytes() == f.values.tobytes()
+
+    @pytest.mark.parametrize("name", [*PASS_MODELS, "custom"])
+    def test_exact_values_match_each_grid_alone(self, name):
+        model, tmap, (lo, hi) = pass_case(name)
+        grid = QGrid(lo, hi, 2001, offset=True)
+        field = exact_potential(model, 2.0, grid, tmap)
+        fresh = build_transform(model.velocity, model.anchor)
+        assert field.values.tobytes() == one_grid(model, grid, fresh, energy=2.0).tobytes()
+
+    def test_inverts_every_grid_in_one_call(self, monkeypatch):
+        model, tmap, (lo, hi) = pass_case("poschl_teller")
+        calls = []
+        real = type(tmap).inverse_grids
+        monkeypatch.setattr(type(tmap), "inverse_grids",
+                            lambda self, qs: calls.append([q.size for q in qs]) or real(self, qs))
+        grid = QGrid(lo, hi, 300, offset=True)
+        field = approx_potential(model, grid, tmap, also=[grid.refined()])
+        fine = field.on_grid(grid.refined())
+        assert calls == [[300, 600]]
+        assert fine.values.tobytes() == one_grid(model, fine.grid, tmap).tobytes()
+
+    def test_overflowing_u_raises(self):
+        model = builtin_model("cosh_square", alpha=1.1, v0=0.9, m0=1e160)
+        tmap = build_transform(model.velocity, model.anchor)
+        with pytest.raises(SingularNodeError, match=r"^u = m v_F\^2 reaches 8\.1e\+159: u\^2 "
+                                                    r"overflows a float"):
+            approx_potential(model, QGrid(tmap.q_lo, tmap.q_hi, 300), tmap)
 
 
 class TestConstantUPotential:

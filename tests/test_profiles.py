@@ -169,6 +169,35 @@ class TestProductU:
         with pytest.raises(DomainError):
             profiles.u_values(builtin_model("poschl_teller", alpha=1, v0=1, m0=1), 0.0)
 
+    def test_shared_transcendentals_keep_every_bit(self):
+        # u_closed(x, count) computes sin(a x) and cos(a x) once for all three forms,
+        # in the expressions each form had on its own
+        a, c = 1.43, 2.63 * 1.9 ** 2
+        m = builtin_model("poschl_teller", alpha=a, v0=1.9, m0=2.63)
+        xs = np.linspace(1e-3, math.pi / a - 1e-3, 1001)
+        alone = (c / np.sin(a * xs), -a * c * np.cos(a * xs) / np.sin(a * xs) ** 2,
+                 a * a * c * (1.0 + np.cos(a * xs) ** 2) / np.sin(a * xs) ** 3)
+        for count in (1, 2, 3):
+            got = m.u_closed(xs, count)
+            assert len(got) == count
+            assert all(g.tobytes() == w.tobytes() for g, w in zip(got, alone))
+
+    def test_arrays_of_their_own_are_not_copied(self):
+        # a float array of x's shape that shares no memory with x is kept, anything
+        # else (a scalar, x itself or a view of it) is copied into one of x's shape
+        xs = np.linspace(0.1, 0.9, 9)
+        own = 2.0 * xs
+        for r, kept in ((own, True), (xs, False), (xs[::-1], False), (3.0, False),
+                        (np.broadcast_to(1.0, xs.shape), False)):
+            got = profiles.filled(r, xs)
+            assert (got is r) == kept and got.shape == xs.shape and got.flags.writeable
+            assert not np.may_share_memory(got, xs)
+        m = builtin_model("linear_singular", A=1.0, v0=1.0)
+        identity = dataclasses.replace(m, u_closed=lambda x, count: (x, x, x)[:count])
+        u, u1, u2 = product_u(identity, xs)
+        assert np.array_equal(u, xs) and not any(np.may_share_memory(r, xs) for r in (u, u1, u2))
+        assert not np.may_share_memory(u1, u2)
+
     def test_closed_form_matches_composed(self):
         # the closed-form u must agree with the product rule on the profiles
         for name, kwargs in ALL_MODELS:
@@ -448,8 +477,8 @@ class TestUSample:
         a = builtin_model("poschl_teller", alpha=1.0, v0=1.0, m0=1.0)
         b = builtin_model("poschl_teller", alpha=1.0, v0=1.0, m0=2.0)
         assert np.array_equal(2.0 * a.u_sample, b.u_sample)
-        flipped = dataclasses.replace(a, u_closed=tuple(lambda x, f=f: -f(x)
-                                                        for f in a.u_closed))
+        flipped = dataclasses.replace(
+            a, u_closed=lambda x, count: tuple(-u for u in a.u_closed(x, count)))
         assert a.u_sample is not flipped.u_sample
         assert np.array_equal(flipped.u_sample, -a.u_sample)
 
@@ -473,6 +502,34 @@ class TestUSample:
             assert values == pytest.approx(expected ** 2, rel=1e-8)
         assert detect_constant_u(model) == pytest.approx(expected, rel=1e-12)
         assert calls == [model]
+
+
+@pytest.mark.parametrize("domain", [(-math.inf, math.inf), (0.0, math.inf), (-math.inf, 2.0),
+                                    (0.0, math.pi / 1.37)])
+def test_interior_sample_is_built_once_and_read_only(domain):
+    t = (np.arange(1024) + 0.5) / 1024
+    lo, hi = domain
+    if math.isinf(lo) and math.isinf(hi):
+        want = np.tan((t - 0.5) * (np.pi - 4e-3))
+    elif math.isinf(hi):
+        want = lo + np.tan(t * (np.pi / 2 - 2e-3))
+    elif math.isinf(lo):
+        want = hi - np.tan(t * (np.pi / 2 - 2e-3))[::-1]
+    else:
+        want = lo + (hi - lo) * t
+    xs = interior_sample(domain)
+    assert xs.tobytes() == want.tobytes() and not xs.flags.writeable
+    with pytest.raises(ValueError):
+        xs[0] = 0.0
+    assert interior_sample(domain) is xs
+
+
+def test_a_model_builds_its_interior_sample_once():
+    # its two validations and its u_sample share the one sample of its domain
+    before = interior_sample.cache_info().misses
+    model = builtin_model("poschl_teller", alpha=1.0 / 0.731, v0=1.0, m0=1.0)
+    assert model.u_sample.size == profiles._SAMPLE_N
+    assert interior_sample.cache_info().misses == before + 1
 
 
 def test_interior_sample_stays_inside():

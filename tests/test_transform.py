@@ -256,6 +256,58 @@ class TestInverseGrid:
         assert np.array_equal(a, b)
 
 
+class TestInverseGrids:
+    """Several grids in one call: each inverted and cached on its own, the seven
+    spot nodes of each checked against its own tolerance in one forward call."""
+
+    @pytest.mark.parametrize("closed_form", [True, False])
+    def test_each_grid_cached_on_its_own(self, monkeypatch, closed_form):
+        model = builtin_model("cosh_square", alpha=1.2, v0=0.7, m0=1.1)
+        velocity = model.velocity if closed_form else _numeric(model.velocity)
+        tmap = build_transform(velocity, model.anchor)
+        qs = [np.linspace(-1.1, 1.1, 41), np.array([-0.3, 0.0, 0.2]), np.linspace(-0.5, 1.0, 400)]
+        calls = []
+        real = tmap.forward
+        monkeypatch.setattr(tmap, "forward", lambda x: calls.append(np.size(x)) or real(x))
+        xs = tmap.inverse_grids(qs)
+        assert calls == [7 + 3 + 7]
+        assert not any(x.flags.writeable for x in xs)
+        fresh = build_transform(velocity, model.anchor)
+        for q, x in zip(qs, xs):
+            assert x.tobytes() == fresh.inverse_grid(q).tobytes()
+        monkeypatch.setattr(type(tmap), "_solve", lambda self, q: pytest.fail("not cached"))
+        for q, x in zip(qs, xs):
+            got = tmap.inverse_grid(q)
+            assert got.tobytes() == x.tobytes() and got.flags.writeable
+        # warm: the cache's own arrays, with no spot check
+        assert all(a is b for a, b in zip(tmap.inverse_grids(qs[::-1])[::-1], xs))
+        assert calls == [17]
+
+    def test_each_grid_keeps_its_own_tolerance(self, monkeypatch):
+        # q up to 20 and up to 0.9: tolerances 2e-9 and 1e-10; a miss of 1e-9 on
+        # every spot node fails only the second grid, and nothing is cached
+        _, tmap = _model_and_map("linear_singular", A=1.0, v0=1.0)
+        true_forward = tmap.forward
+        monkeypatch.setattr(tmap, "forward", lambda x: true_forward(x) + 1e-9)
+        wide = np.linspace(1.0, 20.0, 41)
+        with pytest.raises(QuadratureFailureError, match=r"^inverse: spot-check residual "
+                           r"1\.000e-09 > 1\.000e-10 against adaptive quadrature$"):
+            tmap.inverse_grids([wide, np.linspace(-0.9, 0.9, 41)])
+        assert tmap._grid_cache == {}
+        tmap.inverse_grids([wide])
+        assert list(tmap._grid_cache) == [(1.0, 20.0, 41)]
+
+    def test_wrong_closed_form_raises_todays_error(self):
+        model = builtin_model("cosh_square", alpha=1, v0=1, m0=1)
+        true_x = model.velocity.x_of_q
+        wrong = dataclasses.replace(model.velocity, x_of_q=lambda q: true_x(q) + 1e-6)
+        tmap = build_transform(wrong, model.anchor)
+        with pytest.raises(QuadratureFailureError, match=r"^inverse: spot-check residual "
+                           r"\d\.\d{3}e-0[67] > 1\.000e-10 against adaptive quadrature$"):
+            tmap.inverse_grids([np.linspace(-0.5, 0.5, 9), np.linspace(-0.9, 0.9, 41)])
+        assert tmap._grid_cache == {}
+
+
 CLOSED_FORM_CASES = [  # (name, params, an anchor other than model.anchor)
     ("cosh_square", dict(alpha=1.2, v0=0.7, m0=1.1), 0.4),
     ("rational", dict(alpha=0.8, v0=1.5, m0=0.6), -2.0),
