@@ -367,6 +367,7 @@ def _start(size: int) -> np.ndarray:
     return x
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an inf or NaN r is a refusal
 def _shifted(d: np.ndarray, e: np.ndarray, sigma: float, tol: float) -> Tuple[float, float]:
     """(theta, r) near sigma for T = tridiag(e, d, e): the Rayleigh quotient
     theta = x.T x of a unit x and its residual r = |T x - theta x|, which
@@ -375,7 +376,8 @@ def _shifted(d: np.ndarray, e: np.ndarray, sigma: float, tol: float) -> Tuple[fl
     (r's rounding floor on a refined grid, of 4 times the base grid's norm)
     and (1e-6 |theta| tol)^(1/2) (which the Kato-Temple bound takes at
     _top's margin), the shift follows theta (Rayleigh quotient iteration),
-    three factorizations at most. A singular one stops it (r = inf if first).
+    three factorizations at most. A singular one stops it (r = inf if first);
+    a solve whose x underflows to 0 or overflows refuses it (r = inf).
     """
     x, theta, r = _start(d.size), sigma, math.inf
     for _ in range(3):
@@ -383,7 +385,10 @@ def _shifted(d: np.ndarray, e: np.ndarray, sigma: float, tol: float) -> Tuple[fl
         if info:
             break
         x = _dgttrs(*lu, _dgttrs(*lu, x)[0])[0]
-        x /= math.sqrt(np.sum(x * x))  # sums, not BLAS dots, which may wake threads
+        norm = math.sqrt(np.sum(x * x))  # sums, not BLAS dots, which may wake threads
+        if not 0.0 < norm < math.inf:
+            return theta, math.inf
+        x /= norm
         tx = d * x
         tx[1:] += e * x[:-1]
         tx[:-1] += e * x[1:]
@@ -596,52 +601,44 @@ def solve_fixed(potential: PotentialField, k_states: int,
                           mode=potential.mode, offset=offset, field=potential)
 
 
-def _wall_singular(fields_on, lo: float, hi: float) -> bool:
-    """Whether V blows up at a wall of (lo, hi): probes within 3e-8 of each wall.
+def _hardy_check(fields_on, lo: float, hi: float) -> None:
+    """Raise UnboundedBelowError when V is unbounded below at a wall of (lo, hi).
 
-    ``fields_on(grids)`` gives V on the middle and the two wall probes in one
-    call or, where that raises a NumericalError, in one call each, in that
-    order. A DomainError (probe nodes that round onto a wall) or
-    SingularNodeError (u^2 overflowing there) means a singular wall; any
-    other error propagates with its own cause. V d^2 at the probe nearest a
-    wall, d its distance from it, reads the wall coefficient c of V ~ c /
-    d^2; below -1/4 V is unbounded below there (Hardy), and that raises
-    UnboundedBelowError.
+    V d^2 at a probe 3e-8 of the width from each wall, d its distance from
+    it, reads the wall coefficient c of V ~ c / d^2; below -1/4 V has no
+    lowest level there (Hardy). ``fields_on(grids)`` gives V on both probes
+    in one call or, where that raises a NumericalError, in one call each,
+    the low wall first. A probe that raises DomainError (nodes that round
+    onto its wall) or SingularNodeError (u^2 overflowing there) reads no
+    coefficient for its wall; any other error propagates with its own cause.
     """
     width = hi - lo
-    grids = [QGrid(a, b, 3, offset=True) for a, b in (
-        (lo + 0.4 * width, hi - 0.4 * width), (lo, lo + 3e-8 * width), (hi - 3e-8 * width, hi))]
+    probes = [QGrid(lo, lo + 3e-8 * width, 3, offset=True),
+              QGrid(hi - 3e-8 * width, hi, 3, offset=True)]
     try:
+        fields = fields_on(probes)
+    except NumericalError:
+        fields = [None, None]
+    for probe, field, wall, near in zip(probes, fields, (lo, hi), (0, -1)):
         try:
-            fields = iter(fields_on(grids))
-        except NumericalError:
-            fields = (fields_on((grid,))[0] for grid in grids)
-        mid_vals = next(fields).values
-        center = float(np.max(np.abs(mid_vals[np.isfinite(mid_vals)]), initial=0.0))
-        for probes, wall, near in zip(grids[1:], (lo, hi), (0, -1)):
-            edge_vals = next(fields).values
-            c = edge_vals[near] * (probes.nodes[near] - wall) ** 2
-            if c < -0.25:
-                raise UnboundedBelowError(
-                    f"wall coefficient c = V d^2 = {c:.6g} < -1/4 at q = {wall:g}: V is "
-                    f"unbounded below at that wall, so it has no lowest level")
-            if not np.all(np.isfinite(edge_vals)):
-                return True
-            if float(np.max(np.abs(edge_vals))) > 1e6 * (1.0 + center):
-                return True
-    except (DomainError, SingularNodeError):
-        return True
-    return False
+            values = (fields_on((probe,))[0] if field is None else field).values
+        except (DomainError, SingularNodeError):
+            continue
+        c = values[near] * (probe.nodes[near] - wall) ** 2
+        if c < -0.25:
+            raise UnboundedBelowError(
+                f"wall coefficient c = V d^2 = {c:.6g} < -1/4 at q = {wall:g}: V is "
+                f"unbounded below at that wall, so it has no lowest level")
 
 
 def solve_approximate(model: ModelSpec, tmap: TransformMap, n: int,
                       k_states: int, vectors: bool = True) -> SpectrumResult:
     """Lowest k_states levels of the energy-independent (approximate) potential.
 
-    A finite q-range gets one grid of n nodes, offset half a step from the
-    walls when _wall_singular finds V blowing up at one; V on it and on the
-    ladder and refined grids solve_fixed reads comes from one pass
-    (approx_potential's ``also``), as V on the wall probes did. An infinite
+    A finite q-range gets the plain grid of n nodes, once _hardy_check finds
+    V bounded below at both walls; V on it and on the ladder and refined
+    grids solve_fixed reads comes from one pass (approx_potential's
+    ``also``), as V on the two wall probes does. An infinite
     side is cut at |q| = L on offset grids of n nodes, L doubled until the
     levels settle (expand_until_settled). The result's ``field`` is the
     potential of the grid it was solved on; ``vectors`` as in solve_fixed.
@@ -652,7 +649,8 @@ def solve_approximate(model: ModelSpec, tmap: TransformMap, n: int,
 
     lo, hi = tmap.q_lo, tmap.q_hi
     if math.isfinite(lo) and math.isfinite(hi):
-        grid = QGrid(lo, hi, n, offset=_wall_singular(fields_on, lo, hi))
+        _hardy_check(fields_on, lo, hi)
+        grid = QGrid(lo, hi, n)
         also = _ladder_grids(grid, k_states) + [grid.refined()]
         return solve_fixed(approx_potential(model, grid, tmap, also=also), k_states,
                            vectors=vectors)

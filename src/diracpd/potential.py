@@ -46,9 +46,10 @@ class QGrid:
     """Uniform grid of interior nodes between two Dirichlet walls.
 
     ``offset=False``: nodes at lo + i*h, i=1..n, with h=(hi-lo)/(n+1); the
-    walls themselves carry the boundary zeros. ``offset=True``: nodes at
-    lo + (i+1/2)*h, h=(hi-lo)/n, keeping half a step away from walls with
-    singular potentials.
+    walls themselves carry the boundary zeros; approximate mode solves every
+    finite q-range on it. ``offset=True``: nodes at lo + (i+1/2)*h,
+    h=(hi-lo)/n, half a step from the walls: the boxes that cut an infinite
+    q-range, the bic family, report's grid and the wall probes.
     """
 
     lo: float

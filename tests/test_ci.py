@@ -147,6 +147,14 @@ def test_tier1_runs_one_shot_solves():
                      r'--out "\$RUNNER_TEMP/band-wf"', run)
     assert re.search(r'same_rows "\$RUNNER_TEMP/band/spectrum\.csv" '
                      r'"\$RUNNER_TEMP/band-wf/spectrum\.csv"', run)
+    # an approximate solve in the g < 1 band meets compare.tol = 1e-5 on the plain
+    # grid, outside the out-* directories the cell check reads
+    assert re.search(r"'model\.m0 = 0\.6' 'grid\.n = 2000' 'solve\.k_states = 3' "
+                     r"'outputs = spectrum' \\\s+'compare\.tol = 1e-5' "
+                     r"> \"\$RUNNER_TEMP/band-approx\.cfg\"", run)
+    assert re.search(r'--config "\$RUNNER_TEMP/band-approx\.cfg" --mode approximate --strict '
+                     r'--out "\$RUNNER_TEMP/band-approx"', run)
+    assert "grep -qx '# grid_offset = false' \"$RUNNER_TEMP/band-approx/spectrum.csv\"" in run
     # a non-finite config number exits 2, also under --strict
     assert "echo 'compare.tol = nan'; } > \"$RUNNER_TEMP/nan.cfg\"" in run
     assert re.search(r'--config "\$RUNNER_TEMP/nan\.cfg" --strict .*\|\| status=\$\?', run)
@@ -196,7 +204,7 @@ def test_tracer_installs_against_src():
     # install() raises when a wrapped name (diracpd.eigensolver.eigh_tridiagonal
     # among them) is bound nowhere in the package; an approximate solve then records
     # the calls solve_approximate makes by name: two passes of approx_potential (the
-    # three wall probes, then the grid with its refined grid) and one solve_fixed
+    # two wall probes, then the grid with its refined grid) and one solve_fixed
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")]))
     proc = subprocess.run([sys.executable, "-c", TRACED_APPROXIMATE_SOLVE], env=env,
                           cwd=ROOT, capture_output=True, text=True, timeout=120)

@@ -150,29 +150,41 @@ class TestSolve:
             assert float(row[2]) == pytest.approx(math.hypot(k * alpha * v0, m0 * v0 * v0),
                                                   rel=1e-9)
 
+    def test_band_solve_takes_the_plain_grid(self, tmp_path):
+        # g = 0.6, in the g < 1 band of poschl_teller's 1/sin walls: the plain grid
+        # meets compare.tol = 1e-5 under --strict (its worst rel dev is about 4e-6)
+        cfg = write_config(tmp_path / "c.txt", model__name="poschl_teller", model__alpha=1.0,
+                           model__v0=1.0, model__m0=0.6, mode="approximate", grid__n=2000,
+                           solve__k_states=3, compare__tol="1e-5", outputs="spectrum",
+                           out__dir=str(tmp_path / "out"))
+        assert main(["solve", "--config", cfg, "--strict"]) == 0
+        assert "# grid_offset = false" in (tmp_path / "out" / "spectrum.csv").read_text(
+            encoding="utf-8")
+
     def test_wall_probe_failure_is_not_a_singular_wall(self, tmp_path, capsys, monkeypatch):
-        # only a DomainError (probe nodes rounding onto a wall) means a singular wall
+        # only a DomainError (probe nodes rounding onto a wall) or a SingularNodeError
+        # leaves a wall's coefficient unread; any other failure propagates
         def failing(exc):
             def fields_on(grids):
                 raise exc
             return fields_on
 
-        assert eigensolver._wall_singular(failing(errors.DomainError("on the wall")), 0.0, 1.0)
+        for exc in (errors.DomainError("on the wall"), errors.SingularNodeError("overflow")):
+            assert eigensolver._hardy_check(failing(exc), 0.0, 1.0) is None
         with pytest.raises(QuadratureFailureError):
-            eigensolver._wall_singular(failing(QuadratureFailureError("forced", partial=0.0)),
-                                       0.0, 1.0)
+            eigensolver._hardy_check(failing(QuadratureFailureError("forced", partial=0.0)),
+                                     0.0, 1.0)
 
-        def flat(nan_at_walls):
-            # V = 1 on the middle probe; on the wall probes 1, or NaN
+        def flat(value):
+            # V = value on both wall probes, which take one call
             def fields_on(grids):
-                middle = [0.3 < grid.nodes[0] < 0.7 for grid in grids]
-                return [types.SimpleNamespace(
-                    values=np.full(grid.n, 1.0 if mid or not nan_at_walls else math.nan))
-                    for grid, mid in zip(grids, middle)]
+                assert len(grids) == 2
+                return [types.SimpleNamespace(values=np.full(grid.n, value)) for grid in grids]
             return fields_on
 
-        assert not eigensolver._wall_singular(flat(False), 0.0, 1.0)
-        assert eigensolver._wall_singular(flat(True), 0.0, 1.0)
+        # a finite or NaN V at the walls reads no c below -1/4
+        assert eigensolver._hardy_check(flat(1.0), 0.0, 1.0) is None
+        assert eigensolver._hardy_check(flat(math.nan), 0.0, 1.0) is None
 
         real = eigensolver.approx_potential
 
@@ -1051,15 +1063,16 @@ class TestExitCodes:
     def test_wall_below_hardy_names_its_cause(self, tmp_path, capsys, m0, unbounded):
         # poschl_teller's walls have V ~ c / d^2, c = g^2 - 5/16: the wall probe
         # reads c = -0.2725 at g = 0.2, below -1/4, where V is unbounded below.
-        # At g = 0.26 (c = -0.2449) the lattice still has a spurious wall state
-        # (ROADMAP item 1), but V is bounded below and no probe says otherwise
+        # At g = 0.26 (c = -0.2449) V is bounded below and the plain grid solves,
+        # its levels off by about 6e-2 (ROADMAP item 1), which --strict gates
         cfg = write_config(tmp_path / "c.txt", model__name="poschl_teller", model__alpha=1.0,
                            model__v0=1.0, model__m0=m0, mode="approximate", grid__n=2000,
                            out__dir=str(tmp_path / "out"))
-        assert main(["solve", "--config", cfg]) == 3
+        assert main(["solve", "--config", cfg]) == (3 if unbounded else 0)
         err = capsys.readouterr().err
         assert ("UnboundedBelowError" in err) == unbounded
         assert ("unbounded below" in err and "-0.2725" in err) == unbounded
+        assert main(["solve", "--config", cfg, "--strict"]) == (3 if unbounded else 4)
 
     @pytest.mark.parametrize("command,key,value", [
         ("solve", "compare.tol", "nan"), ("bic", "bic.energies", "nan"),
@@ -1196,12 +1209,13 @@ EDGE_SWEEP = [
     # approximate mode checks u on every grid it solves, with no numpy overflow warning
     ("overflow-approximate", "solve", dict(OVERFLOW, mode="approximate"), 3,
      SQUARE_OVERFLOW.format("u")),
-    # 1/sin u: the wall probes find the wall singular, and the largest u of the solve's
-    # grids (the refined grid's, half a refined step from the wall) names the overflow
+    # 1/sin u: u^2 overflows on the wall probes, which read no coefficient there, and
+    # the largest u of the solve's grids (the refined grid's, a refined step from the
+    # wall) names the overflow
     ("overflow-approximate-poschl_teller", "solve",
      dict(OVERFLOW, model__name="poschl_teller", model__alpha=1.0, model__v0=1.0,
           mode="approximate"), 3,
-     "numerical failure: SingularNodeError: u = m v_F^2 reaches 5.09296e+162: u^2 overflows "
+     "numerical failure: SingularNodeError: u = m v_F^2 reaches 2.55285e+162: u^2 overflows "
      "a float, so no grid resolves the levels"),
     # the free case's rest energy A^2 overflows: no E = inf row
     ("overflow-free-constant_rest", "solve", dict(FREE_REST, model__m0=1e160), 3,

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import types
+import warnings
 from importlib.machinery import PathFinder
 from pathlib import Path
 
@@ -33,6 +34,7 @@ from diracpd import (
     solve_self_consistent,
     VelocityProfile,
 )
+from diracpd.analytic import spectrum_value
 from diracpd.errors import (
     DomainError,
     ImaginaryEnergyError,
@@ -378,13 +380,13 @@ class TestSolveExact:
 
 
 class TestSolveApproximate:
-    @pytest.mark.parametrize("name,offset", [("poschl_teller", True), ("cosh_square", False)])
-    def test_solve_fixed_on_the_probed_grid(self, name, offset):
-        # poschl_teller's 1/sin^2 walls take the offset grid; cosh_square's potential
-        # (approximate mode on a constant-u model) stays finite there: the plain grid
+    @pytest.mark.parametrize("name", ["poschl_teller", "cosh_square"])
+    def test_solve_fixed_on_the_probed_grid(self, name):
+        # poschl_teller's 1/sin^2 walls and cosh_square's potential (approximate
+        # mode on a constant-u model), finite there, both take the plain grid
         model = builtin_model(name, alpha=1.0, v0=1.0, m0=1.5)
         tmap = build_transform(model.velocity, model.anchor)
-        grid = QGrid(tmap.q_lo, tmap.q_hi, 400, offset=offset)
+        grid = QGrid(tmap.q_lo, tmap.q_hi, 400)
         want = solve_fixed(approx_potential(model, grid, tmap), 3)
         got = solve_approximate(model, tmap, 400, 3)
         assert got.field.grid == grid
@@ -397,28 +399,39 @@ class TestSolveApproximate:
 
     @pytest.mark.parametrize("name", ["poschl_teller", "cosh_square"])
     def test_two_passes_give_the_per_grid_solve(self, monkeypatch, name):
-        # n = 2000: the three wall probes take one pass, and the ladder's two grids,
+        # n = 2000: the two wall probes take one pass, and the ladder's two grids,
         # the base and the refined grid another; solve_fixed evaluates nothing again
         model = builtin_model(name, alpha=1.0, v0=1.0, m0=1.5)
         tmap = build_transform(model.velocity, model.anchor)
-        offset = name == "poschl_teller"
-        want = solve_fixed(approx_potential(model, QGrid(tmap.q_lo, tmap.q_hi, 2000, offset),
+        want = solve_fixed(approx_potential(model, QGrid(tmap.q_lo, tmap.q_hi, 2000),
                                             build_transform(model.velocity, model.anchor)), 3)
         passes = []
         real = potential._approx_pass
         monkeypatch.setattr(potential, "_approx_pass", lambda model, grids, tmap: passes.append(
             [grid.n for grid in grids]) or real(model, grids, tmap))
         got = solve_approximate(model, tmap, 2000, 3)
-        assert passes == [[3, 3, 3], [2000, 62, 125, 4000 if offset else 4001]]
-        assert got.field.grid == want.field.grid and got.field.grid.offset == offset
+        assert passes == [[3, 3], [2000, 62, 125, 4001]]
+        assert got.field.grid == want.field.grid and not got.field.grid.offset
         assert got.field.values.tobytes() == want.field.values.tobytes()
         assert got.energies == want.energies
         for a, b in zip(got.pairs, want.pairs, strict=True):
             assert (a.lam, a.error_estimate) == (b.lam, b.error_estimate)
 
+    @pytest.mark.parametrize("g", [0.55, 0.7])
+    def test_plain_grid_in_the_band(self, g):
+        # the g < 1 band of poschl_teller, alpha = v0 = 1, n = 2000: the plain grid
+        # reads E0..E4 within 5e-6 of the closed form (about 2e-6 and 2.7e-6);
+        # an offset grid, half a step from the walls, reads 2.0e-4 and 1.0e-5
+        params = dict(alpha=1.0, v0=1.0, m0=g)
+        model = builtin_model("poschl_teller", **params)
+        result = solve_approximate(model, build_transform(model.velocity, model.anchor), 2000,
+                                   5, vectors=False)
+        for j, (e, _) in enumerate(result.energies):
+            assert e == pytest.approx(spectrum_value("poschl_teller", j, params)[0], rel=5e-6)
+
     def test_a_later_probe_failure_does_not_preempt_an_earlier_decision(self):
-        # the one pass raises on the high wall's probe; one call per probe, in order,
-        # then lets the low wall decide first, as when each probe took its own call
+        # the one pass raises on the high wall's probe; one call per probe, low
+        # wall first, then reads the low wall before the high one fails
         calls = []
 
         def fields_on(lo_values, hi_error):
@@ -428,39 +441,79 @@ class TestSolveApproximate:
                 for grid in grids:
                     if grid.nodes[0] > 0.9:
                         raise hi_error
-                    fields.append(types.SimpleNamespace(
-                        values=lo_values(grid.nodes) if grid.nodes[0] < 0.1 else np.ones(3)))
+                    fields.append(types.SimpleNamespace(values=lo_values(grid.nodes)))
                 return fields
             return call
 
         nan = fields_on(lambda q: np.full(3, np.nan), QuadratureFailureError("hi", partial=0.0))
-        assert eigensolver._wall_singular(nan, 0.0, 1.0) and calls == [3, 1, 1]
+        with pytest.raises(QuadratureFailureError, match="hi"):
+            eigensolver._hardy_check(nan, 0.0, 1.0)
+        assert calls == [2, 1, 1]
         calls.clear()
         below = fields_on(lambda q: -1.0 / q ** 2, DomainError("on the high wall"))
         with pytest.raises(UnboundedBelowError, match=r"c = V d\^2 = -1 < -1/4 at q = 0"):
-            eigensolver._wall_singular(below, 0.0, 1.0)
-        assert calls == [3, 1, 1]
+            eigensolver._hardy_check(below, 0.0, 1.0)
+        assert calls == [2, 1]
         calls.clear()
-        assert eigensolver._wall_singular(fields_on(lambda q: np.ones(3), DomainError("hi")),
-                                          0.0, 1.0)
-        assert calls == [3, 1, 1, 1]
+        assert eigensolver._hardy_check(fields_on(lambda q: np.ones(3), DomainError("hi")),
+                                        0.0, 1.0) is None
+        assert calls == [2, 1, 1]
 
-    def test_overflow_on_a_wall_probe_is_a_singular_wall(self):
-        # m0 = 1e150: u^2 overflows on the probes 3e-8 from the 1/sin walls, as a
-        # non-finite probe value a singular wall, but not on the offset grid and
-        # its refinement, half a step from the walls
+    def test_both_walls_are_read(self):
+        # a low wall V = 1 / q^2 (c = 1) does not end the check: the high wall's
+        # V = -1 / (1 - q)^2 (c = -1) is unbounded below, and named
+        def fields_on(grids):
+            return [types.SimpleNamespace(values=np.where(grid.nodes < 0.5, 1.0 / grid.nodes ** 2,
+                                                          -1.0 / (1.0 - grid.nodes) ** 2))
+                    for grid in grids]
+
+        with pytest.raises(UnboundedBelowError, match=r"c = V d\^2 = -1 < -1/4 at q = 1:"):
+            eigensolver._hardy_check(fields_on, 0.0, 1.0)
+
+    def test_overflow_on_a_wall_probe_reads_no_coefficient(self):
+        # m0 = 1e150: u^2 overflows on the probes 3e-8 from the 1/sin walls, which
+        # read no coefficient there, but not on the plain grid and its refinement,
+        # a step from the walls
         model = builtin_model("poschl_teller", alpha=1.0, v0=1.0, m0=1e150)
         tmap = build_transform(model.velocity, model.anchor)
+        calls = []
 
         def fields_on(grids):
+            calls.append(len(grids))
             first = approx_potential(model, grids[0], tmap, also=grids[1:])
             return [first] + [first.on_grid(grid) for grid in grids[1:]]
 
-        assert eigensolver._wall_singular(fields_on, tmap.q_lo, tmap.q_hi)
-        grid = QGrid(tmap.q_lo, tmap.q_hi, 400, offset=True)
+        assert eigensolver._hardy_check(fields_on, tmap.q_lo, tmap.q_hi) is None
+        assert calls == [2, 1, 1]
+        grid = QGrid(tmap.q_lo, tmap.q_hi, 400)
         field = approx_potential(model, grid, tmap, also=[grid.refined()])
         for f in (field, field.on_grid(grid.refined())):
             assert np.all(np.isfinite(f.values))
+
+    @pytest.mark.parametrize("m0", [3e146, 1e148, 1e150])
+    def test_overflowing_shifted_solves_are_refused_without_warnings(self, m0):
+        # V near 1e297 at the plain grid's first node: x overflows in the refined
+        # grid's shifted solves, which are refused (r = inf) with no numpy warning,
+        # and the index path supplies the levels; the state, narrower than a step,
+        # is not resolved, so they sit about 1e-5 from the closed form
+        params = dict(alpha=1.0, v0=1.0, m0=m0)
+        model = builtin_model("poschl_teller", **params)
+        tmap = build_transform(model.velocity, model.anchor)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = solve_approximate(model, tmap, 400, 3, vectors=False)
+        for j, (e, _) in enumerate(result.energies):
+            assert e == pytest.approx(spectrum_value("poschl_teller", j, params)[0], rel=5e-5)
+
+    @pytest.mark.parametrize("d,sigma", [(1e300, 0.0), (1e-300, 0.0)],
+                             ids=["underflow", "overflow"])
+    def test_shifted_solve_refuses_a_vector_out_of_range(self, d, sigma):
+        # x underflows to 0 or overflows: refused, with no 0 / 0 or inf / inf warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="warn"):
+                theta, r = eigensolver._shifted(np.full(5, d), np.zeros(4), sigma, 1e-10)
+        assert (theta, r) == (sigma, math.inf)
 
     def test_unconfined_infinite_side(self):
         model = builtin_model("linear_singular", A=1.0, v0=1.0)
@@ -1160,16 +1213,21 @@ class TestWeylCertificate:
 # run on the base and refined grids but for the index path's base grid; the
 # band (g 0.7) takes the ladder, two factorizations for some of its levels
 PINNED_CALLS = [
+    # approximate mode's plain grid: the refined grid's 2n + 1 nodes fold into
+    # blocks of n + 1 and n rows
     ("approximate", 2.0, 2000, 5, {("i", False, 31): 2, ("i", False, 62): 1,
                                    ("i", False, 63): 1, ("gttrf", 1000): 5,
-                                   ("gttrf", 2000): 5, ("v", True, 1000): 2,
-                                   ("v", True, 2000): 2}),
+                                   ("gttrf", 2000): 2, ("gttrf", 2001): 3,
+                                   ("v", True, 1000): 2, ("v", True, 2000): 1,
+                                   ("v", True, 2001): 1}),
     ("approximate", 2.0, 8000, 5, {("i", False, 125): 2, ("i", False, 250): 2,
-                                   ("gttrf", 4000): 5, ("gttrf", 8000): 5,
-                                   ("v", True, 4000): 2, ("v", True, 8000): 2}),
+                                   ("gttrf", 4000): 5, ("gttrf", 8000): 2,
+                                   ("gttrf", 8001): 3, ("v", True, 4000): 2,
+                                   ("v", True, 8000): 1, ("v", True, 8001): 1}),
     ("approximate", 0.7, 8000, 5, {("i", False, 125): 2, ("i", False, 250): 2,
-                                   ("gttrf", 4000): 8, ("gttrf", 8000): 5,
-                                   ("v", True, 4000): 2, ("v", True, 8000): 2}),
+                                   ("gttrf", 4000): 6, ("gttrf", 8000): 2,
+                                   ("gttrf", 8001): 3, ("v", True, 4000): 2,
+                                   ("v", True, 8000): 1, ("v", True, 8001): 1}),
     ("exact", 2.0, 1000, 4, {("i", False, 1000): 1, ("i", False, 1001): 1,
                              ("gttrf", 2001): 2, ("gttrf", 2002): 2,
                              ("v", True, 1000): 2, ("v", True, 1001): 2,

@@ -25,4 +25,4 @@ def test_custom_profile_example_finds_poschl_teller_e0():
     scope = {"__name__": "readme_example"}
     exec(compile(code, str(README), "exec"), scope)
     assert f"{scope['e0']:.8f}" == "1.48937765"
-    assert scope["grid"].offset
+    assert not scope["grid"].offset
