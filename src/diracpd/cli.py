@@ -362,7 +362,7 @@ def _header_lines(rc: RunConfig, artifact: str, mode: str,
     lines = [f"# diracpd {artifact}", f"# config_hash = {rc.config_hash()}", f"# mode = {mode}"]
     if grid is not None:
         lines += [f"# grid_n = {grid.n}", f"# grid_h = {_fmt(grid.h)}", f"# q_lo = {_fmt(grid.lo)}",
-                  f"# q_hi = {_fmt(grid.hi)}", f"# grid_offset = {str(grid.offset).lower()}"]
+                  f"# q_hi = {_fmt(grid.hi)}"]
     return lines
 
 
@@ -432,8 +432,7 @@ def cmd_solve(rc: RunConfig) -> int:
 
     numeric, reference, rows = _paired_levels(rc, outcome)
 
-    print(f"{model.label}: " + (f"mode={mode}, grid n={grid.n} h={grid.h:.3e} "
-                                f"offset={grid.offset}" if grid else
+    print(f"{model.label}: " + (f"mode={mode}, grid n={grid.n} h={grid.h:.3e}" if grid else
                                 "free constant-mass case, no bound spectrum"))
     print("  n  E_numeric              E_analytic             rel_dev    nodes")
     worst = 0.0
@@ -605,7 +604,7 @@ def cmd_report(rc: RunConfig) -> int:
     facts = model.facts
     grid = QGrid(tmap.q_lo if math.isfinite(tmap.q_lo) else -facts.q_bound,
                  tmap.q_hi if math.isfinite(tmap.q_hi) else facts.q_bound,
-                 rc.grid_n, offset=True)
+                 rc.grid_n)
     rep = None
     for label, claimed in facts.claims:
         rep = potential_discrepancy_report(model, claimed, grid, tmap)

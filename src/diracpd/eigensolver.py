@@ -506,8 +506,7 @@ def _free_eigs(grid: QGrid, k: int, with_vectors: bool):
     """Lowest k eigenpairs of tridiag(-1, 2, -1)/h^2 of order n, in closed form.
 
     lam_k = (2/h sin(k pi / (2(n+1))))^2 and phi_k[j] = sin(j k pi / (n+1))
-    (DST-I), the vectors None unless ``with_vectors``; they depend on n and
-    h only, so offset grids are no exception.
+    (DST-I), the vectors None unless ``with_vectors``.
     """
     n, ks = grid.n, np.arange(1, k + 1)
     w = (2.0 / grid.h * np.sin(ks * (math.pi / (2 * (n + 1))))) ** 2
@@ -518,10 +517,19 @@ def _free_eigs(grid: QGrid, k: int, with_vectors: bool):
 def _ladder_grids(grid: QGrid, k: int) -> List[QGrid]:
     """The grids of the ladder that leads a solve of k levels on ``grid`` of n
     nodes (phi1 nodes on a lattice), in either mode, where it pays (n >= 2000
-    and k <= n // 64): n // 32 and n // 16 nodes between its walls, offset as
-    it is; else none."""
-    return [QGrid(grid.lo, grid.hi, grid.n // m, grid.offset) for m in (32, 16)
+    and k <= n // 64): n // 32 and n // 16 nodes between its walls; else
+    none."""
+    return [QGrid(grid.lo, grid.hi, grid.n // m) for m in (32, 16)
             if grid.n >= 2000 and k <= grid.n // 64]
+
+
+def _require_finite(field: PotentialField, name: str) -> None:
+    """Raise SingularNodeError naming how many nodes of ``field`` hold a
+    non-finite V, and the q of the first, if any does."""
+    bad = np.flatnonzero(field.singular)
+    if bad.size:
+        raise SingularNodeError(f"V is not finite at {bad.size} node(s) of the {name}, the "
+                                f"first at q = {field.grid.nodes[bad[0]]:.6g}")
 
 
 def solve_fixed(potential: PotentialField, k_states: int,
@@ -552,9 +560,7 @@ def solve_fixed(potential: PotentialField, k_states: int,
     grid = potential.grid
     if potential.mode == CONSTANT_U:
         square_finite(potential.constant_a, "A")
-    if np.any(potential.singular):
-        raise SingularNodeError("potential carries singular interior nodes; shrink the grid "
-                                "or use an offset grid")
+    _require_finite(potential, "grid")
     if k_states > grid.n // 2:
         raise InsufficientResolutionError(f"cannot resolve {k_states} states on {grid.n} nodes")
 
@@ -567,8 +573,7 @@ def solve_fixed(potential: PotentialField, k_states: int,
     else:
         offset = 0.0
         fine = potential.on_grid(grid.refined())
-        if np.any(fine.singular):
-            raise SingularNodeError("refined grid produced singular nodes")
+        _require_finite(fine, "refined grid")
         even = _even(potential.values, fine.values)
 
         def grid_of(field: PotentialField) -> _Grid:
@@ -604,17 +609,17 @@ def solve_fixed(potential: PotentialField, k_states: int,
 def _hardy_check(fields_on, lo: float, hi: float) -> None:
     """Raise UnboundedBelowError when V is unbounded below at a wall of (lo, hi).
 
-    V d^2 at a probe 3e-8 of the width from each wall, d its distance from
-    it, reads the wall coefficient c of V ~ c / d^2; below -1/4 V has no
-    lowest level there (Hardy). ``fields_on(grids)`` gives V on both probes
-    in one call or, where that raises a NumericalError, in one call each,
-    the low wall first. A probe that raises DomainError (nodes that round
-    onto its wall) or SingularNodeError (u^2 overflowing there) reads no
-    coefficient for its wall; any other error propagates with its own cause.
+    V d^2 at the node next to each wall of a 3-node probe 2e-8 of the width
+    wide, d = 0.5e-8 of the width its distance from that wall, reads the wall
+    coefficient c of V ~ c / d^2; below -1/4 V has no lowest level there
+    (Hardy). ``fields_on(grids)`` gives V on both probes in one call or,
+    where that raises a NumericalError, in one call each, the low wall
+    first. A probe that raises DomainError (nodes that round onto its wall)
+    or SingularNodeError (u^2 overflowing there) reads no coefficient for
+    its wall; any other error propagates with its own cause.
     """
     width = hi - lo
-    probes = [QGrid(lo, lo + 3e-8 * width, 3, offset=True),
-              QGrid(hi - 3e-8 * width, hi, 3, offset=True)]
+    probes = [QGrid(lo, lo + 2e-8 * width, 3), QGrid(hi - 2e-8 * width, hi, 3)]
     try:
         fields = fields_on(probes)
     except NumericalError:
@@ -638,10 +643,10 @@ def solve_approximate(model: ModelSpec, tmap: TransformMap, n: int,
     A finite q-range gets the plain grid of n nodes, once _hardy_check finds
     V bounded below at both walls; V on it and on the ladder and refined
     grids solve_fixed reads comes from one pass (approx_potential's
-    ``also``), as V on the two wall probes does. An infinite
-    side is cut at |q| = L on offset grids of n nodes, L doubled until the
-    levels settle (expand_until_settled). The result's ``field`` is the
-    potential of the grid it was solved on; ``vectors`` as in solve_fixed.
+    ``also``), as V on the two wall probes does. An infinite side is cut at
+    |q| = L, a wall of the grid of n nodes, L doubled until the levels
+    settle (expand_until_settled). The result's ``field`` is the potential
+    of the grid it was solved on; ``vectors`` as in solve_fixed.
     """
     def fields_on(grids):
         first = approx_potential(model, grids[0], tmap, also=grids[1:])
@@ -656,7 +661,7 @@ def solve_approximate(model: ModelSpec, tmap: TransformMap, n: int,
                            vectors=vectors)
     return expand_until_settled(
         lambda L: approx_potential(model, QGrid(lo if math.isfinite(lo) else -L,
-                                                hi if math.isfinite(hi) else L, n, offset=True),
+                                                hi if math.isfinite(hi) else L, n),
                                    tmap),
         k_states, vectors=vectors)[0]
 
@@ -732,7 +737,7 @@ def solve_exact(model: ModelSpec, tmap: TransformMap, n: int,
                           f"onto q-range ({tmap.q_lo:g}, {tmap.q_hi:g})")
     if not 1 <= k_states <= n // 2:
         raise InsufficientResolutionError(f"cannot resolve {k_states} states on {n} nodes")
-    grid = QGrid(tmap.q_lo, tmap.q_hi, n, offset=False)
+    grid = QGrid(tmap.q_lo, tmap.q_hi, n)
     coarse = _ladder_grids(grid, k_states)
     q_fine = tmap.q_lo + np.arange(1, 4 * n + 4) * (0.25 * grid.h)
     q = np.concatenate([np.empty(0)] + [g.lo + np.arange(1, 2 * g.n + 2) * (0.5 * g.h)

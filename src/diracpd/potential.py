@@ -45,17 +45,13 @@ _PASS_BLOCK = 8192  # nodes per block of a pass: each 64 KiB temporary stays in 
 class QGrid:
     """Uniform grid of interior nodes between two Dirichlet walls.
 
-    ``offset=False``: nodes at lo + i*h, i=1..n, with h=(hi-lo)/(n+1); the
-    walls themselves carry the boundary zeros; approximate mode solves every
-    finite q-range on it. ``offset=True``: nodes at lo + (i+1/2)*h,
-    h=(hi-lo)/n, half a step from the walls: the boxes that cut an infinite
-    q-range, the bic family, report's grid and the wall probes.
+    Nodes at lo + i*h, i=1..n, with h=(hi-lo)/(n+1): the walls themselves
+    carry the boundary zeros. Every solve, box, table and probe takes it.
     """
 
     lo: float
     hi: float
     n: int
-    offset: bool = False
 
     def __post_init__(self):
         if not (self.hi > self.lo):
@@ -65,20 +61,15 @@ class QGrid:
 
     @property
     def h(self) -> float:
-        width = self.hi - self.lo
-        return width / self.n if self.offset else width / (self.n + 1)
+        return (self.hi - self.lo) / (self.n + 1)
 
     @property
     def nodes(self) -> np.ndarray:
-        h = self.h
-        if self.offset:
-            return self.lo + (np.arange(self.n) + 0.5) * h
-        return self.lo + (np.arange(self.n) + 1.0) * h
+        return self.lo + (np.arange(self.n) + 1.0) * self.h
 
     def refined(self) -> "QGrid":
         """Same walls, half the spacing (for Richardson refinement)."""
-        n = 2 * self.n if self.offset else 2 * self.n + 1
-        return QGrid(self.lo, self.hi, n, self.offset)
+        return QGrid(self.lo, self.hi, 2 * self.n + 1)
 
 
 @dataclass(frozen=True)

@@ -183,7 +183,8 @@ def bic_family(model: ModelSpec, energy: float, tmap: Optional[TransformMap] = N
     phi(q) = sin(lam q) with lam = sqrt(E^2 - A^2) and no boundary
     quantization: normalizable with identically zero current even though E
     is not an eigenvalue. Requires a finite E with E^2 >= A^2 (above the gap),
-    and a map onto a finite q-range.
+    and a map onto a finite q-range, whose walls bound the QGrid of
+    ``n_nodes`` nodes it is sampled on.
     """
     if not math.isfinite(energy):
         raise InvalidParameterError(f"energy must be finite, got {energy!r}")
@@ -202,7 +203,7 @@ def bic_family(model: ModelSpec, energy: float, tmap: Optional[TransformMap] = N
     if not (math.isfinite(tmap.q_lo) and math.isfinite(tmap.q_hi)):
         raise DomainError(f"the bic family needs a finite q-range; {model.name} maps "
                           f"onto q-range ({tmap.q_lo:g}, {tmap.q_hi:g})")
-    grid = QGrid(tmap.q_lo, tmap.q_hi, n_nodes, offset=True)
+    grid = QGrid(tmap.q_lo, tmap.q_hi, n_nodes)
     q = grid.nodes
     x = tmap.inverse_grid(q)
     v = np.broadcast_to(np.asarray(model.velocity(x), dtype=float), x.shape)

@@ -41,7 +41,7 @@ def _constant_u_solve(name, alpha, v0, m0, k, n_grid=2000):
     model = builtin_model(name, alpha=alpha, v0=v0, m0=m0)
     tmap = build_transform(model.velocity, 0.0)
     a_const = detect_constant_u(model, tol=1e-10)
-    grid = QGrid(tmap.q_lo, tmap.q_hi, n_grid, offset=False)
+    grid = QGrid(tmap.q_lo, tmap.q_hi, n_grid)
     result = solve_fixed(constant_u_potential(a_const, grid), k)
     return model, tmap, result
 
@@ -91,7 +91,7 @@ def test_criterion_3_model_two_spectra_and_normalization():
         assert provenance == "verified"
         model = builtin_model("rational", **params)
         tmap = build_transform(model.velocity, 0.0)
-        grid = QGrid(tmap.q_lo, tmap.q_hi, 60001, offset=True)
+        grid = QGrid(tmap.q_lo, tmap.q_hi, 60001)
         x = tmap.inverse_grid(grid.nodes)
         p1, p2 = bound_spinor("rational", n, params, x, normalized=False)
         bare = SpinorField(x=x, psi1=p1, psi2=p2, energy=0.0, norm_constant=1.0,
@@ -154,7 +154,7 @@ def test_criterion_5_poschl_teller():
     for alpha, v0, m0 in [(1.0, 1.0, 1.0), (1.3, 0.8, 1.1)]:
         model = builtin_model("poschl_teller", alpha=alpha, v0=v0, m0=m0)
         tmap = build_transform(model.velocity, model.anchor)
-        grid = QGrid(tmap.q_lo, tmap.q_hi, 4001, offset=True)
+        grid = QGrid(tmap.q_lo, tmap.q_hi, 4001)
         x0 = model.anchor
 
         def claimed(q):
@@ -169,7 +169,7 @@ def test_criterion_5_poschl_teller():
     alpha, v0, m0 = 1.0, 1.0, 1.0
     model = builtin_model("poschl_teller", alpha=alpha, v0=v0, m0=m0)
     tmap = build_transform(model.velocity, model.anchor)
-    grid = QGrid(tmap.q_lo, tmap.q_hi, 8000, offset=True)
+    grid = QGrid(tmap.q_lo, tmap.q_hi, 8000)
     result = solve_fixed(approx_potential(model, grid, tmap), 6)
     numeric = np.array([e[0] for e in result.energies])
     worst_lvl = 0.0
@@ -198,7 +198,7 @@ def test_criterion_6_oscillator_adjudication():
     big_a, v0 = 1.0, 1.0
     model = builtin_model("linear_singular", A=big_a, v0=v0)
     tmap = build_transform(model.velocity, model.anchor)
-    grid = QGrid(-3.0, 3.0, 2001, offset=True)
+    grid = QGrid(-3.0, 3.0, 2001)
 
     def exponential(q):
         return big_a ** 2 * v0 ** 4 * np.exp(2 * v0 * np.asarray(q)) \
@@ -229,7 +229,7 @@ def test_criterion_7_constant_rest_limit():
     tmap = build_transform(model.velocity, 0.0)
     a_const = detect_constant_u(model, tol=1e-12)
     e_plus, e_minus = energies_from_lambda(0.0, a_const ** 2)
-    grid = QGrid(-8.0, 8.0, 1001, offset=False)
+    grid = QGrid(-8.0, 8.0, 1001)
     field = approx_potential(model, grid, tmap)
     grad = float(np.max(np.abs(np.diff(field.values)))) / field.grid.h
     ok = (abs(e_plus - 1.0) <= 1e-10 and abs(e_minus + 1.0) <= 1e-10
@@ -247,7 +247,7 @@ def test_criterion_8_property_suite(tmp_path):
     nodes_ok &= [p.nodes for p in res_b.pairs] == list(range(4))
     model_pt = builtin_model("poschl_teller", alpha=1.0, v0=1.0, m0=1.0)
     tmap_pt = build_transform(model_pt.velocity, model_pt.anchor)
-    grid_pt = QGrid(tmap_pt.q_lo, tmap_pt.q_hi, 3000, offset=True)
+    grid_pt = QGrid(tmap_pt.q_lo, tmap_pt.q_hi, 3000)
     res_c = solve_fixed(approx_potential(model_pt, grid_pt, tmap_pt), 5)
     nodes_ok &= [p.nodes for p in res_c.pairs] == list(range(5))
 

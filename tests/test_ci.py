@@ -154,7 +154,11 @@ def test_tier1_runs_one_shot_solves():
                      r"> \"\$RUNNER_TEMP/band-approx\.cfg\"", run)
     assert re.search(r'--config "\$RUNNER_TEMP/band-approx\.cfg" --mode approximate --strict '
                      r'--out "\$RUNNER_TEMP/band-approx"', run)
-    assert "grep -qx '# grid_offset = false' \"$RUNNER_TEMP/band-approx/spectrum.csv\"" in run
+    # its header names the plain grid: no grid_offset line, h = (q_hi - q_lo) / (n + 1)
+    assert 'assert not any("grid_offset" in line for line in header), header' in run
+    assert re.search(r'assert float\(cells\["grid_h"\]\) == \(\(float\(cells\["q_hi"\]\) - '
+                     r'float\(cells\["q_lo"\]\)\)\s+/ \(int\(cells\["grid_n"\]\) \+ 1\)\), '
+                     r'cells\' \\\s+"\$RUNNER_TEMP/band-approx/spectrum\.csv"', run)
     # a non-finite config number exits 2, also under --strict
     assert "echo 'compare.tol = nan'; } > \"$RUNNER_TEMP/nan.cfg\"" in run
     assert re.search(r'--config "\$RUNNER_TEMP/nan\.cfg" --strict .*\|\| status=\$\?', run)

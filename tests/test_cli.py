@@ -39,6 +39,17 @@ def read_rows(path):
     return rows[0], rows[1:]
 
 
+def assert_plain_grid(path):
+    """The '#' header of ``path`` names no grid_offset, and its %.17g grid cells
+    (which round-trip) give h = (q_hi - q_lo) / (n + 1) exactly."""
+    with open(path, "r", encoding="utf-8") as fh:
+        header = [line[2:].rstrip("\n") for line in fh if line.startswith("#")]
+    assert not any("grid_offset" in line for line in header), header
+    cells = dict(line.split(" = ", 1) for line in header if " = " in line)
+    assert float(cells["grid_h"]) == ((float(cells["q_hi"]) - float(cells["q_lo"]))
+                                      / (int(cells["grid_n"]) + 1)), cells
+
+
 class TestSolve:
     def test_cosh_massless_strict(self, tmp_path, capsys):
         cfg = write_config(
@@ -143,8 +154,7 @@ class TestSolve:
                            solve__k_states=3, outputs="spectrum",
                            out__dir=str(tmp_path / "out"))
         assert main(["solve", "--config", cfg]) == 0
-        text = (tmp_path / "out" / "spectrum.csv").read_text(encoding="utf-8")
-        assert "# grid_offset = false" in text
+        assert_plain_grid(tmp_path / "out" / "spectrum.csv")
         _, rows = read_rows(tmp_path / "out" / "spectrum.csv")
         for k, row in enumerate(rows, start=1):
             assert float(row[2]) == pytest.approx(math.hypot(k * alpha * v0, m0 * v0 * v0),
@@ -158,8 +168,7 @@ class TestSolve:
                            solve__k_states=3, compare__tol="1e-5", outputs="spectrum",
                            out__dir=str(tmp_path / "out"))
         assert main(["solve", "--config", cfg, "--strict"]) == 0
-        assert "# grid_offset = false" in (tmp_path / "out" / "spectrum.csv").read_text(
-            encoding="utf-8")
+        assert_plain_grid(tmp_path / "out" / "spectrum.csv")
 
     def test_wall_probe_failure_is_not_a_singular_wall(self, tmp_path, capsys, monkeypatch):
         # only a DomainError (probe nodes rounding onto a wall) or a SingularNodeError
@@ -1549,6 +1558,23 @@ class TestReport:
         assert "interleaved" in out
         assert os.path.exists(tmp_path / "out" / "discrepancy.csv")
         assert len(calls) == 1
+
+    def test_discrepancy_table_is_the_solve_potential(self, tmp_path):
+        # report samples the approximate potential on the grid an approximate solve
+        # takes, so its computed column is the solve's V, cell for cell
+        params = dict(model__name="poschl_teller", model__alpha=1.0, model__v0=1.0,
+                      model__m0=2.0, grid__n=2000, solve__k_states=3)
+        cfg = write_config(tmp_path / "r.txt", outputs="discrepancy",
+                           out__dir=str(tmp_path / "report"), **params)
+        assert main(["report", "--config", cfg]) == 0
+        cfg = write_config(tmp_path / "s.txt", outputs="spectrum, potential",
+                           out__dir=str(tmp_path / "solve"), **params)
+        assert main(["solve", "--config", cfg, "--mode", "approximate"]) == 0
+        names, table = read_rows(tmp_path / "report" / "discrepancy.csv")
+        assert names[:2] == ["q", "computed"]
+        assert read_rows(tmp_path / "solve" / "potential.csv") == (
+            ["q", "V"], [row[:2] for row in table])
+        assert len(table) == 2000
 
     @pytest.mark.parametrize("mode_args", [[], ["--mode", "exact"]])
     def test_discrepancy_header_names_approximate_mode(self, tmp_path, mode_args):

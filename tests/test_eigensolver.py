@@ -72,12 +72,12 @@ class TestSolveFixed:
     def test_cosh_massless_energy(self):
         model = builtin_model("cosh_square", alpha=1, v0=1, m0=0)
         tmap = build_transform(model.velocity, 0.0)
-        grid = QGrid(tmap.q_lo, tmap.q_hi, 2000, offset=False)
+        grid = QGrid(tmap.q_lo, tmap.q_hi, 2000)
         res = solve_fixed(constant_u_potential(0.0, grid), 1)
         assert res.energies[0][0] == pytest.approx(math.pi / 2, rel=1e-6)
 
     def test_harmonic_oscillator(self):
-        g = QGrid(-12.0, 12.0, 4000, offset=False)
+        g = QGrid(-12.0, 12.0, 4000)
         f = PotentialField.from_function(lambda q: q ** 2, g)
         res = solve_fixed(f, 3)
         for k, pair in enumerate(res.pairs):
@@ -86,7 +86,7 @@ class TestSolveFixed:
     def test_poschl_teller_ground_state(self):
         model = builtin_model("poschl_teller", alpha=1, v0=1, m0=1)
         tmap = build_transform(model.velocity, model.anchor)
-        grid = QGrid(tmap.q_lo, tmap.q_hi, 8000, offset=True)
+        grid = QGrid(tmap.q_lo, tmap.q_hi, 8000)
         res = solve_fixed(approx_potential(model, grid, tmap), 1)
         s = s_parameter(1.0, 1.0, 1.0)
         oracle = 1.0 / 16.0 + s ** 2
@@ -95,7 +95,7 @@ class TestSolveFixed:
     def test_sturm_node_counts(self):
         res = solve_fixed(free_field(0.0, 1.0, 800), 6)
         assert [p.nodes for p in res.pairs] == list(range(6))
-        g = QGrid(-10.0, 10.0, 2000, offset=False)
+        g = QGrid(-10.0, 10.0, 2000)
         f = PotentialField.from_function(lambda q: 0.25 * q ** 2, g)
         res2 = solve_fixed(f, 4)
         assert [p.nodes for p in res2.pairs] == list(range(4))
@@ -107,7 +107,7 @@ class TestSolveFixed:
                                                                         abs=1e-12)
 
     def test_parity_alternation(self):
-        g = QGrid(-6.0, 6.0, 1501, offset=False)
+        g = QGrid(-6.0, 6.0, 1501)
         f = PotentialField.from_function(lambda q: q ** 2, g)
         res = solve_fixed(f, 4)
         for k, pair in enumerate(res.pairs):
@@ -117,7 +117,7 @@ class TestSolveFixed:
     def test_grid_convergence_factor(self):
         # error_estimate = |lam(h) - lam(h/2)|/3 shrinks by >= 3.5 per halving
         # on smooth potentials (ideal factor 4 for a second-order scheme)
-        g1 = QGrid(0.0, 1.0, 250, offset=False)
+        g1 = QGrid(0.0, 1.0, 250)
         f1 = PotentialField.from_function(lambda q: 3.0 * np.cos(2 * q), g1)
         e1 = solve_fixed(f1, 1).pairs[0].error_estimate
         e2 = solve_fixed(f1.on_grid(g1.refined()), 1).pairs[0].error_estimate
@@ -131,7 +131,7 @@ class TestSolveFixed:
         assert abs(pair.lam - math.pi ** 2) <= 5 * pair.error_estimate
 
     def test_constant_u_offset_energy(self):
-        grid = QGrid(-1.0, 1.0, 1200, offset=False)
+        grid = QGrid(-1.0, 1.0, 1200)
         res0 = solve_fixed(constant_u_potential(0.0, grid), 5)
         res1 = solve_fixed(constant_u_potential(1.0, grid), 5)
         lam0 = np.array([p.lam for p in res0.pairs])
@@ -143,9 +143,8 @@ class TestSolveFixed:
         assert res1.offset == 1.0
         assert e1[0] == pytest.approx(E1_COSH_MASSIVE, rel=1e-6)
 
-    @pytest.mark.parametrize("offset", [False, True])
-    def test_closed_form_matches_lapack(self, offset):
-        grid = QGrid(-1.3, 2.1, 2000, offset=offset)
+    def test_closed_form_matches_lapack(self):
+        grid = QGrid(-1.3, 2.1, 2000)
         w, vecs = eigensolver._free_eigs(grid, 5, with_vectors=True)
         free = eigensolver._schrodinger(np.zeros(grid.n), grid.h)
         w_lapack = eigensolver.eigh_tridiagonal(*free, select="i", select_range=(0, 4))
@@ -176,10 +175,10 @@ class TestSolveFixed:
         assert calls == []
         pt = builtin_model("poschl_teller", alpha=1, v0=1, m0=1)
         tmap = build_transform(pt.velocity, pt.anchor)
-        field = approx_potential(pt, QGrid(tmap.q_lo, tmap.q_hi, 1999, offset=True), tmap)
+        field = approx_potential(pt, QGrid(tmap.q_lo, tmap.q_hi, 1999), tmap)
         cosh = builtin_model("cosh_square", alpha=1, v0=1, m0=1)
         skewed = approx_potential(dataclasses.replace(cosh, u_closed=SKEWED_U),
-                                  QGrid(tmap.q_lo, tmap.q_hi, 1999, offset=True), tmap)
+                                  QGrid(tmap.q_lo, tmap.q_hi, 1999), tmap)
         for f, rows in ((field, [1000, 999]), (skewed, [1999])):
             calls.clear()
             solve_fixed(f, 3)
@@ -191,7 +190,7 @@ class TestSolveFixed:
         # bisection left 5.4e-8 on level 0 here; the closed form leaves rounding only
         model = builtin_model("cosh_square", alpha=1, v0=1, m0=1)
         tmap = build_transform(model.velocity, model.anchor)
-        grid = QGrid(tmap.q_lo, tmap.q_hi, 32000, offset=False)
+        grid = QGrid(tmap.q_lo, tmap.q_hi, 32000)
         res = solve_fixed(constant_u_potential(1.0, grid), 5)
         for k, (e, _) in enumerate(res.energies):
             exact = math.hypot((k + 1) * math.pi / 2, 1.0)
@@ -202,10 +201,17 @@ class TestSolveFixed:
             solve_fixed(free_field(0.0, 1.0, 64), 40)
 
     def test_singular_nodes_rejected(self):
-        g = QGrid(0.0, 1.0, 100, offset=False)
+        g = QGrid(0.0, 1.0, 100)
         f = PotentialField.from_function(
             lambda q: np.where(np.abs(q - 0.5) < 0.01, np.nan, 0.0), g)
-        with pytest.raises(SingularNodeError):
+        # nodes 50 and 51 of 100, at q = 50/101 and 51/101
+        with pytest.raises(SingularNodeError, match=r"at 2 node\(s\) of the grid, the first "
+                                                    r"at q = 0\.49505$"):
+            solve_fixed(f, 1)
+        # the refined grid alone: q = 0.5 is its node 101 of 201
+        f = PotentialField.from_function(lambda q: np.where(q == 0.5, np.nan, 0.0), g)
+        with pytest.raises(SingularNodeError, match=r"at 1 node\(s\) of the refined grid, "
+                                                    r"the first at q = 0\.5$"):
             solve_fixed(f, 1)
 
     def test_k_states_validation(self):
@@ -235,7 +241,7 @@ class TestSelfConsistent:
     def test_cosh_massive_immediate_fixed_point(self):
         model = builtin_model("cosh_square", alpha=1, v0=1, m0=1)
         tmap = build_transform(model.velocity, 0.0)
-        grid = QGrid(tmap.q_lo, tmap.q_hi, 2000, offset=False)
+        grid = QGrid(tmap.q_lo, tmap.q_hi, 2000)
         pair, e_conv, history = solve_self_consistent(model, tmap, grid, 0, 2.0)
         assert len(history) - 1 <= 2
         assert e_conv == pytest.approx(E1_COSH_MASSIVE, rel=1e-6)
@@ -244,7 +250,7 @@ class TestSelfConsistent:
     def test_massless_matches_fixed_solve(self):
         model = builtin_model("cosh_square", alpha=1, v0=1, m0=0)
         tmap = build_transform(model.velocity, 0.0)
-        grid = QGrid(tmap.q_lo, tmap.q_hi, 1500, offset=False)
+        grid = QGrid(tmap.q_lo, tmap.q_hi, 1500)
         pair, e_conv, _ = solve_self_consistent(model, tmap, grid, 0, 1.0)
         fixed = solve_fixed(exact_potential(model, 1.0, grid, tmap), 1)
         assert e_conv == pytest.approx(math.sqrt(fixed.pairs[0].lam), rel=1e-12)
@@ -252,7 +258,7 @@ class TestSelfConsistent:
     def test_poschl_teller_exact_mode(self):
         model = builtin_model("poschl_teller", alpha=1, v0=1, m0=1)
         tmap = build_transform(model.velocity, model.anchor)
-        grid = QGrid(tmap.q_lo, tmap.q_hi, 4000, offset=True)
+        grid = QGrid(tmap.q_lo, tmap.q_hi, 4000)
         approx = solve_fixed(approx_potential(model, grid, tmap), 1)
         e_approx = approx.energies[0][0]
         pair, e_exact, history = solve_self_consistent(model, tmap, grid, 0,
@@ -265,7 +271,7 @@ class TestSelfConsistent:
     def test_nonconvergence_carries_history(self):
         model = builtin_model("poschl_teller", alpha=1, v0=1, m0=1)
         tmap = build_transform(model.velocity, model.anchor)
-        grid = QGrid(tmap.q_lo, tmap.q_hi, 1000, offset=True)
+        grid = QGrid(tmap.q_lo, tmap.q_hi, 1000)
         with pytest.raises(NonConvergenceError) as err:
             solve_self_consistent(model, tmap, grid, 0, 3.0, tol=1e-14,
                                   max_iter=1)
@@ -274,7 +280,7 @@ class TestSelfConsistent:
     def test_bad_tolerance(self):
         model = builtin_model("cosh_square", alpha=1, v0=1, m0=1)
         tmap = build_transform(model.velocity, 0.0)
-        grid = QGrid(-0.9, 0.9, 200, offset=False)
+        grid = QGrid(-0.9, 0.9, 200)
         with pytest.raises(InvalidParameterError):
             solve_self_consistent(model, tmap, grid, 0, 1.0, tol=0.0)
 
@@ -313,7 +319,7 @@ class TestSolveExact:
         model = builtin_model("poschl_teller", alpha=1, v0=1, m0=1)
         tmap = build_transform(model.velocity, model.anchor)
         lattice = solve_exact(model, tmap, 2000, 2)
-        grid = QGrid(tmap.q_lo, tmap.q_hi, 2000, offset=True)
+        grid = QGrid(tmap.q_lo, tmap.q_hi, 2000)
         for k in range(2):
             e_lat = lattice.energies[k][0]
             _, e_sc, _ = solve_self_consistent(model, tmap, grid, k, e_lat)
@@ -397,6 +403,26 @@ class TestSolveApproximate:
                                                                   b.error_estimate, b.grid)
             assert np.array_equal(a.phi, b.phi)
 
+    def test_infinite_range_boxes_take_the_plain_grid(self):
+        # v_F = 1, m = 1 + x^2 on the numeric map: q = x runs over the whole line,
+        # and the box that settles (|q| <= 16) has its walls h from its end nodes
+        line = (-math.inf, math.inf)
+        model = ModelSpec("library", MassProfile.from_callable(
+            lambda x: 1.0 + np.asarray(x) ** 2, lambda x: 2.0 * np.asarray(x),
+            lambda x: np.full_like(np.asarray(x, dtype=float), 2.0), line),
+            VelocityProfile.from_callable(lambda x: np.ones_like(np.asarray(x, dtype=float)),
+                                          domain=line),
+            line, {}, "library", anchor=0.0)
+        tmap = build_transform(model.velocity, model.anchor)
+        result = solve_approximate(model, tmap, 2000, 3)
+        grid = result.field.grid
+        assert (grid.lo, grid.hi, grid.n) == (-16.0, 16.0, 2000)
+        assert grid.nodes[0] - grid.lo == pytest.approx(grid.h, rel=1e-12)
+        assert grid.hi - grid.nodes[-1] == pytest.approx(grid.h, rel=1e-12)
+        for pair, lam in zip(result.pairs, (2.342489364775, 6.244092736395, 10.625858776473),
+                             strict=True):
+            assert pair.lam == pytest.approx(lam, rel=1e-10)
+
     @pytest.mark.parametrize("name", ["poschl_teller", "cosh_square"])
     def test_two_passes_give_the_per_grid_solve(self, monkeypatch, name):
         # n = 2000: the two wall probes take one pass, and the ladder's two grids,
@@ -411,7 +437,7 @@ class TestSolveApproximate:
             [grid.n for grid in grids]) or real(model, grids, tmap))
         got = solve_approximate(model, tmap, 2000, 3)
         assert passes == [[3, 3], [2000, 62, 125, 4001]]
-        assert got.field.grid == want.field.grid and not got.field.grid.offset
+        assert got.field.grid == want.field.grid
         assert got.field.values.tobytes() == want.field.values.tobytes()
         assert got.energies == want.energies
         for a, b in zip(got.pairs, want.pairs, strict=True):
@@ -420,8 +446,7 @@ class TestSolveApproximate:
     @pytest.mark.parametrize("g", [0.55, 0.7])
     def test_plain_grid_in_the_band(self, g):
         # the g < 1 band of poschl_teller, alpha = v0 = 1, n = 2000: the plain grid
-        # reads E0..E4 within 5e-6 of the closed form (about 2e-6 and 2.7e-6);
-        # an offset grid, half a step from the walls, reads 2.0e-4 and 1.0e-5
+        # reads E0..E4 within 5e-6 of the closed form (about 2e-6 and 2.7e-6)
         params = dict(alpha=1.0, v0=1.0, m0=g)
         model = builtin_model("poschl_teller", **params)
         result = solve_approximate(model, build_transform(model.velocity, model.anchor), 2000,
@@ -552,7 +577,7 @@ def pt_matrices(n, lattice):
     model = builtin_model("poschl_teller", alpha=1.43, v0=1.90, m0=2.63)
     tmap = build_transform(model.velocity, model.anchor)
     if lattice:
-        grid = QGrid(tmap.q_lo, tmap.q_hi, n, offset=False)
+        grid = QGrid(tmap.q_lo, tmap.q_hi, n)
         u = eigensolver.u_values(model, tmap.inverse_grid(
             tmap.q_lo + np.arange(1, 4 * n + 4) * (0.25 * grid.h)))
         coarse = eigensolver._staggered(u[1::2], grid.h)
@@ -560,7 +585,7 @@ def pt_matrices(n, lattice):
         tol = eigensolver._bisection_tol(*coarse)
         d, e = eigensolver._staggered(u, 0.5 * grid.h)
         return d, e, w, tol, eigensolver._inertia_floor(u, 0.5 * grid.h), 2 * n + 2
-    field = approx_potential(model, QGrid(tmap.q_lo, tmap.q_hi, n, offset=True), tmap)
+    field = approx_potential(model, QGrid(tmap.q_lo, tmap.q_hi, n), tmap)
     fine = field.on_grid(field.grid.refined())
     w = eigensolver.eigh_tridiagonal(*eigensolver._schrodinger(field.values, field.grid.h),
                                      select="i", select_range=(0, 3))
@@ -599,7 +624,7 @@ class TestRefinedBrackets:
         # is bisected by index
         pt = builtin_model("poschl_teller", alpha=1, v0=1, m0=1)
         tmap = build_transform(pt.velocity, pt.anchor)
-        field = approx_potential(pt, QGrid(tmap.q_lo, tmap.q_hi, 64, offset=True), tmap)
+        field = approx_potential(pt, QGrid(tmap.q_lo, tmap.q_hi, 64), tmap)
         res = solve_fixed(field, 32)
         fine = field.on_grid(field.grid.refined())
         assert eigensolver._even(field.values, fine.values)
@@ -628,8 +653,9 @@ class TestShiftedCertificate:
     def test_even_matrix_solved_whole_finds_its_odd_levels(self, monkeypatch):
         # the potential made exactly even and solved without the fold: levels 1
         # and 3 are odd, and a start vector with reflection symmetry has no part
-        # along them, so its solve at level 1 falls to level 0, which is refused
-        d, e, guesses, tol, floor, below = pt_matrices(2000, lattice=False)
+        # along them, so its solve at level 1 falls to level 0, which is refused;
+        # on n = 1999 it lands 1.3 tol from level 0 (8.2 tol on n = 2000)
+        d, e, guesses, tol, floor, below = pt_matrices(1999, lattice=False)
         d = 0.5 * (d + d[::-1])
         ref = eigensolver.eigh_tridiagonal(d, e, select="i", tol=tol, select_range=(0, 3))
         w = eigensolver._in_windows([(d, e)], guesses, tol, floor)
@@ -707,16 +733,15 @@ assert "numpy.random" not in sys.modules, "numpy.random loaded"
 
 
 def ladder_field(name, n, **params):
-    """``name``'s approximate-mode potential at alpha 1.2, v0 1.1 on n nodes: the
-    offset grid for poschl_teller, m0 from g = m0 v0 / alpha; the plain grid else."""
+    """``name``'s approximate-mode potential at alpha 1.2, v0 1.1 on n nodes; for
+    poschl_teller, m0 from g = m0 v0 / alpha."""
     if name == "tilted":  # q^2 + q: no mirror symmetry, so solved whole
-        return PotentialField.from_function(lambda q: q * q + q, QGrid(-8.0, 8.0, n, offset=True))
+        return PotentialField.from_function(lambda q: q * q + q, QGrid(-8.0, 8.0, n))
     if name == "poschl_teller":
         params = dict(m0=params.pop("g") * 1.2 / 1.1, **params)
     model = builtin_model(name, alpha=1.2, v0=1.1, **params)
     tmap = build_transform(model.velocity, model.anchor)
-    grid = QGrid(tmap.q_lo, tmap.q_hi, n, offset=name == "poschl_teller")
-    return approx_potential(model, grid, tmap)
+    return approx_potential(model, QGrid(tmap.q_lo, tmap.q_hi, n), tmap)
 
 
 def in_ladder(monkeypatch):
@@ -811,7 +836,7 @@ class TestGridLadder:
         solve_fixed(field, 3, vectors=False)
         assert [size for select, size in calls if select == "i"] == rows
         assert {size for select, size in calls if select == "v"} == (
-            {2000, 4000} if len(rows) == 4 else {4000, 8000})
+            {2000, 4000, 4001} if len(rows) == 4 else {4000, 8001})
 
     def test_below_2000_nodes_no_ladder(self, monkeypatch):
         # the gate of both solvers: n >= 2000 base nodes and k <= n // 64
@@ -875,7 +900,7 @@ class TestGridLadder:
         # path's levels bit for bit, with vectors or not
         if mode == "approximate":
             field = ladder_field("poschl_teller", 8000, g=2.0)
-            ref, rows = index_path(field, 5), (8000, 16000)
+            ref, rows = index_path(field, 5), (8000, 16001)
 
             def solve(vectors):
                 return solve_fixed(field, 5, vectors=vectors)
@@ -909,11 +934,11 @@ class TestGridLadder:
     def test_singular_coarse_node_takes_the_index_path(self, monkeypatch):
         # q^2 + q is NaN at node 37 of the n/16 grid alone: no node of the base,
         # refined or n/32 grid sits there, so the solve runs, without a ladder
-        bad = QGrid(-8.0, 8.0, 250, offset=True).nodes[37]
+        bad = QGrid(-8.0, 8.0, 250).nodes[37]
         field = PotentialField.from_function(lambda q: np.where(q == bad, np.nan, q * q + q),
-                                             QGrid(-8.0, 8.0, 4000, offset=True))
+                                             QGrid(-8.0, 8.0, 4000))
         for n, singular in ((4000, []), (8000, []), (250, [37]), (125, [])):
-            grid = QGrid(-8.0, 8.0, n, offset=True)
+            grid = QGrid(-8.0, 8.0, n)
             assert np.flatnonzero(field.on_grid(grid).singular).tolist() == singular
         outcomes = ladder_outcomes(monkeypatch)
         levels = [p.lam for p in solve_fixed(field, 3).pairs]
@@ -1245,8 +1270,8 @@ PINNED_CALLS = [
                              ("v", True, 2000): 1, ("v", True, 2001): 1, ("v", True, 4001): 1,
                              ("v", True, 4002): 1}),
     ("tilted", None, 4000, 3, {("i", False, 125): 1, ("i", False, 250): 1,
-                               ("gttrf", 4000): 3, ("gttrf", 8000): 3,
-                               ("v", True, 4000): 1, ("v", True, 8000): 1}),
+                               ("gttrf", 4000): 3, ("gttrf", 8001): 3,
+                               ("v", True, 4000): 1, ("v", True, 8001): 1}),
 ]
 
 
@@ -1489,14 +1514,13 @@ class TestParityFold:
         assert not eigensolver._even(np.array([np.nan, 1.0, np.nan]))
 
     @pytest.mark.parametrize("k", [1, 4, 5])
-    @pytest.mark.parametrize("name,n,offset", [
-        ("poschl_teller", 2000, True), ("poschl_teller", 2001, True),
-        ("cosh_square", 2000, False), ("cosh_square", 2001, False),
-        ("rational", 2001, False)])
-    def test_approximate_mode_matches_full_solve(self, name, n, offset, k):
+    @pytest.mark.parametrize("name,n", [
+        ("poschl_teller", 2000), ("poschl_teller", 2001), ("cosh_square", 2000),
+        ("cosh_square", 2001), ("rational", 2001)])
+    def test_approximate_mode_matches_full_solve(self, name, n, k):
         model = builtin_model(name, alpha=1.43, v0=1.9, m0=2.63)
         tmap = build_transform(model.velocity, model.anchor)
-        field = approx_potential(model, QGrid(tmap.q_lo, tmap.q_hi, n, offset=offset), tmap)
+        field = approx_potential(model, QGrid(tmap.q_lo, tmap.q_hi, n), tmap)
         assert eigensolver._even(field.values, field.on_grid(field.grid.refined()).values)
         full = unfolded(solve_fixed, field, k)
         tol = eigensolver._bisection_tol(*eigensolver._schrodinger(field.values, field.grid.h))
@@ -1535,8 +1559,8 @@ class TestParityFold:
         if lattice:
             solve, inputs, sunk, rows = solve_exact, (model, tmap, 400, k), 401, (801, 1603)
         else:
-            field = approx_potential(model, QGrid(tmap.q_lo, tmap.q_hi, 401, offset=True), tmap)
-            solve, inputs, sunk, rows = solve_fixed, (field, k), 200, (401, 802)
+            field = approx_potential(model, QGrid(tmap.q_lo, tmap.q_hi, 401), tmap)
+            solve, inputs, sunk, rows = solve_fixed, (field, k), 200, (401, 803)
         real_count, real_inertia = eigensolver._count, eigensolver._inertia
         monkeypatch.setattr(eigensolver, "_count", lambda d, e, lo, hi: real_count(d, e, lo, hi)
                             + (d.size == sunk and lo > -math.inf))
@@ -1652,12 +1676,11 @@ class TestNodeSweep:
 
     @pytest.mark.parametrize("whole", [False, True], ids=["folded", "whole"])
     @pytest.mark.parametrize("n", SWEEP_NS)
-    @pytest.mark.parametrize("name,offset", [("poschl_teller", True), ("cosh_square", False),
-                                             ("rational", False)])
-    def test_approximate(self, monkeypatch, name, offset, n, whole):
+    @pytest.mark.parametrize("name", ["poschl_teller", "cosh_square", "rational"])
+    def test_approximate(self, monkeypatch, name, n, whole):
         model = sweep_model(name)
         tmap = build_transform(model.velocity, model.anchor)
-        field = approx_potential(model, QGrid(tmap.q_lo, tmap.q_hi, n, offset=offset), tmap)
+        field = approx_potential(model, QGrid(tmap.q_lo, tmap.q_hi, n), tmap)
         folds = fold_switch(monkeypatch, whole)
         assert_vectorless_matches(solve_fixed(field, 5), solve_fixed(field, 5, vectors=False))
         assert bool(folds) != whole
@@ -1684,7 +1707,7 @@ class TestNodeSweep:
         # a confining q^2 + tilt q: the even well folds, the tilted one is solved whole
         def builder(L):
             return PotentialField.from_function(lambda q: q * q + tilt * q,
-                                                QGrid(-L, L, 2000, offset=True))
+                                                QGrid(-L, L, 2000))
 
         on, L = expand_until_settled(builder, 5)
         off, L_off = expand_until_settled(builder, 5, vectors=False)
@@ -1695,7 +1718,7 @@ class TestNodeSweep:
 class TestExpandUntilSettled:
     def test_harmonic_settles(self):
         def builder(L):
-            g = QGrid(-L, L, 2000, offset=True)
+            g = QGrid(-L, L, 2000)
             return PotentialField.from_function(lambda q: q ** 2, g)
 
         result, L = expand_until_settled(builder, 3, l_start=8.0)
@@ -1707,7 +1730,7 @@ class TestExpandUntilSettled:
         # computed for the two parity blocks of the returned box alone, and it
         # is returned as solve_fixed solves it
         def builder(L):
-            return PotentialField.from_function(lambda q: q * q, QGrid(-L, L, 2000, offset=True))
+            return PotentialField.from_function(lambda q: q * q, QGrid(-L, L, 2000))
 
         steps = []  # h of each vector step, from e = -1/h^2
         real = eigensolver._eigenvectors
@@ -1741,19 +1764,19 @@ class TestExpandUntilSettled:
         # V = 100 (1 - exp(-q^2)): the edge is stuck at 100 but stays 100 above
         # min V, so both boxes are solved once each, as before the early exit
         def builder(L):
-            g = QGrid(-L, L, 2000, offset=True)
+            g = QGrid(-L, L, 2000)
             return PotentialField.from_function(lambda q: 100.0 * (1.0 - np.exp(-q * q)), g)
 
         solves = self.count_calls(monkeypatch, "solve_fixed")
         result, L = expand_until_settled(builder, 1)
         assert L == 16.0
         assert solves[0] == 2
-        assert result.pairs[0].lam == pytest.approx(9.623601264604636, rel=1e-12)
+        assert result.pairs[0].lam == pytest.approx(9.62360126448206, rel=1e-12)
 
     def test_stuck_edge_above_margin_checked_after_solve(self, monkeypatch):
         # V = 30 (1 - exp(-q^2)): edge 30 clears min V + 25 but not lambda_0 + 25
         def builder(L):
-            g = QGrid(-L, L, 1000, offset=True)
+            g = QGrid(-L, L, 1000)
             return PotentialField.from_function(lambda q: 30.0 * (1.0 - np.exp(-q * q)), g)
 
         solves = self.count_calls(monkeypatch, "solve_fixed")
@@ -1764,7 +1787,7 @@ class TestExpandUntilSettled:
     def test_unconfined_decided_before_any_eigensolve(self, monkeypatch):
         # the linear_singular reduced potential A^2 v0^4 e^{2 v0 q} - v0^2/16
         def builder(L):
-            g = QGrid(-L, L, 400, offset=True)
+            g = QGrid(-L, L, 400)
             return PotentialField.from_function(lambda q: np.exp(2.0 * q) - 1.0 / 16.0, g)
 
         tridiag = self.count_calls(monkeypatch, "eigh_tridiagonal")
@@ -1776,7 +1799,7 @@ class TestExpandUntilSettled:
     def test_unconfined_raises(self):
         # flat potential: eigenvalues never settle and the edge never beats them
         def builder(L):
-            g = QGrid(-L, L, 500, offset=True)
+            g = QGrid(-L, L, 500)
             return PotentialField.from_function(lambda q: 0.0 * q, g)
 
         with pytest.raises(NonConvergenceError):

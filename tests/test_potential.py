@@ -32,29 +32,22 @@ PT_EXACT_CENTER_E2 = 5.0 / 6.0  # bracket at the hole center for E=2, a=v0=m0=1
 def pt_setup(alpha=1.0, v0=1.0, m0=1.0, n=2001):
     model = builtin_model("poschl_teller", alpha=alpha, v0=v0, m0=m0)
     tmap = build_transform(model.velocity, model.anchor)
-    grid = QGrid(tmap.q_lo, tmap.q_hi, n, offset=True)
+    grid = QGrid(tmap.q_lo, tmap.q_hi, n)
     return model, tmap, grid
 
 
 class TestQGrid:
     def test_interior_nodes(self):
-        g = QGrid(0.0, 1.0, 9, offset=False)
+        g = QGrid(0.0, 1.0, 9)
         assert g.h == pytest.approx(0.1)
         assert g.nodes[0] == pytest.approx(0.1)
         assert g.nodes[-1] == pytest.approx(0.9)
 
-    def test_offset_nodes(self):
-        g = QGrid(0.0, 1.0, 10, offset=True)
-        assert g.h == pytest.approx(0.1)
-        assert g.nodes[0] == pytest.approx(0.05)
-        assert g.nodes[-1] == pytest.approx(0.95)
-
     def test_refined_preserves_walls(self):
-        g = QGrid(-2.0, 3.0, 100, offset=False).refined()
+        g = QGrid(-2.0, 3.0, 100).refined()
         assert (g.lo, g.hi) == (-2.0, 3.0)
         assert g.h == pytest.approx(QGrid(-2.0, 3.0, 100).h / 2)
-        g2 = QGrid(-2.0, 3.0, 100, offset=True).refined()
-        assert g2.n == 200
+        assert g.n == 201
 
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
@@ -67,7 +60,7 @@ class TestExactPotential:
     def test_massless_identically_zero(self):
         model = builtin_model("cosh_square", alpha=1, v0=1, m0=0)
         tmap = build_transform(model.velocity, 0.0)
-        grid = QGrid(tmap.q_lo, tmap.q_hi, 301, offset=False)
+        grid = QGrid(tmap.q_lo, tmap.q_hi, 301)
         for energy in (0.7, 1.3, -2.0, 5.5):
             f = exact_potential(model, energy, grid, tmap)
             assert np.all(f.values == 0.0)
@@ -76,7 +69,7 @@ class TestExactPotential:
     def test_constant_u_gives_a_squared(self):
         model = builtin_model("cosh_square", alpha=1, v0=1, m0=1)
         tmap = build_transform(model.velocity, 0.0)
-        grid = QGrid(tmap.q_lo, tmap.q_hi, 301, offset=False)
+        grid = QGrid(tmap.q_lo, tmap.q_hi, 301)
         for energy in (-0.5, 0.2, 1.9, 10.0):  # any E > -1 avoids zeta_2 = 0
             f = exact_potential(model, energy, grid, tmap)
             assert np.max(np.abs(f.values - 1.0)) <= 1e-12
@@ -84,7 +77,7 @@ class TestExactPotential:
     def test_poschl_teller_center_value(self):
         model, tmap, grid = pt_setup()
         f = exact_potential(model, 2.0, grid, tmap)
-        # center node sits at q=0 only for odd offset grids; interpolate
+        # a node sits at q=0 only on odd grids; take the nearest
         i = np.argmin(np.abs(grid.nodes))
         assert f.values[i] == pytest.approx(PT_EXACT_CENTER_E2, abs=1e-6)
         fa = approx_potential(model, grid, tmap)
@@ -101,7 +94,7 @@ class TestExactPotential:
     def test_zeta_identically_zero_flags_all(self):
         model = builtin_model("cosh_square", alpha=1, v0=1, m0=1)
         tmap = build_transform(model.velocity, 0.0)
-        grid = QGrid(tmap.q_lo, tmap.q_hi, 101, offset=False)
+        grid = QGrid(tmap.q_lo, tmap.q_hi, 101)
         f = exact_potential(model, -1.0, grid, tmap)  # zeta_2 = E + A = 0
         assert f.singular.all()
         assert np.all(np.isnan(f.values))
@@ -111,7 +104,7 @@ class TestExactPotential:
         f = exact_potential(model, 2.0, grid, tmap)
         assert f.mode == "exact" and f.energy == 2.0
         fr = f.on_grid(grid.refined())
-        assert fr.grid.n == 2 * grid.n
+        assert fr.grid.n == 2 * grid.n + 1
         assert fr.energy == 2.0
 
 
@@ -136,14 +129,14 @@ class TestApproxPotential:
     def test_constant_rest(self):
         model = builtin_model("constant_rest", m0=1, c=1)
         tmap = build_transform(model.velocity, 0.0)
-        grid = QGrid(-5.0, 5.0, 201, offset=False)
+        grid = QGrid(-5.0, 5.0, 201)
         f = approx_potential(model, grid, tmap)
         assert np.max(np.abs(f.values - 1.0)) <= 1e-12
 
     def test_linear_singular_point_value(self):
         model = builtin_model("linear_singular", A=1, v0=1)
         tmap = build_transform(model.velocity, model.anchor)
-        grid = QGrid(-1.0, 1.0, 201, offset=True)
+        grid = QGrid(-1.0, 1.0, 201)
         f = approx_potential(model, grid, tmap)
         i = np.argmin(np.abs(grid.nodes))  # q ~ 0 <-> x ~ 1
         # 3/16 - 1/4 + 1 at the anchor
@@ -152,7 +145,7 @@ class TestApproxPotential:
     def test_linear_singular_exponential_form(self):
         model = builtin_model("linear_singular", A=1.3, v0=0.7)
         tmap = build_transform(model.velocity, model.anchor)
-        grid = QGrid(-3.0, 3.0, 501, offset=True)
+        grid = QGrid(-3.0, 3.0, 501)
         f = approx_potential(model, grid, tmap)
         q = grid.nodes
         closed = 1.3 ** 2 * 0.7 ** 4 * np.exp(2 * 0.7 * q) - 0.7 ** 2 / 16.0
@@ -161,7 +154,7 @@ class TestApproxPotential:
     def test_massless_rejected(self):
         model = builtin_model("cosh_square", alpha=1, v0=1, m0=0)
         tmap = build_transform(model.velocity, 0.0)
-        grid = QGrid(-0.9, 0.9, 101, offset=False)
+        grid = QGrid(-0.9, 0.9, 101)
         with pytest.raises(ApproximationInvalidError):
             approx_potential(model, grid, tmap)
 
@@ -169,7 +162,7 @@ class TestApproxPotential:
         # wherever both are defined, the constant-u class collapses them
         model = builtin_model("rational", alpha=1.1, v0=0.9, m0=0.8)
         tmap = build_transform(model.velocity, 0.0)
-        grid = QGrid(tmap.q_lo, tmap.q_hi, 256, offset=False)
+        grid = QGrid(tmap.q_lo, tmap.q_hi, 256)
         a_const = 0.8 * 0.9 ** 2
         fa = approx_potential(model, grid, tmap)
         fe = exact_potential(model, 2.2, grid, tmap)
@@ -182,7 +175,7 @@ class TestApproxPotential:
         for name in ("cosh_square", "rational"):
             model = builtin_model(name, alpha=1.2, v0=0.8, m0=0.5)
             tmap = build_transform(model.velocity, 0.0)
-            grid = QGrid(tmap.q_lo, tmap.q_hi, 400, offset=True)
+            grid = QGrid(tmap.q_lo, tmap.q_hi, 400)
             f = approx_potential(model, grid, tmap)
             assert np.max(np.abs(f.values - f.values[::-1])) <= 1e-10
 
@@ -238,8 +231,8 @@ class TestPass:
     @pytest.mark.parametrize("name", [*PASS_MODELS, "custom"])
     def test_values_match_each_grid_alone(self, name):
         model, tmap, (lo, hi) = pass_case(name)
-        base = QGrid(lo, hi, 5000, offset=True)
-        also = [QGrid(lo, hi, 156, offset=True), QGrid(lo, hi, 312, offset=True),
+        base = QGrid(lo, hi, 5000)
+        also = [QGrid(lo, hi, 156), QGrid(lo, hi, 312),
                 base.refined()]
         # the refined grid straddles the first block's end
         assert 5000 + 156 + 312 < potential._PASS_BLOCK < sum(g.n for g in [base, *also])
@@ -254,7 +247,7 @@ class TestPass:
     @pytest.mark.parametrize("name", [*PASS_MODELS, "custom"])
     def test_exact_values_match_each_grid_alone(self, name):
         model, tmap, (lo, hi) = pass_case(name)
-        grid = QGrid(lo, hi, 2001, offset=True)
+        grid = QGrid(lo, hi, 2001)
         field = exact_potential(model, 2.0, grid, tmap)
         fresh = build_transform(model.velocity, model.anchor)
         assert field.values.tobytes() == one_grid(model, grid, fresh, energy=2.0).tobytes()
@@ -265,10 +258,10 @@ class TestPass:
         real = type(tmap).inverse_grids
         monkeypatch.setattr(type(tmap), "inverse_grids",
                             lambda self, qs: calls.append([q.size for q in qs]) or real(self, qs))
-        grid = QGrid(lo, hi, 300, offset=True)
+        grid = QGrid(lo, hi, 300)
         field = approx_potential(model, grid, tmap, also=[grid.refined()])
         fine = field.on_grid(grid.refined())
-        assert calls == [[300, 600]]
+        assert calls == [[300, 601]]
         assert fine.values.tobytes() == one_grid(model, fine.grid, tmap).tobytes()
 
     def test_overflowing_u_raises(self):
@@ -281,7 +274,7 @@ class TestPass:
 
 class TestConstantUPotential:
     def test_values_are_a_squared(self):
-        g = QGrid(-1.0, 1.0, 64, offset=False)
+        g = QGrid(-1.0, 1.0, 64)
         f = constant_u_potential(1.5, g)
         assert np.all(f.values == 1.5 ** 2)
         assert f.mode == "constant_u" and f.constant_a == 1.5
@@ -307,7 +300,7 @@ class TestDiscrepancyReport:
     def test_linear_singular_harmonic_grows(self):
         model = builtin_model("linear_singular", A=1, v0=1)
         tmap = build_transform(model.velocity, model.anchor)
-        grid = QGrid(-3.0, 3.0, 601, offset=True)
+        grid = QGrid(-3.0, 3.0, 601)
 
         def harmonic(q):
             omega = 2.0
@@ -323,7 +316,7 @@ class TestDiscrepancyReport:
     def test_constant_rest_zero_deviation(self):
         model = builtin_model("constant_rest", m0=1.2, c=1.0)
         tmap = build_transform(model.velocity, 0.0)
-        grid = QGrid(-4.0, 4.0, 201, offset=False)
+        grid = QGrid(-4.0, 4.0, 201)
 
         def claimed(q):
             return np.full_like(np.asarray(q, dtype=float), 1.2 ** 2)
@@ -334,7 +327,7 @@ class TestDiscrepancyReport:
 
 class TestFromFunction:
     def test_samples_and_refines(self):
-        g = QGrid(0.0, 1.0, 99, offset=False)
+        g = QGrid(0.0, 1.0, 99)
         f = PotentialField.from_function(lambda q: q ** 2, g)
         assert f.values == pytest.approx(g.nodes ** 2)
         fr = f.on_grid(g.refined())

@@ -459,7 +459,7 @@ class TestUSample:
         calls = count_sample_products(monkeypatch)
         model = builtin_model("poschl_teller", alpha=1.0, v0=1.0, m0=1.0)
         tmap = build_transform(model.velocity, model.anchor)
-        grid = QGrid(tmap.q_lo, tmap.q_hi, 300, offset=True)
+        grid = QGrid(tmap.q_lo, tmap.q_hi, 300)
         assert detect_constant_u(model) is None
         for _ in range(3):
             approx_potential(model, grid, tmap)

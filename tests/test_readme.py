@@ -25,4 +25,5 @@ def test_custom_profile_example_finds_poschl_teller_e0():
     scope = {"__name__": "readme_example"}
     exec(compile(code, str(README), "exec"), scope)
     assert f"{scope['e0']:.8f}" == "1.48937765"
-    assert not scope["grid"].offset
+    grid, tmap = scope["grid"], scope["tmap"]
+    assert (grid.lo, grid.hi, grid.n) == (tmap.q_lo, tmap.q_hi, 2000)

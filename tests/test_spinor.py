@@ -34,7 +34,7 @@ SQRT_HALF = 0.7071067811865476
 def cosh_setup(m0=0.0, n_grid=4000):
     model = builtin_model("cosh_square", alpha=1, v0=1, m0=m0)
     tmap = build_transform(model.velocity, 0.0)
-    grid = QGrid(tmap.q_lo, tmap.q_hi, n_grid, offset=False)
+    grid = QGrid(tmap.q_lo, tmap.q_hi, n_grid)
     res = solve_fixed(constant_u_potential(m0, grid), 3)
     return model, tmap, grid, res
 
@@ -67,7 +67,7 @@ class TestReconstruct:
     def test_rational_massive_state(self):
         model = builtin_model("rational", alpha=1, v0=1, m0=1)
         tmap = build_transform(model.velocity, 0.0)
-        grid = QGrid(tmap.q_lo, tmap.q_hi, 4000, offset=False)
+        grid = QGrid(tmap.q_lo, tmap.q_hi, 4000)
         res = solve_fixed(constant_u_potential(1.0, grid), 2)
         e = res.energies[0][0]
         spin = normalize(reconstruct(res.pairs[0], model, tmap, e))
@@ -99,7 +99,7 @@ class TestReconstruct:
         if exact:
             res = solve_exact(model, tmap, 400, 2, vectors=False)
         else:
-            grid = QGrid(tmap.q_lo, tmap.q_hi, 400, offset=True)
+            grid = QGrid(tmap.q_lo, tmap.q_hi, 400)
             res = solve_fixed(approx_potential(model, grid, tmap), 2, vectors=False)
         assert res.pairs[1].phi is None and res.pairs[1].chi is None
         with pytest.raises(InvalidParameterError,
@@ -179,7 +179,7 @@ class TestDiracResidual:
         # state: the interior central-difference residual at n=8000)
         model = builtin_model("poschl_teller", alpha=1, v0=1, m0=1)
         tmap = build_transform(model.velocity, model.anchor)
-        grid = QGrid(tmap.q_lo, tmap.q_hi, 8000, offset=True)
+        grid = QGrid(tmap.q_lo, tmap.q_hi, 8000)
         seed = solve_fixed(approx_potential(model, grid, tmap), 1)
         pair, e_exact, _ = solve_self_consistent(model, tmap, grid, 0,
                                                  seed.energies[0][0])

@@ -392,14 +392,15 @@ QUAD_CASES = [
 
 class TestQuadrature:
     @pytest.mark.parametrize("name,params,box", QUAD_CASES)
-    @pytest.mark.parametrize("offset", [True, False])
-    def test_spot_check_segments_match_quadpack(self, name, params, box, offset):
-        # the segments of an n = 32000 spot check, both ways round: QUADPACK
-        # and the closed form agree with the GL-16 rule
+    @pytest.mark.parametrize("refined", [True, False])
+    def test_spot_check_segments_match_quadpack(self, name, params, box, refined):
+        # the segments of the spot checks of an n = 32000 grid and of its refined
+        # grid, both ways round: QUADPACK and the closed form agree with the GL-16 rule
         model, tmap = _model_and_map(name, **params)
         lo, hi = (tmap.q_lo, tmap.q_hi) if box is None else box
         f = tmap._f
-        for a, b in _spot_segments(tmap, QGrid(lo, hi, 32000, offset=offset).nodes):
+        grid = QGrid(lo, hi, 32000)
+        for a, b in _spot_segments(tmap, (grid.refined() if refined else grid).nodes):
             exact = float(model.velocity.q_of_x(b) - model.velocity.q_of_x(a))
             tol = 1e-13 * max(1.0, abs(exact))
             ours = transform._quad(f, a, b, 1e-12)
