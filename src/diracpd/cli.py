@@ -31,13 +31,14 @@ lines.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import math
 import os
 import sys
 import textwrap
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -46,6 +47,7 @@ from . import _csvfloat
 from .eigensolver import (
     EigenPair,
     SpectrumResult,
+    approx_family,
     energies_from_lambda,
     solve_approximate,
     solve_exact,
@@ -276,23 +278,26 @@ class SolveOutcome:
 
 
 def run_solve_pipeline(rc: RunConfig, model: Optional[ModelSpec] = None,
-                       tmap: Optional[TransformMap] = None,
-                       vectors: bool = True) -> SolveOutcome:
+                       tmap: Optional[TransformMap] = None, vectors: bool = True,
+                       family: Optional[dict] = None, r: float = 1.0) -> SolveOutcome:
     """profiles -> transform -> potential -> eigensolver, per resolved mode.
 
     A given ``tmap`` must be the map of ``model.velocity`` anchored at
     ``model.anchor``; without one it is built here.
     ``vectors`` asks the eigensolver for eigenvectors (see solve_fixed).
+    A ``family`` (see solve_approximate, with r) carries its reference's
+    verdicts: approximate mode, outside the constant-u class.
     """
     if model is None:
         model = _build_model(rc)
     if tmap is None:
         tmap = build_transform(model.velocity, model.anchor)
-    mode, a_const = _resolve_mode(rc, model)
+    mode, a_const = ("approximate", None) if family is not None else _resolve_mode(rc, model)
     if mode == "exact":
         result = solve_exact(model, tmap, rc.grid_n, rc.k_states, vectors=vectors)
     elif mode == "approximate":
-        result = solve_approximate(model, tmap, rc.grid_n, rc.k_states, vectors=vectors)
+        result = solve_approximate(model, tmap, rc.grid_n, rc.k_states, vectors=vectors,
+                                   family=family, r=r)
     else:
         _require_constant_u(model, a_const, "mode constant-u")
         if math.isfinite(tmap.q_lo) and math.isfinite(tmap.q_hi):
@@ -444,6 +449,12 @@ def cmd_solve(rc: RunConfig) -> int:
         if math.isfinite(rel):
             worst = max(worst, rel)
 
+    # the first two levels that do not rise: states narrower than a grid step
+    unresolved = [f"levels {k - 1} and {k} do not rise: the grid of n = {grid.n} nodes does "
+                  f"not resolve these states" for k in range(1, len(numeric))
+                  if not numeric[k] > numeric[k - 1]][:1]
+    if unresolved:
+        print(unresolved[0])
     missing = (_unmatched_reference(numeric, reference, rc.compare_tol)
                if _interleaved(reference) else [])
     for n_ref, e_ref in missing:
@@ -480,6 +491,7 @@ def cmd_solve(rc: RunConfig) -> int:
         causes = [f"reference level n={n} not found" for n, _ in missing]
         if worst > rc.compare_tol:
             causes.insert(0, f"worst rel dev {worst:.3e} > {rc.compare_tol:g}")
+        causes += unresolved
         print("strict comparison failed: " + "; ".join(causes), file=sys.stderr)
         return EXIT_COMPARE
     return EXIT_OK
@@ -515,8 +527,29 @@ def cmd_bic(rc: RunConfig) -> int:
     return EXIT_OK
 
 
-# the one (ModelSpec.map_key, map) pair a scan holds between points
-_HeldMap = Tuple[Optional[Hashable], Optional[TransformMap]]
+@dataclass(frozen=True)
+class _Held:
+    """What a scan holds between points: the map of ModelSpec.map_key ``key``
+    and, over the model's ``u_scale``, the potential family (approx_family)
+    of the first nonzero axis value ``ref``, once that member resolves to
+    approximate mode outside the constant-u class: every point shares it."""
+    ref: Optional[float]
+    key: Optional[Hashable] = None
+    tmap: Optional[TransformMap] = None
+    family: Optional[dict] = None
+
+
+def _hold(rc: RunConfig, model: ModelSpec, value: float, held: _Held) -> _Held:
+    """``held`` for the point ``value`` of ``model``: a new map where its ``map_key``
+    differs or is None, and the family at the reference. Neither is held where
+    its build raises; the points then take a fresh solve's path."""
+    if model.map_key is None or model.map_key != held.key:
+        held = _Held(held.ref, model.map_key, build_transform(model.velocity, model.anchor))
+    if (held.family is None and value == held.ref and model.facts.u_scale == rc.scan_param
+            and _resolve_mode(rc, model) == ("approximate", None)):
+        with contextlib.suppress(NumericalError):
+            held = replace(held, family=approx_family(model, held.tmap, rc.grid_n, rc.k_states))
+    return held
 
 
 def cmd_scan(rc: RunConfig) -> int:
@@ -558,7 +591,11 @@ def cmd_scan(rc: RunConfig) -> int:
             os.remove(path)
 
     new_file = not os.path.exists(path)
-    held: _HeldMap = (None, None)
+    held = _Held(next((float(val) for val in values if val), None))
+    if held.ref is not None and _fmt(held.ref) in done:
+        # a resumed scan holds the reference's family, as the first run did
+        with contextlib.suppress(NumericalError, ConfigError, InvalidParameterError):
+            held = _hold(rc, _build_model(rc, override={rc.scan_param: held.ref}), held.ref, held)
     with open(path, "a", encoding="utf-8", newline="\n") as fh:
         if new_file:
             for line in header:
@@ -577,18 +614,20 @@ def cmd_scan(rc: RunConfig) -> int:
 
 
 def _scan_point(rc: RunConfig, value: float,
-                held: _HeldMap) -> Tuple[List[Tuple[str, ...]], _HeldMap]:
-    """Rows for one scan point, and the (map_key, map) pair to hold for the next.
+                held: _Held) -> Tuple[List[Tuple[str, ...]], _Held]:
+    """Rows for one scan point, and what to hold for the next (_hold).
 
-    The held map is reused when the point's model has the same non-None
-    ``map_key``; a map whose build raised is never held.
+    Each point builds its model, whose references its rows carry. With a
+    family held, a nonzero point takes V = W + r^2 S, r = value / ref: bit for
+    bit a fresh solve's V at r = 1 and at a power of two.
     """
     key = _fmt(value)
     try:
         model = _build_model(rc, override={rc.scan_param: value})
-        if model.map_key is None or model.map_key != held[0]:
-            held = (model.map_key, build_transform(model.velocity, model.anchor))
-        outcome = run_solve_pipeline(rc, model=model, tmap=held[1], vectors=False)
+        held = _hold(rc, model, value, held)
+        family = held.family if value else None
+        outcome = run_solve_pipeline(rc, model=model, tmap=held.tmap, vectors=False, family=family,
+                                     r=value / held.ref if family else 1.0)
         # row k holds level k beside the entry solve prints for it: nan when none
         # is defined or the level is interleaved in an as-published family
         return [(key, str(k), _fmt(e_num), _fmt(ref.e_plus) if ref else "nan", "ok")

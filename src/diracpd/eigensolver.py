@@ -606,20 +606,25 @@ def solve_fixed(potential: PotentialField, k_states: int,
                           mode=potential.mode, offset=offset, field=potential)
 
 
+def _probes(lo: float, hi: float) -> List[QGrid]:
+    """The two 3-node wall probes of (lo, hi), each 2e-8 of its width wide."""
+    width = hi - lo
+    return [QGrid(lo, lo + 2e-8 * width, 3), QGrid(hi - 2e-8 * width, hi, 3)]
+
+
 def _hardy_check(fields_on, lo: float, hi: float) -> None:
     """Raise UnboundedBelowError when V is unbounded below at a wall of (lo, hi).
 
-    V d^2 at the node next to each wall of a 3-node probe 2e-8 of the width
-    wide, d = 0.5e-8 of the width its distance from that wall, reads the wall
-    coefficient c of V ~ c / d^2; below -1/4 V has no lowest level there
-    (Hardy). ``fields_on(grids)`` gives V on both probes in one call or,
-    where that raises a NumericalError, in one call each, the low wall
-    first. A probe that raises DomainError (nodes that round onto its wall)
-    or SingularNodeError (u^2 overflowing there) reads no coefficient for
-    its wall; any other error propagates with its own cause.
+    V d^2 at the node next to each wall of its probe (_probes), d = 0.5e-8
+    of the width its distance from that wall, reads the wall coefficient c
+    of V ~ c / d^2; below -1/4 V has no lowest level there (Hardy).
+    ``fields_on(grids)`` gives V on both probes in one call or, where that
+    raises a NumericalError, in one call each, the low wall first. A probe
+    that raises DomainError (nodes that round onto its wall) or
+    SingularNodeError (u^2 overflowing there) reads no coefficient for its
+    wall; any other error propagates with its own cause.
     """
-    width = hi - lo
-    probes = [QGrid(lo, lo + 2e-8 * width, 3), QGrid(hi - 2e-8 * width, hi, 3)]
+    probes = _probes(lo, hi)
     try:
         fields = fields_on(probes)
     except NumericalError:
@@ -636,29 +641,52 @@ def _hardy_check(fields_on, lo: float, hi: float) -> None:
                 f"unbounded below at that wall, so it has no lowest level")
 
 
+def _solve_grids(lo: float, hi: float, n: int, k_states: int) -> List[QGrid]:
+    """The plain grid of n nodes on (lo, hi), its _ladder_grids and its refined grid."""
+    grid = QGrid(lo, hi, n)
+    return [grid, *_ladder_grids(grid, k_states), grid.refined()]
+
+
+def approx_family(model: ModelSpec, tmap: TransformMap, n: int,
+                  k_states: int) -> Optional[dict]:
+    """approx_potential's ``family`` of ``model``: W, S and max |u| on every
+    grid solve_approximate reads for (n, k_states), from its two passes (the
+    wall probes, then the grids). A pass that raises propagates; None on an
+    infinite q-range."""
+    lo, hi = tmap.q_lo, tmap.q_hi
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        return None
+    family: dict = {}
+    for grids in (_probes(lo, hi), _solve_grids(lo, hi, n, k_states)):
+        approx_potential(model, grids[0], tmap, also=grids[1:], family=family)
+    return family
+
+
 def solve_approximate(model: ModelSpec, tmap: TransformMap, n: int,
-                      k_states: int, vectors: bool = True) -> SpectrumResult:
+                      k_states: int, vectors: bool = True, family: Optional[dict] = None,
+                      r: float = 1.0) -> SpectrumResult:
     """Lowest k_states levels of the energy-independent (approximate) potential.
 
     A finite q-range gets the plain grid of n nodes, once _hardy_check finds
     V bounded below at both walls; V on it and on the ladder and refined
     grids solve_fixed reads comes from one pass (approx_potential's
-    ``also``), as V on the two wall probes does. An infinite side is cut at
-    |q| = L, a wall of the grid of n nodes, L doubled until the levels
-    settle (expand_until_settled). The result's ``field`` is the potential
-    of the grid it was solved on; ``vectors`` as in solve_fixed.
+    ``also``), as V on the two wall probes does; with ``family``
+    (approx_family of the same map, n and k_states, for a reference whose u
+    is this model's over r) each V is W + r^2 S and no pass runs. An infinite
+    side is cut at |q| = L, a wall of the grid of n nodes, L doubled until the
+    levels settle (expand_until_settled). The result's ``field`` is the
+    potential of the grid it was solved on; ``vectors`` as in solve_fixed.
     """
     def fields_on(grids):
-        first = approx_potential(model, grids[0], tmap, also=grids[1:])
+        first = approx_potential(model, grids[0], tmap, also=grids[1:], family=family, r=r)
         return [first] + [first.on_grid(grid) for grid in grids[1:]]
 
     lo, hi = tmap.q_lo, tmap.q_hi
     if math.isfinite(lo) and math.isfinite(hi):
         _hardy_check(fields_on, lo, hi)
-        grid = QGrid(lo, hi, n)
-        also = _ladder_grids(grid, k_states) + [grid.refined()]
-        return solve_fixed(approx_potential(model, grid, tmap, also=also), k_states,
-                           vectors=vectors)
+        grid, *also = _solve_grids(lo, hi, n, k_states)
+        return solve_fixed(approx_potential(model, grid, tmap, also=also, family=family, r=r),
+                           k_states, vectors=vectors)
     return expand_until_settled(
         lambda L: approx_potential(model, QGrid(lo if math.isfinite(lo) else -L,
                                                 hi if math.isfinite(hi) else L, n),

@@ -16,6 +16,10 @@ which preserves exact cancellations (constant-u models give V = A^2
 identically, massless models give exactly zero) and avoids overflow from
 intermediate m * v^4 products. The approximate V of several grids comes
 from one pass over their nodes, bit for bit each grid's own values.
+
+The approximate V is W + r^2 S, with W its first two terms (unchanged when
+u is scaled) and S = u^2: r = 1 for a solve, and in a scan over the parameter
+u is proportional to, r = u / u of the reference member whose W and S it holds.
 """
 
 from __future__ import annotations
@@ -123,30 +127,31 @@ def _sampled(build: Callable[[QGrid], PotentialField], grid: QGrid) -> Potential
 def square_finite(u, name: str) -> None:
     """Raise SingularNodeError when some |u| tops sqrt(max float), so that
     u^2, and E^2 with it, overflows: a cause no grid mends. NaN passes."""
-    top = float(np.max(np.abs(u)))
+    top = float(np.abs(u).max())
     if top > np.sqrt(np.finfo(float).max):
         raise SingularNodeError(f"{name} = m v_F^2 reaches {top:g}: {name}^2 overflows a "
                                 f"float, so no grid resolves the levels")
 
 
 def _approx_pass(model: ModelSpec, grids: Sequence[QGrid], tmap: TransformMap):
-    """V on each of ``grids``, an array of its own each: their nodes inverted
-    in one call (TransformMap.inverse_grids), V evaluated over their
-    concatenated x in blocks of _PASS_BLOCK nodes, NaN where singular; a u
-    whose square overflows raises (square_finite)."""
+    """{grid: (W, S, max |u|)} over ``grids``: their nodes inverted in one
+    call (TransformMap.inverse_grids), W and S = u^2 evaluated over their
+    concatenated x in blocks of _PASS_BLOCK nodes (W is not finite where u
+    vanishes); a u whose square overflows raises (square_finite)."""
     x_all = np.concatenate(tmap.inverse_grids([g.nodes for g in grids]))
-    out = np.empty(x_all.size)
+    w_all, s_all, a_all = (np.empty(x_all.size) for _ in range(3))
     for b in range(0, x_all.size, _PASS_BLOCK):
-        x = x_all[b:b + _PASS_BLOCK]
+        x, block = x_all[b:b + _PASS_BLOCK], slice(b, b + _PASS_BLOCK)
         u, u1, u2 = product_u(model, x)
         square_finite(u, "u")
         v, v1 = filled(model.velocity(x), x), filled(model.velocity.deriv1(x), x)
         with np.errstate(divide="ignore", invalid="ignore"):
-            vals = (3.0 / 16.0) * (u1 * v / u) ** 2 \
-                - 0.25 * (v * v * u2 + v * v1 * u1) / u + u * u
-        out[b:b + _PASS_BLOCK] = np.where(~(np.abs(u) > 0) | ~np.isfinite(vals), np.nan, vals)
+            w_all[block] = (3.0 / 16.0) * (u1 * v / u) ** 2 - 0.25 * (v * v * u2 + v * v1 * u1) / u
+        np.abs(u, out=a_all[block])
+        np.multiply(u, u, out=s_all[block])
     ends = itertools.accumulate(g.n for g in grids)
-    return [out[end - g.n:end].copy() for g, end in zip(grids, ends)]
+    return {g: (w_all[end - g.n:end], s_all[end - g.n:end], float(np.max(a_all[end - g.n:end])))
+            for g, end in zip(grids, ends)}
 
 
 def exact_potential(model: ModelSpec, energy: float, grid: QGrid,
@@ -180,35 +185,50 @@ def exact_potential(model: ModelSpec, energy: float, grid: QGrid,
 
 
 def approx_potential(model: ModelSpec, grid: QGrid, tmap: TransformMap,
-                     also: Sequence[QGrid] = ()) -> PotentialField:
-    """Energy-independent potential (non-relativistic reduction).
+                     also: Sequence[QGrid] = (), family: Optional[dict] = None,
+                     r: float = 1.0) -> PotentialField:
+    """Energy-independent potential (non-relativistic reduction), V = W + r^2 S.
 
     Requires m(x) > 0 strictly inside the domain; a massless model is
     rejected outright (read from ``model.u_sample``, its overflowed samples
     left out), isolated interior zeros are flagged singular, and a u whose
-    square overflows raises SingularNodeError. One pass (_approx_pass)
-    evaluates ``grid`` and the grids ``also`` lists, whose values
-    ``on_grid`` then hands over once: the evaluator keeps arrays, never
-    fields, so no cycle holds it.
+    square overflows raises SingularNodeError (square_finite, on r max |u|).
+    W and S of ``grid`` and the grids ``also`` lists are read from ``family``
+    (eigensolver.approx_family) when it holds them all, and the massless
+    verdict is then its reference's. Otherwise the massless check and one
+    pass over ``model`` (_approx_pass) give them, and they join ``family``:
+    ``model`` is then the reference, and r = 1 gives the pass's own V bit for
+    bit. ``on_grid`` hands each grid's V over once (a grid beyond these is
+    evaluated on its own): the evaluator keeps arrays, never fields, so no
+    cycle holds it.
     """
-    u_probe = model.u_sample
-    finite = np.isfinite(u_probe)
-    if not np.any(np.abs(u_probe[finite]) > 0.0):
-        raise ApproximationInvalidError(
-            "the energy-independent potential requires non-zero mass "
-            "(massless models reduce exactly instead)"
-        )
-
     grids = (grid, *also)
-    ready = dict(zip(grids, _approx_pass(model, grids, tmap)))
+    held = {} if family is None else family
+    if not all(g in held for g in grids):
+        u_probe = model.u_sample
+        finite = np.isfinite(u_probe)
+        if not np.any(np.abs(u_probe[finite]) > 0.0):
+            raise ApproximationInvalidError(
+                "the energy-independent potential requires non-zero mass "
+                "(massless models reduce exactly instead)"
+            )
+        held.update(_approx_pass(model, grids, tmap))
+    ready = {g: _member(*held[g], r) for g in grids}
 
     def build(g: QGrid) -> PotentialField:
         values = ready.pop(g, None)
         if values is None:
-            (values,) = _approx_pass(model, (g,), tmap)
+            values = _member(*_approx_pass(model, (g,), tmap)[g], r)
         return PotentialField(g, values, APPROXIMATE)
 
     return _sampled(build, grid)
+
+
+def _member(w: np.ndarray, s: np.ndarray, top: float, r: float) -> np.ndarray:
+    """V = W + r^2 S, NaN where not finite, once square_finite passes r max |u| (``top``)."""
+    square_finite(r * top, "u")
+    values = w + (r * r) * s
+    return np.where(np.isfinite(values), values, np.nan)
 
 
 def constant_u_potential(constant_a: float, grid: QGrid) -> PotentialField:

@@ -237,6 +237,7 @@ class ModelFacts:
     the verified ladder (stride 0: no verified ladder; listed alone).
     ``parameters``: (label, thunk) pairs the report prints before the
     levels; a thunk raises InvalidParameterError where it is complex.
+    ``u_scale``: the parameter u is proportional to, "" where none is.
 
     The closed forms, each None where the model has none:
     ``level(n, as_published=False, exact=False)`` is level n's
@@ -254,6 +255,7 @@ class ModelFacts:
     level: Optional[Callable[..., AnalyticSpectrum]] = None
     components: Optional[Callable[[int, np.ndarray], Tuple[np.ndarray, np.ndarray]]] = None
     printed_norm: Optional[Callable[[int], Tuple[float, str]]] = None
+    u_scale: str = ""
 
 
 @dataclass(frozen=True)
@@ -492,7 +494,7 @@ def _hypot_ladder(name: str, v0: float, A: float, lam, wave, printed):
         return psi1, psi2
 
     return _constant_u(A, first_level=1, level=level, components=components,
-                       printed_norm=lambda n: printed(n, level(n).e_plus))
+                       printed_norm=lambda n: printed(n, level(n).e_plus), u_scale="m0")
 
 
 def _cosh_square(params) -> ModelSpec:
@@ -660,7 +662,7 @@ def _poschl_teller(params) -> ModelSpec:
         published_stride=2,
         parameters=(("s (verified)", lambda: s_parameter(a, v0, m0)),
                     ("s (as-published)", lambda: s_parameter(a, v0, m0, as_published=True))),
-        level=level, components=components)
+        level=level, components=components, u_scale="m0")
     return ModelSpec("poschl_teller", mass, vel, dom, p,
                      "constant velocity / 1/sin mass", anchor=x0, u_closed=u_closed,
                      map_key=("poschl_teller", a, v0), facts=facts)
@@ -732,7 +734,7 @@ def _linear_singular(params) -> ModelSpec:
         q_bound=4.0,
         published="published oscillator energies (as-published; the reduced "
                   "potential is exponential and supports no bound states)",
-        level=level, components=components)
+        level=level, components=components, u_scale="A")
     return ModelSpec("linear_singular", mass, vel, dom, p,
                      "linear velocity / 1/x mass", anchor=1.0, u_closed=u_closed,
                      map_key=("linear_singular", v0), facts=facts)
@@ -762,7 +764,7 @@ def _constant_rest(params) -> ModelSpec:
         e = m0 * c * c
         return AnalyticSpectrum("constant_rest", n, e, -e, VERIFIED)
 
-    u_closed, facts = _constant_u(m0 * c * c, level=level)
+    u_closed, facts = _constant_u(m0 * c * c, level=level, u_scale="m0")
     return ModelSpec("constant_rest", mass, vel, dom, p,
                      "constant rest mass and velocity", anchor=0.0, u_closed=u_closed,
                      map_key=("constant_rest", c), facts=facts)

@@ -166,10 +166,12 @@ def test_tier1_runs_one_shot_solves():
 
 
 def test_tier1_runs_a_one_shot_scan():
-    # a scan in a fresh interpreter, which keeps the map between its points: its
-    # m0 = 2 rows are the ladder2000 solve's levels, every row reads ok, and a
-    # scan.csv cut to its first point resumes to the same bytes; its directory is
-    # not an out-* one, so the cell check's 26 tables stay those of the solves
+    # a scan in a fresh interpreter, which keeps the map and its reference's
+    # potential family between its points: its m0 = 1 rows (the reference) are a
+    # solve's levels at m0 = 1, its m0 = 2 rows (r = 2) the ladder2000 solve's,
+    # every row reads ok, and a scan.csv cut to its first point resumes to the
+    # same bytes; neither its directory nor the m0 = 1 solve's is an out-* one, so
+    # the cell check's 26 tables stay those of the solves
     yaml = pytest.importorskip("yaml")
     workflow = yaml.safe_load((ROOT / ".github/workflows/tests.yml").read_text(encoding="utf-8"))
     (step,) = [step for step in workflow["jobs"]["tier1"]["steps"]
@@ -187,6 +189,17 @@ def test_tier1_runs_a_one_shot_scan():
             '[row[2] for row in spectrum], rows') in run
     assert re.search(r'"\$RUNNER_TEMP/scan/scan\.csv" '
                      r'"\$RUNNER_TEMP/out-ladder2000/spectrum\.csv"', run)
+    # the reference: a solve at m0 = 1, run before the scan, outside the out-* directories
+    assert re.search(r"'model\.alpha = 1' 'model\.v0 = 1' \\\s+'model\.m0 = 1' "
+                     r"'grid\.n = 2000' 'solve\.k_states = 3' 'outputs = spectrum' \\\s+"
+                     r"> \"\$RUNNER_TEMP/reference\.cfg\"", run)
+    solve = re.search(r'python -m diracpd\.cli solve \\\s+--config "\$RUNNER_TEMP/reference\.cfg" '
+                      r'--out "\$RUNNER_TEMP/reference"\n', run)
+    assert solve and solve.start() < run.index("python -m diracpd.cli scan")
+    assert ('assert [row[2] for row in rows if row[0] == "1"] == '
+            '[row[2] for row in reference], rows') in run
+    assert re.search(r'"\$RUNNER_TEMP/out-ladder2000/spectrum\.csv" \\\s+'
+                     r'"\$RUNNER_TEMP/reference/spectrum\.csv"', run)
     cut = 'head -n -6 "$RUNNER_TEMP/scan-full.csv" > "$RUNNER_TEMP/scan/scan.csv"'
     assert cut in run and run.index("out-ladder2000-wf\"") < run.index("scan.cfg")
     assert run.index(cut) < run.rindex("python -m diracpd.cli scan")

@@ -197,10 +197,10 @@ class TestSolve:
 
         real = eigensolver.approx_potential
 
-        def probe_fails(model, grid, tmap, also=()):
+        def probe_fails(model, grid, tmap, also=(), **family):
             if grid.n == 3:
                 raise QuadratureFailureError("forced probe failure", partial=0.0)
-            return real(model, grid, tmap, also)
+            return real(model, grid, tmap, also, **family)
 
         monkeypatch.setattr(eigensolver, "approx_potential", probe_fails)
         cfg = write_config(tmp_path / "c.txt", model__name="rational", model__alpha=0.8,
@@ -209,6 +209,31 @@ class TestSolve:
         assert main(["solve", "--config", cfg]) == 3
         err = capsys.readouterr().err
         assert "QuadratureFailureError" in err and "forced probe failure" in err
+
+    def test_levels_that_do_not_rise_are_named(self, tmp_path, capsys):
+        # at g = 1e6 the states are narrower than a step of n = 400: E2 < E1 is
+        # printed as the grid's failure, and --strict adds it to its causes;
+        # at n = 2000 the levels rise and no such line is printed
+        cfg = write_config(tmp_path / "c.txt", model__name="poschl_teller", model__alpha=1,
+                           model__v0=1, model__m0=1e6, grid__n=400, solve__k_states=3,
+                           out__dir=str(tmp_path / "out"))
+        line = ("levels 1 and 2 do not rise: the grid of n = 400 nodes does not resolve "
+                "these states")
+        assert main(["solve", "--config", cfg]) == 0
+        captured = capsys.readouterr()
+        assert [row.split()[1] for row in captured.out.splitlines()[2:5]] == \
+            ["999997.52637705684", "1000007.7509551087", "999987.29264095833"]
+        assert captured.out.splitlines()[5] == line and not captured.err
+        assert main(["solve", "--config", cfg, "--strict"]) == 4
+        captured = capsys.readouterr()
+        assert line in captured.out.splitlines()
+        assert captured.err == ("strict comparison failed: worst rel dev 1.521e-05 > 1e-05; "
+                                + line + "\n")
+        cfg = write_config(tmp_path / "c.txt", model__name="poschl_teller", model__alpha=1,
+                           model__v0=1, model__m0=1e6, grid__n=2000, solve__k_states=3,
+                           out__dir=str(tmp_path / "out"))
+        assert main(["solve", "--config", cfg, "--strict"]) == 0
+        assert "do not rise" not in capsys.readouterr().out
 
     def test_linear_singular_no_bound_states_exit_3(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.txt", model__name="linear_singular",
@@ -773,7 +798,7 @@ class TestSolveReuse:
         assert calls == [1.0]
         args = cli._make_parser().parse_args(["scan", "--config", cfg, "--axis", "m0=1:2:2"])
         rows, _ = cli._scan_point(cli.build_run_config(cli.parse_config(cfg), args), 1.5,
-                                  (None, None))
+                                  cli._Held(None))
         assert [row[4] for row in rows] == ["ok", "ok"]
         assert calls == [1.0, 1.5]
 
@@ -908,7 +933,7 @@ class TestVectorsOnlyForWavefunctions:
             args = cli._make_parser().parse_args(["scan", "--config", cfg, "--axis", "m0=1:2:2",
                                                   "--mode", mode])
             rows, _ = cli._scan_point(cli.build_run_config(cli.parse_config(cfg), args), 1.5,
-                                      (None, None))
+                                      cli._Held(None))
             assert [row[4] for row in rows] == ["ok"] * 3
             assert main(["report", "--config", cfg, "--mode", mode]) == 0
             assert "level 2:" in capsys.readouterr().out
@@ -1491,6 +1516,118 @@ class TestScanMapReuse:
             expected += [[cli._fmt(float(m0)), str(k), cli._fmt(e_plus)]
                          for k, (e_plus, _) in enumerate(outcome.result.energies)]
         assert [row[:3] for row in rows] == expected
+
+
+# an 8-point m0 scan of poschl_teller at n = 2000, k = 3, the harness's shape:
+# m0 = 0.75, 1, ..., 2.5 in steps of 1/4 (g = 0.92 to 3.06), r = 2 at m0 = 1.5
+FAMILY_SCAN = dict(model__name="poschl_teller", model__alpha=0.9, model__v0=1.1,
+                   model__m0=0.75, grid__n=2000, solve__k_states=3, scan__param="m0",
+                   scan__min=0.75, scan__max=2.5, scan__steps=8)
+
+
+def scan_config(tmp_path, **keys):
+    return write_config(tmp_path / "c.txt", **dict(FAMILY_SCAN, **keys),
+                        out__dir=str(tmp_path / "out"))
+
+
+def fresh_levels(cfg, value):
+    """E_plus cells of a fresh solve at the scan point ``value`` of ``cfg``'s axis."""
+    rc = cli.build_run_config(cli.parse_config(cfg),
+                              cli._make_parser().parse_args(["scan", "--config", cfg]))
+    model = cli._build_model(rc, override={rc.scan_param: value})
+    outcome = cli.run_solve_pipeline(rc, model=model, vectors=False)
+    return [cli._fmt(e) for e, _ in outcome.result.energies]
+
+
+class TestScanFamily:
+    """A scan over the u scale holds W and S of its reference member, the
+    first nonzero axis value, and solves each point from V = W + r^2 S."""
+
+    def test_rows_follow_fresh_solves(self, tmp_path):
+        cfg = scan_config(tmp_path)
+        assert main(["scan", "--config", cfg]) == 0
+        _, rows = read_rows(tmp_path / "out" / "scan.csv")
+        assert len(rows) == 24 and all(row[4] == "ok" for row in rows)
+        for value in np.linspace(0.75, 2.5, 8):
+            cells = [row[2] for row in rows if row[0] == cli._fmt(value)]
+            fresh = fresh_levels(cfg, value)
+            if value in (0.75, 1.5):  # the reference, and r = 2: bit for bit
+                assert cells == fresh, value
+            for cell, e in zip(cells, fresh):
+                assert abs(float(cell) - float(e)) <= 1e-12 * float(e), value
+
+    @pytest.mark.parametrize("cut", ["after the fourth point", "inside the fifth point"])
+    def test_resumed_scan_writes_the_uninterrupted_bytes(self, tmp_path, monkeypatch, cut):
+        cfg = scan_config(tmp_path)
+        assert main(["scan", "--config", cfg]) == 0
+        path = tmp_path / "out" / "scan.csv"
+        full = path.read_bytes()
+        lines = full.splitlines(keepends=True)
+        fifth = next(i for i, line in enumerate(lines) if line.startswith(b"param")) + 1 + 12
+        kept = b"".join(lines[:fifth])
+        if cut == "inside the fifth point":
+            kept += lines[fifth] + lines[fifth + 1][:9]
+        path.write_bytes(kept)
+        built = count_models(monkeypatch)
+        assert main(["scan", "--config", cfg]) == 0
+        assert path.read_bytes() == full
+        # the reference is built again, not solved; then each point left
+        assert len(built) == 1 + 4
+
+    def test_one_pass_per_scan(self, tmp_path, monkeypatch):
+        # the map's inversion and u_closed run for the reference's probes and grids
+        # only, and u_closed's samples for its verdicts once; every point builds its model
+        inversions, counts = [], []
+        real_inverse = transform.TransformMap.inverse_grids
+
+        def inverse_grids(self, qs):
+            inversions.append(len(qs))
+            return real_inverse(self, qs)
+
+        def built(params, builder=profiles._BUILTINS["poschl_teller"]):
+            model = builder(params)
+
+            def u_closed(x, count, real=model.u_closed):
+                counts.append(count)
+                return real(x, count)
+            return dataclasses.replace(model, u_closed=u_closed)
+
+        monkeypatch.setattr(transform.TransformMap, "inverse_grids", inverse_grids)
+        monkeypatch.setitem(profiles._BUILTINS, "poschl_teller", built)
+        models = count_models(monkeypatch)
+        cfg = scan_config(tmp_path)
+        assert main(["scan", "--config", cfg]) == 0
+        assert inversions == [2, 4]  # the two wall probes; the base, two ladder and refined grids
+        assert sorted(counts) == [1, 1, 3, 3]
+        assert models == ["poschl_teller"] * 8
+
+    @pytest.mark.parametrize("param", ["alpha", "v0"])
+    def test_velocity_scans_solve_afresh(self, tmp_path, monkeypatch, param):
+        families = []
+        monkeypatch.setattr(cli, "approx_family", lambda *a: families.append(a))
+        cfg = scan_config(tmp_path, scan__param=param, scan__min=0.8, scan__max=1.2,
+                          scan__steps=3)
+        assert main(["scan", "--config", cfg]) == 0
+        _, rows = read_rows(tmp_path / "out" / "scan.csv")
+        for value in np.linspace(0.8, 1.2, 3):
+            assert [row[2] for row in rows if row[0] == cli._fmt(value)] == \
+                fresh_levels(cfg, value)
+        assert families == []
+
+    def test_zero_first_value_is_solved_afresh(self, tmp_path, monkeypatch):
+        # m0 = 0 takes the massless path; the reference is the next value
+        references = []
+        real = cli.approx_family
+        monkeypatch.setattr(cli, "approx_family",
+                            lambda model, *a: references.append(model.params["m0"])
+                            or real(model, *a))
+        cfg = scan_config(tmp_path, scan__min=0.0, scan__max=1.5, scan__steps=4)
+        assert main(["scan", "--config", cfg]) == 0
+        _, rows = read_rows(tmp_path / "out" / "scan.csv")
+        assert references == [0.5]
+        for value in (0.0, 0.5, 1.0):  # the massless point, the reference and r = 2
+            assert [row[2] for row in rows if row[0] == cli._fmt(value)] == \
+                fresh_levels(cfg, value)
 
 
 class TestBic:

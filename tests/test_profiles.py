@@ -127,6 +127,27 @@ def test_facts_claims_follow_the_mass():
     assert np.array_equal(claimed(np.array([-1.0, 0.0, 3.0])), np.full(3, 4.0))
 
 
+@pytest.mark.parametrize("name,params,scale", [
+    ("cosh_square", dict(alpha=0.7, v0=1.3, m0=0.4), "m0"),
+    ("rational", dict(alpha=1.4, v0=0.6, m0=2.0), "m0"),
+    ("poschl_teller", dict(alpha=1.3, v0=0.8, m0=1.1), "m0"),
+    ("linear_singular", dict(A=0.5, v0=1.7), "A"),
+    ("constant_rest", dict(m0=1.3, c=0.9), "m0"),
+])
+def test_u_is_proportional_to_its_scale(name, params, scale):
+    # the premise of a scan's potential family (V = W + r^2 S): scaling the
+    # parameter facts.u_scale names scales u, u' and u'', bit for bit when doubled
+    model = builtin_model(name, **params)
+    assert model.facts.u_scale == scale
+    x = interior_sample(model.domain)
+    base = product_u(model, x)
+    for factor, tol in ((2.0, 0.0), (1.5, 1e-15)):
+        scaled = product_u(builtin_model(name, **dict(params, **{scale: factor * params[scale]})),
+                           x)
+        for b, u in zip(base, scaled):
+            assert np.all(np.abs(u - factor * b) <= tol * np.abs(factor * b)), (factor, name)
+
+
 class TestProductU:
     def test_cosh_square_exact_constant(self):
         m = builtin_model("cosh_square", alpha=1, v0=1, m0=1)
