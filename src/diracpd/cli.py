@@ -20,8 +20,9 @@ positional argument; all four share ``--config``, ``--out``, ``--mode``,
 ``--states`` and ``--strict``, and ``--axis`` belongs to ``scan`` alone (with
 any other command it is a config error). The parser is built once per
 process, on the first ``main`` call, and keeps nothing between calls. Exit
-codes: 0 success, 2 config error, 3 numerical failure (any
-``errors.NumericalError``), 4 comparison beyond tolerance under --strict.
+codes: 0 success, 2 config error (also a grid.n whose arrays the host
+cannot hold), 3 numerical failure (any ``errors.NumericalError``), 4
+comparison beyond tolerance, or levels that do not rise, under --strict.
 
 Runs are deterministic: identical configs produce byte-identical outputs,
 and every artifact records the config hash and resolved grid in '#' header
@@ -487,7 +488,7 @@ def cmd_solve(rc: RunConfig) -> int:
     if "bic" in rc.outputs and rc.bic_energies:
         _emit_bic(rc, model, tmap, mode)
 
-    if rc.strict and (worst > rc.compare_tol or missing):
+    if rc.strict and (worst > rc.compare_tol or missing or unresolved):
         causes = [f"reference level n={n} not found" for n, _ in missing]
         if worst > rc.compare_tol:
             causes.insert(0, f"worst rel dev {worst:.3e} > {rc.compare_tol:g}")
@@ -750,7 +751,7 @@ def _make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--mode", default=None, choices=_MODES)
     parser.add_argument("--states", type=int, default=None, help="override solve.k_states")
     parser.add_argument("--strict", action="store_true",
-                        help="exit 4 when comparison exceeds compare.tol")
+                        help="exit 4 when comparison exceeds compare.tol or levels do not rise")
     parser.add_argument("--axis", default=None,
                         help="scan only: scan axis as name=min:max:steps")
     return parser
@@ -758,12 +759,19 @@ def _make_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _make_parser().parse_args(argv)
+    rc = None
     try:
         if args.axis is not None and args.command != "scan":
             raise ConfigError(f"--axis belongs to the scan command, not {args.command!r}")
-        return _COMMANDS[args.command][0](build_run_config(parse_config(args.config), args))
+        rc = build_run_config(parse_config(args.config), args)
+        return _COMMANDS[args.command][0](rc)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:  # numpy's message names the bytes the grid asked for
+        if rc is None:
+            raise
+        print(f"config error: grid.n = {rc.grid_n}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalError as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)

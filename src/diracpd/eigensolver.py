@@ -30,10 +30,10 @@ sweeps (Barth, Martin & Wilkinson, Numer. Math. 9 (1967) 386). Every later
 grid takes shifted solves at its prediction, the h^2 law through the two
 grids before it (or the base levels, for the refined grid without a
 ladder), each about a dozen sweeps' cost (_in_windows): T - sigma factored
-once (dgttrf), two solves (dgttrs) from a fixed start vector, and a
-Rayleigh quotient theta whose residual r puts an eigenvalue in
-[theta - r, theta + r]; where r is not yet small the shift follows theta
-(Rayleigh quotient iteration). One Sturm count per block and the
+once (dgttrf), two solves (dgttrs) from a fixed start vector (_start, a
+prefix of one vector), and a Rayleigh quotient theta whose residual r puts
+an eigenvalue in [theta - r, theta + r]; where r is not yet small the shift
+follows theta (Rayleigh quotient iteration). One Sturm count per block and the
 Kato-Temple bound certify that these are the lowest levels, each within
 the base grid's bisection tolerance eps * (Gershgorin norm of T_h)
 (Parlett, The Symmetric Eigenvalue Problem, SIAM 1998, chs. 4, 10). Every
@@ -68,7 +68,7 @@ form's, which is within 2 tol of its bisected value.
 
 from __future__ import annotations
 
-import functools
+import contextlib
 import importlib.machinery
 import importlib.util
 import math
@@ -354,17 +354,29 @@ def _h2(a: np.ndarray, b: np.ndarray, ra: float, rb: float, rt: float) -> np.nda
     return (a * (rt - rb) - b * (rt - ra)) / (ra - rb)
 
 
-@functools.lru_cache(maxsize=4)
+_START = np.empty(0)
+
+
 def _start(size: int) -> np.ndarray:
     """_shifted's fixed start vector: splitmix64 hashes of 1 .. size as numbers
     in [-1/2, 1/2). It has no structure; one with reflection symmetry, say,
-    has no part along the odd levels of an even matrix solved whole."""
-    v = np.arange(1, size + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
-        v = (v ^ (v >> np.uint64(shift))) * np.uint64(factor)
-    x = ((v ^ (v >> np.uint64(31))) >> np.uint64(11)) * 2.0 ** -53 - 0.5
-    x.setflags(write=False)
-    return x
+    has no part along the odd levels of an even matrix solved whole. Hash j
+    does not depend on size: every size is a prefix of one read-only vector,
+    made again only for a size over the largest asked before."""
+    global _START
+    if _START.size < size:
+        # allocated before its temporaries, the kept vector leaves later solves
+        # fewer page faults than one allocated after them
+        x, _START = np.empty(size), np.empty(0)
+        v = np.arange(1, size + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+        for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+            v ^= v >> np.uint64(shift)
+            v *= np.uint64(factor)
+        np.multiply((v ^ (v >> np.uint64(31))) >> np.uint64(11), 2.0 ** -53, out=x)
+        x -= 0.5
+        x.setflags(write=False)
+        _START = x
+    return _START[:size]
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an inf or NaN r is a refusal
@@ -618,8 +630,9 @@ def _hardy_check(fields_on, lo: float, hi: float) -> None:
     V d^2 at the node next to each wall of its probe (_probes), d = 0.5e-8
     of the width its distance from that wall, reads the wall coefficient c
     of V ~ c / d^2; below -1/4 V has no lowest level there (Hardy).
-    ``fields_on(grids)`` gives V on both probes in one call or, where that
-    raises a NumericalError, in one call each, the low wall first. A probe
+    ``fields_on(grids)`` gives V on both probes in one call (solve_approximate's
+    reads them from its one pass) or, where that raises a NumericalError, in
+    one call each, the low wall first. A probe
     that raises DomainError (nodes that round onto its wall) or
     SingularNodeError (u^2 overflowing there) reads no coefficient for its
     wall; any other error propagates with its own cause.
@@ -650,15 +663,17 @@ def _solve_grids(lo: float, hi: float, n: int, k_states: int) -> List[QGrid]:
 def approx_family(model: ModelSpec, tmap: TransformMap, n: int,
                   k_states: int) -> Optional[dict]:
     """approx_potential's ``family`` of ``model``: W, S and max |u| on every
-    grid solve_approximate reads for (n, k_states), from its two passes (the
-    wall probes, then the grids). A pass that raises propagates; None on an
+    grid solve_approximate reads for (n, k_states), from one pass over the
+    two wall probes, the ladder and the refined grid, which the base grid is
+    read from (its odd nodes). A pass that raises propagates; None on an
     infinite q-range."""
     lo, hi = tmap.q_lo, tmap.q_hi
     if not (math.isfinite(lo) and math.isfinite(hi)):
         return None
     family: dict = {}
-    for grids in (_probes(lo, hi), _solve_grids(lo, hi, n, k_states)):
-        approx_potential(model, grids[0], tmap, also=grids[1:], family=family)
+    low, high = _probes(lo, hi)
+    approx_potential(model, low, tmap, also=[high, *_solve_grids(lo, hi, n, k_states)],
+                     family=family)
     return family
 
 
@@ -668,25 +683,32 @@ def solve_approximate(model: ModelSpec, tmap: TransformMap, n: int,
     """Lowest k_states levels of the energy-independent (approximate) potential.
 
     A finite q-range gets the plain grid of n nodes, once _hardy_check finds
-    V bounded below at both walls; V on it and on the ladder and refined
-    grids solve_fixed reads comes from one pass (approx_potential's
-    ``also``), as V on the two wall probes does; with ``family``
-    (approx_family of the same map, n and k_states, for a reference whose u
-    is this model's over r) each V is W + r^2 S and no pass runs. An infinite
-    side is cut at |q| = L, a wall of the grid of n nodes, L doubled until the
-    levels settle (expand_until_settled). The result's ``field`` is the
-    potential of the grid it was solved on; ``vectors`` as in solve_fixed.
+    V bounded below at both walls. V on the wall probes and on the grids
+    solve_fixed reads is W + r^2 S of ``family`` (approx_family of the same
+    map, n and k_states, for a reference whose u is this model's over r), or
+    of the solve's own approx_family at r = 1, dropped once V is built; where
+    that pass raises a NumericalError, the probes and then the grids take a
+    pass each, so the solve ends on the error they meet. An infinite side is
+    cut at |q| = L, a wall of the grid of n nodes, L doubled until the levels
+    settle (expand_until_settled). The result's ``field`` is the potential of
+    the grid it was solved on; ``vectors`` as in solve_fixed.
     """
-    def fields_on(grids):
-        first = approx_potential(model, grids[0], tmap, also=grids[1:], family=family, r=r)
-        return [first] + [first.on_grid(grid) for grid in grids[1:]]
-
     lo, hi = tmap.q_lo, tmap.q_hi
     if math.isfinite(lo) and math.isfinite(hi):
+        held = family
+        if held is None:
+            with contextlib.suppress(NumericalError):  # else the probes' pass, then the grids'
+                held = approx_family(model, tmap, n, k_states)
+
+        def fields_on(grids):
+            first = approx_potential(model, grids[0], tmap, also=grids[1:], family=held, r=r)
+            return [first] + [first.on_grid(grid) for grid in grids[1:]]
+
         _hardy_check(fields_on, lo, hi)
         grid, *also = _solve_grids(lo, hi, n, k_states)
-        return solve_fixed(approx_potential(model, grid, tmap, also=also, family=family, r=r),
-                           k_states, vectors=vectors)
+        field = approx_potential(model, grid, tmap, also=also, family=held, r=r)
+        del held  # W and S go before the levels are solved
+        return solve_fixed(field, k_states, vectors=vectors)
     return expand_until_settled(
         lambda L: approx_potential(model, QGrid(lo if math.isfinite(lo) else -L,
                                                 hi if math.isfinite(hi) else L, n),

@@ -15,7 +15,8 @@ Everything is written in terms of u = m v_F^2 and the velocity alone,
 which preserves exact cancellations (constant-u models give V = A^2
 identically, massless models give exactly zero) and avoids overflow from
 intermediate m * v^4 products. The approximate V of several grids comes
-from one pass over their nodes, bit for bit each grid's own values.
+from one pass over their nodes, bit for bit each grid's own values; a grid
+beside its refinement is read from the refined grid's odd nodes.
 
 The approximate V is W + r^2 S, with W its first two terms (unchanged when
 u is scaled) and S = u^2: r = 1 for a solve, and in a scan over the parameter
@@ -137,8 +138,15 @@ def _approx_pass(model: ModelSpec, grids: Sequence[QGrid], tmap: TransformMap):
     """{grid: (W, S, max |u|)} over ``grids``: their nodes inverted in one
     call (TransformMap.inverse_grids), W and S = u^2 evaluated over their
     concatenated x in blocks of _PASS_BLOCK nodes (W is not finite where u
-    vanishes); a u whose square overflows raises (square_finite)."""
-    x_all = np.concatenate(tmap.inverse_grids([g.nodes for g in grids]))
+    vanishes); a u whose square overflows raises (square_finite). A grid
+    whose refined() is evaluated here is neither inverted nor evaluated: h/2
+    is exact, so its nodes are the refined grid's odd nodes bit for bit, and
+    so are its x (cached on the map), W and S."""
+    halves = {g.refined(): g for g in grids if g.refined() in grids}
+    halves = {fine: g for fine, g in halves.items() if fine not in halves.values()}
+    own = [g for g in grids if g not in halves.values()]
+    x_all = np.concatenate(tmap.inverse_grids([g.nodes for g in own],
+                                              odd=[i for i, g in enumerate(own) if g in halves]))
     w_all, s_all, a_all = (np.empty(x_all.size) for _ in range(3))
     for b in range(0, x_all.size, _PASS_BLOCK):
         x, block = x_all[b:b + _PASS_BLOCK], slice(b, b + _PASS_BLOCK)
@@ -149,9 +157,11 @@ def _approx_pass(model: ModelSpec, grids: Sequence[QGrid], tmap: TransformMap):
             w_all[block] = (3.0 / 16.0) * (u1 * v / u) ** 2 - 0.25 * (v * v * u2 + v * v1 * u1) / u
         np.abs(u, out=a_all[block])
         np.multiply(u, u, out=s_all[block])
-    ends = itertools.accumulate(g.n for g in grids)
-    return {g: (w_all[end - g.n:end], s_all[end - g.n:end], float(np.max(a_all[end - g.n:end])))
-            for g, end in zip(grids, ends)}
+    ends = itertools.accumulate(g.n for g in own)
+    spans = {g: slice(end - g.n, end) for g, end in zip(own, ends)}
+    spans.update((g, slice(spans[fine].start + 1, spans[fine].stop, 2))
+                 for fine, g in halves.items())
+    return {g: (w_all[at], s_all[at], float(np.max(a_all[at]))) for g, at in spans.items()}
 
 
 def exact_potential(model: ModelSpec, energy: float, grid: QGrid,
@@ -199,8 +209,8 @@ def approx_potential(model: ModelSpec, grid: QGrid, tmap: TransformMap,
     pass over ``model`` (_approx_pass) give them, and they join ``family``:
     ``model`` is then the reference, and r = 1 gives the pass's own V bit for
     bit. ``on_grid`` hands each grid's V over once (a grid beyond these is
-    evaluated on its own): the evaluator keeps arrays, never fields, so no
-    cycle holds it.
+    evaluated on its own): the evaluator keeps V, never W or S, and arrays,
+    never fields, so no cycle holds it.
     """
     grids = (grid, *also)
     held = {} if family is None else family

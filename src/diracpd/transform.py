@@ -216,17 +216,23 @@ class TransformMap:
         ``inverse_grids`` of the one grid, as a writeable copy."""
         return self.inverse_grids([q])[0].copy()
 
-    def inverse_grids(self, qs) -> List[np.ndarray]:
+    def inverse_grids(self, qs, odd=()) -> List[np.ndarray]:
         """Inverses of sorted arrays of q values, each grid cached (read-only,
-        as returned) on its own once one ``_checked`` call passes them all."""
+        as returned) on its own once one ``_checked`` call passes them all.
+        Each grid ``odd`` indexes that this call inverts also caches its odd
+        nodes q[1::2] (a QGrid within its refined()), read from its x, their
+        seven spot nodes in the same check."""
         qs = [np.asarray(q, dtype=float) for q in qs]
         hits = [self._grid_cache.get((q[0], q[-1], q.size)) if q.size else (q, q.copy())
                 for q in qs]
         cold = [i for i, (q, hit) in enumerate(zip(qs, hits))
                 if hit is None or not np.array_equal(hit[0], q)]
-        for i, x in zip(cold, self._checked([qs[i] for i in cold])):
+        halves = [k for k, i in enumerate(cold) if i in odd]
+        for i, x in zip(cold, self._checked([qs[i] for i in cold], halves)):
             x.flags.writeable = False
             hits[i] = self._grid_cache[(qs[i][0], qs[i][-1], qs[i].size)] = (qs[i].copy(), x)
+            if i in odd:
+                self.remember(qs[i][1::2], x[1::2])
         return [x for _, x in hits]
 
     def remember(self, q: np.ndarray, x: np.ndarray) -> None:
@@ -237,14 +243,17 @@ class TransformMap:
         x.flags.writeable = False
         self._grid_cache.setdefault((q[0], q[-1], q.size), (q.copy(), x))
 
-    def _checked(self, qs) -> List[np.ndarray]:
+    def _checked(self, qs, halves=()) -> List[np.ndarray]:
         """x(q) of each sorted q array by ``_solve``, in order, seven nodes of
-        each (``_spot_nodes``) checked in one ``forward`` call to 1e-10
-        max(1, max |q|) of their own grid."""
+        each (``_spot_nodes``), and of the odd nodes of each array ``halves``
+        indexes, checked in one ``forward`` call to 1e-10 max(1, max |q|) of
+        their own grid."""
         xs = [self._solve(q) for q in qs]
-        picks = [_spot_nodes(q.size) for q in qs]
-        got = self.forward(np.concatenate([x[p] for x, p in zip(xs, picks)])) if qs else None
-        for q, pick in zip(qs, picks):
+        checks = [*zip(qs, xs), *((qs[i][1::2], xs[i][1::2]) for i in halves)]
+        picks = [_spot_nodes(q.size) for q, _ in checks]
+        got = (self.forward(np.concatenate([x[p] for (_, x), p in zip(checks, picks)]))
+               if qs else None)
+        for (q, _), pick in zip(checks, picks):
             res = float(np.max(np.abs(got[:pick.size] - q[pick])))
             tol = 1e-10 * max(1.0, float(np.max(np.abs(q))))
             if not res <= tol:

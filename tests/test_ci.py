@@ -159,6 +159,15 @@ def test_tier1_runs_one_shot_solves():
     assert re.search(r'assert float\(cells\["grid_h"\]\) == \(\(float\(cells\["q_hi"\]\) - '
                      r'float\(cells\["q_lo"\]\)\)\s+/ \(int\(cells\["grid_n"\]\) \+ 1\)\), '
                      r'cells\' \\\s+"\$RUNNER_TEMP/band-approx/spectrum\.csv"', run)
+    # an approximate solve at g = 1e8 and n = 2000, whose levels meet compare.tol
+    # but do not rise, exits 4 under --strict, outside the out-* directories
+    assert re.search(r"'model\.alpha = 1' 'model\.v0 = 1' \\\s+'model\.m0 = 1e8' "
+                     r"'grid\.n = 2000' 'solve\.k_states = 3' 'outputs = spectrum' \\\s+"
+                     r"> \"\$RUNNER_TEMP/unrisen\.cfg\"", run)
+    unrisen = re.search(r'--config "\$RUNNER_TEMP/unrisen\.cfg" --mode approximate --strict '
+                        r'--out "\$RUNNER_TEMP/unrisen" \|\| status=\$\?\ntest "\$status" -eq 4\n',
+                        run)
+    assert unrisen and unrisen.start() > run.index("glob.glob(")
     # a non-finite config number exits 2, also under --strict
     assert "echo 'compare.tol = nan'; } > \"$RUNNER_TEMP/nan.cfg\"" in run
     assert re.search(r'--config "\$RUNNER_TEMP/nan\.cfg" --strict .*\|\| status=\$\?', run)
@@ -220,10 +229,11 @@ print(spans["potential.build"][0], spans["eigensolver.solve_fixed"][0])
 def test_tracer_installs_against_src():
     # install() raises when a wrapped name (diracpd.eigensolver.eigh_tridiagonal
     # among them) is bound nowhere in the package; an approximate solve then records
-    # the calls solve_approximate makes by name: two passes of approx_potential (the
-    # two wall probes, then the grid with its refined grid) and one solve_fixed
+    # the calls solve_approximate makes by name: three calls of approx_potential (the
+    # one pass over the wall probes, the ladder and the refined grid, then the probes'
+    # V and the grid's V read from it) and one solve_fixed
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")]))
     proc = subprocess.run([sys.executable, "-c", TRACED_APPROXIMATE_SOLVE], env=env,
                           cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["2", "1"]
+    assert proc.stdout.split() == ["3", "1"]

@@ -234,6 +234,39 @@ class TestSolve:
                            out__dir=str(tmp_path / "out"))
         assert main(["solve", "--config", cfg, "--strict"]) == 0
         assert "do not rise" not in capsys.readouterr().out
+        # at g = 1e8 and n = 2000 every level lies within 1e-5 (worst 5.38e-7), yet
+        # E2 < E1: --strict fails on that line alone, and without it the run exits 0
+        cfg = write_config(tmp_path / "c.txt", model__name="poschl_teller", model__alpha=1,
+                           model__v0=1, model__m0=1e8, grid__n=2000, solve__k_states=3,
+                           out__dir=str(tmp_path / "out"))
+        line = ("levels 1 and 2 do not rise: the grid of n = 2000 nodes does not resolve "
+                "these states")
+        assert main(["solve", "--config", cfg]) == 0
+        captured = capsys.readouterr()
+        assert [row.split()[1] for row in captured.out.splitlines()[3:5]] == \
+            ["100000030.82993484", "99999948.665976435"]
+        assert captured.out.splitlines()[5] == line and not captured.err
+        spectrum = (tmp_path / "out" / "spectrum.csv").read_bytes()
+        assert main(["solve", "--config", cfg, "--strict"]) == 4
+        assert capsys.readouterr().err == "strict comparison failed: " + line + "\n"
+        assert (tmp_path / "out" / "spectrum.csv").read_bytes() == spectrum
+
+    def test_a_grid_the_host_cannot_hold_is_a_config_error(self, tmp_path, capsys,
+                                                           monkeypatch):
+        # numpy's MemoryError (no array is allocated here) exits 2, its byte count kept
+        why = ("Unable to allocate 7.28 TiB for an array with shape (1000000000000,) and "
+               "data type float64")
+
+        def refuse(*args, **kwargs):
+            raise MemoryError(why)
+
+        monkeypatch.setattr(cli, "solve_approximate", refuse)
+        cfg = write_config(tmp_path / "c.txt", model__name="poschl_teller", model__alpha=1,
+                           model__v0=1, model__m0=2, mode="approximate",
+                           grid__n=1000000000000, solve__k_states=3,
+                           out__dir=str(tmp_path / "out"))
+        assert main(["solve", "--config", cfg]) == 2
+        assert capsys.readouterr().err == f"config error: grid.n = 1000000000000: {why}\n"
 
     def test_linear_singular_no_bound_states_exit_3(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.txt", model__name="linear_singular",
@@ -1580,9 +1613,9 @@ class TestScanFamily:
         inversions, counts = [], []
         real_inverse = transform.TransformMap.inverse_grids
 
-        def inverse_grids(self, qs):
+        def inverse_grids(self, qs, odd=()):
             inversions.append(len(qs))
-            return real_inverse(self, qs)
+            return real_inverse(self, qs, odd)
 
         def built(params, builder=profiles._BUILTINS["poschl_teller"]):
             model = builder(params)
@@ -1597,8 +1630,10 @@ class TestScanFamily:
         models = count_models(monkeypatch)
         cfg = scan_config(tmp_path)
         assert main(["scan", "--config", cfg]) == 0
-        assert inversions == [2, 4]  # the two wall probes; the base, two ladder and refined grids
-        assert sorted(counts) == [1, 1, 3, 3]
+        # one pass: the two wall probes, the 125-node ladder grid and the refined grid
+        # inverted, the 62-node ladder grid and the base grid their odd nodes
+        assert inversions == [4]
+        assert sorted(counts) == [1, 1, 3]
         assert models == ["poschl_teller"] * 8
 
     @pytest.mark.parametrize("param", ["alpha", "v0"])

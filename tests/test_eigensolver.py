@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from diracpd import eigensolver, potential
+from diracpd import eigensolver, potential, transform
 from diracpd import (
     MassProfile,
     ModelSpec,
@@ -25,6 +25,7 @@ from diracpd import (
     constant_u_potential,
     detect_constant_u,
     energies_from_lambda,
+    reconstruct,
     exact_potential,
     expand_until_settled,
     s_parameter,
@@ -424,9 +425,10 @@ class TestSolveApproximate:
             assert pair.lam == pytest.approx(lam, rel=1e-10)
 
     @pytest.mark.parametrize("name", ["poschl_teller", "cosh_square"])
-    def test_two_passes_give_the_per_grid_solve(self, monkeypatch, name):
-        # n = 2000: the two wall probes take one pass, and the ladder's two grids,
-        # the base and the refined grid another; solve_fixed evaluates nothing again
+    def test_one_pass_gives_the_per_grid_solve(self, monkeypatch, name):
+        # n = 2000: the two wall probes, the base grid, the ladder's two grids and the
+        # refined grid take one pass (the base read from the refined grid's odd
+        # nodes); solve_fixed evaluates nothing again
         model = builtin_model(name, alpha=1.0, v0=1.0, m0=1.5)
         tmap = build_transform(model.velocity, model.anchor)
         want = solve_fixed(approx_potential(model, QGrid(tmap.q_lo, tmap.q_hi, 2000),
@@ -436,12 +438,41 @@ class TestSolveApproximate:
         monkeypatch.setattr(potential, "_approx_pass", lambda model, grids, tmap: passes.append(
             [grid.n for grid in grids]) or real(model, grids, tmap))
         got = solve_approximate(model, tmap, 2000, 3)
-        assert passes == [[3, 3], [2000, 62, 125, 4001]]
+        assert passes == [[3, 3, 2000, 62, 125, 4001]]
         assert got.field.grid == want.field.grid
         assert got.field.values.tobytes() == want.field.values.tobytes()
         assert got.energies == want.energies
         for a, b in zip(got.pairs, want.pairs, strict=True):
             assert (a.lam, a.error_estimate) == (b.lam, b.error_estimate)
+
+    @pytest.mark.parametrize("n,inverted", [(2000, [3, 3, 125, 4001]),
+                                            (8000, [3, 3, 250, 500, 16001])])
+    def test_one_inversion_and_one_spot_check(self, monkeypatch, n, inverted):
+        # the base grid (and at n = 2000 the 62-node ladder grid, the 125-node grid's
+        # odd nodes) is not inverted, yet its seven spot nodes join the one forward call
+        model = builtin_model("poschl_teller", alpha=1.0, v0=1.0, m0=1.5)
+        tmap = build_transform(model.velocity, model.anchor)
+        inversions, spots = [], []
+        real_inverse, real_forward = type(tmap).inverse_grids, tmap.forward
+        monkeypatch.setattr(type(tmap), "inverse_grids", lambda self, qs, odd=():
+                            inversions.append([q.size for q in qs]) or real_inverse(self, qs, odd))
+        monkeypatch.setattr(tmap, "forward", lambda x: spots.append(x) or real_forward(x))
+        solve_approximate(model, tmap, n, 3, vectors=False)
+        assert inversions == [inverted]
+        assert len(spots) == 1 and spots[0].size == 6 + 7 * 4
+        for grid in (QGrid(tmap.q_lo, tmap.q_hi, n), QGrid(tmap.q_lo, tmap.q_hi, n // 32)):
+            x = tmap.inverse_grids([grid.nodes])[0]
+            assert np.isin(x[transform._spot_nodes(grid.n)], spots[0]).all()
+        assert len(inversions) == 3 and len(spots) == 1  # both warm
+
+    def test_reconstruct_after_a_solve_inverts_nothing(self, monkeypatch):
+        model = builtin_model("poschl_teller", alpha=1.0, v0=1.0, m0=1.5)
+        tmap = build_transform(model.velocity, model.anchor)
+        result = solve_approximate(model, tmap, 2000, 2)
+        fresh = build_transform(model.velocity, model.anchor).inverse_grid(result.field.grid.nodes)
+        monkeypatch.setattr(type(tmap), "_solve", lambda self, q: pytest.fail("cold inversion"))
+        for pair, (e, _) in zip(result.pairs, result.energies, strict=True):
+            assert reconstruct(pair, model, tmap, e).x.tobytes() == fresh.tobytes()
 
     @pytest.mark.parametrize("g", [0.55, 0.7])
     def test_plain_grid_in_the_band(self, g):
@@ -649,6 +680,24 @@ class TestShiftedCertificate:
     them together: windows [theta -/+ r] that rise from the floor and stay apart,
     one Sturm count per block, and the Kato-Temple bound r^2 / delta <= tol. Any
     refusal is None, and the solve takes the index path."""
+
+    def test_start_vector_is_one_prefix_for_every_size(self, monkeypatch):
+        # splitmix64 of j = 1 .. size (hash j does not depend on size): any order of
+        # sizes reads prefixes of one read-only vector, grown to the largest asked
+        mask = (1 << 64) - 1
+
+        def splitmix(j):
+            z = j * 0x9E3779B97F4A7C15 & mask
+            z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & mask
+            z = (z ^ z >> 27) * 0x94D049BB133111EB & mask
+            return ((z ^ z >> 31) >> 11) * 2.0 ** -53 - 0.5
+
+        want = np.array([splitmix(j) for j in range(1, 16002)])
+        monkeypatch.setattr(eigensolver, "_START", np.empty(0))
+        for size in (4001, 3, 16001, 8000, 16001, 1, 125):
+            x = eigensolver._start(size)
+            assert x.tobytes() == want[:size].tobytes() and not x.flags.writeable
+        assert eigensolver._START.size == 16001
 
     def test_even_matrix_solved_whole_finds_its_odd_levels(self, monkeypatch):
         # the potential made exactly even and solved without the fold: levels 1

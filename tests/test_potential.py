@@ -257,12 +257,33 @@ class TestPass:
         calls = []
         real = type(tmap).inverse_grids
         monkeypatch.setattr(type(tmap), "inverse_grids",
-                            lambda self, qs: calls.append([q.size for q in qs]) or real(self, qs))
+                            lambda self, qs, odd=(): calls.append([q.size for q in qs])
+                            or real(self, qs, odd))
         grid = QGrid(lo, hi, 300)
         field = approx_potential(model, grid, tmap, also=[grid.refined()])
         fine = field.on_grid(grid.refined())
-        assert calls == [[300, 601]]
+        assert calls == [[601]]  # the base grid is the refined grid's odd nodes
         assert fine.values.tobytes() == one_grid(model, fine.grid, tmap).tobytes()
+
+    @pytest.mark.parametrize("name", ["poschl_teller", "cosh_square", "rational", "custom"])
+    def test_a_grid_beside_its_refinement_reads_its_odd_nodes(self, name):
+        # h/2 is exact: the base nodes are the refined grid's odd nodes bit for bit,
+        # and W, S, max |u| and V read there equal a pass over the base grid alone
+        model, tmap, (lo, hi) = pass_case(name)
+        base = QGrid(lo, hi, 5000)
+        fine = base.refined()
+        assert base.nodes.tobytes() == fine.nodes[1::2].tobytes()
+        joint = potential._approx_pass(model, [base, QGrid(lo, hi, 156), fine], tmap)[base]
+        fresh = build_transform(model.velocity, model.anchor)
+        alone = potential._approx_pass(model, [base], fresh)[base]
+        assert [joint[0].tobytes(), joint[1].tobytes(), joint[2]] == \
+            [alone[0].tobytes(), alone[1].tobytes(), alone[2]]
+        field = approx_potential(model, base, tmap, also=[fine])
+        assert field.values.tobytes() == approx_potential(model, base, fresh).values.tobytes()
+        # its x is cached on the map, the refined grid's odd nodes: no second inversion
+        cached = tmap.inverse_grids([base.nodes])[0]
+        assert cached.tobytes() == fresh.inverse_grid(base.nodes).tobytes()
+        assert not cached.flags.writeable
 
     def test_overflowing_u_raises(self):
         model = builtin_model("cosh_square", alpha=1.1, v0=0.9, m0=1e160)
