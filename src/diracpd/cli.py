@@ -237,11 +237,8 @@ def build_run_config(cfg: Dict[str, str], args: argparse.Namespace) -> RunConfig
 
 
 def _build_model(rc: RunConfig, override: Optional[Dict[str, float]] = None) -> ModelSpec:
-    params = dict(rc.model_params)
-    if override:
-        params.update(override)
     try:
-        return builtin_model(rc.model_name, **params)
+        return builtin_model(rc.model_name, **{**rc.model_params, **(override or {})})
     except InvalidParameterError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -450,12 +447,9 @@ def cmd_solve(rc: RunConfig) -> int:
         if math.isfinite(rel):
             worst = max(worst, rel)
 
-    # the first two levels that do not rise: states narrower than a grid step
-    unresolved = [f"levels {k - 1} and {k} do not rise: the grid of n = {grid.n} nodes does "
-                  f"not resolve these states" for k in range(1, len(numeric))
-                  if not numeric[k] > numeric[k - 1]][:1]
-    if unresolved:
-        print(unresolved[0])
+    unresolved = _unrisen(numeric, grid)
+    for line in unresolved:
+        print(line)
     missing = (_unmatched_reference(numeric, reference, rc.compare_tol)
                if _interleaved(reference) else [])
     for n_ref, e_ref in missing:
@@ -496,6 +490,13 @@ def cmd_solve(rc: RunConfig) -> int:
         print("strict comparison failed: " + "; ".join(causes), file=sys.stderr)
         return EXIT_COMPARE
     return EXIT_OK
+
+
+def _unrisen(numeric, grid: QGrid) -> List[str]:
+    """A line naming the first two levels that do not rise (states narrower than a grid step)."""
+    return [f"levels {k - 1} and {k} do not rise: the grid of n = {grid.n} nodes does "
+            f"not resolve these states" for k in range(1, len(numeric))
+            if not numeric[k] > numeric[k - 1]][:1]
 
 
 def _unmatched_reference(numeric, reference, tol) -> List[Tuple[int, float]]:
@@ -559,9 +560,7 @@ def cmd_scan(rc: RunConfig) -> int:
     if rc.scan_steps < 2:
         raise ConfigError("config key 'scan.steps': need at least 2 steps")
     if rc.scan_param not in rc.model_params:
-        raise ConfigError(
-            f"config key 'scan.param': model has no parameter {rc.scan_param!r}"
-        )
+        raise ConfigError(f"config key 'scan.param': model has no parameter {rc.scan_param!r}")
     values = np.linspace(rc.scan_min, rc.scan_max, rc.scan_steps)
     os.makedirs(rc.out_dir, exist_ok=True)
     path = os.path.join(rc.out_dir, "scan.csv")
@@ -599,16 +598,13 @@ def cmd_scan(rc: RunConfig) -> int:
             held = _hold(rc, _build_model(rc, override={rc.scan_param: held.ref}), held.ref, held)
     with open(path, "a", encoding="utf-8", newline="\n") as fh:
         if new_file:
-            for line in header:
-                fh.write(line + "\n")
-            fh.write(columns)
+            fh.write("".join(line + "\n" for line in header) + columns)
         for val in values:
             key = _fmt(float(val))
             if key in done:
                 continue
             rows, held = _scan_point(rc, float(val), held)
-            for row in rows:
-                fh.write(",".join(row) + "\n")
+            fh.writelines(",".join(row) + "\n" for row in rows)
             fh.flush()
     print(f"scan over {rc.scan_param}: {rc.scan_steps} points -> {path}")
     return EXIT_OK
@@ -685,7 +681,7 @@ def _report_levels(rc: RunConfig, model: ModelSpec, tmap: TransformMap) -> None:
                 print(f"  n={n}: {exc}")
         return
     outcome = run_solve_pipeline(rc, model=model, tmap=tmap, vectors=False)
-    _, reference, rows = _paired_levels(rc, outcome)
+    numeric, reference, rows = _paired_levels(rc, outcome)
     as_pub = _interleaved(reference)
     # the published family is a claim about approximate-mode levels
     stride = 0 if as_pub or outcome.mode != "approximate" else facts.published_stride
@@ -697,6 +693,8 @@ def _report_levels(rc: RunConfig, model: ModelSpec, tmap: TransformMap) -> None:
             k = ref.n - facts.first_level
             tag += f", published n={k // stride}" if k % stride == 0 else ", interleaved"
         print(f"  level {idx}: E={_fmt(e_num)} {tag}")
+    for line in _unrisen(numeric, outcome.grid):
+        print(line)
 
 
 # ---------------------------------------------------------------------------

@@ -68,7 +68,6 @@ form's, which is within 2 tol of its bisected value.
 
 from __future__ import annotations
 
-import contextlib
 import importlib.machinery
 import importlib.util
 import math
@@ -89,6 +88,7 @@ from .errors import (
     NumericalError,
     SingularNodeError,
     UnboundedBelowError,
+    sides,
 )
 from .potential import (CONSTANT_U, EXACT, PotentialField, QGrid, approx_potential,
                         exact_potential, square_finite)
@@ -624,33 +624,27 @@ def _probes(lo: float, hi: float) -> List[QGrid]:
     return [QGrid(lo, lo + 2e-8 * width, 3), QGrid(hi - 2e-8 * width, hi, 3)]
 
 
-def _hardy_check(fields_on, lo: float, hi: float) -> None:
+def _hardy_check(field_of, lo: float, hi: float) -> None:
     """Raise UnboundedBelowError when V is unbounded below at a wall of (lo, hi).
 
     V d^2 at the node next to each wall of its probe (_probes), d = 0.5e-8
     of the width its distance from that wall, reads the wall coefficient c
     of V ~ c / d^2; below -1/4 V has no lowest level there (Hardy).
-    ``fields_on(grids)`` gives V on both probes in one call (solve_approximate's
-    reads them from its one pass) or, where that raises a NumericalError, in
-    one call each, the low wall first. A probe
-    that raises DomainError (nodes that round onto its wall) or
-    SingularNodeError (u^2 overflowing there) reads no coefficient for its
-    wall; any other error propagates with its own cause.
+    ``field_of(probe)`` gives V on one probe, the low wall first, so a low
+    wall below -1/4 raises before the high probe is read. A probe that
+    raises DomainError (nodes that round onto its wall) or SingularNodeError
+    (u^2 overflowing there) reads no coefficient for its wall; any other
+    error propagates with its own cause.
     """
-    probes = _probes(lo, hi)
-    try:
-        fields = fields_on(probes)
-    except NumericalError:
-        fields = [None, None]
-    for probe, field, wall, near in zip(probes, fields, (lo, hi), (0, -1)):
+    for probe, wall, near in zip(_probes(lo, hi), (lo, hi), (0, -1)):
         try:
-            values = (fields_on((probe,))[0] if field is None else field).values
+            values = field_of(probe).values
         except (DomainError, SingularNodeError):
             continue
         c = values[near] * (probe.nodes[near] - wall) ** 2
         if c < -0.25:
             raise UnboundedBelowError(
-                f"wall coefficient c = V d^2 = {c:.6g} < -1/4 at q = {wall:g}: V is "
+                f"wall coefficient c = V d^2 = {sides(c, -0.25)[0]} < -1/4 at q = {wall:g}: V is "
                 f"unbounded below at that wall, so it has no lowest level")
 
 
@@ -662,11 +656,11 @@ def _solve_grids(lo: float, hi: float, n: int, k_states: int) -> List[QGrid]:
 
 def approx_family(model: ModelSpec, tmap: TransformMap, n: int,
                   k_states: int) -> Optional[dict]:
-    """approx_potential's ``family`` of ``model``: W, S and max |u| on every
-    grid solve_approximate reads for (n, k_states), from one pass over the
-    two wall probes, the ladder and the refined grid, which the base grid is
-    read from (its odd nodes). A pass that raises propagates; None on an
-    infinite q-range."""
+    """approx_potential's ``family`` of ``model`` for a scan: W, S and max |u|
+    on every grid solve_approximate reads for (n, k_states), from one pass
+    over the two wall probes, the ladder and the refined grid, which the
+    base grid is read from (its odd nodes). A pass that raises propagates;
+    None on an infinite q-range."""
     lo, hi = tmap.q_lo, tmap.q_hi
     if not (math.isfinite(lo) and math.isfinite(hi)):
         return None
@@ -683,31 +677,27 @@ def solve_approximate(model: ModelSpec, tmap: TransformMap, n: int,
     """Lowest k_states levels of the energy-independent (approximate) potential.
 
     A finite q-range gets the plain grid of n nodes, once _hardy_check finds
-    V bounded below at both walls. V on the wall probes and on the grids
-    solve_fixed reads is W + r^2 S of ``family`` (approx_family of the same
-    map, n and k_states, for a reference whose u is this model's over r), or
-    of the solve's own approx_family at r = 1, dropped once V is built; where
-    that pass raises a NumericalError, the probes and then the grids take a
-    pass each, so the solve ends on the error they meet. An infinite side is
-    cut at |q| = L, a wall of the grid of n nodes, L doubled until the levels
-    settle (expand_until_settled). The result's ``field`` is the potential of
-    the grid it was solved on; ``vectors`` as in solve_fixed.
+    V bounded below at both walls. One approx_potential call gives V on the
+    wall probes and on the grids solve_fixed reads: W + r^2 S of ``family``
+    (approx_family of the same map, n and k_states, for a reference whose u
+    is this model's over r), else of its own pass. Where that call raises a
+    NumericalError, each probe, then the grids, takes a call of its own, so
+    the solve ends on the error they meet. An infinite side is cut at |q| = L,
+    a wall of the grid of n nodes, L doubled until the levels settle
+    (expand_until_settled). ``field`` and ``vectors`` as in solve_fixed.
     """
     lo, hi = tmap.q_lo, tmap.q_hi
     if math.isfinite(lo) and math.isfinite(hi):
-        held = family
-        if held is None:
-            with contextlib.suppress(NumericalError):  # else the probes' pass, then the grids'
-                held = approx_family(model, tmap, n, k_states)
-
-        def fields_on(grids):
-            first = approx_potential(model, grids[0], tmap, also=grids[1:], family=held, r=r)
-            return [first] + [first.on_grid(grid) for grid in grids[1:]]
-
-        _hardy_check(fields_on, lo, hi)
         grid, *also = _solve_grids(lo, hi, n, k_states)
-        field = approx_potential(model, grid, tmap, also=also, family=held, r=r)
-        del held  # W and S go before the levels are solved
+        try:
+            field = approx_potential(model, grid, tmap, also=[*_probes(lo, hi), *also],
+                                     family=family, r=r)
+        except NumericalError:
+            _hardy_check(lambda probe: approx_potential(model, probe, tmap, family=family, r=r),
+                         lo, hi)
+            field = approx_potential(model, grid, tmap, also=also, family=family, r=r)
+        else:
+            _hardy_check(field.on_grid, lo, hi)
         return solve_fixed(field, k_states, vectors=vectors)
     return expand_until_settled(
         lambda L: approx_potential(model, QGrid(lo if math.isfinite(lo) else -L,

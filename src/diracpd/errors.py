@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the text of the bounds they name."""
 
 
 class NumericalError(Exception):
@@ -75,3 +75,15 @@ class ConfigError(ValueError):
 
 class AsPublishedWarning(UserWarning):
     """Emitted when a value comes from a formula flagged as-published."""
+
+
+def sides(value: float, bound: float) -> tuple[str, str]:
+    """``value`` and ``bound`` in %g text with the fewest significant digits, six
+    at least, at which the printed value reads on the side of the printed bound
+    that ``value`` is on (a bound check's message never contradicts itself)."""
+    for digits in range(6, 17):
+        shown = f"{value:.{digits}g}", f"{bound:.{digits}g}"
+        a, b = map(float, shown)
+        if (a < b, a > b) == (value < bound, value > bound):
+            return shown
+    return f"{value:.17g}", f"{bound:.17g}"  # round-trips, so on its side

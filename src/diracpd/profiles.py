@@ -34,7 +34,8 @@ from typing import Callable, Hashable, Mapping, Optional, Tuple
 
 import numpy as np
 
-from .errors import AsPublishedWarning, DomainError, ImaginaryEnergyError, InvalidParameterError
+from .errors import (AsPublishedWarning, DomainError, ImaginaryEnergyError, InvalidParameterError,
+                     sides)
 
 Interval = Tuple[float, float]
 
@@ -626,7 +627,8 @@ def _poschl_teller(params) -> ModelSpec:
                                     VERIFIED)
         if exact:
             if m0 * v0 / a < 0.5:
-                raise InvalidParameterError(f"exact ladder needs g >= 1/2, got {m0 * v0 / a:g}")
+                raise InvalidParameterError("exact ladder needs g >= 1/2, got "
+                                            + sides(m0 * v0 / a, 0.5)[0])
             e = m0 * v0 * v0 + a * v0 * (n + 0.5)
             return AnalyticSpectrum("poschl_teller", n, e, -e, VERIFIED)
         s = s_parameter(a, v0, m0, as_published=as_published)

@@ -32,6 +32,7 @@ from .errors import (
     SingularNodeError,
     SubGapError,
     ZetaCrossingError,
+    sides,
 )
 from .eigensolver import EigenPair
 from .potential import QGrid
@@ -190,13 +191,10 @@ def bic_family(model: ModelSpec, energy: float, tmap: Optional[TransformMap] = N
         raise InvalidParameterError(f"energy must be finite, got {energy!r}")
     a_const = detect_constant_u(model)
     if a_const is None:
-        raise InvalidParameterError(
-            f"model {model.name!r} is not in the constant-u class"
-        )
+        raise InvalidParameterError(f"model {model.name!r} is not in the constant-u class")
     if energy * energy < a_const * a_const:
-        raise SubGapError(
-            f"E^2 = {energy * energy:g} < A^2 = {a_const * a_const:g}"
-        )
+        e2, a2 = sides(energy * energy, a_const * a_const)
+        raise SubGapError(f"E^2 = {e2} < A^2 = {a2}")
     lam = math.sqrt(energy * energy - a_const * a_const)
     if tmap is None:
         tmap = build_transform(model.velocity, model.anchor)

@@ -21,6 +21,7 @@ from diracpd.errors import (
     AsPublishedWarning,
     ImaginaryEnergyError,
     InvalidParameterError,
+    sides,
 )
 
 E1_COSH_MASSIVE = 1.8620958891185866  # sqrt((pi/2)^2 + 1)
@@ -98,6 +99,21 @@ class TestSpectra:
             assert entry.e_plus == pytest.approx(1.3 * 0.8 * (g + n + 0.5), rel=1e-14)
         with pytest.raises(InvalidParameterError):
             spectrum_entry("poschl_teller", 0, dict(alpha=1, v0=1, m0=0.4), exact=True)
+
+    def test_exact_ladder_bound_prints_g_below_it(self):
+        # g = 0.4999999 is printed on its side of 1/2, not rounded onto it
+        model = builtin_model("poschl_teller", alpha=1, v0=1, m0=0.4999999)
+        with pytest.raises(InvalidParameterError, match=r"needs g >= 1/2, got 0\.4999999$"):
+            model.facts.level(0, exact=True)
+
+    def test_sides_prints_a_value_on_its_side_of_the_bound(self):
+        assert sides(-0.25000005, -0.25) == ("-0.25000005", "-0.25")
+        assert sides(0.9999999 ** 2, 1.0) == ("0.9999998", "1")
+        assert sides(1.0 + 2.0 ** -52, 1.0) == ("1.0000000000000002", "1")
+        assert sides(1.0, 1.0) == ("1", "1")
+        # six digits where they suffice, as a %.6g message printed them
+        assert sides(-0.2725000001, -0.25) == ("-0.2725", "-0.25")
+        assert sides(-1.0, -0.25) == ("-1", "-0.25")
 
     def test_level_index_validation(self):
         with pytest.raises(InvalidParameterError):

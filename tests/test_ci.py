@@ -1,8 +1,8 @@
 """The CI workflow parses as YAML, its benchmark runs cover exactly the declared workloads, its
 tier-1 job pins the BLAS/OpenMP pools to one thread as the benchmark does and runs one-shot
-solves, a scan and its resume, a scipy.linalg import check and a non-finite config in a fresh
-interpreter, and the
-benchmark's layer tracer still finds every name it wraps in the package."""
+solves, a scan and its resume, a scipy.linalg import check, a sub-gap bic state and a
+non-finite config in a fresh interpreter, and the benchmark's layer tracer still finds every
+name it wraps in the package."""
 
 import json
 import os
@@ -168,6 +168,17 @@ def test_tier1_runs_one_shot_solves():
                         r'--out "\$RUNNER_TEMP/unrisen" \|\| status=\$\?\ntest "\$status" -eq 4\n',
                         run)
     assert unrisen and unrisen.start() > run.index("glob.glob(")
+    # a bic state of cosh_square just under the gap (E^2 < A^2 = 1) exits 3, and its
+    # message prints E^2 on its side of A^2; it too writes outside the out-* directories
+    assert re.search(r"'model\.name = cosh_square' 'model\.alpha = 1' 'model\.v0 = 1' \\\s+"
+                     r"'model\.m0 = 1' 'bic\.energies = 0\.9999999' "
+                     r"> \"\$RUNNER_TEMP/subgap\.cfg\"", run)
+    subgap = re.search(r'python -m diracpd\.cli bic \\\s+--config "\$RUNNER_TEMP/subgap\.cfg" '
+                       r'--out "\$RUNNER_TEMP/subgap" 2> "\$RUNNER_TEMP/subgap\.err" '
+                       r'\|\| status=\$\?\ntest "\$status" -eq 3\n'
+                       r"grep -qF 'E\^2 = 0\.9999998 < A\^2 = 1' \"\$RUNNER_TEMP/subgap\.err\"\n",
+                       run)
+    assert subgap and subgap.start() > run.index("glob.glob(")
     # a non-finite config number exits 2, also under --strict
     assert "echo 'compare.tol = nan'; } > \"$RUNNER_TEMP/nan.cfg\"" in run
     assert re.search(r'--config "\$RUNNER_TEMP/nan\.cfg" --strict .*\|\| status=\$\?', run)
@@ -229,11 +240,11 @@ print(spans["potential.build"][0], spans["eigensolver.solve_fixed"][0])
 def test_tracer_installs_against_src():
     # install() raises when a wrapped name (diracpd.eigensolver.eigh_tridiagonal
     # among them) is bound nowhere in the package; an approximate solve then records
-    # the calls solve_approximate makes by name: three calls of approx_potential (the
-    # one pass over the wall probes, the ladder and the refined grid, then the probes'
-    # V and the grid's V read from it) and one solve_fixed
+    # the calls solve_approximate makes by name: one call of approx_potential (one
+    # pass over the wall probes, the ladder and the refined grid, whose V the wall
+    # check and solve_fixed read) and one solve_fixed
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")]))
     proc = subprocess.run([sys.executable, "-c", TRACED_APPROXIMATE_SOLVE], env=env,
                           cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["3", "1"]
+    assert proc.stdout.split() == ["1", "1"]

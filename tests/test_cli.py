@@ -174,9 +174,9 @@ class TestSolve:
         # only a DomainError (probe nodes rounding onto a wall) or a SingularNodeError
         # leaves a wall's coefficient unread; any other failure propagates
         def failing(exc):
-            def fields_on(grids):
+            def field_of(probe):
                 raise exc
-            return fields_on
+            return field_of
 
         for exc in (errors.DomainError("on the wall"), errors.SingularNodeError("overflow")):
             assert eigensolver._hardy_check(failing(exc), 0.0, 1.0) is None
@@ -185,11 +185,11 @@ class TestSolve:
                                      0.0, 1.0)
 
         def flat(value):
-            # V = value on both wall probes, which take one call
-            def fields_on(grids):
-                assert len(grids) == 2
-                return [types.SimpleNamespace(values=np.full(grid.n, value)) for grid in grids]
-            return fields_on
+            # V = value on each wall probe, which takes one call
+            def field_of(probe):
+                assert probe.n == 3
+                return types.SimpleNamespace(values=np.full(probe.n, value))
+            return field_of
 
         # a finite or NaN V at the walls reads no c below -1/4
         assert eigensolver._hardy_check(flat(1.0), 0.0, 1.0) is None
@@ -198,7 +198,7 @@ class TestSolve:
         real = eigensolver.approx_potential
 
         def probe_fails(model, grid, tmap, also=(), **family):
-            if grid.n == 3:
+            if 3 in (g.n for g in (grid, *also)):
                 raise QuadratureFailureError("forced probe failure", partial=0.0)
             return real(model, grid, tmap, also, **family)
 
@@ -1259,6 +1259,15 @@ EDGE_SWEEP = [
     ("wall-g0.2-solve", "solve", dict(MASSLESS_PT, model__m0=0.2, mode="approximate", grid__n=2000),
      3, "numerical failure: UnboundedBelowError: wall coefficient c = V d^2 = -0.2725 < -1/4 at "
         "q = -1.5708: V is unbounded below at that wall, so it has no lowest level"),
+    # a value just past its bound is printed on its side of it, not rounded onto it
+    ("wall-g0.2499999-solve", "solve",
+     dict(MASSLESS_PT, model__m0=0.2499999, mode="approximate", grid__n=2000), 3,
+     "numerical failure: UnboundedBelowError: wall coefficient c = V d^2 = -0.25000005 < -1/4 "
+     "at q = -1.5708: V is unbounded below at that wall, so it has no lowest level"),
+    ("bic-subgap-cosh_square", "bic",
+     dict(model__name="cosh_square", model__alpha=1.0, model__v0=1.0, model__m0=1.0,
+          bic__energies="0.9999999"), 3,
+     "numerical failure: SubGapError: E^2 = 0.9999998 < A^2 = 1"),
     ("free-note-constant_rest", "solve",
      dict(FREE_REST, outputs="spectrum, potential, wavefunctions"), 0, FREE_NOTE),
     ("free-note-linear_singular", "solve",
@@ -1730,6 +1739,27 @@ class TestReport:
         assert "interleaved" in out
         assert os.path.exists(tmp_path / "out" / "discrepancy.csv")
         assert len(calls) == 1
+
+    def test_levels_that_do_not_rise_are_named(self, tmp_path, capsys):
+        # as solve names them: at g = 1e6 the states are narrower than a step of
+        # n = 400, and E2 < E1 is named after the table; at g = 1.5 no line is
+        line = ("levels 1 and 2 do not rise: the grid of n = 400 nodes does not resolve "
+                "these states")
+        for m0 in (1e6, 1.5):
+            cfg = write_config(tmp_path / "c.txt", model__name="poschl_teller", model__alpha=1,
+                               model__v0=1, model__m0=m0, grid__n=400, solve__k_states=3,
+                               out__dir=str(tmp_path / "out"))
+            assert main(["report", "--config", cfg]) == 0
+            captured = capsys.readouterr()
+            lines = captured.out.splitlines()
+            assert not captured.err
+            if m0 == 1e6:
+                assert lines[-2] == ("  level 2: E=999987.29264095833 matches n=2 rel=1.52e-05, "
+                                     "published n=1")
+                assert lines[-1] == line
+            else:
+                assert lines[-1].startswith("  level 2: E=3.98686590240")
+                assert "do not rise" not in captured.out
 
     def test_discrepancy_table_is_the_solve_potential(self, tmp_path):
         # report samples the approximate potential on the grid an approximate solve

@@ -426,9 +426,9 @@ class TestSolveApproximate:
 
     @pytest.mark.parametrize("name", ["poschl_teller", "cosh_square"])
     def test_one_pass_gives_the_per_grid_solve(self, monkeypatch, name):
-        # n = 2000: the two wall probes, the base grid, the ladder's two grids and the
+        # n = 2000: the base grid, the two wall probes, the ladder's two grids and the
         # refined grid take one pass (the base read from the refined grid's odd
-        # nodes); solve_fixed evaluates nothing again
+        # nodes); the wall check and solve_fixed evaluate nothing again
         model = builtin_model(name, alpha=1.0, v0=1.0, m0=1.5)
         tmap = build_transform(model.velocity, model.anchor)
         want = solve_fixed(approx_potential(model, QGrid(tmap.q_lo, tmap.q_hi, 2000),
@@ -438,7 +438,7 @@ class TestSolveApproximate:
         monkeypatch.setattr(potential, "_approx_pass", lambda model, grids, tmap: passes.append(
             [grid.n for grid in grids]) or real(model, grids, tmap))
         got = solve_approximate(model, tmap, 2000, 3)
-        assert passes == [[3, 3, 2000, 62, 125, 4001]]
+        assert passes == [[2000, 3, 3, 62, 125, 4001]]
         assert got.field.grid == want.field.grid
         assert got.field.values.tobytes() == want.field.values.tobytes()
         assert got.energies == want.energies
@@ -486,45 +486,43 @@ class TestSolveApproximate:
             assert e == pytest.approx(spectrum_value("poschl_teller", j, params)[0], rel=5e-6)
 
     def test_a_later_probe_failure_does_not_preempt_an_earlier_decision(self):
-        # the one pass raises on the high wall's probe; one call per probe, low
-        # wall first, then reads the low wall before the high one fails
+        # one call per probe, low wall first: the low wall is read before the high
+        # probe's failure propagates, and a low wall below -1/4 raises before the
+        # high probe is touched
         calls = []
 
-        def fields_on(lo_values, hi_error):
-            def call(grids):
-                calls.append(len(grids))
-                fields = []
-                for grid in grids:
-                    if grid.nodes[0] > 0.9:
-                        raise hi_error
-                    fields.append(types.SimpleNamespace(values=lo_values(grid.nodes)))
-                return fields
+        def field_of(lo_values, hi_error):
+            def call(probe):
+                calls.append("hi" if probe.nodes[0] > 0.9 else "lo")
+                if calls[-1] == "hi":
+                    raise hi_error
+                return types.SimpleNamespace(values=lo_values(probe.nodes))
             return call
 
-        nan = fields_on(lambda q: np.full(3, np.nan), QuadratureFailureError("hi", partial=0.0))
+        nan = field_of(lambda q: np.full(3, np.nan), QuadratureFailureError("hi", partial=0.0))
         with pytest.raises(QuadratureFailureError, match="hi"):
             eigensolver._hardy_check(nan, 0.0, 1.0)
-        assert calls == [2, 1, 1]
+        assert calls == ["lo", "hi"]
         calls.clear()
-        below = fields_on(lambda q: -1.0 / q ** 2, DomainError("on the high wall"))
+        below = field_of(lambda q: -1.0 / q ** 2, DomainError("on the high wall"))
         with pytest.raises(UnboundedBelowError, match=r"c = V d\^2 = -1 < -1/4 at q = 0"):
             eigensolver._hardy_check(below, 0.0, 1.0)
-        assert calls == [2, 1]
+        assert calls == ["lo"]
         calls.clear()
-        assert eigensolver._hardy_check(fields_on(lambda q: np.ones(3), DomainError("hi")),
+        assert eigensolver._hardy_check(field_of(lambda q: np.ones(3), DomainError("hi")),
                                         0.0, 1.0) is None
-        assert calls == [2, 1, 1]
+        assert calls == ["lo", "hi"]
 
     def test_both_walls_are_read(self):
         # a low wall V = 1 / q^2 (c = 1) does not end the check: the high wall's
         # V = -1 / (1 - q)^2 (c = -1) is unbounded below, and named
-        def fields_on(grids):
-            return [types.SimpleNamespace(values=np.where(grid.nodes < 0.5, 1.0 / grid.nodes ** 2,
-                                                          -1.0 / (1.0 - grid.nodes) ** 2))
-                    for grid in grids]
+        def field_of(probe):
+            q = probe.nodes
+            return types.SimpleNamespace(values=np.where(q < 0.5, 1.0 / q ** 2,
+                                                         -1.0 / (1.0 - q) ** 2))
 
         with pytest.raises(UnboundedBelowError, match=r"c = V d\^2 = -1 < -1/4 at q = 1:"):
-            eigensolver._hardy_check(fields_on, 0.0, 1.0)
+            eigensolver._hardy_check(field_of, 0.0, 1.0)
 
     def test_overflow_on_a_wall_probe_reads_no_coefficient(self):
         # m0 = 1e150: u^2 overflows on the probes 3e-8 from the 1/sin walls, which
@@ -534,17 +532,77 @@ class TestSolveApproximate:
         tmap = build_transform(model.velocity, model.anchor)
         calls = []
 
-        def fields_on(grids):
-            calls.append(len(grids))
-            first = approx_potential(model, grids[0], tmap, also=grids[1:])
-            return [first] + [first.on_grid(grid) for grid in grids[1:]]
+        def field_of(probe):
+            calls.append(probe.n)
+            return approx_potential(model, probe, tmap)
 
-        assert eigensolver._hardy_check(fields_on, tmap.q_lo, tmap.q_hi) is None
-        assert calls == [2, 1, 1]
+        assert eigensolver._hardy_check(field_of, tmap.q_lo, tmap.q_hi) is None
+        assert calls == [3, 3]
         grid = QGrid(tmap.q_lo, tmap.q_hi, 400)
         field = approx_potential(model, grid, tmap, also=[grid.refined()])
         for f in (field, field.on_grid(grid.refined())):
             assert np.all(np.isfinite(f.values))
+
+    @pytest.mark.parametrize("n", [400, 2000])
+    def test_a_fresh_solve_makes_one_call_and_one_pass(self, monkeypatch, n):
+        # the wall probes ride the grids' one approx_potential call and its one pass;
+        # approx_family is a scan's alone
+        model = builtin_model("poschl_teller", alpha=1.0, v0=1.0, m0=1.5)
+        tmap = build_transform(model.velocity, model.anchor)
+        calls, passes = [], []
+        real_potential, real_pass = eigensolver.approx_potential, potential._approx_pass
+        monkeypatch.setattr(eigensolver, "approx_potential", lambda *a, **kw:
+                            calls.append(a[1].n) or real_potential(*a, **kw))
+        monkeypatch.setattr(potential, "_approx_pass", lambda model, grids, tmap:
+                            passes.append(len(grids)) or real_pass(model, grids, tmap))
+        monkeypatch.setattr(eigensolver, "approx_family",
+                            lambda *a: pytest.fail("a fresh solve builds no family"))
+        solve_approximate(model, tmap, n, 3, vectors=False)
+        assert calls == [n]
+        assert passes == [6 if n == 2000 else 4]
+
+    @pytest.mark.parametrize("n,formed", [(2000, 6), (400, 4)])
+    def test_v_is_formed_once_per_grid(self, monkeypatch, n, formed):
+        # V = W + r^2 S on the base grid, the two probes, the ladder (n = 2000) and
+        # the refined grid, once each
+        model = builtin_model("poschl_teller", alpha=1.0, v0=1.0, m0=1.5)
+        tmap = build_transform(model.velocity, model.anchor)
+        sizes = []
+        real = potential._member
+        monkeypatch.setattr(potential, "_member", lambda w, s, top, r:
+                            sizes.append(w.size) or real(w, s, top, r))
+        solve_approximate(model, tmap, n, 3, vectors=False)
+        assert len(sizes) == formed
+        assert sorted(sizes) == sorted([3, 3, n, 2 * n + 1] + ([62, 125] if n == 2000 else []))
+
+    def test_a_failed_pass_falls_back_to_one_call_per_probe(self, monkeypatch):
+        # m0 = 1e150, n = 400: u^2 overflows on the wall probes, so the one call
+        # raises; each probe then takes a call of its own and reads no coefficient,
+        # and the grids' own call gives the levels and V of a solve over them alone
+        model = builtin_model("poschl_teller", alpha=1.0, v0=1.0, m0=1e150)
+        tmap = build_transform(model.velocity, model.anchor)
+        grid = QGrid(tmap.q_lo, tmap.q_hi, 400)
+        want = solve_fixed(approx_potential(model, grid, tmap, also=[grid.refined()]), 3)
+        calls = []
+        real = eigensolver.approx_potential
+
+        def traced(model, grid, tmap, also=(), **family):
+            calls.append([grid.n, *(g.n for g in also)])
+            try:
+                return real(model, grid, tmap, also, **family)
+            except SingularNodeError:
+                calls[-1].append("overflow")
+                raise
+
+        monkeypatch.setattr(eigensolver, "approx_potential", traced)
+        got = solve_approximate(model, tmap, 400, 3)
+        assert calls == [[400, 3, 3, 801, "overflow"], [3, "overflow"], [3, "overflow"],
+                         [400, 801]]
+        assert got.field.values.tobytes() == want.field.values.tobytes()
+        assert got.energies == want.energies
+        for a, b in zip(got.pairs, want.pairs, strict=True):
+            assert (a.lam, a.error_estimate, a.nodes) == (b.lam, b.error_estimate, b.nodes)
+            assert a.phi.tobytes() == b.phi.tobytes()
 
     @pytest.mark.parametrize("m0", [3e146, 1e148, 1e150])
     def test_overflowing_shifted_solves_are_refused_without_warnings(self, m0):
