@@ -48,7 +48,6 @@ from . import _csvfloat
 from .eigensolver import (
     EigenPair,
     SpectrumResult,
-    approx_family,
     energies_from_lambda,
     solve_approximate,
     solve_exact,
@@ -276,26 +275,22 @@ class SolveOutcome:
 
 
 def run_solve_pipeline(rc: RunConfig, model: Optional[ModelSpec] = None,
-                       tmap: Optional[TransformMap] = None, vectors: bool = True,
-                       family: Optional[dict] = None, r: float = 1.0) -> SolveOutcome:
+                       tmap: Optional[TransformMap] = None, vectors: bool = True) -> SolveOutcome:
     """profiles -> transform -> potential -> eigensolver, per resolved mode.
 
     A given ``tmap`` must be the map of ``model.velocity`` anchored at
     ``model.anchor``; without one it is built here.
     ``vectors`` asks the eigensolver for eigenvectors (see solve_fixed).
-    A ``family`` (see solve_approximate, with r) carries its reference's
-    verdicts: approximate mode, outside the constant-u class.
     """
     if model is None:
         model = _build_model(rc)
     if tmap is None:
         tmap = build_transform(model.velocity, model.anchor)
-    mode, a_const = ("approximate", None) if family is not None else _resolve_mode(rc, model)
+    mode, a_const = _resolve_mode(rc, model)
     if mode == "exact":
         result = solve_exact(model, tmap, rc.grid_n, rc.k_states, vectors=vectors)
     elif mode == "approximate":
-        result = solve_approximate(model, tmap, rc.grid_n, rc.k_states, vectors=vectors,
-                                   family=family, r=r)
+        result = solve_approximate(model, tmap, rc.grid_n, rc.k_states, vectors=vectors)
     else:
         _require_constant_u(model, a_const, "mode constant-u")
         if math.isfinite(tmap.q_lo) and math.isfinite(tmap.q_hi):
@@ -531,26 +526,23 @@ def cmd_bic(rc: RunConfig) -> int:
 
 @dataclass(frozen=True)
 class _Held:
-    """What a scan holds between points: the map of ModelSpec.map_key ``key``
-    and, over the model's ``u_scale``, the potential family (approx_family)
-    of the first nonzero axis value ``ref``, once that member resolves to
-    approximate mode outside the constant-u class: every point shares it."""
-    ref: Optional[float]
+    """What a scan holds between points: the map of ModelSpec.map_key ``key``, and
+    the ``model`` of its reference ``ref``, the nonzero axis value of least |value|.
+    Over its ``u_scale``, where it solves in approximate mode on a finite q-range,
+    ``family`` is what every nonzero point solves from (solve_approximate; the first
+    point solved fills it). With |r| >= 1 the reference's verdicts hold at each point."""
     key: Optional[Hashable] = None
     tmap: Optional[TransformMap] = None
+    ref: Optional[float] = None
+    model: Optional[ModelSpec] = None
     family: Optional[dict] = None
 
 
-def _hold(rc: RunConfig, model: ModelSpec, value: float, held: _Held) -> _Held:
-    """``held`` for the point ``value`` of ``model``: a new map where its ``map_key``
-    differs or is None, and the family at the reference. Neither is held where
-    its build raises; the points then take a fresh solve's path."""
+def _hold(model: ModelSpec, held: _Held) -> _Held:
+    """``held`` with the map of ``model``: a new map where its ``map_key``
+    differs or is None. Nothing new is held where the build raises."""
     if model.map_key is None or model.map_key != held.key:
-        held = _Held(held.ref, model.map_key, build_transform(model.velocity, model.anchor))
-    if (held.family is None and value == held.ref and model.facts.u_scale == rc.scan_param
-            and _resolve_mode(rc, model) == ("approximate", None)):
-        with contextlib.suppress(NumericalError):
-            held = replace(held, family=approx_family(model, held.tmap, rc.grid_n, rc.k_states))
+        held = replace(held, key=model.map_key, tmap=build_transform(model.velocity, model.anchor))
     return held
 
 
@@ -561,7 +553,10 @@ def cmd_scan(rc: RunConfig) -> int:
         raise ConfigError("config key 'scan.steps': need at least 2 steps")
     if rc.scan_param not in rc.model_params:
         raise ConfigError(f"config key 'scan.param': model has no parameter {rc.scan_param!r}")
-    values = np.linspace(rc.scan_min, rc.scan_max, rc.scan_steps)
+    try:
+        values = np.linspace(rc.scan_min, rc.scan_max, rc.scan_steps)
+    except MemoryError as exc:  # numpy's message names the bytes the axis asked for
+        raise ConfigError(f"config key 'scan.steps': {exc}") from exc
     os.makedirs(rc.out_dir, exist_ok=True)
     path = os.path.join(rc.out_dir, "scan.csv")
 
@@ -591,11 +586,15 @@ def cmd_scan(rc: RunConfig) -> int:
             os.remove(path)
 
     new_file = not os.path.exists(path)
-    held = _Held(next((float(val) for val in values if val), None))
-    if held.ref is not None and _fmt(held.ref) in done:
-        # a resumed scan holds the reference's family, as the first run did
-        with contextlib.suppress(NumericalError, ConfigError, InvalidParameterError):
-            held = _hold(rc, _build_model(rc, override={rc.scan_param: held.ref}), held.ref, held)
+    held = _Held(ref=min((float(val) for val in values if val), key=abs, default=None))
+    with contextlib.suppress(NumericalError, ConfigError, InvalidParameterError):
+        if held.ref:
+            held = replace(held, model=_build_model(rc, override={rc.scan_param: held.ref}))
+            if (held.model.facts.u_scale == rc.scan_param
+                    and _resolve_mode(rc, held.model) == ("approximate", None)):
+                held = _hold(held.model, held)
+                if math.isfinite(held.tmap.q_lo) and math.isfinite(held.tmap.q_hi):
+                    held = replace(held, family={})
     with open(path, "a", encoding="utf-8", newline="\n") as fh:
         if new_file:
             fh.write("".join(line + "\n" for line in header) + columns)
@@ -612,19 +611,24 @@ def cmd_scan(rc: RunConfig) -> int:
 
 def _scan_point(rc: RunConfig, value: float,
                 held: _Held) -> Tuple[List[Tuple[str, ...]], _Held]:
-    """Rows for one scan point, and what to hold for the next (_hold).
+    """Rows for one scan point, and what to hold for the next (_Held).
 
-    Each point builds its model, whose references its rows carry. With a
-    family held, a nonzero point takes V = W + r^2 S, r = value / ref: bit for
-    bit a fresh solve's V at r = 1 and at a power of two.
+    Each point has its model, whose references its rows carry; the reference
+    point's is the one held. With a family held, a nonzero point is a solve
+    of the reference model at r = value / ref, V = W + r^2 S: bit for bit a
+    fresh solve's V at r = 1 and at a power of two.
     """
     key = _fmt(value)
     try:
-        model = _build_model(rc, override={rc.scan_param: value})
-        held = _hold(rc, model, value, held)
-        family = held.family if value else None
-        outcome = run_solve_pipeline(rc, model=model, tmap=held.tmap, vectors=False, family=family,
-                                     r=value / held.ref if family else 1.0)
+        model = (held.model if value == held.ref and held.model
+                 else _build_model(rc, override={rc.scan_param: value}))
+        if held.family is not None and value:
+            result = solve_approximate(held.model, held.tmap, rc.grid_n, rc.k_states,
+                                       vectors=False, family=held.family, r=value / held.ref)
+            outcome = SolveOutcome(model, held.tmap, "approximate", None, result)
+        else:
+            held = _hold(model, held)
+            outcome = run_solve_pipeline(rc, model=model, tmap=held.tmap, vectors=False)
         # row k holds level k beside the entry solve prints for it: nan when none
         # is defined or the level is interleaved in an as-published family
         return [(key, str(k), _fmt(e_num), _fmt(ref.e_plus) if ref else "nan", "ok")

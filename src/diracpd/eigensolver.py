@@ -654,23 +654,6 @@ def _solve_grids(lo: float, hi: float, n: int, k_states: int) -> List[QGrid]:
     return [grid, *_ladder_grids(grid, k_states), grid.refined()]
 
 
-def approx_family(model: ModelSpec, tmap: TransformMap, n: int,
-                  k_states: int) -> Optional[dict]:
-    """approx_potential's ``family`` of ``model`` for a scan: W, S and max |u|
-    on every grid solve_approximate reads for (n, k_states), from one pass
-    over the two wall probes, the ladder and the refined grid, which the
-    base grid is read from (its odd nodes). A pass that raises propagates;
-    None on an infinite q-range."""
-    lo, hi = tmap.q_lo, tmap.q_hi
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        return None
-    family: dict = {}
-    low, high = _probes(lo, hi)
-    approx_potential(model, low, tmap, also=[high, *_solve_grids(lo, hi, n, k_states)],
-                     family=family)
-    return family
-
-
 def solve_approximate(model: ModelSpec, tmap: TransformMap, n: int,
                       k_states: int, vectors: bool = True, family: Optional[dict] = None,
                       r: float = 1.0) -> SpectrumResult:
@@ -679,12 +662,13 @@ def solve_approximate(model: ModelSpec, tmap: TransformMap, n: int,
     A finite q-range gets the plain grid of n nodes, once _hardy_check finds
     V bounded below at both walls. One approx_potential call gives V on the
     wall probes and on the grids solve_fixed reads: W + r^2 S of ``family``
-    (approx_family of the same map, n and k_states, for a reference whose u
-    is this model's over r), else of its own pass. Where that call raises a
-    NumericalError, each probe, then the grids, takes a call of its own, so
-    the solve ends on the error they meet. An infinite side is cut at |q| = L,
-    a wall of the grid of n nodes, L doubled until the levels settle
-    (expand_until_settled). ``field`` and ``vectors`` as in solve_fixed.
+    where given (a scan's: its first solve fills it from the pass over
+    ``model``, the reference, whose u is the point's over r), else of its own
+    pass. Where that call raises a NumericalError, each probe, then the
+    grids, takes a call of its own, so the solve ends on the error they meet.
+    An infinite side is cut at |q| = L, a wall of the grid of n nodes, L
+    doubled until the levels settle (expand_until_settled); that branch reads
+    neither ``family`` nor r. ``field`` and ``vectors`` as in solve_fixed.
     """
     lo, hi = tmap.q_lo, tmap.q_hi
     if math.isfinite(lo) and math.isfinite(hi):

@@ -204,13 +204,13 @@ def approx_potential(model: ModelSpec, grid: QGrid, tmap: TransformMap,
     left out), isolated interior zeros are flagged singular, and a u whose
     square overflows raises SingularNodeError (square_finite, on r max |u|).
     W and S of ``grid`` and the grids ``also`` lists are read from ``family``
-    (eigensolver.approx_family) when it holds them all, and the massless
+    (a scan's, keyed by grid) when it holds them all, and the massless
     verdict is then its reference's. Otherwise the massless check and one
     pass over ``model`` (_approx_pass) give them, and they join ``family``:
-    ``model`` is then the reference, and r = 1 gives the pass's own V bit for
-    bit. ``on_grid`` hands each grid's V over once (a grid beyond these is
-    evaluated on its own): the evaluator keeps V, never W or S, and arrays,
-    never fields, so no cycle holds it.
+    ``model`` is the reference with every call on one family, and r = 1
+    gives the pass's own V bit for bit. ``on_grid`` hands each grid's V over
+    once (a grid beyond these is evaluated on its own): the evaluator keeps
+    V, never W or S, and arrays, never fields, so no cycle holds it.
     """
     grids = (grid, *also)
     held = {} if family is None else family

@@ -26,7 +26,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .errors import DomainError, InvalidParameterError, QuadratureFailureError
+from .errors import DomainError, InvalidParameterError, QuadratureFailureError, sides
 from .profiles import VelocityProfile
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -83,7 +83,7 @@ def _quad_segments(f, a, b, tol):
             why = ("integrand not finite on a panel" if bad.any() else
                    f"more than {_QUAD_PANELS} panels unsettled")
             raise QuadratureFailureError(
-                f"quadrature failed on [{a[i]:g}, {b[i]:g}]: {why}",
+                f"quadrature failed on [{', '.join(sides(a[i], b[i]))}]: {why}",
                 partial=float(total[i] + np.sum(halves[seg == i])))
         target = np.maximum(0.1 * tol, 1e-12 * norm)[seg] * np.abs(halves)
         ok = np.abs(whole - halves) * np.maximum(norm[seg], _TINY) <= target
@@ -93,9 +93,11 @@ def _quad_segments(f, a, b, tol):
         seg = np.concatenate((seg[keep], seg[keep]))
         pa, pb = np.concatenate((pa[keep], mid[keep])), np.concatenate((mid[keep], pb[keep]))
         whole = np.concatenate((left[keep], right[keep]))
+    if seg.size == 0:  # the last round settled every panel
+        return total
     i = int(seg[0])
     raise QuadratureFailureError(
-        f"quadrature failed on [{a[i]:g}, {b[i]:g}]: still splitting after "
+        f"quadrature failed on [{', '.join(sides(a[i], b[i]))}]: still splitting after "
         f"{_QUAD_ROUNDS} rounds", partial=float(total[i] + np.sum(whole[seg == i])))
 
 

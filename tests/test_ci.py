@@ -179,6 +179,21 @@ def test_tier1_runs_one_shot_solves():
                        r"grep -qF 'E\^2 = 0\.9999998 < A\^2 = 1' \"\$RUNNER_TEMP/subgap\.err\"\n",
                        run)
     assert subgap and subgap.start() > run.index("glob.glob(")
+    # the scan run down from m0 = 1 to 1e-14 in 2 steps holds its least value as its
+    # reference, which resolves to constant-u mode as a solve there does: every row
+    # reads ok, and its m0 = 1 rows carry the m0 = 1 solve's E_plus cells; it
+    # writes outside the out-* directories
+    assert re.search(r"cat \"\$RUNNER_TEMP/scan\.cfg\"; echo 'scan\.max = 1e-14'; "
+                     r"echo 'scan\.steps = 2'; } \\\s+> \"\$RUNNER_TEMP/descending\.cfg\"", run)
+    descending = re.search(r'python -m diracpd\.cli scan \\\s+--config '
+                           r'"\$RUNNER_TEMP/descending\.cfg" '
+                           r'--out "\$RUNNER_TEMP/descending"\n', run)
+    assert descending and descending.start() > run.index('"$RUNNER_TEMP/reference"\n')
+    assert 'assert len(rows) == 6 and all(row[4] == "ok" for row in rows), rows' in run
+    assert re.search(r'"\$RUNNER_TEMP/descending/scan\.csv" '
+                     r'"\$RUNNER_TEMP/reference/spectrum\.csv"\n', run)
+    assert run.count('[row[2] for row in rows if row[0] == "1"] == '
+                     '[row[2] for row in reference], rows') == 2
     # a non-finite config number exits 2, also under --strict
     assert "echo 'compare.tol = nan'; } > \"$RUNNER_TEMP/nan.cfg\"" in run
     assert re.search(r'--config "\$RUNNER_TEMP/nan\.cfg" --strict .*\|\| status=\$\?', run)

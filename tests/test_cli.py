@@ -1420,9 +1420,12 @@ class TestScan:
         assert path.read_bytes() == full
 
         solves = []
-        real = cli.run_solve_pipeline
+        real, real_approximate = cli.run_solve_pipeline, cli.solve_approximate
         monkeypatch.setattr(cli, "run_solve_pipeline",
                             lambda *a, **kw: solves.append(a) or real(*a, **kw))
+        # a point solved from the scan's family calls solve_approximate itself
+        monkeypatch.setattr(cli, "solve_approximate", lambda *a, **kw: "family" in kw and
+                            solves.append(a) or real_approximate(*a, **kw))
         # the free case writes one row a point, fewer than k_states = 3, so the
         # last point kept is solved again, and the file comes out the same; a
         # last point that holds its one error row (g = 0.1 < 1/4) is done
@@ -1442,6 +1445,21 @@ class TestScan:
             assert main(["scan", "--config", cfg]) == 0
             assert path.read_bytes() == full and len(solves) == again
         assert b",-,nan,nan,error:UnboundedBelowError" in lines[first]
+
+    def test_an_axis_the_host_cannot_hold_is_a_config_error(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # numpy's MemoryError (no array is allocated here) names scan.steps, not grid.n
+        why = ("Unable to allocate 72.8 TiB for an array with shape (10000000000000,) and "
+               "data type float64")
+
+        def refuse(*args, **kwargs):
+            raise MemoryError(why)
+
+        monkeypatch.setattr(np, "linspace", refuse)
+        cfg = write_config(tmp_path / "c.txt", **PT_SCAN, scan__param="m0", scan__min=1.0,
+                           scan__max=2.0, out__dir=str(tmp_path / "out"))
+        assert main(["scan", "--config", cfg]) == 2
+        assert capsys.readouterr().err == f"config error: config key 'scan.steps': {why}\n"
 
     def test_axis_flag_override(self, tmp_path):
         cfg = write_config(
@@ -1532,15 +1550,22 @@ class TestScanMapReuse:
         assert len(calls) == 4
 
     def test_failed_build_is_not_held(self, tmp_path, monkeypatch):
+        # the first build is the reference's, ahead of the loop: it holds no map
+        # and no family, so the first point builds the map again and every
+        # point is solved afresh on it
         calls = count_builds(monkeypatch, fail_first=True)
+        families = []
+        real = cli.solve_approximate
+        monkeypatch.setattr(cli, "solve_approximate", lambda *a, **kw:
+                            families.append(kw.get("family")) or real(*a, **kw))
         cfg = write_config(tmp_path / "c.txt", **PT_SCAN, scan__param="m0",
                            scan__min=1.0, scan__max=2.0,
                            out__dir=str(tmp_path / "out"))
         assert main(["scan", "--config", cfg]) == 0
         assert len(calls) == 2
+        assert families == [None] * 4
         _, rows = read_rows(tmp_path / "out" / "scan.csv")
-        assert rows[0][1:] == ["-", "nan", "nan", "error:QuadratureFailureError"]
-        assert all(row[4] == "ok" for row in rows[1:])
+        assert len(rows) == 8 and all(row[4] == "ok" for row in rows)
 
     @pytest.mark.parametrize("mode", ["approximate", "exact"])
     def test_m0_scan_matches_fresh_map_solves(self, tmp_path, mode):
@@ -1581,22 +1606,106 @@ def fresh_levels(cfg, value):
     return [cli._fmt(e) for e, _ in outcome.result.energies]
 
 
+def rows_follow_fresh_solves(cfg, rows, values, exact=(0.75, 1.5)):
+    """Each point's E_numeric cells lie within 1e-12 of a fresh solve's, and equal
+    them bit for bit at the values ``exact`` (the reference, r = 1, and r = 2)."""
+    for value in values:
+        cells = [row[2] for row in rows if row[0] == cli._fmt(value)]
+        fresh = fresh_levels(cfg, value)
+        if value in exact:
+            assert cells == fresh, value
+        for cell, e in zip(cells, fresh, strict=True):
+            assert abs(float(cell) - float(e)) <= 1e-12 * float(e), value
+
+
 class TestScanFamily:
     """A scan over the u scale holds W and S of its reference member, the
-    first nonzero axis value, and solves each point from V = W + r^2 S."""
+    nonzero axis value of least magnitude, and solves each point from
+    V = W + r^2 S."""
 
     def test_rows_follow_fresh_solves(self, tmp_path):
         cfg = scan_config(tmp_path)
         assert main(["scan", "--config", cfg]) == 0
         _, rows = read_rows(tmp_path / "out" / "scan.csv")
         assert len(rows) == 24 and all(row[4] == "ok" for row in rows)
-        for value in np.linspace(0.75, 2.5, 8):
-            cells = [row[2] for row in rows if row[0] == cli._fmt(value)]
-            fresh = fresh_levels(cfg, value)
-            if value in (0.75, 1.5):  # the reference, and r = 2: bit for bit
-                assert cells == fresh, value
-            for cell, e in zip(cells, fresh):
-                assert abs(float(cell) - float(e)) <= 1e-12 * float(e), value
+        rows_follow_fresh_solves(cfg, rows, np.linspace(0.75, 2.5, 8))
+
+    def test_a_descending_scan_holds_its_least_value(self, tmp_path, monkeypatch):
+        # the reference is m0 = 0.75, the last point solved: each point is a solve
+        # of the m0 = 0.75 model at r = m0 / 0.75, and its rows follow a fresh solve's
+        calls = []
+        real = cli.solve_approximate
+        monkeypatch.setattr(cli, "solve_approximate", lambda model, *a, **kw:
+                            calls.append((model.params["m0"], kw.get("r")))
+                            or real(model, *a, **kw))
+        cfg = scan_config(tmp_path, scan__min=2.5, scan__max=0.75)
+        assert main(["scan", "--config", cfg]) == 0
+        values = np.linspace(2.5, 0.75, 8)
+        assert calls == [(0.75, value / 0.75) for value in values]
+        _, rows = read_rows(tmp_path / "out" / "scan.csv")
+        assert len(rows) == 24 and all(row[4] == "ok" for row in rows)
+        rows_follow_fresh_solves(cfg, rows, values)
+
+    def test_a_descending_scan_writes_what_solve_writes(self, tmp_path):
+        # m0 = 1e-14 is in the constant-u class (u spreads below detect_constant_u's
+        # threshold), m0 = 1 is not: as the least value it holds no family, and
+        # each point resolves its own mode, as solve does
+        cfg = write_config(tmp_path / "c.txt", model__name="poschl_teller", model__alpha=1.0,
+                           model__v0=1.0, model__m0=1.0, grid__n=400, solve__k_states=2,
+                           scan__param="m0", scan__min=1.0, scan__max=1e-14, scan__steps=2,
+                           out__dir=str(tmp_path / "out"))
+        assert main(["scan", "--config", cfg]) == 0
+        _, rows = read_rows(tmp_path / "out" / "scan.csv")
+        assert len(rows) == 4 and all(row[4] == "ok" for row in rows)
+        for value in (1.0, 1e-14):
+            assert [row[2] for row in rows if row[0] == cli._fmt(value)] == \
+                fresh_levels(cfg, value)
+
+    @pytest.mark.parametrize("resumed", [False, True])
+    def test_v_is_formed_once_per_grid_per_point(self, tmp_path, monkeypatch, resumed):
+        # each point forms V on its six grids (base, two probes, two ladder grids,
+        # refined) once; the scan makes one pass, the first point's, over all six
+        cfg = scan_config(tmp_path)
+        if resumed:  # after the fourth point
+            assert main(["scan", "--config", cfg]) == 0
+            path = tmp_path / "out" / "scan.csv"
+            lines = path.read_bytes().splitlines(keepends=True)
+            path.write_bytes(b"".join(lines[:lines.index(b"param,n,E_numeric,E_analytic,"
+                                                        b"status\n") + 1 + 12]))
+        formed, passes = [], []
+        real_member, real_pass = potential._member, potential._approx_pass
+        monkeypatch.setattr(potential, "_member",
+                            lambda *a: formed.append(a[0].size) or real_member(*a))
+        monkeypatch.setattr(potential, "_approx_pass",
+                            lambda model, grids, tmap: passes.append(len(grids))
+                            or real_pass(model, grids, tmap))
+        assert main(["scan", "--config", cfg]) == 0
+        assert len(formed) == (24 if resumed else 48)
+        assert sorted(set(formed)) == [3, 62, 125, 2000, 4001]
+        assert passes == [6]
+
+    def test_an_infinite_q_range_holds_no_family(self, tmp_path, monkeypatch):
+        # linear_singular's q runs over the whole axis: each A is solved afresh,
+        # and its row is the one a fresh solve gives (no bound state)
+        families = []
+        real = cli.solve_approximate
+        monkeypatch.setattr(cli, "solve_approximate", lambda *a, **kw:
+                            families.append(kw.get("family")) or real(*a, **kw))
+        cfg = write_config(tmp_path / "c.txt", model__name="linear_singular", model__A=0.5,
+                           model__v0=1.0, grid__n=400, solve__k_states=1, scan__param="A",
+                           scan__min=0.5, scan__max=1.0, scan__steps=2,
+                           out__dir=str(tmp_path / "out"))
+        assert main(["scan", "--config", cfg]) == 0
+        assert families == [None, None]
+        _, rows = read_rows(tmp_path / "out" / "scan.csv")
+        rc = cli.build_run_config(cli.parse_config(cfg),
+                                  cli._make_parser().parse_args(["scan", "--config", cfg]))
+        for value, row in zip((0.5, 1.0), rows, strict=True):
+            with pytest.raises(errors.NumericalError) as info:
+                cli.run_solve_pipeline(rc, model=cli._build_model(rc, override={"A": value}),
+                                       vectors=False)
+            assert row == [cli._fmt(value), "-", "nan", "nan",
+                           f"error:{type(info.value).__name__}"]
 
     @pytest.mark.parametrize("cut", ["after the fourth point", "inside the fifth point"])
     def test_resumed_scan_writes_the_uninterrupted_bytes(self, tmp_path, monkeypatch, cut):
@@ -1648,27 +1757,29 @@ class TestScanFamily:
     @pytest.mark.parametrize("param", ["alpha", "v0"])
     def test_velocity_scans_solve_afresh(self, tmp_path, monkeypatch, param):
         families = []
-        monkeypatch.setattr(cli, "approx_family", lambda *a: families.append(a))
+        real = cli.solve_approximate
+        monkeypatch.setattr(cli, "solve_approximate", lambda *a, **kw:
+                            families.append(kw.get("family")) or real(*a, **kw))
         cfg = scan_config(tmp_path, scan__param=param, scan__min=0.8, scan__max=1.2,
                           scan__steps=3)
         assert main(["scan", "--config", cfg]) == 0
+        assert families == [None] * 3
         _, rows = read_rows(tmp_path / "out" / "scan.csv")
         for value in np.linspace(0.8, 1.2, 3):
             assert [row[2] for row in rows if row[0] == cli._fmt(value)] == \
                 fresh_levels(cfg, value)
-        assert families == []
 
     def test_zero_first_value_is_solved_afresh(self, tmp_path, monkeypatch):
         # m0 = 0 takes the massless path; the reference is the next value
         references = []
-        real = cli.approx_family
-        monkeypatch.setattr(cli, "approx_family",
-                            lambda model, *a: references.append(model.params["m0"])
-                            or real(model, *a))
+        real = cli.solve_approximate
+        monkeypatch.setattr(cli, "solve_approximate", lambda model, *a, **kw:
+                            references.append((model.params["m0"], kw.get("family") is not None,
+                                               kw.get("r"))) or real(model, *a, **kw))
         cfg = scan_config(tmp_path, scan__min=0.0, scan__max=1.5, scan__steps=4)
         assert main(["scan", "--config", cfg]) == 0
         _, rows = read_rows(tmp_path / "out" / "scan.csv")
-        assert references == [0.5]
+        assert references == [(0.5, True, 1.0), (0.5, True, 2.0), (0.5, True, 3.0)]
         for value in (0.0, 0.5, 1.0):  # the massless point, the reference and r = 2
             assert [row[2] for row in rows if row[0] == cli._fmt(value)] == \
                 fresh_levels(cfg, value)

@@ -545,8 +545,7 @@ class TestSolveApproximate:
 
     @pytest.mark.parametrize("n", [400, 2000])
     def test_a_fresh_solve_makes_one_call_and_one_pass(self, monkeypatch, n):
-        # the wall probes ride the grids' one approx_potential call and its one pass;
-        # approx_family is a scan's alone
+        # the wall probes ride the grids' one approx_potential call and its one pass
         model = builtin_model("poschl_teller", alpha=1.0, v0=1.0, m0=1.5)
         tmap = build_transform(model.velocity, model.anchor)
         calls, passes = [], []
@@ -555,8 +554,6 @@ class TestSolveApproximate:
                             calls.append(a[1].n) or real_potential(*a, **kw))
         monkeypatch.setattr(potential, "_approx_pass", lambda model, grids, tmap:
                             passes.append(len(grids)) or real_pass(model, grids, tmap))
-        monkeypatch.setattr(eigensolver, "approx_family",
-                            lambda *a: pytest.fail("a fresh solve builds no family"))
         solve_approximate(model, tmap, n, 3, vectors=False)
         assert calls == [n]
         assert passes == [6 if n == 2000 else 4]

@@ -442,6 +442,30 @@ class TestQuadrature:
             transform._quad(lambda x: np.sin(1e4 * x), 0.0, 1.0, 1e-12)
         assert math.isfinite(info.value.partial)
 
+    def test_settling_in_the_last_round_returns(self, monkeypatch):
+        # a segment whose panels all settle in the last round allowed is done
+        monkeypatch.setattr(transform, "_QUAD_ROUNDS", 1)
+        assert transform._quad(lambda x: x * x, 0.0, 1.0, 1e-12) == pytest.approx(1 / 3)
+
+    @pytest.mark.parametrize("why", ["panels unsettled", "not finite", "still splitting"])
+    def test_failed_segment_ends_print_apart(self, monkeypatch, why):
+        # v_F ~ d^0.9 at x = 2000 fails on a segment 1.5e-8 wide near that wall,
+        # whose ends read 2000 both under :g; each message prints them apart
+        a, b = 1999.9999701976776, 1999.9999850988388
+        with pytest.raises(QuadratureFailureError, match=why) as info:
+            if why == "panels unsettled":
+                build_transform(VelocityProfile.from_callable(
+                    lambda x: ((x - 1000.0) * (2000.0 - x) / 1000.0) ** 0.9,
+                    domain=(1000.0, 2000.0), validate=False), 1500.0)
+            elif why == "not finite":
+                transform._quad(lambda x: np.full(np.shape(x), np.nan), a, b, 1e-12)
+            else:
+                monkeypatch.setattr(transform, "_QUAD_ROUNDS", 1)
+                transform._quad(lambda x: np.sin(1e12 * x), a, b, 1e-12)
+        ends = str(info.value).split("[", 1)[1].split("]", 1)[0].split(", ")
+        assert ends == ["1999.99997", "1999.99999"]
+        assert float(ends[0]) != float(ends[1])
+
     def test_import_does_not_load_quadpack(self):
         # nor does a closed form: only the first numeric_normalization call loads it
         src = str(Path(__file__).resolve().parents[1] / "src")
