@@ -40,7 +40,7 @@ import os
 import sys
 import textwrap
 from dataclasses import dataclass, replace
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -419,12 +419,14 @@ def _write_wavefunction(path: str, rc: RunConfig, mode: str, grid: Optional[QGri
 # ---------------------------------------------------------------------------
 
 def cmd_solve(rc: RunConfig) -> int:
+    if "bic" in rc.outputs and not rc.bic_energies:
+        raise ConfigError("config key 'bic.energies' is required for output 'bic'")
     # only the wavefunction lift reads eigenvectors; a vectorless level's
     # nodes column is its certified index (see eigensolver)
     outcome = run_solve_pipeline(rc, vectors="wavefunctions" in rc.outputs)
     model, tmap, mode, grid = outcome.model, outcome.tmap, outcome.mode, outcome.grid
     result = outcome.result
-    if "bic" in rc.outputs and rc.bic_energies:
+    if "bic" in rc.outputs:
         _require_constant_u(model, outcome.a_const, "output 'bic'")
     os.makedirs(rc.out_dir, exist_ok=True)
 
@@ -474,7 +476,7 @@ def cmd_solve(rc: RunConfig) -> int:
             _write_wavefunction(os.path.join(rc.out_dir, f"wavefunction_{k}.csv"),
                                 rc, mode, grid, spin, obs, cells)
             _csvfloat.keep(cells, [grid.nodes, spin.x], _CSV_CHUNK)
-    if "bic" in rc.outputs and rc.bic_energies:
+    if "bic" in rc.outputs:
         _emit_bic(rc, model, tmap, mode)
 
     if rc.strict and (worst > rc.compare_tol or missing or unresolved):
@@ -526,24 +528,15 @@ def cmd_bic(rc: RunConfig) -> int:
 
 @dataclass(frozen=True)
 class _Held:
-    """What a scan holds between points: the map of ModelSpec.map_key ``key``, and
-    the ``model`` of its reference ``ref``, the nonzero axis value of least |value|.
-    Over its ``u_scale``, where it solves in approximate mode on a finite q-range,
-    ``family`` is what every nonzero point solves from (solve_approximate; the first
-    point solved fills it). With |r| >= 1 the reference's verdicts hold at each point."""
-    key: Optional[Hashable] = None
+    """What a scan holds, decided before its loop: the ``model`` of its reference
+    ``ref``, the nonzero axis value of least |value|; over its ``u_scale``, which
+    leaves q(x) unchanged, the ``tmap`` every point solves on and, in approximate
+    mode on a finite q-range, the ``family`` each nonzero point solves from (the
+    first point solved fills it). With |r| >= 1 its verdicts hold at each point."""
     tmap: Optional[TransformMap] = None
     ref: Optional[float] = None
     model: Optional[ModelSpec] = None
     family: Optional[dict] = None
-
-
-def _hold(model: ModelSpec, held: _Held) -> _Held:
-    """``held`` with the map of ``model``: a new map where its ``map_key``
-    differs or is None. Nothing new is held where the build raises."""
-    if model.map_key is None or model.map_key != held.key:
-        held = replace(held, key=model.map_key, tmap=build_transform(model.velocity, model.anchor))
-    return held
 
 
 def cmd_scan(rc: RunConfig) -> int:
@@ -589,11 +582,12 @@ def cmd_scan(rc: RunConfig) -> int:
     held = _Held(ref=min((float(val) for val in values if val), key=abs, default=None))
     with contextlib.suppress(NumericalError, ConfigError, InvalidParameterError):
         if held.ref:
-            held = replace(held, model=_build_model(rc, override={rc.scan_param: held.ref}))
-            if (held.model.facts.u_scale == rc.scan_param
-                    and _resolve_mode(rc, held.model) == ("approximate", None)):
-                held = _hold(held.model, held)
-                if math.isfinite(held.tmap.q_lo) and math.isfinite(held.tmap.q_hi):
+            model = _build_model(rc, override={rc.scan_param: held.ref})
+            held = replace(held, model=model)
+            if model.facts.u_scale == rc.scan_param:
+                held = replace(held, tmap=build_transform(model.velocity, model.anchor))
+                if (_resolve_mode(rc, model) == ("approximate", None)
+                        and math.isfinite(held.tmap.q_lo) and math.isfinite(held.tmap.q_hi)):
                     held = replace(held, family={})
     with open(path, "a", encoding="utf-8", newline="\n") as fh:
         if new_file:
@@ -602,21 +596,20 @@ def cmd_scan(rc: RunConfig) -> int:
             key = _fmt(float(val))
             if key in done:
                 continue
-            rows, held = _scan_point(rc, float(val), held)
-            fh.writelines(",".join(row) + "\n" for row in rows)
+            fh.writelines(",".join(row) + "\n" for row in _scan_point(rc, float(val), held))
             fh.flush()
     print(f"scan over {rc.scan_param}: {rc.scan_steps} points -> {path}")
     return EXIT_OK
 
 
-def _scan_point(rc: RunConfig, value: float,
-                held: _Held) -> Tuple[List[Tuple[str, ...]], _Held]:
-    """Rows for one scan point, and what to hold for the next (_Held).
+def _scan_point(rc: RunConfig, value: float, held: _Held) -> List[Tuple[str, ...]]:
+    """Rows for one scan point, solved on what the scan holds (_Held).
 
     Each point has its model, whose references its rows carry; the reference
-    point's is the one held. With a family held, a nonzero point is a solve
-    of the reference model at r = value / ref, V = W + r^2 S: bit for bit a
-    fresh solve's V at r = 1 and at a power of two.
+    point's is the one held. Without a held map the point builds its own. With
+    a family held, a nonzero point is a solve of the reference model at
+    r = value / ref, V = W + r^2 S: bit for bit a fresh solve's V at r = 1 and
+    at a power of two.
     """
     key = _fmt(value)
     try:
@@ -627,14 +620,13 @@ def _scan_point(rc: RunConfig, value: float,
                                        vectors=False, family=held.family, r=value / held.ref)
             outcome = SolveOutcome(model, held.tmap, "approximate", None, result)
         else:
-            held = _hold(model, held)
             outcome = run_solve_pipeline(rc, model=model, tmap=held.tmap, vectors=False)
         # row k holds level k beside the entry solve prints for it: nan when none
         # is defined or the level is interleaved in an as-published family
         return [(key, str(k), _fmt(e_num), _fmt(ref.e_plus) if ref else "nan", "ok")
-                for k, e_num, ref, _, _ in _paired_levels(rc, outcome)[2]], held
+                for k, e_num, ref, _, _ in _paired_levels(rc, outcome)[2]]
     except (NumericalError, ConfigError, InvalidParameterError) as exc:
-        return [(key, "-", "nan", "nan", f"error:{type(exc).__name__}")], held
+        return [(key, "-", "nan", "nan", f"error:{type(exc).__name__}")]
 
 
 def cmd_report(rc: RunConfig) -> int:

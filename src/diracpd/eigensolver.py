@@ -863,15 +863,18 @@ def _solve_box(field: PotentialField, k_states: int, L: float,
         ) from exc
 
 
-def expand_until_settled(builder: Callable[[float], PotentialField],
-                         k_states: int, l_start: float = 8.0,
-                         settle_tol: float = 1e-8, max_doublings: int = 8,
-                         confine_margin: float = 25.0, vectors: bool = True
-                         ) -> Tuple[SpectrumResult, float]:
+_L_START = 8.0  # the first box's half-width L
+_SETTLE_TOL = 1e-8  # relative change of the top level that counts as settled
+_MAX_DOUBLINGS = 8  # doublings of L before NonConvergenceError
+_CONFINE_MARGIN = 25.0  # how far the edge values must lie above the top level
+
+
+def expand_until_settled(builder: Callable[[float], PotentialField], k_states: int,
+                         vectors: bool = True) -> Tuple[SpectrumResult, float]:
     """Truncate an unbounded q-domain at |q| = L, doubling until eigenvalues settle.
 
     ``builder(L)`` must return the potential field on the truncated grid.
-    The edge values must dominate the target eigenvalue by ``confine_margin``
+    The edge values must dominate the target eigenvalue by _CONFINE_MARGIN
     at acceptance, else the potential does not confine and there is no
     discrete spectrum to report. Every Dirichlet eigenvalue lies above
     min V, so an edge that did not grow from L/2 to L and sits within the
@@ -882,16 +885,16 @@ def expand_until_settled(builder: Callable[[float], PotentialField],
     ``vectors`` (see solve_fixed).
     """
     lam_prev = edge_prev = first = None
-    L = l_start
-    for _ in range(max_doublings + 1):
+    L = _L_START
+    for _ in range(_MAX_DOUBLINGS + 1):
         field = builder(L)
         edge = min(float(field.values[0]), float(field.values[-1]))
         if edge_prev is None:
             first, edge_prev, L = field, edge, 2.0 * L
             continue
-        stuck = edge <= edge_prev + settle_tol
+        stuck = edge <= edge_prev + _SETTLE_TOL
         v_min = float(np.min(field.values))
-        if stuck and edge < v_min + confine_margin:
+        if stuck and edge < v_min + _CONFINE_MARGIN:
             raise NonConvergenceError(
                 f"potential does not confine at |q|={L:g}: edge value stuck at "
                 f"{edge:g}, within margin of the potential's minimum {v_min:g}; "
@@ -901,14 +904,14 @@ def expand_until_settled(builder: Callable[[float], PotentialField],
             lam_prev = _solve_box(first, k_states, L / 2.0, False).pairs[-1].lam
         result = _solve_box(field, k_states, L, vectors)
         lam_top = result.pairs[-1].lam
-        if abs(lam_top - lam_prev) <= settle_tol * max(1.0, abs(lam_top)):
-            if edge < lam_top + confine_margin:
+        if abs(lam_top - lam_prev) <= _SETTLE_TOL * max(1.0, abs(lam_top)):
+            if edge < lam_top + _CONFINE_MARGIN:
                 raise NonConvergenceError(
                     f"potential does not confine at |q|={L:g}: edge value "
                     f"{edge:g} vs eigenvalue {lam_top:g}; no discrete spectrum"
                 )
             return result, L
-        if stuck and edge < lam_top + confine_margin:
+        if stuck and edge < lam_top + _CONFINE_MARGIN:
             raise NonConvergenceError(
                 f"potential does not confine: edge value stuck at {edge:g} "
                 f"below eigenvalue {lam_top:g} + margin; no discrete spectrum"
@@ -916,5 +919,5 @@ def expand_until_settled(builder: Callable[[float], PotentialField],
         lam_prev, edge_prev = lam_top, edge
         L *= 2.0
     raise NonConvergenceError(
-        f"eigenvalues did not settle after {max_doublings} domain doublings"
+        f"eigenvalues did not settle after {_MAX_DOUBLINGS} domain doublings"
     )

@@ -30,7 +30,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Hashable, Mapping, Optional, Tuple
+from typing import Callable, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -44,15 +44,15 @@ _SAMPLE_N = 1024
 
 
 @lru_cache(maxsize=16)
-def interior_sample(domain: Interval, n: int = _SAMPLE_N) -> np.ndarray:
+def interior_sample(domain: Interval) -> np.ndarray:
     """Deterministic dense sample strictly inside an open interval.
 
     Infinite ends are reached through a tan() stretch so the sample probes
-    far tails without ever landing on an endpoint. Built once per (domain, n),
-    read-only: a model's validations and ``u_sample`` share it.
+    far tails without ever landing on an endpoint. _SAMPLE_N points, built
+    once per domain, read-only: a model's validations and ``u_sample`` share it.
     """
     lo, hi = domain
-    t = (np.arange(n) + 0.5) / n  # in (0, 1)
+    t = (np.arange(_SAMPLE_N) + 0.5) / _SAMPLE_N  # in (0, 1)
     if math.isinf(lo) and math.isinf(hi):
         xs = np.tan((t - 0.5) * (np.pi - 4e-3))
     elif math.isinf(hi):
@@ -239,6 +239,8 @@ class ModelFacts:
     ``parameters``: (label, thunk) pairs the report prints before the
     levels; a thunk raises InvalidParameterError where it is complex.
     ``u_scale``: the parameter u is proportional to, "" where none is.
+    Scaling it leaves v_F, the domain and the anchor unchanged, so the map
+    q(x) does not change either: a scan over it can hold one map.
 
     The closed forms, each None where the model has none:
     ``level(n, as_published=False, exact=False)`` is level n's
@@ -265,10 +267,7 @@ class ModelSpec:
 
     ``anchor`` is the reference point where the canonical map q(x) vanishes;
     ``u_closed(x, count)`` gives the first ``count`` of the closed forms (u,
-    u', u'') when the product admits an exact simplification. ``map_key``
-    names the map q(x): two specs with equal non-None keys have the same
-    velocity, domain and anchor, so one ``build_transform`` result serves
-    both. ``None`` means never shared.
+    u', u'') when the product admits an exact simplification.
     ``facts`` carries the model's closed-form bookkeeping (``ModelFacts``).
     """
 
@@ -280,7 +279,6 @@ class ModelSpec:
     label: str
     anchor: float
     u_closed: Optional[Callable[[np.ndarray, int], Tuple[np.ndarray, ...]]] = None
-    map_key: Optional[Hashable] = None
     facts: ModelFacts = ModelFacts()
 
     def __post_init__(self):
@@ -538,8 +536,7 @@ def _cosh_square(params) -> ModelSpec:
 
     u_closed, facts = _hypot_ladder("cosh_square", v0, A, lam, wave, printed_norm)
     return ModelSpec("cosh_square", mass, vel, dom, p,
-                     "cosh^2 velocity / sech^4 mass", anchor=0.0, u_closed=u_closed,
-                     map_key=("cosh_square", a, v0), facts=facts)
+                     "cosh^2 velocity / sech^4 mass", anchor=0.0, u_closed=u_closed, facts=facts)
 
 
 def _rational(params) -> ModelSpec:
@@ -572,9 +569,8 @@ def _rational(params) -> ModelSpec:
         return math.sqrt(a * v0 / (math.pi * z1 + math.pi * m0 * v0 * v0)), VERIFIED
 
     u_closed, facts = _hypot_ladder("rational", v0, A, lambda n: n * a * v0, wave, printed_norm)
-    return ModelSpec("rational", mass, vel, dom, p,
-                     "rational velocity / rational mass", anchor=0.0, u_closed=u_closed,
-                     map_key=("rational", a, v0), facts=facts)
+    return ModelSpec("rational", mass, vel, dom, p, "rational velocity / rational mass",
+                     anchor=0.0, u_closed=u_closed, facts=facts)
 
 
 def _poschl_teller(params) -> ModelSpec:
@@ -666,8 +662,7 @@ def _poschl_teller(params) -> ModelSpec:
                     ("s (as-published)", lambda: s_parameter(a, v0, m0, as_published=True))),
         level=level, components=components, u_scale="m0")
     return ModelSpec("poschl_teller", mass, vel, dom, p,
-                     "constant velocity / 1/sin mass", anchor=x0, u_closed=u_closed,
-                     map_key=("poschl_teller", a, v0), facts=facts)
+                     "constant velocity / 1/sin mass", anchor=x0, u_closed=u_closed, facts=facts)
 
 
 def _linear_singular(params) -> ModelSpec:
@@ -738,8 +733,7 @@ def _linear_singular(params) -> ModelSpec:
                   "potential is exponential and supports no bound states)",
         level=level, components=components, u_scale="A")
     return ModelSpec("linear_singular", mass, vel, dom, p,
-                     "linear velocity / 1/x mass", anchor=1.0, u_closed=u_closed,
-                     map_key=("linear_singular", v0), facts=facts)
+                     "linear velocity / 1/x mass", anchor=1.0, u_closed=u_closed, facts=facts)
 
 
 def _constant_rest(params) -> ModelSpec:
@@ -768,8 +762,7 @@ def _constant_rest(params) -> ModelSpec:
 
     u_closed, facts = _constant_u(m0 * c * c, level=level, u_scale="m0")
     return ModelSpec("constant_rest", mass, vel, dom, p,
-                     "constant rest mass and velocity", anchor=0.0, u_closed=u_closed,
-                     map_key=("constant_rest", c), facts=facts)
+                     "constant rest mass and velocity", anchor=0.0, u_closed=u_closed, facts=facts)
 
 
 _BUILTINS = {

@@ -147,13 +147,12 @@ def normalize(spinor: SpinorField) -> SpinorField:
                    norm_constant=factor)
 
 
-def dirac_residual(spinor: SpinorField, model: ModelSpec, energy: float,
-                   trim: int = 2) -> float:
+def dirac_residual(spinor: SpinorField, model: ModelSpec, energy: float) -> float:
     """L2 residual of the coupled first-order system, relative to the state norm.
 
     r1 = -i F (F psi2)' - zeta_1 psi1,  r2 = -i F (F psi1)' - zeta_2 psi2,
     with F = sqrt(v_F) and x-derivatives by central differences. The residual
-    is defined through central stencils, so the ``trim`` outermost nodes per
+    is defined through central stencils, so the two outermost nodes per
     side are excluded from the norms: the array ends only admit one-sided
     differences, which for wall-singular states carry O(1) relative error
     that reflects the stencil, not the state.
@@ -168,7 +167,7 @@ def dirac_residual(spinor: SpinorField, model: ModelSpec, energy: float,
     d2 = np.gradient(f * spinor.psi2, x, edge_order=2)
     r1 = -1j * f * d2 - z1 * spinor.psi1
     r2 = -1j * f * d1 - z2 * spinor.psi2
-    sl = slice(trim, -trim) if trim > 0 else slice(None)
+    sl = slice(2, -2)
     num = np.trapezoid((np.abs(r1) ** 2 + np.abs(r2) ** 2).real[sl], x[sl])
     den = np.trapezoid(
         (np.abs(spinor.psi1) ** 2 + np.abs(spinor.psi2) ** 2).real[sl], x[sl])

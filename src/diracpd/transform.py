@@ -26,12 +26,13 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .errors import DomainError, InvalidParameterError, QuadratureFailureError, sides
+from .errors import DomainError, QuadratureFailureError, sides
 from .profiles import VelocityProfile
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _SPLIT_ROUNDS = 40
 _QUAD_ROUNDS = 200
+_QUAD_TOL = 1e-12  # every map's quadrature tolerance
 _QUAD_PANELS = 200  # unsettled panels per segment, QUADPACK's usual subinterval limit
 _TINY = np.finfo(float).tiny
 _NEWTON_ITERS = 100
@@ -160,7 +161,6 @@ class TransformMap:
 
     velocity: VelocityProfile
     x0: float
-    quad_tol: float
     q_lo: float
     q_hi: float
     anchors_x: np.ndarray
@@ -197,7 +197,7 @@ class TransformMap:
         start = np.empty(x_arr.size, dtype=int)
         for k in range(x_arr.size):
             start[k] = np.argmin(np.abs(known_x[:n0 + k] - known_x[n0 + k]))
-        dq = _quad_segments(self._f, known_x[start], known_x[n0:], self.quad_tol)
+        dq = _quad_segments(self._f, known_x[start], known_x[n0:], _QUAD_TOL)
         known_q = np.concatenate((self.anchors_q, dq))
         for k in range(x_arr.size):
             known_q[n0 + k] += known_q[start[k]]
@@ -322,15 +322,12 @@ class TransformMap:
                     f"inverse: {idx.size} nodes unconverged after {_NEWTON_ITERS} steps")
         return out
 
-    # aliases matching the operation names
-    __call__ = forward
 
-
-def _explore_side(f, x0, endpoint, quad_tol, sign):
+def _explore_side(f, x0, endpoint, sign):
     """Walk toward one endpoint, returning (anchor xs, anchor qs, q_limit).
 
     Infinite endpoint: doubling steps. Finite endpoint: gap halving. The
-    limit is called finite once increments drop below quad_tol; a geometric
+    limit is called finite once increments drop below _QUAD_TOL; a geometric
     tail extrapolation closes the remainder.
     """
     xs = [x0]
@@ -347,11 +344,11 @@ def _explore_side(f, x0, endpoint, quad_tol, sign):
             x_next = x_cur + 0.5 * gap
             if x_next == x_cur or not (sign * (endpoint - x_next) > 0):
                 break
-        dq = _quad(f, x_cur, x_next, quad_tol)
+        dq = _quad(f, x_cur, x_next, _QUAD_TOL)
         x_cur, q_cur = x_next, q_cur + dq
         xs.append(x_cur)
         qs.append(q_cur)
-        if abs(dq) <= quad_tol:
+        if abs(dq) <= _QUAD_TOL:
             tail = 0.0
             if prev_dq is not None and abs(prev_dq) > 0:
                 r = abs(dq) / abs(prev_dq)
@@ -363,18 +360,16 @@ def _explore_side(f, x0, endpoint, quad_tol, sign):
     return xs, qs, q_limit
 
 
-def build_transform(velocity: VelocityProfile, x0: float,
-                    quad_tol: float = 1e-12) -> TransformMap:
+def build_transform(velocity: VelocityProfile, x0: float) -> TransformMap:
     """Build q(x) anchored at q(x0) = 0.
 
     With a closed form on the velocity, q_lo = Q(lo) - Q(x0) and q_hi =
     Q(hi) - Q(x0). Otherwise (or where Q cannot tell x0 from a wall in
     double precision) the improper integral toward each domain endpoint is
     evaluated with convergence detection. Either way q_lo and q_hi are
-    finite where q saturates and infinite where it diverges.
+    finite where q saturates and infinite where it diverges. Every
+    quadrature of the map runs at one tolerance, _QUAD_TOL = 1e-12.
     """
-    if quad_tol <= 0:
-        raise InvalidParameterError("quad_tol must be positive")
     lo, hi = velocity.domain
     if not (lo < x0 < hi):
         raise DomainError(f"anchor x0={x0:g} must lie strictly inside ({lo:g}, {hi:g})")
@@ -383,14 +378,14 @@ def build_transform(velocity: VelocityProfile, x0: float,
             shift = float(velocity.q_of_x(x0))
             q_lo, q_hi = (float(velocity.q_of_x(end)) - shift for end in (lo, hi))
         if q_lo < 0.0 < q_hi:
-            return TransformMap(velocity, x0, quad_tol, q_lo, q_hi, np.array([x0]),
+            return TransformMap(velocity, x0, q_lo, q_hi, np.array([x0]),
                                 np.array([0.0]), q_shift=shift)
 
     def f(x):
         return 1.0 / velocity(x)
 
-    xs_up, qs_up, q_hi = _explore_side(f, x0, hi, quad_tol, +1)
-    xs_dn, qs_dn, q_lo = _explore_side(f, x0, lo, quad_tol, -1)
+    xs_up, qs_up, q_hi = _explore_side(f, x0, hi, +1)
+    xs_dn, qs_dn, q_lo = _explore_side(f, x0, lo, -1)
 
     anchors_x = np.array(xs_dn[::-1] + xs_up[1:], dtype=float)
     anchors_q = np.array(qs_dn[::-1] + qs_up[1:], dtype=float)
@@ -398,7 +393,6 @@ def build_transform(velocity: VelocityProfile, x0: float,
     return TransformMap(
         velocity=velocity,
         x0=x0,
-        quad_tol=quad_tol,
         q_lo=q_lo,
         q_hi=q_hi,
         anchors_x=anchors_x[order],

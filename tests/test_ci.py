@@ -240,6 +240,21 @@ def test_tier1_runs_a_one_shot_scan():
     assert run.index(cut) < run.rindex("python -m diracpd.cli scan")
     assert run.rstrip().count('cmp "$RUNNER_TEMP/scan/scan.csv" "$RUNNER_TEMP/scan-full.csv"') == 1
     assert "assert len(paths) == 26" in run and '"out-*", "*.csv"' in run
+    # the same scan in exact mode holds the map of m0 = 1 alone (m0 is the model's
+    # u_scale): every row reads ok, and cut to its first point it resumes to the
+    # same bytes; it writes outside the out-* directories
+    assert ("{ cat \"$RUNNER_TEMP/scan.cfg\"; echo 'mode = exact'; } "
+            "> \"$RUNNER_TEMP/exact-scan.cfg\"") in run
+    exact = re.findall(r'python -m diracpd\.cli scan \\\s+--config "\$RUNNER_TEMP/exact-scan\.cfg" '
+                       r'--out "\$RUNNER_TEMP/exact-scan"\n', run)
+    assert len(exact) == 2
+    assert re.search(r'assert len\(rows\) == 9 and all\(row\[4\] == "ok" for row in rows\), '
+                     r"rows' \\\s+\"\$RUNNER_TEMP/exact-scan/scan\.csv\"\n", run)
+    cut = 'head -n -6 "$RUNNER_TEMP/exact-scan-full.csv" > "$RUNNER_TEMP/exact-scan/scan.csv"'
+    assert run.index('cp "$RUNNER_TEMP/exact-scan/scan.csv" "$RUNNER_TEMP/exact-scan-full.csv"') \
+        < run.index(cut) < run.rindex('--config "$RUNNER_TEMP/exact-scan.cfg"')
+    assert run.rstrip().count('cmp "$RUNNER_TEMP/exact-scan/scan.csv" '
+                              '"$RUNNER_TEMP/exact-scan-full.csv"') == 1
 
 
 TRACED_APPROXIMATE_SOLVE = """

@@ -830,8 +830,8 @@ class TestSolveReuse:
         assert main(["solve", "--config", cfg]) == 0
         assert calls == [1.0]
         args = cli._make_parser().parse_args(["scan", "--config", cfg, "--axis", "m0=1:2:2"])
-        rows, _ = cli._scan_point(cli.build_run_config(cli.parse_config(cfg), args), 1.5,
-                                  cli._Held(None))
+        rows = cli._scan_point(cli.build_run_config(cli.parse_config(cfg), args), 1.5,
+                               cli._Held(None))
         assert [row[4] for row in rows] == ["ok", "ok"]
         assert calls == [1.0, 1.5]
 
@@ -965,8 +965,8 @@ class TestVectorsOnlyForWavefunctions:
             calls = spy_eigensolves(monkeypatch)
             args = cli._make_parser().parse_args(["scan", "--config", cfg, "--axis", "m0=1:2:2",
                                                   "--mode", mode])
-            rows, _ = cli._scan_point(cli.build_run_config(cli.parse_config(cfg), args), 1.5,
-                                      cli._Held(None))
+            rows = cli._scan_point(cli.build_run_config(cli.parse_config(cfg), args), 1.5,
+                                   cli._Held(None))
             assert [row[4] for row in rows] == ["ok"] * 3
             assert main(["report", "--config", cfg, "--mode", mode]) == 0
             assert "level 2:" in capsys.readouterr().out
@@ -1551,8 +1551,7 @@ class TestScanMapReuse:
 
     def test_failed_build_is_not_held(self, tmp_path, monkeypatch):
         # the first build is the reference's, ahead of the loop: it holds no map
-        # and no family, so the first point builds the map again and every
-        # point is solved afresh on it
+        # and no family, so each point builds its own map and is solved afresh
         calls = count_builds(monkeypatch, fail_first=True)
         families = []
         real = cli.solve_approximate
@@ -1562,17 +1561,21 @@ class TestScanMapReuse:
                            scan__min=1.0, scan__max=2.0,
                            out__dir=str(tmp_path / "out"))
         assert main(["scan", "--config", cfg]) == 0
-        assert len(calls) == 2
+        assert len(calls) == 5
         assert families == [None] * 4
         _, rows = read_rows(tmp_path / "out" / "scan.csv")
         assert len(rows) == 8 and all(row[4] == "ok" for row in rows)
 
     @pytest.mark.parametrize("mode", ["approximate", "exact"])
-    def test_m0_scan_matches_fresh_map_solves(self, tmp_path, mode):
+    def test_m0_scan_matches_fresh_map_solves(self, tmp_path, monkeypatch, mode):
+        # m0 is poschl_teller's u_scale: in either mode the scan holds the map of
+        # its reference, and exact mode holds nothing else
+        calls = count_builds(monkeypatch)
         cfg = write_config(tmp_path / "c.txt", **PT_SCAN, scan__param="m0",
                            scan__min=1.0, scan__max=2.0, mode=mode,
                            out__dir=str(tmp_path / "out"))
         assert main(["scan", "--config", cfg]) == 0
+        assert len(calls) == 1
         _, rows = read_rows(tmp_path / "out" / "scan.csv")
         args = cli._make_parser().parse_args(["scan", "--config", cfg])
         rc = cli.build_run_config(cli.parse_config(cfg), args)
@@ -1803,6 +1806,17 @@ class TestBic:
         cfg = write_config(tmp_path / "c.txt", model__name="cosh_square",
                            model__alpha=1.0, model__v0=1.0, model__m0=1.0)
         assert main(["bic", "--config", cfg]) == 2
+
+    def test_solve_output_requires_energies(self, tmp_path, capsys):
+        # asked for with no energies, the output is a config error, not an empty one
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "c.txt", model__name="cosh_square", model__alpha=1.0,
+                           model__v0=1.0, model__m0=1.0, outputs="spectrum, bic",
+                           out__dir=str(out))
+        assert main(["solve", "--config", cfg]) == 2
+        assert capsys.readouterr().err == ("config error: config key 'bic.energies' "
+                                           "is required for output 'bic'\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("command,outputs", [("bic", "spectrum"),
                                                  ("solve", "spectrum, bic")])

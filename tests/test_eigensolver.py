@@ -1825,7 +1825,7 @@ class TestExpandUntilSettled:
             g = QGrid(-L, L, 2000)
             return PotentialField.from_function(lambda q: q ** 2, g)
 
-        result, L = expand_until_settled(builder, 3, l_start=8.0)
+        result, L = expand_until_settled(builder, 3)
         assert result.pairs[0].lam == pytest.approx(1.0, abs=1e-6)
         assert L >= 8.0
 
@@ -1907,4 +1907,4 @@ class TestExpandUntilSettled:
             return PotentialField.from_function(lambda q: 0.0 * q, g)
 
         with pytest.raises(NonConvergenceError):
-            expand_until_settled(builder, 1, l_start=4.0, max_doublings=4)
+            expand_until_settled(builder, 1)

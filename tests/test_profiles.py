@@ -553,10 +553,36 @@ def test_a_model_builds_its_interior_sample_once():
     assert interior_sample.cache_info().misses == before + 1
 
 
+# each built-in at two values of its ModelFacts.u_scale parameter
+U_SCALE_PAIRS = [("cosh_square", dict(alpha=1.3, v0=0.7), "m0"),
+                 ("rational", dict(alpha=1.3, v0=0.7), "m0"),
+                 ("poschl_teller", dict(alpha=1.3, v0=0.7), "m0"),
+                 ("linear_singular", dict(v0=0.7), "A"),
+                 ("constant_rest", dict(c=0.7), "m0")]
+
+
+def test_u_scale_pairs_cover_every_builtin():
+    assert sorted(name for name, _, _ in U_SCALE_PAIRS) == list(profiles.MODEL_NAMES)
+
+
+@pytest.mark.parametrize("name,params,scale", U_SCALE_PAIRS)
+def test_u_scale_leaves_the_map_unchanged(name, params, scale):
+    # scaling u_scale's parameter leaves v_F, the domain and the anchor, so a
+    # scan over it holds one map q(x)
+    one, other = (builtin_model(name, **params, **{scale: value}) for value in (0.5, 1.5))
+    assert one.facts.u_scale == other.facts.u_scale == scale
+    assert (one.domain, one.anchor) == (other.domain, other.anchor)
+    xs = interior_sample(one.domain)
+    with np.errstate(over="ignore"):  # cosh_square's v_F is inf in the far tails
+        for f in (lambda m: m.velocity(xs), lambda m: m.velocity.q_of_x(xs)):
+            assert np.array_equal(np.broadcast_to(f(one), xs.shape),
+                                  np.broadcast_to(f(other), xs.shape))
+
+
 def test_interior_sample_stays_inside():
     for domain in [(-math.inf, math.inf), (0.0, math.inf), (-math.inf, 2.0),
                    (0.0, math.pi)]:
-        xs = interior_sample(domain, 500)
-        assert xs.size == 500
+        xs = interior_sample(domain)
+        assert xs.size == profiles._SAMPLE_N
         assert np.all(xs > domain[0]) and np.all(xs < domain[1])
         assert np.all(np.diff(xs) > 0)

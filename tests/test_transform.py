@@ -532,8 +532,3 @@ class TestBuildValidation:
         model = builtin_model("poschl_teller", alpha=1, v0=1, m0=1)
         with pytest.raises(DomainError):
             build_transform(model.velocity, -0.5)
-
-    def test_bad_quad_tol(self):
-        model = builtin_model("cosh_square", alpha=1, v0=1, m0=0)
-        with pytest.raises(InvalidParameterError):
-            build_transform(model.velocity, 0.0, quad_tol=0.0)
