@@ -528,11 +528,12 @@ def cmd_bic(rc: RunConfig) -> int:
 
 @dataclass(frozen=True)
 class _Held:
-    """What a scan holds, decided before its loop: the ``model`` of its reference
-    ``ref``, the nonzero axis value of least |value|; over its ``u_scale``, which
-    leaves q(x) unchanged, the ``tmap`` every point solves on and, in approximate
-    mode on a finite q-range, the ``family`` each nonzero point solves from (the
-    first point solved fills it). With |r| >= 1 its verdicts hold at each point."""
+    """What a scan holds, decided before its loop, and built only when a point is
+    left: the ``model`` of its reference ``ref``, the nonzero axis value of least
+    |value|; over its ``u_scale``, which leaves q(x) unchanged, the ``tmap`` every
+    point solves on and, in approximate mode on a finite q-range, the ``family``
+    each nonzero point solves from (the first point solved fills it). With
+    |r| >= 1 its verdicts hold at each point."""
     tmap: Optional[TransformMap] = None
     ref: Optional[float] = None
     model: Optional[ModelSpec] = None
@@ -579,9 +580,10 @@ def cmd_scan(rc: RunConfig) -> int:
             os.remove(path)
 
     new_file = not os.path.exists(path)
+    left = [float(val) for val in values if _fmt(float(val)) not in done]
     held = _Held(ref=min((float(val) for val in values if val), key=abs, default=None))
     with contextlib.suppress(NumericalError, ConfigError, InvalidParameterError):
-        if held.ref:
+        if held.ref and left:
             model = _build_model(rc, override={rc.scan_param: held.ref})
             held = replace(held, model=model)
             if model.facts.u_scale == rc.scan_param:
@@ -592,11 +594,8 @@ def cmd_scan(rc: RunConfig) -> int:
     with open(path, "a", encoding="utf-8", newline="\n") as fh:
         if new_file:
             fh.write("".join(line + "\n" for line in header) + columns)
-        for val in values:
-            key = _fmt(float(val))
-            if key in done:
-                continue
-            fh.writelines(",".join(row) + "\n" for row in _scan_point(rc, float(val), held))
+        for val in left:
+            fh.writelines(",".join(row) + "\n" for row in _scan_point(rc, val, held))
             fh.flush()
     print(f"scan over {rc.scan_param}: {rc.scan_steps} points -> {path}")
     return EXIT_OK

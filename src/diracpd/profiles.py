@@ -67,6 +67,7 @@ def interior_sample(domain: Interval) -> np.ndarray:
 
 _EPS = float(np.finfo(float).eps)
 _HUGE = 1e100  # samples beyond this magnitude have overflowed, or are about to
+_CONST_U_TOL = 1e-10  # relative spread of u below which the model is constant-u
 _STEP_POWER = {1: 1 / 3, 2: 1 / 4}  # roundoff-optimal central-difference steps
 
 
@@ -357,19 +358,19 @@ def _product(model: ModelSpec, x, count: int):
     return tuple(filled(r, x_arr) for r in res)
 
 
-def detect_constant_u(model: ModelSpec, tol: float = 1e-10) -> Optional[float]:
-    """Return A when u(x) = m v_F^2 is constant to ``tol``, else None.
+def detect_constant_u(model: ModelSpec) -> Optional[float]:
+    """Return A when u(x) = m v_F^2 is constant, else None.
 
     Constancy is certified by dense sampling (``model.u_sample``, the
-    model's one evaluation of u on ``interior_sample``), not symbolically;
-    the reference value is u at the model anchor. Without closed forms,
-    samples where m or v_F^2 passes 1e100 are skipped: there a factor has
-    left the finite range (v_F^2 overflows while m underflows to 0), and the
-    product reads nothing of u. Any other sample where the product is not
-    finite is not constant.
+    model's one evaluation of u on ``interior_sample``), not symbolically:
+    every sample lies within ``_CONST_U_TOL`` |u0| of u0, u at the model
+    anchor, so the verdict does not depend on the units (u = 0 everywhere
+    is the one exact case). Without closed forms, samples where m or v_F^2
+    passes 1e100 are skipped: there a factor has left the finite range
+    (v_F^2 overflows while m underflows to 0), and the product reads
+    nothing of u. Any other sample where the product is not finite is not
+    constant.
     """
-    if tol <= 0:
-        raise InvalidParameterError("tol must be positive")
     u0 = u_values(model, model.anchor)
     u = model.u_sample
     if model.u_closed is None:
@@ -380,7 +381,7 @@ def detect_constant_u(model: ModelSpec, tol: float = 1e-10) -> Optional[float]:
         u = u[~np.broadcast_to(gone, xs.shape)]
     if not np.all(np.isfinite(u)):
         return None
-    if np.max(np.abs(u - u0)) <= tol * max(1.0, abs(u0)):
+    if np.max(np.abs(u - u0)) <= _CONST_U_TOL * abs(u0):
         return float(u0)
     return None
 

@@ -40,7 +40,7 @@ def _report(criterion, ok, detail):
 def _constant_u_solve(name, alpha, v0, m0, k, n_grid=2000):
     model = builtin_model(name, alpha=alpha, v0=v0, m0=m0)
     tmap = build_transform(model.velocity, 0.0)
-    a_const = detect_constant_u(model, tol=1e-10)
+    a_const = detect_constant_u(model)
     grid = QGrid(tmap.q_lo, tmap.q_hi, n_grid)
     result = solve_fixed(constant_u_potential(a_const, grid), k)
     return model, tmap, result
@@ -227,7 +227,7 @@ def test_criterion_7_constant_rest_limit():
     """Free constant-mass limit: E = +/- m0 c^2 and a flat potential."""
     model = builtin_model("constant_rest", m0=1.0, c=1.0)
     tmap = build_transform(model.velocity, 0.0)
-    a_const = detect_constant_u(model, tol=1e-12)
+    a_const = detect_constant_u(model)
     e_plus, e_minus = energies_from_lambda(0.0, a_const ** 2)
     grid = QGrid(-8.0, 8.0, 1001)
     field = approx_potential(model, grid, tmap)

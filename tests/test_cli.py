@@ -1650,19 +1650,20 @@ class TestScanFamily:
         rows_follow_fresh_solves(cfg, rows, values)
 
     def test_a_descending_scan_writes_what_solve_writes(self, tmp_path):
-        # m0 = 1e-14 is in the constant-u class (u spreads below detect_constant_u's
-        # threshold), m0 = 1 is not: as the least value it holds no family, and
-        # each point resolves its own mode, as solve does
+        # u's spread is relative, so m0 = 1e-14 is no more constant-u than m0 = 1:
+        # both resolve approximate, and the least value's point raises what a solve
+        # there raises (wall coefficient c = -0.3125 < -1/4: V is unbounded below)
         cfg = write_config(tmp_path / "c.txt", model__name="poschl_teller", model__alpha=1.0,
                            model__v0=1.0, model__m0=1.0, grid__n=400, solve__k_states=2,
                            scan__param="m0", scan__min=1.0, scan__max=1e-14, scan__steps=2,
                            out__dir=str(tmp_path / "out"))
         assert main(["scan", "--config", cfg]) == 0
         _, rows = read_rows(tmp_path / "out" / "scan.csv")
-        assert len(rows) == 4 and all(row[4] == "ok" for row in rows)
-        for value in (1.0, 1e-14):
-            assert [row[2] for row in rows if row[0] == cli._fmt(value)] == \
-                fresh_levels(cfg, value)
+        assert len(rows) == 3 and [row[4] for row in rows[:2]] == ["ok", "ok"]
+        assert [row[2] for row in rows[:2] if row[0] == "1"] == fresh_levels(cfg, 1.0)
+        with pytest.raises(errors.UnboundedBelowError):
+            fresh_levels(cfg, 1e-14)
+        assert rows[2] == ["1e-14", "-", "nan", "nan", "error:UnboundedBelowError"]
 
     @pytest.mark.parametrize("resumed", [False, True])
     def test_v_is_formed_once_per_grid_per_point(self, tmp_path, monkeypatch, resumed):
@@ -2038,3 +2039,46 @@ class TestOneModelBuild:
                            out__dir=str(tmp_path / "out"))
         assert main(["scan", "--config", cfg]) == 0
         assert built == ["poschl_teller"] * 8
+
+    def test_a_finished_scan_builds_nothing(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path / "c.txt", **dict(PT_SCAN, grid__n=400, scan__steps=3),
+                           scan__param="m0", scan__min=1.0, scan__max=2.0,
+                           out__dir=str(tmp_path / "out"))
+        assert main(["scan", "--config", cfg]) == 0
+        written = (tmp_path / "out" / "scan.csv").read_bytes()
+        built, maps = count_models(monkeypatch), count_builds(monkeypatch)
+        assert main(["scan", "--config", cfg]) == 0
+        assert (built, maps) == ([], [])
+        assert (tmp_path / "out" / "scan.csv").read_bytes() == written
+
+
+# each built-in with its velocity parameter and its mass parameter (u_scale)
+SCALED_MODELS = [
+    ("cosh_square", dict(alpha=1.1, v0=0.9, m0=0.7), "v0", "m0"),
+    ("rational", dict(alpha=0.8, v0=1.5, m0=0.6), "v0", "m0"),
+    ("poschl_teller", dict(alpha=1.0, v0=1.0, m0=1.3), "v0", "m0"),
+    ("linear_singular", dict(A=0.7, v0=1.3), "v0", "A"),
+    ("constant_rest", dict(m0=1.0, c=1.0), "c", "m0"),
+]
+
+
+class TestScaleCovariance:
+    """v_F -> 2^j v_F with m -> m / 2^j scales u = m v_F^2, and with it every
+    level, by 2^j: the mode resolved, the exit code and every E_plus bit follow."""
+
+    @pytest.mark.parametrize("mode", ["auto", "exact"])
+    @pytest.mark.parametrize("name,params,velocity,mass", SCALED_MODELS)
+    def test_levels_scale_bit_for_bit(self, tmp_path, name, params, velocity, mass, mode):
+        def run(j):
+            scaled = dict(params, **{velocity: math.ldexp(params[velocity], j),
+                                     mass: math.ldexp(params[mass], -j)})
+            out = tmp_path / f"out{j}"
+            cfg = write_config(tmp_path / f"c{j}.txt", model__name=name, grid__n=400,
+                               solve__k_states=3, outputs="spectrum", mode=mode,
+                               out__dir=str(out), **{f"model__{k}": v for k, v in scaled.items()})
+            code = main(["solve", "--config", cfg])
+            return code, (code or [float(row[2]) for row in read_rows(out / "spectrum.csv")[1]])
+
+        code, levels = run(0)
+        for j in (20, -20, 50, -50, 60, -60):
+            assert run(j) == (code, levels if code else [math.ldexp(e, j) for e in levels]), j

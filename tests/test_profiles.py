@@ -243,25 +243,19 @@ class TestProductU:
 class TestDetectConstantU:
     def test_cosh_square_gives_a(self):
         m = builtin_model("cosh_square", alpha=1, v0=1, m0=1)
-        assert detect_constant_u(m, tol=1e-12) == 1.0
+        assert detect_constant_u(m) == 1.0
 
     def test_rational_gives_a(self):
         m = builtin_model("rational", alpha=0.8, v0=1.5, m0=0.6)
-        assert detect_constant_u(m, tol=1e-12) == pytest.approx(0.6 * 1.5 ** 2,
-                                                                rel=1e-15)
+        assert detect_constant_u(m) == pytest.approx(0.6 * 1.5 ** 2, rel=1e-15)
 
     def test_poschl_teller_not_constant(self):
         m = builtin_model("poschl_teller", alpha=1, v0=1, m0=1)
-        assert detect_constant_u(m, tol=1e-6) is None
+        assert detect_constant_u(m) is None
 
     def test_massless_gives_zero(self):
         m = builtin_model("cosh_square", alpha=1, v0=1, m0=0)
-        assert detect_constant_u(m, tol=1e-12) == 0.0
-
-    def test_bad_tol(self):
-        m = builtin_model("cosh_square", alpha=1, v0=1, m0=0)
-        with pytest.raises(InvalidParameterError):
-            detect_constant_u(m, tol=0.0)
+        assert detect_constant_u(m) == 0.0
 
     @pytest.mark.parametrize("name,params,expected", [
         # far out v_F^2 overflows while m underflows to 0: those samples are skipped
